@@ -469,7 +469,7 @@ func runClusterSelftest(out io.Writer, cfg clusterSelftestConfig) error {
 
 	// Probe 6: shard-primary failover mid-2PC. Arm a coordinator crash
 	// so a leased hold sits prepared-but-uncommitted on the joiner, wait
-	// for gossip to ship the shadow, kill the joiner's listener, and
+	// for gossip to ship the shadow, kill the joiner, and
 	// force-leave it. The standby must promote with every committed
 	// reservation, the lease sweep must reclaim the orphaned hold, and a
 	// fresh admission must land on the new primary.
@@ -524,8 +524,18 @@ func runClusterSelftest(out io.Writer, cfg clusterSelftestConfig) error {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	failoverStart := time.Now()
-	joinerHTTP.Close() // hard stop: the primary is gone mid-protocol
+	// Hard stop, mid-protocol: inbound gone, then outbound. A node that
+	// only lost its listener keeps gossiping, gets fenced by the
+	// force-leave below and rejoins — back in the table this probe
+	// requires it to be gone from.
+	joinerHTTP.Close()
+	killCtx, cancelKill := context.WithTimeout(ctx, 10*time.Second)
+	err = joiner.Shutdown(killCtx)
+	cancelKill()
+	if err != nil {
+		return fmt.Errorf("cluster selftest: killing %s: %w", joinerID, err)
+	}
+	failoverStart := time.Now() // the primary is dead from here
 	status, data, err = postJSON(ctx, httpc, peers[0].URL+"/v1/cluster/leave",
 		map[string]any{"id": joinerID, "force": true})
 	if err != nil || status != http.StatusOK {

@@ -67,9 +67,6 @@ func run(args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "decision worker pool size (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "pending-decision queue depth (0 = 4x workers)")
 	timeout := fs.Duration("timeout", 2*time.Second, "per-request decision deadline")
-	admitBatch := fs.Bool("admit-batch", true, "batch concurrent admissions sharing a footprint on the hot path")
-	admitRetries := fs.Int("admit-retries", 0, "optimistic plan/validate attempts before planning under shard locks (0 = default 3)")
-	pessimisticAdmit := fs.Bool("pessimistic-admit", false, "restore the legacy plan-under-shard-locks admission path (benchmark baseline)")
 	locations := fs.Int("locations", 4, "number of locations in the initial availability")
 	baseRate := fs.Int64("base", 4, "cpu units/tick per location in the initial availability")
 	linkRate := fs.Int64("link", 1, "network units/tick per directed link (full mesh)")
@@ -176,18 +173,15 @@ func run(args []string, out io.Writer) error {
 	}
 
 	scfg := server.Config{
-		Policy:           policy,
-		Theta:            theta,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		DecisionTimeout:  *timeout,
-		Obs:              observer,
-		Spans:            spans,
-		Assure:           asr,
-		FlightRec:        rec,
-		AdmitRetries:     *admitRetries,
-		NoAdmitBatch:     !*admitBatch,
-		PessimisticAdmit: *pessimisticAdmit,
+		Policy:          policy,
+		Theta:           theta,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		DecisionTimeout: *timeout,
+		Obs:             observer,
+		Spans:           spans,
+		Assure:          asr,
+		FlightRec:       rec,
 	}
 
 	rpc := rpcConfig{

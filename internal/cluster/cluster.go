@@ -520,10 +520,6 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 				n.serveRedirect(w, red)
 				return
 			}
-			if red, ok := n.tableRedirect(jobFootprint(job.Dist)); ok {
-				n.serveRedirect(w, red)
-				return
-			}
 			n.misrouted.Add(1)
 			httpError(w, http.StatusUnprocessableEntity,
 				fmt.Errorf("cluster: %s forwarded %s here, but %s does not own its whole footprint",
@@ -1019,25 +1015,36 @@ func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
 	}
 	released := 0
 	var lastErr error
-	for _, ps := range n.releaseTargets() {
-		if ps.isSelf {
-			n.flowMu.RLock()
-			err := n.srv.Ledger().Release(req.Name)
-			n.flowMu.RUnlock()
-			if err == nil {
-				released++
+	for {
+		epoch := n.reg.Epoch()
+		for _, ps := range n.releaseTargets() {
+			if ps.isSelf {
+				n.flowMu.RLock()
+				err := n.srv.Ledger().Release(req.Name)
+				n.flowMu.RUnlock()
+				if err == nil {
+					released++
+				}
+				continue
 			}
-			continue
-		}
-		headers := map[string]string{headerForwarded: n.self.ID}
-		if err := n.client.call(r.Context(), http.MethodPost, ps.URL+"/v1/release", body, nil, headers, ps.rpc); err != nil {
-			var se *httpStatusError
-			if !errors.As(err, &se) || se.status != http.StatusNotFound {
-				lastErr = err
+			headers := map[string]string{headerForwarded: n.self.ID}
+			if err := n.client.call(r.Context(), http.MethodPost, ps.URL+"/v1/release", body, nil, headers, ps.rpc); err != nil {
+				var se *httpStatusError
+				if !errors.As(err, &se) || se.status != http.StatusNotFound {
+					lastErr = err
+				}
+				continue
 			}
-			continue
+			released++
 		}
-		released++
+		// A pass only covers the roster it started with. A call parked
+		// behind a peer's handoff freeze can outlast a join's announce and
+		// the handoff itself, and the commitment is then with a member
+		// this pass never asked; releases are idempotent, so go round
+		// again whenever the table moved underneath.
+		if n.reg.Epoch() == epoch {
+			break
+		}
 	}
 	if released == 0 {
 		if lastErr != nil {

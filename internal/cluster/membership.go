@@ -132,50 +132,23 @@ func (n *Node) lookupOwner(loc resource.Location) (ownerRef, bool) {
 	return ownerRef{}, false
 }
 
-// redirectFor builds the 421 body for a request touching handed-off
-// locations: the new owner of the first moved location, plus every
-// requested location that moved to that same owner.
+// redirectFor builds the 421 body for a request touching locations
+// owned elsewhere: the owner of the first foreign location plus every
+// requested location living with that same owner. Owners are resolved
+// like every other routing decision (lookupOwner: overlays, then the
+// published table), which covers the handoff window before the new
+// table lands (handedOff) and the window after it (the table itself) —
+// and keeps a new owner from bouncing requests back to the old one
+// while its own table still lags the install (pendingOwned).
 func (n *Node) redirectFor(locs []resource.Location) (membership.RedirectResponse, bool) {
-	n.omu.Lock()
-	defer n.omu.Unlock()
 	for _, loc := range locs {
-		h, ok := n.handedOff[loc]
-		if !ok {
+		ref, ok := n.lookupOwner(loc)
+		if !ok || ref.id == n.self.ID {
 			continue
 		}
-		red := membership.RedirectResponse{OwnerID: h.id, OwnerURL: h.url, Epoch: h.epoch}
+		red := membership.RedirectResponse{OwnerID: ref.id, OwnerURL: ref.url, Epoch: ref.epoch}
 		for _, l2 := range locs {
-			if h2, ok := n.handedOff[l2]; ok && h2.id == h.id {
-				red.Locs = append(red.Locs, l2)
-			}
-		}
-		return red, true
-	}
-	return membership.RedirectResponse{}, false
-}
-
-// tableRedirect builds a 421 from the published table for locations
-// owned elsewhere: the owner of the first foreign location, plus every
-// listed location that lives with that same owner. The overlay-driven
-// redirectFor covers the handoff window before the new table lands;
-// this covers the window after — a peer whose table is one epoch
-// behind forwards a job here right as the final table clears the
-// overlays, and the table itself is then the only record of where the
-// footprint went.
-func (n *Node) tableRedirect(locs []resource.Location) (membership.RedirectResponse, bool) {
-	tbl := n.reg.Snapshot()
-	for _, loc := range locs {
-		id, ok := tbl.OwnerOf(loc)
-		if !ok || id == n.self.ID {
-			continue
-		}
-		m, ok := tbl.Member(id)
-		if !ok {
-			continue
-		}
-		red := membership.RedirectResponse{OwnerID: id, OwnerURL: m.URL, Epoch: tbl.Epoch}
-		for _, l2 := range locs {
-			if o2, ok := tbl.OwnerOf(l2); ok && o2 == id {
+			if r2, ok := n.lookupOwner(l2); ok && r2.id == ref.id {
 				red.Locs = append(red.Locs, l2)
 			}
 		}
@@ -1090,10 +1063,6 @@ func (n *Node) handlePrepareIntercept(w http.ResponseWriter, r *http.Request) {
 		n.serveRedirect(w, red)
 		return
 	}
-	if red, ok := n.tableRedirect(locs); ok {
-		n.serveRedirect(w, red)
-		return
-	}
 	n.delegate(w, r, body)
 }
 
@@ -1108,10 +1077,6 @@ func (n *Node) handleFreeIntercept(w http.ResponseWriter, r *http.Request) {
 	n.flowMu.RLock()
 	defer n.flowMu.RUnlock()
 	if red, ok := n.redirectFor(locs); ok {
-		n.serveRedirect(w, red)
-		return
-	}
-	if red, ok := n.tableRedirect(locs); ok {
 		n.serveRedirect(w, red)
 		return
 	}

@@ -17,9 +17,9 @@ import (
 // ownership handoff over the wire — export on the source, leased
 // install on the target, drop on the source, table publish — while a
 // background client keeps admitting and releasing against the
-// non-moving shard. This is the number EXPERIMENTS.md E15 tracks and
-// the benchjson -compare gate watches: the cost of moving a location
-// with N live commitments without pausing the cluster.
+// non-moving shard. This is the number EXPERIMENTS.md E15 tracks: the
+// cost of moving a location with N live commitments without pausing
+// the cluster.
 func BenchmarkHandoffUnderLoad(b *testing.B) {
 	for _, commitments := range []int{10, 100} {
 		b.Run(fmt.Sprintf("commitments=%d", commitments), func(b *testing.B) {

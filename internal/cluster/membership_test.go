@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	neturl "net/url"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/interval"
+	"repro/internal/membership"
 	"repro/internal/obs"
 	"repro/internal/obs/assure"
 	"repro/internal/obs/span"
@@ -496,6 +499,18 @@ func TestRedirectServedForHandedOffLocation(t *testing.T) {
 	if got := n1.Stats().Cluster.RedirectsServed; got == 0 {
 		t.Fatal("redirects_served did not count")
 	}
+	// The new owner must serve the location it was just handed, not
+	// bounce the request back: its table still names n1 until the final
+	// table lands, and a coordinator sent n1 → n2 → n1 … burns its
+	// ownership retries on a location that moved exactly once.
+	fresp, err := http.Get(tc.urls[1] + "/v1/cluster/free?locs=" + string(loc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresp.Body.Close()
+	if fresp.StatusCode != http.StatusOK {
+		t.Fatalf("free on the new owner returned %d before the table caught up, want 200", fresp.StatusCode)
+	}
 	// An admit submitted to the old owner still succeeds: the forward
 	// path follows the redirect to the new owner.
 	status, verdict := admitVerdict(t, tc.urls[0], pinnedJob(t, "after-redirect", loc, 100000))
@@ -504,6 +519,90 @@ func TestRedirectServedForHandedOffLocation(t *testing.T) {
 	}
 	if _, ok := tc.nodes[1].Server().Ledger().Commitment("after-redirect"); !ok {
 		t.Fatal("redirected admission missed the new owner")
+	}
+}
+
+// A release fan-out only covers the roster it started with. When a call
+// is parked behind a peer's handoff freeze while a member joins and the
+// commitment follows its location there, the pass must be repeated
+// against the new roster instead of answering 404 for a job that is
+// committed on a node it never asked.
+func TestReleaseFanOutFollowsRosterChange(t *testing.T) {
+	// n1 is a stand-in that parks the forwarded release (as a node
+	// frozen mid-handoff would) and then denies holding the job.
+	parked := make(chan struct{})
+	proceed := make(chan struct{})
+	var parkOnce sync.Once
+	n1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/release" {
+			writeJSON(w, http.StatusOK, map[string]string{})
+			return
+		}
+		parkOnce.Do(func() { close(parked) })
+		<-proceed
+		httpError(w, http.StatusNotFound, errors.New("unknown computation"))
+	}))
+	defer n1.Close()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2URL := "http://" + ln.Addr().String()
+	n2, err := New(Config{
+		Self: "n2",
+		Peers: []Peer{
+			{ID: "n1", URL: n1.URL, Locations: []resource.Location{"l1"}},
+			{ID: "n2", URL: n2URL, Locations: []resource.Location{"l2"}},
+		},
+		Server:         server.Config{Policy: &admission.Rota{}},
+		LeaseTTL:       50,
+		GossipInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: n2}
+	go func() { _ = hs.Serve(ln) }()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = n2.Shutdown(ctx)
+		_ = hs.Shutdown(ctx)
+	}()
+
+	// n3 carries the commitment, the way a joiner does once a handoff has
+	// installed a location on it.
+	n3, n3URL := newJoiner(t, "n3")
+	n3.Server().Ledger().AddOwned([]resource.Location{"l1"})
+	if err := n3.Server().Ledger().ImportLocations([]server.LocationExport{{
+		Loc:   "l1",
+		Theta: "4:cpu@l1:(0,100)",
+		Commitments: []server.ExportCommitment{
+			{Name: "roamer", Demand: "1:cpu@l1:(0,10)", Finish: 10, Deadline: 20},
+		},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+
+	status := make(chan int, 1)
+	go func() {
+		st, _, err := tryPost(n2URL+"/v1/release", map[string]string{"name": "roamer"})
+		if err != nil {
+			t.Error(err)
+		}
+		status <- st
+	}()
+	<-parked // n2's pass, over the roster {n1, n2}, is now stuck on n1
+	if !n2.applyTable(n2.Table().Joined(membership.Member{ID: "n3", URL: n3URL}, nil, nil)) {
+		t.Fatal("announce table not applied")
+	}
+	close(proceed)
+	if st := <-status; st != http.StatusOK {
+		t.Fatalf("release answered %d, want 200: the job is committed on n3", st)
+	}
+	if _, ok := n3.Server().Ledger().Commitment("roamer"); ok {
+		t.Fatal("roamer still committed on n3 after the release")
 	}
 }
 

@@ -251,7 +251,6 @@ func (m *Manager) loop() {
 
 // sweep re-evaluates every standing query once and delivers flips.
 func (m *Manager) sweep() {
-	reason, _ := m.lastReason.Load().(string)
 	m.mu.Lock()
 	pending := make([]*Subscription, 0, len(m.subs))
 	for _, sub := range m.subs {
@@ -277,6 +276,10 @@ func (m *Manager) sweep() {
 		prev := sub.verdict
 		sub.verdict = v.Holds
 		m.flips.Add(1)
+		// Sampled after the evaluation it labels: a sweep that started on
+		// an older wake (Subscribe's self-wake carries no bump at all) may
+		// be evaluating state a later bump produced.
+		reason, _ := m.lastReason.Load().(string)
 		m.deliverLocked(sub, v, &prev, reason)
 		m.mu.Unlock()
 		m.log("query.flip", "sub", sub.id, "query", sub.c.Source(),

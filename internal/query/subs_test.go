@@ -85,6 +85,51 @@ func TestSubscribeInitialVerdictAndFlip(t *testing.T) {
 	}
 }
 
+// A flip must be labelled with the bump that was current when its
+// evaluation finished, not when its sweep started: the self-wake after
+// Subscribe starts a sweep on no bump at all, and an evaluation that
+// takes a while (a cluster fan-out) can observe a later mutation.
+func TestFlipReasonSampledAfterEvaluation(t *testing.T) {
+	var holds atomic.Bool
+	inEval := make(chan struct{}, 4)
+	release := make(chan struct{})
+	var gated atomic.Bool
+	m := NewManager(func(c *Compiled) (Verdict, error) {
+		if gated.Load() {
+			inEval <- struct{}{}
+			<-release
+		}
+		return Verdict{Holds: holds.Load()}, nil
+	}, nil)
+	defer m.Close()
+	m.Bump(1, "advance") // an old bump, long since swept
+
+	gated.Store(true)
+	subscribed := make(chan *Subscription, 1)
+	go func() {
+		sub, err := m.Subscribe(mustParse(t, "holds(l1, cpu>=1)"), 16)
+		if err != nil {
+			t.Error(err)
+		}
+		subscribed <- sub
+	}()
+	<-inEval // the initial evaluation
+	release <- struct{}{}
+	sub := <-subscribed
+	if first := waitEvent(t, sub); first.Holds {
+		t.Fatalf("initial event = %+v, want holds=false", first)
+	}
+
+	<-inEval // the self-wake's sweep is now mid-evaluation
+	holds.Store(true)
+	m.Bump(2, "commit")
+	gated.Store(false)
+	close(release)
+	if flip := waitEvent(t, sub); !flip.Holds || flip.Reason != "commit" {
+		t.Fatalf("flip = %+v, want holds=true reason=commit", flip)
+	}
+}
+
 func TestBoundedQueueDrops(t *testing.T) {
 	eval := &toggleEval{}
 	m := NewManager(eval.eval, nil)

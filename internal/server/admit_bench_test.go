@@ -1,9 +1,7 @@
 package server
 
 import (
-	"context"
 	"fmt"
-	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,17 +17,15 @@ import (
 // `commits` live commitments whose windows are staggered so the shard
 // profiles carry many segments — the loaded-ledger shape the admit hot
 // path has to stay fast on.
-func benchAdmitLedger(b *testing.B, nLocs, commits int) (*Ledger, []resource.Location) {
+func benchAdmitLedger(b *testing.B, nLocs, commits int, promises *assure.Ledger) (*Ledger, []resource.Location) {
 	b.Helper()
 	locs := make([]resource.Location, nLocs)
 	for i := range locs {
 		locs[i] = resource.Location(fmt.Sprintf("l%d", i+1))
 	}
 	// Plenty of headroom: the benchmark measures decide+reserve cost,
-	// not rejection churn. The promise ledger stays attached — the
-	// numbers the bench gate compares are the shipping configuration.
-	l := NewLedger(cpuTheta(512, 1<<20, locs...), 0)
-	l.SetAssure(assure.New("bench"))
+	// not rejection churn.
+	l := NewLedger(Config{Theta: cpuTheta(512, 1<<20, locs...), Assure: promises}, nil)
 	policy := &admission.Rota{}
 	for k := 0; k < commits; k++ {
 		start := interval.Time((k * 8) % 4096)
@@ -102,10 +98,9 @@ func benchAdmitLoop(b *testing.B, l *Ledger, fpLocs []resource.Location, conc in
 	}
 }
 
-// BenchmarkAdmitHot measures the admission decide+reserve loop:
-// mode=locked is the pre-PR pessimistic plan-under-shard-locks path,
-// mode=hot the optimistic batched path. The acceptance bar is hot ≥ 2×
-// locked throughput at conc=64 on a single shard.
+// BenchmarkAdmitHot measures the admission decide+reserve loop with the
+// promise ledger attached (the shipping configuration) across shard
+// count, resident commitments and concurrency.
 func BenchmarkAdmitHot(b *testing.B) {
 	type cell struct{ locs, commits, conc int }
 	cells := []cell{
@@ -113,25 +108,16 @@ func BenchmarkAdmitHot(b *testing.B) {
 		{3, 100, 1}, {3, 100, 8}, {3, 100, 64},
 		{1, 10, 64}, {1, 1000, 64},
 	}
-	for _, mode := range []string{"locked", "hot"} {
-		for _, c := range cells {
-			name := fmt.Sprintf("mode=%s/locs=%d/commits=%d/conc=%d", mode, c.locs, c.commits, c.conc)
-			b.Run(name, func(b *testing.B) {
-				l, locs := benchAdmitLedger(b, c.locs, c.commits)
-				if mode == "locked" {
-					// The pre-PR baseline: plan under the shard locks with
-					// dirty-on-mutation free views (recomputed and cloned
-					// on every admission).
-					l.SetAdmitTuning(0, false, true)
-					l.noPatch.Store(true)
-				}
-				fp := locs
-				if c.locs == 1 {
-					fp = locs[:1]
-				}
-				benchAdmitLoop(b, l, fp, c.conc)
-			})
-		}
+	for _, c := range cells {
+		name := fmt.Sprintf("locs=%d/commits=%d/conc=%d", c.locs, c.commits, c.conc)
+		b.Run(name, func(b *testing.B) {
+			l, locs := benchAdmitLedger(b, c.locs, c.commits, assure.New("bench"))
+			fp := locs
+			if c.locs == 1 {
+				fp = locs[:1]
+			}
+			benchAdmitLoop(b, l, fp, c.conc)
+		})
 	}
 }
 
@@ -150,10 +136,11 @@ func BenchmarkAssureOverhead(b *testing.B) {
 		for _, c := range cells {
 			name := fmt.Sprintf("assure=%s/locs=%d/commits=%d/conc=%d", mode, c.locs, c.commits, c.conc)
 			b.Run(name, func(b *testing.B) {
-				l, locs := benchAdmitLedger(b, c.locs, c.commits)
-				if mode == "off" {
-					l.SetAssure(nil)
+				var promises *assure.Ledger
+				if mode == "on" {
+					promises = assure.New("bench")
 				}
+				l, locs := benchAdmitLedger(b, c.locs, c.commits, promises)
 				fp := locs
 				if c.locs == 1 {
 					fp = locs[:1]
@@ -162,53 +149,4 @@ func BenchmarkAssureOverhead(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkRotaloadSaturation drives the full HTTP stack (rotaload's
-// loop against an in-process daemon) at high client concurrency and
-// reports the client-observed admit latency tail — the saturation
-// p50/p99 rows of the perf ledger.
-func BenchmarkRotaloadSaturation(b *testing.B) {
-	locs := []resource.Location{"l1", "l2", "l3", "l4"}
-	jobs, err := workload.Generate(workload.Config{
-		Seed: 42, Locations: locs, NumJobs: 256,
-		MeanInterarrival: 4, ActorsMin: 1, ActorsMax: 2,
-		StepsMin: 1, StepsMax: 2, EvalWeightMax: 2, SlackFactor: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var p50, p99 float64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		srv, err := New(Config{Theta: cpuTheta(64, 1<<20, locs...), Workers: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(srv)
-		b.StartTimer()
-		report, err := RunLoad(context.Background(), LoadConfig{
-			BaseURL:         ts.URL,
-			Jobs:            jobs,
-			Requests:        512,
-			Clients:         64,
-			ReleaseAdmitted: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if report.Errors > 0 {
-			b.Fatalf("saturation run errored: %+v", report)
-		}
-		p50, p99 = report.P50US, report.P99US
-		if err := srv.ledger.Audit(); err != nil {
-			b.Fatal(err)
-		}
-		ts.Close()
-		_ = srv.Shutdown(context.Background())
-		b.StartTimer()
-	}
-	b.ReportMetric(p50, "p50-us")
-	b.ReportMetric(p99, "p99-us")
 }

@@ -18,9 +18,9 @@ import (
 // The admission hot path: optimistic epoch-validated planning plus
 // per-footprint batching of the reserve phase.
 //
-// The legacy path ran the Theorem-4 witness-plan search while holding
-// every footprint shard's lock, so concurrent admits to one location
-// serialized on the (expensive) plan search. Here each admission:
+// Running the Theorem-4 witness-plan search while holding every
+// footprint shard's lock would serialize concurrent admits to one
+// location on the (expensive) search. Instead each admission:
 //
 //  1. snapshots — locks the footprint shards just long enough to read
 //     the cached free view and each shard's mutation version;
@@ -31,9 +31,9 @@ import (
 //     construction: the planner only emits plans that fit the view it
 //     searched) or, when a concurrent mutation moved the versions, if
 //     the plan's demand still fits the current free view. A miss
-//     replans from a fresh snapshot, bounded by admitRetries, before a
-//     final attempt that plans under the locks (the legacy path, which
-//     cannot conflict).
+//     replans from a fresh snapshot, bounded by defaultAdmitRetries,
+//     before a final attempt that plans under the locks (runLocked,
+//     which cannot conflict).
 //
 // Soundness is unchanged from the lock-holding path: a reservation is
 // only ever applied after a fit check (version-unchanged or explicit
@@ -154,9 +154,9 @@ func locsKey(locs []resource.Location) string {
 }
 
 // admitHot routes one claimed admission through the hot path and blocks
-// until its outcome is decided. Like the legacy path it does not abort
-// on ctx cancellation mid-decision — the server's worker claim CAS
-// rolls back late outcomes — so every admission is always decided.
+// until its outcome is decided. It does not abort on ctx cancellation
+// mid-decision — the server's worker claim CAS rolls back late outcomes
+// — so every admission is always decided.
 func (l *Ledger) admitHot(ctx context.Context, policy admission.Policy, job workload.Job, now interval.Time, locs []resource.Location, claim *commitment) (admission.Decision, error) {
 	w := &admitWork{
 		ctx:    ctx,
@@ -168,14 +168,10 @@ func (l *Ledger) admitHot(ctx context.Context, policy admission.Policy, job work
 		lead:   make(chan struct{}, 1),
 	}
 	l.hot.batchedJobs.Add(1)
-	if l.pessimistic {
-		l.runLocked(locs, w)
-		out := <-w.done
-		return out.dec, out.err
-	}
 
-	for attempt := 0; attempt <= l.admitRetries; attempt++ {
-		free, vers, err := l.snapshotFree(locs)
+	for attempt := 0; attempt <= defaultAdmitRetries; attempt++ {
+		vers := make([]uint64, len(locs))
+		free, err := l.snapshotFree(locs, vers)
 		if err != nil {
 			l.settle(w, admission.Decision{}, err)
 			return admission.Decision{}, err
@@ -190,13 +186,7 @@ func (l *Ledger) admitHot(ctx context.Context, policy admission.Policy, job work
 		if l.testPostPlanHook != nil {
 			l.testPostPlanHook()
 		}
-		var out admitOutcome
-		if l.noBatch {
-			l.validateBatch(locs, []*admitWork{w}, attempt)
-			out = <-w.done
-		} else {
-			out = l.submitToGroup(locs, w, attempt)
-		}
+		out := l.submitToGroup(locs, w, attempt)
 		if !out.retry {
 			return out.dec, out.err
 		}
@@ -256,38 +246,44 @@ func (l *Ledger) submitToGroup(locs []resource.Location, w *admitWork, attempt i
 	return <-w.done
 }
 
-// snapshotFree reads the merged free view of the footprint plus each
-// shard's mutation version, holding the shard locks only for the reads.
-// The returned set shares the shards' cached profiles and must be
-// treated as read-only (admission.Decide and schedule.Concurrent clone
-// before mutating). Single-location footprints return the cached set
-// directly — no clone, no allocation.
-func (l *Ledger) snapshotFree(locs []resource.Location) (resource.Set, []uint64, error) {
+// snapshotFree reads the merged free view of the footprint, holding
+// the shard locks only for the reads. With vers non-nil (one slot per
+// location; locs sorted and distinct) it also records each shard's
+// mutation version. The returned set shares the shards' cached profiles
+// and must be treated as read-only (admission.Decide and
+// schedule.Concurrent clone before mutating). Single-location
+// footprints return the cached set directly — no clone, no allocation.
+func (l *Ledger) snapshotFree(locs []resource.Location, vers []uint64) (resource.Set, error) {
 	if len(locs) == 1 {
 		sh := l.shardFor(locs[0])
 		sh.mu.Lock()
-		part, err := sh.freeView()
-		ver := sh.ver
-		sh.mu.Unlock()
-		if err != nil {
-			return resource.Set{}, nil, fmt.Errorf("server: shard %s invariant broken: %w", locs[0], err)
-		}
-		return part, []uint64{ver}, nil
+		defer sh.mu.Unlock()
+		return mergedFree([]*shard{sh}, vers)
 	}
 	shards, unlock := l.lockedShards(locs)
+	defer unlock()
+	return mergedFree(shards, vers)
+}
+
+// mergedFree merges the free views of shards whose locks the caller
+// holds, recording their mutation versions into vers when non-nil. A
+// lone shard's cached view is returned as is, shared read-only.
+func mergedFree(shards []*shard, vers []uint64) (resource.Set, error) {
 	var free resource.Set
-	vers := make([]uint64, len(shards))
 	for i, sh := range shards {
 		part, err := sh.freeView()
 		if err != nil {
-			unlock()
-			return resource.Set{}, nil, fmt.Errorf("server: shard %s invariant broken: %w", sh.loc, err)
+			return resource.Set{}, fmt.Errorf("server: shard %s invariant broken: %w", sh.loc, err)
 		}
-		vers[i] = sh.ver
+		if vers != nil {
+			vers[i] = sh.ver
+		}
+		if len(shards) == 1 {
+			return part, nil
+		}
 		free = free.PatchUnion(part)
 	}
-	unlock()
-	return free, vers, nil
+	return free, nil
 }
 
 // planOne runs the witness-plan search for one work against a free-view
@@ -378,8 +374,7 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 	spans := l.startReserveSpans(batch, len(locs), attempt)
 	shards, unlock := l.lockedShards(locs)
 	// Ownership can shrink between the claim and this point (a
-	// concurrent handoff): re-check under the shard locks, as the
-	// legacy path did.
+	// concurrent handoff): re-check under the shard locks.
 	if err := l.checkOwned(locs); err != nil {
 		unlock()
 		l.endReserveSpans(spans, span.StatusError)
@@ -407,7 +402,10 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 			return
 		}
 		if !fits {
+			// The attempt is refused for capacity — its plan no longer
+			// fits the free view — and like every reject span says so.
 			spans[i].SetStatus(span.StatusReject)
+			spans[i].SetProvenance(span.Classify(ErrOvercommit.Error()))
 			conflicted = append(conflicted, w)
 			continue
 		}
@@ -492,11 +490,10 @@ func (l *Ledger) endReserveSpans(spans []*span.Span, status string) {
 	}
 }
 
-// runLocked is the pessimistic path: plan while holding the shard
-// locks, exactly like the pre-optimistic ledger. It decides the work
+// runLocked plans while holding the shard locks. It decides the work
 // unconditionally — the view cannot move under the locks, so there is
-// nothing to conflict with. Used as the bounded-retry fallback and, via
-// SetAdmitTuning(pessimistic), as the benchmark baseline.
+// nothing to conflict with — which is why it is the fallback once the
+// bounded optimistic attempts are spent.
 func (l *Ledger) runLocked(locs []resource.Location, w *admitWork) {
 	l.hot.batches.Add(1)
 	shards, unlock := l.lockedShards(locs)
@@ -505,29 +502,11 @@ func (l *Ledger) runLocked(locs []resource.Location, w *admitWork) {
 		l.settle(w, admission.Decision{}, err)
 		return
 	}
-	var free resource.Set
-	for _, sh := range shards {
-		part, err := sh.freeView()
-		if err != nil {
-			unlock()
-			l.settle(w, admission.Decision{}, fmt.Errorf("server: shard %s invariant broken: %w", sh.loc, err))
-			return
-		}
-		if len(shards) == 1 && !l.noPatch.Load() {
-			free = part // read-only share of the cached view; no clone
-		} else {
-			free = free.PatchUnion(part)
-		}
-	}
-	if l.noPatch.Load() {
-		// Legacy-baseline fidelity: the pre-incremental path cloned the
-		// merged view (Union) and Decide re-derived free capacity from
-		// the transient state on every admission. Re-pay that cost here
-		// so benchmarks compare against what the old path actually did.
-		st := core.State{Theta: free, Now: w.now}
-		if refree, err := st.FreeResources(); err == nil {
-			free = refree
-		}
+	free, err := mergedFree(shards, nil)
+	if err != nil {
+		unlock()
+		l.settle(w, admission.Decision{}, err)
+		return
 	}
 	if !l.planOne(w, locs, free, nil, 0) {
 		unlock()

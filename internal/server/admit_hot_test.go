@@ -12,6 +12,8 @@ import (
 	"repro/internal/compute"
 	"repro/internal/cost"
 	"repro/internal/interval"
+	"repro/internal/obs/flightrec"
+	"repro/internal/obs/span"
 	"repro/internal/resource"
 	"repro/internal/workload"
 )
@@ -42,7 +44,7 @@ func triJob(tb testing.TB, name string, locs []resource.Location, start, deadlin
 // index is maintained consistently. (Satellite: the old guard scanned
 // l.holds linearly under the global mutex.)
 func TestAdmitRacingHeldNameBothLose(t *testing.T) {
-	l := NewLedger(cpuTheta(4, 1000, "l1"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(4, 1000, "l1")}, nil)
 	var demand resource.Set
 	demand.Add(resource.NewTerm(u(1), resource.CPUAt("l1"), interval.New(0, 8)))
 	if err := l.Prepare("k1", "contested", demand, 8, 100, 50); err != nil {
@@ -79,7 +81,7 @@ func TestAdmitRacingHeldNameBothLose(t *testing.T) {
 
 // Two racing admits of the same (new) name: exactly one wins.
 func TestAdmitRacingSameNameOneWins(t *testing.T) {
-	l := NewLedger(cpuTheta(4, 1000, "l1"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(4, 1000, "l1")}, nil)
 	policy := &admission.Rota{}
 	var wg sync.WaitGroup
 	var admitted, dup atomic.Int64
@@ -110,7 +112,7 @@ func TestAdmitRacingSameNameOneWins(t *testing.T) {
 // invariant (Audit clean). Run under -race in CI.
 func TestBatchedAdmitNoOvercommit(t *testing.T) {
 	// 64 cpu units on one shard; each job needs 8 → capacity for 8.
-	l := NewLedger(cpuTheta(1, 64, "l1"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(1, 64, "l1")}, nil)
 	policy := &admission.Rota{}
 	var wg sync.WaitGroup
 	var admitted, rejected atomic.Int64
@@ -144,42 +146,12 @@ func TestBatchedAdmitNoOvercommit(t *testing.T) {
 	}
 }
 
-// The same 64-way squeeze through the pessimistic (plan-under-locks)
-// baseline must reach the same verdict counts — the two paths are
-// semantically interchangeable.
-func TestPessimisticAdmitSameVerdicts(t *testing.T) {
-	l := NewLedger(cpuTheta(1, 64, "l1"), 0)
-	l.SetAdmitTuning(0, false, true)
-	policy := &admission.Rota{}
-	var wg sync.WaitGroup
-	var admitted atomic.Int64
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dec, err := l.Admit(policy, cpuJob(t, fmt.Sprintf("j%d", i), "l1", 0, 64))
-			if err != nil {
-				t.Errorf("j%d: %v", i, err)
-				return
-			}
-			if dec.Admit {
-				admitted.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if admitted.Load() != 8 {
-		t.Fatalf("admitted=%d, want 8", admitted.Load())
-	}
-	mustAudit(t, l)
-}
-
 // A snapshot conflict — capacity mutated between plan and validate so
 // the plan no longer fits — must retry and replan, not overcommit and
 // not spuriously reject. The hook reserves the window the first plan
 // was placed in; the replan lands the job later in its deadline window.
 func TestOptimisticConflictRetriesAndReplans(t *testing.T) {
-	l := NewLedger(cpuTheta(1, 100, "l1"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(1, 100, "l1")}, nil)
 	policy := &admission.Rota{}
 
 	var synthetic resource.Set
@@ -217,6 +189,87 @@ func TestOptimisticConflictRetriesAndReplans(t *testing.T) {
 	sh.mu.Lock()
 	relErr := sh.applyRelease(synthetic)
 	sh.mu.Unlock()
+	if relErr != nil {
+		t.Fatal(relErr)
+	}
+	mustAudit(t, l)
+}
+
+// When every optimistic attempt is invalidated — the hook reserves the
+// window each fresh plan landed in, round after round — the admission
+// must still be decided: the bounded retries run out, the job falls back
+// to planning under the shard locks (which nothing can conflict with),
+// the exhaustion reaches the flight recorder, and no step overcommits.
+func TestReplanExhaustionFallsBackToLockedPlan(t *testing.T) {
+	rec := flightrec.New("n1", 0, 0, nil)
+	spans := span.NewStore(64, "n1")
+	l := NewLedger(Config{Theta: cpuTheta(1, 100, "l1"), FlightRec: rec, Spans: spans}, nil)
+	policy := &admission.Rota{}
+
+	// The job needs 8 cpu at rate 1, so each plan lands at the head of the
+	// earliest free 16-tick block; taking that whole block invalidates it.
+	var synthetic resource.Set
+	rounds := 0
+	l.testPostPlanHook = func() {
+		block := interval.Time(16 * rounds)
+		rounds++
+		var taken resource.Set
+		taken.Add(resource.NewTerm(u(1), resource.CPUAt("l1"), interval.New(block, block+16)))
+		synthetic.AddSet(taken)
+		sh := l.shardFor("l1")
+		sh.mu.Lock()
+		sh.applyReserve(taken)
+		sh.mu.Unlock()
+	}
+
+	dec, err := l.Admit(policy, cpuJob(t, "j1", "l1", 0, 100))
+	if err != nil || !dec.Admit {
+		t.Fatalf("admit through the fallback: %v %+v", err, dec)
+	}
+	if rounds != defaultAdmitRetries+1 {
+		t.Fatalf("hook ran %d times, want one per optimistic attempt (%d)", rounds, defaultAdmitRetries+1)
+	}
+	hot := l.AdmitHot()
+	if hot.PlanFallbacks != 1 {
+		t.Errorf("plan fallbacks = %d, want 1", hot.PlanFallbacks)
+	}
+	if hot.PlanRetries != defaultAdmitRetries+1 {
+		t.Errorf("plan retries = %d, want %d", hot.PlanRetries, defaultAdmitRetries+1)
+	}
+	if taken := interval.Time(16 * rounds); dec.Plan.Finish <= taken {
+		t.Errorf("fallback plan finishes at %d, inside the taken windows (0,%d)", dec.Plan.Finish, taken)
+	}
+	// Each invalidated attempt left a reserve span marked reject; the
+	// selftests require every reject span to say why.
+	conflicts := 0
+	for _, sr := range spans.Snapshot() {
+		if sr.Status != span.StatusReject {
+			continue
+		}
+		conflicts++
+		if sr.Kind != span.KindReserve || sr.Provenance == nil {
+			t.Errorf("reject span %+v: want a reserve span carrying provenance", sr)
+		}
+	}
+	if conflicts != defaultAdmitRetries+1 {
+		t.Errorf("%d reject spans, want one per invalidated attempt (%d)", conflicts, defaultAdmitRetries+1)
+	}
+	snaps := rec.Snapshots()
+	if len(snaps) != 1 || snaps[0].Trigger != flightrec.TriggerReplan || snaps[0].Detail != "j1" {
+		t.Errorf("flight recorder snapshots = %+v, want one %s for j1", snaps, flightrec.TriggerReplan)
+	}
+
+	// The plan was reserved beside every synthetic block without
+	// overcommitting the shard.
+	l.testPostPlanHook = nil
+	sh := l.shardFor("l1")
+	sh.mu.Lock()
+	fits := sh.theta.Dominates(sh.reserved)
+	relErr := sh.applyRelease(synthetic)
+	sh.mu.Unlock()
+	if !fits {
+		t.Error("theta no longer dominates reserved after the fallback reserve")
+	}
 	if relErr != nil {
 		t.Fatal(relErr)
 	}
@@ -265,7 +318,7 @@ func TestFreeViewPatchingMatchesRecompute(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			l := NewLedger(cpuTheta(3, 4096, locs...), 0)
+			l := NewLedger(Config{Theta: cpuTheta(3, 4096, locs...)}, nil)
 			policy := &admission.Rota{}
 			live := []string{}
 			keys := []string{}
@@ -351,7 +404,7 @@ func TestFreeViewPatchingMatchesRecompute(t *testing.T) {
 // directly instead of cloning it through Union. (Satellite bugfix +
 // acceptance criterion.)
 func TestFreeViewSingleLocationZeroAlloc(t *testing.T) {
-	l := NewLedger(cpuTheta(4, 1000, "l1", "l2"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(4, 1000, "l1", "l2")}, nil)
 	policy := &admission.Rota{}
 	if dec, err := l.Admit(policy, cpuJob(t, "warm", "l1", 0, 100)); err != nil || !dec.Admit {
 		t.Fatalf("warm-up admit: %v %+v", err, dec)
@@ -373,7 +426,7 @@ func TestFreeViewSingleLocationZeroAlloc(t *testing.T) {
 // Rejections decided against a snapshot are delivered immediately; the
 // decision must carry the infeasibility reason exactly as before.
 func TestBatchedRejectKeepsReason(t *testing.T) {
-	l := NewLedger(cpuTheta(1, 8, "l1"), 0) // 8 units: one job fills it
+	l := NewLedger(Config{Theta: cpuTheta(1, 8, "l1")}, nil) // 8 units: one job fills it
 	policy := &admission.Rota{}
 	if dec, err := l.Admit(policy, cpuJob(t, "fits", "l1", 0, 8)); err != nil || !dec.Admit {
 		t.Fatalf("first admit: %v %+v", err, dec)
@@ -388,34 +441,6 @@ func TestBatchedRejectKeepsReason(t *testing.T) {
 	// The rejected name is free for a retry (the claim was abandoned).
 	if _, err := l.Admit(policy, cpuJob(t, "squeezed", "l1", 0, 8)); err != nil {
 		t.Fatalf("retry of a rejected name: %v", err)
-	}
-	mustAudit(t, l)
-}
-
-// Disabling batching must not change verdicts, only grouping.
-func TestNoBatchTuning(t *testing.T) {
-	l := NewLedger(cpuTheta(1, 64, "l1"), 0)
-	l.SetAdmitTuning(1, true, false)
-	policy := &admission.Rota{}
-	var wg sync.WaitGroup
-	var admitted atomic.Int64
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dec, err := l.Admit(policy, cpuJob(t, fmt.Sprintf("j%d", i), "l1", 0, 64))
-			if err != nil {
-				t.Errorf("j%d: %v", i, err)
-				return
-			}
-			if dec.Admit {
-				admitted.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if admitted.Load() != 8 {
-		t.Fatalf("admitted=%d, want 8", admitted.Load())
 	}
 	mustAudit(t, l)
 }

@@ -248,6 +248,24 @@ func (l *Ledger) DropLocations(locs []resource.Location) []string {
 	return movedKeys
 }
 
+// absorbLocked folds one more slice of a federated job's demand into the
+// live commitment this node already carries under the same name, and
+// returns that commitment — nil when there is none to merge into. The
+// caller holds l.mu.
+func (l *Ledger) absorbLocked(name string, demand resource.Set, finish interval.Time) *commitment {
+	prev, ok := l.commits[name]
+	if !ok || prev.pending {
+		return nil
+	}
+	merged := prev.plan.Demand().Union(demand)
+	if prev.plan.Finish > finish {
+		finish = prev.plan.Finish
+	}
+	prev.plan = planFromSet(prev.name, merged, finish)
+	prev.locs = demandFootprint(merged)
+	return prev
+}
+
 // ImportLocations installs exported location state on this ledger: the
 // shard appears with the exporter's clock and availability, and each
 // shipped commitment and hold lands — merged into an existing entry of
@@ -316,17 +334,8 @@ func (l *Ledger) ImportLocations(exports []LocationExport) error {
 			if demand.Empty() {
 				continue
 			}
-			if prev, ok := l.commits[c.Name]; ok && !prev.pending {
-				// Another slice of the same federated job already lives
-				// here: merge the demands into one plan.
-				merged := prev.plan.Demand().Union(demand)
-				finish := prev.plan.Finish
-				if c.Finish > finish {
-					finish = c.Finish
-				}
-				prev.plan = planFromSet(prev.name, merged, finish)
-				prev.locs = demandFootprint(merged)
-				l.assure.Adopt(c.Name, c.Admitted, finish, c.Deadline,
+			if prev := l.absorbLocked(c.Name, demand, c.Finish); prev != nil {
+				l.assure.Adopt(c.Name, c.Admitted, prev.plan.Finish, c.Deadline,
 					l.epoch.Load(), prev.locs)
 				continue
 			}
@@ -347,6 +356,14 @@ func (l *Ledger) ImportLocations(exports []LocationExport) error {
 		for _, h := range holds {
 			demand := h.demand.Clamp(interval.New(shNow, interval.Infinity))
 			if demand.Empty() {
+				continue
+			}
+			// When the coordinator's commit already landed here for the
+			// slice this node held, the moved slice joins that commitment:
+			// a hold recreated under a committed key would never be
+			// promoted (Commit is a no-op on it) and the lease sweep would
+			// take the job's reservation away.
+			if name, done := l.committedKeys[h.Key]; done && l.absorbLocked(name, demand, h.Finish) != nil {
 				continue
 			}
 			if prev, ok := l.holds[h.Key]; ok && !prev.pending {

@@ -22,8 +22,7 @@ func installCommitment(tb testing.TB, l *Ledger, key, name, demand string) {
 }
 
 func TestExportImportRoundTripMovesEverything(t *testing.T) {
-	src := NewLedger(cpuTheta(4, 100, "l1", "l2"), 0)
-	src.RestrictOwned([]resource.Location{"l1", "l2"})
+	src := NewLedger(Config{Theta: cpuTheta(4, 100, "l1", "l2"), Owned: []resource.Location{"l1", "l2"}}, nil)
 	installCommitment(t, src, "k1", "j1", "2:cpu@l1:(0,10)")
 	installCommitment(t, src, "k2", "j2", "1:cpu@l1:(5,15),1:cpu@l2:(5,15)")
 	if err := src.Prepare("k3", "j3", mustSet(t, "1:cpu@l1:(20,30)"), 30, 40, 500); err != nil {
@@ -40,8 +39,7 @@ func TestExportImportRoundTripMovesEverything(t *testing.T) {
 		t.Fatalf("export carries %d commitments, %d holds", len(exp.Commitments), len(exp.Holds))
 	}
 
-	dst := NewLedger(resource.Set{}, 0)
-	dst.RestrictOwned([]resource.Location{})
+	dst := NewLedger(Config{Owned: []resource.Location{}}, nil)
 	dst.AddOwned([]resource.Location{"l1"})
 	if err := dst.ImportLocations(exports); err != nil {
 		t.Fatal(err)
@@ -87,12 +85,10 @@ func TestExportImportRoundTripMovesEverything(t *testing.T) {
 func TestImportMergesSpanningJobSlices(t *testing.T) {
 	// The receiver already holds j-span's slice on l2 under the same 2PC
 	// key; importing l1's slice must merge, not duplicate.
-	dst := NewLedger(cpuTheta(4, 100, "l2"), 0)
-	dst.RestrictOwned([]resource.Location{"l2"})
+	dst := NewLedger(Config{Theta: cpuTheta(4, 100, "l2"), Owned: []resource.Location{"l2"}}, nil)
 	installCommitment(t, dst, "kspan", "j-span", "1:cpu@l2:(0,10)")
 
-	src := NewLedger(cpuTheta(4, 100, "l1"), 0)
-	src.RestrictOwned([]resource.Location{"l1"})
+	src := NewLedger(Config{Theta: cpuTheta(4, 100, "l1"), Owned: []resource.Location{"l1"}}, nil)
 	installCommitment(t, src, "kspan", "j-span", "1:cpu@l1:(0,10)")
 
 	dst.AddOwned([]resource.Location{"l1"})
@@ -115,8 +111,71 @@ func TestImportMergesSpanningJobSlices(t *testing.T) {
 	mustAudit(t, dst)
 }
 
+// A handoff can land between the coordinator's per-participant commits,
+// so the two slices of one federated job meet on the receiver in
+// different states. Either way they must end as one commitment covering
+// both locations, with nothing left for the lease sweep to take.
+func TestImportMidCommitKeepsBothSlices(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		dstCommits, srcCommits bool
+	}{
+		{"source committed first", false, true},
+		{"receiver committed first", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst := NewLedger(Config{Theta: cpuTheta(4, 100, "l2"), Owned: []resource.Location{"l2"}}, nil)
+			src := NewLedger(Config{Theta: cpuTheta(4, 100, "l1"), Owned: []resource.Location{"l1"}}, nil)
+			for _, p := range []struct {
+				l      *Ledger
+				demand string
+				commit bool
+			}{{dst, "1:cpu@l2:(0,10)", tc.dstCommits}, {src, "1:cpu@l1:(0,10)", tc.srcCommits}} {
+				if err := p.l.Prepare("kspan", "j-span", mustSet(t, p.demand), 10, 20, 1000); err != nil {
+					t.Fatal(err)
+				}
+				if p.commit {
+					if err := p.l.Commit("kspan"); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			dst.AddOwned([]resource.Location{"l1"})
+			if err := dst.ImportLocations(src.ExportLocations([]resource.Location{"l1"})); err != nil {
+				t.Fatal(err)
+			}
+			src.DropLocations([]resource.Location{"l1"})
+			// The coordinator's remaining commit reaches the receiver
+			// (directly, or forwarded by the old owner).
+			if err := dst.Commit("kspan"); err != nil {
+				t.Fatal(err)
+			}
+			mustAudit(t, dst)
+			c, ok := dst.Commitment("j-span")
+			if !ok || len(c.Locations) != 2 {
+				t.Fatalf("commitment = %+v (found %v), want one spanning both locations", c, ok)
+			}
+			if got := dst.NumHolds(); got != 0 {
+				t.Fatalf("%d holds left behind for the sweep", got)
+			}
+			if err := dst.Release("j-span"); err != nil {
+				t.Fatal(err)
+			}
+			mustAudit(t, dst)
+			free, _, err := dst.FreeView([]resource.Location{"l1", "l2"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := cpuTheta(4, 100, "l1", "l2"); !free.Equal(want) {
+				t.Fatalf("free after release = %s, want all of %s", free.Compact(), want.Compact())
+			}
+		})
+	}
+}
+
 func TestImportRefusesOvercommit(t *testing.T) {
-	dst := NewLedger(resource.Set{}, 0)
+	dst := NewLedger(Config{}, nil)
 	exports := []LocationExport{{
 		Loc:   "l1",
 		Theta: "1:cpu@l1:(0,10)",
@@ -130,8 +189,7 @@ func TestImportRefusesOvercommit(t *testing.T) {
 }
 
 func TestDropUnknownLocationIsHarmless(t *testing.T) {
-	l := NewLedger(cpuTheta(2, 100, "l1"), 0)
-	l.RestrictOwned([]resource.Location{"l1"})
+	l := NewLedger(Config{Theta: cpuTheta(2, 100, "l1"), Owned: []resource.Location{"l1"}}, nil)
 	if moved := l.DropLocations([]resource.Location{"ghost"}); len(moved) != 0 {
 		t.Fatalf("moved = %v", moved)
 	}
@@ -145,8 +203,7 @@ func TestDropUnknownLocationIsHarmless(t *testing.T) {
 func BenchmarkLedgerHandoff(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("commitments=%d", n), func(b *testing.B) {
-			src := NewLedger(cpuTheta(int64(n)+8, 1<<30, "l1", "l2"), 0)
-			src.RestrictOwned([]resource.Location{"l1", "l2"})
+			src := NewLedger(Config{Theta: cpuTheta(int64(n)+8, 1<<30, "l1", "l2"), Owned: []resource.Location{"l1", "l2"}}, nil)
 			for i := 0; i < n; i++ {
 				installCommitment(b, src, fmt.Sprintf("k%d", i), fmt.Sprintf("j%d", i),
 					fmt.Sprintf("1:cpu@l1:(%d,%d)", i, i+10))
@@ -154,8 +211,7 @@ func BenchmarkLedgerHandoff(b *testing.B) {
 			exports := src.ExportLocations([]resource.Location{"l1"})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst := NewLedger(resource.Set{}, 0)
-				dst.RestrictOwned([]resource.Location{})
+				dst := NewLedger(Config{Owned: []resource.Location{}}, nil)
 				dst.AddOwned([]resource.Location{"l1"})
 				if err := dst.ImportLocations(exports); err != nil {
 					b.Fatal(err)

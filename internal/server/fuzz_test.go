@@ -49,7 +49,7 @@ func FuzzDecodeAdmitRequest(f *testing.F) {
 		}
 		// Whatever decodes cleanly must also be admissible or rejectable
 		// without panicking, and must leave the ledger invariant intact.
-		l := NewLedger(cpuTheta(2, 64, "l1", "l2"), 0)
+		l := NewLedger(Config{Theta: cpuTheta(2, 64, "l1", "l2")}, nil)
 		if _, err := l.Admit(policy, job); err == nil {
 			if err := l.Audit(); err != nil {
 				t.Fatalf("invariant broken by %q: %v", data, err)
@@ -77,8 +77,7 @@ func FuzzDecodePrepareRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		l := NewLedger(cpuTheta(2, 64, "l1", "l2"), 0)
-		l.RestrictOwned([]resource.Location{"l1", "l2"})
+		l := NewLedger(Config{Theta: cpuTheta(2, 64, "l1", "l2"), Owned: []resource.Location{"l1", "l2"}}, nil)
 		if err := l.Prepare(req.Key, req.Name, demand, req.Finish, req.Deadline, req.Expiry); err == nil {
 			if err := l.Audit(); err != nil {
 				t.Fatalf("invariant broken by prepare %q: %v", data, err)
@@ -107,7 +106,7 @@ func FuzzDecodeFinishRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		l := NewLedger(cpuTheta(2, 64, "l1"), 0)
+		l := NewLedger(Config{Theta: cpuTheta(2, 64, "l1")}, nil)
 		if err := l.Commit(req.Key); err == nil {
 			t.Fatalf("cold commit of %q succeeded", req.Key)
 		}

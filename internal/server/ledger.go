@@ -84,10 +84,6 @@ type shard struct {
 	ver uint64
 	// hot points at the ledger's shared hot-path counters.
 	hot *hotCounters
-	// noPatch points at the ledger's legacy-mode flag: when set, every
-	// mutation drops the cached free view (the pre-incremental behavior)
-	// instead of patching it. Benchmark baseline only.
-	noPatch *atomic.Bool
 }
 
 // freeView returns the shard's free availability (θ minus reserved),
@@ -102,9 +98,7 @@ func (sh *shard) freeView() (resource.Set, error) {
 		return resource.Set{}, err
 	}
 	sh.free, sh.freeOK = part, true
-	if sh.hot != nil {
-		sh.hot.freeRecomputes.Add(1)
-	}
+	sh.hot.freeRecomputes.Add(1)
 	return part, nil
 }
 
@@ -116,23 +110,9 @@ func (sh *shard) dirty() {
 	sh.ver++
 }
 
-// legacyDirty drops the cache instead of patching when the ledger runs
-// in the pre-incremental recompute mode (the benchmark baseline), and
-// reports whether it did. The caller must hold sh.mu and must not have
-// bumped ver yet (dirty does).
-func (sh *shard) legacyDirty() bool {
-	if sh.noPatch == nil || !sh.noPatch.Load() {
-		return false
-	}
-	sh.dirty()
-	return true
-}
-
 // patched records an incremental free-view patch (counter only).
 func (sh *shard) patched() {
-	if sh.hot != nil {
-		sh.hot.freePatches.Add(1)
-	}
+	sh.hot.freePatches.Add(1)
 }
 
 // applyReserve adds part to the shard's reservations, patching the
@@ -143,9 +123,6 @@ func (sh *shard) patched() {
 // rather than ever serving a wrong cache.
 func (sh *shard) applyReserve(part resource.Set) {
 	sh.reserved.AddSet(part)
-	if sh.legacyDirty() {
-		return
-	}
 	sh.ver++
 	if !sh.freeOK {
 		return
@@ -168,9 +145,6 @@ func (sh *shard) applyRelease(part resource.Set) error {
 		return err
 	}
 	sh.reserved = freed
-	if sh.legacyDirty() {
-		return nil
-	}
 	sh.ver++
 	if sh.freeOK {
 		sh.free = sh.free.PatchUnion(part)
@@ -183,9 +157,6 @@ func (sh *shard) applyRelease(part resource.Set) error {
 // cached free view (free′ = free ∪ part). The caller must hold sh.mu.
 func (sh *shard) applyAcquire(part resource.Set) {
 	sh.theta.AddSet(part)
-	if sh.legacyDirty() {
-		return
-	}
 	sh.ver++
 	if sh.freeOK {
 		sh.free = sh.free.PatchUnion(part)
@@ -203,9 +174,6 @@ func (sh *shard) applyTrim(to interval.Time) {
 	sh.theta.TrimBefore(to)
 	sh.reserved.TrimBefore(to)
 	sh.now = to
-	if sh.legacyDirty() {
-		return
-	}
 	sh.ver++
 	if sh.freeOK {
 		sh.free = sh.free.TrimmedBefore(to)
@@ -244,17 +212,21 @@ type Ledger struct {
 	// mode); nil means the node owns every location it hears about.
 	owned map[resource.Location]bool
 	now   atomic.Int64
+
+	// The observability wiring below is set once by NewLedger from the
+	// daemon's Config and never written again; each sink is nil-safe.
+	//
 	// obs receives ledger-level events (lease expiry) that have no
-	// originating request to log under; nil-safe.
+	// originating request to log under.
 	obs *obs.Observer
 	// spans records per-phase admission spans (plan search, reservation);
-	// nil-safe — a nil store disables span tracing.
+	// a nil store disables span tracing.
 	spans *span.Store
 	// assure tracks the deadline promise behind every admitted job from
-	// reservation to terminal outcome; nil-safe — nil disables tracking.
+	// reservation to terminal outcome; nil disables tracking.
 	assure *assure.Ledger
 	// flight freezes a forensic snapshot when an anomaly trigger fires
-	// (promise violation, audit mismatch); nil-safe.
+	// (promise violation, audit mismatch).
 	flight *flightrec.Recorder
 
 	// Two-phase traffic counters, surfaced in /v1/stats.
@@ -267,28 +239,15 @@ type Ledger struct {
 	// epoch counts ledger state changes that can flip a query verdict:
 	// reservations landing and leaving (admit, release, acquire,
 	// prepare, commit, abort) and clock advances (which also sweep
-	// expired leases). The epoch notifier fans a bump out to the
-	// standing-query manager.
+	// expired leases). notify (set once by NewLedger, may be nil) fans a
+	// bump out to the standing-query manager; it runs on the mutating
+	// goroutine and must not block.
 	epoch  atomic.Uint64
-	notify atomic.Value // func(epoch uint64, reason string)
+	notify func(epoch uint64, reason string)
 
 	// hot counts hot-path events (batches, optimistic retries, free-view
 	// patches vs recomputes), surfaced in /v1/stats.
 	hot hotCounters
-
-	// Admission hot-path tuning (SetAdmitTuning, set before traffic):
-	// admitRetries bounds the optimistic plan/validate attempts before
-	// falling back to planning under the shard locks; noBatch disables
-	// the per-footprint combining stage; pessimistic routes every admit
-	// through the legacy plan-under-locks path (the benchmark baseline).
-	admitRetries int
-	noBatch      bool
-	pessimistic  bool
-	// noPatch restores the pre-incremental free-view behavior (every
-	// mutation drops the cache; admission re-derives and clones the
-	// free view like the legacy path did). Benchmark baseline only —
-	// combined with pessimistic it reproduces the pre-PR admit path.
-	noPatch atomic.Bool
 
 	// groups are the per-footprint admission batching queues (see
 	// admit_hot.go); batchMu guards the map and every group's members.
@@ -301,8 +260,13 @@ type Ledger struct {
 	testPostPlanHook func()
 }
 
-// NewLedger builds a ledger from the initial availability Θ at time now.
-func NewLedger(theta resource.Set, now interval.Time) *Ledger {
+// NewLedger builds the ledger of the daemon cfg describes: availability
+// cfg.Theta at time cfg.Now, restricted to cfg.Owned when that is
+// non-nil (requests naming any other location are then refused with
+// ErrNotOwned), reporting to cfg.Obs, cfg.Spans, cfg.Assure and
+// cfg.FlightRec. notify, when non-nil, is called after every epoch bump
+// on the mutating goroutine and must not block.
+func NewLedger(cfg Config, notify func(epoch uint64, reason string)) *Ledger {
 	l := &Ledger{
 		shards:        make(map[resource.Location]*shard),
 		commits:       make(map[string]*commitment),
@@ -310,61 +274,25 @@ func NewLedger(theta resource.Set, now interval.Time) *Ledger {
 		committedKeys: make(map[string]string),
 		heldNames:     make(map[string]string),
 		groups:        make(map[string]*admitGroup),
-		admitRetries:  defaultAdmitRetries,
+		obs:           cfg.Obs,
+		spans:         cfg.Spans,
+		assure:        cfg.Assure,
+		flight:        cfg.FlightRec,
+		notify:        notify,
 	}
-	l.now.Store(now)
-	trimmed := theta.Clone()
-	trimmed.TrimBefore(now)
+	if cfg.Owned != nil {
+		l.owned = make(map[resource.Location]bool, len(cfg.Owned))
+		for _, loc := range cfg.Owned {
+			l.owned[loc] = true
+		}
+	}
+	l.now.Store(cfg.Now)
+	trimmed := cfg.Theta.Clone()
+	trimmed.TrimBefore(cfg.Now)
 	for loc, part := range splitByShard(trimmed) {
-		l.shards[loc] = &shard{loc: loc, theta: part, now: now, hot: &l.hot, noPatch: &l.noPatch}
+		l.shardLocked(loc).theta = part
 	}
 	return l
-}
-
-// SetAdmitTuning configures the admission hot path: retries bounds the
-// optimistic plan/validate attempts (≤0 keeps the default), noBatch
-// disables per-footprint batching, and pessimistic restores the legacy
-// plan-under-locks path (the benchmark baseline). Intended to be called
-// once, before the ledger serves traffic.
-func (l *Ledger) SetAdmitTuning(retries int, noBatch, pessimistic bool) {
-	if retries > 0 {
-		l.admitRetries = retries
-	}
-	l.noBatch = noBatch
-	l.pessimistic = pessimistic
-}
-
-// SetObserver attaches the observability sink for ledger-level events.
-// Intended to be called once, before the ledger serves traffic.
-func (l *Ledger) SetObserver(o *obs.Observer) {
-	l.obs = o
-}
-
-// SetSpanStore attaches the span store for per-phase admission spans.
-// Intended to be called once, before the ledger serves traffic.
-func (l *Ledger) SetSpanStore(st *span.Store) {
-	l.spans = st
-}
-
-// SetEpochNotifier attaches the callback invoked after every epoch
-// bump. Intended to be called once, before the ledger serves traffic.
-// The callback must not block: it runs on the mutating goroutine.
-func (l *Ledger) SetEpochNotifier(fn func(epoch uint64, reason string)) {
-	l.notify.Store(fn)
-}
-
-// SetAssure attaches the deadline-assurance promise ledger. Intended to
-// be called once, before the ledger serves traffic; nil disables
-// promise tracking.
-func (l *Ledger) SetAssure(a *assure.Ledger) {
-	l.assure = a
-}
-
-// SetFlightRecorder attaches the anomaly flight recorder. Intended to
-// be called once, before the ledger serves traffic; nil disables
-// snapshot capture.
-func (l *Ledger) SetFlightRecorder(r *flightrec.Recorder) {
-	l.flight = r
 }
 
 // Epoch returns the ledger's change epoch. Two reads returning the same
@@ -379,8 +307,8 @@ func (l *Ledger) Epoch() uint64 {
 // abort).
 func (l *Ledger) bumpEpoch(reason string) {
 	e := l.epoch.Add(1)
-	if fn, ok := l.notify.Load().(func(uint64, string)); ok && fn != nil {
-		fn(e, reason)
+	if l.notify != nil {
+		l.notify(e, reason)
 	}
 }
 
@@ -423,12 +351,7 @@ func (l *Ledger) lockedShards(locs []resource.Location) ([]*shard, func()) {
 			continue
 		}
 		prev = loc
-		sh, ok := l.shards[loc]
-		if !ok {
-			sh = &shard{loc: loc, now: l.now.Load(), hot: &l.hot, noPatch: &l.noPatch}
-			l.shards[loc] = sh
-		}
-		shards = append(shards, sh)
+		shards = append(shards, l.shardLocked(loc))
 	}
 	l.mu.Unlock()
 	for _, sh := range shards {
@@ -446,12 +369,20 @@ func (l *Ledger) lockedShards(locs []resource.Location) ([]*shard, func()) {
 // hit path — the single-location fast path of the free-view fetch.
 func (l *Ledger) shardFor(loc resource.Location) *shard {
 	l.mu.Lock()
+	sh := l.shardLocked(loc)
+	l.mu.Unlock()
+	return sh
+}
+
+// shardLocked returns loc's shard, creating an empty one at the ledger
+// clock if absent — the only place shards are made. The caller must hold
+// l.mu.
+func (l *Ledger) shardLocked(loc resource.Location) *shard {
 	sh, ok := l.shards[loc]
 	if !ok {
-		sh = &shard{loc: loc, now: l.now.Load(), hot: &l.hot, noPatch: &l.noPatch}
+		sh = &shard{loc: loc, now: l.now.Load(), hot: &l.hot}
 		l.shards[loc] = sh
 	}
-	l.mu.Unlock()
 	return sh
 }
 
@@ -578,8 +509,7 @@ func (l *Ledger) Admit(policy admission.Policy, job workload.Job) (admission.Dec
 // outside the shard locks, concurrent admits sharing a footprint are
 // batched, and the reservation revalidates the snapshot version (or the
 // plan's fit) before committing — so plan search never serializes a
-// shard. SetAdmitTuning(pessimistic) restores the legacy
-// plan-under-locks path.
+// shard.
 func (l *Ledger) AdmitCtx(ctx context.Context, policy admission.Policy, job workload.Job) (admission.Decision, error) {
 	now := l.Now()
 	if now >= job.Dist.Deadline {
@@ -693,19 +623,30 @@ func (l *Ledger) releaseDemand(locs []resource.Location, demand resource.Set) er
 
 // Acquire merges newly joined availability into the ledger (the paper's
 // resource acquisition rule). Availability before the current time is
-// discarded.
-func (l *Ledger) Acquire(theta resource.Set) {
-	now := l.Now()
-	usable := theta.Clone()
-	usable.TrimBefore(now)
-	for loc, part := range splitByShard(usable) {
-		shards, unlock := l.lockedShards([]resource.Location{loc})
-		sh := shards[0]
-		part.TrimBefore(sh.now) // the shard clock may have advanced since the read above
-		sh.applyAcquire(part)
-		unlock()
+// discarded. Returns ErrNotOwned, with nothing applied, when theta names
+// a location this node does not own: availability granted to a
+// non-owner would sit in a shard the real owner never sees.
+func (l *Ledger) Acquire(theta resource.Set) error {
+	locs := demandFootprint(theta)
+	if err := l.checkOwned(locs); err != nil {
+		return fmt.Errorf("acquire: %w", err)
 	}
+	shards, unlock := l.lockedShards(locs)
+	// Re-check under the shard locks, as Prepare does: a concurrent
+	// handoff may have dropped a location since the first check.
+	if err := l.checkOwned(locs); err != nil {
+		unlock()
+		return fmt.Errorf("acquire: %w", err)
+	}
+	parts := splitByShard(theta.Clone())
+	for _, sh := range shards {
+		part := parts[sh.loc]
+		part.TrimBefore(sh.now)
+		sh.applyAcquire(part)
+	}
+	unlock()
 	l.bumpEpoch("acquire")
+	return nil
 }
 
 // Advance moves the ledger clock to 'to', expiring availability and

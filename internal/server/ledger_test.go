@@ -69,7 +69,7 @@ func mustAudit(tb testing.TB, l *Ledger) {
 func TestLedgerShardsByLocation(t *testing.T) {
 	theta := cpuTheta(2, 100, "l1", "l2", "l3")
 	theta.Add(resource.NewTerm(u(1), resource.Link("l1", "l2"), interval.New(0, 100)))
-	l := NewLedger(theta, 0)
+	l := NewLedger(Config{Theta: theta}, nil)
 	if got := l.NumShards(); got != 3 {
 		t.Fatalf("NumShards = %d, want 3 (link l1>l2 belongs to shard l1)", got)
 	}
@@ -83,7 +83,7 @@ func TestLedgerShardsByLocation(t *testing.T) {
 }
 
 func TestAdmitReservesReleaseFrees(t *testing.T) {
-	l := NewLedger(cpuTheta(1, 16, "l1"), 0) // 16 cpu units total
+	l := NewLedger(Config{Theta: cpuTheta(1, 16, "l1")}, nil) // 16 cpu units total
 	policy := &admission.Rota{}
 
 	dec, err := l.Admit(policy, cpuJob(t, "j1", "l1", 0, 16))
@@ -121,7 +121,7 @@ func TestAdmitReservesReleaseFrees(t *testing.T) {
 }
 
 func TestAdmitDuplicateName(t *testing.T) {
-	l := NewLedger(cpuTheta(4, 64, "l1"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(4, 64, "l1")}, nil)
 	policy := &admission.Rota{}
 	if _, err := l.Admit(policy, cpuJob(t, "dup", "l1", 0, 64)); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestAdmitDuplicateName(t *testing.T) {
 }
 
 func TestAdmitPastDeadline(t *testing.T) {
-	l := NewLedger(cpuTheta(4, 64, "l1"), 10)
+	l := NewLedger(Config{Theta: cpuTheta(4, 64, "l1"), Now: 10}, nil)
 	dec, err := l.Admit(&admission.Rota{}, cpuJob(t, "late", "l1", 0, 10))
 	if err != nil || dec.Admit {
 		t.Fatalf("deadline-passed job admitted: %v %+v", err, dec)
@@ -142,7 +142,7 @@ func TestAdmitPastDeadline(t *testing.T) {
 func TestMultiShardAdmission(t *testing.T) {
 	theta := cpuTheta(2, 32, "l1", "l2")
 	theta.Add(resource.NewTerm(u(1), resource.Link("l1", "l2"), interval.New(0, 32)))
-	l := NewLedger(theta, 0)
+	l := NewLedger(Config{Theta: theta}, nil)
 	dec, err := l.Admit(&admission.Rota{}, sendJob(t, "cross", "l1", "l2", 0, 32))
 	if err != nil || !dec.Admit {
 		t.Fatalf("cross-shard job: %v %+v", err, dec)
@@ -160,7 +160,7 @@ func TestMultiShardAdmission(t *testing.T) {
 }
 
 func TestAdvanceExpiresAndCompletes(t *testing.T) {
-	l := NewLedger(cpuTheta(2, 32, "l1"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(2, 32, "l1")}, nil)
 	policy := &admission.Rota{}
 	dec, err := l.Admit(policy, cpuJob(t, "j1", "l1", 0, 8))
 	if err != nil || !dec.Admit {
@@ -194,7 +194,7 @@ func TestAdvanceExpiresAndCompletes(t *testing.T) {
 }
 
 func TestAcquireOpensCapacity(t *testing.T) {
-	l := NewLedger(resource.Set{}, 0)
+	l := NewLedger(Config{}, nil)
 	policy := &admission.Rota{}
 	if dec, err := l.Admit(policy, cpuJob(t, "j1", "l1", 0, 8)); err != nil || dec.Admit {
 		t.Fatalf("admitted on an empty ledger: %v %+v", err, dec)
@@ -219,7 +219,7 @@ func TestLedgerNoOvercommitUnderRace(t *testing.T) {
 			}
 		}
 	}
-	l := NewLedger(theta, 0)
+	l := NewLedger(Config{Theta: theta}, nil)
 	policy := &admission.Rota{}
 
 	const workers = 16

@@ -61,10 +61,6 @@ type Config struct {
 	// recorded as a span and served by GET /debug/rota/trace/{id}. Nil
 	// disables span tracing.
 	Spans *span.Store
-	// AdmitRetries bounds the optimistic plan/validate attempts on the
-	// admission hot path before falling back to planning under the shard
-	// locks; ≤0 keeps the ledger default (3).
-	AdmitRetries int
 	// Assure is the deadline-assurance promise ledger: every admitted
 	// job's promised window is tracked to a terminal outcome and served
 	// on GET /v1/assure. Nil disables promise tracking.
@@ -73,12 +69,6 @@ type Config struct {
 	// frozen into snapshots when a trigger fires, served under
 	// GET /debug/rota/flightrec. Nil disables snapshot capture.
 	FlightRec *flightrec.Recorder
-	// NoAdmitBatch disables the per-footprint batching of concurrent
-	// admissions (each admit still runs the optimistic path alone).
-	NoAdmitBatch bool
-	// PessimisticAdmit restores the legacy plan-under-locks admission
-	// path — the benchmark baseline, not for production use.
-	PessimisticAdmit bool
 }
 
 func (c *Config) fill() error {
@@ -186,7 +176,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:            cfg,
-		ledger:         NewLedger(cfg.Theta, cfg.Now),
 		queue:          make(chan *decideTask, cfg.QueueDepth),
 		started:        time.Now(),
 		latencyUS:      metrics.NewHistogram(),
@@ -195,16 +184,10 @@ func New(cfg Config) (*Server, error) {
 		httpStats:      make(map[string]*obs.EndpointStats),
 		webhooks:       make(map[uint64]*query.Subscription),
 	}
-	if cfg.Owned != nil {
-		s.ledger.RestrictOwned(cfg.Owned)
-	}
-	s.ledger.SetAdmitTuning(cfg.AdmitRetries, cfg.NoAdmitBatch, cfg.PessimisticAdmit)
-	s.ledger.SetObserver(cfg.Obs)
-	s.ledger.SetSpanStore(cfg.Spans)
-	s.ledger.SetAssure(cfg.Assure)
-	s.ledger.SetFlightRecorder(cfg.FlightRec)
+	// The manager evaluates through s.ledger only once a subscription
+	// exists, so it can be built first and hand the ledger its notifier.
 	s.queries = query.NewManager(s.managerEval, s.queryLog())
-	s.ledger.SetEpochNotifier(s.queries.Bump)
+	s.ledger = NewLedger(cfg, s.queries.Bump)
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/admit", "admit", s.handleAdmit)
 	s.route("POST /v1/release", "release", s.handleRelease)
@@ -686,7 +669,11 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.ledger.Acquire(set)
+	if err := s.ledger.Acquire(set); err != nil {
+		// Acquire fails only with ErrNotOwned, and then applies nothing.
+		httpError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"acquired": set.Compact()})
 }
 

@@ -179,6 +179,40 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
+// In cluster mode /v1/acquire reaches the embedded server unrouted, so
+// the handler itself must refuse availability for a location the node
+// does not own — 422 like prepare and free, with the ledger untouched.
+func TestAcquireRefusesUnownedLocation(t *testing.T) {
+	srv, err := New(Config{Theta: cpuTheta(2, 64, "l1"), Owned: []resource.Location{"l1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		_ = srv.Shutdown(context.Background())
+	}()
+
+	resp, body := postBody(t, ts.URL+"/v1/acquire", `{"theta":"1:cpu@l2:(0,64)"}`)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("acquire for unowned l2: %d %s, want 422", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "not owned") {
+		t.Errorf("422 body %s does not name the ownership refusal", body)
+	}
+	if got := srv.Ledger().NumShards(); got != 1 {
+		t.Errorf("shards = %d after the refusal, want 1 (no phantom l2)", got)
+	}
+
+	resp, body = postBody(t, ts.URL+"/v1/acquire", `{"theta":"1:cpu@l1:(0,64)"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("acquire for owned l1: %d %s", resp.StatusCode, body)
+	}
+	if err := srv.Ledger().Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestServerGracefulShutdown(t *testing.T) {
 	srv, err := New(Config{Theta: cpuTheta(2, 64, "l1"), Workers: 2})
 	if err != nil {

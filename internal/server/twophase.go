@@ -33,18 +33,6 @@ type hold struct {
 	pending  bool // claimed but mid-reservation
 }
 
-// RestrictOwned limits the ledger to the given locations: admissions and
-// prepares naming any other location are rejected with ErrNotOwned.
-// Intended to be called once, before the ledger serves traffic.
-func (l *Ledger) RestrictOwned(locs []resource.Location) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.owned = make(map[resource.Location]bool, len(locs))
-	for _, loc := range locs {
-		l.owned[loc] = true
-	}
-}
-
 // planFromSet reconstructs a witness plan from a demand set received
 // over the wire: one allocation per term, finishing at finish. Demand()
 // of the result is exactly the input set, which is all the ledger needs
@@ -201,14 +189,21 @@ func (l *Ledger) Commit(key string) error {
 	if l.heldNames[h.name] == key {
 		delete(l.heldNames, h.name)
 	}
-	l.commits[h.name] = &commitment{
-		name:     h.name,
-		locs:     h.locs,
-		plan:     planFromSet(h.name, h.demand, h.finish),
-		deadline: h.deadline,
-		admitted: now,
-		key:      key,
+	// A handoff may already have imported another slice of this job as a
+	// commitment (its old owner committed first): the hold joins it, or
+	// the imported slice's reservation would be left with no commitment.
+	c := l.absorbLocked(h.name, h.demand, h.finish)
+	if c == nil {
+		c = &commitment{
+			name:     h.name,
+			locs:     h.locs,
+			plan:     planFromSet(h.name, h.demand, h.finish),
+			deadline: h.deadline,
+			admitted: now,
+		}
+		l.commits[h.name] = c
 	}
+	c.key = key
 	l.committedKeys[key] = h.name
 	l.commitCount.Add(1)
 	// The hold's demand stays reserved, but feasible/Allen atoms can now
@@ -217,7 +212,7 @@ func (l *Ledger) Commit(key string) error {
 	// The promise is adopted, not reserved: for a coordinated admission
 	// this participant holds its share of a promise made cluster-wide,
 	// and for a migration commit the promise predates this node entirely.
-	l.assure.Adopt(h.name, now, h.finish, h.deadline, l.epoch.Load(), h.locs)
+	l.assure.Adopt(h.name, now, c.plan.Finish, h.deadline, l.epoch.Load(), c.locs)
 	return nil
 }
 
@@ -272,25 +267,9 @@ func (l *Ledger) FreeView(locs []resource.Location) (resource.Set, interval.Time
 	if err := l.checkOwned(locs); err != nil {
 		return resource.Set{}, 0, err
 	}
-	if len(locs) == 1 {
-		sh := l.shardFor(locs[0])
-		sh.mu.Lock()
-		part, err := sh.freeView()
-		sh.mu.Unlock()
-		if err != nil {
-			return resource.Set{}, 0, fmt.Errorf("server: shard %s invariant broken: %w", locs[0], err)
-		}
-		return part, l.Now(), nil
-	}
-	shards, unlock := l.lockedShards(locs)
-	defer unlock()
-	var free resource.Set
-	for _, sh := range shards {
-		part, err := sh.freeView()
-		if err != nil {
-			return resource.Set{}, 0, fmt.Errorf("server: shard %s invariant broken: %w", sh.loc, err)
-		}
-		free = free.PatchUnion(part)
+	free, err := l.snapshotFree(locs, nil)
+	if err != nil {
+		return resource.Set{}, 0, err
 	}
 	return free, l.Now(), nil
 }

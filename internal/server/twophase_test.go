@@ -17,7 +17,7 @@ func mustSet(tb testing.TB, text string) resource.Set {
 }
 
 func TestPrepareCommitLifecycle(t *testing.T) {
-	l := NewLedger(cpuTheta(2, 100, "l1", "l2"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(2, 100, "l1", "l2")}, nil)
 	demand := mustSet(t, "2:cpu@l1:(0,10)")
 	if err := l.Prepare("k1", "j1", demand, 10, 20, 50); err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestPrepareCommitLifecycle(t *testing.T) {
 }
 
 func TestPrepareIdempotencyAndDuplicates(t *testing.T) {
-	l := NewLedger(cpuTheta(2, 100, "l1"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(2, 100, "l1")}, nil)
 	demand := mustSet(t, "2:cpu@l1:(0,10)") // fills the shard over (0,10)
 	if err := l.Prepare("k1", "j1", demand, 10, 20, 50); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestPrepareIdempotencyAndDuplicates(t *testing.T) {
 }
 
 func TestPrepareRejectionsLeaveLedgerUntouched(t *testing.T) {
-	l := NewLedger(cpuTheta(2, 100, "l1", "l2"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(2, 100, "l1", "l2")}, nil)
 	before, _, err := l.FreeView([]resource.Location{"l1", "l2"})
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +119,7 @@ func TestPrepareRejectionsLeaveLedgerUntouched(t *testing.T) {
 }
 
 func TestPrepareNotOwned(t *testing.T) {
-	l := NewLedger(cpuTheta(2, 100, "l1", "l2"), 0)
-	l.RestrictOwned([]resource.Location{"l1"})
+	l := NewLedger(Config{Theta: cpuTheta(2, 100, "l1", "l2"), Owned: []resource.Location{"l1"}}, nil)
 	demand := mustSet(t, "1:cpu@l2:(0,10)")
 	if err := l.Prepare("k1", "j1", demand, 10, 20, 50); !errors.Is(err, ErrNotOwned) {
 		t.Fatalf("err = %v, want ErrNotOwned", err)
@@ -133,8 +132,47 @@ func TestPrepareNotOwned(t *testing.T) {
 	}
 }
 
+// Availability offered for a location this node does not own is refused
+// whole: the owned location named beside it gains nothing, and no
+// phantom shard is left behind for a later import to merge into the real
+// owner's θ.
+func TestAcquireNotOwned(t *testing.T) {
+	l := NewLedger(Config{Theta: cpuTheta(2, 100, "l1"), Owned: []resource.Location{"l1"}}, nil)
+	before, _, err := l.FreeView([]resource.Location{"l1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := l.Epoch()
+
+	err = l.Acquire(mustSet(t, "1:cpu@l1:(0,10),1:cpu@l2:(0,10)"))
+	if !errors.Is(err, ErrNotOwned) {
+		t.Fatalf("acquire naming unowned l2: err = %v, want ErrNotOwned", err)
+	}
+	after, _, err := l.FreeView([]resource.Location{"l1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.Equal(before) {
+		t.Errorf("refused acquire still changed l1: free %s, was %s", after.Compact(), before.Compact())
+	}
+	if got := l.NumShards(); got != 1 {
+		t.Errorf("shards = %d after a refused acquire, want 1 (no phantom l2)", got)
+	}
+	if got := l.Epoch(); got != epoch {
+		t.Errorf("epoch moved %d -> %d on a refused acquire", epoch, got)
+	}
+	if got := l.TwoPhase().NotOwnedRejects; got != 1 {
+		t.Errorf("NotOwnedRejects = %d, want 1", got)
+	}
+
+	if err := l.Acquire(mustSet(t, "1:cpu@l1:(0,10)")); err != nil {
+		t.Fatalf("acquire on the owned location: %v", err)
+	}
+	mustAudit(t, l)
+}
+
 func TestLeaseExpirySweep(t *testing.T) {
-	l := NewLedger(cpuTheta(2, 100, "l1"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(2, 100, "l1")}, nil)
 	demand := mustSet(t, "2:cpu@l1:(0,50)")
 	if err := l.Prepare("k1", "j1", demand, 50, 60, 10); err != nil {
 		t.Fatal(err)
@@ -173,7 +211,7 @@ func TestLeaseExpirySweep(t *testing.T) {
 }
 
 func TestAbortReleasesHoldAndRollsBackCommit(t *testing.T) {
-	l := NewLedger(cpuTheta(2, 100, "l1"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(2, 100, "l1")}, nil)
 	demand := mustSet(t, "2:cpu@l1:(0,10)")
 	if err := l.Prepare("k1", "j1", demand, 10, 20, 50); err != nil {
 		t.Fatal(err)
@@ -210,7 +248,7 @@ func TestAbortReleasesHoldAndRollsBackCommit(t *testing.T) {
 }
 
 func TestSnapshotListsHolds(t *testing.T) {
-	l := NewLedger(cpuTheta(4, 100, "l1"), 0)
+	l := NewLedger(Config{Theta: cpuTheta(4, 100, "l1")}, nil)
 	if err := l.Prepare("kb", "jb", mustSet(t, "1:cpu@l1:(0,10)"), 10, 20, 30); err != nil {
 		t.Fatal(err)
 	}
