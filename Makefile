@@ -7,13 +7,15 @@ GO ?= go
 # integration tests), the observability layer (shared Observer +
 # per-endpoint stats), the span store (lock-free-looking ring buffer fed
 # by every request), the metrics histogram, the core decision path they
-# drive, and the self-healing layer (φ-accrual detector fed from every
-# gossip receipt, fault-injection transport under concurrent RPCs).
-RACE_PKGS = ./internal/server/ ./internal/cluster/ ./internal/membership/ ./internal/query/ ./internal/obs/ ./internal/obs/span/ ./internal/metrics/ ./internal/admission/ ./internal/core/ ./internal/schedule/ ./internal/health/ ./internal/fault/ ./cmd/rotad/
+# drive, the self-healing layer (φ-accrual detector fed from every
+# gossip receipt, fault-injection transport under concurrent RPCs), and
+# the resource algebra, whose shared immutable profiles the ledger's
+# cache, its snapshots and every concurrent plan search read at once.
+RACE_PKGS = ./internal/resource/ ./internal/server/ ./internal/cluster/ ./internal/membership/ ./internal/query/ ./internal/obs/ ./internal/obs/span/ ./internal/metrics/ ./internal/admission/ ./internal/core/ ./internal/schedule/ ./internal/health/ ./internal/fault/ ./cmd/rotad/
 
-.PHONY: ci fmt vet build test race metrics-lint benchmark-vet selftest cluster-selftest trace-selftest query-selftest chaos-selftest assure-selftest clean
+.PHONY: ci fmt vet build test race fuzz-smoke metrics-lint benchmark-vet selftest cluster-selftest trace-selftest query-selftest chaos-selftest assure-selftest clean
 
-ci: fmt vet build test race metrics-lint benchmark-vet trace-selftest query-selftest chaos-selftest assure-selftest
+ci: fmt vet build test race fuzz-smoke metrics-lint benchmark-vet trace-selftest query-selftest chaos-selftest assure-selftest
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -30,6 +32,11 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Ten seconds of coverage-guided inputs holding the splice kernels to
+# the event-sweep reference (internal/resource/profile_test.go).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzProfileKernels -fuzztime 10s ./internal/resource/
 
 # Fails when a stat field surfaced by /v1/stats has no counterpart
 # family in the Prometheus exposition (see internal/obs/lint_test.go).

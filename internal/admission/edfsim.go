@@ -16,8 +16,7 @@ import (
 // over-admits relative to its own execution model.
 func edfMeetsAll(theta resource.Set, now interval.Time, jobs []compute.Distributed) bool {
 	rt := actor.NewRuntime(now)
-	avail := theta.Clone()
-	avail.TrimBefore(now)
+	avail := theta.TrimmedBefore(now)
 
 	latest := now
 	deadlines := make(map[string]interval.Time, len(jobs))

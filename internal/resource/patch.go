@@ -2,21 +2,29 @@ package resource
 
 import "repro/internal/interval"
 
-// Patch operations: the allocation-light counterparts of Union, Subtract
-// and TrimBefore used on the admission hot path. A "patched" set shares
-// the untouched per-type profiles with its source — safe because every
-// profile operation (add, subtract, merge, clamp) builds fresh segment
-// slices instead of mutating the receiver — so patching a cached free
-// view after a reservation costs O(types touched), not O(whole set).
+// Patch operations: the map-sharing counterparts of Union, Subtract and
+// TrimBefore used on the admission hot path.
 //
-// The sharing contract: a Set produced by a Patch* method (and the Set it
-// was produced from) must be treated as immutable by callers that hold
-// both; the in-place mutators (Add, AddSet, Consume, TrimBefore) may only
-// be applied to sets the caller exclusively owns.
+// The sharing contract has two levels. Profiles are immutable (see
+// profile): every operation on a set leaves the segment storage of its
+// operands alone and hands on, rather than copies, each profile it does
+// not change — a type the other operand does not name, a union into a
+// type the receiver lacks, a trim or clamp that cuts nothing. That is
+// what makes a reservation cost O(segments of the types it touches) and a
+// snapshot of several shards' views cost one map. It holds for every
+// operation, so it asks nothing of callers.
+//
+// A Patch* method additionally returns its receiver — map and all — when
+// there is nothing to do. A Set produced by a Patch* method (and the Set
+// it was produced from) must therefore be treated as immutable by callers
+// that hold both; the in-place mutators (Add, AddSet, Consume,
+// ConsumeTerms, TrimBefore) may only be applied to sets the caller
+// exclusively owns: a zero Set it filled, or the result of Clone, Union,
+// Subtract, Clamp, TrimmedBefore or Restrict.
 
 // AddSet merges other into s in place (Θ ← Θ ∪ other with
 // simplification). The receiver must be exclusively owned by the caller;
-// other is not mutated or retained.
+// other is not mutated.
 func (s *Set) AddSet(other Set) {
 	if len(other.profiles) == 0 {
 		return
@@ -29,85 +37,28 @@ func (s *Set) AddSet(other Set) {
 	}
 }
 
-// PatchUnion returns Θ ∪ other, sharing every profile of s that other
-// does not touch. Neither input is mutated.
+// PatchUnion returns Θ ∪ other, or the receiver itself when other is
+// empty. Neither input is mutated.
 func (s Set) PatchUnion(other Set) Set {
 	if len(other.profiles) == 0 {
 		return s
 	}
-	out := Set{profiles: make(map[LocatedType]profile, len(s.profiles)+len(other.profiles))}
-	for lt, p := range s.profiles {
-		out.profiles[lt] = p
-	}
-	for lt, q := range other.profiles {
-		out.profiles[lt] = out.profiles[lt].merge(q)
-	}
-	return out
+	return s.Union(other)
 }
 
-// PatchSubtract returns Θ ∖ other, sharing every profile of s that other
-// does not touch, or ErrInsufficient when the complement is undefined.
-// Neither input is mutated.
+// PatchSubtract returns Θ ∖ other — the receiver itself when other is
+// empty — or ErrInsufficient when the complement is undefined. Neither
+// input is mutated.
 func (s Set) PatchSubtract(other Set) (Set, error) {
 	if len(other.profiles) == 0 {
 		return s, nil
 	}
-	if !s.Dominates(other) {
-		return Set{}, ErrInsufficient
-	}
-	out := Set{profiles: make(map[LocatedType]profile, len(s.profiles))}
-	for lt, p := range s.profiles {
-		out.profiles[lt] = p
-	}
-	for lt, q := range other.profiles {
-		p := out.profiles[lt]
-		for _, seg := range q.segs {
-			p = p.subtract(seg.span, seg.rate)
-		}
-		if p.empty() {
-			delete(out.profiles, lt)
-		} else {
-			out.profiles[lt] = p
-		}
-	}
-	return out, nil
+	return s.Subtract(other)
 }
 
-// TrimmedBefore returns the availability at or after t as a new set,
-// sharing every profile that has nothing to trim. Unlike TrimBefore it
-// does not mutate the receiver and does not report the expired portion.
+// TrimmedBefore returns the availability at or after t as a new set.
+// Unlike TrimBefore it does not mutate the receiver and does not report
+// the expired portion.
 func (s Set) TrimmedBefore(t interval.Time) Set {
-	out := Set{}
-	for lt, p := range s.profiles {
-		if len(p.segs) > 0 && p.segs[0].span.Start >= t {
-			// Nothing before t: share the profile as-is.
-			if out.profiles == nil {
-				out.profiles = make(map[LocatedType]profile, len(s.profiles))
-			}
-			out.profiles[lt] = p
-			continue
-		}
-		future := p.clamp(interval.New(t, interval.Infinity))
-		if !future.empty() {
-			if out.profiles == nil {
-				out.profiles = make(map[LocatedType]profile, len(s.profiles))
-			}
-			out.profiles[lt] = future
-		}
-	}
-	return out
-}
-
-// EachTypeUntil calls fn for every located type with non-empty
-// availability, stopping early when fn returns false. Iteration order is
-// unspecified. Allocation-free — the hot-path alternative to Types().
-func (s Set) EachTypeUntil(fn func(LocatedType) bool) {
-	for lt, p := range s.profiles {
-		if p.empty() {
-			continue
-		}
-		if !fn(lt) {
-			return
-		}
-	}
+	return s.Clamp(interval.New(t, interval.Infinity))
 }

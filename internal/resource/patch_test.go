@@ -2,6 +2,8 @@ package resource
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/interval"
@@ -155,33 +157,148 @@ func TestPatchSharingIsCopyOnWrite(t *testing.T) {
 	if !free3.Equal(free) {
 		t.Fatalf("subtract-then-union did not round-trip: %s != %s", free3, free)
 	}
+
+	// A union into a set that lacks the type hands the profile on instead
+	// of copying it (how a multi-shard snapshot is assembled). The two
+	// sets then share segment storage, and the owner-only mutators applied
+	// to one must still never show through the other.
+	var merged Set
+	merged.AddSet(base)
+	for _, lt := range base.Types() {
+		if !sharesStorage(merged.profiles[lt], base.profiles[lt]) {
+			t.Fatalf("AddSet into an empty set copied the profile of %v", lt)
+		}
+	}
+	baseBefore := NewSet(base.Terms()...)
+	merged.Add(patchTerm(2, CPUAt("l1"), 5, 30))
+	if err := merged.Consume(MemoryAt("l2"), interval.New(0, 20), FromUnits(4)); err != nil {
+		t.Fatal(err)
+	}
+	merged.TrimBefore(3)
+	if !base.Equal(baseBefore) {
+		t.Fatalf("mutating a set that shared profiles changed its source: %s != %s", base, baseBefore)
+	}
 }
 
-func TestEachTypeUntil(t *testing.T) {
-	var s Set
-	s.Add(patchTerm(1, CPUAt("l1"), 0, 5))
-	s.Add(patchTerm(1, MemoryAt("l1"), 0, 5))
-	s.Add(patchTerm(1, CPUAt("l2"), 0, 5))
-	seen := map[LocatedType]bool{}
-	s.EachTypeUntil(func(lt LocatedType) bool {
-		seen[lt] = true
-		return true
-	})
-	if len(seen) != 3 {
-		t.Fatalf("visited %d types, want 3", len(seen))
+// sharesStorage reports whether two profiles are the same segments in the
+// same memory.
+func sharesStorage(a, b profile) bool {
+	return len(a.segs) > 0 && len(a.segs) == len(b.segs) && &a.segs[0] == &b.segs[0]
+}
+
+// allocBytes returns the bytes one call of fn allocates, averaged over
+// runs calls.
+func allocBytes(runs int, fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
 	}
-	calls := 0
-	s.EachTypeUntil(func(LocatedType) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Fatalf("early stop made %d calls, want 1", calls)
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// patchSink keeps the measured results reachable, so the compiler cannot
+// keep them off the heap.
+var patchSink Set
+
+// The patch budget: against a set of 512-segment profiles, a patch
+// allocates the result's map plus exactly one segment slice per located
+// type it touches, of that type's size — no events, no sort, no second
+// copy — and hands on every profile it does not touch.
+func TestPatchAllocationBudget(t *testing.T) {
+	const segs = 512
+	types := []LocatedType{CPUAt("l1"), MemoryAt("l1"), Link("l1", "l2"), Link("l1", "l3")}
+	base := Set{profiles: map[LocatedType]profile{}}
+	for _, lt := range types {
+		base.profiles[lt] = wideProfile(segs)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		s.EachTypeUntil(func(LocatedType) bool { return true })
-	})
-	if allocs != 0 {
-		t.Fatalf("EachTypeUntil allocates %.1f per run, want 0", allocs)
+	// What copying the four-entry map costs on its own.
+	mapAllocs := testing.AllocsPerRun(100, func() { patchSink = base.Clone() })
+	mapBytes := allocBytes(100, func() { patchSink = base.Clone() })
+	// A touched profile, grown by at most a few seams, rounded up to the
+	// allocator's size class (at most one eighth).
+	profileBytes := float64(segs+8) * 24 * 1.125
+
+	for touched := 1; touched <= 2; touched++ {
+		var part Set
+		for _, lt := range types[:touched] {
+			part.Add(NewTerm(1, lt, interval.New(401, 403)))
+			part.Add(NewTerm(1, lt, interval.New(410, 431)))
+		}
+		ops := map[string]func(){
+			"PatchSubtract": func() { patchSink, _ = base.PatchSubtract(part) },
+			"PatchUnion":    func() { patchSink = base.PatchUnion(part) },
+		}
+		for name, op := range ops {
+			if allocs := testing.AllocsPerRun(100, op); allocs > mapAllocs+float64(touched) {
+				t.Errorf("%s touching %d: %.0f allocations, budget %.0f for the map + one per type", name, touched, allocs, mapAllocs)
+			}
+			if bytes, budget := allocBytes(100, op), mapBytes+float64(touched)*profileBytes; bytes > budget {
+				t.Errorf("%s touching %d: %.0f bytes, budget %.0f", name, touched, bytes, budget)
+			}
+			for i, lt := range types {
+				if shared := sharesStorage(patchSink.profiles[lt], base.profiles[lt]); shared != (i >= touched) {
+					t.Errorf("%s touching %d: profile of %v shared=%v", name, touched, lt, shared)
+				}
+			}
+		}
+	}
+}
+
+// The sharing contract under concurrency, for `go test -race`: many
+// goroutines patch, restrict, consume from and read sets derived from one
+// shared base at once — the ledger's cached free view under concurrent
+// plan searches. Each goroutine mutates only what it owns; nothing may
+// ever write into a profile another goroutine can reach.
+func TestSharedProfilesUnderConcurrentPatching(t *testing.T) {
+	types := []LocatedType{CPUAt("l1"), CPUAt("l2"), Link("l1", "l2")}
+	base := Set{profiles: map[LocatedType]profile{}}
+	for _, lt := range types {
+		base.profiles[lt] = wideProfile(64)
+	}
+	want := NewSet(base.Terms()...)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lt := types[g%len(types)]
+			at := interval.Time(8 * g)
+			part := NewSet(NewTerm(1, lt, interval.New(at+1, at+7)))
+			for i := 0; i < 200; i++ {
+				less, err := base.PatchSubtract(part)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if back := less.PatchUnion(part); !back.Equal(base) {
+					t.Errorf("goroutine %d: subtract-then-union did not round-trip", g)
+					return
+				}
+				overlay := base.Restrict(interval.New(at, at+40), lt)
+				if err := overlay.ConsumeTerms(part.Terms()); err != nil {
+					t.Error(err)
+					return
+				}
+				var seen Quantity
+				base.EachSegment(lt, interval.New(at, at+40), func(span interval.Interval, rate Rate) bool {
+					seen += Quantity(rate) * Quantity(span.Len())
+					return true
+				})
+				if got := overlay.QuantityWithin(lt, interval.New(at, at+40)); got != seen-6 {
+					t.Errorf("goroutine %d: overlay holds %d, want %d", g, got, seen-6)
+					return
+				}
+				var merged Set
+				merged.AddSet(base)
+				merged.TrimBefore(at)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !base.Equal(want) {
+		t.Fatalf("the shared base changed: %s != %s", base, want)
 	}
 }

@@ -1,8 +1,6 @@
 package resource
 
 import (
-	"sort"
-
 	"repro/internal/interval"
 )
 
@@ -17,60 +15,13 @@ type segment struct {
 // a single located type: segments are sorted, disjoint, carry positive
 // rates, and adjacent segments with equal rates are merged. The zero value
 // is the everywhere-zero profile.
+//
+// A profile is immutable once built: no operation writes into segs, every
+// operation that changes anything returns fresh storage, and an operation
+// that changes nothing returns its operand. Profiles — and so the sets
+// holding them — may therefore share segment storage freely.
 type profile struct {
 	segs []segment
-}
-
-// normalizeSegments sorts, splits and merges raw segments (which may
-// overlap — overlapping rates add, per the paper's simplification rule)
-// into normalized form.
-func normalizeSegments(raw []segment) profile {
-	// Event sweep: +rate at each segment start, −rate at each end; walk
-	// boundaries in order, emitting a segment for every stretch with a
-	// positive running rate.
-	type event struct {
-		t     interval.Time
-		delta Rate
-	}
-	events := make([]event, 0, 2*len(raw))
-	for _, s := range raw {
-		if !s.span.Empty() && s.rate != 0 {
-			events = append(events,
-				event{t: s.span.Start, delta: s.rate},
-				event{t: s.span.End, delta: -s.rate})
-		}
-	}
-	if len(events) == 0 {
-		return profile{}
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].t < events[j].t })
-	var out []segment
-	var running Rate
-	prev := events[0].t
-	for i := 0; i < len(events); {
-		t := events[i].t
-		if t > prev && running != 0 {
-			if n := len(out); n > 0 && out[n-1].rate == running && out[n-1].span.End == prev {
-				out[n-1].span.End = t
-			} else {
-				out = append(out, segment{span: interval.New(prev, t), rate: running})
-			}
-		}
-		for i < len(events) && events[i].t == t {
-			running += events[i].delta
-			i++
-		}
-		prev = t
-	}
-	return profile{segs: out}
-}
-
-// clone returns a deep copy.
-func (p profile) clone() profile {
-	if len(p.segs) == 0 {
-		return profile{}
-	}
-	return profile{segs: append([]segment(nil), p.segs...)}
 }
 
 // empty reports whether the profile is zero everywhere.
@@ -78,13 +29,156 @@ func (p profile) empty() bool {
 	return len(p.segs) == 0
 }
 
+// search returns the index of the first segment ending after tick t —
+// the segment containing t, or else the first one starting after it.
+func (p profile) search(t interval.Time) int {
+	lo, hi := 0, len(p.segs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.segs[mid].span.End > t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // rateAt returns the rate available at tick t.
 func (p profile) rateAt(t interval.Time) Rate {
-	i := sort.Search(len(p.segs), func(i int) bool { return p.segs[i].span.End > t })
-	if i < len(p.segs) && p.segs[i].span.Contains(t) {
+	if i := p.search(t); i < len(p.segs) && p.segs[i].span.Contains(t) {
 		return p.segs[i].rate
 	}
 	return 0
+}
+
+// spliceOp selects what splice does where its operands overlap.
+type spliceOp uint8
+
+const (
+	opAdd         spliceOp = iota // p + q
+	opSub                         // p − q, undefined where q exceeds p
+	opSubSaturate                 // max(p − q, 0)
+)
+
+// emitter receives the output steps of a sweep in time order, dropping
+// zero rates and coalescing a step into its predecessor when they abut at
+// equal rates. It counts the resulting segments and, when dst is non-nil,
+// appends them to it.
+type emitter struct {
+	dst  []segment
+	n    int
+	last segment
+	open bool
+}
+
+func (e *emitter) emit(start, end interval.Time, rate Rate) {
+	if rate == 0 {
+		return
+	}
+	if e.open && e.last.rate == rate && e.last.span.End == start {
+		e.last.span.End = end
+		return
+	}
+	e.flush()
+	e.last, e.open = segment{span: interval.New(start, end), rate: rate}, true
+}
+
+func (e *emitter) flush() {
+	if !e.open {
+		return
+	}
+	e.n++
+	if e.dst != nil {
+		e.dst = append(e.dst, e.last)
+	}
+	e.open = false
+}
+
+// sweep walks two sorted, disjoint segment lists in step and emits p ⊕ q
+// over their joint extent. It reports false when op is opSub and q
+// exceeds p somewhere (the complement is undefined there).
+func sweep(e *emitter, p, q []segment, op spliceOp) bool {
+	i, j := 0, 0
+	t := interval.NegInfinity // the first step runs, at rate zero, up to the earliest start
+	for i < len(p) || j < len(q) {
+		// The rates in force on [t, next), next being the nearest boundary
+		// of either operand after t.
+		var pr, qr Rate
+		next := interval.Infinity
+		if i < len(p) {
+			if p[i].span.Start <= t {
+				pr, next = p[i].rate, p[i].span.End
+			} else {
+				next = p[i].span.Start
+			}
+		}
+		if j < len(q) {
+			b := q[j].span.Start
+			if b <= t {
+				qr, b = q[j].rate, q[j].span.End
+			}
+			if b < next {
+				next = b
+			}
+		}
+		r := pr + qr
+		if op != opAdd {
+			if r = pr - qr; r < 0 {
+				if op == opSub {
+					return false
+				}
+				r = 0
+			}
+		}
+		e.emit(t, next, r)
+		t = next
+		if i < len(p) && p[i].span.End <= t {
+			i++
+		}
+		if j < len(q) && q[j].span.End <= t {
+			j++
+		}
+	}
+	e.flush()
+	return true
+}
+
+// splice returns p ⊕ q for q a sorted list of disjoint positive segments
+// (a normalized profile's, or a planner's allocations of one type). Only
+// the stretch of p that q's extent overlaps or abuts is recomputed, by a
+// two-pointer sweep; the segments before and after it are copied in bulk
+// into one exactly-sized allocation. ok is false when op is opSub and p
+// does not cover q.
+func (p profile) splice(q []segment, op spliceOp) (out profile, ok bool) {
+	if len(q) == 0 {
+		return p, true
+	}
+	qStart, qEnd := q[0].span.Start, q[len(q)-1].span.End
+	// p.segs[lo:hi] are the segments ending at or after q begins and
+	// starting at or before it ends. A segment outside that range neither
+	// overlaps q nor can coalesce with anything the sweep emits: there is
+	// a gap, or a rate change inside p, between it and the touched range.
+	lo := p.search(qStart - 1)
+	hi := lo
+	for hi < len(p.segs) && p.segs[hi].span.Start <= qEnd {
+		hi++
+	}
+	touched := p.segs[lo:hi]
+	if len(touched) == 0 && op == opSubSaturate {
+		return p, true
+	}
+	var count emitter
+	if !sweep(&count, touched, q, op) {
+		return profile{}, false
+	}
+	total := lo + count.n + len(p.segs) - hi
+	if total == 0 {
+		return profile{}, true
+	}
+	fill := emitter{dst: append(make([]segment, 0, total), p.segs[:lo]...)}
+	sweep(&fill, touched, q, op)
+	return profile{segs: append(fill.dst, p.segs[hi:]...)}, true
 }
 
 // add merges another step (span, rate) into the profile, summing rates
@@ -92,31 +186,50 @@ func (p profile) rateAt(t interval.Time) Rate {
 // assumes rate > 0.
 func (p profile) add(span interval.Interval, rate Rate) profile {
 	if span.Empty() || rate == 0 {
-		return p.clone()
+		return p
 	}
-	raw := append(append([]segment(nil), p.segs...), segment{span: span, rate: rate})
-	return normalizeSegments(raw)
+	out, _ := p.splice([]segment{{span: span, rate: rate}}, opAdd)
+	return out
 }
 
 // merge returns the point-wise sum of two profiles (resource-set union
-// restricted to one located type).
+// restricted to one located type). Merging with the zero profile returns
+// the other operand itself.
 func (p profile) merge(q profile) profile {
-	if q.empty() {
-		return p.clone()
+	if p.empty() {
+		return q
 	}
-	raw := append(append([]segment(nil), p.segs...), q.segs...)
-	return normalizeSegments(raw)
+	out, _ := p.splice(q.segs, opAdd)
+	return out
+}
+
+// each calls fn for every segment's part inside the window, in time
+// order, until fn returns false.
+func (p profile) each(window interval.Interval, fn func(interval.Interval, Rate) bool) {
+	if window.Empty() {
+		return
+	}
+	for _, s := range p.segs[p.search(window.Start):] {
+		if s.span.Start >= window.End {
+			return
+		}
+		if !fn(s.span.Intersect(window), s.rate) {
+			return
+		}
+	}
 }
 
 // quantity integrates the profile over the window.
 func (p profile) quantity(window interval.Interval) Quantity {
+	if window.Empty() {
+		return 0
+	}
 	var total Quantity
-	for _, s := range p.segs {
+	for _, s := range p.segs[p.search(window.Start):] {
 		if s.span.Start >= window.End {
 			break
 		}
-		ov := s.span.Intersect(window)
-		total += Quantity(s.rate) * Quantity(ov.Len())
+		total += Quantity(s.rate) * Quantity(s.span.Intersect(window).Len())
 	}
 	return total
 }
@@ -128,21 +241,13 @@ func (p profile) minRate(window interval.Interval) Rate {
 		return 0
 	}
 	var minSeen Rate
-	first := true
 	cursor := window.Start
-	for _, s := range p.segs {
-		if s.span.End <= cursor {
-			continue
-		}
-		if s.span.Start >= window.End {
-			break
-		}
+	for _, s := range p.segs[p.search(window.Start):] {
 		if s.span.Start > cursor {
 			return 0 // gap inside the window
 		}
-		if first || s.rate < minSeen {
+		if cursor == window.Start || s.rate < minSeen {
 			minSeen = s.rate
-			first = false
 		}
 		cursor = s.span.End
 		if cursor >= window.End {
@@ -161,66 +266,26 @@ func (p profile) covers(span interval.Interval, rate Rate) bool {
 	return p.minRate(span) >= rate
 }
 
-// subtract removes (span, rate) from the profile. The caller must have
-// verified covers(span, rate); subtract panics otherwise, because a
-// negative resource term is meaningless in the algebra (§III).
-func (p profile) subtract(span interval.Interval, rate Rate) profile {
-	if span.Empty() || rate == 0 {
-		return p.clone()
-	}
-	if !p.covers(span, rate) {
-		panic("resource: subtract without coverage (negative resource term)")
-	}
-	raw := make([]segment, 0, len(p.segs)+2)
-	for _, s := range p.segs {
-		ov := s.span.Intersect(span)
-		if ov.Empty() {
-			raw = append(raw, s)
-			continue
-		}
-		for _, rest := range s.span.Subtract(span) {
-			raw = append(raw, segment{span: rest, rate: s.rate})
-		}
-		if remain := s.rate - rate; remain > 0 {
-			raw = append(raw, segment{span: ov, rate: remain})
-		}
-	}
-	return normalizeSegments(raw)
-}
-
-// subtractSaturating removes up to rate over span, clamping each
-// segment's remainder at zero rather than requiring coverage.
-func (p profile) subtractSaturating(span interval.Interval, rate Rate) profile {
-	if span.Empty() || rate <= 0 {
-		return p.clone()
-	}
-	raw := make([]segment, 0, len(p.segs)+2)
-	for _, s := range p.segs {
-		ov := s.span.Intersect(span)
-		if ov.Empty() {
-			raw = append(raw, s)
-			continue
-		}
-		for _, rest := range s.span.Subtract(span) {
-			raw = append(raw, segment{span: rest, rate: s.rate})
-		}
-		if remain := s.rate - rate; remain > 0 {
-			raw = append(raw, segment{span: ov, rate: remain})
-		}
-	}
-	return normalizeSegments(raw)
-}
-
 // clamp restricts the profile to a window.
 func (p profile) clamp(window interval.Interval) profile {
-	var raw []segment
-	for _, s := range p.segs {
-		ov := s.span.Intersect(window)
-		if !ov.Empty() {
-			raw = append(raw, segment{span: ov, rate: s.rate})
-		}
+	if window.ContainsInterval(p.hull()) {
+		return p
 	}
-	return profile{segs: raw}
+	if window.Empty() {
+		return profile{}
+	}
+	lo := p.search(window.Start)
+	hi := lo
+	for hi < len(p.segs) && p.segs[hi].span.Start < window.End {
+		hi++
+	}
+	if lo == hi {
+		return profile{}
+	}
+	out := append(make([]segment, 0, hi-lo), p.segs[lo:hi]...)
+	out[0].span = out[0].span.Intersect(window)
+	out[len(out)-1].span = out[len(out)-1].span.Intersect(window)
+	return profile{segs: out}
 }
 
 // support returns the set of ticks where the profile is positive.

@@ -23,7 +23,10 @@ var ErrInsufficient = errors.New("resource: relative complement undefined (insuf
 //
 // The zero value is the empty set, ready for use. Pure operations (Union,
 // Subtract, Clamp, ...) return new sets; mutating operations (Add,
-// Consume, TrimBefore) are documented as such.
+// Consume, TrimBefore) are documented as such. A mutating operation
+// replaces a located type's whole profile and never writes into one, so
+// sets derived from one another share the profiles they have in common
+// (see patch.go for the contract).
 type Set struct {
 	profiles map[LocatedType]profile
 }
@@ -37,16 +40,31 @@ func NewSet(terms ...Term) Set {
 	return s
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy the caller owns: mutating either set afterwards
+// leaves the other unchanged. Profiles are immutable, so the copy costs
+// one map, whatever the number of segments.
 func (s Set) Clone() Set {
 	if len(s.profiles) == 0 {
 		return Set{}
 	}
 	out := Set{profiles: make(map[LocatedType]profile, len(s.profiles))}
 	for lt, p := range s.profiles {
-		out.profiles[lt] = p.clone()
+		out.profiles[lt] = p
 	}
 	return out
+}
+
+// put stores lt's profile in place, dropping the entry when the profile
+// is zero everywhere.
+func (s *Set) put(lt LocatedType, p profile) {
+	if p.empty() {
+		delete(s.profiles, lt)
+		return
+	}
+	if s.profiles == nil {
+		s.profiles = make(map[LocatedType]profile)
+	}
+	s.profiles[lt] = p
 }
 
 // Add merges a term into the set in place (Θ ∪ {t} with simplification).
@@ -55,21 +73,13 @@ func (s *Set) Add(t Term) {
 	if t.Null() {
 		return
 	}
-	if s.profiles == nil {
-		s.profiles = make(map[LocatedType]profile)
-	}
-	s.profiles[t.Type] = s.profiles[t.Type].add(t.Span, t.Rate)
+	s.put(t.Type, s.profiles[t.Type].add(t.Span, t.Rate))
 }
 
 // Union returns Θ1 ∪ Θ2 as a new set.
 func (s Set) Union(other Set) Set {
 	out := s.Clone()
-	for lt, p := range other.profiles {
-		if out.profiles == nil {
-			out.profiles = make(map[LocatedType]profile)
-		}
-		out.profiles[lt] = out.profiles[lt].merge(p)
-	}
+	out.AddSet(other)
 	return out
 }
 
@@ -170,18 +180,16 @@ func (s Set) Dominates(other Set) bool {
 }
 
 // Subtract returns Θ1 \ Θ2 per §III, or ErrInsufficient when the
-// complement is undefined.
+// complement is undefined. Each located type of other is removed in one
+// splice, which also is the coverage check.
 func (s Set) Subtract(other Set) (Set, error) {
-	if !s.Dominates(other) {
-		return Set{}, ErrInsufficient
-	}
 	out := s.Clone()
 	for lt, q := range other.profiles {
-		p := out.profiles[lt]
-		for _, seg := range q.segs {
-			p = p.subtract(seg.span, seg.rate)
+		p, ok := s.profiles[lt].splice(q.segs, opSub)
+		if !ok {
+			return Set{}, ErrInsufficient
 		}
-		out.profiles[lt] = p
+		out.put(lt, p)
 	}
 	return out, nil
 }
@@ -198,18 +206,8 @@ func (s Set) SubtractTerm(t Term) (Set, error) {
 func (s Set) SubtractSaturating(other Set) Set {
 	out := s.Clone()
 	for lt, q := range other.profiles {
-		p, ok := out.profiles[lt]
-		if !ok {
-			continue
-		}
-		for _, seg := range q.segs {
-			p = p.subtractSaturating(seg.span, seg.rate)
-		}
-		if p.empty() {
-			delete(out.profiles, lt)
-		} else {
-			out.profiles[lt] = p
-		}
+		p, _ := s.profiles[lt].splice(q.segs, opSubSaturate)
+		out.put(lt, p)
 	}
 	return out
 }
@@ -221,11 +219,40 @@ func (s *Set) Consume(lt LocatedType, span interval.Interval, rate Rate) error {
 	if span.Empty() || rate <= 0 {
 		return nil
 	}
-	p := s.profiles[lt]
-	if !p.covers(span, rate) {
+	p, ok := s.profiles[lt].splice([]segment{{span: span, rate: rate}}, opSub)
+	if !ok {
 		return ErrInsufficient
 	}
-	s.profiles[lt] = p.subtract(span, rate)
+	s.put(lt, p)
+	return nil
+}
+
+// ConsumeTerms removes the terms — all of one located type, in time order
+// and disjoint, as a planner's allocations for one phase are — from the
+// set in place, in one splice. It returns ErrInsufficient (leaving the
+// set unchanged) when coverage is lacking. Null terms are skipped.
+func (s *Set) ConsumeTerms(terms []Term) error {
+	var buf [8]segment
+	segs := buf[:0]
+	var lt LocatedType
+	for _, t := range terms {
+		if t.Null() {
+			continue
+		}
+		if n := len(segs); n > 0 && (t.Type != lt || t.Span.Start < segs[n-1].span.End) {
+			panic("resource: ConsumeTerms needs terms of one located type in time order")
+		}
+		lt = t.Type
+		segs = append(segs, segment{span: t.Span, rate: t.Rate})
+	}
+	if len(segs) == 0 {
+		return nil
+	}
+	p, ok := s.profiles[lt].splice(segs, opSub)
+	if !ok {
+		return ErrInsufficient
+	}
+	s.put(lt, p)
 	return nil
 }
 
@@ -235,36 +262,42 @@ func (s *Set) Consume(lt LocatedType, span interval.Interval, rate Rate) error {
 func (s *Set) TrimBefore(t interval.Time) Set {
 	expired := Set{}
 	for lt, p := range s.profiles {
-		past := p.clamp(interval.New(interval.NegInfinity, t))
-		if !past.empty() {
-			if expired.profiles == nil {
-				expired.profiles = make(map[LocatedType]profile)
-			}
-			expired.profiles[lt] = past
-		}
-		future := p.clamp(interval.New(t, interval.Infinity))
-		if future.empty() {
-			delete(s.profiles, lt)
-		} else {
-			s.profiles[lt] = future
-		}
+		expired.put(lt, p.clamp(interval.New(interval.NegInfinity, t)))
+		s.put(lt, p.clamp(interval.New(t, interval.Infinity)))
 	}
 	return expired
 }
 
 // Clamp returns the subset of availability inside the window.
 func (s Set) Clamp(window interval.Interval) Set {
-	out := Set{}
+	if len(s.profiles) == 0 {
+		return Set{}
+	}
+	out := Set{profiles: make(map[LocatedType]profile, len(s.profiles))}
 	for lt, p := range s.profiles {
-		c := p.clamp(window)
-		if !c.empty() {
-			if out.profiles == nil {
-				out.profiles = make(map[LocatedType]profile)
-			}
-			out.profiles[lt] = c
+		out.put(lt, p.clamp(window))
+	}
+	return out
+}
+
+// Restrict returns the availability of the listed located types inside
+// the window: the slice of Θ a search confined to those types and that
+// window can ever read. Its size is that of the slice, not of s.
+func (s Set) Restrict(window interval.Interval, types ...LocatedType) Set {
+	out := Set{}
+	for _, lt := range types {
+		if _, done := out.profiles[lt]; !done {
+			out.put(lt, s.profiles[lt].clamp(window))
 		}
 	}
 	return out
+}
+
+// EachSegment calls fn, in time order, for every stretch of constant
+// positive availability of lt inside the window, until fn returns false.
+// It allocates nothing: the read-side alternative to Clamp(window).Terms().
+func (s Set) EachSegment(lt LocatedType, window interval.Interval, fn func(span interval.Interval, rate Rate) bool) {
+	s.profiles[lt].each(window, fn)
 }
 
 // EarliestWindow finds the earliest interval of the given duration,

@@ -71,17 +71,7 @@ func (p Plan) Empty() bool {
 // rate-capped, finishing each phase earliest can only enlarge the
 // feasible region of its successors.
 func Single(theta resource.Set, req compute.Complex) (Plan, error) {
-	plan := Plan{Breaks: map[compute.ActorName][]interval.Time{}}
-	working := theta.Clone()
-	if err := scheduleActor(&working, req, &plan); err != nil {
-		return Plan{}, err
-	}
-	for _, breaks := range plan.Breaks {
-		if n := len(breaks); n > 0 && breaks[n-1] > plan.Finish {
-			plan.Finish = breaks[n-1]
-		}
-	}
-	return plan, nil
+	return tryOrder(theta, []compute.Complex{req})
 }
 
 // config controls the multi-actor search.
@@ -156,11 +146,24 @@ func Concurrent(theta resource.Set, req compute.Concurrent, opts ...Option) (Pla
 	return *found, nil
 }
 
-// tryOrder schedules the actors in the given order against a working copy
-// of Θ.
+// tryOrder schedules the actors in the given order. The search reads Θ
+// only for the located types the actors require and only inside their
+// windows, so it consumes from an overlay holding exactly that slice —
+// each type clamped once to the window — and never copies, or writes to,
+// Θ itself.
 func tryOrder(theta resource.Set, order []compute.Complex) (Plan, error) {
 	plan := Plan{Breaks: map[compute.ActorName][]interval.Time{}}
-	working := theta.Clone()
+	var window interval.Interval
+	var types []resource.LocatedType
+	for _, actor := range order {
+		window = window.Hull(actor.Window)
+		for _, phase := range actor.Phases {
+			for lt := range phase.Amounts {
+				types = append(types, lt)
+			}
+		}
+	}
+	working := theta.Restrict(window, types...)
 	for _, actor := range order {
 		if err := scheduleActor(&working, actor, &plan); err != nil {
 			return Plan{}, err
@@ -211,10 +214,10 @@ func scheduleActor(working *resource.Set, req compute.Complex, plan *Plan) error
 				return fmt.Errorf("%w: actor %s phase %d needs %v of %v in %v",
 					ErrInfeasible, req.Actor, phaseIdx, need, lt, interval.New(cursor, req.Window.End))
 			}
+			if consumeErr := working.ConsumeTerms(allocs); consumeErr != nil {
+				return fmt.Errorf("schedule: internal: allocation exceeds availability: %v", consumeErr)
+			}
 			for _, term := range allocs {
-				if consumeErr := working.Consume(term.Type, term.Span, term.Rate); consumeErr != nil {
-					return fmt.Errorf("schedule: internal: allocation exceeds availability: %v", consumeErr)
-				}
 				plan.Allocs = append(plan.Allocs, Allocation{Actor: req.Actor, Phase: phaseIdx, Term: term})
 			}
 			if doneAt > completion {
@@ -231,48 +234,58 @@ func scheduleActor(working *resource.Set, req compute.Complex, plan *Plan) error
 // earliestAllocations greedily accumulates need units of lt starting at
 // window.Start, consuming the full available rate of every tick until the
 // final tick, which consumes only the remainder. It returns the
-// allocation terms and the completion time (the tick after the last
-// consumption).
+// allocation terms — in time order and disjoint — and the completion time
+// (the tick after the last consumption). The terms are its only
+// allocation: one walk over the window's segments finds where the need is
+// met, a second fills the exactly-sized result.
 func earliestAllocations(theta resource.Set, lt resource.LocatedType, need resource.Quantity, window interval.Interval) ([]resource.Term, interval.Time, error) {
 	if need <= 0 {
 		return nil, window.Start, nil
 	}
-	if window.Empty() {
+	// The need drains `full` segments whole, then takes wholeTicks of the
+	// next one at its full rate and what remains in one partial-rate tick.
+	full, met := 0, false
+	var wholeTicks interval.Time
+	remaining := need
+	theta.EachSegment(lt, window, func(span interval.Interval, rate resource.Rate) bool {
+		if capacity := resource.Quantity(rate) * resource.Quantity(span.Len()); remaining > capacity {
+			full++
+			remaining -= capacity
+			return true
+		}
+		wholeTicks = interval.Time(remaining / resource.Quantity(rate))
+		remaining -= resource.Quantity(rate) * resource.Quantity(wholeTicks)
+		met = true
+		return false
+	})
+	if !met {
 		return nil, 0, ErrInfeasible
 	}
-	var out []resource.Term
-	remaining := need
-	for _, term := range theta.Clamp(window).Terms() {
-		if term.Type != lt {
-			continue
-		}
-		capacity := term.Quantity()
-		switch {
-		case capacity < resource.Quantity(term.Rate):
-			continue // defensive; normalized terms always span ≥ 1 tick
-		case remaining > capacity:
-			out = append(out, term)
-			remaining -= capacity
-		default:
-			// Final segment: take whole ticks at full rate, then the
-			// remainder in one partial-rate tick.
-			wholeTicks := interval.Time(remaining / resource.Quantity(term.Rate))
-			if wholeTicks > 0 {
-				span := interval.New(term.Span.Start, term.Span.Start+wholeTicks)
-				out = append(out, resource.NewTerm(term.Rate, lt, span))
-				remaining -= resource.Quantity(term.Rate) * resource.Quantity(wholeTicks)
-			}
-			doneAt := term.Span.Start + wholeTicks
-			if remaining > 0 {
-				span := interval.New(doneAt, doneAt+1)
-				out = append(out, resource.NewTerm(resource.Rate(remaining), lt, span))
-				doneAt++
-				remaining = 0
-			}
-			return out, doneAt, nil
-		}
+	n := full
+	if wholeTicks > 0 {
+		n++
 	}
-	return nil, 0, ErrInfeasible
+	if remaining > 0 {
+		n++
+	}
+	out := make([]resource.Term, 0, n)
+	var doneAt interval.Time
+	theta.EachSegment(lt, window, func(span interval.Interval, rate resource.Rate) bool {
+		if len(out) < full {
+			out = append(out, resource.Term{Rate: rate, Type: lt, Span: span})
+			return true
+		}
+		doneAt = span.Start + wholeTicks
+		if wholeTicks > 0 {
+			out = append(out, resource.Term{Rate: rate, Type: lt, Span: interval.New(span.Start, doneAt)})
+		}
+		if remaining > 0 {
+			out = append(out, resource.Term{Rate: resource.Rate(remaining), Type: lt, Span: interval.New(doneAt, doneAt+1)})
+			doneAt++
+		}
+		return false
+	})
+	return out, doneAt, nil
 }
 
 // Verify independently checks a plan against the resources and the

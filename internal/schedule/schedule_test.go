@@ -440,3 +440,74 @@ func TestConcurrentExhaustiveEqualsGreedyWhenGreedyWorks(t *testing.T) {
 		t.Errorf("Finish differs: %d vs %d", greedy.Finish, exhaustive.Finish)
 	}
 }
+
+// fragmentedView builds a one-type view of n segments with alternating
+// rates, the shape a loaded shard's free view has.
+func fragmentedView(n int) resource.Set {
+	var theta resource.Set
+	for i := 0; i < n; i++ {
+		theta.Add(resource.NewTerm(u(int64(2+i%2)), cpuL1, interval.New(interval.Time(4*i), interval.Time(4*i+4))))
+	}
+	return theta
+}
+
+// The planner's read of Θ allocates only what it returns: the walk over
+// the window's segments is a cursor, not a clamped, rendered copy.
+func TestEarliestAllocationsAllocatesOnlyItsResult(t *testing.T) {
+	theta := fragmentedView(512)
+	window := interval.New(1001, 1400)
+	need := resource.QuantityFromUnits(75) // drains several segments, then part of one
+	var terms []resource.Term
+	allocs := testing.AllocsPerRun(100, func() {
+		terms, _, _ = earliestAllocations(theta, cpuL1, need, window)
+	})
+	if allocs != 1 {
+		t.Errorf("earliestAllocations: %.0f allocations, want 1 (its result)", allocs)
+	}
+	if len(terms) < 4 || len(terms) != cap(terms) {
+		t.Errorf("result holds %d terms in storage for %d; want several, exactly sized", len(terms), cap(terms))
+	}
+	var got resource.Quantity
+	for _, term := range terms {
+		got += term.Quantity()
+	}
+	if got != need {
+		t.Errorf("allocated %v, need %v", got, need)
+	}
+	// An infeasible read allocates nothing at all.
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, _, _ = earliestAllocations(theta, cpuL1, resource.QuantityFromUnits(1<<30), window)
+	}); allocs != 0 {
+		t.Errorf("infeasible earliestAllocations: %.0f allocations, want 0", allocs)
+	}
+}
+
+// The search consumes from an overlay of Θ, not from Θ and not from a
+// copy of it: the view handed in — shared, on the admission hot path,
+// with the ledger's cache and every concurrent planner — must come back
+// unchanged, whether the search succeeds, fails, or tries many orders.
+func TestPlannerLeavesViewUnchanged(t *testing.T) {
+	theta := fragmentedView(64)
+	theta.Add(resource.NewTerm(u(1), netL12, interval.New(0, 256)))
+	before := resource.NewSet(theta.Terms()...)
+	a1 := compute.ComplexOf(seqActor(t, "a1"), interval.New(3, 90))
+	a2 := compute.ComplexOf(seqActor(t, "a2"), interval.New(10, 60))
+
+	if _, err := Single(theta, a1); err != nil {
+		t.Fatal(err)
+	}
+	req := compute.Concurrent{Actors: []compute.Complex{a1, a2}, Window: interval.New(3, 90)}
+	if _, err := Concurrent(theta, req, WithExhaustive()); err != nil {
+		t.Fatal(err)
+	}
+	tight := compute.Concurrent{Actors: []compute.Complex{
+		compute.ComplexOf(seqActor(t, "b1"), interval.New(0, 9)),
+		compute.ComplexOf(seqActor(t, "b2"), interval.New(0, 9)),
+	}, Window: interval.New(0, 9)}
+	if _, err := Concurrent(theta, tight, WithExhaustive()); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("tight requirement: err = %v, want ErrInfeasible", err)
+	}
+	if !theta.Equal(before) {
+		t.Fatalf("planning changed the view it searched:\n got %v\nwant %v", theta, before)
+	}
+}

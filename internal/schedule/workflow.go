@@ -51,7 +51,17 @@ func FeasibleWorkflow(theta resource.Set, w compute.Workflow) (WorkflowPlan, err
 		StartAt: make(map[compute.SegmentRef]interval.Time, len(order)),
 		DoneAt:  make(map[compute.SegmentRef]interval.Time, len(order)),
 	}
-	working := theta.Clone()
+	var types []resource.LocatedType
+	for _, ref := range order {
+		if seg, ok := w.Segment(ref); ok {
+			for _, phase := range seg.Phases() {
+				for lt := range phase.Amounts {
+					types = append(types, lt)
+				}
+			}
+		}
+	}
+	working := theta.Restrict(interval.New(w.Start, w.Deadline), types...)
 	for _, ref := range order {
 		seg, ok := w.Segment(ref)
 		if !ok {
@@ -74,10 +84,10 @@ func FeasibleWorkflow(theta resource.Set, w compute.Workflow) (WorkflowPlan, err
 					return WorkflowPlan{}, fmt.Errorf("%w: segment %v phase %d needs %v of %v in (%d,%d)",
 						ErrInfeasible, ref, phaseIdx, need, lt, cursor, w.Deadline)
 				}
+				if consumeErr := working.ConsumeTerms(allocs); consumeErr != nil {
+					return WorkflowPlan{}, fmt.Errorf("schedule: internal: workflow allocation exceeds availability: %v", consumeErr)
+				}
 				for _, term := range allocs {
-					if consumeErr := working.Consume(term.Type, term.Span, term.Rate); consumeErr != nil {
-						return WorkflowPlan{}, fmt.Errorf("schedule: internal: workflow allocation exceeds availability: %v", consumeErr)
-					}
 					plan.Allocs = append(plan.Allocs, WorkflowAllocation{Ref: ref, Phase: phaseIdx, Term: term})
 				}
 				if doneAt > completion {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -17,7 +16,7 @@ import (
 // `commits` live commitments whose windows are staggered so the shard
 // profiles carry many segments — the loaded-ledger shape the admit hot
 // path has to stay fast on.
-func benchAdmitLedger(b *testing.B, nLocs, commits int, promises *assure.Ledger) (*Ledger, []resource.Location) {
+func benchAdmitLedger(b testing.TB, nLocs, commits int, promises *assure.Ledger) (*Ledger, []resource.Location) {
 	b.Helper()
 	locs := make([]resource.Location, nLocs)
 	for i := range locs {
@@ -51,19 +50,6 @@ func benchAdmitLoop(b *testing.B, l *Ledger, fpLocs []resource.Location, conc in
 			jobs[g] = triJob(b, name, fpLocs, 0, 1<<20)
 		}
 	}
-	// Pin the heap at a production-shaped size. The loaded-ledger cells
-	// allocate close to 1 MB per decision against ~1 MB of live data, so
-	// at the runtime's small default heap goal the collector runs every
-	// couple of milliseconds and takes ~40% of the wall clock — at which
-	// point the numbers measure how a few hundred KB of live bookkeeping
-	// shifts the GC duty cycle, not what the hot path costs. A real
-	// daemon's heap sits far above the floor, where that sensitivity
-	// vanishes; the ballast (pointer-free, so marking it is free) puts
-	// the benchmark in the same regime. Settle setup garbage before
-	// timing so the cells start from the same debt.
-	ballast := make([]byte, 64<<20)
-	defer runtime.KeepAlive(ballast)
-	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup

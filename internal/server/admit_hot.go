@@ -113,20 +113,9 @@ type admitWork struct {
 
 	// Plan state for the current attempt, set by planOne before the
 	// work enters a validate batch.
-	dec    admission.Decision
-	demand resource.Set
-	parts  map[resource.Location]resource.Set // nil for single-shard footprints
-	vers   []uint64                           // shard versions the plan was decided against
-}
-
-// partFor returns the work's demand on one shard. Single-shard
-// footprints return the whole demand without ever having split it.
-func (w *admitWork) partFor(loc resource.Location) (resource.Set, bool) {
-	if w.parts == nil {
-		return w.demand, true
-	}
-	p, ok := w.parts[loc]
-	return p, ok
+	dec   admission.Decision
+	parts map[resource.Location]resource.Set // the plan's demand, shard by shard
+	vers  []uint64                           // shard versions the plan was decided against
 }
 
 // admitGroup is the combining queue for one footprint signature: works
@@ -251,8 +240,9 @@ func (l *Ledger) submitToGroup(locs []resource.Location, w *admitWork, attempt i
 // location; locs sorted and distinct) it also records each shard's
 // mutation version. The returned set shares the shards' cached profiles
 // and must be treated as read-only (admission.Decide and
-// schedule.Concurrent clone before mutating). Single-location
-// footprints return the cached set directly — no clone, no allocation.
+// schedule.Concurrent never write to the view they search).
+// Single-location footprints return the cached set directly — no clone,
+// no allocation.
 func (l *Ledger) snapshotFree(locs []resource.Location, vers []uint64) (resource.Set, error) {
 	if len(locs) == 1 {
 		sh := l.shardFor(locs[0])
@@ -267,7 +257,9 @@ func (l *Ledger) snapshotFree(locs []resource.Location, vers []uint64) (resource
 
 // mergedFree merges the free views of shards whose locks the caller
 // holds, recording their mutation versions into vers when non-nil. A
-// lone shard's cached view is returned as is, shared read-only.
+// lone shard's cached view is returned as is, shared read-only. Shards
+// own disjoint located types, so the union of several is one map holding
+// the shards' own profiles: its cost does not grow with their segments.
 func mergedFree(shards []*shard, vers []uint64) (resource.Set, error) {
 	var free resource.Set
 	for i, sh := range shards {
@@ -281,7 +273,7 @@ func mergedFree(shards []*shard, vers []uint64) (resource.Set, error) {
 		if len(shards) == 1 {
 			return part, nil
 		}
-		free = free.PatchUnion(part)
+		free.AddSet(part)
 	}
 	return free, nil
 }
@@ -316,37 +308,9 @@ func (l *Ledger) planOne(w *admitWork, locs []resource.Location, free resource.S
 		l.settle(w, admission.Decision{}, ErrPlanless)
 		return false
 	}
-	demand := dec.Plan.Demand()
-	if err := splitDemand(w, locs, demand); err != nil {
-		l.settle(w, admission.Decision{}, err)
-		return false
-	}
-	w.dec = dec
-	w.vers = vers
-	return true
-}
-
-// splitDemand validates a plan's demand stays inside the footprint it
-// was decided against and records the per-shard split on the work.
-// Single-shard footprints skip the split entirely.
-func splitDemand(w *admitWork, locs []resource.Location, demand resource.Set) error {
-	if len(locs) == 1 {
-		loc := locs[0]
-		outside := false
-		demand.EachTypeUntil(func(lt resource.LocatedType) bool {
-			if shardOf(lt) != loc {
-				outside = true
-				return false
-			}
-			return true
-		})
-		if outside {
-			return fmt.Errorf("server: plan for %s consumes outside its footprint (shard %s)", w.job.Dist.Name, loc)
-		}
-		w.demand, w.parts = demand, nil
-		return nil
-	}
-	parts := splitByShard(demand)
+	// The plan's demand, shard by shard; it must stay inside the
+	// footprint it was decided against.
+	parts := splitAllocs(dec.Plan.Allocs)
 	for loc := range parts {
 		in := false
 		for _, fl := range locs {
@@ -356,11 +320,14 @@ func splitDemand(w *admitWork, locs []resource.Location, demand resource.Set) er
 			}
 		}
 		if !in {
-			return fmt.Errorf("server: plan for %s consumes outside its footprint (shard %s)", w.job.Dist.Name, loc)
+			l.settle(w, admission.Decision{}, fmt.Errorf("server: plan for %s consumes outside its footprint (shard %s)", w.job.Dist.Name, loc))
+			return false
 		}
 	}
-	w.demand, w.parts = demand, parts
-	return nil
+	w.dec = dec
+	w.parts = parts
+	w.vers = vers
+	return true
 }
 
 // validateBatch re-locks the footprint once for a whole batch of
@@ -410,7 +377,7 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 			continue
 		}
 		for _, sh := range shards {
-			if part, ok := w.partFor(sh.loc); ok {
+			if part, ok := w.parts[sh.loc]; ok {
 				sh.applyReserve(part)
 			}
 		}
@@ -445,7 +412,7 @@ func (l *Ledger) fitsLocked(shards []*shard, w *admitWork) (bool, error) {
 		return true, nil
 	}
 	for _, sh := range shards {
-		part, ok := w.partFor(sh.loc)
+		part, ok := w.parts[sh.loc]
 		if !ok {
 			continue
 		}
@@ -514,7 +481,7 @@ func (l *Ledger) runLocked(locs []resource.Location, w *admitWork) {
 	}
 	spans := l.startReserveSpans([]*admitWork{w}, len(shards), 0)
 	for _, sh := range shards {
-		if part, ok := w.partFor(sh.loc); ok {
+		if part, ok := w.parts[sh.loc]; ok {
 			sh.applyReserve(part)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -421,6 +422,101 @@ func TestFreeViewSingleLocationZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("single-location FreeView allocates %.1f per call, want 0", allocs)
 	}
+}
+
+// allocBytes returns the bytes one call of fn allocates, averaged over
+// runs calls on this goroutine with nothing else running.
+func allocBytes(runs int, fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// A multi-location snapshot is the shards' own profiles in one new map:
+// shards own disjoint located types, so nothing is merged, copied or
+// sorted, and what a snapshot allocates does not depend on how fragmented
+// the views are. (It used to push every shard's whole view through a
+// clone and an event sort: 27 µs per snapshot on a loaded ledger against
+// 0.2 µs for one location.)
+func TestFreeViewMultiLocationAllocatesOnlyTheMap(t *testing.T) {
+	measure := func(commits int) (allocs, bytes float64, segments int) {
+		l, locs := benchAdmitLedger(t, 3, commits, nil)
+		free, _, err := l.FreeView(locs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshot := func() {
+			if _, _, err := l.FreeView(locs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(200, snapshot), allocBytes(200, snapshot), free.NumTerms()
+	}
+	fewAllocs, fewBytes, fewSegs := measure(30)
+	manyAllocs, manyBytes, manySegs := measure(900)
+	if manySegs < 10*fewSegs {
+		t.Fatalf("fixture: %d segments against %d; the loaded ledger should be ≥ 10× as fragmented", manySegs, fewSegs)
+	}
+	if manyAllocs != fewAllocs || manyBytes > fewBytes+64 {
+		t.Errorf("3-shard snapshot of %d segments: %.0f allocations, %.0f bytes; of %d segments: %.0f allocations, %.0f bytes — it must not grow with the segments",
+			manySegs, manyAllocs, manyBytes, fewSegs, fewAllocs, fewBytes)
+	}
+	if manyBytes > 2048 {
+		t.Errorf("3-shard snapshot allocates %.0f bytes, want the lock bookkeeping and one small map (≤ 2048)", manyBytes)
+	}
+}
+
+// An admit+release pair costs a fixed part plus a few exactly-sized
+// copies of the profiles it touches: the planner's one splice into its
+// overlay, and one patch each of the shard's free view and reservations
+// on the way in and on the way out — at most five copies of the free
+// profile. (The event-sweep kernels cost the equivalent of 36 such copies
+// at 1000 residents: 881 KB against 166 KB at 100, a factor 5.3.) The
+// bytes still follow the touched profile's length, so the factor between
+// 1000 and 100 residents is held under 4, not the 2 a representation
+// that copies only the touched chunk would give (ROADMAP item 2).
+func TestAdmitReleaseBytesFollowTouchedProfiles(t *testing.T) {
+	policy := &admission.Rota{}
+	measure := func(commits int) (bytes float64, segments int) {
+		l, locs := benchAdmitLedger(t, 1, commits, nil)
+		job := cpuJob(t, "probe", locs[0], 0, 1<<20)
+		pair := func() {
+			if dec, err := l.Admit(policy, job); err != nil || !dec.Admit {
+				t.Fatalf("admit: %v %+v", err, dec)
+			}
+			if err := l.Release(job.Dist.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pair()
+		free, _, err := l.FreeView(locs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes = allocBytes(200, pair)
+		mustAudit(t, l)
+		return bytes, free.NumTerms()
+	}
+	at100, segs100 := measure(100)
+	at1000, segs1000 := measure(1000)
+	for _, c := range []struct {
+		bytes float64
+		segs  int
+	}{{at100, segs100}, {at1000, segs1000}} {
+		// 24 bytes a segment, rounded up to the allocator's size class.
+		if budget := 12288 + 5*24*1.125*float64(c.segs); c.bytes > budget {
+			t.Errorf("admit+release over a %d-segment free view: %.0f bytes, budget %.0f", c.segs, c.bytes, budget)
+		}
+	}
+	if at1000 > 4*at100 {
+		t.Errorf("admit+release: %.0f bytes at 1000 residents, %.0f at 100: factor %.1f, want ≤ 4", at1000, at100, at1000/at100)
+	}
+	t.Logf("admit+release: %.0f B at 100 residents (%d segments), %.0f B at 1000 (%d segments), factor %.2f",
+		at100, segs100, at1000, segs1000, at1000/at100)
 }
 
 // Rejections decided against a snapshot are delivered immediately; the

@@ -56,6 +56,21 @@ func splitByShard(s resource.Set) map[resource.Location]resource.Set {
 	return out
 }
 
+// splitAllocs partitions a witness plan's allocations into per-shard
+// demand sets in one pass — what a reservation adds to each shard and
+// what releasing it gives back — without first building, sorting and
+// re-splitting the plan's whole demand.
+func splitAllocs(allocs []schedule.Allocation) map[resource.Location]resource.Set {
+	out := make(map[resource.Location]resource.Set)
+	for _, a := range allocs {
+		loc := shardOf(a.Term.Type)
+		part := out[loc]
+		part.Add(a.Term)
+		out[loc] = part
+	}
+	return out
+}
+
 // shard is one location's slice of the live ledger. Both sets are kept
 // trimmed to ≥ now: theta is the raw future availability, reserved the
 // union of the remaining demands of every commitment touching this shard.
@@ -570,7 +585,7 @@ func (l *Ledger) release(name string, transferred bool) error {
 	locs, plan := c.locs, c.plan
 	l.mu.Unlock()
 
-	if err := l.releaseDemand(locs, plan.Demand()); err != nil {
+	if err := l.releaseParts(locs, splitAllocs(plan.Allocs)); err != nil {
 		return fmt.Errorf("server: releasing %s: %w", name, err)
 	}
 	l.bumpEpoch("release")
@@ -602,12 +617,17 @@ func (l *Ledger) noteViolations(violated []string) {
 }
 
 // releaseDemand returns a reservation's not-yet-consumed portion to the
+// free pool.
+func (l *Ledger) releaseDemand(locs []resource.Location, demand resource.Set) error {
+	return l.releaseParts(locs, splitByShard(demand))
+}
+
+// releaseParts returns a reservation's not-yet-consumed portion to the
 // free pool, shard by shard. Only the un-elapsed part is still reserved;
 // the consumed prefix was trimmed away as the clock advanced.
-func (l *Ledger) releaseDemand(locs []resource.Location, demand resource.Set) error {
+func (l *Ledger) releaseParts(locs []resource.Location, parts map[resource.Location]resource.Set) error {
 	shards, unlock := l.lockedShards(locs)
 	defer unlock()
-	parts := splitByShard(demand)
 	for _, sh := range shards {
 		part, ok := parts[sh.loc]
 		if !ok {
