@@ -13,9 +13,11 @@ GO ?= go
 # cache, its snapshots and every concurrent plan search read at once.
 RACE_PKGS = ./internal/resource/ ./internal/server/ ./internal/cluster/ ./internal/membership/ ./internal/query/ ./internal/obs/ ./internal/obs/span/ ./internal/metrics/ ./internal/admission/ ./internal/core/ ./internal/schedule/ ./internal/health/ ./internal/fault/ ./cmd/rotad/
 
-.PHONY: ci fmt vet build test race fuzz-smoke metrics-lint benchmark-vet selftest cluster-selftest trace-selftest query-selftest chaos-selftest assure-selftest clean
+.PHONY: ci fmt vet build test race fuzz-smoke metrics-lint benchmark-vet selftest cluster-selftest chaos-selftest clean
 
-ci: fmt vet build test race fuzz-smoke metrics-lint benchmark-vet trace-selftest query-selftest chaos-selftest assure-selftest
+# Each end-to-end harness boots once: every invocation runs every probe
+# it has (query, span, assure), so one run per harness covers them all.
+ci: fmt vet build test race fuzz-smoke metrics-lint benchmark-vet selftest cluster-selftest chaos-selftest
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -49,47 +51,35 @@ metrics-lint:
 benchmark-vet:
 	cd benchmark && $(GO) vet ./...
 
-# End-to-end: daemon + ≥1000 requests through the HTTP API.
+# End-to-end: daemon + ≥1000 requests through the HTTP API. Its query
+# probe must see one-shot GET/POST agreement and /v1/watch verdict flips
+# for a reservation landing, its release, a leased hold, and a lease
+# expiring.
 selftest:
 	$(GO) run ./cmd/rotad -selftest -requests 1000 -clients 8
 
 # End-to-end: 3-node loopback cluster + coordinator-crash injection +
-# ≥1000 mixed admits + lease-sweep and per-node audit verification.
+# ≥1000 mixed admits + lease-sweep and per-node audit verification. The
+# span probe must reconstruct a connected cross-node span tree, print
+# its critical path, and leave every reject carrying decision
+# provenance; the query probes check fan-out equivalence and a watch
+# flipped by a coordinated admission; the assure probes must see zero
+# violated promises cluster-wide, promise continuity for every pinned
+# seed job across the mid-run failover (kept or active on the promoted
+# owner, never orphaned), and the /v1/assure fan-out totals agreeing
+# with the per-node ledgers (EXPERIMENTS.md E13, E14, E18).
 cluster-selftest:
 	$(GO) run ./cmd/rotad -selftest -cluster 3 -requests 1000 -clients 8 -locations 6
-
-# End-to-end tracing check: a small 3-node cluster run whose span probe
-# must reconstruct a connected cross-node span tree, print its critical
-# path, and leave every reject carrying decision provenance. The same
-# run exercises the cross-node query probes (fan-out equivalence, watch
-# flipped by a coordinated admission).
-trace-selftest:
-	$(GO) run ./cmd/rotad -selftest -cluster 3 -requests 300 -clients 6 -locations 6
-
-# End-to-end query check: the single-daemon selftest's query probe must
-# see one-shot GET/POST agreement and /v1/watch verdict flips for a
-# reservation landing, its release, a leased hold, and a lease expiring.
-query-selftest:
-	$(GO) run ./cmd/rotad -selftest -requests 300 -clients 4
 
 # End-to-end self-healing check: a 3-node loopback cluster wired through
 # the fault-injection transport runs a seeded kill/partition/heal
 # schedule under live load with no operator — every eviction must come
 # from the φ-accrual detector + quorum rule, the healed partition must
-# fence-and-rejoin on its own, no committed reservation may be lost, and
-# every audit must stay clean (EXPERIMENTS.md E16).
+# fence-and-rejoin on its own, no committed reservation may be lost,
+# every audit must stay clean (EXPERIMENTS.md E16), and the assure probe
+# requires ≥1 flight-recorder snapshot whose merged spans form a
+# connected cross-node timeline (E18).
 chaos-selftest:
-	$(GO) run ./cmd/rotad -selftest -chaos -cluster 3 -requests 150 -clients 4 -locations 6
-
-# End-to-end deadline-assurance check: the cluster selftest's assure
-# probes must see zero violated promises cluster-wide, promise
-# continuity for every pinned seed job across the mid-run failover
-# (kept or active on the promoted owner, never orphaned), and the
-# /v1/assure fan-out totals agreeing with the per-node ledgers. The
-# chaos variant additionally requires ≥1 flight-recorder snapshot whose
-# merged spans form a connected cross-node timeline (EXPERIMENTS.md E18).
-assure-selftest:
-	$(GO) run ./cmd/rotad -selftest -cluster 3 -requests 400 -clients 4 -locations 6
 	$(GO) run ./cmd/rotad -selftest -chaos -cluster 3 -requests 150 -clients 4 -locations 6
 
 clean:

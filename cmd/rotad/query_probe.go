@@ -17,7 +17,7 @@ import (
 	"repro/internal/server"
 )
 
-// The query-selftest probes: a standing /v1/watch subscription must see
+// The selftests' query probes: a standing /v1/watch subscription must see
 // verdict flips caused by a reservation landing, a release, a leased
 // hold arriving, and a lease expiring — each within one ledger epoch —
 // and one-shot GET/POST verdicts must agree. The cluster selftest adds
@@ -138,7 +138,7 @@ func getQueryVerdict(ctx context.Context, client *http.Client, baseURL, q string
 	return out, nil
 }
 
-// runQueryProbe drives the single-node query-selftest sequence against a
+// runQueryProbe drives the single-node selftest's query sequence against a
 // live daemon: one-shot GET/POST agreement, a watch flipped by an
 // admission landing and its release, and a watch flipped by a leased
 // hold and its expiry sweep.
@@ -234,7 +234,7 @@ func runQueryProbe(ctx context.Context, httpc *http.Client, baseURL string, loc 
 	return nil
 }
 
-// runClusterQueryProbe drives the cluster query-selftest: fan-out
+// runClusterQueryProbe drives the cluster selftest's query probes: fan-out
 // equivalence against a hand-merged free view, and a watch on one node
 // flipped by a coordinated admission submitted through another.
 func runClusterQueryProbe(ctx context.Context, httpc *http.Client, peers []peerProbe, start, horizon interval.Time) error {

@@ -443,30 +443,11 @@ func (n *Node) Shutdown(ctx context.Context) error {
 	return n.srv.Shutdown(ctx)
 }
 
-// jobFootprint returns the sorted locations a job's resource demands
-// touch (links are owned by their source, like ledger shards).
-func jobFootprint(dist compute.Distributed) []resource.Location {
-	seen := make(map[resource.Location]bool)
-	for _, a := range dist.Actors {
-		for _, st := range a.Steps {
-			for lt := range st.Amounts {
-				seen[lt.Loc] = true
-			}
-		}
-	}
-	locs := make([]resource.Location, 0, len(seen))
-	for loc := range seen {
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	return locs
-}
-
 // ownersOf groups a job's footprint by owning peer, as resolved by the
 // live ownership table and its overlays.
 func (n *Node) ownersOf(dist compute.Distributed) (map[*peerState][]resource.Location, error) {
 	out := make(map[*peerState][]resource.Location)
-	for _, loc := range jobFootprint(dist) {
+	for _, loc := range dist.Locations() {
 		ref, ok := n.lookupOwner(loc)
 		if !ok {
 			return nil, fmt.Errorf("cluster: no node owns location %s", loc)
@@ -516,7 +497,7 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 			// ownership just moved, answer with a redirect the sender can
 			// follow; otherwise count and refuse rather than bouncing the
 			// job around the cluster.
-			if red, ok := n.redirectFor(jobFootprint(job.Dist)); ok {
+			if red, ok := n.redirectFor(job.Dist.Locations()); ok {
 				n.serveRedirect(w, red)
 				return
 			}
@@ -557,7 +538,7 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 func (n *Node) admitLocal(w http.ResponseWriter, r *http.Request, job workload.Job, body []byte) (retry bool) {
 	n.flowMu.RLock()
 	defer n.flowMu.RUnlock()
-	for _, loc := range jobFootprint(job.Dist) {
+	for _, loc := range job.Dist.Locations() {
 		if ref, ok := n.lookupOwner(loc); !ok || ref.id != n.self.ID {
 			return true
 		}

@@ -45,9 +45,11 @@ import (
 //     followed a redirect remembers it (learned). Overlays die as soon
 //     as a table of an equal-or-higher epoch lands.
 //
-//   - Holds that were mid-2PC when their location moved keep working:
-//     the old owner remembers their keys (movedKeys) and forwards the
-//     coordinator's eventual commit/abort to the new owner.
+//   - Two-phase reservations whose location moved keep working, leased
+//     (mid-2PC) or already committed (the coordinator may still roll a
+//     partial commit back): the old owner remembers their keys
+//     (movedKeys) and forwards the coordinator's eventual commit/abort
+//     to the new owner.
 //
 //   - Each owned location has a warm standby — the rendezvous runner-up,
 //     which is exactly the node LeaveMoves would hand the location to —
@@ -56,7 +58,7 @@ import (
 //     primary's cooperation.
 
 // ownerRef is one overlay routing entry: where a location (or a moved
-// hold's key) now lives, and the table epoch the move belongs to.
+// reservation's key) now lives, and the table epoch the move belongs to.
 type ownerRef struct {
 	id    string
 	url   string
@@ -1028,19 +1030,6 @@ func (n *Node) releaseTargets() []*peerState {
 	return out
 }
 
-// prepareLocs extracts the shard footprint of a prepare body's demand.
-func prepareLocs(demand resource.Set) []resource.Location {
-	seen := make(map[resource.Location]bool)
-	var locs []resource.Location
-	for _, t := range demand.Terms() {
-		if !seen[t.Type.Loc] {
-			seen[t.Type.Loc] = true
-			locs = append(locs, t.Type.Loc)
-		}
-	}
-	return locs
-}
-
 // handlePrepareIntercept fronts the embedded server's /v1/cluster/
 // prepare: requests touching handed-off locations get a 421 redirect to
 // the new owner; the rest run under the handoff freeze so an export/
@@ -1056,7 +1045,7 @@ func (n *Node) handlePrepareIntercept(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	locs := prepareLocs(demand)
+	locs := demand.Locations()
 	n.flowMu.RLock()
 	defer n.flowMu.RUnlock()
 	if red, ok := n.redirectFor(locs); ok {
@@ -1137,9 +1126,10 @@ func (n *Node) handleFinishIntercept(w http.ResponseWriter, r *http.Request, ver
 	writeJSON(w, http.StatusOK, map[string]string{"key": req.Key, "outcome": verb})
 }
 
-// finishMoved applies a commit/abort locally and, when the hold's key
-// was moved by a handoff, forwards it to the new owner as well — the
-// slice that stayed behind and the slice that moved resolve together.
+// finishMoved applies a commit/abort locally and, when the key's
+// reservation was moved by a handoff, forwards it to the new owner as
+// well — the slice that stayed behind and the slice that moved resolve
+// together.
 // The moved-key entry survives a forwarding failure so the
 // coordinator's retry is forwarded again.
 func (n *Node) finishMoved(ctx context.Context, key, verb string) error {
@@ -1169,12 +1159,13 @@ func (n *Node) finishMoved(ctx context.Context, key, verb string) error {
 	}
 	headers := map[string]string{headerIdempotency: key}
 	if err := n.client.call(ctx, http.MethodPost, ref.url+"/v1/cluster/"+verb, body, nil, headers, n.peerFor(ref).rpc); err != nil {
-		return fmt.Errorf("cluster: forwarding %s of moved hold %s to %s: %w", verb, key, ref.id, err)
+		return fmt.Errorf("cluster: forwarding %s of moved key %s to %s: %w", verb, key, ref.id, err)
 	}
 	// The entry stays: commit/abort are idempotent on the new owner, and
 	// keeping it means a coordinator retry (even one whose first success
 	// response was lost) is forwarded again instead of 404ing here. The
-	// map is bounded by holds that were mid-2PC during a handoff.
+	// map is bounded by the two-phase reservations that were live on a
+	// location when it was handed off.
 	return nil
 }
 

@@ -522,6 +522,49 @@ func TestRedirectServedForHandedOffLocation(t *testing.T) {
 	}
 }
 
+// A coordinator rolling a partial commit back sends its abort to the
+// node it prepared on. When the committed slice has since been handed
+// off, that node must answer 200 and forward the abort, and the new
+// owner must find the slice by the key that travelled with it — not
+// keep it reserved until its plan finishes.
+func TestAbortFollowsCommittedKeyAcrossHandoff(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, 8, 100000, 50)
+	n1, n2 := tc.nodes[0], tc.nodes[1]
+	loc := tc.peers[0].Locations[0]
+	demand := resource.NewSet(resource.NewTerm(resource.FromUnits(1), resource.CPUAt(loc), interval.New(0, 10)))
+	if err := n1.Server().Ledger().Prepare("k-partial", "partial", demand, 10, 20, 50); err != nil {
+		t.Fatal(err)
+	}
+	if err := n1.Server().Ledger().Commit("k-partial"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := n1.executeHandoff(ctx, []resource.Location{loc}, "n2", tc.urls[1], n1.Table().Epoch+1); err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	if _, ok := n2.Server().Ledger().Commitment("partial"); !ok {
+		t.Fatal("the commitment did not move with its location")
+	}
+
+	status, body := post(t, tc.urls[0]+"/v1/cluster/abort", server.FinishRequest{Key: "k-partial"}, nil)
+	if status != http.StatusOK {
+		t.Fatalf("abort on the old owner returned %d: %s", status, body)
+	}
+	if _, ok := n2.Server().Ledger().Commitment("partial"); ok {
+		t.Fatal("the abort never reached the slice on the new owner")
+	}
+	auditAll(t, tc, "after the forwarded abort")
+	free, _, err := n2.Server().Ledger().FreeView([]resource.Location{loc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resource.NewSet(resource.NewTerm(resource.FromUnits(8), resource.CPUAt(loc), interval.New(0, 100000)))
+	if !free.Equal(want) {
+		t.Fatalf("free on %s after the abort = %s, want all of %s", loc, free.Compact(), want.Compact())
+	}
+}
+
 // A release fan-out only covers the roster it started with. When a call
 // is parked behind a peer's handoff freeze while a member joins and the
 // commitment follows its location there, the pass must be repeated

@@ -2,6 +2,7 @@ package compute
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/interval"
@@ -143,6 +144,23 @@ func (d Distributed) TotalAmounts() resource.Amounts {
 		out.Merge(a.TotalAmounts())
 	}
 	return out
+}
+
+// Locations returns the computation's resource footprint: the sorted,
+// distinct locations its steps consume from. A directed link counts at
+// its source, which is where the cost model charges it — and where the
+// daemon shards and a cluster assigns ownership of it.
+func (d Distributed) Locations() []resource.Location {
+	var out []resource.Location
+	for _, a := range d.Actors {
+		for _, st := range a.Steps {
+			for lt := range st.Amounts {
+				out = append(out, lt.Loc)
+			}
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // NumSteps returns the total number of steps across actors.

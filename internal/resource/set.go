@@ -3,6 +3,7 @@ package resource
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -103,6 +104,20 @@ func (s Set) Types() []LocatedType {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
 	return out
+}
+
+// Locations returns the locations of the located types present, sorted
+// and distinct. A directed link counts at its source, which is where the
+// cost model charges it.
+func (s Set) Locations() []Location {
+	out := make([]Location, 0, len(s.profiles))
+	for lt, p := range s.profiles {
+		if !p.empty() {
+			out = append(out, lt.Loc)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Terms returns the normalized terms of the set in deterministic order:

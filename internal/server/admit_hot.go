@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -99,23 +100,22 @@ type admitOutcome struct {
 }
 
 // admitWork is one admission in flight through the hot path. The claim
-// was placed in l.commits by AdmitCtx before the work entered the
-// pipeline; whoever reaches a terminal outcome either finalizes or
-// abandons it.
+// was indexed by AdmitCtx before the work entered the pipeline; whoever
+// reaches a terminal outcome either finalizes or abandons it.
 type admitWork struct {
 	ctx    context.Context
 	policy admission.Policy
 	job    workload.Job
 	now    interval.Time
-	claim  *commitment
+	claim  *reservation
 	done   chan admitOutcome // buffered(1); one write per validate round
 	lead   chan struct{}     // buffered(1); leadership handoff signal
 
 	// Plan state for the current attempt, set by planOne before the
 	// work enters a validate batch.
 	dec   admission.Decision
-	parts map[resource.Location]resource.Set // the plan's demand, shard by shard
-	vers  []uint64                           // shard versions the plan was decided against
+	parts parts    // the plan's demand, shard by shard
+	vers  []uint64 // shard versions the plan was decided against
 }
 
 // admitGroup is the combining queue for one footprint signature: works
@@ -146,7 +146,7 @@ func locsKey(locs []resource.Location) string {
 // until its outcome is decided. It does not abort on ctx cancellation
 // mid-decision — the server's worker claim CAS rolls back late outcomes
 // — so every admission is always decided.
-func (l *Ledger) admitHot(ctx context.Context, policy admission.Policy, job workload.Job, now interval.Time, locs []resource.Location, claim *commitment) (admission.Decision, error) {
+func (l *Ledger) admitHot(ctx context.Context, policy admission.Policy, job workload.Job, now interval.Time, locs []resource.Location, claim *reservation) (admission.Decision, error) {
 	w := &admitWork{
 		ctx:    ctx,
 		policy: policy,
@@ -310,22 +310,15 @@ func (l *Ledger) planOne(w *admitWork, locs []resource.Location, free resource.S
 	}
 	// The plan's demand, shard by shard; it must stay inside the
 	// footprint it was decided against.
-	parts := splitAllocs(dec.Plan.Allocs)
-	for loc := range parts {
-		in := false
-		for _, fl := range locs {
-			if fl == loc {
-				in = true
-				break
-			}
-		}
-		if !in {
-			l.settle(w, admission.Decision{}, fmt.Errorf("server: plan for %s consumes outside its footprint (shard %s)", w.job.Dist.Name, loc))
+	demand := splitAllocs(dec.Plan.Allocs)
+	for _, p := range demand {
+		if !slices.Contains(locs, p.loc) {
+			l.settle(w, admission.Decision{}, fmt.Errorf("server: plan for %s consumes outside its footprint (shard %s)", w.job.Dist.Name, p.loc))
 			return false
 		}
 	}
 	w.dec = dec
-	w.parts = parts
+	w.parts = demand
 	w.vers = vers
 	return true
 }
@@ -339,11 +332,8 @@ func (l *Ledger) planOne(w *admitWork, locs []resource.Location, free resource.S
 func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, attempt int) {
 	l.hot.batches.Add(1)
 	spans := l.startReserveSpans(batch, len(locs), attempt)
-	shards, unlock := l.lockedShards(locs)
-	// Ownership can shrink between the claim and this point (a
-	// concurrent handoff): re-check under the shard locks.
-	if err := l.checkOwned(locs); err != nil {
-		unlock()
+	shards, unlock, err := l.lockOwned(locs)
+	if err != nil {
 		l.endReserveSpans(spans, span.StatusError)
 		for _, w := range batch {
 			l.settle(w, admission.Decision{}, err)
@@ -353,7 +343,7 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 	admitted := batch[:0:0]
 	var conflicted []*admitWork
 	for i, w := range batch {
-		fits, err := l.fitsLocked(shards, w)
+		fits, err := fitsLocked(shards, w)
 		if err != nil {
 			unlock()
 			l.endReserveSpans(spans[i:], span.StatusError)
@@ -376,11 +366,7 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 			conflicted = append(conflicted, w)
 			continue
 		}
-		for _, sh := range shards {
-			if part, ok := w.parts[sh.loc]; ok {
-				sh.applyReserve(part)
-			}
-		}
+		reserve(shards, w.parts)
 		admitted = append(admitted, w)
 	}
 	unlock()
@@ -398,7 +384,7 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 // current free view must dominate the work's demand part. The caller
 // holds the shard locks; shards is in lockedShards order, matching the
 // order snapshotFree recorded versions in.
-func (l *Ledger) fitsLocked(shards []*shard, w *admitWork) (bool, error) {
+func fitsLocked(shards []*shard, w *admitWork) (bool, error) {
 	unchanged := len(w.vers) == len(shards)
 	if unchanged {
 		for i, sh := range shards {
@@ -411,20 +397,8 @@ func (l *Ledger) fitsLocked(shards []*shard, w *admitWork) (bool, error) {
 	if unchanged {
 		return true, nil
 	}
-	for _, sh := range shards {
-		part, ok := w.parts[sh.loc]
-		if !ok {
-			continue
-		}
-		free, err := sh.freeView()
-		if err != nil {
-			return false, fmt.Errorf("server: shard %s invariant broken: %w", sh.loc, err)
-		}
-		if !free.Dominates(part) {
-			return false, nil
-		}
-	}
-	return true, nil
+	tight, err := misfit(shards, w.parts)
+	return tight == nil, err
 }
 
 // startReserveSpans opens one KindReserve span per work, covering the
@@ -463,9 +437,8 @@ func (l *Ledger) endReserveSpans(spans []*span.Span, status string) {
 // bounded optimistic attempts are spent.
 func (l *Ledger) runLocked(locs []resource.Location, w *admitWork) {
 	l.hot.batches.Add(1)
-	shards, unlock := l.lockedShards(locs)
-	if err := l.checkOwned(locs); err != nil {
-		unlock()
+	shards, unlock, err := l.lockOwned(locs)
+	if err != nil {
 		l.settle(w, admission.Decision{}, err)
 		return
 	}
@@ -480,11 +453,7 @@ func (l *Ledger) runLocked(locs []resource.Location, w *admitWork) {
 		return
 	}
 	spans := l.startReserveSpans([]*admitWork{w}, len(shards), 0)
-	for _, sh := range shards {
-		if part, ok := w.parts[sh.loc]; ok {
-			sh.applyReserve(part)
-		}
-	}
+	reserve(shards, w.parts)
 	unlock()
 	l.endReserveSpans(spans, "")
 	l.finalizeBatch(locs, []*admitWork{w})
@@ -499,8 +468,8 @@ func (l *Ledger) finalizeBatch(locs []resource.Location, admitted []*admitWork) 
 	}
 	l.mu.Lock()
 	for _, w := range admitted {
-		w.claim.locs = locs
-		w.claim.plan = *w.dec.Plan
+		w.claim.parts = w.parts
+		w.claim.finish = w.dec.Plan.Finish
 		w.claim.deadline = w.job.Dist.Deadline
 		w.claim.admitted = w.now
 		w.claim.pending = false
@@ -525,8 +494,6 @@ func (l *Ledger) finalizeBatch(locs []resource.Location, admitted []*admitWork) 
 // settle abandons a work's claim and delivers its terminal outcome
 // (rejection or error).
 func (l *Ledger) settle(w *admitWork, dec admission.Decision, err error) {
-	l.mu.Lock()
-	delete(l.commits, w.job.Dist.Name)
-	l.mu.Unlock()
+	l.unindex(w.claim)
 	w.done <- admitOutcome{dec: dec, err: err}
 }

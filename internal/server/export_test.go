@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/resource"
@@ -44,9 +45,11 @@ func TestExportImportRoundTripMovesEverything(t *testing.T) {
 	if err := dst.ImportLocations(exports); err != nil {
 		t.Fatal(err)
 	}
+	// Every two-phase key that lost demand is reported, committed or
+	// leased: the coordinator may still abort any of them.
 	moved := src.DropLocations([]resource.Location{"l1"})
-	if len(moved) != 1 || moved[0] != "k3" {
-		t.Fatalf("moved keys = %v, want [k3]", moved)
+	if want := []string{"k1", "k2", "k3"}; !slices.Equal(moved, want) {
+		t.Fatalf("moved keys = %v, want %v", moved, want)
 	}
 	mustAudit(t, src)
 	mustAudit(t, dst)
@@ -169,6 +172,50 @@ func TestImportMidCommitKeepsBothSlices(t *testing.T) {
 			}
 			if want := cpuTheta(4, 100, "l1", "l2"); !free.Equal(want) {
 				t.Fatalf("free after release = %s, want all of %s", free.Compact(), want.Compact())
+			}
+		})
+	}
+}
+
+// A committed two-phase key must survive a hand-off. The coordinator may
+// still roll a partial commit back, and its Abort — sent to the old
+// owner, which forwards it for every key DropLocations reports — has to
+// find and release the slice on each side.
+func TestAbortAfterCommitFollowsHandoff(t *testing.T) {
+	for _, tc := range []struct{ name, demand string }{
+		{"whole commitment moved", "1:cpu@l1:(0,10)"},
+		{"one slice moved", "1:cpu@l1:(0,10),1:cpu@l2:(0,10)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := NewLedger(Config{Theta: cpuTheta(4, 100, "l1", "l2"), Owned: []resource.Location{"l1", "l2"}}, nil)
+			dst := NewLedger(Config{Owned: []resource.Location{}}, nil)
+			installCommitment(t, src, "k", "j", tc.demand)
+
+			dst.AddOwned([]resource.Location{"l1"})
+			if err := dst.ImportLocations(src.ExportLocations([]resource.Location{"l1"})); err != nil {
+				t.Fatal(err)
+			}
+			if moved := src.DropLocations([]resource.Location{"l1"}); !slices.Equal(moved, []string{"k"}) {
+				t.Fatalf("moved keys = %v, want [k]: the abort would never be forwarded", moved)
+			}
+			for _, side := range []struct {
+				l   *Ledger
+				loc resource.Location
+			}{{src, "l2"}, {dst, "l1"}} {
+				if err := side.l.Abort("k"); err != nil {
+					t.Fatalf("abort on the owner of %s: %v", side.loc, err)
+				}
+				mustAudit(t, side.l)
+				if n := side.l.NumCommitments(); n != 0 {
+					t.Fatalf("%d commitments left on the owner of %s", n, side.loc)
+				}
+				free, _, err := side.l.FreeView([]resource.Location{side.loc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := cpuTheta(4, 100, side.loc); !free.Equal(want) {
+					t.Fatalf("free on %s after the abort = %s, want all of %s", side.loc, free.Compact(), want.Compact())
+				}
 			}
 		})
 	}

@@ -17,14 +17,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/admission"
-	"repro/internal/compute"
-	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/obs"
 	"repro/internal/obs/assure"
@@ -42,31 +41,58 @@ func shardOf(lt resource.LocatedType) resource.Location {
 	return lt.Loc
 }
 
+// parts is a resource set split by shard: one entry per location, sorted
+// by location. It is a slice, not a map, because every resident
+// reservation keeps one for as long as it lives and spans one to three
+// shards: a thousand residents' maps were 0.2 MB of live heap that a
+// linear scan over three entries does not need.
+type parts []part
+
+type part struct {
+	loc resource.Location
+	set resource.Set
+}
+
+// at returns the set on loc for the caller to add to, entering an empty
+// one at its sorted position if loc had none.
+func (p *parts) at(loc resource.Location) *resource.Set {
+	i, found := slices.BinarySearchFunc(*p, loc, func(e part, loc resource.Location) int {
+		return strings.Compare(string(e.loc), string(loc))
+	})
+	if !found {
+		*p = slices.Insert(*p, i, part{loc: loc})
+	}
+	return &(*p)[i].set
+}
+
+// on returns the set on loc, and whether there is one.
+func (p parts) on(loc resource.Location) (resource.Set, bool) {
+	for _, e := range p {
+		if e.loc == loc {
+			return e.set, true
+		}
+	}
+	return resource.Set{}, false
+}
+
 // splitByShard partitions a resource set into per-shard subsets. Located
 // types are disjoint across shards, so the split is exact: the union of
 // the parts is the original set.
-func splitByShard(s resource.Set) map[resource.Location]resource.Set {
-	out := make(map[resource.Location]resource.Set)
+func splitByShard(s resource.Set) parts {
+	var out parts
 	for _, term := range s.Terms() {
-		loc := shardOf(term.Type)
-		part := out[loc]
-		part.Add(term)
-		out[loc] = part
+		out.at(shardOf(term.Type)).Add(term)
 	}
 	return out
 }
 
 // splitAllocs partitions a witness plan's allocations into per-shard
-// demand sets in one pass — what a reservation adds to each shard and
-// what releasing it gives back — without first building, sorting and
-// re-splitting the plan's whole demand.
-func splitAllocs(allocs []schedule.Allocation) map[resource.Location]resource.Set {
-	out := make(map[resource.Location]resource.Set)
+// demand sets in one pass: what the reservation adds to each shard, what
+// its record keeps, and what releasing it gives back.
+func splitAllocs(allocs []schedule.Allocation) parts {
+	var out parts
 	for _, a := range allocs {
-		loc := shardOf(a.Term.Type)
-		part := out[loc]
-		part.Add(a.Term)
-		out[loc] = part
+		out.at(shardOf(a.Term.Type)).Add(a.Term)
 	}
 	return out
 }
@@ -196,33 +222,64 @@ func (sh *shard) applyTrim(to interval.Time) {
 	}
 }
 
-// commitment is one admitted computation in the live ledger.
-type commitment struct {
-	name     string
-	locs     []resource.Location // sorted resource footprint
-	plan     schedule.Plan
+// reservation is one member of the paper's ρ: a computation this ledger
+// has accommodated, stored as the demand it holds on each shard. A leased
+// two-phase hold and a commitment are the same record at two points of
+// its life,
+//
+//	pending → leased → committed → gone
+//
+// pending while its name (and key) is claimed but the decision or the
+// reservation is still in flight, leased from Prepare until Commit clears
+// the lease (Abort or the lease sweep removes it instead), committed from
+// then — or from the start for a direct admit — until release, completion
+// or hand-off. Fields are guarded by Ledger.mu while the record is
+// indexed; whoever unindexes it owns it afterwards.
+type reservation struct {
+	name string
+	key  string // two-phase idempotency key, "" for direct admits
+	// parts is the demand as reserved, shard by shard. Each shard trims
+	// its own copy as the clock advances; readers clamp to the clock.
+	parts    parts
+	finish   interval.Time
 	deadline interval.Time
 	admitted interval.Time
-	pending  bool   // claimed but mid-decision
-	key      string // two-phase idempotency key, "" for direct admits
+	lease    interval.Time // lease expiry on the ledger clock; 0 = committed
+	pending  bool
+}
+
+// locs returns the sorted locations the reservation holds demand on.
+func (r *reservation) locs() []resource.Location {
+	out := make([]resource.Location, len(r.parts))
+	for i, p := range r.parts {
+		out[i] = p.loc
+	}
+	return out
+}
+
+// demand returns the reservation's whole demand as reserved. Shards own
+// disjoint located types, so the union shares the parts' profiles.
+func (r *reservation) demand() resource.Set {
+	var out resource.Set
+	for _, p := range r.parts {
+		out.AddSet(p.set)
+	}
+	return out
 }
 
 // Ledger is the daemon's live state: location shards plus an index of
-// admitted commitments and leased two-phase holds. All methods are safe
-// for concurrent use.
+// the reservations — commitments and leased two-phase holds — placed on
+// them. All methods are safe for concurrent use.
 type Ledger struct {
-	mu      sync.Mutex // guards shards/commits/holds maps (not shard contents)
-	shards  map[resource.Location]*shard
-	commits map[string]*commitment
-	// holds are prepared-but-uncommitted reservations keyed by their
-	// idempotency key; committedKeys remembers which keys were promoted
-	// so a retried commit is a no-op. heldNames indexes hold names →
-	// prepare key so the duplicate-name guard on every admit is a map
-	// lookup, not an O(holds) scan under the global mutex; it is
-	// maintained at every point a hold is created or removed.
-	holds         map[string]*hold
-	committedKeys map[string]string // key -> commitment name
-	heldNames     map[string]string // hold name -> prepare key
+	mu     sync.Mutex // guards the shards map and the reservation index (not shard contents)
+	shards map[resource.Location]*shard
+	// byName indexes every reservation, pending claims included, by its
+	// computation's name — the duplicate-name guard on every admit and
+	// prepare is one lookup. byKey indexes the ones that came through
+	// two-phase by their idempotency key, which is what makes a retried
+	// prepare, commit or abort a no-op.
+	byName map[string]*reservation
+	byKey  map[string]*reservation
 	// owned restricts this ledger to a subset of locations (cluster
 	// mode); nil means the node owns every location it hears about.
 	owned map[resource.Location]bool
@@ -283,17 +340,15 @@ type Ledger struct {
 // on the mutating goroutine and must not block.
 func NewLedger(cfg Config, notify func(epoch uint64, reason string)) *Ledger {
 	l := &Ledger{
-		shards:        make(map[resource.Location]*shard),
-		commits:       make(map[string]*commitment),
-		holds:         make(map[string]*hold),
-		committedKeys: make(map[string]string),
-		heldNames:     make(map[string]string),
-		groups:        make(map[string]*admitGroup),
-		obs:           cfg.Obs,
-		spans:         cfg.Spans,
-		assure:        cfg.Assure,
-		flight:        cfg.FlightRec,
-		notify:        notify,
+		shards: make(map[resource.Location]*shard),
+		byName: make(map[string]*reservation),
+		byKey:  make(map[string]*reservation),
+		groups: make(map[string]*admitGroup),
+		obs:    cfg.Obs,
+		spans:  cfg.Spans,
+		assure: cfg.Assure,
+		flight: cfg.FlightRec,
+		notify: notify,
 	}
 	if cfg.Owned != nil {
 		l.owned = make(map[resource.Location]bool, len(cfg.Owned))
@@ -302,10 +357,8 @@ func NewLedger(cfg Config, notify func(epoch uint64, reason string)) *Ledger {
 		}
 	}
 	l.now.Store(cfg.Now)
-	trimmed := cfg.Theta.Clone()
-	trimmed.TrimBefore(cfg.Now)
-	for loc, part := range splitByShard(trimmed) {
-		l.shardLocked(loc).theta = part
+	for _, p := range splitByShard(cfg.Theta.TrimmedBefore(cfg.Now)) {
+		l.shardLocked(p.loc).theta = p.set
 	}
 	return l
 }
@@ -341,15 +394,100 @@ func (l *Ledger) NumShards() int {
 
 // NumCommitments returns the number of live (non-pending) commitments.
 func (l *Ledger) NumCommitments() int {
+	return l.count(false)
+}
+
+// NumHolds returns the number of live (non-pending) leased holds.
+func (l *Ledger) NumHolds() int {
+	return l.count(true)
+}
+
+// count returns the number of live reservations that are leased, or
+// that are committed.
+func (l *Ledger) count(leased bool) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
-	for _, c := range l.commits {
-		if !c.pending {
+	for _, r := range l.byName {
+		if !r.pending && (r.lease != 0) == leased {
 			n++
 		}
 	}
 	return n
+}
+
+// claimLocked indexes a pending reservation under its name and key, so a
+// racing duplicate cannot reserve too. It refuses a name that is already
+// admitted, held, or being decided. The caller holds l.mu.
+func (l *Ledger) claimLocked(r *reservation) error {
+	if prev, taken := l.byName[r.name]; taken {
+		if prev.lease != 0 {
+			return fmt.Errorf("%w: %s (held by prepare %s)", ErrDuplicate, r.name, prev.key)
+		}
+		return fmt.Errorf("%w: %s", ErrDuplicate, r.name)
+	}
+	l.indexLocked(r)
+	return nil
+}
+
+// indexLocked enters r in both indexes. The caller holds l.mu.
+func (l *Ledger) indexLocked(r *reservation) {
+	l.byName[r.name] = r
+	if r.key != "" {
+		l.byKey[r.key] = r
+	}
+}
+
+// unindexLocked removes r from both indexes; the caller, who holds
+// l.mu, owns the record from here on.
+func (l *Ledger) unindexLocked(r *reservation) {
+	delete(l.byName, r.name)
+	if r.key != "" {
+		delete(l.byKey, r.key)
+	}
+}
+
+// unindex is unindexLocked for callers not holding l.mu: it abandons a
+// claim that did not end in a reservation.
+func (l *Ledger) unindex(r *reservation) {
+	l.mu.Lock()
+	l.unindexLocked(r)
+	l.mu.Unlock()
+}
+
+// mergeLocked lands one slice of a job's demand on this ledger: folded
+// into the record the job already has here (a spanning job whose other
+// slice this node holds, met by a hand-off), or indexed as a new record.
+// One rule decides the state of a merged record: it is committed as soon
+// as any slice of it is — a lease left on it would let the sweep take a
+// committed job's reservation away — and two leased slices keep the
+// earlier expiry. A claim still pending under the name is replaced. The
+// caller holds l.mu; it returns the record the slice now lives in.
+func (l *Ledger) mergeLocked(in *reservation) *reservation {
+	r, ok := l.byName[in.name]
+	if !ok || r.pending {
+		if ok {
+			l.unindexLocked(r)
+		}
+		l.indexLocked(in)
+		return in
+	}
+	for _, p := range in.parts {
+		r.parts.at(p.loc).AddSet(p.set)
+	}
+	r.finish = max(r.finish, in.finish)
+	switch {
+	case r.lease == 0: // already committed, and stays so
+	case in.lease == 0:
+		r.lease, r.admitted = 0, in.admitted
+	default:
+		r.lease = min(r.lease, in.lease)
+	}
+	if r.key == "" && in.key != "" {
+		r.key = in.key
+		l.byKey[r.key] = r
+	}
+	return r
 }
 
 // lockedShards returns the shards for the given locations, creating any
@@ -401,22 +539,51 @@ func (l *Ledger) shardLocked(loc resource.Location) *shard {
 	return sh
 }
 
-// footprint returns the sorted locations a requirement consumes from.
-func footprint(req compute.Concurrent) []resource.Location {
-	seen := make(map[resource.Location]bool)
-	for _, actor := range req.Actors {
-		for _, ph := range actor.Phases {
-			for lt := range ph.Amounts {
-				seen[shardOf(lt)] = true
-			}
+// lockOwned locks the footprint's shards and verifies under those locks
+// that this node owns every one. DropLocations shrinks the owned set
+// while holding the same locks, so a hand-off that raced the caller's
+// earlier check is caught here, and ownership that holds here holds until
+// unlock — a reservation placed on a dropped shard would never be
+// committed, released or swept.
+func (l *Ledger) lockOwned(locs []resource.Location) ([]*shard, func(), error) {
+	shards, unlock := l.lockedShards(locs)
+	if err := l.checkOwned(locs); err != nil {
+		unlock()
+		return nil, nil, err
+	}
+	return shards, unlock, nil
+}
+
+// misfit returns the first shard whose free view does not dominate its
+// part of the demand (free dominates part ⟺ θ dominates reserved ∪
+// part), nil when the whole demand fits. It runs against the cached free
+// view, so a loaded shard pays an incremental patch, not a recompute. The
+// caller holds the shard locks.
+func misfit(shards []*shard, demand parts) (*shard, error) {
+	for _, sh := range shards {
+		part, ok := demand.on(sh.loc)
+		if !ok {
+			continue
+		}
+		free, err := sh.freeView()
+		if err != nil {
+			return nil, fmt.Errorf("server: shard %s invariant broken: %w", sh.loc, err)
+		}
+		if !free.Dominates(part) {
+			return sh, nil
 		}
 	}
-	locs := make([]resource.Location, 0, len(seen))
-	for loc := range seen {
-		locs = append(locs, loc)
+	return nil, nil
+}
+
+// reserve adds each part to its shard. The caller holds the shard locks
+// and has verified the fit.
+func reserve(shards []*shard, demand parts) {
+	for _, sh := range shards {
+		if part, ok := demand.on(sh.loc); ok {
+			sh.applyReserve(part)
+		}
 	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	return locs
 }
 
 // Ledger errors surfaced to API callers.
@@ -532,26 +699,18 @@ func (l *Ledger) AdmitCtx(ctx context.Context, policy admission.Policy, job work
 	}
 
 	// Claim the name before deciding so two racing admits of the same
-	// computation cannot both reserve. Held (mid-2PC) names are indexed
-	// in heldNames, so the guard is two map lookups, not a scan.
-	claim := &commitment{name: job.Dist.Name, pending: true}
+	// computation cannot both reserve.
+	claim := &reservation{name: job.Dist.Name, pending: true}
 	l.mu.Lock()
-	if _, exists := l.commits[job.Dist.Name]; exists {
-		l.mu.Unlock()
-		return admission.Decision{}, fmt.Errorf("%w: %s", ErrDuplicate, job.Dist.Name)
-	}
-	if key, held := l.heldNames[job.Dist.Name]; held {
-		l.mu.Unlock()
-		return admission.Decision{}, fmt.Errorf("%w: %s (held by prepare %s)", ErrDuplicate, job.Dist.Name, key)
-	}
-	l.commits[job.Dist.Name] = claim
+	err := l.claimLocked(claim)
 	l.mu.Unlock()
+	if err != nil {
+		return admission.Decision{}, err
+	}
 
-	locs := footprint(core.ConcurrentAt(job.Dist, now))
+	locs := job.Dist.Locations()
 	if err := l.checkOwned(locs); err != nil {
-		l.mu.Lock()
-		delete(l.commits, job.Dist.Name)
-		l.mu.Unlock()
+		l.unindex(claim)
 		return admission.Decision{}, err
 	}
 	return l.admitHot(ctx, policy, job, now, locs, claim)
@@ -573,19 +732,15 @@ func (l *Ledger) ReleaseTransferred(name string) error {
 
 func (l *Ledger) release(name string, transferred bool) error {
 	l.mu.Lock()
-	c, ok := l.commits[name]
-	if !ok || c.pending {
+	r, ok := l.byName[name]
+	if !ok || r.pending || r.lease != 0 {
 		l.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
-	delete(l.commits, name)
-	if c.key != "" {
-		delete(l.committedKeys, c.key)
-	}
-	locs, plan := c.locs, c.plan
+	l.unindexLocked(r)
 	l.mu.Unlock()
 
-	if err := l.releaseParts(locs, splitAllocs(plan.Allocs)); err != nil {
+	if err := l.releaseParts(r); err != nil {
 		return fmt.Errorf("server: releasing %s: %w", name, err)
 	}
 	l.bumpEpoch("release")
@@ -616,25 +771,16 @@ func (l *Ledger) noteViolations(violated []string) {
 	l.flight.Trigger(flightrec.TriggerViolation, strings.Join(violated, ","))
 }
 
-// releaseDemand returns a reservation's not-yet-consumed portion to the
-// free pool.
-func (l *Ledger) releaseDemand(locs []resource.Location, demand resource.Set) error {
-	return l.releaseParts(locs, splitByShard(demand))
-}
-
-// releaseParts returns a reservation's not-yet-consumed portion to the
-// free pool, shard by shard. Only the un-elapsed part is still reserved;
-// the consumed prefix was trimmed away as the clock advanced.
-func (l *Ledger) releaseParts(locs []resource.Location, parts map[resource.Location]resource.Set) error {
-	shards, unlock := l.lockedShards(locs)
+// releaseParts returns an unindexed reservation's not-yet-consumed
+// portion to the free pool, shard by shard. Only the un-elapsed part is
+// still reserved; the consumed prefix was trimmed away as the clock
+// advanced.
+func (l *Ledger) releaseParts(r *reservation) error {
+	shards, unlock := l.lockedShards(r.locs())
 	defer unlock()
 	for _, sh := range shards {
-		part, ok := parts[sh.loc]
-		if !ok {
-			continue
-		}
-		remaining := part.Clamp(interval.New(sh.now, interval.Infinity))
-		if err := sh.applyRelease(remaining); err != nil {
+		part, _ := r.parts.on(sh.loc)
+		if err := sh.applyRelease(part.TrimmedBefore(sh.now)); err != nil {
 			return fmt.Errorf("server: shard %s reservation inconsistent: %w", sh.loc, err)
 		}
 	}
@@ -647,22 +793,19 @@ func (l *Ledger) releaseParts(locs []resource.Location, parts map[resource.Locat
 // a location this node does not own: availability granted to a
 // non-owner would sit in a shard the real owner never sees.
 func (l *Ledger) Acquire(theta resource.Set) error {
-	locs := demandFootprint(theta)
+	locs := theta.Locations()
+	// Refused before locking, so a refusal creates no shard.
 	if err := l.checkOwned(locs); err != nil {
 		return fmt.Errorf("acquire: %w", err)
 	}
-	shards, unlock := l.lockedShards(locs)
-	// Re-check under the shard locks, as Prepare does: a concurrent
-	// handoff may have dropped a location since the first check.
-	if err := l.checkOwned(locs); err != nil {
-		unlock()
+	shards, unlock, err := l.lockOwned(locs)
+	if err != nil {
 		return fmt.Errorf("acquire: %w", err)
 	}
-	parts := splitByShard(theta.Clone())
+	gained := splitByShard(theta)
 	for _, sh := range shards {
-		part := parts[sh.loc]
-		part.TrimBefore(sh.now)
-		sh.applyAcquire(part)
+		part, _ := gained.on(sh.loc)
+		sh.applyAcquire(part.TrimmedBefore(sh.now))
 	}
 	unlock()
 	l.bumpEpoch("acquire")
@@ -688,37 +831,26 @@ func (l *Ledger) Advance(to interval.Time) ([]string, error) {
 	for _, sh := range l.shards {
 		shards = append(shards, sh)
 	}
+	// One pass retires what the clock has overtaken: commitments whose
+	// plans have finished complete, and leases that ran out without a
+	// commit or abort (a crashed coordinator) are reclaimed, so no lease
+	// outlives its TTL past this Advance. The commitments left standing
+	// (claims included) are the live set of the promise sweep below: a
+	// promise whose deadline passed is `violated` when its job is still
+	// in that set and `orphaned` when nobody holds it.
 	var done []string
-	for name, c := range l.commits {
-		if !c.pending && c.plan.Finish <= to {
-			done = append(done, name)
-			delete(l.commits, name)
-			if c.key != "" {
-				delete(l.committedKeys, c.key)
-			}
-		}
-	}
-	// Lease-expiry sweep: prepares whose lease ran out without a commit
-	// or abort (a crashed coordinator) are reclaimed here, so no lease
-	// outlives its TTL past this Advance.
-	var expired []*hold
-	for key, h := range l.holds {
-		if !h.pending && h.expiry <= to {
-			expired = append(expired, h)
-			delete(l.holds, key)
-			if l.heldNames[h.name] == key {
-				delete(l.heldNames, h.name)
-			}
-		}
-	}
-	// Snapshot the still-live commitment names for the promise sweep
-	// below: a promise whose deadline passed is `violated` when its job
-	// is still in this set and `orphaned` when nobody holds it.
-	var liveJobs map[string]bool
-	if l.assure != nil {
-		liveJobs = make(map[string]bool, len(l.commits))
-		for name := range l.commits {
+	var expired []*reservation
+	liveJobs := make(map[string]bool)
+	for name, r := range l.byName {
+		switch {
+		case r.lease == 0 && (r.pending || r.finish > to):
 			liveJobs[name] = true
+		case r.lease == 0:
+			done = append(done, name)
+			l.unindexLocked(r)
+		case !r.pending && r.lease <= to:
+			expired = append(expired, r)
+			l.unindexLocked(r)
 		}
 	}
 	l.mu.Unlock()
@@ -729,12 +861,12 @@ func (l *Ledger) Advance(to interval.Time) ([]string, error) {
 		sh.mu.Unlock()
 	}
 	for _, h := range expired {
-		if err := l.releaseDemand(h.locs, h.demand); err != nil {
+		if err := l.releaseParts(h); err != nil {
 			return nil, fmt.Errorf("server: sweeping expired lease %s: %w", h.key, err)
 		}
 		l.leasesExpired.Add(1)
 		l.obs.Log("ledger.lease_expired",
-			"key", h.key, "job", h.name, "expiry", h.expiry, "now", to)
+			"key", h.key, "job", h.name, "expiry", h.lease, "now", to)
 	}
 	// One bump covers the whole advance: the trim, the completions, and
 	// the lease sweep land in the same epoch.
@@ -810,37 +942,22 @@ func (l *Ledger) Snapshot() Snapshot {
 	for _, sh := range l.shards {
 		shards = append(shards, sh)
 	}
-	for _, h := range l.holds {
-		if h.pending {
+	for _, r := range l.byName {
+		if r.pending {
 			continue
 		}
-		locs := make([]string, len(h.locs))
-		for i, loc := range h.locs {
-			locs[i] = string(loc)
+		info := r.info()
+		if r.lease == 0 {
+			snap.Commitments = append(snap.Commitments, info)
+			continue
 		}
 		snap.Holds = append(snap.Holds, HoldInfo{
-			Key:      h.key,
-			Name:     h.name,
-			Expiry:   h.expiry,
-			Finish:   h.finish,
-			Demand:   h.demand.Compact(),
-			Location: locs,
-		})
-	}
-	for _, c := range l.commits {
-		if c.pending {
-			continue
-		}
-		locs := make([]string, len(c.locs))
-		for i, loc := range c.locs {
-			locs[i] = string(loc)
-		}
-		snap.Commitments = append(snap.Commitments, CommitmentInfo{
-			Name:      c.name,
-			Admitted:  c.admitted,
-			Deadline:  c.deadline,
-			Finish:    c.plan.Finish,
-			Locations: locs,
+			Key:      r.key,
+			Name:     r.name,
+			Expiry:   r.lease,
+			Finish:   r.finish,
+			Demand:   r.demand().Compact(),
+			Location: info.Locations,
 		})
 	}
 	l.mu.Unlock()
@@ -861,28 +978,47 @@ func (l *Ledger) Snapshot() Snapshot {
 	return snap
 }
 
-// Commitment reports a live commitment by name.
-func (l *Ledger) Commitment(name string) (CommitmentInfo, bool) {
+// info renders the reservation as a commitment, Demand left empty.
+func (r *reservation) info() CommitmentInfo {
+	locs := r.locs()
+	info := CommitmentInfo{Name: r.name, Admitted: r.admitted, Deadline: r.deadline,
+		Finish: r.finish, Locations: make([]string, len(locs))}
+	for i, loc := range locs {
+		info.Locations[i] = string(loc)
+	}
+	return info
+}
+
+// committed looks up a live commitment by name and returns its
+// not-yet-consumed demand and its info.
+func (l *Ledger) committed(name string) (resource.Set, CommitmentInfo, bool) {
 	now := l.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	c, ok := l.commits[name]
-	if !ok || c.pending {
-		return CommitmentInfo{}, false
+	r, ok := l.byName[name]
+	if !ok || r.pending || r.lease != 0 {
+		return resource.Set{}, CommitmentInfo{}, false
 	}
-	locs := make([]string, len(c.locs))
-	for i, loc := range c.locs {
-		locs[i] = string(loc)
+	remaining := r.demand().TrimmedBefore(now)
+	info := r.info()
+	info.Demand = remaining.Compact()
+	return remaining, info, true
+}
+
+// Commitment reports a live commitment by name.
+func (l *Ledger) Commitment(name string) (CommitmentInfo, bool) {
+	_, info, ok := l.committed(name)
+	return info, ok
+}
+
+// RemainingDemand returns a live commitment's not-yet-consumed demand
+// and its info — the portion a migration re-homes elsewhere.
+func (l *Ledger) RemainingDemand(name string) (resource.Set, CommitmentInfo, error) {
+	demand, info, ok := l.committed(name)
+	if !ok {
+		return resource.Set{}, CommitmentInfo{}, fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
-	remaining := c.plan.Demand().Clamp(interval.New(now, interval.Infinity))
-	return CommitmentInfo{
-		Name:      c.name,
-		Admitted:  c.admitted,
-		Deadline:  c.deadline,
-		Finish:    c.plan.Finish,
-		Locations: locs,
-		Demand:    remaining.Compact(),
-	}, true
+	return demand, info, nil
 }
 
 // Audit verifies the ledger invariants, intended for tests and debugging
@@ -904,17 +1040,19 @@ func (l *Ledger) Audit() error {
 
 func (l *Ledger) audit() error {
 	now := l.Now()
+	expected := make(map[resource.Location]resource.Set)
 	l.mu.Lock()
-	commits := make([]*commitment, 0, len(l.commits))
-	for _, c := range l.commits {
-		if !c.pending {
-			commits = append(commits, c)
+	for _, r := range l.byName {
+		if r.pending {
+			continue
 		}
-	}
-	holds := make([]*hold, 0, len(l.holds))
-	for _, h := range l.holds {
-		if !h.pending {
-			holds = append(holds, h)
+		if r.lease != 0 && r.lease <= now {
+			l.mu.Unlock()
+			return fmt.Errorf("server: hold %s (%s) outlived its lease: expired at t=%d, now t=%d",
+				r.key, r.name, r.lease, now)
+		}
+		for _, p := range r.parts {
+			expected[p.loc] = expected[p.loc].Union(p.set)
 		}
 	}
 	shards := make([]*shard, 0, len(l.shards))
@@ -923,24 +1061,9 @@ func (l *Ledger) audit() error {
 	}
 	l.mu.Unlock()
 
-	expected := make(map[resource.Location]resource.Set)
-	for _, c := range commits {
-		for loc, part := range splitByShard(c.plan.Demand()) {
-			expected[loc] = expected[loc].Union(part)
-		}
-	}
-	for _, h := range holds {
-		if h.expiry <= now {
-			return fmt.Errorf("server: hold %s (%s) outlived its lease: expired at t=%d, now t=%d",
-				h.key, h.name, h.expiry, now)
-		}
-		for loc, part := range splitByShard(h.demand) {
-			expected[loc] = expected[loc].Union(part)
-		}
-	}
 	for _, sh := range shards {
 		sh.mu.Lock()
-		want := expected[sh.loc].Clamp(interval.New(sh.now, interval.Infinity))
+		want := expected[sh.loc].TrimmedBefore(sh.now)
 		ok := sh.reserved.Equal(want)
 		dominated := sh.theta.Dominates(sh.reserved)
 		theta, reserved := sh.theta.Compact(), sh.reserved.Compact()

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -299,7 +298,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 // name remains feasible.
 func loadQuery(i int, job workload.Job) string {
 	loc := "l1"
-	if locs := footprint(core.ConcurrentAt(job.Dist, 0)); len(locs) > 0 {
+	if locs := job.Dist.Locations(); len(locs) > 0 {
 		loc = string(locs[0])
 	}
 	if i%2 == 0 {
@@ -383,7 +382,7 @@ func admitFollowingRedirects(ctx context.Context, client *http.Client, base stri
 // first location of its initial concurrent step (same choice loadQuery
 // makes), empty when the job has no footprint.
 func firstFootprintLoc(job workload.Job) resource.Location {
-	if locs := footprint(core.ConcurrentAt(job.Dist, 0)); len(locs) > 0 {
+	if locs := job.Dist.Locations(); len(locs) > 0 {
 		return locs[0]
 	}
 	return ""

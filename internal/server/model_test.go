@@ -1,0 +1,556 @@
+package server
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/admission"
+	"repro/internal/interval"
+	"repro/internal/resource"
+)
+
+// modelSeed adds one run of TestReservationModel under a chosen seed;
+// 0 draws one from the clock. The seed is in the subtest's name either
+// way, so a failure is reproduced with -model.seed.
+var modelSeed = flag.Int64("model.seed", 0, "extra seed for TestReservationModel (0 = from the clock)")
+
+// The four ways the two slices of one federated job can meet on a
+// hand-off's receiver between the coordinator's prepare and the end of
+// its commit round.
+const (
+	hitSourceFirst   = "source committed first"
+	hitReceiverFirst = "receiver committed first"
+	hitAbort         = "abort instead of commit"
+	hitExpiry        = "lease expired between import and commit"
+)
+
+// modelRec is the reference model's reservation: what the ledger must
+// report about one job, without the demand itself (Audit holds the
+// ledger's own books to its shards; the model holds the books to the
+// history).
+type modelRec struct {
+	key    string
+	lease  interval.Time // 0 = committed
+	finish interval.Time
+	// ends maps each location the record holds demand on to the end of
+	// that demand: a slice the clock has fully consumed does not travel.
+	ends map[resource.Location]interval.Time
+}
+
+type modelSide struct {
+	l     *Ledger
+	recs  map[string]*modelRec // by job name
+	owned map[resource.Location]bool
+}
+
+func (s *modelSide) byKey(key string) (string, *modelRec) {
+	for name, r := range s.recs {
+		if r.key == key {
+			return name, r
+		}
+	}
+	return "", nil
+}
+
+type reservationModel struct {
+	t     *testing.T
+	rng   *rand.Rand
+	now   interval.Time
+	sides [2]*modelSide
+	theta resource.Set      // every availability ever granted, untrimmed
+	names []string          // every job name used
+	keyOf map[string]string // job name -> its two-phase key
+	keys  []string
+	// met marks keys whose slices a hand-off merged while a lease was
+	// still open on one of them; hits counts the interleavings seen.
+	met  map[string]bool
+	hits map[string]int
+}
+
+var modelLocs = []resource.Location{"l1", "l2", "l3", "l4"}
+
+const modelHorizon = 1 << 20
+
+func newReservationModel(t *testing.T, seed int64) *reservationModel {
+	m := &reservationModel{t: t, rng: rand.New(rand.NewSource(seed)), theta: cpuTheta(6, modelHorizon, modelLocs...),
+		keyOf: map[string]string{}, met: map[string]bool{}, hits: map[string]int{}}
+	for i := range m.sides {
+		mine := modelLocs[2*i : 2*i+2]
+		s := &modelSide{recs: map[string]*modelRec{}, owned: map[resource.Location]bool{}}
+		s.l = NewLedger(Config{Theta: cpuTheta(6, modelHorizon, mine...), Owned: mine}, nil)
+		for _, loc := range mine {
+			s.owned[loc] = true
+		}
+		m.sides[i] = s
+	}
+	return m
+}
+
+// pickLocs draws one or two distinct locations, owned by anyone.
+func (m *reservationModel) pickLocs() []resource.Location {
+	locs := []resource.Location{modelLocs[m.rng.Intn(len(modelLocs))]}
+	if other := modelLocs[m.rng.Intn(len(modelLocs))]; other != locs[0] && m.rng.Intn(2) == 0 {
+		locs = append(locs, other)
+	}
+	slices.Sort(locs)
+	return locs
+}
+
+// pickName draws a fresh job name, or now and then one already used.
+func (m *reservationModel) pickName() string {
+	if len(m.names) > 0 && m.rng.Intn(8) == 0 {
+		return m.names[m.rng.Intn(len(m.names))]
+	}
+	name := fmt.Sprintf("j%d", len(m.names))
+	m.names = append(m.names, name)
+	return name
+}
+
+func (m *reservationModel) ownsAll(s *modelSide, locs []resource.Location) bool {
+	for _, loc := range locs {
+		if !s.owned[loc] {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *reservationModel) expect(what string, err, want error) {
+	m.t.Helper()
+	if want == nil && err != nil || want != nil && !errors.Is(err, want) {
+		m.t.Fatalf("t=%d %s: err = %v, want %v", m.now, what, err, want)
+	}
+}
+
+func (m *reservationModel) admit() {
+	side := m.rng.Intn(2)
+	s, name, locs := m.sides[side], m.pickName(), m.pickLocs()
+	what := fmt.Sprintf("admit %s on side %d at %v", name, side, locs)
+	dec, err := s.l.Admit(&admission.Rota{}, triJob(m.t, name, locs, m.now, m.now+interval.Time(10+m.rng.Intn(40))))
+	switch {
+	case s.recs[name] != nil:
+		m.expect(what, err, ErrDuplicate)
+	case !m.ownsAll(s, locs):
+		m.expect(what, err, ErrNotOwned)
+	default:
+		m.expect(what, err, nil)
+		if dec.Admit { // capacity decides; the model takes the verdict as given
+			rec := &modelRec{finish: dec.Plan.Finish, ends: map[resource.Location]interval.Time{}}
+			for _, p := range splitByShard(dec.Plan.Demand()) {
+				rec.ends[p.loc] = p.set.Hull().End
+			}
+			s.recs[name] = rec
+		}
+	}
+}
+
+// prepare sends one participant's Prepare: the slice of a job's demand
+// on locs, under the job's one key.
+func (m *reservationModel) prepare(side int, name string, locs []resource.Location, start, end, expiry interval.Time) {
+	s := m.sides[side]
+	key, known := m.keyOf[name]
+	if !known {
+		key = "k-" + name
+		m.keyOf[name] = key
+		m.keys = append(m.keys, key)
+	}
+	var demand resource.Set
+	for _, loc := range locs {
+		demand.Add(resource.NewTerm(u(1), resource.CPUAt(loc), interval.New(start, end)))
+	}
+	what := fmt.Sprintf("prepare %s for %s on side %d at %v", key, name, side, locs)
+	err := s.l.Prepare(key, name, demand, end, end+10, expiry)
+	_, held := s.byKey(key)
+	switch {
+	case expiry <= m.now:
+		m.expect(what, err, ErrLeaseExpired)
+	case !m.ownsAll(s, locs):
+		m.expect(what, err, ErrNotOwned)
+	case held != nil:
+		m.expect(what, err, nil) // a retry, reserving nothing
+	case s.recs[name] != nil:
+		m.expect(what, err, ErrDuplicate)
+	case errors.Is(err, ErrOvercommit): // capacity decides
+	default:
+		m.expect(what, err, nil)
+		rec := &modelRec{key: key, lease: expiry, finish: end, ends: map[resource.Location]interval.Time{}}
+		for _, loc := range locs {
+			rec.ends[loc] = end
+		}
+		s.recs[name] = rec
+	}
+}
+
+// prepareRound is a coordinator's prepare phase: one job, each owner of
+// its footprint sent its own slice.
+func (m *reservationModel) prepareRound() {
+	name, locs := m.pickName(), m.pickLocs()
+	start := m.now + interval.Time(m.rng.Intn(5))
+	end := start + interval.Time(5+m.rng.Intn(30))
+	expiry := m.now + interval.Time(m.rng.Intn(40)) // now and then already expired
+	for side, s := range m.sides {
+		var mine []resource.Location
+		for _, loc := range locs {
+			if s.owned[loc] {
+				mine = append(mine, loc)
+			}
+		}
+		if len(mine) > 0 {
+			m.prepare(side, name, mine, start, end, expiry)
+		}
+	}
+	if m.rng.Intn(6) == 0 { // a misrouted or retried participant
+		m.prepare(m.rng.Intn(2), name, locs, start, end, expiry)
+	}
+}
+
+// pickLive draws a side and one of its live reservations' names (with a
+// key, when keyed is set), sorted first so a seed replays; ok is false
+// when that side has none.
+func (m *reservationModel) pickLive(keyed bool) (side int, name string, ok bool) {
+	side = m.rng.Intn(2)
+	var live []string
+	for name, rec := range m.sides[side].recs {
+		if !keyed || rec.key != "" {
+			live = append(live, name)
+		}
+	}
+	if len(live) == 0 {
+		return side, "", false
+	}
+	sort.Strings(live)
+	return side, live[m.rng.Intn(len(live))], true
+}
+
+// pickKey draws a side and a key for commit or abort: mostly one live
+// there, now and then any key ever used (swept, moved, never sent).
+func (m *reservationModel) pickKey() (int, string) {
+	if side, name, ok := m.pickLive(true); ok && m.rng.Intn(5) > 0 {
+		return side, m.sides[side].recs[name].key
+	}
+	return m.rng.Intn(2), m.keys[m.rng.Intn(len(m.keys))]
+}
+
+func (m *reservationModel) commit() {
+	side, key := m.pickKey()
+	s := m.sides[side]
+	err := s.l.Commit(key)
+	what := fmt.Sprintf("commit %s on side %d", key, side)
+	switch _, rec := s.byKey(key); {
+	case rec == nil:
+		m.expect(what, err, ErrUnknownHold)
+	case rec.lease == 0:
+		m.expect(what, err, nil)
+	case rec.lease <= m.now:
+		m.expect(what, err, ErrLeaseExpired)
+	default:
+		m.expect(what, err, nil)
+		rec.lease = 0
+		delete(m.met, key)
+	}
+}
+
+func (m *reservationModel) abort() {
+	side, key := m.pickKey()
+	s := m.sides[side]
+	m.expect(fmt.Sprintf("abort %s on side %d", key, side), s.l.Abort(key), nil)
+	if name, rec := s.byKey(key); rec != nil {
+		if rec.lease != 0 && m.met[key] {
+			m.hits[hitAbort]++
+			delete(m.met, key)
+		}
+		delete(s.recs, name)
+	}
+}
+
+func (m *reservationModel) release() {
+	side, name, ok := m.pickLive(false)
+	if !ok || m.rng.Intn(5) == 0 {
+		name = m.names[m.rng.Intn(len(m.names))]
+	}
+	s := m.sides[side]
+	err := s.l.Release(name)
+	what := fmt.Sprintf("release %s on side %d", name, side)
+	if rec := s.recs[name]; rec == nil || rec.lease != 0 {
+		m.expect(what, err, ErrUnknown)
+		return
+	}
+	m.expect(what, err, nil)
+	delete(s.recs, name)
+}
+
+// advance moves both clocks together, as a cluster's ticks do.
+func (m *reservationModel) advance() {
+	m.now += interval.Time(1 + m.rng.Intn(6))
+	for side, s := range m.sides {
+		done, err := s.l.Advance(m.now)
+		m.expect(fmt.Sprintf("advance side %d", side), err, nil)
+		var want []string
+		for name, rec := range s.recs {
+			switch {
+			case rec.lease == 0 && rec.finish <= m.now:
+				want = append(want, name)
+				delete(s.recs, name)
+			case rec.lease != 0 && rec.lease <= m.now:
+				if m.met[rec.key] {
+					m.hits[hitExpiry]++
+					delete(m.met, rec.key)
+				}
+				delete(s.recs, name)
+			}
+		}
+		sort.Strings(want)
+		if !slices.Equal(done, want) {
+			m.t.Fatalf("t=%d advance side %d completed %v, model says %v", m.now, side, done, want)
+		}
+	}
+}
+
+func (m *reservationModel) acquire() {
+	side, loc := m.rng.Intn(2), modelLocs[m.rng.Intn(len(modelLocs))]
+	start := m.now + interval.Time(m.rng.Intn(20))
+	extra := resource.NewSet(resource.NewTerm(u(1), resource.CPUAt(loc), interval.New(start, start+interval.Time(1+m.rng.Intn(40)))))
+	err := m.sides[side].l.Acquire(extra)
+	what := fmt.Sprintf("acquire %s on side %d", extra.Compact(), side)
+	if !m.sides[side].owned[loc] {
+		m.expect(what, err, ErrNotOwned)
+		return
+	}
+	m.expect(what, err, nil)
+	m.theta.AddSet(extra)
+}
+
+// handoff moves a random non-empty subset of one side's locations to the
+// other, make-before-break as the cluster layer sequences it.
+func (m *reservationModel) handoff() {
+	from := m.rng.Intn(2)
+	if len(m.sides[from].owned) == 0 {
+		from = 1 - from
+	}
+	src, dst := m.sides[from], m.sides[1-from]
+	var locs []resource.Location
+	for _, loc := range modelLocs {
+		if src.owned[loc] && (len(locs) == 0 || m.rng.Intn(2) == 0) {
+			locs = append(locs, loc)
+		}
+	}
+	dst.l.AddOwned(locs)
+	m.expect(fmt.Sprintf("import %v from side %d", locs, from), dst.l.ImportLocations(src.l.ExportLocations(locs)), nil)
+	moved := src.l.DropLocations(locs)
+
+	var wantMoved []string
+	for name, rec := range src.recs {
+		in := &modelRec{key: rec.key, lease: rec.lease, finish: rec.finish, ends: map[resource.Location]interval.Time{}}
+		touched := false
+		for _, loc := range locs {
+			if end, ok := rec.ends[loc]; ok {
+				touched = true
+				delete(rec.ends, loc)
+				if end > m.now {
+					in.ends[loc] = end
+				}
+			}
+		}
+		if !touched {
+			continue
+		}
+		if rec.key != "" {
+			wantMoved = append(wantMoved, rec.key)
+		}
+		if len(rec.ends) == 0 {
+			delete(src.recs, name)
+		}
+		if len(in.ends) == 0 {
+			continue
+		}
+		have := dst.recs[name]
+		if have == nil {
+			dst.recs[name] = in
+			continue
+		}
+		// The merge rule: committed as soon as any slice is; two leases
+		// keep the earlier expiry.
+		for loc, end := range in.ends {
+			have.ends[loc] = max(have.ends[loc], end)
+		}
+		have.finish = max(have.finish, in.finish)
+		switch {
+		case have.lease != 0 && in.lease == 0:
+			m.hits[hitSourceFirst]++
+			have.lease = 0
+		case have.lease == 0 && in.lease != 0:
+			m.hits[hitReceiverFirst]++
+		case have.lease != 0:
+			m.met[in.key] = true
+			have.lease = min(have.lease, in.lease)
+		}
+		if have.key == "" {
+			have.key = in.key
+		}
+	}
+	sort.Strings(wantMoved)
+	if !slices.Equal(moved, wantMoved) {
+		m.t.Fatalf("t=%d dropping %v from side %d reported moved keys %v, model says %v", m.now, locs, from, moved, wantMoved)
+	}
+	for _, loc := range locs {
+		delete(src.owned, loc)
+		dst.owned[loc] = true
+	}
+}
+
+// render is one side's reservations as the model sees them, in the shape
+// renderSnapshot gives the ledger's.
+func (s *modelSide) render() []string {
+	var out []string
+	for name, rec := range s.recs {
+		locs := make([]string, 0, len(rec.ends))
+		for loc := range rec.ends {
+			locs = append(locs, string(loc))
+		}
+		sort.Strings(locs)
+		key := rec.key
+		if rec.lease == 0 {
+			key = "" // a commitment's key is not in the snapshot
+		}
+		out = append(out, fmt.Sprintf("%s key=%s lease=%d finish=%d at %s", name, key, rec.lease, rec.finish, strings.Join(locs, ",")))
+	}
+	sort.Strings(out)
+	return out
+}
+
+func renderSnapshot(snap Snapshot) []string {
+	var out []string
+	for _, c := range snap.Commitments {
+		out = append(out, fmt.Sprintf("%s key= lease=0 finish=%d at %s", c.Name, c.Finish, strings.Join(c.Locations, ",")))
+	}
+	for _, h := range snap.Holds {
+		out = append(out, fmt.Sprintf("%s key=%s lease=%d finish=%d at %s", h.Name, h.Key, h.Expiry, h.Finish, strings.Join(h.Location, ",")))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// check holds both ledgers to their own books (Audit) and to the model.
+func (m *reservationModel) check(step int, op string) {
+	m.t.Helper()
+	seen := map[string]int{} // "name@loc" -> side
+	for side, s := range m.sides {
+		if err := s.l.Audit(); err != nil {
+			m.t.Fatalf("step %d (%s) t=%d side %d: %v", step, op, m.now, side, err)
+		}
+		got := renderSnapshot(s.l.Snapshot())
+		if want := s.render(); !slices.Equal(got, want) {
+			m.t.Fatalf("step %d (%s) t=%d side %d holds\n  %s\nmodel says\n  %s", step, op, m.now, side,
+				strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		}
+		if got, want := s.l.NumHolds()+s.l.NumCommitments(), len(s.recs); got != want {
+			m.t.Fatalf("step %d (%s) side %d: %d holds+commitments, model says %d", step, op, side, got, want)
+		}
+		for _, line := range got {
+			name, at, _ := strings.Cut(line, " key=")
+			_, at, _ = strings.Cut(at, " at ")
+			for _, loc := range strings.Split(at, ",") {
+				if other, dup := seen[name+"@"+loc]; dup && other != side {
+					m.t.Fatalf("step %d (%s): %s is live on %s on both ledgers", step, op, name, loc)
+				}
+				seen[name+"@"+loc] = side
+			}
+		}
+	}
+}
+
+// drain releases or aborts everything still live and checks that every
+// unit of Θ came back.
+func (m *reservationModel) drain() {
+	for side, s := range m.sides {
+		for name, rec := range s.recs {
+			if rec.lease != 0 {
+				m.expect("draining "+rec.key, s.l.Abort(rec.key), nil)
+			} else {
+				m.expect("draining "+name, s.l.Release(name), nil)
+			}
+			delete(s.recs, name)
+		}
+		m.check(-1, "drain")
+		var locs []resource.Location
+		var want resource.Set
+		theta := splitByShard(m.theta.TrimmedBefore(m.now))
+		for loc := range s.owned {
+			locs = append(locs, loc)
+			part, _ := theta.on(loc)
+			want.AddSet(part)
+		}
+		if len(locs) == 0 {
+			continue
+		}
+		free, _, err := s.l.FreeView(locs)
+		m.expect("final free view", err, nil)
+		if !free.Equal(want) {
+			m.t.Fatalf("side %d drained: free %s, Θ %s", side, free.Compact(), want.Compact())
+		}
+	}
+}
+
+func (m *reservationModel) run(steps int) {
+	ops := []struct {
+		name   string
+		weight int
+		do     func()
+	}{
+		{"admit", 3, m.admit}, {"prepare", 5, m.prepareRound}, {"commit", 4, m.commit},
+		{"abort", 2, m.abort}, {"release", 2, m.release}, {"advance", 3, m.advance},
+		{"acquire", 1, m.acquire}, {"handoff", 3, m.handoff},
+	}
+	total := 0
+	for _, op := range ops {
+		total += op.weight
+	}
+	m.prepareRound() // commit, abort and release need a key and a name to draw
+	for step := 0; step < steps; step++ {
+		pick := m.rng.Intn(total)
+		for _, op := range ops {
+			if pick -= op.weight; pick < 0 {
+				op.do()
+				m.check(step, op.name)
+				break
+			}
+		}
+	}
+	m.drain()
+}
+
+// TestReservationModel drives two ledgers through random admissions,
+// two-phase rounds, releases, clock advances, acquisitions and hand-offs
+// in both directions, and after every step holds both to Audit and to a
+// reference model of the one reservation state machine (pending → leased
+// → committed → gone, and the merge rule when two slices of a job meet).
+// The fixed seeds are kept because each drives all four mid-commit
+// hand-off interleavings; the run asserts they still do.
+func TestReservationModel(t *testing.T) {
+	seeds := []int64{1, 2, 3}
+	extra := *modelSeed
+	if extra == 0 {
+		extra = time.Now().UnixNano()
+	}
+	for _, seed := range append(seeds, extra) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			m := newReservationModel(t, seed)
+			m.run(2000)
+			if seed == extra {
+				return
+			}
+			for _, hit := range []string{hitSourceFirst, hitReceiverFirst, hitAbort, hitExpiry} {
+				if m.hits[hit] == 0 {
+					t.Errorf("seed %d no longer drives %q (hits: %v)", seed, hit, m.hits)
+				}
+			}
+		})
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -329,7 +328,7 @@ func (s *Server) worker() {
 // the job, its resource footprint, and per-phase timings (queue wait vs
 // ledger lock + policy search).
 func (s *Server) traceSlowDecision(task *decideTask, dec admission.Decision, err error, queued, decided time.Duration) {
-	locs := footprint(core.ConcurrentAt(task.job.Dist, s.ledger.Now()))
+	locs := task.job.Dist.Locations()
 	parts := make([]string, len(locs))
 	for i, loc := range locs {
 		parts[i] = string(loc)
