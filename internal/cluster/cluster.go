@@ -1189,15 +1189,14 @@ func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 // PeerStatus is one row of the peer table as surfaced by /v1/stats and
 // /v1/cluster/peers.
 type PeerStatus struct {
-	ID           string             `json:"id"`
-	URL          string             `json:"url"`
-	Locations    []string           `json:"locations"`
-	Self         bool               `json:"self,omitempty"`
-	LastHeardMS  int64              `json:"last_heard_ms,omitempty"` // ms since last gossip, -1 never
-	GossipNow    interval.Time      `json:"gossip_now,omitempty"`
-	GossipHolds  int                `json:"gossip_holds,omitempty"`
-	RPC          metrics.RPCSummary `json:"rpc"`
-	OwnShardView int                `json:"-"`
+	ID          string             `json:"id"`
+	URL         string             `json:"url"`
+	Locations   []string           `json:"locations"`
+	Self        bool               `json:"self,omitempty"`
+	LastHeardMS int64              `json:"last_heard_ms,omitempty"` // ms since last gossip, -1 never
+	GossipNow   interval.Time      `json:"gossip_now,omitempty"`
+	GossipHolds int                `json:"gossip_holds,omitempty"`
+	RPC         metrics.RPCSummary `json:"rpc"`
 }
 
 func (n *Node) peerStatuses() []PeerStatus {
@@ -1229,34 +1228,35 @@ func (n *Node) handlePeers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"self": n.self.ID, "peers": n.peerStatuses()})
 }
 
-// ClusterCounters digests this node's federation-layer activity.
+// ClusterCounters digests this node's federation-layer activity; its
+// metric tags render the same snapshot on /metrics.
 type ClusterCounters struct {
-	Forwarded       uint64 `json:"forwarded"`
-	Misrouted       uint64 `json:"misrouted"`
-	Coordinations   uint64 `json:"coordinations"`
-	CoordAdmitted   uint64 `json:"coord_admitted"`
-	CoordRejected   uint64 `json:"coord_rejected"`
-	CoordFailed     uint64 `json:"coord_failed"`
-	InjectedCrashes uint64 `json:"injected_crashes"`
-	Migrations      uint64 `json:"migrations"`
-	Releases        uint64 `json:"releases"`
+	Forwarded       uint64 `json:"forwarded" metric:"rota_cluster_forwarded_total" help:"Single-owner admissions relayed to the owning peer."`
+	Misrouted       uint64 `json:"misrouted" metric:"rota_cluster_misrouted_total" help:"Forwarded admissions refused because this node does not own the footprint."`
+	Coordinations   uint64 `json:"coordinations" metric:"rota_cluster_coordinations_total" help:"Two-phase federated admissions coordinated by this node."`
+	CoordAdmitted   uint64 `json:"coord_admitted" metric:"rota_cluster_coord_admitted_total" help:"Federated admissions that committed on every owner."`
+	CoordRejected   uint64 `json:"coord_rejected" metric:"rota_cluster_coord_rejected_total" help:"Federated admissions rejected on capacity."`
+	CoordFailed     uint64 `json:"coord_failed" metric:"rota_cluster_coord_failed_total" help:"Federated admissions that failed on protocol or transport errors."`
+	InjectedCrashes uint64 `json:"injected_crashes" metric:"rota_cluster_injected_crashes_total" help:"Simulated coordinator crashes (test instrumentation)."`
+	Migrations      uint64 `json:"migrations" metric:"rota_cluster_migrations_total" help:"Commitments re-homed onto another node (make-before-break)."`
+	Releases        uint64 `json:"releases" metric:"rota_cluster_releases_total" help:"Cluster-wide releases fanned out from this node."`
 	// FanoutQueries counts temporal queries answered against merged
 	// remote free views (all-local queries delegate to the server layer).
-	FanoutQueries uint64 `json:"fanout_queries"`
+	FanoutQueries uint64 `json:"fanout_queries" metric:"rota_cluster_fanout_queries_total" help:"Temporal queries answered against merged remote free views."`
 
 	// Dynamic-membership counters. MembershipEpoch is the table version
 	// this node currently routes by; Joins/Leaves count changes this node
 	// stewarded, Handoffs/Promotions ownership moves it executed.
-	MembershipEpoch   uint64 `json:"membership_epoch"`
-	Joins             uint64 `json:"joins"`
-	Leaves            uint64 `json:"leaves"`
-	Handoffs          uint64 `json:"handoffs"`
-	Promotions        uint64 `json:"promotions"`
-	RedirectsServed   uint64 `json:"redirects_served"`
-	RedirectsFollowed uint64 `json:"redirects_followed"`
-	TableApplies      uint64 `json:"table_applies"`
-	ShadowShips       uint64 `json:"shadow_ships"`
-	ShadowMisses      uint64 `json:"shadow_misses"`
+	MembershipEpoch   uint64 `json:"membership_epoch" metric:"rota_cluster_membership_epoch" help:"Ownership-table epoch this node currently routes by."`
+	Joins             uint64 `json:"joins" metric:"rota_cluster_joins_total" help:"Membership joins stewarded by this node."`
+	Leaves            uint64 `json:"leaves" metric:"rota_cluster_leaves_total" help:"Membership leaves stewarded by this node."`
+	Handoffs          uint64 `json:"handoffs" metric:"rota_cluster_handoffs_total" help:"Make-before-break ownership handoffs executed with this node as source."`
+	Promotions        uint64 `json:"promotions" metric:"rota_cluster_promotions_total" help:"Standby promotions executed on this node (failover)."`
+	RedirectsServed   uint64 `json:"redirects_served" metric:"rota_cluster_redirects_served_total" help:"421 ownership redirects answered for handed-off locations."`
+	RedirectsFollowed uint64 `json:"redirects_followed" metric:"rota_cluster_redirects_followed_total" help:"421 ownership redirects this node consumed and learned from."`
+	TableApplies      uint64 `json:"table_applies" metric:"rota_cluster_table_applies_total" help:"Newer membership tables installed (steward, broadcast, or anti-entropy)."`
+	ShadowShips       uint64 `json:"shadow_ships" metric:"rota_cluster_shadow_ships_total" help:"Warm-standby shadow shipments sent to rendezvous runners-up."`
+	ShadowMisses      uint64 `json:"shadow_misses" metric:"rota_cluster_shadow_misses_total" help:"Locations promoted empty because no shadow had arrived."`
 
 	// Self-healing counters. AutoEvictions counts quorum-agreed
 	// force-leaves this node stewarded with no operator involvement;
@@ -1265,15 +1265,17 @@ type ClusterCounters struct {
 	// applied membership plans this node finished or rolled back for a
 	// dead steward; FencedGossip counts 421s served to evicted senders;
 	// SuspectedPeers is the current number of peers at Suspect or worse.
-	AutoEvictions  uint64 `json:"auto_evictions"`
-	Rejoins        uint64 `json:"rejoins"`
-	IntentRepairs  uint64 `json:"intent_repairs"`
-	FencedGossip   uint64 `json:"fenced_gossip"`
-	SuspectedPeers uint64 `json:"suspected_peers"`
+	AutoEvictions  uint64 `json:"auto_evictions" metric:"rota_cluster_auto_evictions_total" help:"Quorum-agreed automatic force-leaves stewarded by this node."`
+	Rejoins        uint64 `json:"rejoins" metric:"rota_cluster_rejoins_total" help:"Fence-triggered drop-and-rejoin cycles performed by this node after eviction."`
+	IntentRepairs  uint64 `json:"intent_repairs" metric:"rota_cluster_intent_repairs_total" help:"Dead stewards' partially applied membership plans finished or rolled back by this node."`
+	FencedGossip   uint64 `json:"fenced_gossip" metric:"rota_cluster_fenced_gossip_total" help:"Gossip messages answered 421 because the sender was evicted (epoch fence)."`
+	SuspectedPeers uint64 `json:"suspected_peers" metric:"rota_cluster_suspected_peers" help:"Peers the failure detector currently holds at Suspect or worse."`
 
-	CoordLatencyMeanUS float64 `json:"coord_latency_mean_us"`
-	CoordLatencyP50US  float64 `json:"coord_latency_p50_us"`
-	CoordLatencyP99US  float64 `json:"coord_latency_p99_us"`
+	// The JSON cut of the rota_cluster_coordination_latency_us summary,
+	// which CollectMetrics renders whole.
+	CoordLatencyMeanUS float64 `json:"coord_latency_mean_us" metric:"-"`
+	CoordLatencyP50US  float64 `json:"coord_latency_p50_us" metric:"-"`
+	CoordLatencyP99US  float64 `json:"coord_latency_p99_us" metric:"-"`
 }
 
 // RPCConfig surfaces the peer-RPC tunables actually in effect (flags or
@@ -1299,7 +1301,6 @@ type NodeStats struct {
 
 // Stats returns the node's combined digest.
 func (n *Node) Stats() NodeStats {
-	lat := n.coordLatency.Summary()
 	return NodeStats{
 		StatsResponse: n.srv.Stats(),
 		Node:          n.self.ID,
@@ -1310,37 +1311,43 @@ func (n *Node) Stats() NodeStats {
 			BackoffBaseMS: n.client.backoffBase.Milliseconds(),
 			BackoffCapMS:  n.client.backoffCap.Milliseconds(),
 		},
-		Cluster: ClusterCounters{
-			Forwarded:          n.forwarded.Load(),
-			Misrouted:          n.misrouted.Load(),
-			Coordinations:      n.coordinations.Load(),
-			CoordAdmitted:      n.coordAdmitted.Load(),
-			CoordRejected:      n.coordRejected.Load(),
-			CoordFailed:        n.coordFailed.Load(),
-			InjectedCrashes:    n.crashes.Load(),
-			Migrations:         n.migrations.Load(),
-			Releases:           n.releases.Load(),
-			FanoutQueries:      n.fanouts.Load(),
-			MembershipEpoch:    n.reg.Epoch(),
-			Joins:              n.joins.Load(),
-			Leaves:             n.leaves.Load(),
-			Handoffs:           n.handoffs.Load(),
-			Promotions:         n.promotions.Load(),
-			RedirectsServed:    n.redirectsServed.Load(),
-			RedirectsFollowed:  n.redirectsFollowed.Load(),
-			TableApplies:       n.tableApplies.Load(),
-			ShadowShips:        n.shadowShips.Load(),
-			ShadowMisses:       n.shadowMisses.Load(),
-			AutoEvictions:      n.autoEvictions.Load(),
-			Rejoins:            n.rejoins.Load(),
-			IntentRepairs:      n.intentRepairs.Load(),
-			FencedGossip:       n.fencedGossip.Load(),
-			SuspectedPeers:     n.suspectedNow.Load(),
-			CoordLatencyMeanUS: lat.Mean,
-			CoordLatencyP50US:  lat.P50,
-			CoordLatencyP99US:  lat.P99,
-		},
-		Peers: n.peerStatuses(),
+		Cluster: n.counters(n.coordLatency.Summary()),
+		Peers:   n.peerStatuses(),
+	}
+}
+
+// counters snapshots the federation-layer counters, with lat as the
+// coordination-latency digest they carry.
+func (n *Node) counters(lat metrics.HistogramSummary) ClusterCounters {
+	return ClusterCounters{
+		Forwarded:          n.forwarded.Load(),
+		Misrouted:          n.misrouted.Load(),
+		Coordinations:      n.coordinations.Load(),
+		CoordAdmitted:      n.coordAdmitted.Load(),
+		CoordRejected:      n.coordRejected.Load(),
+		CoordFailed:        n.coordFailed.Load(),
+		InjectedCrashes:    n.crashes.Load(),
+		Migrations:         n.migrations.Load(),
+		Releases:           n.releases.Load(),
+		FanoutQueries:      n.fanouts.Load(),
+		MembershipEpoch:    n.reg.Epoch(),
+		Joins:              n.joins.Load(),
+		Leaves:             n.leaves.Load(),
+		Handoffs:           n.handoffs.Load(),
+		Promotions:         n.promotions.Load(),
+		RedirectsServed:    n.redirectsServed.Load(),
+		RedirectsFollowed:  n.redirectsFollowed.Load(),
+		TableApplies:       n.tableApplies.Load(),
+		ShadowShips:        n.shadowShips.Load(),
+		ShadowMisses:       n.shadowMisses.Load(),
+		AutoEvictions:      n.autoEvictions.Load(),
+		Rejoins:            n.rejoins.Load(),
+		IntentRepairs:      n.intentRepairs.Load(),
+		FencedGossip:       n.fencedGossip.Load(),
+		SuspectedPeers:     n.suspectedNow.Load(),
+		CoordLatencyMeanUS: lat.Mean,
+		CoordLatencyP50US:  lat.P50,
+		CoordLatencyP99US:  lat.P99,
 	}
 }
 

@@ -6,10 +6,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Prometheus exposition for the federation layer. Every exported field
-// of ClusterCounters has a counterpart family here (the latency trio is
-// covered by the coordination-latency summary); the obs metrics-lint
-// test enforces the mapping just as it does for the server layer.
+// Prometheus exposition for the federation layer. Every counter reaches
+// /metrics as a metric-tagged ClusterCounters field, walked like the
+// server's StatsResponse. The explicit lines are the families that are
+// not a ClusterCounters scalar: membership size, coordination latency
+// (its JSON trio is metric:"-"), and the per-peer φ and RPC tables.
 
 // CollectMetrics implements obs.Collector: the embedded server's
 // families first, then the federation layer's. One scrape of a cluster
@@ -18,38 +19,12 @@ import (
 func (n *Node) CollectMetrics(e *obs.Exposition) {
 	n.srv.CollectMetrics(e)
 
+	lat := n.coordLatency.Summary()
+	e.Struct(n.counters(lat))
+	e.Summary("rota_cluster_coordination_latency_us", "End-to-end federated admission latency in microseconds (free view through commit).", nil, lat)
+
 	peers := n.peersSnapshot()
 	e.Gauge("rota_cluster_peers", "Live cluster membership size, including self.", nil, float64(len(peers)))
-	e.Gauge("rota_cluster_membership_epoch", "Ownership-table epoch this node currently routes by.", nil, float64(n.reg.Epoch()))
-
-	e.Counter("rota_cluster_forwarded_total", "Single-owner admissions relayed to the owning peer.", nil, float64(n.forwarded.Load()))
-	e.Counter("rota_cluster_misrouted_total", "Forwarded admissions refused because this node does not own the footprint.", nil, float64(n.misrouted.Load()))
-	e.Counter("rota_cluster_coordinations_total", "Two-phase federated admissions coordinated by this node.", nil, float64(n.coordinations.Load()))
-	e.Counter("rota_cluster_coord_admitted_total", "Federated admissions that committed on every owner.", nil, float64(n.coordAdmitted.Load()))
-	e.Counter("rota_cluster_coord_rejected_total", "Federated admissions rejected on capacity.", nil, float64(n.coordRejected.Load()))
-	e.Counter("rota_cluster_coord_failed_total", "Federated admissions that failed on protocol or transport errors.", nil, float64(n.coordFailed.Load()))
-	e.Counter("rota_cluster_injected_crashes_total", "Simulated coordinator crashes (test instrumentation).", nil, float64(n.crashes.Load()))
-	e.Counter("rota_cluster_migrations_total", "Commitments re-homed onto another node (make-before-break).", nil, float64(n.migrations.Load()))
-	e.Counter("rota_cluster_releases_total", "Cluster-wide releases fanned out from this node.", nil, float64(n.releases.Load()))
-	e.Counter("rota_cluster_fanout_queries_total", "Temporal queries answered against merged remote free views.", nil, float64(n.fanouts.Load()))
-
-	e.Counter("rota_cluster_joins_total", "Membership joins stewarded by this node.", nil, float64(n.joins.Load()))
-	e.Counter("rota_cluster_leaves_total", "Membership leaves stewarded by this node.", nil, float64(n.leaves.Load()))
-	e.Counter("rota_cluster_handoffs_total", "Make-before-break ownership handoffs executed with this node as source.", nil, float64(n.handoffs.Load()))
-	e.Counter("rota_cluster_promotions_total", "Standby promotions executed on this node (failover).", nil, float64(n.promotions.Load()))
-	e.Counter("rota_cluster_redirects_served_total", "421 ownership redirects answered for handed-off locations.", nil, float64(n.redirectsServed.Load()))
-	e.Counter("rota_cluster_redirects_followed_total", "421 ownership redirects this node consumed and learned from.", nil, float64(n.redirectsFollowed.Load()))
-	e.Counter("rota_cluster_table_applies_total", "Newer membership tables installed (steward, broadcast, or anti-entropy).", nil, float64(n.tableApplies.Load()))
-	e.Counter("rota_cluster_shadow_ships_total", "Warm-standby shadow shipments sent to rendezvous runners-up.", nil, float64(n.shadowShips.Load()))
-	e.Counter("rota_cluster_shadow_misses_total", "Locations promoted empty because no shadow had arrived.", nil, float64(n.shadowMisses.Load()))
-
-	e.Counter("rota_cluster_auto_evictions_total", "Quorum-agreed automatic force-leaves stewarded by this node.", nil, float64(n.autoEvictions.Load()))
-	e.Counter("rota_cluster_rejoins_total", "Fence-triggered drop-and-rejoin cycles performed by this node after eviction.", nil, float64(n.rejoins.Load()))
-	e.Counter("rota_cluster_intent_repairs_total", "Dead stewards' partially applied membership plans finished or rolled back by this node.", nil, float64(n.intentRepairs.Load()))
-	e.Counter("rota_cluster_fenced_gossip_total", "Gossip messages answered 421 because the sender was evicted (epoch fence).", nil, float64(n.fencedGossip.Load()))
-	e.Gauge("rota_cluster_suspected_peers", "Peers the failure detector currently holds at Suspect or worse.", nil, float64(n.suspectedNow.Load()))
-
-	e.Summary("rota_cluster_coordination_latency_us", "End-to-end federated admission latency in microseconds (free view through commit).", nil, n.coordLatency.Summary())
 
 	now := time.Now()
 	for _, id := range n.detector.Peers() {

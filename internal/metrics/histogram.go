@@ -92,12 +92,16 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// HistogramSummary is a point-in-time digest of a histogram.
+// HistogramSummary is a point-in-time digest of a histogram, and the one
+// shape every latency or slack digest takes on /v1/stats and /metrics.
 type HistogramSummary struct {
-	Count         uint64
-	Mean          float64
-	Min, Max      float64
-	P50, P90, P99 float64
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean"`
+	Min   float64 `json:"min"`
+	Max   float64 `json:"max"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
 }
 
 // Summary digests the histogram under one lock acquisition.

@@ -72,38 +72,23 @@ type Promise struct {
 	Adopted bool `json:"adopted,omitempty"`
 }
 
-// SlackDigest is the JSON shape of a slack histogram on /v1/stats.
-type SlackDigest struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-func digest(s metrics.HistogramSummary) SlackDigest {
-	return SlackDigest{Count: s.Count, Mean: s.Mean, Min: s.Min, Max: s.Max,
-		P50: s.P50, P90: s.P90, P99: s.P99}
-}
-
-// Stats is the counter block surfaced under /v1/stats "assure".
+// Stats is the counter block surfaced under /v1/stats "assure" and, via
+// its metric tags, on /metrics.
 type Stats struct {
-	Active         uint64 `json:"promises_active"`
-	Kept           uint64 `json:"promises_kept"`
-	Violated       uint64 `json:"promises_violated"`
-	Orphaned       uint64 `json:"promises_orphaned"`
-	EvictedWithJob uint64 `json:"promises_evicted_with_job"`
-	Transferred    uint64 `json:"promises_transferred"`
+	Active         uint64 `json:"promises_active" metric:"rota_assure_active_promises" help:"Admitted jobs whose deadline window is still open here."`
+	Kept           uint64 `json:"promises_kept" metric:"rota_assure_promises_total,state=kept" help:"Promise dispositions reached, by terminal state."`
+	Violated       uint64 `json:"promises_violated" metric:"rota_assure_promises_total,state=violated"`
+	Orphaned       uint64 `json:"promises_orphaned" metric:"rota_assure_promises_total,state=orphaned"`
+	EvictedWithJob uint64 `json:"promises_evicted_with_job" metric:"rota_assure_promises_total,state=evicted-with-job"`
+	Transferred    uint64 `json:"promises_transferred" metric:"rota_assure_promises_total,state=transferred"`
 	// Attainment = kept / terminal outcomes (1.0 while nothing terminal
 	// has happened). Transferred promises are someone else's to report.
-	Attainment float64 `json:"slo_attainment"`
+	Attainment float64 `json:"slo_attainment" metric:"rota_assure_attainment" help:"Kept promises over terminal outcomes (1.0 before any outcome)."`
 	// BurnRate is violations per minute over the trailing 60 seconds of
 	// wall time.
-	BurnRate        float64     `json:"violation_burn_rate"`
-	SlackAdmit      SlackDigest `json:"slack_at_admit_ticks"`
-	SlackCompletion SlackDigest `json:"slack_at_completion_ticks"`
+	BurnRate        float64                  `json:"violation_burn_rate" metric:"rota_assure_burn_rate" help:"Promise violations per minute over the trailing 60s."`
+	SlackAdmit      metrics.HistogramSummary `json:"slack_at_admit_ticks" metric:"rota_assure_slack_at_admit_ticks" help:"Deadline minus witness-plan finish at admission, in ticks."`
+	SlackCompletion metrics.HistogramSummary `json:"slack_at_completion_ticks" metric:"rota_assure_slack_at_completion_ticks" help:"Deadline minus completion time at resolution, in ticks."`
 }
 
 // LocationOutcomes is per-location SLO attainment: a promise whose
@@ -500,8 +485,8 @@ func (l *Ledger) Stats() Stats {
 	}
 	l.mu.Unlock()
 	st.Attainment = attainment(st)
-	st.SlackAdmit = digest(l.slackAdmit.Summary())
-	st.SlackCompletion = digest(l.slackDone.Summary())
+	st.SlackAdmit = l.slackAdmit.Summary()
+	st.SlackCompletion = l.slackDone.Summary()
 	return st
 }
 
@@ -511,24 +496,6 @@ func attainment(st Stats) float64 {
 		return 1
 	}
 	return float64(st.Kept) / float64(terminal)
-}
-
-// SlackAtAdmit returns the raw slack-at-admit histogram digest (for
-// the Prometheus summary family).
-func (l *Ledger) SlackAtAdmit() metrics.HistogramSummary {
-	if l == nil {
-		return metrics.HistogramSummary{}
-	}
-	return l.slackAdmit.Summary()
-}
-
-// SlackAtCompletion returns the raw slack-at-completion histogram
-// digest.
-func (l *Ledger) SlackAtCompletion() metrics.HistogramSummary {
-	if l == nil {
-		return metrics.HistogramSummary{}
-	}
-	return l.slackDone.Summary()
 }
 
 // MergeStats sums per-node stats into a cluster total. Slack digests

@@ -104,7 +104,7 @@ func TestAdoptMergesActivePromise(t *testing.T) {
 	if !ok || !p.Adopted || p.State != StateActive {
 		t.Fatalf("adopted promise = %+v ok=%v", p, ok)
 	}
-	if c := l.SlackAtAdmit().Count; c != 1 {
+	if c := l.Stats().SlackAdmit.Count; c != 1 {
 		t.Fatalf("slack-at-admit count = %d after adoptions, want 1 (local reserve only)", c)
 	}
 }

@@ -56,13 +56,13 @@ type Snapshot struct {
 
 // Stats is the counter block surfaced under /v1/stats "flightrec".
 type Stats struct {
-	Snapshots        int    `json:"flight_snapshots"`
-	SnapshotCapacity int    `json:"flight_snapshot_capacity"`
-	Triggers         uint64 `json:"flight_triggers"`
-	Deduped          uint64 `json:"flight_triggers_deduped"`
-	Evicted          uint64 `json:"flight_snapshots_evicted"`
-	Events           int    `json:"flight_events_buffered"`
-	EventCapacity    int    `json:"flight_event_capacity"`
+	Snapshots        int    `json:"flight_snapshots" metric:"rota_flightrec_snapshots" help:"Flight-recorder snapshots currently held."`
+	SnapshotCapacity int    `json:"flight_snapshot_capacity" metric:"rota_flightrec_snapshot_capacity" help:"Flight-recorder snapshot ring bound."`
+	Triggers         uint64 `json:"flight_triggers" metric:"rota_flightrec_triggers_total" help:"Anomaly triggers fired (including deduplicated ones)."`
+	Deduped          uint64 `json:"flight_triggers_deduped" metric:"rota_flightrec_triggers_deduped_total" help:"Triggers suppressed by the per-kind dedup window."`
+	Evicted          uint64 `json:"flight_snapshots_evicted" metric:"rota_flightrec_snapshots_evicted_total" help:"Snapshots evicted to keep the ring within its bound."`
+	Events           int    `json:"flight_events_buffered" metric:"rota_flightrec_events_buffered" help:"Log lines currently in the flight-recorder ring."`
+	EventCapacity    int    `json:"flight_event_capacity" metric:"rota_flightrec_event_capacity" help:"Flight-recorder event ring bound."`
 }
 
 const (

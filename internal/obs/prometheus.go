@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,7 +17,8 @@ import (
 
 // Prometheus text-format exposition, hand-rolled over the repo's own
 // metrics primitives — no external client library. An Exposition is
-// built per scrape: collectors append families and samples, Render
+// built per scrape: collectors walk their tagged stats structs (Struct)
+// and append the few families that are not stats scalars, Render
 // writes the canonical text format. HELP/TYPE lines are emitted once
 // per family however many label sets sample it, which is what lets the
 // server and cluster layers contribute samples to shared families.
@@ -142,10 +144,65 @@ func (e *Exposition) Summary(name, help string, labels Labels, s metrics.Histogr
 		sample{suffix: "_count", labels: labels, value: float64(s.Count)})
 }
 
-// HasFamily reports whether a family was registered (metrics-lint).
-func (e *Exposition) HasFamily(name string) bool {
-	_, ok := e.byName[name]
-	return ok
+var summaryType = reflect.TypeOf(metrics.HistogramSummary{})
+
+// Struct appends one sample per numeric field of the stats struct v,
+// walking nested structs, so /metrics renders from the same snapshot
+// /v1/stats serves. Each exported number names its family in a tag —
+// `metric:"rota_x_total"`, or `metric:"rota_x_total,op=prepare"` when
+// several fields share one labelled family — and the first field of a
+// family carries its `help:"…"` text. The type follows from the field:
+// a metrics.HistogramSummary is a summary, a name ending in _total a
+// counter, any other number a gauge. `metric:"-"` skips a field or a
+// whole subtree; non-numeric fields are not samples. An exported number
+// with no tag panics, like span.defineKind: a stat cannot reach
+// /v1/stats without a family, so every /metrics test is the lint.
+func (e *Exposition) Struct(v any) {
+	e.walk(reflect.Indirect(reflect.ValueOf(v)))
+}
+
+func (e *Exposition) walk(v reflect.Value) {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f, fv := t.Field(i), v.Field(i)
+		tag := f.Tag.Get("metric")
+		if !f.IsExported() || tag == "-" {
+			continue
+		}
+		var val float64
+		switch {
+		case f.Type == summaryType:
+		case f.Type.Kind() == reflect.Struct:
+			e.walk(fv)
+			continue
+		case fv.CanInt():
+			val = float64(fv.Int())
+		case fv.CanUint():
+			val = float64(fv.Uint())
+		case fv.CanFloat():
+			val = fv.Float()
+		default:
+			continue
+		}
+		if tag == "" {
+			panic(fmt.Sprintf("obs: stat %s.%s has no metric tag: name its family or tag it metric:\"-\"", t, f.Name))
+		}
+		parts := strings.Split(tag, ",")
+		name, labels := parts[0], Labels(nil)
+		for _, kv := range parts[1:] {
+			k, lv, _ := strings.Cut(kv, "=")
+			labels = labels.With(k, lv)
+		}
+		help := f.Tag.Get("help")
+		switch {
+		case f.Type == summaryType:
+			e.Summary(name, help, labels, fv.Interface().(metrics.HistogramSummary))
+		case strings.HasSuffix(name, "_total"):
+			e.Counter(name, help, labels, val)
+		default:
+			e.Gauge(name, help, labels, val)
+		}
+	}
 }
 
 // Render writes the exposition in Prometheus text format.

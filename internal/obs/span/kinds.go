@@ -5,8 +5,8 @@ import "sort"
 // KindSchema documents one span kind: what phase of the pipeline it
 // covers and which attributes it may carry. Kinds are registered at
 // package init via defineKind, so every kind in the codebase has a
-// documented schema by construction — the metrics-lint test in
-// internal/obs enforces that the registry stays complete and that live
+// documented schema by construction — TestSpanKindsLint in
+// internal/obs checks that the registry stays complete and that live
 // spans only use registered kinds and attributes.
 type KindSchema struct {
 	Name  string

@@ -297,10 +297,10 @@ func (st *Store) Snapshot() []Record {
 // Stats is the store's accounting digest, surfaced in /v1/stats and the
 // Prometheus exposition.
 type Stats struct {
-	Capacity int    `json:"capacity"`
-	Live     int    `json:"live"`
-	Recorded uint64 `json:"recorded"`
-	Evicted  uint64 `json:"evicted"`
+	Capacity int    `json:"capacity" metric:"rota_span_store_capacity" help:"Span ring-buffer bound (0 when span tracing is off)."`
+	Live     int    `json:"live" metric:"rota_spans_live" help:"Finished spans currently held in the ring buffer."`
+	Recorded uint64 `json:"recorded" metric:"rota_spans_recorded_total" help:"Spans recorded since start."`
+	Evicted  uint64 `json:"evicted" metric:"rota_spans_evicted_total" help:"Spans overwritten to keep the store within its bound."`
 }
 
 // Stats returns the store's accounting. Nil-safe (all zeros).

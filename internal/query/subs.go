@@ -72,13 +72,13 @@ func (s *Subscription) Close() { s.m.unsubscribe(s.id) }
 
 // ManagerStats digests the subscription manager for /v1/stats.
 type ManagerStats struct {
-	Active        int    `json:"active_subscriptions"`
-	Evals         uint64 `json:"evals"`
-	EvalErrors    uint64 `json:"eval_errors"`
-	Flips         uint64 `json:"flips"`
-	Delivered     uint64 `json:"delivered"`
-	Drops         uint64 `json:"drops"`
-	WebhookErrors uint64 `json:"webhook_errors"`
+	Active        int    `json:"active_subscriptions" metric:"rota_query_subscriptions" help:"Active standing-query subscriptions."`
+	Evals         uint64 `json:"evals" metric:"rota_query_evals_total" help:"Standing-query re-evaluations run by the sweep loop."`
+	EvalErrors    uint64 `json:"eval_errors" metric:"rota_query_eval_errors_total" help:"Standing-query re-evaluations that errored (previous verdict kept)."`
+	Flips         uint64 `json:"flips" metric:"rota_query_flips_total" help:"Verdict flips detected across all standing queries."`
+	Delivered     uint64 `json:"delivered" metric:"rota_query_events_delivered_total" help:"Verdict events delivered to subscriber queues."`
+	Drops         uint64 `json:"drops" metric:"rota_query_drops_total" help:"Verdict events dropped on full subscriber queues."`
+	WebhookErrors uint64 `json:"webhook_errors" metric:"rota_query_webhook_errors_total" help:"Webhook verdict deliveries that failed."`
 }
 
 // Manager re-evaluates standing queries when the ledger epoch advances

@@ -70,12 +70,12 @@ type hotCounters struct {
 // AdmitHotCounters is the JSON shape of the hot-path counters for
 // /v1/stats.
 type AdmitHotCounters struct {
-	Batches        uint64 `json:"batches"`
-	BatchedJobs    uint64 `json:"batched_jobs"`
-	PlanRetries    uint64 `json:"plan_retries"`
-	PlanFallbacks  uint64 `json:"plan_fallbacks"`
-	FreePatches    uint64 `json:"free_patches"`
-	FreeRecomputes uint64 `json:"free_recomputes"`
+	Batches        uint64 `json:"batches" metric:"rota_admit_batches_total" help:"Admission batches executed on the hot path."`
+	BatchedJobs    uint64 `json:"batched_jobs" metric:"rota_admit_batched_jobs_total" help:"Jobs decided through the admission batch path."`
+	PlanRetries    uint64 `json:"plan_retries" metric:"rota_admit_plan_retries_total" help:"Optimistic plans re-run after a validation conflict."`
+	PlanFallbacks  uint64 `json:"plan_fallbacks" metric:"rota_admit_plan_fallbacks_total" help:"Jobs that exhausted optimistic retries and planned under the shard locks."`
+	FreePatches    uint64 `json:"free_patches" metric:"rota_free_view_patches_total" help:"Incremental free-view cache patches applied."`
+	FreeRecomputes uint64 `json:"free_recomputes" metric:"rota_free_view_recomputes_total" help:"Full free-view recomputes (theta minus reserved)."`
 }
 
 // AdmitHot returns the admission hot-path counters.

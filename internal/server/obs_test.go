@@ -3,12 +3,15 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/interval"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -104,6 +107,56 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 	if _, ok := m[`rota_http_requests_total{layer="server",endpoint="admit",class="2xx"}`]; !ok {
 		t.Errorf("per-endpoint family missing; scraped keys: %d", len(m))
+	}
+}
+
+// TestStatsSelfConsistent is the regression test for a /v1/stats body
+// contradicting itself: while eight goroutines admit and reject jobs,
+// every Stats() snapshot must have Decisions == Admitted+Rejected and
+// one ledger epoch under both of its names.
+func TestStatsSelfConsistent(t *testing.T) {
+	srv, err := New(Config{Theta: cpuTheta(16, 1000, "l1"), Workers: 4, DecisionTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+
+	var bodies []string
+	for i := 0; i < 320; i++ {
+		deadline := interval.Time(1000)
+		if i%2 == 1 {
+			deadline = 1 // hopeless: rejected
+		}
+		bodies = append(bodies, admitBody(t, cpuJob(t, fmt.Sprintf("j%d", i), "l1", 0, deadline)))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(mine []string) {
+			defer wg.Done()
+			for _, body := range mine {
+				srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/admit", strings.NewReader(body)))
+			}
+		}(bodies[w*40 : (w+1)*40])
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if st := srv.Stats(); st.Decisions != st.Admitted+st.Rejected || st.LedgerEpoch != st.Query.Epoch {
+			<-done
+			t.Fatalf("self-contradicting snapshot: decisions=%d admitted=%d rejected=%d ledger_epoch=%d query.epoch=%d",
+				st.Decisions, st.Admitted, st.Rejected, st.LedgerEpoch, st.Query.Epoch)
+		}
+	}
+	// Every admit reached a verdict, and the script exercised both.
+	if st := srv.Stats(); st.Decisions != 320 || st.Admitted == 0 || st.Rejected == 0 {
+		t.Fatalf("admitted=%d rejected=%d, want a mix of 320 decisions", st.Admitted, st.Rejected)
 	}
 }
 

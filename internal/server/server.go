@@ -421,38 +421,39 @@ type advanceRequest struct {
 	Now interval.Time `json:"now"`
 }
 
-// StatsResponse is the digest returned by GET /v1/stats.
+// StatsResponse is the digest returned by GET /v1/stats; its metric
+// tags render the same snapshot as /metrics (obs.Exposition.Struct).
 type StatsResponse struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
+	UptimeSeconds float64 `json:"uptime_seconds" metric:"rota_uptime_seconds" help:"Seconds since the daemon started."`
 	// Build identifies the running binary so dashboards can detect
-	// restarts and version skew across a cluster.
+	// restarts and version skew across a cluster (rota_build_info).
 	Build BuildInfo `json:"build"`
-	Now   int64     `json:"now"`
+	Now   int64     `json:"now" metric:"rota_ledger_now" help:"The ledger clock, in ticks."`
 	// LedgerEpoch is the ledger's mutation epoch (also under query.epoch;
 	// surfaced at the top level so restart detection needs one field).
-	LedgerEpoch uint64 `json:"ledger_epoch"`
-	Shards      int    `json:"shards"`
-	Commitments int    `json:"commitments"`
+	LedgerEpoch uint64 `json:"ledger_epoch" metric:"rota_ledger_epoch" help:"Ledger mutation epoch; every bump re-evaluates the standing queries."`
+	Shards      int    `json:"shards" metric:"rota_ledger_shards" help:"Location shards in the live ledger."`
+	Commitments int    `json:"commitments" metric:"rota_ledger_commitments" help:"Live admitted commitments."`
 
 	// Decisions = Admitted + Rejected, always.
-	Decisions uint64 `json:"decisions"`
-	Admitted  uint64 `json:"admitted"`
-	Rejected  uint64 `json:"rejected"`
-	Released  uint64 `json:"released"`
-	Errors    uint64 `json:"errors"`
-	TimedOut  uint64 `json:"timed_out"`
+	Decisions uint64 `json:"decisions" metric:"rota_decisions_total" help:"Admission verdicts reached (admitted + rejected)."`
+	Admitted  uint64 `json:"admitted" metric:"rota_admitted_total" help:"Jobs admitted with a reserved witness plan."`
+	Rejected  uint64 `json:"rejected" metric:"rota_rejected_total" help:"Jobs refused by the Theorem-4 check."`
+	Released  uint64 `json:"released" metric:"rota_released_total" help:"Commitments released via the API."`
+	Errors    uint64 `json:"errors" metric:"rota_errors_total" help:"Requests that failed before a verdict."`
+	TimedOut  uint64 `json:"timed_out" metric:"rota_timeouts_total" help:"Admissions that exceeded the decision deadline."`
 	// LateDecisions counts decisions that completed after their requester
 	// had already been told "timed out"; admitted ones are rolled back.
-	LateDecisions uint64 `json:"late_decisions"`
+	LateDecisions uint64 `json:"late_decisions" metric:"rota_late_decisions_total" help:"Decisions completed after their requester timed out (admits rolled back)."`
 
 	// QueueDepth and InFlight are point-in-time gauges of the worker
 	// pool: decisions waiting for a worker and decisions mid-search.
-	QueueDepth int64 `json:"queue_depth"`
-	InFlight   int64 `json:"in_flight"`
+	QueueDepth int64 `json:"queue_depth" metric:"rota_queue_depth" help:"Decisions waiting for a worker."`
+	InFlight   int64 `json:"in_flight" metric:"rota_inflight_decisions" help:"Decisions currently mid-search in the worker pool."`
 
 	// Holds counts live leased two-phase holds; TwoPhase digests the
 	// federation traffic this node served as a participant.
-	Holds    int              `json:"holds"`
+	Holds    int              `json:"holds" metric:"rota_ledger_holds" help:"Live leased two-phase holds."`
 	TwoPhase TwoPhaseCounters `json:"two_phase"`
 
 	// AdmitHot digests the admission hot path: batching, optimistic
@@ -461,7 +462,7 @@ type StatsResponse struct {
 
 	// DecisionLatencyUS digests worker-side decision service time
 	// (ledger lock + policy) in microseconds.
-	DecisionLatencyUS LatencyStats `json:"decision_latency_us"`
+	DecisionLatencyUS metrics.HistogramSummary `json:"decision_latency_us" metric:"rota_decision_latency_us" help:"Worker-side decision service time (ledger lock + policy) in microseconds."`
 
 	// Spans digests the span store: ring-buffer bound, live records, and
 	// the recorded/evicted totals that prove the store stays bounded.
@@ -484,29 +485,14 @@ type StatsResponse struct {
 // QueryStats digests the temporal-query layer for /v1/stats.
 type QueryStats struct {
 	// Queries counts one-shot query evaluations served.
-	Queries uint64 `json:"queries"`
+	Queries uint64 `json:"queries" metric:"rota_queries_total" help:"One-shot temporal queries evaluated."`
 	// Epoch is the ledger's mutation epoch; every bump re-evaluates the
-	// standing queries.
-	Epoch uint64 `json:"epoch"`
+	// standing queries. Exposed once, as LedgerEpoch.
+	Epoch uint64 `json:"epoch" metric:"-"`
 	// Subs digests the subscription manager.
 	Subs query.ManagerStats `json:"subscriptions"`
 	// LatencyUS digests one-shot query evaluation time in microseconds.
-	LatencyUS LatencyStats `json:"query_latency_us"`
-}
-
-// LatencyStats is the JSON shape of a histogram summary.
-type LatencyStats struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-func latencyStats(s metrics.HistogramSummary) LatencyStats {
-	return LatencyStats{Count: s.Count, Mean: s.Mean, Min: s.Min, Max: s.Max, P50: s.P50, P90: s.P90, P99: s.P99}
+	LatencyUS metrics.HistogramSummary `json:"query_latency_us" metric:"rota_query_latency_us" help:"One-shot query evaluation time in microseconds."`
 }
 
 // DecodeAdmitRequest decodes and validates one job from an admit body.
@@ -701,18 +687,21 @@ func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.ledger.Snapshot())
 }
 
-// Stats returns the daemon's counters and latency digest.
+// Stats returns the daemon's counters and latency digest. Each counter
+// is loaded once and every derived field comes from that one read, so
+// a response never contradicts itself under concurrent admits.
 func (s *Server) Stats() StatsResponse {
+	admitted, rejected, epoch := s.admitted.Load(), s.rejected.Load(), s.ledger.Epoch()
 	return StatsResponse{
 		UptimeSeconds:     time.Since(s.started).Seconds(),
 		Build:             buildInfo(),
 		Now:               s.ledger.Now(),
-		LedgerEpoch:       s.ledger.Epoch(),
+		LedgerEpoch:       epoch,
 		Shards:            s.ledger.NumShards(),
 		Commitments:       s.ledger.NumCommitments(),
-		Decisions:         s.admitted.Load() + s.rejected.Load(),
-		Admitted:          s.admitted.Load(),
-		Rejected:          s.rejected.Load(),
+		Decisions:         admitted + rejected,
+		Admitted:          admitted,
+		Rejected:          rejected,
 		Released:          s.released.Load(),
 		Errors:            s.errored.Load(),
 		TimedOut:          s.timedOut.Load(),
@@ -722,13 +711,13 @@ func (s *Server) Stats() StatsResponse {
 		Holds:             s.ledger.NumHolds(),
 		TwoPhase:          s.ledger.TwoPhase(),
 		AdmitHot:          s.ledger.AdmitHot(),
-		DecisionLatencyUS: latencyStats(s.latencyUS.Summary()),
+		DecisionLatencyUS: s.latencyUS.Summary(),
 		Spans:             s.cfg.Spans.Stats(),
 		Query: QueryStats{
 			Queries:   s.queryCount.Load(),
-			Epoch:     s.ledger.Epoch(),
+			Epoch:     epoch,
 			Subs:      s.queries.Stats(),
-			LatencyUS: latencyStats(s.queryLatencyUS.Summary()),
+			LatencyUS: s.queryLatencyUS.Summary(),
 		},
 		Assure:    s.cfg.Assure.Stats(),
 		FlightRec: s.cfg.FlightRec.Stats(),

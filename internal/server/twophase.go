@@ -167,11 +167,11 @@ func (l *Ledger) FreeView(locs []resource.Location) (resource.Set, interval.Time
 
 // TwoPhaseCounters is the ledger's federation traffic digest.
 type TwoPhaseCounters struct {
-	Prepares        uint64 `json:"prepares"`
-	Commits         uint64 `json:"commits"`
-	Aborts          uint64 `json:"aborts"`
-	LeasesExpired   uint64 `json:"leases_expired"`
-	NotOwnedRejects uint64 `json:"not_owned_rejects"`
+	Prepares        uint64 `json:"prepares" metric:"rota_twophase_total,op=prepare" help:"Two-phase participant operations served, by op."`
+	Commits         uint64 `json:"commits" metric:"rota_twophase_total,op=commit"`
+	Aborts          uint64 `json:"aborts" metric:"rota_twophase_total,op=abort"`
+	LeasesExpired   uint64 `json:"leases_expired" metric:"rota_leases_expired_total" help:"Prepared holds reclaimed by the lease-expiry sweep."`
+	NotOwnedRejects uint64 `json:"not_owned_rejects" metric:"rota_not_owned_rejects_total" help:"Requests naming locations this node does not own."`
 }
 
 // TwoPhase returns the federation traffic counters.
