@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages whose concurrency matters enough to pay for -race on every run:
 # the daemon (sharded ledger + HTTP server, including the admit-timeout
-# rollback regression), the cluster federation layer (two-phase
+# refuse-at-reserve and interrupted-drain regressions), the cluster federation layer (two-phase
 # coordination + gossip, including the injected-crash and drain
 # integration tests), the observability layer (shared Observer +
 # per-endpoint stats), the span store (lock-free-looking ring buffer fed

@@ -64,9 +64,8 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rotad", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	policyName := fs.String("policy", "rota", "admission policy: rota or rota-exhaustive (must be plan-producing)")
-	workers := fs.Int("workers", 0, "decision worker pool size (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "pending-decision queue depth (0 = 4x workers)")
-	timeout := fs.Duration("timeout", 2*time.Second, "per-request decision deadline")
+	workers := fs.Int("workers", 0, "concurrent admission decisions (0 = GOMAXPROCS)")
+	timeout := fs.Duration("timeout", 2*time.Second, "per-request decision deadline (slot wait + decision)")
 	locations := fs.Int("locations", 4, "number of locations in the initial availability")
 	baseRate := fs.Int64("base", 4, "cpu units/tick per location in the initial availability")
 	linkRate := fs.Int64("link", 1, "network units/tick per directed link (full mesh)")
@@ -176,7 +175,6 @@ func run(args []string, out io.Writer) error {
 		Policy:          policy,
 		Theta:           theta,
 		Workers:         *workers,
-		QueueDepth:      *queue,
 		DecisionTimeout: *timeout,
 		Obs:             observer,
 		Spans:           spans,

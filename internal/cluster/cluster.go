@@ -426,7 +426,7 @@ func (n *Node) draining() bool {
 
 // Shutdown drains the node: gossip stops, in-flight coordinations abort
 // their outstanding prepares instead of leaking them, and the embedded
-// server drains its decision pool.
+// server waits out its in-flight admits.
 func (n *Node) Shutdown(ctx context.Context) error {
 	n.shutdownOnce.Do(func() { close(n.shutdownCh) })
 	done := make(chan struct{})
@@ -461,8 +461,8 @@ func (n *Node) ownersOf(dist compute.Distributed) (map[*peerState][]resource.Loc
 	return out, nil
 }
 
-// handleAdmit is the cluster-aware admission entry point: local jobs go
-// through the embedded worker pool, single-remote-owner jobs are
+// handleAdmit is the cluster-aware admission entry point: local jobs are
+// decided by the embedded server, single-remote-owner jobs are
 // forwarded to their owner, and jobs spanning owners are coordinated
 // with the two-phase protocol. Forwarded requests (peer-routed) are
 // validated again and never re-forwarded.

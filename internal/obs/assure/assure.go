@@ -323,9 +323,9 @@ func (l *Ledger) Transfer(job string) {
 	l.resolveLocked(job, e, StateTransferred, e.Deadline)
 }
 
-// Drop forgets an active promise without classifying it — for rollback
-// paths (a late decision undone, a 2PC abort of a just-committed key)
-// where the admission itself is being unwound.
+// Drop forgets an active promise without classifying it — for the
+// rollback path (a 2PC abort of a just-committed key) where the
+// admission itself is being unwound.
 func (l *Ledger) Drop(job string) {
 	if l == nil {
 		return

@@ -41,7 +41,7 @@ var (
 		"one /v1/admit request decided locally: validate, plan, reserve",
 		"job", "job name",
 		"admit", "decision verdict (true/false)",
-		"queue_wait_us", "time the task waited for a worker",
+		"queue_wait_us", "time the admit waited for a decision slot",
 		"deadline", "job deadline tick",
 		"finish", "planned finish tick when admitted",
 		"error", "fault that ended the request without a verdict")

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -51,10 +52,22 @@ import (
 // leadership to the oldest waiter when it finishes. Decisions stay
 // per-job; members whose plans no longer fit are conflicted out
 // individually and replan.
+//
+// Deadlines: the requester's ctx is checked before each attempt's
+// snapshot and, under the shard locks, just before a plan is reserved;
+// the plan search itself is bounded and runs to completion. A plan found
+// after the ctx is done is refused with errLate and nothing is reserved,
+// so every reservation is one a requester was told about — a verdict is
+// applied inside its time window or not at all.
 
 // defaultAdmitRetries bounds the optimistic attempts before the
 // plan-under-locks fallback.
 const defaultAdmitRetries = 3
+
+// errLate marks an admission whose witness plan was found after its ctx
+// was done: it was refused at reserve, with nothing reserved. It is
+// always wrapped together with the ctx error (see settleLate).
+var errLate = errors.New("server: plan found after the decision deadline; nothing reserved")
 
 // hotCounters counts admission hot-path events. All fields are atomic;
 // the struct lives on the Ledger and is shared with every shard.
@@ -101,7 +114,8 @@ type admitOutcome struct {
 
 // admitWork is one admission in flight through the hot path. The claim
 // was indexed by AdmitCtx before the work entered the pipeline; whoever
-// reaches a terminal outcome either finalizes or abandons it.
+// reaches a terminal outcome either finalizes or abandons it. ctx is the
+// requester's: once it is done the work is refused at its next check.
 type admitWork struct {
 	ctx    context.Context
 	policy admission.Policy
@@ -143,9 +157,8 @@ func locsKey(locs []resource.Location) string {
 }
 
 // admitHot routes one claimed admission through the hot path and blocks
-// until its outcome is decided. It does not abort on ctx cancellation
-// mid-decision — the server's worker claim CAS rolls back late outcomes
-// — so every admission is always decided.
+// until its outcome is decided; a done ctx ends it with nothing
+// reserved (see Deadlines above).
 func (l *Ledger) admitHot(ctx context.Context, policy admission.Policy, job workload.Job, now interval.Time, locs []resource.Location, claim *reservation) (admission.Decision, error) {
 	w := &admitWork{
 		ctx:    ctx,
@@ -159,6 +172,10 @@ func (l *Ledger) admitHot(ctx context.Context, policy admission.Policy, job work
 	l.hot.batchedJobs.Add(1)
 
 	for attempt := 0; attempt <= defaultAdmitRetries; attempt++ {
+		if err := ctx.Err(); err != nil {
+			l.settle(w, admission.Decision{}, err)
+			return admission.Decision{}, err
+		}
 		vers := make([]uint64, len(locs))
 		free, err := l.snapshotFree(locs, vers)
 		if err != nil {
@@ -327,8 +344,9 @@ func (l *Ledger) planOne(w *admitWork, locs []resource.Location, free resource.S
 // planned works and applies each plan that is still valid: either no
 // shard's version moved since that work's snapshot (the plan fits by
 // construction), or its demand still fits the current free view. Works
-// whose plans no longer fit receive a retry outcome and replan; the
-// rest are reserved and finalized under one epoch bump.
+// whose plans no longer fit receive a retry outcome and replan; works
+// whose ctx is done are refused with errLate (whoever leads the batch);
+// the rest are reserved and finalized under one epoch bump.
 func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, attempt int) {
 	l.hot.batches.Add(1)
 	spans := l.startReserveSpans(batch, len(locs), attempt)
@@ -341,8 +359,13 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 		return
 	}
 	admitted := batch[:0:0]
-	var conflicted []*admitWork
+	var conflicted, late []*admitWork
 	for i, w := range batch {
+		if w.ctx.Err() != nil {
+			spans[i].SetStatus(span.StatusError)
+			late = append(late, w)
+			continue
+		}
 		fits, err := fitsLocked(shards, w)
 		if err != nil {
 			unlock()
@@ -351,6 +374,7 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 			for _, cw := range conflicted {
 				cw.done <- admitOutcome{retry: true}
 			}
+			l.settleLate(late)
 			l.finalizeBatch(locs, admitted)
 			l.settle(w, admission.Decision{}, err)
 			for _, rest := range batch[i+1:] {
@@ -374,6 +398,7 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 	for _, w := range conflicted {
 		w.done <- admitOutcome{retry: true}
 	}
+	l.settleLate(late)
 	l.finalizeBatch(locs, admitted)
 }
 
@@ -452,6 +477,11 @@ func (l *Ledger) runLocked(locs []resource.Location, w *admitWork) {
 		unlock()
 		return
 	}
+	if w.ctx.Err() != nil {
+		unlock()
+		l.settleLate([]*admitWork{w})
+		return
+	}
 	spans := l.startReserveSpans([]*admitWork{w}, len(shards), 0)
 	reserve(shards, w.parts)
 	unlock()
@@ -496,4 +526,12 @@ func (l *Ledger) finalizeBatch(locs []resource.Location, admitted []*admitWork) 
 func (l *Ledger) settle(w *admitWork, dec admission.Decision, err error) {
 	l.unindex(w.claim)
 	w.done <- admitOutcome{dec: dec, err: err}
+}
+
+// settleLate refuses works whose plan was found after their ctx was
+// done: each claim is abandoned and nothing was reserved.
+func (l *Ledger) settleLate(late []*admitWork) {
+	for _, w := range late {
+		l.settle(w, admission.Decision{}, fmt.Errorf("%w: %s: %w", errLate, w.job.Dist.Name, w.ctx.Err()))
+	}
 }

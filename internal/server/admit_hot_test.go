@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -537,6 +538,113 @@ func TestBatchedRejectKeepsReason(t *testing.T) {
 	// The rejected name is free for a retry (the claim was abandoned).
 	if _, err := l.Admit(policy, cpuJob(t, "squeezed", "l1", 0, 8)); err != nil {
 		t.Fatalf("retry of a rejected name: %v", err)
+	}
+	mustAudit(t, l)
+}
+
+// plannedWork claims a one-location job running in (start, start+16) and
+// plans it against the current free view, as admitHot does before a work
+// joins a validate batch.
+func plannedWork(t *testing.T, l *Ledger, ctx context.Context, name string, start interval.Time) *admitWork {
+	t.Helper()
+	job := cpuJob(t, name, "l1", start, start+16)
+	w := &admitWork{ctx: ctx, policy: &admission.Rota{}, job: job, now: l.Now(),
+		claim: &reservation{name: name, pending: true},
+		done:  make(chan admitOutcome, 1), lead: make(chan struct{}, 1)}
+	l.mu.Lock()
+	err := l.claimLocked(w.claim)
+	l.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs := job.Dist.Locations()
+	vers := make([]uint64, len(locs))
+	free, err := l.snapshotFree(locs, vers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !l.planOne(w, locs, free, vers, 0) {
+		t.Fatalf("%s: no witness plan", name)
+	}
+	return w
+}
+
+// A batch member whose ctx is done when its batch validates is refused
+// with an error wrapping the ctx error and reserves nothing, while the
+// live members beside it are reserved — wherever the expired member sits
+// in the batch, when it is the batch's leader, and when it falls back to
+// planning under the locks.
+func TestBatchRefusesOnlyTheExpiredMember(t *testing.T) {
+	locs := []resource.Location{"l1"}
+	for _, place := range []string{"first", "middle", "leader", "locked"} {
+		t.Run(place, func(t *testing.T) {
+			l := NewLedger(Config{Theta: cpuTheta(1, 64, "l1")}, nil)
+			done, cancel := context.WithCancel(context.Background())
+			cancel()
+			// Disjoint windows, so the live plans fit beside each other.
+			live1 := plannedWork(t, l, context.Background(), "live1", 0)
+			live2 := plannedWork(t, l, context.Background(), "live2", 16)
+			expired := plannedWork(t, l, done, "expired", 32)
+
+			var out admitOutcome
+			switch place {
+			case "first":
+				l.validateBatch(locs, []*admitWork{expired, live1, live2}, 0)
+				out = <-expired.done
+			case "middle":
+				l.validateBatch(locs, []*admitWork{live1, expired, live2}, 0)
+				out = <-expired.done
+			case "leader":
+				// The live works are queued in an idle group, so the expired
+				// work takes the lead and validates them with itself.
+				l.groups[locsKey(locs)] = &admitGroup{locs: locs, members: []*admitWork{live1, live2}}
+				out = l.submitToGroup(locs, expired, 0)
+				if len(l.groups) != 0 {
+					t.Error("the expired leader left its group behind")
+				}
+			case "locked":
+				l.validateBatch(locs, []*admitWork{live1, live2}, 0)
+				l.runLocked(locs, expired)
+				out = <-expired.done
+			}
+			if !errors.Is(out.err, context.Canceled) || !errors.Is(out.err, errLate) || out.retry {
+				t.Fatalf("expired member: %+v, want a late refusal wrapping context.Canceled", out)
+			}
+			for _, w := range []*admitWork{live1, live2} {
+				if got := <-w.done; got.err != nil || !got.dec.Admit {
+					t.Errorf("%s: %+v, want admitted", w.job.Dist.Name, got)
+				}
+			}
+			if n := l.NumCommitments(); n != 2 {
+				t.Errorf("%d commitments, want the 2 live members", n)
+			}
+			mustAudit(t, l)
+			// Nothing was reserved for the expired member, and its claim is
+			// gone: the name admits afresh.
+			if dec, err := l.Admit(&admission.Rota{}, cpuJob(t, "expired", "l1", 32, 48)); err != nil || !dec.Admit {
+				t.Fatalf("re-admit of the expired name: %v %+v", err, dec)
+			}
+		})
+	}
+}
+
+// An admission whose ctx is done before its first snapshot ends with the
+// bare ctx error — no plan was found, so it is not a late refusal — and
+// leaves neither a reservation nor a claim on the name.
+func TestAdmitCtxDoneBeforeSnapshot(t *testing.T) {
+	l := NewLedger(Config{Theta: cpuTheta(1, 64, "l1")}, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	epoch := l.Epoch()
+	_, err := l.AdmitCtx(ctx, &admission.Rota{}, cpuJob(t, "gone", "l1", 0, 64))
+	if !errors.Is(err, context.Canceled) || errors.Is(err, errLate) {
+		t.Fatalf("err = %v, want context.Canceled and no late refusal", err)
+	}
+	if n, e := l.NumCommitments(), l.Epoch(); n != 0 || e != epoch {
+		t.Fatalf("commitments=%d epoch %d → %d, want nothing applied", n, epoch, e)
+	}
+	if dec, err := l.Admit(&admission.Rota{}, cpuJob(t, "gone", "l1", 0, 64)); err != nil || !dec.Admit {
+		t.Fatalf("re-admit: %v %+v", err, dec)
 	}
 	mustAudit(t, l)
 }

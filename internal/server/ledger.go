@@ -1,6 +1,7 @@
 // Package server implements rotad, the ROTA admission-control daemon: a
-// live resource ledger sharded by location, a bounded worker pool that
-// runs Theorem-4 admission decisions against it, and an HTTP JSON API
+// live resource ledger sharded by location, a bounded set of decision
+// slots under which each request runs its Theorem-4 admission decision
+// against it on its own goroutine, and an HTTP JSON API
 // (admit / release / acquire / advance / query / stats).
 //
 // The ledger realizes the paper's committed path online: every admitted
@@ -682,9 +683,12 @@ func (l *Ledger) Admit(policy admission.Policy, job workload.Job) (admission.Dec
 	return l.AdmitCtx(context.Background(), policy, job)
 }
 
-// AdmitCtx is Admit with span tracing: the witness-plan search and the
-// reservation run as child spans of whatever span the context carries
-// (the server's admit span), so per-phase latency is attributable.
+// AdmitCtx is Admit with span tracing and a deadline: the witness-plan
+// search and the reservation run as child spans of whatever span the
+// context carries (the server's admit span), so per-phase latency is
+// attributable. Once ctx is done the admission ends with an error
+// wrapping ctx.Err() and reserves nothing; a plan found by then is
+// refused at reserve (errLate).
 //
 // The decision itself runs on the optimistic hot path (admit_hot.go):
 // the plan search happens against an immutable free-view snapshot taken

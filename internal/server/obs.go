@@ -21,7 +21,6 @@ func (s *Server) CollectMetrics(e *obs.Exposition) {
 	bi := st.Build
 	e.Gauge("rota_build_info", "Build metadata as labels; the value is always 1.",
 		obs.L("go_version", bi.GoVersion).With("module", bi.Module).With("version", bi.Version), 1)
-	e.Gauge("rota_queue_capacity", "Decision queue capacity.", nil, float64(cap(s.queue)))
 	e.Gauge("rota_workers", "Decision worker pool size.", nil, float64(s.cfg.Workers))
 
 	outcomes := s.cfg.Assure.Locations()

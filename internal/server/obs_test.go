@@ -13,59 +13,64 @@ import (
 
 	"repro/internal/interval"
 	"repro/internal/obs"
-	"repro/internal/workload"
+	"repro/internal/obs/assure"
 )
 
-// TestAdmitTimeoutRollsBackLateDecision is the regression test for the
-// admit-timeout reservation leak: a decision that completes after its
-// requester was told "timed out" must be rolled back, not left as a
-// live commitment nobody knows about.
-func TestAdmitTimeoutRollsBackLateDecision(t *testing.T) {
-	srv, err := New(Config{Theta: cpuTheta(4, 1000, "l1"), Workers: 1, DecisionTimeout: 30 * time.Millisecond})
+// TestAdmitTimeoutNeverReserves is the regression test for the
+// admit-timeout reservation leak, which is now impossible by
+// construction: a witness plan found after its admit's deadline is
+// refused at reserve, so the client's 503 leaves no reservation, no
+// promise and no epoch bump behind, and nothing is ever rolled back.
+func TestAdmitTimeoutNeverReserves(t *testing.T) {
+	const timeout = 20 * time.Millisecond
+	srv, err := New(Config{Theta: cpuTheta(4, 1000, "l1"), Workers: 1, DecisionTimeout: timeout, Assure: assure.New("n1")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := make(chan struct{})
-	srv.testDecideHook = func(job workload.Job) {
-		if job.Dist.Name == "slow" {
-			<-block // hold the worker until the requester has timed out
-		}
+	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	admit := func(ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/admit", strings.NewReader(admitBody(t, cpuJob(t, "slow", "l1", 0, 1000))))
+		srv.ServeHTTP(rec, req.WithContext(ctx))
+		return rec
 	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		_ = srv.Shutdown(context.Background())
-	})
 
-	resp, body := postBody(t, ts.URL+"/v1/admit", admitBody(t, cpuJob(t, "slow", "l1", 0, 1000)))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("blocked admit returned %d (%s), want 503 timeout", resp.StatusCode, body)
+	// The hook holds the planned admit past its deadline. Cancelling the
+	// request is the backstop that makes the handler's ctx surely done
+	// when the hook returns, even if its deadline timer has not fired.
+	reqCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv.Ledger().testPostPlanHook = func() {
+		time.Sleep(timeout)
+		cancel()
 	}
-	close(block) // let the worker finish its now-abandoned decision
+	epoch := srv.Ledger().Epoch()
+	rec := admit(reqCtx)
+	srv.Ledger().testPostPlanHook = nil
 
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().LateDecisions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("late decision never recorded: %+v", srv.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("overrun admit returned %d (%s), want 503 timeout", rec.Code, rec.Body)
 	}
 	st := srv.Stats()
-	if st.TimedOut != 1 {
-		t.Fatalf("timed_out = %d, want 1", st.TimedOut)
+	if st.Commitments != 0 || st.TimedOut != 1 {
+		t.Fatalf("commitments=%d timed_out=%d, want 0/1", st.Commitments, st.TimedOut)
 	}
-	if st.Commitments != 0 {
-		t.Fatalf("late-admitted reservation leaked: %d live commitments", st.Commitments)
+	if st.LateDecisions != 1 || st.Released != 0 {
+		t.Fatalf("late_decisions=%d released=%d, want 1/0", st.LateDecisions, st.Released)
+	}
+	if p, ok := srv.Assure().Lookup("slow"); ok {
+		t.Fatalf("a timed-out admit left a promise: %+v", p)
+	}
+	if got := srv.Ledger().Epoch(); got != epoch {
+		t.Fatalf("ledger epoch moved %d → %d for an admit that reserved nothing", epoch, got)
 	}
 	if err := srv.Ledger().Audit(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The name is free again: the same job admits cleanly, which it
-	// could not if the abandoned reservation were still on the ledger.
-	resp, body = postBody(t, ts.URL+"/v1/admit", admitBody(t, cpuJob(t, "slow", "l1", 0, 1000)))
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"admit":true`) {
-		t.Fatalf("re-admit after rollback: %d %s", resp.StatusCode, body)
+	// The name was never taken: the same job admits cleanly.
+	if rec := admit(context.Background()); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"admit":true`) {
+		t.Fatalf("re-admit after the timeout: %d %s", rec.Code, rec.Body)
 	}
 }
 

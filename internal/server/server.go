@@ -35,14 +35,14 @@ type Config struct {
 	Theta resource.Set
 	// Now is the initial ledger clock.
 	Now interval.Time
-	// Workers bounds concurrent admission decisions; default GOMAXPROCS.
+	// Workers is the number of decision slots: at most this many admits
+	// decide at once, each on its own request goroutine, and the rest
+	// wait for a slot until their deadline. Default GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds decisions waiting for a worker; default
-	// 4×Workers. When the queue is full, admits block (backpressure)
-	// until their deadline.
-	QueueDepth int
-	// DecisionTimeout is the per-request deadline covering queue wait
-	// plus decision time; default 2s.
+	// DecisionTimeout bounds one admit's slot wait plus decision; default
+	// 2s. It bounds the wait, not the plan search, which is bounded by
+	// itself: a plan found after the deadline is refused at reserve and
+	// never applied, so a timed-out client never holds resources.
 	DecisionTimeout time.Duration
 	// MaxBodyBytes bounds request bodies; default 1 MiB.
 	MaxBodyBytes int64
@@ -82,9 +82,6 @@ func (c *Config) fill() error {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
 	if c.DecisionTimeout <= 0 {
 		c.DecisionTimeout = 2 * time.Second
 	}
@@ -94,45 +91,23 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// decideTask is one admission decision in flight through the worker pool.
-type decideTask struct {
-	ctx      context.Context
-	job      workload.Job
-	done     chan decideResult
-	trace    string
-	enqueued time.Time
-	// claimed settles the race between a worker delivering a verdict and
-	// the handler giving up on a timed-out request: whoever wins the CAS
-	// owns the outcome. A worker that loses rolls back any reservation it
-	// just made, so a client told "timed out" never silently holds
-	// resources.
-	claimed atomic.Bool
-}
-
-// claim attempts to take ownership of the task's outcome.
-func (t *decideTask) claim() bool {
-	return t.claimed.CompareAndSwap(false, true)
-}
-
-type decideResult struct {
-	dec admission.Decision
-	err error
-}
-
-// Server is the rotad daemon core: ledger + worker pool + HTTP handler.
-// Create with New, serve via the http.Handler interface, stop with
-// Shutdown.
+// Server is the rotad daemon core: ledger + decision slots + HTTP
+// handler. Create with New, serve via the http.Handler interface, stop
+// with Shutdown.
 type Server struct {
 	cfg    Config
 	ledger *Ledger
 	mux    *http.ServeMux
 
-	queue    chan *decideTask
-	workerWg sync.WaitGroup
+	// slots is the decision semaphore: an admit holds one of its
+	// cfg.Workers slots while it decides on its own goroutine; waiting
+	// counts the admits blocked on a full semaphore.
+	slots   chan struct{}
+	waiting atomic.Int64
 
-	// drainMu serializes the draining flag against task enqueues: admits
-	// hold it shared for check-and-enqueue, Shutdown exclusively to flip
-	// the flag, so no task can slip in after the drain begins.
+	// drainMu serializes the draining flag against inflight.Add: admits
+	// hold it shared to check and Add, Shutdown exclusively to flip the
+	// flag, so no admit can start after a drain has begun waiting.
 	drainMu  sync.RWMutex
 	draining bool
 	inflight sync.WaitGroup
@@ -144,7 +119,6 @@ type Server struct {
 	timedOut      atomic.Uint64
 	released      atomic.Uint64
 	lateDecisions atomic.Uint64
-	inflightDecs  atomic.Int64
 	latencyUS     *metrics.Histogram
 
 	obs       *obs.Observer
@@ -160,22 +134,17 @@ type Server struct {
 	queryLatencyUS *metrics.Histogram
 	webhookMu      sync.Mutex
 	webhooks       map[uint64]*query.Subscription
-
-	// testDecideHook, when non-nil, runs in the worker between the
-	// queue-drop check and the ledger admission — test instrumentation
-	// for provoking the late-decision race deterministically.
-	testDecideHook func(job workload.Job)
 }
 
-// New builds and starts a daemon core (worker pool running, no listener —
-// the caller attaches it to an http.Server or httptest).
+// New builds a daemon core (no listener — the caller attaches it to an
+// http.Server or httptest).
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:            cfg,
-		queue:          make(chan *decideTask, cfg.QueueDepth),
+		slots:          make(chan struct{}, cfg.Workers),
 		started:        time.Now(),
 		latencyUS:      metrics.NewHistogram(),
 		queryLatencyUS: metrics.NewHistogram(),
@@ -211,10 +180,6 @@ func New(cfg Config) (*Server, error) {
 	s.route("POST /v1/cluster/commit", "cluster.commit", s.handleCommit)
 	s.route("POST /v1/cluster/abort", "cluster.abort", s.handleAbort)
 	s.route("GET /v1/cluster/free", "cluster.free", s.handleFree)
-	for i := 0; i < cfg.Workers; i++ {
-		s.workerWg.Add(1)
-		go s.worker()
-	}
 	return s, nil
 }
 
@@ -264,78 +229,55 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// worker drains the decision queue. The pool bounds how many Theorem-4
-// searches run at once regardless of how many requests are in flight.
-func (s *Server) worker() {
-	defer s.workerWg.Done()
-	for task := range s.queue {
-		if task.ctx.Err() != nil {
-			// The requester gave up while the task sat in the queue.
-			s.inflight.Done()
-			continue
-		}
-		if s.testDecideHook != nil {
-			s.testDecideHook(task.job)
-		}
-		s.inflightDecs.Add(1)
-		start := time.Now()
-		span.FromContext(task.ctx).Attr("queue_wait_us", start.Sub(task.enqueued).Microseconds())
-		dec, err := s.ledger.AdmitCtx(task.ctx, s.cfg.Policy, task.job)
-		decided := time.Since(start)
-		s.inflightDecs.Add(-1)
-		if err == nil {
-			// Only genuine verdicts feed the decision-latency histogram;
-			// duplicate names and internal errors never reach a verdict.
-			s.latencyUS.Observe(float64(decided.Microseconds()))
-		}
-		if err == nil && dec.Admit {
-			s.obs.Log("ledger.reserve",
-				"trace", task.trace,
-				"job", task.job.Dist.Name,
-				"finish", dec.Plan.Finish,
-				"deadline", task.job.Dist.Deadline)
-		}
-		if task.claim() {
-			task.done <- decideResult{dec: dec, err: err}
-		} else {
-			// The handler already told the client "timed out". A verdict
-			// delivered now would be a silent resource leak: roll back the
-			// reservation the client will never learn about.
-			s.lateDecisions.Add(1)
-			rolledBack := false
-			if err == nil && dec.Admit {
-				// The admission is being unwound, not honored: drop the
-				// promise before the release so it isn't counted kept.
-				s.cfg.Assure.Drop(task.job.Dist.Name)
-				rolledBack = s.ledger.Release(task.job.Dist.Name) == nil
-			}
-			s.obs.Log("admit.late_decision",
-				"trace", task.trace,
-				"job", task.job.Dist.Name,
-				"admit", err == nil && dec.Admit,
-				"rolled_back", rolledBack,
-				"decision_us", decided.Microseconds(),
-				"queue_wait_us", start.Sub(task.enqueued).Microseconds())
-		}
-		if thr := s.obs.SlowThreshold(); thr > 0 && decided >= thr {
-			s.traceSlowDecision(task, dec, err, start.Sub(task.enqueued), decided)
-		}
-		s.inflight.Done()
+// decide waits for a decision slot, at most until ctx is done, and then
+// decides the job on the calling goroutine. The slots bound how many
+// Theorem-4 searches run at once however many requests are in flight.
+func (s *Server) decide(ctx context.Context, job workload.Job, trace string) (admission.Decision, error) {
+	waitStart := time.Now()
+	s.waiting.Add(1)
+	select {
+	case s.slots <- struct{}{}:
+		s.waiting.Add(-1)
+	case <-ctx.Done():
+		s.waiting.Add(-1)
+		return admission.Decision{}, ctx.Err()
 	}
+	start := time.Now()
+	queued := start.Sub(waitStart)
+	span.FromContext(ctx).Attr("queue_wait_us", queued.Microseconds())
+	dec, err := s.ledger.AdmitCtx(ctx, s.cfg.Policy, job)
+	decided := time.Since(start)
+	<-s.slots
+	if err == nil {
+		// Only genuine verdicts feed the decision-latency histogram;
+		// duplicate names, timeouts and internal errors never reach one.
+		s.latencyUS.Observe(float64(decided.Microseconds()))
+	}
+	if err == nil && dec.Admit {
+		s.obs.Log("ledger.reserve",
+			"trace", trace,
+			"job", job.Dist.Name,
+			"finish", dec.Plan.Finish,
+			"deadline", job.Dist.Deadline)
+	}
+	if thr := s.obs.SlowThreshold(); thr > 0 && decided >= thr {
+		s.traceSlowDecision(job, trace, dec, err, queued, decided)
+	}
+	return dec, err
 }
 
 // traceSlowDecision logs a decision that exceeded the slow threshold:
-// the job, its resource footprint, and per-phase timings (queue wait vs
+// the job, its resource footprint, and per-phase timings (slot wait vs
 // ledger lock + policy search).
-func (s *Server) traceSlowDecision(task *decideTask, dec admission.Decision, err error, queued, decided time.Duration) {
-	locs := task.job.Dist.Locations()
+func (s *Server) traceSlowDecision(job workload.Job, trace string, dec admission.Decision, err error, queued, decided time.Duration) {
+	locs := job.Dist.Locations()
 	parts := make([]string, len(locs))
 	for i, loc := range locs {
 		parts[i] = string(loc)
 	}
 	s.obs.Log("admit.slow_decision",
-		"trace", task.trace,
-		"job", task.job.Dist.Name,
+		"trace", trace,
+		"job", job.Dist.Name,
 		"footprint", strings.Join(parts, ","),
 		"admit", err == nil && dec.Admit,
 		"queue_wait_us", queued.Microseconds(),
@@ -344,17 +286,14 @@ func (s *Server) traceSlowDecision(task *decideTask, dec admission.Decision, err
 		"policy_us", dec.Elapsed.Microseconds())
 }
 
-// Shutdown gracefully stops the daemon: new admissions are rejected
-// immediately, queued and running decisions finish (bounded by ctx), then
-// the worker pool exits. Safe to call once.
+// Shutdown gracefully stops the daemon: new admissions are refused
+// immediately, and admits already waiting or deciding finish (bounded by
+// ctx) before the query manager closes. Every call waits, so a call
+// whose ctx ran out can be followed by one that completes the drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainMu.Lock()
-	already := s.draining
 	s.draining = true
 	s.drainMu.Unlock()
-	if already {
-		return nil
-	}
 	drained := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -365,28 +304,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("server: drain interrupted: %w", ctx.Err())
 	}
-	close(s.queue)
-	s.workerWg.Wait()
 	s.queries.Close()
 	return nil
 }
 
-// submit enqueues a decision unless the daemon is draining. It returns
-// false when draining.
-func (s *Server) submit(task *decideTask) bool {
+// enter registers an admit with the drain, unless the daemon is
+// draining; on true the caller must call s.inflight.Done.
+func (s *Server) enter() bool {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
 	if s.draining {
 		return false
 	}
 	s.inflight.Add(1)
-	select {
-	case s.queue <- task:
-		return true
-	case <-task.ctx.Done():
-		s.inflight.Done()
-		return true // enqueued-or-expired; caller sees the ctx error
-	}
+	return true
 }
 
 // API request/response bodies.
@@ -442,12 +373,13 @@ type StatsResponse struct {
 	Released  uint64 `json:"released" metric:"rota_released_total" help:"Commitments released via the API."`
 	Errors    uint64 `json:"errors" metric:"rota_errors_total" help:"Requests that failed before a verdict."`
 	TimedOut  uint64 `json:"timed_out" metric:"rota_timeouts_total" help:"Admissions that exceeded the decision deadline."`
-	// LateDecisions counts decisions that completed after their requester
-	// had already been told "timed out"; admitted ones are rolled back.
-	LateDecisions uint64 `json:"late_decisions" metric:"rota_late_decisions_total" help:"Decisions completed after their requester timed out (admits rolled back)."`
+	// LateDecisions counts the timed-out admits whose witness plan was
+	// found but refused at reserve because the deadline had passed; they
+	// reserved nothing (and are counted in TimedOut too).
+	LateDecisions uint64 `json:"late_decisions" metric:"rota_late_decisions_total" help:"Plans found after their admit's deadline and refused at reserve (nothing reserved)."`
 
-	// QueueDepth and InFlight are point-in-time gauges of the worker
-	// pool: decisions waiting for a worker and decisions mid-search.
+	// QueueDepth and InFlight are point-in-time gauges of the decision
+	// slots: admits waiting for a slot and admits holding one.
 	QueueDepth int64 `json:"queue_depth" metric:"rota_queue_depth" help:"Decisions waiting for a worker."`
 	InFlight   int64 `json:"in_flight" metric:"rota_inflight_decisions" help:"Decisions currently mid-search in the worker pool."`
 
@@ -460,8 +392,8 @@ type StatsResponse struct {
 	// retries and fallbacks, and free-view cache patches vs recomputes.
 	AdmitHot AdmitHotCounters `json:"admit_hot"`
 
-	// DecisionLatencyUS digests worker-side decision service time
-	// (ledger lock + policy) in microseconds.
+	// DecisionLatencyUS digests decision service time while holding a
+	// slot (ledger lock + policy) in microseconds.
 	DecisionLatencyUS metrics.HistogramSummary `json:"decision_latency_us" metric:"rota_decision_latency_us" help:"Worker-side decision service time (ledger lock + policy) in microseconds."`
 
 	// Spans digests the span store: ring-buffer bound, live records, and
@@ -535,90 +467,81 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	httpError(w, http.StatusBadRequest, err)
 }
 
-// admitDecide runs a validated job through the worker pool and writes
-// the verdict. sctx carries the request's admit span.
+// admitDecide decides a validated job on the request goroutine and
+// writes the verdict. sctx carries the request's admit span.
 func (s *Server) admitDecide(w http.ResponseWriter, sctx context.Context, adSpan *span.Span, job workload.Job) {
 	adSpan.Attr("job", job.Dist.Name)
 	adSpan.Attr("deadline", job.Dist.Deadline)
-
-	ctx, cancel := context.WithTimeout(sctx, s.cfg.DecisionTimeout)
-	defer cancel()
-	trace := obs.Trace(sctx)
-	task := &decideTask{ctx: ctx, job: job, done: make(chan decideResult, 1),
-		trace: trace, enqueued: time.Now()}
-	if !s.submit(task) {
+	if !s.enter() {
 		adSpan.SetStatus(span.StatusError)
 		httpError(w, http.StatusServiceUnavailable, errors.New("server: draining, not accepting new admissions"))
 		return
 	}
+	defer s.inflight.Done()
 
-	deliver := func(res decideResult) {
-		if res.err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(res.err, ErrDuplicate) {
-				status = http.StatusConflict
-			}
-			s.errored.Add(1)
-			s.obs.Log("admit.error", "trace", trace, "job", job.Dist.Name, "error", res.err)
-			adSpan.SetStatus(span.StatusError)
-			adSpan.Attr("error", res.err)
-			httpError(w, status, res.err)
-			return
-		}
-		if res.dec.Admit {
-			s.admitted.Add(1)
-		} else {
-			s.rejected.Add(1)
-		}
-		s.obs.Log("admit.decision",
-			"trace", trace,
-			"job", job.Dist.Name,
-			"admit", res.dec.Admit,
-			"reason", res.dec.Reason,
-			"deadline", job.Dist.Deadline,
-			"decision_us", res.dec.Elapsed.Microseconds())
-		resp := AdmitResponse{
-			Job:       job.Dist.Name,
-			Admit:     res.dec.Admit,
-			Reason:    res.dec.Reason,
-			Deadline:  job.Dist.Deadline,
-			ElapsedUS: res.dec.Elapsed.Microseconds(),
-		}
-		adSpan.Attr("admit", res.dec.Admit)
-		if res.dec.Admit {
-			if res.dec.Plan != nil {
-				resp.Finish = res.dec.Plan.Finish
-				adSpan.Attr("finish", res.dec.Plan.Finish)
-			}
-		} else {
-			resp.Provenance = span.Classify(res.dec.Reason)
-			adSpan.SetStatus(span.StatusReject)
-			adSpan.SetProvenance(resp.Provenance)
-		}
-		writeJSON(w, http.StatusOK, resp)
-	}
-
-	select {
-	case res := <-task.done:
-		deliver(res)
-	case <-ctx.Done():
-		if !task.claim() {
-			// A worker won the race and is delivering (or has delivered)
-			// a verdict; honour it rather than reporting a timeout for a
-			// decision that was actually made.
-			deliver(<-task.done)
-			return
-		}
-		// The claim guarantees the worker sees the abandonment and rolls
-		// back any reservation it completes late.
+	ctx, cancel := context.WithTimeout(sctx, s.cfg.DecisionTimeout)
+	defer cancel()
+	trace := obs.Trace(sctx)
+	dec, err := s.decide(ctx, job, trace)
+	switch {
+	case err != nil && errors.Is(err, ctx.Err()):
+		// The deadline passed before a verdict was applied, and the
+		// ledger reserves nothing once it has: the 503 is the whole truth.
+		late := errors.Is(err, errLate)
 		s.timedOut.Add(1)
+		if late {
+			s.lateDecisions.Add(1)
+		}
 		adSpan.SetStatus(span.StatusError)
 		adSpan.Attr("error", "decision timeout")
 		s.obs.Log("admit.timeout", "trace", trace, "job", job.Dist.Name,
-			"timeout_ms", s.cfg.DecisionTimeout.Milliseconds())
+			"timeout_ms", s.cfg.DecisionTimeout.Milliseconds(), "late", late)
 		httpError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("server: decision for %s exceeded %v", job.Dist.Name, s.cfg.DecisionTimeout))
+		return
+	case err != nil:
+		status := http.StatusInternalServerError
+		if errors.Is(err, ErrDuplicate) {
+			status = http.StatusConflict
+		}
+		s.errored.Add(1)
+		s.obs.Log("admit.error", "trace", trace, "job", job.Dist.Name, "error", err)
+		adSpan.SetStatus(span.StatusError)
+		adSpan.Attr("error", err)
+		httpError(w, status, err)
+		return
 	}
+	if dec.Admit {
+		s.admitted.Add(1)
+	} else {
+		s.rejected.Add(1)
+	}
+	s.obs.Log("admit.decision",
+		"trace", trace,
+		"job", job.Dist.Name,
+		"admit", dec.Admit,
+		"reason", dec.Reason,
+		"deadline", job.Dist.Deadline,
+		"decision_us", dec.Elapsed.Microseconds())
+	resp := AdmitResponse{
+		Job:       job.Dist.Name,
+		Admit:     dec.Admit,
+		Reason:    dec.Reason,
+		Deadline:  job.Dist.Deadline,
+		ElapsedUS: dec.Elapsed.Microseconds(),
+	}
+	adSpan.Attr("admit", dec.Admit)
+	if dec.Admit {
+		if dec.Plan != nil {
+			resp.Finish = dec.Plan.Finish
+			adSpan.Attr("finish", dec.Plan.Finish)
+		}
+	} else {
+		resp.Provenance = span.Classify(dec.Reason)
+		adSpan.SetStatus(span.StatusReject)
+		adSpan.SetProvenance(resp.Provenance)
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -706,8 +629,8 @@ func (s *Server) Stats() StatsResponse {
 		Errors:            s.errored.Load(),
 		TimedOut:          s.timedOut.Load(),
 		LateDecisions:     s.lateDecisions.Load(),
-		QueueDepth:        int64(len(s.queue)),
-		InFlight:          s.inflightDecs.Load(),
+		QueueDepth:        s.waiting.Load(),
+		InFlight:          int64(len(s.slots)),
 		Holds:             s.ledger.NumHolds(),
 		TwoPhase:          s.ledger.TwoPhase(),
 		AdmitHot:          s.ledger.AdmitHot(),

@@ -251,6 +251,50 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 }
 
+// A Shutdown whose ctx ran out before the drain finished must not make a
+// later call return early: every call waits for the admits in flight.
+func TestShutdownAfterInterruptedDrainWaits(t *testing.T) {
+	srv, err := New(Config{Theta: cpuTheta(2, 64, "l1"), Workers: 1, DecisionTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv.Ledger().testPostPlanHook = func() {
+		close(entered)
+		<-release
+	}
+	body := admitBody(t, cpuJob(t, "held", "l1", 0, 64))
+	code := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/admit", strings.NewReader(body)))
+		code <- rec.Code
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err == nil {
+		close(release)
+		t.Fatal("Shutdown returned nil while an admit was still deciding")
+	}
+	second := make(chan error, 1)
+	go func() { second <- srv.Shutdown(context.Background()) }()
+	select {
+	case err := <-second:
+		close(release)
+		t.Fatalf("second Shutdown returned %v while an admit was still deciding", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	if c := <-code; c != http.StatusOK {
+		t.Fatalf("the held admit answered %d, want 200", c)
+	}
+}
+
 // TestServerConcurrentLoad drives >100 concurrent admit/release requests
 // through the real HTTP stack (run under -race) and audits the ledger.
 func TestServerConcurrentLoad(t *testing.T) {
