@@ -36,9 +36,12 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Ten seconds of coverage-guided inputs holding the splice kernels to
-# the event-sweep reference (internal/resource/profile_test.go).
+# the event-sweep reference (internal/resource/profile_test.go), then ten
+# holding the single-pass set parser to a NewSet fold of its terms
+# (internal/resource/fuzz_test.go). -fuzz takes one target per run.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzProfileKernels -fuzztime 10s ./internal/resource/
+	$(GO) test -run '^$$' -fuzz '^FuzzProfileKernels$$' -fuzztime 10s ./internal/resource/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSet$$' -fuzztime 10s ./internal/resource/
 
 # benchmark/ is a module of its own that tier-1 neither builds nor
 # tests; vetting it here catches an exported name under internal/ that

@@ -551,7 +551,10 @@ func (n *Node) admitLocal(w http.ResponseWriter, r *http.Request, job workload.J
 
 // forward relays a single-owner admit to the owning peer and relays the
 // peer's verdict back verbatim. A 421 redirect is consumed here: the
-// new owner is learned and the caller retries against it.
+// new owner is learned and the caller retries against it. A 2xx verdict
+// longer than the peer-response limit is refused as a 502: if it was an
+// admission, the peer holds the reservation while the client is told the
+// forward failed: that verdict is lost.
 func (n *Node) forward(w http.ResponseWriter, r *http.Request, ps *peerState, body []byte) (retry bool) {
 	n.forwarded.Add(1)
 	sctx, sp := n.spans.Start(r.Context(), span.KindForward)
@@ -778,21 +781,25 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 		return false
 	}
 
-	// Split the witness plan's demand by owner (live table).
+	// Split the witness plan's demand by owner (live table), in one pass
+	// over its allocations.
 	split := make(map[*peerState]resource.Set)
-	for _, t := range dec.Plan.Demand().Terms() {
-		ref, ok := n.lookupOwner(t.Type.Loc)
+	for _, a := range dec.Plan.Allocs {
+		if a.Term.Null() {
+			continue
+		}
+		ref, ok := n.lookupOwner(a.Term.Type.Loc)
 		if !ok {
 			csp.SetStatus(span.StatusError)
 			csp.Attr("outcome", "failed")
 			n.coordFailed.Add(1)
 			httpError(w, http.StatusInternalServerError,
-				fmt.Errorf("cluster: plan for %s consumes unowned location %s", job.Dist.Name, t.Type.Loc))
+				fmt.Errorf("cluster: plan for %s consumes unowned location %s", job.Dist.Name, a.Term.Type.Loc))
 			return false
 		}
 		ps := n.peerFor(ref)
 		set := split[ps]
-		set.Add(t)
+		set.Add(a.Term)
 		split[ps] = set
 	}
 	active := parts[:0]

@@ -31,6 +31,14 @@ const headerForwarded = "X-Rota-Forwarded"
 // correlation on the receiving side.
 const headerIdempotency = "X-Rota-Idempotency-Key"
 
+// maxPeerBody bounds the bytes read from one peer response. A longer
+// response is refused whole, never relayed or decoded cut short.
+const maxPeerBody = 1 << 20
+
+// errBodyTooLarge marks a peer response longer than maxPeerBody. The peer
+// answered, so another attempt would only read the same answer.
+var errBodyTooLarge = errors.New("peer response too large")
+
 // httpStatusError is a non-2xx response that reached us intact: the
 // request was received and refused, so it is not retried (except 5xx,
 // handled by the retry loop).
@@ -112,15 +120,16 @@ func (c *rpcClient) backoff(ctx context.Context, i int) error {
 
 // retryable reports whether an attempt's failure is worth another try:
 // transport errors (the peer may not have seen the request) and 5xx
-// responses (the peer is briefly unhealthy). 4xx verdicts are final,
-// and so is the caller's own cancellation — the requester is gone, so
-// another attempt could only succeed on nobody's behalf.
+// responses (the peer is briefly unhealthy). 4xx verdicts are final, and
+// so is a 2xx response over maxPeerBody. So is the caller's own cancellation
+// — the requester is gone, so another attempt could only succeed on
+// nobody's behalf.
 func retryable(err error) bool {
 	var se *httpStatusError
 	if errors.As(err, &se) {
 		return se.status >= 500
 	}
-	if errors.Is(err, context.Canceled) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, errBodyTooLarge) {
 		return false
 	}
 	return true // transport-level failure (including per-attempt timeout)
@@ -230,12 +239,19 @@ func (c *rpcClient) once(ctx context.Context, method, url string, body []byte, o
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody+1))
 	if err != nil {
 		return 0, nil, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		// A refusal is decided by its status, whatever its length: only
+		// the message is cut at the limit.
+		data = data[:min(len(data), maxPeerBody)]
 		return resp.StatusCode, data, &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(data))}
+	}
+	if len(data) > maxPeerBody {
+		return resp.StatusCode, nil, fmt.Errorf("cluster: %s response (status %d) exceeds the %d-byte limit: %w",
+			url, resp.StatusCode, maxPeerBody, errBodyTooLarge)
 	}
 	if out != nil {
 		if err := json.Unmarshal(data, out); err != nil {

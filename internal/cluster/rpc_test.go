@@ -140,3 +140,52 @@ func TestRPCOnceCarriesTraceHeader(t *testing.T) {
 		t.Fatalf("peer saw trace %q", got.Load())
 	}
 }
+
+// TestRPCProxyRefusesOversizedBody: a peer's 2xx response one byte over
+// the read limit is an error naming the limit, not a truncated body
+// relayed with the peer's status — and one attempt, since the peer
+// would only answer the same again.
+func TestRPCProxyRefusesOversizedBody(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Write([]byte(strings.Repeat("x", 1<<20+1)))
+	}))
+	defer ts.Close()
+
+	c := newRPCClient(rpcOptions{timeout: time.Second, retries: 3}, nil, nil)
+	status, data, err := c.proxy(context.Background(), ts.URL, []byte(`{}`), nil, nil)
+	if err == nil {
+		t.Fatalf("proxy relayed %d bytes with status %d and no error", len(data), status)
+	}
+	if !strings.Contains(err.Error(), "1048576-byte limit") {
+		t.Fatalf("err = %v, want it to name the 1048576-byte limit", err)
+	}
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("attempts = %d, want 1 (an oversized answer is final)", got)
+	}
+}
+
+// TestRPCProxyRetriesOversized5xx: a 5xx is retried by its status,
+// however long its body, so a peer that recovers still answers.
+func TestRPCProxyRetriesOversized5xx(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 1 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			w.Write([]byte(strings.Repeat("x", 1<<20+1)))
+			return
+		}
+		w.Write([]byte(`{"ok":true}`))
+	}))
+	defer ts.Close()
+
+	c := newRPCClient(rpcOptions{timeout: time.Second, retries: 3}, nil, nil)
+	status, data, err := c.proxy(context.Background(), ts.URL, []byte(`{}`), nil, nil)
+	if err != nil || status != http.StatusOK || string(data) != `{"ok":true}` {
+		t.Fatalf("proxy = %d, %q, %v; want 200 and the second answer", status, data, err)
+	}
+	if got := hits.Load(); got != 2 {
+		t.Fatalf("attempts = %d, want 2", got)
+	}
+}

@@ -163,20 +163,28 @@ func (iv Interval) ClampEnd(t Time) Interval {
 
 // String renders the interval in the paper's (start, end) notation.
 func (iv Interval) String() string {
-	if iv.Empty() {
-		return "(∅)"
-	}
-	return "(" + formatTime(iv.Start) + "," + formatTime(iv.End) + ")"
+	var buf [48]byte
+	return string(iv.Append(buf[:0]))
 }
 
-func formatTime(t Time) string {
+// Append appends String's rendering of the interval to b.
+func (iv Interval) Append(b []byte) []byte {
+	if iv.Empty() {
+		return append(b, "(∅)"...)
+	}
+	b = appendTime(append(b, '('), iv.Start)
+	b = appendTime(append(b, ','), iv.End)
+	return append(b, ')')
+}
+
+func appendTime(b []byte, t Time) []byte {
 	switch t {
 	case Infinity:
-		return "+inf"
+		return append(b, "+inf"...)
 	case NegInfinity:
-		return "-inf"
+		return append(b, "-inf"...)
 	}
-	return strconv.FormatInt(t, 10)
+	return strconv.AppendInt(b, t, 10)
 }
 
 // Parse parses the "(start,end)" notation produced by String.

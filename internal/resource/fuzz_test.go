@@ -49,6 +49,14 @@ func FuzzParseSet(f *testing.F) {
 		"5:cpu@l1:(0,3),5:cpu@l1:(2,8)",
 		",,,",
 		"5:cpu@l1:(0,3),(",
+		// Out of order, overlapping, equal-rate seams either way round, a
+		// type that comes back after another: the sort and every splice
+		// fallback of the parser.
+		"3:cpu@l1:(6,9),5:cpu@l1:(0,3)",
+		"5:cpu@l1:(0,6),2.5:cpu@l1:(3,9),1:cpu@l1:(-inf,1)",
+		"5:cpu@l1:(0,3),5:cpu@l1:(3,8),4:cpu@l1:(8,+inf)",
+		"5:cpu@l1:(3,8),5:cpu@l1:(0,3)",
+		"1:cpu@l1:(0,1),1:network@l1>l2:(0,1),1.0015:cpu@l1:(5,6),0:cpu@l1:(1,2)",
 	} {
 		f.Add(seed)
 	}
@@ -57,8 +65,17 @@ func FuzzParseSet(f *testing.F) {
 			return
 		}
 		s, err := ParseSet(input)
+		// The single pass agrees with folding each field's term in with
+		// NewSet, errors included.
+		ref, refErr := refParseSet(input)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("ParseSet(%q) err = %v, reference err = %v", input, err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if !s.Equal(ref) {
+			t.Fatalf("ParseSet(%q) = %v, reference %v", input, s, ref)
 		}
 		// Round trip: Compact must re-parse to an equal set.
 		back, err := ParseSet(s.Compact())

@@ -85,17 +85,29 @@ func (lt LocatedType) String() string {
 // compact renders the located type for the scenario-file syntax:
 // "cpu@l1" or "network@l1>l2".
 func (lt LocatedType) compact() string {
+	var buf [64]byte
+	return string(lt.appendCompact(buf[:0]))
+}
+
+// appendCompact appends the compact rendering of lt to b.
+func (lt LocatedType) appendCompact(b []byte) []byte {
+	b = append(append(append(b, lt.Kind...), '@'), lt.Loc...)
 	if lt.IsLink() {
-		return fmt.Sprintf("%s@%s>%s", lt.Kind, lt.Loc, lt.Dst)
+		b = append(append(b, '>'), lt.Dst...)
 	}
-	return fmt.Sprintf("%s@%s", lt.Kind, lt.Loc)
+	return b
 }
 
 // ParseLocatedType parses the compact "kind@loc" / "kind@src>dst" syntax.
+// Parentheses and commas are refused in names: they delimit intervals
+// and terms in a set's text, which would not read back.
 func ParseLocatedType(s string) (LocatedType, error) {
 	kindPart, locPart, ok := strings.Cut(s, "@")
 	if !ok || kindPart == "" || locPart == "" {
 		return LocatedType{}, fmt.Errorf("resource: malformed located type %q (want kind@loc)", s)
+	}
+	if strings.ContainsAny(s, "(),") {
+		return LocatedType{}, fmt.Errorf("resource: malformed located type %q (parentheses and commas are reserved)", s)
 	}
 	src, dst, isLink := strings.Cut(locPart, ">")
 	if src == "" {

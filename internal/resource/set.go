@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -390,43 +391,107 @@ func (s Set) String() string {
 }
 
 // Compact renders the set in scenario-file syntax: comma-separated
-// compact terms.
+// compact terms, in Terms order.
 func (s Set) Compact() string {
-	terms := s.Terms()
-	parts := make([]string, len(terms))
-	for i, t := range terms {
-		parts[i] = t.Compact()
+	types := s.Types()
+	size := 0
+	for _, lt := range types {
+		size += len(s.profiles[lt].segs) * (len(lt.Kind) + len(lt.Loc) + len(lt.Dst) + termTextBytes)
 	}
-	return strings.Join(parts, ",")
+	var out strings.Builder
+	out.Grow(size)
+	var buf [96]byte
+	for _, lt := range types {
+		for _, seg := range s.profiles[lt].segs {
+			if out.Len() > 0 {
+				out.WriteByte(',')
+			}
+			out.Write(appendTerm(buf[:0], seg.rate, lt, seg.span))
+		}
+	}
+	return out.String()
 }
+
+// termTextBytes is Compact's guess at what a term's text takes beyond
+// its located type's names: separators, a rate and two ticks.
+const termTextBytes = 24
 
 // ParseSet parses the comma-separated compact syntax produced by Compact.
 // An empty string yields the empty set.
+//
+// It reads the text in one pass into a list of terms, sorts the list by
+// located type and start unless it is in that order already, as
+// Compact's output is, and builds each type's segments in one run at the
+// tail of a single backing array. A term that starts after the last
+// segment of its type, and does not abut it at an equal rate, is
+// appended there, so text whose terms do not overlap costs O(terms)
+// after the sort, however its types interleave. A term that overlaps the
+// last segment or meets it at an equal rate is folded in by an add
+// splice, exactly as NewSet would.
 func ParseSet(str string) (Set, error) {
 	str = strings.TrimSpace(str)
-	if str == "" {
-		return Set{}, nil
-	}
-	var s Set
-	for _, field := range splitTopLevel(str) {
-		field = strings.TrimSpace(field)
-		if field == "" {
+	// A term has two colons and is at least as long as the shortest one.
+	terms := make([]Term, 0, min(strings.Count(str, ":")/2, len(str)/len("1:k@l:(0,1)")))
+	for rest := str; rest != ""; {
+		var field string
+		field, rest = cutTopLevel(rest)
+		if field = strings.TrimSpace(field); field == "" {
 			continue
 		}
 		t, err := ParseTerm(field)
 		if err != nil {
 			return Set{}, fmt.Errorf("resource: parse set: %w", err)
 		}
-		s.Add(t)
+		if !t.Null() {
+			terms = append(terms, t)
+		}
+	}
+	if !slices.IsSortedFunc(terms, byTypeThenStart) {
+		slices.SortFunc(terms, byTypeThenStart)
+	}
+	var (
+		s     Set
+		arena = make([]segment, 0, len(terms))
+		run   int // the current type's segments are arena[run:]
+	)
+	for i, t := range terms {
+		if i > 0 && t.Type != terms[i-1].Type {
+			s.put(terms[i-1].Type, profile{segs: arena[run:len(arena):len(arena)]})
+			run = len(arena)
+		}
+		seg := segment{span: t.Span, rate: t.Rate}
+		if n := len(arena); n > run {
+			if last := arena[n-1]; seg.span.Start < last.span.End ||
+				seg.span.Start == last.span.End && seg.rate == last.rate {
+				arena = append(arena[:run], profile{segs: arena[run:]}.add(seg.span, seg.rate).segs...)
+				continue
+			}
+		}
+		arena = append(arena, seg)
+	}
+	if len(terms) > 0 {
+		s.put(terms[len(terms)-1].Type, profile{segs: arena[run:len(arena):len(arena)]})
 	}
 	return s, nil
 }
 
-// splitTopLevel splits on commas that are not inside parentheses, so that
-// interval notation "(0,3)" survives inside a term.
-func splitTopLevel(s string) []string {
-	var out []string
-	depth, start := 0, 0
+// byTypeThenStart orders terms as Compact writes them: by located type,
+// then by start.
+func byTypeThenStart(a, b Term) int {
+	switch {
+	case a.Type.less(b.Type):
+		return -1
+	case b.Type.less(a.Type):
+		return 1
+	}
+	return cmp.Compare(a.Span.Start, b.Span.Start)
+}
+
+// cutTopLevel splits s around its first comma that is not inside
+// parentheses, so that interval notation "(0,3)" survives inside a term.
+// Without such a comma, field is all of s.
+func cutTopLevel(s string) (field, rest string) {
+	depth := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '(':
@@ -437,10 +502,9 @@ func splitTopLevel(s string) []string {
 			}
 		case ',':
 			if depth == 0 {
-				out = append(out, s[start:i])
-				start = i + 1
+				return s[:i], s[i+1:]
 			}
 		}
 	}
-	return append(out, s[start:])
+	return s, ""
 }

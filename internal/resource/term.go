@@ -2,6 +2,7 @@ package resource
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -141,14 +142,25 @@ func (t Term) String() string {
 	if t.Null() {
 		return "[0]"
 	}
-	return "[" + formatRate(t.Rate) + "]" + t.Type.String() + t.Span.String()
+	return "[" + string(appendRate(nil, t.Rate)) + "]" + t.Type.String() + t.Span.String()
 }
 
-func formatRate(r Rate) string {
+// appendRate appends the rate in whole units when exact, else as the
+// shortest decimal that parses back to it.
+func appendRate(b []byte, r Rate) []byte {
 	if r%Unit == 0 {
-		return strconv.FormatInt(int64(r/Unit), 10)
+		return strconv.AppendInt(b, int64(r/Unit), 10)
 	}
-	return strconv.FormatFloat(float64(r)/float64(Unit), 'f', -1, 64)
+	return strconv.AppendFloat(b, float64(r)/float64(Unit), 'f', -1, 64)
+}
+
+// appendTerm appends the compact rendering of the term [rate]_lt^span,
+// "rate:kind@loc:(start,end)", to b. It is the one renderer behind
+// Term.Compact and Set.Compact.
+func appendTerm(b []byte, rate Rate, lt LocatedType, span interval.Interval) []byte {
+	b = append(appendRate(b, rate), ':')
+	b = append(lt.appendCompact(b), ':')
+	return span.Append(b)
 }
 
 // Compact renders the term in the scenario-file syntax
@@ -157,24 +169,26 @@ func (t Term) Compact() string {
 	if t.Null() {
 		return "0"
 	}
-	return fmt.Sprintf("%s:%s:%s", formatRate(t.Rate), t.Type.compact(), t.Span.String())
+	var buf [64]byte
+	return string(appendTerm(buf[:0], t.Rate, t.Type, t.Span))
 }
 
 // ParseTerm parses the compact scenario-file syntax produced by Compact.
 func ParseTerm(s string) (Term, error) {
-	parts := strings.SplitN(s, ":", 3)
-	if len(parts) != 3 {
+	rateText, rest, ok := strings.Cut(s, ":")
+	ltText, spanText, ok2 := strings.Cut(rest, ":")
+	if !ok || !ok2 {
 		return Term{}, fmt.Errorf("resource: malformed term %q (want rate:kind@loc:(s,e))", s)
 	}
-	rate, err := parseRate(parts[0])
+	rate, err := parseRate(rateText)
 	if err != nil {
 		return Term{}, fmt.Errorf("resource: bad rate in %q: %w", s, err)
 	}
-	lt, err := ParseLocatedType(parts[1])
+	lt, err := ParseLocatedType(ltText)
 	if err != nil {
 		return Term{}, fmt.Errorf("resource: bad located type in %q: %w", s, err)
 	}
-	span, err := interval.Parse(parts[2])
+	span, err := interval.Parse(spanText)
 	if err != nil {
 		return Term{}, fmt.Errorf("resource: bad interval in %q: %w", s, err)
 	}
@@ -184,13 +198,20 @@ func ParseTerm(s string) (Term, error) {
 	return NewTerm(rate, lt, span), nil
 }
 
+// maxRate bounds the magnitude of a parsed rate. Up to it, every
+// milli-unit rate survives float64 arithmetic exactly, so the text Compact
+// renders for a rate parses back to that rate.
+const maxRate Rate = 1 << 50
+
 func parseRate(s string) (Rate, error) {
-	if whole, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return FromUnits(whole), nil
-	}
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, err
 	}
-	return Rate(f * float64(Unit)), nil
+	// Round, not truncate: "1.001" is 1000.9999… milli-units in binary.
+	milli := math.Round(f * float64(Unit))
+	if !(math.Abs(milli) <= float64(maxRate)) { // NaN fails too
+		return 0, fmt.Errorf("rate out of range (at most %d units per tick)", maxRate/Unit)
+	}
+	return Rate(milli), nil
 }

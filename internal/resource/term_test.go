@@ -47,7 +47,9 @@ func TestParseLocatedType(t *testing.T) {
 			t.Errorf("ParseLocatedType(%q) = %v, want %v", tt.in, got, tt.want)
 		}
 	}
-	for _, bad := range []string{"", "cpu", "@l1", "cpu@", "cpu@l1>", "cpu@>l2"} {
+	// A parenthesis or comma in a name would split or swallow the terms
+	// around it when a set's text is read back.
+	for _, bad := range []string{"", "cpu", "@l1", "cpu@", "cpu@l1>", "cpu@>l2", "c(0@l1", "cpu@l)", "cpu@l1>a,b"} {
 		if _, err := ParseLocatedType(bad); err == nil {
 			t.Errorf("ParseLocatedType(%q) should fail", bad)
 		}
@@ -212,7 +214,9 @@ func TestTermStringAndParse(t *testing.T) {
 			t.Errorf("round trip %v -> %q -> %v", tt, tt.Compact(), back)
 		}
 	}
-	for _, bad := range []string{"", "5", "5:cpu@l1", "x:cpu@l1:(0,3)", "5:cpu:(0,3)", "5:cpu@l1:(0", "-5:cpu@l1:(0,3)"} {
+	// Rates past 2^50 milli-units would not read back as rendered.
+	for _, bad := range []string{"", "5", "5:cpu@l1", "x:cpu@l1:(0,3)", "5:cpu:(0,3)", "5:cpu@l1:(0", "-5:cpu@l1:(0,3)",
+		"99999999999999999:cpu@l1:(0,3)", "NaN:cpu@l1:(0,3)", "inf:cpu@l1:(0,3)"} {
 		if _, err := ParseTerm(bad); err == nil {
 			t.Errorf("ParseTerm(%q) should fail", bad)
 		}

@@ -1066,17 +1066,19 @@ func (l *Ledger) audit() error {
 	l.mu.Unlock()
 
 	for _, sh := range shards {
+		// The sets render only for an error, and under the lock, so the
+		// message shows the state that failed the check.
+		var err error
 		sh.mu.Lock()
 		want := expected[sh.loc].TrimmedBefore(sh.now)
-		ok := sh.reserved.Equal(want)
-		dominated := sh.theta.Dominates(sh.reserved)
-		theta, reserved := sh.theta.Compact(), sh.reserved.Compact()
-		sh.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("server: shard %s reservation drift: ledger %q, commitments %q", sh.loc, reserved, want.Compact())
+		if !sh.reserved.Equal(want) {
+			err = fmt.Errorf("server: shard %s reservation drift: ledger %q, commitments %q", sh.loc, sh.reserved.Compact(), want.Compact())
+		} else if !sh.theta.Dominates(sh.reserved) {
+			err = fmt.Errorf("server: shard %s overcommitted: theta %q does not dominate reserved %q", sh.loc, sh.theta.Compact(), sh.reserved.Compact())
 		}
-		if !dominated {
-			return fmt.Errorf("server: shard %s overcommitted: theta %q does not dominate reserved %q", sh.loc, theta, reserved)
+		sh.mu.Unlock()
+		if err != nil {
+			return err
 		}
 	}
 	return nil
