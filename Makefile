@@ -36,12 +36,15 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Ten seconds of coverage-guided inputs holding the splice kernels to
-# the event-sweep reference (internal/resource/profile_test.go), then ten
+# the event-sweep reference (internal/resource/profile_test.go), ten
 # holding the single-pass set parser to a NewSet fold of its terms
-# (internal/resource/fuzz_test.go). -fuzz takes one target per run.
+# (internal/resource/fuzz_test.go), then ten holding Eval's
+# quantity-summed satisfy atoms to f over the set FreeWithin builds
+# (internal/core/eval_quantity_test.go). -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileKernels$$' -fuzztime 10s ./internal/resource/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSet$$' -fuzztime 10s ./internal/resource/
+	$(GO) test -run '^$$' -fuzz '^FuzzEvalSatisfy$$' -fuzztime 10s ./internal/core/
 
 # benchmark/ is a module of its own that tier-1 neither builds nor
 # tests; vetting it here catches an exported name under internal/ that

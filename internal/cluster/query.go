@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"time"
 
 	"repro/internal/interval"
@@ -125,44 +126,29 @@ func (n *Node) clusterEval(c *query.Compiled) (query.Verdict, error) {
 // name committed nowhere resolves to nothing (feasible/Allen atoms over
 // it are false), matching single-node semantics.
 func (n *Node) resolveCommitment(ctx context.Context, name string) (query.Commitment, bool, error) {
-	info, ok := n.srv.Ledger().Commitment(name)
-	if !ok {
-		for _, ps := range n.peersSnapshot() {
-			if ps.isSelf {
+	if cm, ok := n.srv.Ledger().QueryCommitment(name); ok {
+		return cm, true, nil
+	}
+	for _, ps := range n.peersSnapshot() {
+		if ps.isSelf {
+			continue
+		}
+		var info server.CommitmentInfo
+		target := ps.URL + "/v1/query?name=" + url.QueryEscape(name)
+		if err := n.client.call(ctx, http.MethodGet, target, nil, &info, nil, ps.rpc); err != nil {
+			var se *httpStatusError
+			if errors.As(err, &se) && se.status == http.StatusNotFound {
 				continue
 			}
-			var pi server.CommitmentInfo
-			url := ps.URL + "/v1/query?name=" + name
-			if err := n.client.call(ctx, http.MethodGet, url, nil, &pi, nil, ps.rpc); err != nil {
-				var se *httpStatusError
-				if errors.As(err, &se) && se.status == http.StatusNotFound {
-					continue
-				}
-				return query.Commitment{}, false, fmt.Errorf("cluster: resolving %s on %s: %w", name, ps.ID, err)
-			}
-			info, ok = pi, true
-			break
+			return query.Commitment{}, false, fmt.Errorf("cluster: resolving %s on %s: %w", name, ps.ID, err)
 		}
+		demand, err := resource.ParseSet(info.Demand)
+		if err != nil {
+			return query.Commitment{}, false, fmt.Errorf("cluster: commitment %s demand unparsable: %w", name, err)
+		}
+		return info.QueryCommitment(demand), true, nil
 	}
-	if !ok {
-		return query.Commitment{}, false, nil
-	}
-	demand, err := resource.ParseSet(info.Demand)
-	if err != nil {
-		return query.Commitment{}, false, fmt.Errorf("cluster: commitment %s demand unparsable: %w", name, err)
-	}
-	locs := make([]resource.Location, len(info.Locations))
-	for i, loc := range info.Locations {
-		locs[i] = resource.Location(loc)
-	}
-	return query.Commitment{
-		Name:      info.Name,
-		Admitted:  info.Admitted,
-		Finish:    info.Finish,
-		Deadline:  info.Deadline,
-		Locations: locs,
-		Demand:    demand,
-	}, true, nil
+	return query.Commitment{}, false, nil
 }
 
 // fanoutQuery evaluates a query against the merged free views of every
@@ -234,7 +220,7 @@ func (n *Node) fanoutQuery(ctx context.Context, c *query.Compiled) (server.Query
 	return server.QueryResponse{
 		Query:     c.Source(),
 		Holds:     res.Holds,
-		Formula:   res.Formula,
+		Formula:   res.Formula.String(),
 		Now:       snap.Now,
 		Epoch:     snap.Epoch,
 		ElapsedUS: time.Since(start).Microseconds(),

@@ -31,11 +31,21 @@ func SimpleOf(step Step, window interval.Interval) Simple {
 // the window guarantees completion, because the action can consume at
 // whatever rate is available.
 func (r Simple) Satisfied(theta resource.Set) bool {
+	return r.SatisfiedBy(func(lt resource.LocatedType) resource.Quantity {
+		return theta.QuantityWithin(lt, r.Window)
+	})
+}
+
+// SatisfiedBy is Satisfied with the pool given as the quantity of each
+// located type it holds within the window — all f ever reads of Θ — so a
+// caller whose pool is a union of sets can sum their quantities instead
+// of building the union.
+func (r Simple) SatisfiedBy(quantity func(resource.LocatedType) resource.Quantity) bool {
 	if r.Window.Empty() {
 		return r.Amounts.Empty()
 	}
 	for lt, need := range r.Amounts {
-		if theta.QuantityWithin(lt, r.Window) < need {
+		if quantity(lt) < need {
 			return false
 		}
 	}

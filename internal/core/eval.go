@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compute"
 	"repro/internal/interval"
+	"repro/internal/resource"
 	"repro/internal/schedule"
 )
 
@@ -21,8 +22,55 @@ import (
 //	satisfy(ρ(Λ,s,d))  ⇔ a combined witness path exists in Θ_expire
 //
 // The existential searches are delegated to the schedule package, whose
-// results are constructive witnesses.
+// results are constructive witnesses. A simple atom needs no set at all:
+// f reads only each required type's quantity within the window, and ∪
+// adds rates, so that quantity is the sum of the parts' quantities.
 func Eval(p *Path, i int, f Formula) (bool, error) {
+	return (&evaluator{p: p}).eval(i, f)
+}
+
+// evaluator is one top-level Eval over a path. The final state's
+// leftover — its free resources beyond the materialized horizon — does
+// not depend on the position, so it is computed at most once and shared
+// by every atom the recursion reaches.
+type evaluator struct {
+	p            *Path
+	leftover     resource.Set
+	leftoverDone bool
+}
+
+func (e *evaluator) left() resource.Set {
+	if !e.leftoverDone {
+		// A final state whose commitments exceed its Θ has no leftover
+		// to offer; FreeResources returns the empty set with the error.
+		e.leftover, _ = e.p.Last().FreeResources()
+		e.leftoverDone = true
+	}
+	return e.leftover
+}
+
+// freeWithin is ⋃ Θ_expire from position i onward, restricted to the
+// window; see Path.FreeWithin.
+func (e *evaluator) freeWithin(i int, window interval.Interval) resource.Set {
+	var free resource.Set
+	for j := i; j < len(e.p.Steps); j++ {
+		free = free.Union(e.p.Steps[j].Expired.Clamp(window))
+	}
+	return free.Union(e.left().Clamp(window))
+}
+
+// quantityWithin is freeWithin(i, window).QuantityWithin(lt, window)
+// without building the set.
+func (e *evaluator) quantityWithin(i int, lt resource.LocatedType, window interval.Interval) resource.Quantity {
+	var q resource.Quantity
+	for j := i; j < len(e.p.Steps); j++ {
+		q += e.p.Steps[j].Expired.QuantityWithin(lt, window)
+	}
+	return q + e.left().QuantityWithin(lt, window)
+}
+
+func (e *evaluator) eval(i int, f Formula) (bool, error) {
+	p := e.p
 	if i < 0 || i >= p.Len() {
 		return false, fmt.Errorf("core: path position %d out of range [0,%d)", i, p.Len())
 	}
@@ -36,15 +84,16 @@ func Eval(p *Path, i int, f Formula) (bool, error) {
 		if !ok {
 			return f.Req.Empty(), nil
 		}
-		free := p.FreeWithin(i, window)
 		req := compute.Simple{Amounts: f.Req.Amounts, Window: window}
-		return req.Satisfied(free), nil
+		return req.SatisfiedBy(func(lt resource.LocatedType) resource.Quantity {
+			return e.quantityWithin(i, lt, window)
+		}), nil
 	case SatisfyComplex:
 		window, ok := clampWindow(f.Req.Window, p.At(i).Now)
 		if !ok {
 			return f.Req.Empty(), nil
 		}
-		free := p.FreeWithin(i, window)
+		free := e.freeWithin(i, window)
 		req := compute.Complex{Actor: f.Req.Actor, Phases: f.Req.Phases, Window: window}
 		_, err := schedule.Single(free, req)
 		return err == nil, nil
@@ -53,16 +102,16 @@ func Eval(p *Path, i int, f Formula) (bool, error) {
 		if !ok {
 			return f.Req.Empty(), nil
 		}
-		free := p.FreeWithin(i, window)
+		free := e.freeWithin(i, window)
 		req := clampConcurrent(f.Req, window)
 		_, err := schedule.Concurrent(free, req, schedule.WithExhaustive())
 		return err == nil, nil
 	case Not:
-		inner, err := Eval(p, i, f.F)
+		inner, err := e.eval(i, f.F)
 		return !inner, err
 	case Eventually:
 		for j := i; j < p.Len(); j++ {
-			ok, err := Eval(p, j, f.F)
+			ok, err := e.eval(j, f.F)
 			if err != nil {
 				return false, err
 			}
@@ -73,7 +122,7 @@ func Eval(p *Path, i int, f Formula) (bool, error) {
 		return false, nil
 	case Always:
 		for j := i; j < p.Len(); j++ {
-			ok, err := Eval(p, j, f.F)
+			ok, err := e.eval(j, f.F)
 			if err != nil {
 				return false, err
 			}
@@ -83,17 +132,17 @@ func Eval(p *Path, i int, f Formula) (bool, error) {
 		}
 		return true, nil
 	case And:
-		l, err := Eval(p, i, f.L)
+		l, err := e.eval(i, f.L)
 		if err != nil || !l {
 			return false, err
 		}
-		return Eval(p, i, f.R)
+		return e.eval(i, f.R)
 	case Or:
-		l, err := Eval(p, i, f.L)
+		l, err := e.eval(i, f.L)
 		if err != nil || l {
 			return l, err
 		}
-		return Eval(p, i, f.R)
+		return e.eval(i, f.R)
 	default:
 		return false, fmt.Errorf("core: unknown formula %T", f)
 	}

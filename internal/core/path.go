@@ -61,16 +61,7 @@ func (p *Path) IndexAt(t interval.Time) int {
 // them). This is the resource pool Figure 1's satisfy semantics evaluates
 // requirements against: capacity the committed path does not need.
 func (p *Path) FreeWithin(i int, window interval.Interval) resource.Set {
-	var free resource.Set
-	for j := i; j < len(p.Steps); j++ {
-		free = free.Union(p.Steps[j].Expired.Clamp(window))
-	}
-	last := p.Last()
-	leftover, err := last.FreeResources()
-	if err == nil {
-		free = free.Union(leftover.Clamp(window))
-	}
-	return free
+	return (&evaluator{p: p}).freeWithin(i, window)
 }
 
 // Violations returned by Run are tagged with their path position.

@@ -36,9 +36,10 @@ type Snapshot struct {
 }
 
 // Result is a query verdict with the core formula it was decided by.
+// The formula is kept as a value: only a one-shot answer renders it.
 type Result struct {
 	Holds   bool
-	Formula string
+	Formula core.Formula
 }
 
 // maxPathStates bounds the speculative path a modal query is evaluated
@@ -61,7 +62,7 @@ func (c *Compiled) Evaluate(snap Snapshot) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("query: evaluating %s: %w", c.source, err)
 	}
-	return Result{Holds: holds, Formula: f.String()}, nil
+	return Result{Holds: holds, Formula: f}, nil
 }
 
 // speculativePath materializes the committed path the query is judged
@@ -81,7 +82,10 @@ func speculativePath(free resource.Set, now, horizon interval.Time) *core.Path {
 		steps = maxPathStates - 1
 	}
 	dt := (span + steps - 1) / steps
-	p := &core.Path{States: make([]core.State, 0, steps+1)}
+	p := &core.Path{
+		States: make([]core.State, 0, steps+1),
+		Steps:  make([]core.Transition, 0, steps),
+	}
 	t := now
 	for {
 		p.States = append(p.States, core.State{Theta: free, Now: t})

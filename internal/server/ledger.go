@@ -994,7 +994,8 @@ func (r *reservation) info() CommitmentInfo {
 }
 
 // committed looks up a live commitment by name and returns its
-// not-yet-consumed demand and its info.
+// not-yet-consumed demand and its info, Demand left empty: rendering it
+// is the caller's business, and never under l.mu.
 func (l *Ledger) committed(name string) (resource.Set, CommitmentInfo, bool) {
 	now := l.Now()
 	l.mu.Lock()
@@ -1003,20 +1004,22 @@ func (l *Ledger) committed(name string) (resource.Set, CommitmentInfo, bool) {
 	if !ok || r.pending || r.lease != 0 {
 		return resource.Set{}, CommitmentInfo{}, false
 	}
-	remaining := r.demand().TrimmedBefore(now)
-	info := r.info()
-	info.Demand = remaining.Compact()
-	return remaining, info, true
+	return r.demand().TrimmedBefore(now), r.info(), true
 }
 
-// Commitment reports a live commitment by name.
+// Commitment reports a live commitment by name, its remaining demand
+// rendered as text.
 func (l *Ledger) Commitment(name string) (CommitmentInfo, bool) {
-	_, info, ok := l.committed(name)
+	remaining, info, ok := l.committed(name)
+	if ok {
+		info.Demand = remaining.Compact()
+	}
 	return info, ok
 }
 
 // RemainingDemand returns a live commitment's not-yet-consumed demand
-// and its info — the portion a migration re-homes elsewhere.
+// and its info (Demand left empty) — the portion a migration re-homes
+// elsewhere.
 func (l *Ledger) RemainingDemand(name string) (resource.Set, CommitmentInfo, error) {
 	demand, info, ok := l.committed(name)
 	if !ok {

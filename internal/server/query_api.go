@@ -69,25 +69,9 @@ func (s *Server) evalQuery(c *query.Compiled) (query.Result, query.Snapshot, err
 	epoch := s.ledger.Epoch()
 	comms := make(map[string]query.Commitment)
 	for _, name := range c.Names() {
-		info, ok := s.ledger.Commitment(name)
-		if !ok {
-			continue // absent refs evaluate to false, not errors
-		}
-		demand, err := resource.ParseSet(info.Demand)
-		if err != nil {
-			return query.Result{}, query.Snapshot{}, fmt.Errorf("server: commitment %s demand: %w", name, err)
-		}
-		locs := make([]resource.Location, len(info.Locations))
-		for i, loc := range info.Locations {
-			locs[i] = resource.Location(loc)
-		}
-		comms[name] = query.Commitment{
-			Name:      info.Name,
-			Admitted:  info.Admitted,
-			Finish:    info.Finish,
-			Deadline:  info.Deadline,
-			Locations: locs,
-			Demand:    demand,
+		// Absent refs evaluate to false, not errors.
+		if cm, ok := s.ledger.QueryCommitment(name); ok {
+			comms[name] = cm
 		}
 	}
 	var (
@@ -106,6 +90,34 @@ func (s *Server) evalQuery(c *query.Compiled) (query.Result, query.Snapshot, err
 	snap := query.Snapshot{Now: now, Epoch: epoch, Free: free, Commitments: comms}
 	res, err := c.Evaluate(snap)
 	return res, snap, err
+}
+
+// QueryCommitment resolves a live commitment for a query evaluation,
+// its remaining demand kept as a set: nothing is rendered to text that
+// does not leave the process.
+func (l *Ledger) QueryCommitment(name string) (query.Commitment, bool) {
+	demand, info, ok := l.committed(name)
+	if !ok {
+		return query.Commitment{}, false
+	}
+	return info.QueryCommitment(demand), true
+}
+
+// QueryCommitment is the query layer's view of the commitment, with
+// demand its remaining demand (the set Demand renders).
+func (info CommitmentInfo) QueryCommitment(demand resource.Set) query.Commitment {
+	locs := make([]resource.Location, len(info.Locations))
+	for i, loc := range info.Locations {
+		locs[i] = resource.Location(loc)
+	}
+	return query.Commitment{
+		Name:      info.Name,
+		Admitted:  info.Admitted,
+		Finish:    info.Finish,
+		Deadline:  info.Deadline,
+		Locations: locs,
+		Demand:    demand,
+	}
 }
 
 // managerEval adapts evalQuery for the subscription manager. An
@@ -158,7 +170,7 @@ func (s *Server) EvalQuery(c *query.Compiled) (QueryResponse, error) {
 	return QueryResponse{
 		Query:     c.Source(),
 		Holds:     res.Holds,
-		Formula:   res.Formula,
+		Formula:   res.Formula.String(),
 		Now:       snap.Now,
 		Epoch:     snap.Epoch,
 		ElapsedUS: elapsed,
