@@ -38,13 +38,17 @@ race:
 # Ten seconds of coverage-guided inputs holding the splice kernels to
 # the event-sweep reference (internal/resource/profile_test.go), ten
 # holding the single-pass set parser to a NewSet fold of its terms
-# (internal/resource/fuzz_test.go), then ten holding Eval's
+# (internal/resource/fuzz_test.go), ten holding Eval's
 # quantity-summed satisfy atoms to f over the set FreeWithin builds
-# (internal/core/eval_quantity_test.go). -fuzz takes one target per run.
+# (internal/core/eval_quantity_test.go), then ten holding every
+# single-actor schedule refusal to a true certificate: Θ has less than
+# the refused need of its located type within its window
+# (internal/schedule/certificate_test.go). -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileKernels$$' -fuzztime 10s ./internal/resource/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSet$$' -fuzztime 10s ./internal/resource/
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalSatisfy$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzInfeasibleIsACertificate$$' -fuzztime 10s ./internal/schedule/
 
 # benchmark/ is a module of its own that tier-1 neither builds nor
 # tests; vetting it here catches an exported name under internal/ that

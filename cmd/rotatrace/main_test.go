@@ -18,7 +18,11 @@ func writeTrace(t *testing.T) string {
 	log.Add(trace.Event{At: 1, Kind: trace.KindArrival, Job: "j1", Quantity: 8})
 	log.Add(trace.Event{At: 1, Kind: trace.KindAdmit, Job: "j1"})
 	log.Add(trace.Event{At: 2, Kind: trace.KindArrival, Job: "j2"})
-	log.Add(trace.Event{At: 2, Kind: trace.KindReject, Job: "j2", Detail: "demand exceeds free availability"})
+	// A reject as the simulator writes it: the refusal's text plus its
+	// structured provenance.
+	log.Add(trace.Event{At: 2, Kind: trace.KindReject, Job: "j2",
+		Detail: "no witness schedule: schedule: infeasible: actor j2.a phase 0 needs 8000 of ⟨cpu,l1⟩ in (2,4)",
+		Stage:  "plan", Constraint: "witness", Term: "⟨cpu,l1⟩", Window: "(2,4)"})
 	log.Add(trace.Event{At: 5, Kind: trace.KindComplete, Job: "j1"})
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	f, err := os.Create(path)
@@ -161,7 +165,7 @@ func TestRunSpansBridgesSimTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"trace sim-j1", "sim.job", "capacity"} {
+	for _, want := range []string{"trace sim-j1", "sim.job", "[plan/witness term=⟨cpu,l1⟩ window=(2,4)]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("bridged sim output missing %q:\n%s", want, out)
 		}

@@ -10,6 +10,7 @@
 package admission
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -39,8 +40,12 @@ type Decision struct {
 	// Plan is the consumption witness, present only for plan-producing
 	// policies (ROTA). Executors reserve exactly this.
 	Plan *schedule.Plan
-	// Reason documents rejections.
+	// Reason documents rejections: the text of Refusal when there is
+	// one.
 	Reason string
+	// Refusal is the typed refusal behind a rejection (see Explain);
+	// nil for admissions and for policies that give only a Reason.
+	Refusal error
 	// Elapsed is the wall-clock cost of making the decision.
 	Elapsed time.Duration
 }
@@ -95,7 +100,7 @@ func (p *Rota) Name() string {
 // Decide implements Policy via Theorem 4.
 func (p *Rota) Decide(v View, job compute.Distributed) Decision {
 	if v.State == nil {
-		return Decision{Reason: "rota requires a stateful (planned) simulation"}
+		return Refuse(errors.New("rota requires a stateful (planned) simulation"))
 	}
 	// With no commitments Θ_free is Θ itself: skip the subtraction (which
 	// clones even for an empty committed demand). This is the server hot
@@ -109,7 +114,7 @@ func (p *Rota) Decide(v View, job compute.Distributed) Decision {
 		var err error
 		free, err = v.State.FreeResources()
 		if err != nil {
-			return Decision{Reason: err.Error()}
+			return Refuse(err)
 		}
 	}
 	req := core.ConcurrentAt(job, v.Now)
@@ -119,7 +124,7 @@ func (p *Rota) Decide(v View, job compute.Distributed) Decision {
 	}
 	plan, err := schedule.Concurrent(free, req, opts...)
 	if err != nil {
-		return Decision{Reason: fmt.Sprintf("no witness schedule: %v", err)}
+		return Refuse(fmt.Errorf("no witness schedule: %w", err))
 	}
 	return Decision{Admit: true, Plan: &plan}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -16,7 +17,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/compute"
-	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/interval"
 	"repro/internal/membership"
@@ -613,8 +613,8 @@ func (n *Node) freeOn(ctx context.Context, ps *peerState, locs []resource.Locati
 		parts[i] = string(loc)
 	}
 	var resp server.FreeResponse
-	url := ps.URL + "/v1/cluster/free?locs=" + strings.Join(parts, ",")
-	if err := n.client.call(ctx, http.MethodGet, url, nil, &resp, nil, ps.rpc); err != nil {
+	target := ps.URL + "/v1/cluster/free?locs=" + url.QueryEscape(strings.Join(parts, ","))
+	if err := n.client.call(ctx, http.MethodGet, target, nil, &resp, nil, ps.rpc); err != nil {
 		return resource.Set{}, 0, fmt.Errorf("cluster: free view from %s: %w", ps.ID, err)
 	}
 	free, err := resource.ParseSet(resp.Free)
@@ -624,33 +624,35 @@ func (n *Node) freeOn(ctx context.Context, ps *peerState, locs []resource.Locati
 	return free, resp.Now, nil
 }
 
-// prepareOn asks one owner to hold a sub-plan. held=false with a reason
-// is a capacity rejection; err is a protocol failure.
-func (n *Node) prepareOn(ctx context.Context, p *participant, key, name string, finish, deadline, expiry interval.Time) (held bool, reason string, err error) {
+// prepareOn asks one owner to hold a sub-plan. A nil error means the
+// slice is held; an *admission.Overcommit (errors.Is
+// server.ErrOvercommit) is the owner's capacity refusal; anything else
+// is a protocol failure.
+func (n *Node) prepareOn(ctx context.Context, p *participant, key, name string, finish, deadline, expiry interval.Time) error {
 	if p.ps.isSelf {
 		n.flowMu.RLock()
 		err := n.srv.Ledger().Prepare(key, name, p.demand, finish, deadline, expiry)
 		n.flowMu.RUnlock()
-		if errors.Is(err, server.ErrOvercommit) {
-			return false, err.Error(), nil
-		}
 		if errors.Is(err, server.ErrNotOwned) {
-			return false, "", fmt.Errorf("%w: %v", errStaleOwner, err)
+			return fmt.Errorf("%w: %v", errStaleOwner, err)
 		}
-		return err == nil, "", err
+		return err
 	}
 	req := server.PrepareRequest{Key: key, Name: name, Demand: p.demand.Compact(),
 		Finish: finish, Deadline: deadline, Expiry: expiry}
 	body, err := json.Marshal(req)
 	if err != nil {
-		return false, "", err
+		return err
 	}
 	var resp server.PrepareResponse
 	headers := map[string]string{headerIdempotency: key}
 	if err := n.client.call(ctx, http.MethodPost, p.ps.URL+"/v1/cluster/prepare", body, &resp, headers, p.ps.rpc); err != nil {
-		return false, "", fmt.Errorf("cluster: prepare on %s: %w", p.ps.ID, err)
+		return fmt.Errorf("cluster: prepare on %s: %w", p.ps.ID, err)
 	}
-	return resp.Held, resp.Reason, nil
+	if !resp.Held {
+		return &admission.Overcommit{Shard: resp.Shard, Key: key, Name: name}
+	}
+	return nil
 }
 
 // commitOn promotes one owner's hold.
@@ -717,6 +719,14 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 	csp.Attr("job", job.Dist.Name)
 	csp.Attr("participants", len(owners))
 	trace := obs.Trace(ctx)
+	// fail ends the coordination on an error: nothing is admitted.
+	fail := func(outcome string, status int, err error) bool {
+		csp.SetStatus(span.StatusError)
+		csp.Attr("outcome", outcome)
+		n.coordFailed.Add(1)
+		httpError(w, status, err)
+		return false
+	}
 	key := n.nextKey("2pc." + job.Dist.Name)
 	n.obs.Log("coordinate.start",
 		"trace", trace, "key", key, "job", job.Dist.Name, "owners", len(owners))
@@ -737,11 +747,7 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 				csp.Attr("outcome", "stale_owner")
 				return true
 			}
-			csp.SetStatus(span.StatusError)
-			csp.Attr("outcome", "failed")
-			n.coordFailed.Add(1)
-			httpError(w, http.StatusServiceUnavailable, err)
-			return false
+			return fail("failed", http.StatusServiceUnavailable, err)
 		}
 		free = free.Union(set)
 		p.now = pnow
@@ -750,35 +756,19 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 		}
 	}
 	if now >= job.Dist.Deadline {
-		n.finishCoordination(w, trace, job, start, admission.Decision{
-			Reason: fmt.Sprintf("deadline %d already passed at t=%d", job.Dist.Deadline, now)}, csp, "")
+		n.finishCoordination(w, trace, job, start, admission.PastDeadline(job.Dist.Deadline, now), csp, "")
 		return false
 	}
 
 	// Phase 1: decide against the merged view, exactly like a local
 	// admission against one big ledger.
-	state := core.State{Theta: free, Now: now}
-	view := admission.View{Now: now, Theta: free, State: &state}
-	_, psp := n.spans.Start(ctx, span.KindPlan)
-	psp.Attr("job", job.Dist.Name)
-	psp.Attr("actors", len(job.Dist.Actors))
-	dec := admission.Decide(n.policy, view, job.Dist)
-	if !dec.Admit {
-		psp.SetStatus(span.StatusReject)
-		psp.Attr("error", dec.Reason)
-		psp.SetProvenance(span.Classify(dec.Reason))
-	}
-	psp.End()
+	dec := server.DecideOnFree(ctx, n.spans, n.policy, free, now, job, 0)
 	if !dec.Admit {
 		n.finishCoordination(w, trace, job, start, dec, csp, "")
 		return false
 	}
 	if dec.Plan == nil {
-		csp.SetStatus(span.StatusError)
-		csp.Attr("outcome", "failed")
-		n.coordFailed.Add(1)
-		httpError(w, http.StatusInternalServerError, server.ErrPlanless)
-		return false
+		return fail("failed", http.StatusInternalServerError, server.ErrPlanless)
 	}
 
 	// Split the witness plan's demand by owner (live table), in one pass
@@ -790,12 +780,8 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 		}
 		ref, ok := n.lookupOwner(a.Term.Type.Loc)
 		if !ok {
-			csp.SetStatus(span.StatusError)
-			csp.Attr("outcome", "failed")
-			n.coordFailed.Add(1)
-			httpError(w, http.StatusInternalServerError,
+			return fail("failed", http.StatusInternalServerError,
 				fmt.Errorf("cluster: plan for %s consumes unowned location %s", job.Dist.Name, a.Term.Type.Loc))
-			return false
 		}
 		ps := n.peerFor(ref)
 		set := split[ps]
@@ -820,13 +806,7 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 	// Phase 2: prepare everywhere, in parallel. Each owner's lease runs
 	// on its own ledger clock.
 	var wg sync.WaitGroup
-	type prepResult struct {
-		p      *participant
-		held   bool
-		reason string
-		err    error
-	}
-	results := make([]prepResult, len(parts))
+	results := make([]error, len(parts))
 	for i, p := range parts {
 		expiry := p.now
 		if now > expiry {
@@ -836,27 +816,27 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 		wg.Add(1)
 		go func(i int, p *participant, expiry interval.Time) {
 			defer wg.Done()
-			held, reason, err := n.prepareOn(ctx, p, key, job.Dist.Name, dec.Plan.Finish, job.Dist.Deadline, expiry)
-			results[i] = prepResult{p: p, held: held, reason: reason, err: err}
+			results[i] = n.prepareOn(ctx, p, key, job.Dist.Name, dec.Plan.Finish, job.Dist.Deadline, expiry)
 		}(i, p, expiry)
 	}
 	wg.Wait()
-	var rejectReason, rejectNode string
-	var protoErr error
+	var refusal, protoErr error
+	var refuser string
 	stale := false
-	for _, res := range results {
-		res.p.held = res.held
-		if res.err != nil {
-			if n.staleOwner(res.err) {
-				stale = true
-				continue
+	for i, err := range results {
+		parts[i].held = err == nil
+		switch {
+		case err == nil:
+		case errors.Is(err, server.ErrOvercommit):
+			if refusal == nil {
+				// Remember WHICH participant refused, so the surfaced
+				// provenance names the node whose free view failed.
+				refusal, refuser = err, parts[i].ps.ID
 			}
-			protoErr = res.err
-		} else if !res.held && rejectReason == "" {
-			// Remember WHICH participant refused, so the surfaced
-			// provenance names the node whose free view failed.
-			rejectReason = res.reason
-			rejectNode = res.p.ps.ID
+		case n.staleOwner(err):
+			stale = true
+		default:
+			protoErr = err
 		}
 	}
 	abortHeld := func() {
@@ -868,11 +848,7 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 	}
 	if protoErr != nil {
 		abortHeld()
-		csp.SetStatus(span.StatusError)
-		csp.Attr("outcome", "failed")
-		n.coordFailed.Add(1)
-		httpError(w, http.StatusServiceUnavailable, protoErr)
-		return false
+		return fail("failed", http.StatusServiceUnavailable, protoErr)
 	}
 	if stale {
 		// A participant's slice moved mid-prepare; drop what was held and
@@ -881,9 +857,11 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 		csp.Attr("outcome", "stale_owner")
 		return true
 	}
-	if rejectReason != "" {
+	if refusal != nil {
 		abortHeld()
-		n.finishCoordination(w, trace, job, start, admission.Decision{Reason: rejectReason, Elapsed: dec.Elapsed}, csp, rejectNode)
+		verdict := admission.Refuse(refusal)
+		verdict.Elapsed = dec.Elapsed
+		n.finishCoordination(w, trace, job, start, verdict, csp, refuser)
 		return false
 	}
 
@@ -904,11 +882,7 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 		// Graceful drain: never leave prepares for the sweep when we can
 		// still abort them explicitly.
 		abortHeld()
-		csp.SetStatus(span.StatusError)
-		csp.Attr("outcome", "aborted")
-		n.coordFailed.Add(1)
-		httpError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, aborted in-flight prepare"))
-		return false
+		return fail("aborted", http.StatusServiceUnavailable, errors.New("cluster: draining, aborted in-flight prepare"))
 	}
 
 	// Phase 3: commit everywhere. Commits are idempotent and retried;
@@ -925,11 +899,7 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 		for _, p := range parts {
 			n.abortOn(ctx, p.ps, key)
 		}
-		csp.SetStatus(span.StatusError)
-		csp.Attr("outcome", "aborted")
-		n.coordFailed.Add(1)
-		httpError(w, http.StatusServiceUnavailable, commitErr)
-		return false
+		return fail("aborted", http.StatusServiceUnavailable, commitErr)
 	}
 	n.finishCoordination(w, trace, job, start, dec, csp, "")
 	return false
@@ -956,23 +926,10 @@ func (n *Node) finishCoordination(w http.ResponseWriter, trace string, job workl
 		"admit", dec.Admit,
 		"reason", dec.Reason,
 		"total_us", time.Since(start).Microseconds())
-	resp := server.AdmitResponse{
-		Job:       job.Dist.Name,
-		Admit:     dec.Admit,
-		Reason:    dec.Reason,
-		Deadline:  job.Dist.Deadline,
-		ElapsedUS: dec.Elapsed.Microseconds(),
-	}
-	if dec.Plan != nil {
-		resp.Finish = dec.Plan.Finish
-	}
-	if !dec.Admit {
-		prov := span.Classify(dec.Reason)
-		if prov != nil && rejectNode != "" {
-			prov.Node = rejectNode
-		}
-		resp.Provenance = prov
-		sp.SetProvenance(prov)
+	resp := server.Verdict(job, dec)
+	if resp.Provenance != nil {
+		resp.Provenance.Node = rejectNode
+		sp.SetProvenance(resp.Provenance)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1416,40 +1373,37 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	msp.Attr("job", req.Name)
 	msp.Attr("from", n.self.ID)
 	msp.Attr("to", target.ID)
+	fail := func(outcome string, status int, err error) {
+		msp.SetStatus(span.StatusError)
+		msp.Attr("outcome", outcome)
+		httpError(w, status, err)
+	}
 
 	// Lease against the target's clock, then prepare/commit there.
 	_, targetNow, err := n.freeOn(sctx, target, targetLocs)
 	if err != nil {
-		msp.SetStatus(span.StatusError)
-		msp.Attr("outcome", "failed")
-		httpError(w, http.StatusServiceUnavailable, err)
+		fail("failed", http.StatusServiceUnavailable, err)
 		return
 	}
 	key := n.nextKey("migrate." + req.Name)
 	p := &participant{ps: target, demand: remapped}
-	held, reason, err := n.prepareOn(sctx, p, key, req.Name, info.Finish, info.Deadline, targetNow+n.leaseTTL)
-	if err != nil {
-		msp.SetStatus(span.StatusError)
-		msp.Attr("outcome", "failed")
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	if !held {
+	err = n.prepareOn(sctx, p, key, req.Name, info.Finish, info.Deadline, targetNow+n.leaseTTL)
+	if errors.Is(err, server.ErrOvercommit) {
 		msp.SetStatus(span.StatusReject)
 		msp.Attr("outcome", "rejected")
-		prov := span.Classify(reason)
-		if prov != nil {
-			prov.Node = target.ID
-		}
+		prov := admission.Explain(err)
+		prov.Node = target.ID
 		msp.SetProvenance(prov)
-		httpError(w, http.StatusConflict, fmt.Errorf("cluster: %s cannot accommodate %s: %s", target.ID, req.Name, reason))
+		httpError(w, http.StatusConflict, fmt.Errorf("cluster: %s cannot accommodate %s: %w", target.ID, req.Name, err))
+		return
+	}
+	if err != nil {
+		fail("failed", http.StatusServiceUnavailable, err)
 		return
 	}
 	if err := n.commitOn(sctx, target, key); err != nil {
 		n.abortOn(sctx, target, key)
-		msp.SetStatus(span.StatusError)
-		msp.Attr("outcome", "aborted")
-		httpError(w, http.StatusServiceUnavailable, err)
+		fail("aborted", http.StatusServiceUnavailable, err)
 		return
 	}
 	// ReleaseTransferred, not Release: the deadline promise moved with
@@ -1459,9 +1413,7 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		// The job now lives on both nodes; roll the target back so the
 		// original commitment remains the single source of truth.
 		n.abortOn(sctx, target, key)
-		msp.SetStatus(span.StatusError)
-		msp.Attr("outcome", "aborted")
-		httpError(w, http.StatusInternalServerError, err)
+		fail("aborted", http.StatusInternalServerError, err)
 		return
 	}
 	n.migrations.Add(1)

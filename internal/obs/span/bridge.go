@@ -15,8 +15,11 @@ import (
 // produced becomes a zero-parent-overlap sim.event child. Simulated
 // ticks are mapped to a synthetic wall clock at 1ms per tick, so
 // relative durations in the rendered tree mirror simulated time.
-// Reject details run through Classify, so simulated rejections carry
-// the same structured provenance live ones do.
+// A reject event's stage, constraint, term and window — written by the
+// simulator from the typed refusal — become its provenance, so
+// simulated rejections carry the same structure live ones do; an event
+// without them (an older file, a non-ROTA policy) explains as
+// other/other.
 func Bridge(log *trace.Log) []Record {
 	const tickNS = int64(1_000_000) // 1 simulated tick -> 1ms synthetic wall time
 	if log == nil {
@@ -95,13 +98,14 @@ func Bridge(log *trace.Log) []Record {
 			switch e.Kind {
 			case trace.KindReject:
 				rec.Status = StatusReject
-				rec.Provenance = Classify(e.Detail)
+				rec.Provenance = &Provenance{Stage: e.Stage, Constraint: e.Constraint,
+					Term: e.Term, Window: e.Window, Detail: e.Detail}
+				if e.Stage == "" {
+					rec.Provenance.Stage, rec.Provenance.Constraint = "other", "other"
+				}
+				root.Status, root.Provenance = StatusReject, rec.Provenance
 			case trace.KindMiss, trace.KindViolation:
 				rec.Status = StatusError
-			}
-			if rec.Provenance != nil {
-				root.Status = StatusReject
-				root.Provenance = rec.Provenance
 			}
 			out = append(out, rec)
 		}

@@ -1,76 +1,29 @@
 package span
 
-import "regexp"
-
 // Provenance is the structured explanation of a rejection: which stage
 // of the admission pipeline said no, which constraint it applied, and —
-// when the reason names one — the resource term and interval window
-// that failed. It is attached to the terminal span of a rejected
-// request and surfaced verbatim in the /v1/admit JSON response, so a
-// caller never has to parse prose to learn why a job was refused.
+// when the refusal names one — the resource term and interval window
+// that failed. admission.Explain fills it from the typed refusal; it is
+// attached to the terminal span of a rejected request and surfaced
+// verbatim in the /v1/admit JSON response, so a caller never has to
+// parse prose to learn why a job was refused.
 type Provenance struct {
 	// Stage is the pipeline phase that produced the rejection:
 	// validate, plan, capacity, or other.
 	Stage string `json:"stage"`
 	// Constraint names the violated rule within the stage: deadline,
 	// witness (no feasible schedule), ordering (permutation budget
-	// exhausted), ownership, or capacity.
+	// exhausted), free-view (a shard cannot hold the plan), or other.
 	Constraint string `json:"constraint"`
-	// Term is the resource term that could not be satisfied, rendered
-	// as the ledger renders it (e.g. "cpu@l3"), when the reason names one.
+	// Term is the located type that could not be satisfied, rendered
+	// as the ledger renders it (e.g. "⟨cpu,l3⟩"), or for a capacity
+	// refusal the shard (e.g. "l3").
 	Term string `json:"term,omitempty"`
 	// Window is the interval the term was needed in, e.g. "(12,40)".
 	Window string `json:"window,omitempty"`
 	// Node is the cluster node whose free view failed the request —
 	// filled by the coordinator when a participant rejects.
 	Node string `json:"node,omitempty"`
-	// Detail is the original human-readable reason.
+	// Detail is the refusal's human-readable text.
 	Detail string `json:"detail"`
-}
-
-// The reject-reason shapes the pipeline produces today. Classify keys
-// on these; an unrecognized reason still yields a non-empty Provenance
-// with Stage "other" so rejects are never unexplained.
-var (
-	// server/ledger.go: "deadline %d already passed at t=%d"
-	reDeadline = regexp.MustCompile(`deadline (-?\d+) already passed at t=(-?\d+)`)
-	// schedule.go via admission: "... infeasible: actor %s phase %d needs %v of %v in (a,b)"
-	reWitness = regexp.MustCompile(`infeasible: actor (\S+) phase (\d+) needs (\S+) of (\S+) in (\([^)]*\))`)
-	// schedule.go: "... infeasible: no actor ordering of %d tried succeeded"
-	reOrdering = regexp.MustCompile(`infeasible: no actor ordering of \d+ tried succeeded`)
-	// twophase.go: ErrOvercommit wrapped as "...: shard %s cannot hold prepare %s for %s"
-	reOvercommit = regexp.MustCompile(`demand exceeds free availability(?:: shard (\S+) cannot hold prepare \S+ for \S+)?`)
-	// ledger.go: ErrNotOwned wrapped as "server: location not owned by this node: %s"
-	reNotOwned = regexp.MustCompile(`location not owned by this node(?:: (\S+))?`)
-)
-
-// Classify parses a reject reason string into structured provenance.
-// Returns nil only for an empty reason.
-func Classify(reason string) *Provenance {
-	if reason == "" {
-		return nil
-	}
-	p := &Provenance{Detail: reason}
-	switch {
-	case reDeadline.MatchString(reason):
-		p.Stage, p.Constraint = "validate", "deadline"
-	case reWitness.MatchString(reason):
-		m := reWitness.FindStringSubmatch(reason)
-		p.Stage, p.Constraint = "plan", "witness"
-		p.Term = m[4]
-		p.Window = m[5]
-	case reOrdering.MatchString(reason):
-		p.Stage, p.Constraint = "plan", "ordering"
-	case reOvercommit.MatchString(reason):
-		m := reOvercommit.FindStringSubmatch(reason)
-		p.Stage, p.Constraint = "capacity", "free-view"
-		p.Term = m[1] // the shard location, when named
-	case reNotOwned.MatchString(reason):
-		m := reNotOwned.FindStringSubmatch(reason)
-		p.Stage, p.Constraint = "validate", "ownership"
-		p.Term = m[1]
-	default:
-		p.Stage, p.Constraint = "other", "other"
-	}
-	return p
 }

@@ -8,9 +8,17 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/admission"
+	"repro/internal/churn"
+	"repro/internal/compute"
+	"repro/internal/cost"
+	"repro/internal/interval"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/resource"
+	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestStartParentsOnContextSpan(t *testing.T) {
@@ -202,7 +210,7 @@ func TestStoreConcurrency(t *testing.T) {
 				root.Attr("job", fmt.Sprintf("j%d-%d", w, i))
 				_, child := st.Start(ctx, span.KindPlan)
 				child.SetStatus(span.StatusReject)
-				child.SetProvenance(span.Classify("deadline 5 already passed at t=9"))
+				child.SetProvenance(&span.Provenance{Stage: "validate", Constraint: "deadline", Detail: "deadline 5 already passed at t=9"})
 				child.End()
 				root.End()
 			}
@@ -236,36 +244,6 @@ func TestStoreConcurrency(t *testing.T) {
 	}
 	if stats.Live != 64 || stats.Evicted != want-64 {
 		t.Fatalf("stats = %+v, want live=64 evicted=%d", stats, want-64)
-	}
-}
-
-func TestClassifyProvenance(t *testing.T) {
-	cases := []struct {
-		reason                          string
-		stage, constraint, term, window string
-	}{
-		{"deadline 40 already passed at t=55", "validate", "deadline", "", ""},
-		{"no witness schedule: schedule: infeasible: actor a1 phase 0 needs 2000 of cpu@l3 in (12,40)", "plan", "witness", "cpu@l3", "(12,40)"},
-		{"no witness schedule: schedule: infeasible: no actor ordering of 24 tried succeeded", "plan", "ordering", "", ""},
-		{"server: demand exceeds free availability: shard l2 cannot hold prepare p1 for j1", "capacity", "free-view", "l2", ""},
-		{"server: location not owned by this node: l9", "validate", "ownership", "l9", ""},
-		{"something novel", "other", "other", "", ""},
-	}
-	for _, c := range cases {
-		p := span.Classify(c.reason)
-		if p == nil {
-			t.Fatalf("Classify(%q) = nil", c.reason)
-		}
-		if p.Stage != c.stage || p.Constraint != c.constraint || p.Term != c.term || p.Window != c.window {
-			t.Errorf("Classify(%q) = %+v, want stage=%s constraint=%s term=%s window=%s",
-				c.reason, p, c.stage, c.constraint, c.term, c.window)
-		}
-		if p.Detail != c.reason {
-			t.Errorf("Classify(%q).Detail = %q", c.reason, p.Detail)
-		}
-	}
-	if span.Classify("") != nil {
-		t.Error("Classify(\"\") must be nil")
 	}
 }
 
@@ -345,13 +323,16 @@ func TestBuildTreeDisconnected(t *testing.T) {
 }
 
 func TestBridgeSimTrace(t *testing.T) {
+	var avail churn.Trace
+	avail.Base.Add(resource.NewTerm(resource.FromUnits(2), resource.CPUAt("l1"), interval.New(0, 40)))
+	// j2 is hopeless: its 8 cpu cannot fit 2 cpu/tick within (0,2).
+	jobs := []workload.Job{evalJob(t, "j1", 10), evalJob(t, "j2", 2)}
 	log := trace.NewLog()
-	log.Add(trace.Event{At: 0, Kind: trace.KindArrival, Job: "j1"})
-	log.Add(trace.Event{At: 2, Kind: trace.KindAdmit, Job: "j1"})
-	log.Add(trace.Event{At: 9, Kind: trace.KindComplete, Job: "j1"})
-	log.Add(trace.Event{At: 1, Kind: trace.KindArrival, Job: "j2"})
-	log.Add(trace.Event{At: 1, Kind: trace.KindReject, Job: "j2", Detail: "deadline 3 already passed at t=4"})
-	log.Add(trace.Event{At: 5, Kind: trace.KindRenege, Quantity: 2})
+	if _, err := sim.Run(sim.Config{Policy: &admission.Rota{}, Executor: sim.Planned, Trace: log}, jobs, avail); err != nil {
+		t.Fatal(err)
+	}
+	// A reject from an older file carries no structured fields.
+	log.Add(trace.Event{At: 1, Kind: trace.KindReject, Job: "j3", Detail: "aggregate shortfall"})
 
 	recs := span.Bridge(log)
 	trees := span.BuildTrees(recs)
@@ -366,11 +347,32 @@ func TestBridgeSimTrace(t *testing.T) {
 	if j1.Roots[0].Kind != span.KindSimJob || j1.Roots[0].Attrs["outcome"] != string(trace.KindComplete) {
 		t.Fatalf("sim-j1 root = %+v", j1.Roots[0].Record)
 	}
-	j2 := byTrace["sim-j2"]
-	if j2 == nil || j2.Roots[0].Provenance == nil {
-		t.Fatal("rejected sim job lost its provenance")
+	for job, want := range map[string]span.Provenance{
+		"j2": {Stage: "plan", Constraint: "witness", Term: "⟨cpu,l1⟩", Window: "(0,2)",
+			Detail: "no witness schedule: schedule: infeasible: actor j2.a phase 0 needs 8000 of ⟨cpu,l1⟩ in (0,2)"},
+		"j3": {Stage: "other", Constraint: "other", Detail: "aggregate shortfall"},
+	} {
+		tr := byTrace["sim-"+job]
+		if tr == nil || tr.Roots[0].Provenance == nil {
+			t.Fatalf("rejected sim job %s lost its provenance", job)
+		}
+		if got := *tr.Roots[0].Provenance; got != want {
+			t.Errorf("sim %s reject provenance = %+v, want %+v", job, got, want)
+		}
 	}
-	if j2.Roots[0].Provenance.Constraint != "deadline" {
-		t.Fatalf("sim reject provenance = %+v", j2.Roots[0].Provenance)
+}
+
+// evalJob is a one-actor job evaluating once (8 cpu) at l1 in (0, deadline).
+func evalJob(t *testing.T, name string, deadline interval.Time) workload.Job {
+	t.Helper()
+	actor := compute.ActorName(name + ".a")
+	c, err := cost.Realize(cost.Paper(), actor, compute.Evaluate(actor, "l1", 1))
+	if err != nil {
+		t.Fatal(err)
 	}
+	dist, err := compute.NewDistributed(name, 0, deadline, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workload.Job{Dist: dist}
 }

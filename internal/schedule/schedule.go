@@ -26,6 +26,33 @@ import (
 // for the heuristic multi-actor search; see Concurrent).
 var ErrInfeasible = errors.New("schedule: infeasible")
 
+// Infeasible is the refusal Concurrent and Single return: the one
+// obligation that failed. When OrdersTried is zero it is a witness
+// failure — the actor's phase could not gather Need of Type within
+// Window, which for a single actor certifies that
+// Θ.QuantityWithin(Type, Window) < Need. Otherwise the exhaustive
+// search tried OrdersTried actor orderings and none succeeded.
+// errors.Is(err, ErrInfeasible) holds for every *Infeasible.
+type Infeasible struct {
+	Actor       compute.ActorName
+	Phase       int
+	Type        resource.LocatedType
+	Need        resource.Quantity
+	Window      interval.Interval
+	OrdersTried int
+}
+
+func (e *Infeasible) Error() string {
+	if e.OrdersTried > 0 {
+		return fmt.Sprintf("%v: no actor ordering of %d tried succeeded", ErrInfeasible, e.OrdersTried)
+	}
+	return fmt.Sprintf("%v: actor %s phase %d needs %v of %v in %v",
+		ErrInfeasible, e.Actor, e.Phase, e.Need, e.Type, e.Window)
+}
+
+// Is makes errors.Is(err, ErrInfeasible) hold.
+func (e *Infeasible) Is(target error) bool { return target == ErrInfeasible }
+
 // Allocation is one planned consumption: the given actor's phase consumes
 // Term.Rate of Term.Type throughout Term.Span.
 type Allocation struct {
@@ -141,7 +168,7 @@ func Concurrent(theta resource.Set, req compute.Concurrent, opts ...Option) (Pla
 		return true
 	})
 	if found == nil {
-		return Plan{}, fmt.Errorf("%w: no actor ordering of %d tried succeeded", ErrInfeasible, tried)
+		return Plan{}, &Infeasible{OrdersTried: tried}
 	}
 	return *found, nil
 }
@@ -211,8 +238,8 @@ func scheduleActor(working *resource.Set, req compute.Complex, plan *Plan) error
 			need := phase.Amounts[lt]
 			allocs, doneAt, err := earliestAllocations(*working, lt, need, interval.New(cursor, req.Window.End))
 			if err != nil {
-				return fmt.Errorf("%w: actor %s phase %d needs %v of %v in %v",
-					ErrInfeasible, req.Actor, phaseIdx, need, lt, interval.New(cursor, req.Window.End))
+				return &Infeasible{Actor: req.Actor, Phase: phaseIdx, Type: lt, Need: need,
+					Window: interval.New(cursor, req.Window.End)}
 			}
 			if consumeErr := working.ConsumeTerms(allocs); consumeErr != nil {
 				return fmt.Errorf("schedule: internal: allocation exceeds availability: %v", consumeErr)

@@ -295,32 +295,41 @@ func mergedFree(shards []*shard, vers []uint64) (resource.Set, error) {
 	return free, nil
 }
 
+// DecideOnFree runs policy for job against a free view at now, under a
+// plan span; a rejection marks the span with its reason and provenance.
+// The coordinator decides a federated admission the same way, against
+// the merged free views of its owners.
+func DecideOnFree(ctx context.Context, spans *span.Store, policy admission.Policy, free resource.Set, now interval.Time, job workload.Job, attempt int) admission.Decision {
+	_, sp := spans.Start(ctx, span.KindPlan)
+	defer sp.End()
+	sp.Attr("job", job.Dist.Name)
+	sp.Attr("actors", len(job.Dist.Actors))
+	if attempt > 0 {
+		sp.Attr("attempt", attempt)
+	}
+	// The transient state presents the free view as Θ with no
+	// commitments, so State.FreeResources sees exactly the free
+	// capacity; reservations are already subtracted out.
+	state := core.State{Theta: free, Now: now}
+	dec := admission.Decide(policy, admission.View{Now: now, Theta: free, State: &state}, job.Dist)
+	if !dec.Admit {
+		sp.SetStatus(span.StatusReject)
+		sp.Attr("error", dec.Reason)
+		sp.SetProvenance(admission.Explain(dec.Refusal))
+	}
+	return dec
+}
+
 // planOne runs the witness-plan search for one work against a free-view
 // snapshot, outside any lock. Returns true when the work holds an
 // accepted plan ready for validation; rejections and internal errors
 // are settled (claim abandoned, outcome delivered) and return false.
 func (l *Ledger) planOne(w *admitWork, locs []resource.Location, free resource.Set, vers []uint64, attempt int) bool {
-	// The transient state presents the free snapshot as Θ with no
-	// commitments, so State.FreeResources sees exactly the free
-	// capacity; reservations are already subtracted out.
-	state := core.State{Theta: free, Now: w.now}
-	view := admission.View{Now: w.now, Theta: free, State: &state}
-	_, planSpan := l.spans.Start(w.ctx, span.KindPlan)
-	planSpan.Attr("job", w.job.Dist.Name)
-	planSpan.Attr("actors", len(w.job.Dist.Actors))
-	if attempt > 0 {
-		planSpan.Attr("attempt", attempt)
-	}
-	dec := admission.Decide(w.policy, view, w.job.Dist)
+	dec := DecideOnFree(w.ctx, l.spans, w.policy, free, w.now, w.job, attempt)
 	if !dec.Admit {
-		planSpan.SetStatus(span.StatusReject)
-		planSpan.Attr("error", dec.Reason)
-		planSpan.SetProvenance(span.Classify(dec.Reason))
-		planSpan.End()
 		l.settle(w, dec, nil)
 		return false
 	}
-	planSpan.End()
 	if dec.Plan == nil {
 		l.settle(w, admission.Decision{}, ErrPlanless)
 		return false
@@ -366,7 +375,7 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 			late = append(late, w)
 			continue
 		}
-		fits, err := fitsLocked(shards, w)
+		tight, err := fitsLocked(shards, w)
 		if err != nil {
 			unlock()
 			l.endReserveSpans(spans[i:], span.StatusError)
@@ -382,11 +391,12 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 			}
 			return
 		}
-		if !fits {
+		if tight != nil {
 			// The attempt is refused for capacity — its plan no longer
-			// fits the free view — and like every reject span says so.
+			// fits the tight shard's free view — and like every reject
+			// span says so.
 			spans[i].SetStatus(span.StatusReject)
-			spans[i].SetProvenance(span.Classify(ErrOvercommit.Error()))
+			spans[i].SetProvenance(admission.Explain(&admission.Overcommit{Shard: tight.loc, Name: w.job.Dist.Name}))
 			conflicted = append(conflicted, w)
 			continue
 		}
@@ -402,14 +412,15 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 	l.finalizeBatch(locs, admitted)
 }
 
-// fitsLocked reports whether a planned work still fits. Fast path: if
-// no shard's version moved since the work's snapshot, the plan fits by
-// construction (the planner only emits plans fitting the view it was
-// given) — no dominance check needed. Otherwise every touched shard's
-// current free view must dominate the work's demand part. The caller
-// holds the shard locks; shards is in lockedShards order, matching the
-// order snapshotFree recorded versions in.
-func fitsLocked(shards []*shard, w *admitWork) (bool, error) {
+// fitsLocked returns the first shard a planned work no longer fits, or
+// nil when it still fits. Fast path: if no shard's version moved since
+// the work's snapshot, the plan fits by construction (the planner only
+// emits plans fitting the view it was given) — no dominance check
+// needed. Otherwise every touched shard's current free view must
+// dominate the work's demand part. The caller holds the shard locks;
+// shards is in lockedShards order, matching the order snapshotFree
+// recorded versions in.
+func fitsLocked(shards []*shard, w *admitWork) (*shard, error) {
 	unchanged := len(w.vers) == len(shards)
 	if unchanged {
 		for i, sh := range shards {
@@ -420,10 +431,9 @@ func fitsLocked(shards []*shard, w *admitWork) (bool, error) {
 		}
 	}
 	if unchanged {
-		return true, nil
+		return nil, nil
 	}
-	tight, err := misfit(shards, w.parts)
-	return tight == nil, err
+	return misfit(shards, w.parts)
 }
 
 // startReserveSpans opens one KindReserve span per work, covering the

@@ -242,15 +242,16 @@ func TestReplanExhaustionFallsBackToLockedPlan(t *testing.T) {
 		t.Errorf("fallback plan finishes at %d, inside the taken windows (0,%d)", dec.Plan.Finish, taken)
 	}
 	// Each invalidated attempt left a reserve span marked reject; the
-	// selftests require every reject span to say why.
+	// selftests require every reject span to say why, naming the shard
+	// the plan no longer fit.
 	conflicts := 0
 	for _, sr := range spans.Snapshot() {
 		if sr.Status != span.StatusReject {
 			continue
 		}
 		conflicts++
-		if sr.Kind != span.KindReserve || sr.Provenance == nil {
-			t.Errorf("reject span %+v: want a reserve span carrying provenance", sr)
+		if sr.Kind != span.KindReserve || sr.Provenance == nil || sr.Provenance.Term != "l1" {
+			t.Errorf("reject span %+v: want a reserve span carrying provenance for shard l1", sr)
 		}
 	}
 	if conflicts != defaultAdmitRetries+1 {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/admission"
 	"repro/internal/interval"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
@@ -34,13 +35,15 @@ type PrepareRequest struct {
 	Expiry   interval.Time `json:"lease_expiry"`
 }
 
-// PrepareResponse reports the hold verdict. Held=false with a Reason is
-// a capacity rejection — the protocol's analogue of admit=false — while
-// transport-level and validation failures use HTTP error statuses.
+// PrepareResponse reports the hold verdict. Held=false is a capacity
+// rejection — the protocol's analogue of admit=false — naming the Shard
+// that could not hold the slice, with Reason its text; transport-level
+// and validation failures use HTTP error statuses.
 type PrepareResponse struct {
-	Key    string `json:"key"`
-	Held   bool   `json:"held"`
-	Reason string `json:"reason,omitempty"`
+	Key    string            `json:"key"`
+	Held   bool              `json:"held"`
+	Reason string            `json:"reason,omitempty"`
+	Shard  resource.Location `json:"shard,omitempty"`
 }
 
 // FinishRequest names a prepared key to commit or abort.
@@ -123,31 +126,28 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	s.obs.Log("twophase.prepare",
 		"trace", obs.Trace(r.Context()), "key", req.Key, "job", req.Name,
 		"held", err == nil, "lease_expiry", req.Expiry)
+	var over *admission.Overcommit
+	status := http.StatusInternalServerError
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, PrepareResponse{Key: req.Key, Held: true})
-	case errors.Is(err, ErrOvercommit):
+		return
+	case errors.As(err, &over):
 		// Capacity rejection: a well-formed verdict, not an error.
 		sp.SetStatus(span.StatusReject)
-		sp.SetProvenance(span.Classify(err.Error()))
-		writeJSON(w, http.StatusOK, PrepareResponse{Key: req.Key, Held: false, Reason: err.Error()})
+		sp.SetProvenance(admission.Explain(err))
+		writeJSON(w, http.StatusOK, PrepareResponse{Key: req.Key, Held: false, Reason: err.Error(), Shard: over.Shard})
+		return
 	case errors.Is(err, ErrNotOwned):
-		s.errored.Add(1)
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusUnprocessableEntity, err)
+		status = http.StatusUnprocessableEntity
 	case errors.Is(err, ErrDuplicate):
-		s.errored.Add(1)
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusConflict, err)
+		status = http.StatusConflict
 	case errors.Is(err, ErrLeaseExpired):
-		s.errored.Add(1)
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusBadRequest, err)
-	default:
-		s.errored.Add(1)
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusInternalServerError, err)
+		status = http.StatusBadRequest
 	}
+	s.errored.Add(1)
+	sp.SetStatus(span.StatusError)
+	httpError(w, status, err)
 }
 
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {

@@ -602,9 +602,10 @@ var (
 	// ErrNotOwned is returned when a request names a location this node
 	// does not own (cluster mode only).
 	ErrNotOwned = errors.New("server: location not owned by this node")
-	// ErrOvercommit is returned by Prepare when holding the demand would
-	// break the shard invariant — a capacity rejection, not a fault.
-	ErrOvercommit = errors.New("server: demand exceeds free availability")
+	// ErrOvercommit is returned by Prepare, as an *admission.Overcommit
+	// naming the shard, when holding the demand would break the shard
+	// invariant — a capacity rejection, not a fault.
+	ErrOvercommit = admission.ErrOvercommit
 	// ErrUnknownHold is returned by Commit for a key never prepared here
 	// (or already swept by lease expiry).
 	ErrUnknownHold = errors.New("server: unknown or expired prepare key")
@@ -699,7 +700,7 @@ func (l *Ledger) Admit(policy admission.Policy, job workload.Job) (admission.Dec
 func (l *Ledger) AdmitCtx(ctx context.Context, policy admission.Policy, job workload.Job) (admission.Decision, error) {
 	now := l.Now()
 	if now >= job.Dist.Deadline {
-		return admission.Decision{Reason: fmt.Sprintf("deadline %d already passed at t=%d", job.Dist.Deadline, now)}, nil
+		return admission.PastDeadline(job.Dist.Deadline, now), nil
 	}
 
 	// Claim the name before deciding so two racing admits of the same

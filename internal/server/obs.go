@@ -21,7 +21,7 @@ func (s *Server) CollectMetrics(e *obs.Exposition) {
 	bi := st.Build
 	e.Gauge("rota_build_info", "Build metadata as labels; the value is always 1.",
 		obs.L("go_version", bi.GoVersion).With("module", bi.Module).With("version", bi.Version), 1)
-	e.Gauge("rota_workers", "Decision worker pool size.", nil, float64(s.cfg.Workers))
+	e.Gauge("rota_workers", "Decision slots: admits that may decide at once.", nil, float64(s.cfg.Workers))
 
 	outcomes := s.cfg.Assure.Locations()
 	locs := make([]string, 0, len(outcomes))

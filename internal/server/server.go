@@ -380,8 +380,8 @@ type StatsResponse struct {
 
 	// QueueDepth and InFlight are point-in-time gauges of the decision
 	// slots: admits waiting for a slot and admits holding one.
-	QueueDepth int64 `json:"queue_depth" metric:"rota_queue_depth" help:"Decisions waiting for a worker."`
-	InFlight   int64 `json:"in_flight" metric:"rota_inflight_decisions" help:"Decisions currently mid-search in the worker pool."`
+	QueueDepth int64 `json:"queue_depth" metric:"rota_queue_depth" help:"Admits waiting for a decision slot."`
+	InFlight   int64 `json:"in_flight" metric:"rota_inflight_decisions" help:"Admits holding a decision slot, mid-search."`
 
 	// Holds counts live leased two-phase holds; TwoPhase digests the
 	// federation traffic this node served as a participant.
@@ -394,7 +394,7 @@ type StatsResponse struct {
 
 	// DecisionLatencyUS digests decision service time while holding a
 	// slot (ledger lock + policy) in microseconds.
-	DecisionLatencyUS metrics.HistogramSummary `json:"decision_latency_us" metric:"rota_decision_latency_us" help:"Worker-side decision service time (ledger lock + policy) in microseconds."`
+	DecisionLatencyUS metrics.HistogramSummary `json:"decision_latency_us" metric:"rota_decision_latency_us" help:"Decision service time while holding a slot (ledger lock + policy) in microseconds."`
 
 	// Spans digests the span store: ring-buffer bound, live records, and
 	// the recorded/evicted totals that prove the store stays bounded.
@@ -523,25 +523,29 @@ func (s *Server) admitDecide(w http.ResponseWriter, sctx context.Context, adSpan
 		"reason", dec.Reason,
 		"deadline", job.Dist.Deadline,
 		"decision_us", dec.Elapsed.Microseconds())
-	resp := AdmitResponse{
-		Job:       job.Dist.Name,
-		Admit:     dec.Admit,
-		Reason:    dec.Reason,
-		Deadline:  job.Dist.Deadline,
-		ElapsedUS: dec.Elapsed.Microseconds(),
-	}
+	resp := Verdict(job, dec)
 	adSpan.Attr("admit", dec.Admit)
 	if dec.Admit {
-		if dec.Plan != nil {
-			resp.Finish = dec.Plan.Finish
-			adSpan.Attr("finish", dec.Plan.Finish)
-		}
+		adSpan.Attr("finish", resp.Finish)
 	} else {
-		resp.Provenance = span.Classify(dec.Reason)
 		adSpan.SetStatus(span.StatusReject)
 		adSpan.SetProvenance(resp.Provenance)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// Verdict is the /v1/admit answer to a decision; a rejection carries
+// the provenance admission.Explain derives from its typed refusal.
+func Verdict(job workload.Job, dec admission.Decision) AdmitResponse {
+	resp := AdmitResponse{Job: job.Dist.Name, Admit: dec.Admit, Reason: dec.Reason,
+		Deadline: job.Dist.Deadline, ElapsedUS: dec.Elapsed.Microseconds()}
+	if dec.Plan != nil {
+		resp.Finish = dec.Plan.Finish
+	}
+	if !dec.Admit {
+		resp.Provenance = admission.Explain(dec.Refusal)
+	}
+	return resp
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {

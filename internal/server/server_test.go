@@ -182,6 +182,29 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 // In cluster mode /v1/acquire reaches the embedded server unrouted, so
 // the handler itself must refuse availability for a location the node
 // does not own — 422 like prepare and free, with the ledger untouched.
+// A name with a space — an actor's or a location's — keeps its reject
+// provenance: the witness failure names the located type and window.
+func TestRejectProvenanceNamesWithSpaces(t *testing.T) {
+	_, ts := newTestServer(t, cpuTheta(2, 64, "l1", "rack 1"))
+	for _, c := range []struct {
+		job  workload.Job
+		term string
+	}{
+		{cpuJob(t, "big job", "l1", 0, 2), "⟨cpu,l1⟩"},
+		{cpuJob(t, "r1", "rack 1", 0, 2), "⟨cpu,rack 1⟩"},
+	} {
+		resp, body := postBody(t, ts.URL+"/v1/admit", admitBody(t, c.job))
+		var verdict AdmitResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &verdict) != nil || verdict.Admit {
+			t.Fatalf("admit %s: %d %s", c.job.Dist.Name, resp.StatusCode, body)
+		}
+		p := verdict.Provenance
+		if p == nil || p.Stage != "plan" || p.Constraint != "witness" || p.Term != c.term || p.Window != "(0,2)" {
+			t.Errorf("%s: provenance %+v, want plan/witness term=%s window=(0,2)", c.job.Dist.Name, p, c.term)
+		}
+	}
+}
+
 func TestAcquireRefusesUnownedLocation(t *testing.T) {
 	srv, err := New(Config{Theta: cpuTheta(2, 64, "l1"), Owned: []resource.Location{"l1"}})
 	if err != nil {

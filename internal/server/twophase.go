@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 
+	"repro/internal/admission"
 	"repro/internal/interval"
 	"repro/internal/resource"
 )
@@ -64,7 +65,7 @@ func (l *Ledger) Prepare(key, name string, demand resource.Set, finish, deadline
 	// ledger exactly as it was.
 	tight, err := misfit(shards, slice)
 	if err == nil && tight != nil {
-		err = fmt.Errorf("%w: shard %s cannot hold prepare %s for %s", ErrOvercommit, tight.loc, key, name)
+		err = &admission.Overcommit{Shard: tight.loc, Key: key, Name: name}
 	}
 	if err != nil {
 		unlock()

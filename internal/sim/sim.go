@@ -84,6 +84,31 @@ func (c Config) emit(e trace.Event) {
 	}
 }
 
+// offer records job's arrival at t and decides it against view. A
+// rejection is counted and traced with its typed provenance's fields,
+// so span.Bridge copies them instead of parsing the reason.
+func (res *Result) offer(cfg Config, t interval.Time, job workload.Job, view admission.View) (admission.Decision, resource.Quantity) {
+	res.Offered++
+	work := job.Dist.TotalAmounts().Total()
+	res.OfferedWork += work
+	cfg.emit(trace.Event{At: t, Kind: trace.KindArrival, Job: job.Dist.Name, Quantity: work.Units()})
+	dec := admission.Decide(cfg.Policy, view, job.Dist)
+	res.Decisions++
+	res.DecisionTime += dec.Elapsed
+	if dec.Admit {
+		return dec, work
+	}
+	res.Rejected++
+	if cfg.Trace != nil {
+		e := trace.Event{At: t, Kind: trace.KindReject, Job: job.Dist.Name, Detail: dec.Reason}
+		if p := admission.Explain(dec.Refusal); p != nil {
+			e.Stage, e.Constraint, e.Term, e.Window = p.Stage, p.Constraint, p.Term, p.Window
+		}
+		cfg.Trace.Add(e)
+	}
+	return dec, work
+}
+
 // Result aggregates one run.
 type Result struct {
 	Policy   string
@@ -243,17 +268,8 @@ func runPlanned(cfg Config, jobs []workload.Job, churnTrace churn.Trace, horizon
 				cfg.emit(trace.Event{At: t, Kind: trace.KindRenege, Detail: withdrawn.String()})
 			}
 			for _, job := range idx.arrivals[t] {
-				res.Offered++
-				work := job.Dist.TotalAmounts().Total()
-				res.OfferedWork += work
-				cfg.emit(trace.Event{At: t, Kind: trace.KindArrival, Job: job.Dist.Name, Quantity: work.Units()})
-				view := admission.View{Now: state.Now, Theta: state.Theta, State: &state}
-				dec := admission.Decide(cfg.Policy, view, job.Dist)
-				res.Decisions++
-				res.DecisionTime += dec.Elapsed
+				dec, work := res.offer(cfg, t, job, admission.View{Now: state.Now, Theta: state.Theta, State: &state})
 				if !dec.Admit {
-					res.Rejected++
-					cfg.emit(trace.Event{At: t, Kind: trace.KindReject, Job: job.Dist.Name, Detail: dec.Reason})
 					continue
 				}
 				if dec.Plan == nil {
@@ -371,17 +387,8 @@ func runGreedy(cfg Config, jobs []workload.Job, churnTrace churn.Trace, horizon 
 			cfg.emit(trace.Event{At: now, Kind: trace.KindRenege, Detail: withdrawn.String()})
 		}
 		for _, job := range idx.arrivals[now] {
-			res.Offered++
-			work := job.Dist.TotalAmounts().Total()
-			res.OfferedWork += work
-			cfg.emit(trace.Event{At: now, Kind: trace.KindArrival, Job: job.Dist.Name, Quantity: work.Units()})
-			view := admission.View{Now: now, Theta: avail}
-			dec := admission.Decide(cfg.Policy, view, job.Dist)
-			res.Decisions++
-			res.DecisionTime += dec.Elapsed
+			dec, work := res.offer(cfg, now, job, admission.View{Now: now, Theta: avail})
 			if !dec.Admit {
-				res.Rejected++
-				cfg.emit(trace.Event{At: now, Kind: trace.KindReject, Job: job.Dist.Name, Detail: dec.Reason})
 				continue
 			}
 			js := &jobState{deadline: job.Dist.Deadline, work: work}

@@ -39,6 +39,13 @@ type Event struct {
 	// Quantity carries a magnitude where meaningful (work units,
 	// withdrawn units).
 	Quantity int64 `json:"qty,omitempty"`
+	// Stage, Constraint, Term and Window are a reject's structured
+	// provenance (see span.Provenance), present when the policy's
+	// refusal was typed.
+	Stage      string `json:"stage,omitempty"`
+	Constraint string `json:"constraint,omitempty"`
+	Term       string `json:"term,omitempty"`
+	Window     string `json:"window,omitempty"`
 }
 
 // Log accumulates events in memory; it is safe for concurrent use.
