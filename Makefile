@@ -32,8 +32,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line repeats the ledger's concurrency tests (the 64-way
+# squeeze, racing admits, refusals at reserve) ten times: a lost ordering
+# in the admit lock path shows there first.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone' ./internal/server/
 
 # Ten seconds of coverage-guided inputs holding the splice kernels to
 # the event-sweep reference (internal/resource/profile_test.go), ten

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"time"
@@ -402,8 +403,8 @@ func (n *Node) rpcOwned(ctx context.Context, m membership.Member, locs []resourc
 	}
 	var resp ownedResponse
 	ps := n.peerFor(ownerRef{id: m.ID, url: m.URL})
-	url := m.URL + "/v1/cluster/owned?locs=" + strings.Join(parts, ",")
-	if err := n.client.call(ctx, http.MethodGet, url, nil, &resp, nil, ps.rpc); err != nil {
+	target := m.URL + "/v1/cluster/owned?locs=" + url.QueryEscape(strings.Join(parts, ","))
+	if err := n.client.call(ctx, http.MethodGet, target, nil, &resp, nil, ps.rpc); err != nil {
 		return nil, fmt.Errorf("cluster: owned probe on %s: %w", m.ID, err)
 	}
 	out := make(map[resource.Location]bool, len(resp.Owned))

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
 	"repro/internal/fault"
 	"repro/internal/interval"
+	"repro/internal/membership"
 	"repro/internal/obs"
 	"repro/internal/resource"
 	"repro/internal/server"
@@ -290,5 +292,40 @@ func waitFor(t testing.TB, timeout time.Duration, what string, cond func() bool)
 			t.Fatalf("%s: never happened within %s", what, timeout)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// The owned probe escapes its query: a peer owning locations whose names
+// carry a space or a query metacharacter is reported as owning each of
+// them, not answered with a 400 or misread.
+func TestOwnedProbeEscapesLocations(t *testing.T) {
+	odd := []resource.Location{"l 1", "a+b", "x#y", "p&q"}
+	newNode := func(self string, peers []Peer) *Node {
+		t.Helper()
+		nd, err := New(Config{Self: self, Peers: peers, GossipInterval: -1, RPCRetries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = nd.Shutdown(context.Background()) })
+		return nd
+	}
+	n1 := Peer{ID: "n1", URL: "http://127.0.0.1:1", Locations: []resource.Location{"l1"}}
+	n2 := Peer{ID: "n2", URL: "http://127.0.0.1:1", Locations: odd}
+	peer := httptest.NewServer(newNode("n2", []Peer{n1, n2}))
+	t.Cleanup(peer.Close)
+	n2.URL = peer.URL
+	prober := newNode("n1", []Peer{n1, n2})
+
+	owned, err := prober.rpcOwned(context.Background(), membership.Member{ID: "n2", URL: peer.URL}, odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, loc := range odd {
+		if !owned[loc] {
+			t.Errorf("the probe reports n2 not owning %q; owned = %v", loc, owned)
+		}
+	}
+	if len(owned) != len(odd) {
+		t.Errorf("owned = %v, want exactly %v", owned, odd)
 	}
 }

@@ -55,7 +55,6 @@ var (
 		"witness-plan search (schedule.Concurrent) over the free view",
 		"job", "job name",
 		"actors", "number of actors whose phases were searched",
-		"batch", "admission batch size, when decided in a batch of >1",
 		"attempt", "optimistic replan attempt, when >0 (snapshot conflicted)",
 		"error", "infeasibility reason when no witness exists")
 

@@ -191,8 +191,8 @@ func tryOrder(theta resource.Set, order []compute.Complex) (Plan, error) {
 		}
 	}
 	working := theta.Restrict(window, types...)
-	for _, actor := range order {
-		if err := scheduleActor(&working, actor, &plan); err != nil {
+	for i, actor := range order {
+		if err := scheduleActor(&working, actor, order[i+1:], &plan); err != nil {
 			return Plan{}, err
 		}
 	}
@@ -225,9 +225,11 @@ func permute(actors []compute.Complex, visit func([]compute.Complex) bool) {
 }
 
 // scheduleActor plans one actor's phases against the working set,
-// consuming what it allocates. The actor's phases run back to back: phase
-// i begins the moment phase i−1 completes.
-func scheduleActor(working *resource.Set, req compute.Complex, plan *Plan) error {
+// consuming what it allocates wherever a later allocation of the same
+// type — a later phase of req, or an actor in later — will read it. The
+// actor's phases run back to back: phase i begins the moment phase i−1
+// completes.
+func scheduleActor(working *resource.Set, req compute.Complex, later []compute.Complex, plan *Plan) error {
 	cursor := req.Window.Start
 	var breaks []interval.Time
 	for phaseIdx, phase := range req.Phases {
@@ -241,8 +243,12 @@ func scheduleActor(working *resource.Set, req compute.Complex, plan *Plan) error
 				return &Infeasible{Actor: req.Actor, Phase: phaseIdx, Type: lt, Need: need,
 					Window: interval.New(cursor, req.Window.End)}
 			}
-			if consumeErr := working.ConsumeTerms(allocs); consumeErr != nil {
-				return fmt.Errorf("schedule: internal: allocation exceeds availability: %v", consumeErr)
+			// A consumption nothing reads again would cost a copy of the
+			// type's whole profile for nothing.
+			if readLater(lt, req.Phases[phaseIdx+1:], later) {
+				if consumeErr := working.ConsumeTerms(allocs); consumeErr != nil {
+					return fmt.Errorf("schedule: internal: allocation exceeds availability: %v", consumeErr)
+				}
 			}
 			for _, term := range allocs {
 				plan.Allocs = append(plan.Allocs, Allocation{Actor: req.Actor, Phase: phaseIdx, Term: term})
@@ -256,6 +262,22 @@ func scheduleActor(working *resource.Set, req compute.Complex, plan *Plan) error
 	}
 	plan.Breaks[req.Actor] = breaks
 	return nil
+}
+
+// readLater reports whether any of phases, or any phase of the actors in
+// later, requires lt.
+func readLater(lt resource.LocatedType, phases []compute.Phase, later []compute.Complex) bool {
+	for _, ph := range phases {
+		if _, ok := ph.Amounts[lt]; ok {
+			return true
+		}
+	}
+	for _, actor := range later {
+		if readLater(lt, actor.Phases, nil) {
+			return true
+		}
+	}
+	return false
 }
 
 // earliestAllocations greedily accumulates need units of lt starting at

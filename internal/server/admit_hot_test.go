@@ -110,9 +110,9 @@ func TestAdmitRacingSameNameOneWins(t *testing.T) {
 }
 
 // 64-way concurrent admits to one shard with capacity for exactly 8:
-// batched admission must admit exactly 8 and keep the no-overcommit
-// invariant (Audit clean). Run under -race in CI.
-func TestBatchedAdmitNoOvercommit(t *testing.T) {
+// admission must admit exactly 8 and keep the no-overcommit invariant
+// (Audit clean). Run under -race in CI.
+func TestAdmitNoOvercommit(t *testing.T) {
 	// 64 cpu units on one shard; each job needs 8 → capacity for 8.
 	l := NewLedger(Config{Theta: cpuTheta(1, 64, "l1")}, nil)
 	policy := &admission.Rota{}
@@ -143,8 +143,15 @@ func TestBatchedAdmitNoOvercommit(t *testing.T) {
 	if hot.BatchedJobs != 64 {
 		t.Errorf("batched jobs = %d, want 64", hot.BatchedJobs)
 	}
-	if hot.Batches == 0 || hot.Batches > 64 {
-		t.Errorf("batches = %d, want in [1,64]", hot.Batches)
+	// Every reserve round either reserved (an admission) or conflicted (a
+	// retry); nothing here is late or faulted. A fallback adds a round
+	// only when its plan under the locks admits, and each one follows
+	// defaultAdmitRetries+1 conflicted rounds.
+	if hot.Batches != uint64(admitted.Load())+hot.PlanRetries {
+		t.Errorf("batches = %d, want admitted (%d) + plan retries (%d)", hot.Batches, admitted.Load(), hot.PlanRetries)
+	}
+	if hot.PlanRetries < (defaultAdmitRetries+1)*hot.PlanFallbacks {
+		t.Errorf("plan retries = %d, want at least %d per fallback (%d fallbacks)", hot.PlanRetries, defaultAdmitRetries+1, hot.PlanFallbacks)
 	}
 }
 
@@ -256,6 +263,20 @@ func TestReplanExhaustionFallsBackToLockedPlan(t *testing.T) {
 	}
 	if conflicts != defaultAdmitRetries+1 {
 		t.Errorf("%d reject spans, want one per invalidated attempt (%d)", conflicts, defaultAdmitRetries+1)
+	}
+	// Every span the conflicted and fallback rounds recorded keeps to its
+	// kind's documented schema.
+	for _, sr := range spans.Snapshot() {
+		ks, ok := span.LookupKind(sr.Kind)
+		if !ok {
+			t.Errorf("span uses unregistered kind %q", sr.Kind)
+			continue
+		}
+		for key := range sr.Attrs {
+			if _, ok := ks.Attrs[key]; !ok {
+				t.Errorf("span kind %q carries undocumented attribute %q", sr.Kind, key)
+			}
+		}
 	}
 	snaps := rec.Snapshots()
 	if len(snaps) != 1 || snaps[0].Trigger != flightrec.TriggerReplan || snaps[0].Detail != "j1" {
@@ -523,7 +544,7 @@ func TestAdmitReleaseBytesFollowTouchedProfiles(t *testing.T) {
 
 // Rejections decided against a snapshot are delivered immediately; the
 // decision must carry the infeasibility reason exactly as before.
-func TestBatchedRejectKeepsReason(t *testing.T) {
+func TestRejectKeepsReason(t *testing.T) {
 	l := NewLedger(Config{Theta: cpuTheta(1, 8, "l1")}, nil) // 8 units: one job fills it
 	policy := &admission.Rota{}
 	if dec, err := l.Admit(policy, cpuJob(t, "fits", "l1", 0, 8)); err != nil || !dec.Admit {
@@ -543,86 +564,70 @@ func TestBatchedRejectKeepsReason(t *testing.T) {
 	mustAudit(t, l)
 }
 
-// plannedWork claims a one-location job running in (start, start+16) and
-// plans it against the current free view, as admitHot does before a work
-// joins a validate batch.
-func plannedWork(t *testing.T, l *Ledger, ctx context.Context, name string, start interval.Time) *admitWork {
-	t.Helper()
-	job := cpuJob(t, name, "l1", start, start+16)
-	w := &admitWork{ctx: ctx, policy: &admission.Rota{}, job: job, now: l.Now(),
-		claim: &reservation{name: name, pending: true},
-		done:  make(chan admitOutcome, 1), lead: make(chan struct{}, 1)}
-	l.mu.Lock()
-	err := l.claimLocked(w.claim)
-	l.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	locs := job.Dist.Locations()
-	vers := make([]uint64, len(locs))
-	free, err := l.snapshotFree(locs, vers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.planOne(w, locs, free, vers, 0) {
-		t.Fatalf("%s: no witness plan", name)
-	}
-	return w
-}
-
-// A batch member whose ctx is done when its batch validates is refused
-// with an error wrapping the ctx error and reserves nothing, while the
-// live members beside it are reserved — wherever the expired member sits
-// in the batch, when it is the batch's leader, and when it falls back to
-// planning under the locks.
-func TestBatchRefusesOnlyTheExpiredMember(t *testing.T) {
-	locs := []resource.Location{"l1"}
-	for _, place := range []string{"first", "middle", "leader", "locked"} {
-		t.Run(place, func(t *testing.T) {
-			l := NewLedger(Config{Theta: cpuTheta(1, 64, "l1")}, nil)
-			done, cancel := context.WithCancel(context.Background())
-			cancel()
-			// Disjoint windows, so the live plans fit beside each other.
-			live1 := plannedWork(t, l, context.Background(), "live1", 0)
-			live2 := plannedWork(t, l, context.Background(), "live2", 16)
-			expired := plannedWork(t, l, done, "expired", 32)
-
-			var out admitOutcome
-			switch place {
-			case "first":
-				l.validateBatch(locs, []*admitWork{expired, live1, live2}, 0)
-				out = <-expired.done
-			case "middle":
-				l.validateBatch(locs, []*admitWork{live1, expired, live2}, 0)
-				out = <-expired.done
-			case "leader":
-				// The live works are queued in an idle group, so the expired
-				// work takes the lead and validates them with itself.
-				l.groups[locsKey(locs)] = &admitGroup{locs: locs, members: []*admitWork{live1, live2}}
-				out = l.submitToGroup(locs, expired, 0)
-				if len(l.groups) != 0 {
-					t.Error("the expired leader left its group behind")
+// An admission whose ctx is done once its plan is found is refused at
+// reserve with an error wrapping the ctx error, and leaves no
+// reservation, no epoch bump and no claim on the name — whether the plan
+// came from an optimistic attempt or from the fallback that plans under
+// the locks. The hook cancels the ctx between plan and reserve; in the
+// locked case it also takes every optimistic plan's window, so each
+// attempt conflicts and the job falls back with its ctx already done.
+func TestExpiredPlanReservesNothing(t *testing.T) {
+	for _, path := range []string{"optimistic", "locked"} {
+		t.Run(path, func(t *testing.T) {
+			l := NewLedger(Config{Theta: cpuTheta(1, 100, "l1")}, nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var synthetic resource.Set
+			rounds := 0
+			l.testPostPlanHook = func() {
+				rounds++
+				if path == "optimistic" {
+					cancel()
+					return
 				}
-			case "locked":
-				l.validateBatch(locs, []*admitWork{live1, live2}, 0)
-				l.runLocked(locs, expired)
-				out = <-expired.done
-			}
-			if !errors.Is(out.err, context.Canceled) || !errors.Is(out.err, errLate) || out.retry {
-				t.Fatalf("expired member: %+v, want a late refusal wrapping context.Canceled", out)
-			}
-			for _, w := range []*admitWork{live1, live2} {
-				if got := <-w.done; got.err != nil || !got.dec.Admit {
-					t.Errorf("%s: %+v, want admitted", w.job.Dist.Name, got)
+				block := interval.Time(16 * (rounds - 1))
+				var taken resource.Set
+				taken.Add(resource.NewTerm(u(1), resource.CPUAt("l1"), interval.New(block, block+16)))
+				synthetic.AddSet(taken)
+				sh := l.shardFor("l1")
+				sh.mu.Lock()
+				sh.applyReserve(taken)
+				sh.mu.Unlock()
+				if rounds == defaultAdmitRetries+1 {
+					cancel()
 				}
 			}
-			if n := l.NumCommitments(); n != 2 {
-				t.Errorf("%d commitments, want the 2 live members", n)
+			epoch := l.Epoch()
+			_, err := l.AdmitCtx(ctx, &admission.Rota{}, cpuJob(t, "expired", "l1", 0, 100))
+			l.testPostPlanHook = nil
+			if !errors.Is(err, errLate) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want a late refusal wrapping context.Canceled", err)
+			}
+			wantFallbacks := uint64(0)
+			if path == "locked" {
+				wantFallbacks = 1
+			}
+			if got := l.AdmitHot().PlanFallbacks; got != wantFallbacks {
+				t.Fatalf("plan fallbacks = %d, want %d", got, wantFallbacks)
+			}
+			if n, e := l.NumCommitments(), l.Epoch(); n != 0 || e != epoch {
+				t.Fatalf("commitments=%d epoch %d → %d, want nothing applied", n, epoch, e)
+			}
+			// Nothing beyond the hook's own blocks was reserved.
+			sh := l.shardFor("l1")
+			sh.mu.Lock()
+			relErr := sh.applyRelease(synthetic)
+			empty := sh.reserved.Empty()
+			sh.mu.Unlock()
+			if relErr != nil {
+				t.Fatal(relErr)
+			}
+			if !empty {
+				t.Fatal("the refused plan left a reservation on l1")
 			}
 			mustAudit(t, l)
-			// Nothing was reserved for the expired member, and its claim is
-			// gone: the name admits afresh.
-			if dec, err := l.Admit(&admission.Rota{}, cpuJob(t, "expired", "l1", 32, 48)); err != nil || !dec.Admit {
+			// The claim is gone: the name admits afresh.
+			if dec, err := l.Admit(&admission.Rota{}, cpuJob(t, "expired", "l1", 0, 100)); err != nil || !dec.Admit {
 				t.Fatalf("re-admit of the expired name: %v %+v", err, dec)
 			}
 		})

@@ -318,18 +318,14 @@ type Ledger struct {
 	epoch  atomic.Uint64
 	notify func(epoch uint64, reason string)
 
-	// hot counts hot-path events (batches, optimistic retries, free-view
-	// patches vs recomputes), surfaced in /v1/stats.
+	// hot counts hot-path events (reserve rounds, optimistic retries,
+	// free-view patches vs recomputes), surfaced in /v1/stats.
 	hot hotCounters
 
-	// groups are the per-footprint admission batching queues (see
-	// admit_hot.go); batchMu guards the map and every group's members.
-	batchMu sync.Mutex
-	groups  map[string]*admitGroup
-
-	// testPostPlanHook, when non-nil, runs between the optimistic plan
-	// phase and validation — tests inject a conflicting mutation here to
-	// exercise the retry path deterministically. Never set in production.
+	// testPostPlanHook, when non-nil, runs between an optimistic
+	// attempt's plan and its reserve round — tests inject a conflicting
+	// mutation (or cancel the ctx) here to exercise the retry and
+	// refuse-at-reserve paths deterministically. Never set in production.
 	testPostPlanHook func()
 }
 
@@ -344,7 +340,6 @@ func NewLedger(cfg Config, notify func(epoch uint64, reason string)) *Ledger {
 		shards: make(map[resource.Location]*shard),
 		byName: make(map[string]*reservation),
 		byKey:  make(map[string]*reservation),
-		groups: make(map[string]*admitGroup),
 		obs:    cfg.Obs,
 		spans:  cfg.Spans,
 		assure: cfg.Assure,
@@ -693,10 +688,9 @@ func (l *Ledger) Admit(policy admission.Policy, job workload.Job) (admission.Dec
 //
 // The decision itself runs on the optimistic hot path (admit_hot.go):
 // the plan search happens against an immutable free-view snapshot taken
-// outside the shard locks, concurrent admits sharing a footprint are
-// batched, and the reservation revalidates the snapshot version (or the
-// plan's fit) before committing — so plan search never serializes a
-// shard.
+// outside the shard locks, and the reservation revalidates the snapshot
+// version (or the plan's fit) before committing — so plan search never
+// serializes a shard.
 func (l *Ledger) AdmitCtx(ctx context.Context, policy admission.Policy, job workload.Job) (admission.Decision, error) {
 	now := l.Now()
 	if now >= job.Dist.Deadline {

@@ -388,7 +388,7 @@ type StatsResponse struct {
 	Holds    int              `json:"holds" metric:"rota_ledger_holds" help:"Live leased two-phase holds."`
 	TwoPhase TwoPhaseCounters `json:"two_phase"`
 
-	// AdmitHot digests the admission hot path: batching, optimistic
+	// AdmitHot digests the admission hot path: reserve rounds, optimistic
 	// retries and fallbacks, and free-view cache patches vs recomputes.
 	AdmitHot AdmitHotCounters `json:"admit_hot"`
 
