@@ -34,10 +34,13 @@ test:
 
 # The second line repeats the ledger's concurrency tests (the 64-way
 # squeeze, racing admits, refusals at reserve) ten times: a lost ordering
-# in the admit lock path shows there first.
+# in the admit lock path shows there first. The third repeats the
+# standing-query tests — subscribes racing bumps, flips, the pooled
+# evaluation path, the sweep's wake check — ten times.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone' ./internal/server/
+	$(GO) test -race -count=10 -run 'Subscribe|Bump|Flip|Concurrent|Wake' ./internal/query/ ./internal/server/
 
 # Ten seconds of coverage-guided inputs holding the splice kernels to
 # the event-sweep reference (internal/resource/profile_test.go), ten
@@ -47,12 +50,15 @@ race:
 # (internal/core/eval_quantity_test.go), then ten holding every
 # single-actor schedule refusal to a true certificate: Θ has less than
 # the refused need of its located type within its window
-# (internal/schedule/certificate_test.go). -fuzz takes one target per run.
+# (internal/schedule/certificate_test.go), then ten holding the
+# standing-query sweep to waking every subscription a write flipped
+# (internal/server/wake_test.go). -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileKernels$$' -fuzztime 10s ./internal/resource/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSet$$' -fuzztime 10s ./internal/resource/
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalSatisfy$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzInfeasibleIsACertificate$$' -fuzztime 10s ./internal/schedule/
+	$(GO) test -run '^$$' -fuzz '^FuzzWakeCoversFlips$$' -fuzztime 10s ./internal/server/
 
 # benchmark/ is a module of its own that tier-1 neither builds nor
 # tests; vetting it here catches an exported name under internal/ that

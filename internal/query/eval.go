@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/compute"
 	"repro/internal/core"
@@ -50,6 +51,18 @@ type Result struct {
 // the same horizon would give between sampled points.
 const maxPathStates = 64
 
+// pathPool recycles the speculative paths Evaluate decides queries on.
+// A modal query's path holds up to maxPathStates states, all sharing
+// one free view, plus the steps between them: about 10 KB that every
+// evaluation would otherwise allocate afresh. core.Eval keeps no
+// reference to the path, so it is free again once Evaluate returns.
+var pathPool = sync.Pool{New: func() any {
+	return &core.Path{
+		States: make([]core.State, 0, maxPathStates),
+		Steps:  make([]core.Transition, 0, maxPathStates-1),
+	}
+}}
+
 // Evaluate compiles the query against the snapshot and decides it at
 // the snapshot's clock (path position 0).
 func (c *Compiled) Evaluate(snap Snapshot) (Result, error) {
@@ -57,24 +70,30 @@ func (c *Compiled) Evaluate(snap Snapshot) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	p := speculativePath(snap.Free, snap.Now, horizon)
+	p := pathPool.Get().(*core.Path)
+	speculativePath(p, snap.Free, snap.Now, horizon)
 	holds, err := core.Eval(p, 0, f)
+	// A pooled path must not keep this snapshot's free view alive.
+	clear(p.States)
+	p.States, p.Steps = p.States[:0], p.Steps[:0]
+	pathPool.Put(p)
 	if err != nil {
 		return Result{}, fmt.Errorf("query: evaluating %s: %w", c.source, err)
 	}
 	return Result{Holds: holds, Formula: f}, nil
 }
 
-// speculativePath materializes the committed path the query is judged
-// on: the free view held constant while the clock advances to the
-// horizon. Each step carries no expirations, so FreeWithin reduces to
-// the free set clamped to the (position-clamped) window — exactly the
-// paper's "resources that will expire unused unless something new
-// consumes them" for a ledger whose reservations are already
-// subtracted out.
-func speculativePath(free resource.Set, now, horizon interval.Time) *core.Path {
+// speculativePath fills the empty path p with the committed path the
+// query is judged on: the free view held constant while the clock
+// advances to the horizon, in at most maxPathStates states. Each step
+// carries no expirations, so FreeWithin reduces to the free set clamped
+// to the (position-clamped) window — exactly the paper's "resources
+// that will expire unused unless something new consumes them" for a
+// ledger whose reservations are already subtracted out.
+func speculativePath(p *core.Path, free resource.Set, now, horizon interval.Time) {
+	p.States = append(p.States, core.State{Theta: free, Now: now})
 	if horizon <= now {
-		return core.NewPath(core.State{Theta: free, Now: now})
+		return
 	}
 	span := horizon - now
 	steps := span
@@ -82,24 +101,15 @@ func speculativePath(free resource.Set, now, horizon interval.Time) *core.Path {
 		steps = maxPathStates - 1
 	}
 	dt := (span + steps - 1) / steps
-	p := &core.Path{
-		States: make([]core.State, 0, steps+1),
-		Steps:  make([]core.Transition, 0, steps),
-	}
-	t := now
-	for {
-		p.States = append(p.States, core.State{Theta: free, Now: t})
-		if t >= horizon {
-			break
-		}
+	for t := now; t < horizon; {
 		next := satAdd(t, dt)
 		if next > horizon {
 			next = horizon
 		}
 		p.Steps = append(p.Steps, core.Transition{Kind: core.KindIdle, From: t, To: next})
+		p.States = append(p.States, core.State{Theta: free, Now: next})
 		t = next
 	}
-	return p
 }
 
 // satAdd adds two non-negative times, saturating at Infinity so huge

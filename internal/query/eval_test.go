@@ -2,7 +2,9 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/interval"
@@ -27,20 +29,23 @@ func segmentedView(n int) Snapshot {
 }
 
 // evaluateFootprint returns the mallocs and bytes one Evaluate of the
-// compiled query over the snapshot costs.
+// compiled query over the snapshot costs: the least of several single
+// evaluations, because under the race detector sync.Pool drops a random
+// share of Puts and an average would count those misses too.
 func evaluateFootprint(t *testing.T, c *Compiled, snap Snapshot) (allocs, bytes float64) {
 	t.Helper()
-	const runs = 20
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs = testing.AllocsPerRun(runs, func() {
+	allocs, bytes = math.Inf(1), math.Inf(1)
+	for i := 0; i < 16; i++ {
+		runtime.ReadMemStats(&before)
 		if _, err := c.Evaluate(snap); err != nil {
 			t.Fatal(err)
 		}
-	})
-	runtime.ReadMemStats(&after)
-	// AllocsPerRun makes one warm-up call besides the measured runs.
-	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs))
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
+	}
+	return allocs, bytes
 }
 
 // TestEvaluateCostIndependentOfViewSize: a simple atom reads one
@@ -65,6 +70,63 @@ func TestEvaluateCostIndependentOfViewSize(t *testing.T) {
 	if largeAllocs > 1.5*smallAllocs {
 		t.Errorf("Evaluate over 2000 segments makes %.0f allocs, over 200 %.0f: more than 1.5×", largeAllocs, smallAllocs)
 	}
+}
+
+// TestEvaluateReusesPath: the speculative path a standing query is
+// decided on comes from a pool, so one evaluation of a 64-state modal
+// query allocates its formula and its answer, not the ~10 KB of states
+// and steps the path holds.
+func TestEvaluateReusesPath(t *testing.T) {
+	c := mustParse(t, standingQuery)
+	_, bytes := evaluateFootprint(t, c, segmentedView(200))
+	t.Logf("%s: %.0f B per evaluation", standingQuery, bytes)
+	if bytes >= 2048 {
+		t.Errorf("one evaluation of %s allocates %.0f B, want < 2 KB", standingQuery, bytes)
+	}
+}
+
+// TestEvaluateConcurrentSnapshots is the -race check on the path pool:
+// goroutines evaluating one compiled query against different snapshots,
+// with paths of different lengths, each get the verdict a serial
+// evaluation of their own snapshot gives.
+func TestEvaluateConcurrentSnapshots(t *testing.T) {
+	// An unbounded window samples out to the view's end, so each clock
+	// below gives the path a different length.
+	c := mustParse(t, "holds(l1, cpu>=3, always)")
+	const workers = 8
+	snaps := make([]Snapshot, workers)
+	want := make([]bool, workers)
+	for g := range snaps {
+		snaps[g] = snapshot(int64(g))
+		snaps[g].Now = interval.Time(g * 10)
+		res, err := c.Evaluate(snaps[g])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[g] = res.Holds
+		if want[g] != (g >= 3) {
+			t.Fatalf("serial verdict over %d units = %v, want %v", g, want[g], g >= 3)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				res, err := c.Evaluate(snaps[g])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Holds != want[g] {
+					t.Errorf("worker %d, run %d: holds = %v, serial verdict %v", g, i, res.Holds, want[g])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func BenchmarkEvaluateStanding(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/resource"
 )
@@ -248,7 +249,8 @@ func TestFootprintAndNames(t *testing.T) {
 }
 
 func TestSpeculativePathBounded(t *testing.T) {
-	p := speculativePath(freeSet(4), 0, interval.Infinity-1)
+	p := &core.Path{}
+	speculativePath(p, freeSet(4), 0, interval.Infinity-1)
 	if p.Len() > maxPathStates {
 		t.Fatalf("path has %d states, bound is %d", p.Len(), maxPathStates)
 	}

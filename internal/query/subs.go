@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/interval"
+	"repro/internal/resource"
 )
 
 // Evaluator decides a compiled query against the current ledger state.
@@ -18,11 +19,21 @@ import (
 type Evaluator func(c *Compiled) (Verdict, error)
 
 // Verdict is one evaluation outcome with the state it was taken
-// against.
+// against and the locations it was read from.
 type Verdict struct {
 	Holds bool
 	Epoch uint64
 	Now   interval.Time
+	// Footprint is the sorted set of locations the verdict was read
+	// from. Located types are disjoint resources, so a write touching
+	// none of them, and none of the query's names, cannot flip it.
+	Footprint []resource.Location
+	// Scoped reports that Footprint is the whole read set. An evaluator
+	// that cannot name one (a cluster fan-out reads peers' ledgers)
+	// leaves it false, and the subscription is re-evaluated on every
+	// sweep. A scoped verdict with an empty footprint read no location:
+	// "true", or a query whose names all resolved to nothing.
+	Scoped bool
 }
 
 // Event is one delivery to a subscriber: the initial verdict when the
@@ -56,6 +67,14 @@ type Subscription struct {
 	seq     uint64
 	dropped atomic.Uint64
 	removed bool // guarded by m.mu; true once events is closed
+	// The last evaluation's read set, guarded by m.mu. stale marks a
+	// verdict no write can be trusted to invalidate: the initial one
+	// (a bump may land between it and the registration) and one whose
+	// re-evaluation errored. A stale subscription is re-evaluated by the
+	// next sweep whatever that sweep's writes touched.
+	stale  bool
+	reads  []resource.Location
+	scoped bool
 }
 
 // ID returns the subscription's identifier.
@@ -73,20 +92,24 @@ func (s *Subscription) Close() { s.m.unsubscribe(s.id) }
 // ManagerStats digests the subscription manager for /v1/stats.
 type ManagerStats struct {
 	Active        int    `json:"active_subscriptions" metric:"rota_query_subscriptions" help:"Active standing-query subscriptions."`
-	Evals         uint64 `json:"evals" metric:"rota_query_evals_total" help:"Standing-query re-evaluations run by the sweep loop."`
+	Evals         uint64 `json:"evals" metric:"rota_query_evals_total" help:"Standing-query evaluations: each subscription's initial one plus every re-evaluation a sweep runs."`
 	EvalErrors    uint64 `json:"eval_errors" metric:"rota_query_eval_errors_total" help:"Standing-query re-evaluations that errored (previous verdict kept)."`
 	Flips         uint64 `json:"flips" metric:"rota_query_flips_total" help:"Verdict flips detected across all standing queries."`
 	Delivered     uint64 `json:"delivered" metric:"rota_query_events_delivered_total" help:"Verdict events delivered to subscriber queues."`
 	Drops         uint64 `json:"drops" metric:"rota_query_drops_total" help:"Verdict events dropped on full subscriber queues."`
 	WebhookErrors uint64 `json:"webhook_errors" metric:"rota_query_webhook_errors_total" help:"Webhook verdict deliveries that failed."`
+	SweepWoken    uint64 `json:"sweep_woken" metric:"rota_query_sweep_woken_total" help:"Standing queries a sweep re-evaluated: stale, unscoped, or reading what a write since the last sweep touched."`
+	SweepSkipped  uint64 `json:"sweep_skipped" metric:"rota_query_sweep_skipped_total" help:"Standing queries a sweep left alone because no write since the last sweep touched what they read."`
 }
 
 // Manager re-evaluates standing queries when the ledger epoch advances
 // and delivers verdict flips to bounded per-subscriber queues. A single
 // re-evaluation goroutine coalesces bursts of epoch bumps: while one
 // sweep runs, any number of further bumps collapse into one pending
-// wake, so subscription cost stays O(subs) per quiet period rather than
-// per ledger write.
+// wake and one pending touched set, and the next sweep re-evaluates
+// only the subscriptions whose last read set those writes touched: a
+// sweep's evaluations cost what the writes since the last one touched,
+// and the rest of the subscriptions cost a map probe each.
 type Manager struct {
 	eval Evaluator
 	log  func(event string, kv ...any)
@@ -95,13 +118,26 @@ type Manager struct {
 	subs   map[uint64]*Subscription
 	nextID uint64
 	closed bool
+	// live mirrors len(subs) for BumpAt, which must not take mu: with
+	// no subscriptions a bump records nothing and wakes nothing.
+	live atomic.Int64
+
+	// pmu is a leaf lock over what the bumps since the last sweep
+	// touched and the latest bump's reason. The ledger's mutating
+	// goroutines take it on every bump (sometimes under the ledger's
+	// own lock), so nothing is called while it is held.
+	pmu     sync.Mutex
+	pending touched
+	reason  string
+	// swept and batch belong to the loop goroutine: the touched set the
+	// running sweep drains (swapped with pending at its start, so
+	// neither is reallocated) and the subscriptions it re-evaluates.
+	swept touched
+	batch []*Subscription
 
 	wake       chan struct{}
 	done       chan struct{}
 	loopExited chan struct{}
-
-	lastEpoch  atomic.Uint64
-	lastReason atomic.Value // string
 
 	evals       atomic.Uint64
 	evalErrors  atomic.Uint64
@@ -109,7 +145,68 @@ type Manager struct {
 	delivered   atomic.Uint64
 	drops       atomic.Uint64
 	webhookErrs atomic.Uint64
+	woken       atomic.Uint64
+	skipped     atomic.Uint64
 	webhookWg   sync.WaitGroup
+}
+
+// touched is what the writes since the last sweep changed: the
+// locations they reserved on or released from and the commitment names
+// they added, moved or removed — or all, after a write that may have
+// changed anything (a clock advance moves every window's start, a
+// handoff moves names between nodes, a cluster bump names nothing).
+type touched struct {
+	all   bool
+	locs  map[resource.Location]struct{}
+	names map[string]struct{}
+}
+
+func newTouched() touched {
+	return touched{locs: make(map[resource.Location]struct{}), names: make(map[string]struct{})}
+}
+
+// add records one write's footprint; nil locs means anything.
+func (t *touched) add(locs []resource.Location, name string) {
+	if t.all {
+		return
+	}
+	if locs == nil {
+		t.all = true
+		return
+	}
+	for _, loc := range locs {
+		t.locs[loc] = struct{}{}
+	}
+	if name != "" {
+		t.names[name] = struct{}{}
+	}
+}
+
+// wakes reports whether sub's verdict may have moved: it is stale, its
+// evaluator named no read set, or the writes touched a location its
+// last evaluation read or a name it references. Callers hold m.mu.
+func (t *touched) wakes(sub *Subscription) bool {
+	if t.all || sub.stale || !sub.scoped {
+		return true
+	}
+	for _, loc := range sub.reads {
+		if _, ok := t.locs[loc]; ok {
+			return true
+		}
+	}
+	for _, name := range sub.c.Names() {
+		if _, ok := t.names[name]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// reset empties the set, keeping its maps' storage.
+func (t *touched) reset() {
+	t.all = false
+	clear(t.locs)
+	clear(t.names)
 }
 
 // NewManager starts a subscription manager. log receives structured
@@ -119,6 +216,8 @@ func NewManager(eval Evaluator, log func(event string, kv ...any)) *Manager {
 		eval:       eval,
 		log:        log,
 		subs:       make(map[uint64]*Subscription),
+		pending:    newTouched(),
+		swept:      newTouched(),
 		wake:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
 		loopExited: make(chan struct{}),
@@ -130,12 +229,32 @@ func NewManager(eval Evaluator, log func(event string, kv ...any)) *Manager {
 	return m
 }
 
-// Bump notifies the manager that the ledger moved to the given epoch
-// for the given reason (reserve, release, acquire, advance, prepare,
-// commit, abort). Never blocks: wakes coalesce.
+// Bump notifies the manager that something moved for the given reason
+// without saying what: every subscription is re-evaluated by the next
+// sweep. It is BumpAt with a nil footprint.
 func (m *Manager) Bump(epoch uint64, reason string) {
-	m.lastEpoch.Store(epoch)
-	m.lastReason.Store(reason)
+	m.BumpAt(epoch, reason, nil, "")
+}
+
+// BumpAt notifies the manager that the ledger moved to the given epoch
+// for the given reason (reserve, release, acquire, advance, prepare,
+// commit, abort, handoff) by a write to locs on behalf of the named
+// commitment (name may be empty). A nil locs means anything may have
+// changed. Verdicts carry their own epochs, so the epoch is not kept.
+// Never blocks: wakes and footprints coalesce until the next sweep.
+func (m *Manager) BumpAt(epoch uint64, reason string, locs []resource.Location, name string) {
+	m.pmu.Lock()
+	m.reason = reason
+	live := m.live.Load() > 0
+	if live {
+		m.pending.add(locs, name)
+	}
+	m.pmu.Unlock()
+	if !live {
+		// A subscription registering now is stale until its first sweep,
+		// which its own self-wake starts.
+		return
+	}
 	select {
 	case m.wake <- struct{}{}:
 	default:
@@ -170,12 +289,17 @@ func (m *Manager) Subscribe(c *Compiled, queueLen int) (*Subscription, error) {
 		events:  make(chan Event, queueLen),
 		m:       m,
 		verdict: v.Holds,
+		stale:   true,
+		reads:   v.Footprint,
+		scoped:  v.Scoped,
 	}
 	m.subs[sub.id] = sub
+	m.live.Add(1)
 	m.deliverLocked(sub, v, nil, "subscribe")
 	m.mu.Unlock()
 	// The ledger may have moved between the evaluation and the
-	// registration; a self-wake closes the gap.
+	// registration, and that bump's sweep may already have run without
+	// this subscription: a self-wake sweeps it, stale, once more.
 	select {
 	case m.wake <- struct{}{}:
 	default:
@@ -190,6 +314,7 @@ func (m *Manager) unsubscribe(id uint64) {
 	sub, ok := m.subs[id]
 	if ok {
 		delete(m.subs, id)
+		m.live.Add(-1)
 		sub.removed = true
 		close(sub.events)
 	}
@@ -214,6 +339,7 @@ func (m *Manager) Close() {
 		sub.removed = true
 		close(sub.events)
 	}
+	m.live.Store(0)
 	m.mu.Unlock()
 	close(m.done)
 	<-m.loopExited
@@ -233,6 +359,8 @@ func (m *Manager) Stats() ManagerStats {
 		Delivered:     m.delivered.Load(),
 		Drops:         m.drops.Load(),
 		WebhookErrors: m.webhookErrs.Load(),
+		SweepWoken:    m.woken.Load(),
+		SweepSkipped:  m.skipped.Load(),
 	}
 }
 
@@ -249,42 +377,69 @@ func (m *Manager) loop() {
 	}
 }
 
-// sweep re-evaluates every standing query once and delivers flips.
+// sweep re-evaluates every subscription the writes since the last
+// sweep may have flipped, and delivers flips. The touched set is taken
+// before any evaluation reads the ledger, so a write it misses bumps
+// after the take and wakes the next sweep.
 func (m *Manager) sweep() {
-	m.mu.Lock()
-	pending := make([]*Subscription, 0, len(m.subs))
-	for _, sub := range m.subs {
-		pending = append(pending, sub)
-	}
-	m.mu.Unlock()
+	m.pmu.Lock()
+	m.pending, m.swept = m.swept, m.pending
+	m.pmu.Unlock()
 
-	for _, sub := range pending {
-		v, err := m.eval(sub.c)
-		m.evals.Add(1)
-		if err != nil {
-			// Keep the last verdict: a transient evaluation failure is
-			// not a flip.
-			m.evalErrors.Add(1)
-			m.log("query.eval_error", "sub", sub.id, "query", sub.c.Source(), "error", err)
-			continue
+	m.mu.Lock()
+	batch := m.batch[:0]
+	for _, sub := range m.subs {
+		if m.swept.wakes(sub) {
+			batch = append(batch, sub)
 		}
-		m.mu.Lock()
-		if sub.removed || sub.verdict == v.Holds {
-			m.mu.Unlock()
-			continue
-		}
-		prev := sub.verdict
-		sub.verdict = v.Holds
-		m.flips.Add(1)
-		// Sampled after the evaluation it labels: a sweep that started on
-		// an older wake (Subscribe's self-wake carries no bump at all) may
-		// be evaluating state a later bump produced.
-		reason, _ := m.lastReason.Load().(string)
-		m.deliverLocked(sub, v, &prev, reason)
-		m.mu.Unlock()
-		m.log("query.flip", "sub", sub.id, "query", sub.c.Source(),
-			"holds", v.Holds, "epoch", v.Epoch, "reason", reason)
 	}
+	skipped := len(m.subs) - len(batch)
+	m.mu.Unlock()
+	m.swept.reset()
+	m.woken.Add(uint64(len(batch)))
+	m.skipped.Add(uint64(skipped))
+
+	for _, sub := range batch {
+		m.reevaluate(sub)
+	}
+	clear(batch) // drop the references: a closed subscription may go
+	m.batch = batch[:0]
+}
+
+// reevaluate runs one sweep evaluation of sub, records what it read and
+// delivers a flip.
+func (m *Manager) reevaluate(sub *Subscription) {
+	v, err := m.eval(sub.c)
+	m.evals.Add(1)
+	if err != nil {
+		// Keep the last verdict: a transient evaluation failure is not a
+		// flip. The subscription stays stale, so the next sweep retries.
+		m.evalErrors.Add(1)
+		m.mu.Lock()
+		sub.stale = true
+		m.mu.Unlock()
+		m.log("query.eval_error", "sub", sub.id, "query", sub.c.Source(), "error", err)
+		return
+	}
+	m.mu.Lock()
+	sub.stale, sub.reads, sub.scoped = false, v.Footprint, v.Scoped
+	if sub.removed || sub.verdict == v.Holds {
+		m.mu.Unlock()
+		return
+	}
+	prev := sub.verdict
+	sub.verdict = v.Holds
+	m.flips.Add(1)
+	// Sampled after the evaluation it labels: a sweep that started on
+	// an older wake (Subscribe's self-wake carries no bump at all) may
+	// be evaluating state a later bump produced.
+	m.pmu.Lock()
+	reason := m.reason
+	m.pmu.Unlock()
+	m.deliverLocked(sub, v, &prev, reason)
+	m.mu.Unlock()
+	m.log("query.flip", "sub", sub.id, "query", sub.c.Source(),
+		"holds", v.Holds, "epoch", v.Epoch, "reason", reason)
 }
 
 // deliverLocked enqueues one event, dropping (and counting) when the

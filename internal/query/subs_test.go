@@ -1,10 +1,16 @@
 package query
 
 import (
+	"errors"
+	"maps"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/resource"
 )
 
 // toggleEval is a synthetic evaluator whose verdict is an atomic bool:
@@ -213,4 +219,169 @@ func TestConcurrentSubscribeUnsubscribeBump(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// manualManager returns a manager whose sweep loop has already exited,
+// so the test runs every sweep itself, synchronously. Close must not be
+// called on it.
+func manualManager(eval Evaluator) *Manager {
+	m := NewManager(eval, nil)
+	close(m.done)
+	<-m.loopExited
+	return m
+}
+
+// scopedEval answers every query from a fixed table of read sets and
+// counts evaluations per query. A query missing from reads evaluates
+// unscoped, the way a cluster fan-out does.
+type scopedEval struct {
+	holds map[string]bool
+	reads map[string][]resource.Location
+	fail  map[string]bool
+	count map[string]int
+}
+
+func newScopedEval() *scopedEval {
+	return &scopedEval{holds: map[string]bool{}, reads: map[string][]resource.Location{},
+		fail: map[string]bool{}, count: map[string]int{}}
+}
+
+func (e *scopedEval) eval(c *Compiled) (Verdict, error) {
+	e.count[c.Source()]++
+	if e.fail[c.Source()] {
+		return Verdict{}, errors.New("evaluation failed")
+	}
+	reads, scoped := e.reads[c.Source()]
+	return Verdict{Holds: e.holds[c.Source()], Footprint: reads, Scoped: scoped}, nil
+}
+
+// TestWakeOnlyTouched: a sweep re-evaluates the subscriptions that are
+// stale or unscoped, or whose last read set or names the writes since
+// the last sweep touched — and every subscription after a bump with no
+// footprint. Every evaluation is a subscribe's or a woken one's.
+func TestWakeOnlyTouched(t *testing.T) {
+	e := newScopedEval()
+	h1, h2 := "holds(l1, cpu>=1)", "holds(l2, cpu>=1)"
+	fj, tr, fan := "feasible(j1)", "true", "holds(l3, cpu>=1)"
+	e.reads[h1] = []resource.Location{"l1"}
+	e.reads[h2] = []resource.Location{"l2"}
+	e.reads[fj] = []resource.Location{} // j1 is absent: reads no location
+	e.reads[tr] = nil                   // scoped, reads nothing
+	m := manualManager(e.eval)
+	for _, q := range []string{h1, h2, fj, tr, fan} {
+		if _, err := m.Subscribe(mustParse(t, q), 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep := func(want ...string) {
+		t.Helper()
+		before := maps.Clone(e.count)
+		m.sweep()
+		var got []string
+		for q, n := range e.count {
+			if n != before[q] {
+				got = append(got, q)
+			}
+		}
+		sort.Strings(got)
+		sort.Strings(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("sweep re-evaluated %q, want %q", got, want)
+		}
+	}
+	all := []string{h1, h2, fj, tr, fan}
+	sweep(all...) // every new subscription is stale
+	sweep(fan)    // nothing touched: only the unscoped one
+	m.BumpAt(1, "reserve", []resource.Location{"l1"}, "j9")
+	sweep(h1, fan)
+	m.BumpAt(2, "reserve", []resource.Location{"l4"}, "j1")
+	sweep(fj, fan)
+	m.BumpAt(3, "acquire", []resource.Location{"l2"}, "")
+	m.BumpAt(4, "release", []resource.Location{"l1"}, "j7")
+	sweep(h1, h2, fan)
+	m.BumpAt(5, "advance", nil, "")
+	sweep(all...)
+	m.Bump(6, "gossip")
+	sweep(all...)
+
+	st := m.Stats()
+	if st.Evals != uint64(len(all))+st.SweepWoken {
+		t.Fatalf("evals = %d, want %d subscribes + %d woken", st.Evals, len(all), st.SweepWoken)
+	}
+	if st.SweepWoken != 5+1+2+2+3+5+5 || st.SweepSkipped != 7*5-st.SweepWoken {
+		t.Fatalf("woken = %d, skipped = %d, want 23 and 12", st.SweepWoken, st.SweepSkipped)
+	}
+}
+
+// TestWakeRetriesFailedEvaluation: a subscription whose re-evaluation
+// errored keeps its verdict and stays stale, so the next sweep retries
+// it even when nothing it reads was touched.
+func TestWakeRetriesFailedEvaluation(t *testing.T) {
+	e := newScopedEval()
+	q := "holds(l1, cpu>=1)"
+	e.reads[q] = []resource.Location{"l1"}
+	m := manualManager(e.eval)
+	sub, err := m.Subscribe(mustParse(t, q), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitEvent(t, sub)
+	m.sweep() // clears the subscribe's stale mark
+	e.fail[q] = true
+	m.BumpAt(1, "reserve", []resource.Location{"l1"}, "")
+	m.sweep()
+	e.fail[q], e.holds[q] = false, true
+	m.sweep() // nothing touched: the retry is what wakes it
+	if e.count[q] != 4 {
+		t.Fatalf("%d evaluations, want subscribe + 3 sweeps", e.count[q])
+	}
+	if ev := waitEvent(t, sub); !ev.Holds {
+		t.Fatalf("flip = %+v, want holds=true", ev)
+	}
+}
+
+// TestWakeSubscribeRacingBump: a bump that lands between Subscribe's
+// first evaluation and its registration is swept before the
+// subscription exists — with no other subscription it is not even
+// recorded. The new subscription is stale, so its first sweep catches
+// the flip anyway.
+func TestWakeSubscribeRacingBump(t *testing.T) {
+	e := newScopedEval()
+	q := "holds(l1, cpu>=1)"
+	e.reads[q] = []resource.Location{"l1"}
+	var m *Manager
+	m = manualManager(func(c *Compiled) (Verdict, error) {
+		v, err := e.eval(c)
+		if e.count[q] == 1 { // the write lands after the initial read
+			e.holds[q] = true
+			m.BumpAt(1, "reserve", []resource.Location{"l1"}, "j1")
+		}
+		return v, err
+	})
+	sub, err := m.Subscribe(mustParse(t, q), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := waitEvent(t, sub); ev.Holds {
+		t.Fatalf("initial event = %+v, want holds=false", ev)
+	}
+	m.sweep()
+	if ev := waitEvent(t, sub); !ev.Holds || ev.Reason != "reserve" {
+		t.Fatalf("flip = %+v, want holds=true reason=reserve", ev)
+	}
+}
+
+// TestBumpAtWithoutSubscriptionsAllocatesNothing: the daemon bumps on
+// every write, subscribed or not; with no subscriptions a bump records
+// nothing and wakes no sweep.
+func TestBumpAtWithoutSubscriptionsAllocatesNothing(t *testing.T) {
+	m := NewManager(newScopedEval().eval, nil)
+	defer m.Close()
+	locs := []resource.Location{"l1", "l2"}
+	if n := testing.AllocsPerRun(100, func() { m.BumpAt(1, "reserve", locs, "j1") }); n != 0 {
+		t.Fatalf("BumpAt allocates %.0f times per call with no subscriptions", n)
+	}
+	if st := m.Stats(); st.SweepWoken+st.SweepSkipped != 0 {
+		t.Fatalf("stats = %+v: a bump with no subscriptions swept", st)
+	}
 }

@@ -378,7 +378,7 @@ func (l *Ledger) finalize(w *admitWork) {
 	w.claim.admitted = w.now
 	w.claim.pending = false
 	l.mu.Unlock()
-	l.bumpEpoch("reserve")
+	l.bumpEpoch("reserve", w.locs, w.job.Dist.Name)
 	l.assure.Reserve(w.job.Dist.Name, w.now, w.dec.Plan.Finish,
 		w.job.Dist.Deadline, l.epoch.Load(), w.locs)
 }

@@ -156,7 +156,7 @@ func (l *Ledger) DropLocations(locs []resource.Location) []string {
 	sort.Strings(movedKeys)
 	// bumpEpoch takes no locks and the notifier is non-blocking, so the
 	// bump is safe under l.mu and the drop publishes atomically with it.
-	l.bumpEpoch("handoff")
+	l.bumpEpoch("handoff", nil, "")
 	return movedKeys
 }
 
@@ -234,6 +234,6 @@ func (l *Ledger) ImportLocations(exports []LocationExport) error {
 		}
 		l.mu.Unlock()
 	}
-	l.bumpEpoch("handoff")
+	l.bumpEpoch("handoff", nil, "")
 	return nil
 }

@@ -313,10 +313,10 @@ type Ledger struct {
 	// reservations landing and leaving (admit, release, acquire,
 	// prepare, commit, abort) and clock advances (which also sweep
 	// expired leases). notify (set once by NewLedger, may be nil) fans a
-	// bump out to the standing-query manager; it runs on the mutating
-	// goroutine and must not block.
+	// bump out to the standing-query manager with what it touched; it
+	// runs on the mutating goroutine and must not block.
 	epoch  atomic.Uint64
-	notify func(epoch uint64, reason string)
+	notify func(epoch uint64, reason string, locs []resource.Location, name string)
 
 	// hot counts hot-path events (reserve rounds, optimistic retries,
 	// free-view patches vs recomputes), surfaced in /v1/stats.
@@ -334,8 +334,9 @@ type Ledger struct {
 // non-nil (requests naming any other location are then refused with
 // ErrNotOwned), reporting to cfg.Obs, cfg.Spans, cfg.Assure and
 // cfg.FlightRec. notify, when non-nil, is called after every epoch bump
-// on the mutating goroutine and must not block.
-func NewLedger(cfg Config, notify func(epoch uint64, reason string)) *Ledger {
+// on the mutating goroutine and must not block; see bumpEpoch for its
+// arguments.
+func NewLedger(cfg Config, notify func(epoch uint64, reason string, locs []resource.Location, name string)) *Ledger {
 	l := &Ledger{
 		shards: make(map[resource.Location]*shard),
 		byName: make(map[string]*reservation),
@@ -368,11 +369,15 @@ func (l *Ledger) Epoch() uint64 {
 // bumpEpoch advances the epoch after a verdict-relevant state change
 // and notifies the standing-query manager, tagging the bump with the
 // mutation kind (reserve, release, acquire, advance, prepare, commit,
-// abort).
-func (l *Ledger) bumpEpoch(reason string) {
+// abort, handoff) and its footprint: the shards it wrote and the
+// commitment whose reservation it placed, resolved or removed (name may
+// be empty). A nil locs means the change may reach any verdict — a clock
+// advance moves every window's start, a handoff moves names between
+// nodes — and wakes every standing query.
+func (l *Ledger) bumpEpoch(reason string, locs []resource.Location, name string) {
 	e := l.epoch.Add(1)
 	if l.notify != nil {
-		l.notify(e, reason)
+		l.notify(e, reason, locs, name)
 	}
 }
 
@@ -739,10 +744,11 @@ func (l *Ledger) release(name string, transferred bool) error {
 	l.unindexLocked(r)
 	l.mu.Unlock()
 
-	if err := l.releaseParts(r); err != nil {
+	locs, err := l.releaseParts(r)
+	if err != nil {
 		return fmt.Errorf("server: releasing %s: %w", name, err)
 	}
-	l.bumpEpoch("release")
+	l.bumpEpoch("release", locs, name)
 	if transferred {
 		l.assure.Transfer(name)
 	} else if state := l.assure.Release(name, l.Now()); state == assure.StateViolated {
@@ -771,19 +777,20 @@ func (l *Ledger) noteViolations(violated []string) {
 }
 
 // releaseParts returns an unindexed reservation's not-yet-consumed
-// portion to the free pool, shard by shard. Only the un-elapsed part is
-// still reserved; the consumed prefix was trimmed away as the clock
-// advanced.
-func (l *Ledger) releaseParts(r *reservation) error {
-	shards, unlock := l.lockedShards(r.locs())
+// portion to the free pool, shard by shard, and returns the shards it
+// wrote (r.locs()) for the epoch bump. Only the un-elapsed part is still
+// reserved; the consumed prefix was trimmed away as the clock advanced.
+func (l *Ledger) releaseParts(r *reservation) ([]resource.Location, error) {
+	locs := r.locs()
+	shards, unlock := l.lockedShards(locs)
 	defer unlock()
 	for _, sh := range shards {
 		part, _ := r.parts.on(sh.loc)
 		if err := sh.applyRelease(part.TrimmedBefore(sh.now)); err != nil {
-			return fmt.Errorf("server: shard %s reservation inconsistent: %w", sh.loc, err)
+			return nil, fmt.Errorf("server: shard %s reservation inconsistent: %w", sh.loc, err)
 		}
 	}
-	return nil
+	return locs, nil
 }
 
 // Acquire merges newly joined availability into the ledger (the paper's
@@ -807,7 +814,7 @@ func (l *Ledger) Acquire(theta resource.Set) error {
 		sh.applyAcquire(part.TrimmedBefore(sh.now))
 	}
 	unlock()
-	l.bumpEpoch("acquire")
+	l.bumpEpoch("acquire", locs, "")
 	return nil
 }
 
@@ -860,7 +867,7 @@ func (l *Ledger) Advance(to interval.Time) ([]string, error) {
 		sh.mu.Unlock()
 	}
 	for _, h := range expired {
-		if err := l.releaseParts(h); err != nil {
+		if _, err := l.releaseParts(h); err != nil {
 			return nil, fmt.Errorf("server: sweeping expired lease %s: %w", h.key, err)
 		}
 		l.leasesExpired.Add(1)
@@ -869,7 +876,7 @@ func (l *Ledger) Advance(to interval.Time) ([]string, error) {
 	}
 	// One bump covers the whole advance: the trim, the completions, and
 	// the lease sweep land in the same epoch.
-	l.bumpEpoch("advance")
+	l.bumpEpoch("advance", nil, "")
 	sort.Strings(done)
 	if l.assure != nil {
 		// Completions first — a commitment finishing inside this advance

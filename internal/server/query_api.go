@@ -61,11 +61,12 @@ func DecodeQueryRequest(body []byte) (*query.Compiled, error) {
 }
 
 // evalQuery resolves the query's named refs and footprint against the
-// ledger, snapshots the free view and evaluates. The epoch is read
-// before the free view: a mutation racing the snapshot lands a later
-// epoch, so the subscription manager's next sweep re-checks — verdicts
-// are never stale across a quiet epoch.
-func (s *Server) evalQuery(c *query.Compiled) (query.Result, query.Snapshot, error) {
+// ledger, snapshots the free view and evaluates, returning the footprint
+// the verdict was read from. The epoch is read before the free view: a
+// mutation racing the snapshot lands a later epoch, so the subscription
+// manager's next sweep re-checks — verdicts are never stale across a
+// quiet epoch.
+func (s *Server) evalQuery(c *query.Compiled) (query.Result, query.Snapshot, []resource.Location, error) {
 	epoch := s.ledger.Epoch()
 	comms := make(map[string]query.Commitment)
 	for _, name := range c.Names() {
@@ -78,18 +79,19 @@ func (s *Server) evalQuery(c *query.Compiled) (query.Result, query.Snapshot, err
 		free resource.Set
 		now  interval.Time
 	)
-	if locs := c.Footprint(comms); len(locs) > 0 {
+	locs := c.Footprint(comms)
+	if len(locs) > 0 {
 		var err error
 		free, now, err = s.ledger.FreeView(locs)
 		if err != nil {
-			return query.Result{}, query.Snapshot{}, err
+			return query.Result{}, query.Snapshot{}, nil, err
 		}
 	} else {
 		now = s.ledger.Now()
 	}
 	snap := query.Snapshot{Now: now, Epoch: epoch, Free: free, Commitments: comms}
 	res, err := c.Evaluate(snap)
-	return res, snap, err
+	return res, snap, locs, err
 }
 
 // QueryCommitment resolves a live commitment for a query evaluation,
@@ -134,13 +136,15 @@ func (s *Server) managerEval(c *query.Compiled) (query.Verdict, error) {
 
 // LocalEval evaluates a compiled query against this node's ledger only
 // — the building block a cluster-aware watch evaluator falls back to
-// for all-local footprints.
+// for all-local footprints. The verdict is scoped: a write to none of
+// its footprint's shards, for none of the query's names, cannot flip it.
 func (s *Server) LocalEval(c *query.Compiled) (query.Verdict, error) {
-	res, snap, err := s.evalQuery(c)
+	res, snap, locs, err := s.evalQuery(c)
 	if err != nil {
 		return query.Verdict{}, err
 	}
-	return query.Verdict{Holds: res.Holds, Epoch: snap.Epoch, Now: snap.Now}, nil
+	return query.Verdict{Holds: res.Holds, Epoch: snap.Epoch, Now: snap.Now,
+		Footprint: locs, Scoped: true}, nil
 }
 
 // SetWatchEvaluator overrides the evaluator standing watches re-run on
@@ -160,7 +164,7 @@ func (s *Server) Queries() *query.Manager {
 // for merged-view equivalence checks).
 func (s *Server) EvalQuery(c *query.Compiled) (QueryResponse, error) {
 	start := time.Now()
-	res, snap, err := s.evalQuery(c)
+	res, snap, _, err := s.evalQuery(c)
 	if err != nil {
 		return QueryResponse{}, err
 	}

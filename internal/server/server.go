@@ -155,7 +155,7 @@ func New(cfg Config) (*Server, error) {
 	// The manager evaluates through s.ledger only once a subscription
 	// exists, so it can be built first and hand the ledger its notifier.
 	s.queries = query.NewManager(s.managerEval, s.queryLog())
-	s.ledger = NewLedger(cfg, s.queries.Bump)
+	s.ledger = NewLedger(cfg, s.queries.BumpAt)
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/admit", "admit", s.handleAdmit)
 	s.route("POST /v1/release", "release", s.handleRelease)
@@ -362,7 +362,7 @@ type StatsResponse struct {
 	Now   int64     `json:"now" metric:"rota_ledger_now" help:"The ledger clock, in ticks."`
 	// LedgerEpoch is the ledger's mutation epoch (also under query.epoch;
 	// surfaced at the top level so restart detection needs one field).
-	LedgerEpoch uint64 `json:"ledger_epoch" metric:"rota_ledger_epoch" help:"Ledger mutation epoch; every bump re-evaluates the standing queries."`
+	LedgerEpoch uint64 `json:"ledger_epoch" metric:"rota_ledger_epoch" help:"Ledger mutation epoch; every bump wakes the standing queries whose read set it touched."`
 	Shards      int    `json:"shards" metric:"rota_ledger_shards" help:"Location shards in the live ledger."`
 	Commitments int    `json:"commitments" metric:"rota_ledger_commitments" help:"Live admitted commitments."`
 
@@ -418,8 +418,9 @@ type StatsResponse struct {
 type QueryStats struct {
 	// Queries counts one-shot query evaluations served.
 	Queries uint64 `json:"queries" metric:"rota_queries_total" help:"One-shot temporal queries evaluated."`
-	// Epoch is the ledger's mutation epoch; every bump re-evaluates the
-	// standing queries. Exposed once, as LedgerEpoch.
+	// Epoch is the ledger's mutation epoch; every bump wakes the
+	// standing queries whose read set it touched. Exposed once, as
+	// LedgerEpoch.
 	Epoch uint64 `json:"epoch" metric:"-"`
 	// Subs digests the subscription manager.
 	Subs query.ManagerStats `json:"subscriptions"`

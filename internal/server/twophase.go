@@ -79,7 +79,7 @@ func (l *Ledger) Prepare(key, name string, demand resource.Set, finish, deadline
 	h.pending = false
 	l.mu.Unlock()
 	l.prepares.Add(1)
-	l.bumpEpoch("prepare")
+	l.bumpEpoch("prepare", locs, name)
 	return nil
 }
 
@@ -106,11 +106,12 @@ func (l *Ledger) Commit(key string) error {
 	l.commitCount.Add(1)
 	// The demand stays reserved, but feasible/Allen atoms can now resolve
 	// the commitment by name: still a verdict-relevant change.
-	l.bumpEpoch("commit")
+	locs := r.locs()
+	l.bumpEpoch("commit", locs, r.name)
 	// The promise is adopted, not reserved: for a coordinated admission
 	// this participant holds its share of a promise made cluster-wide,
 	// and for a migration commit the promise predates this node entirely.
-	l.assure.Adopt(r.name, now, r.finish, r.deadline, l.epoch.Load(), r.locs())
+	l.assure.Adopt(r.name, now, r.finish, r.deadline, l.epoch.Load(), locs)
 	return nil
 }
 
@@ -138,11 +139,12 @@ func (l *Ledger) Abort(key string) error {
 		reason = "release"
 		l.assure.Drop(r.name)
 	}
-	if err := l.releaseParts(r); err != nil {
+	locs, err := l.releaseParts(r)
+	if err != nil {
 		return fmt.Errorf("server: aborting %s (%s): %w", key, r.name, err)
 	}
 	l.aborts.Add(1)
-	l.bumpEpoch(reason)
+	l.bumpEpoch(reason, locs, r.name)
 	return nil
 }
 
