@@ -102,20 +102,13 @@ func (p *Rota) Decide(v View, job compute.Distributed) Decision {
 	if v.State == nil {
 		return Refuse(errors.New("rota requires a stateful (planned) simulation"))
 	}
-	// With no commitments Θ_free is Θ itself: skip the subtraction (which
-	// clones even for an empty committed demand). This is the server hot
-	// path — the ledger presents its already-subtracted free view as a
-	// commitment-free state — and schedule.Concurrent never mutates the
-	// availability it searches, so sharing Θ here is safe.
-	var free resource.Set
-	if len(v.State.Commitments) == 0 {
-		free = v.State.Theta
-	} else {
-		var err error
-		free, err = v.State.FreeResources()
-		if err != nil {
-			return Refuse(err)
-		}
+	// Θ_free is shared, not copied; schedule.Concurrent never mutates the
+	// availability it searches. The server hot path presents its
+	// already-subtracted free view as a commitment-free state, whose
+	// Θ_free is Θ itself.
+	free, err := v.State.FreeResources()
+	if err != nil {
+		return Refuse(err)
 	}
 	req := core.ConcurrentAt(job, v.Now)
 	var opts []schedule.Option

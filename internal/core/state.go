@@ -43,8 +43,26 @@ func (c Commitment) RemainingDemand(now interval.Time) resource.Set {
 	return c.Plan.Demand().Clamp(interval.New(now, interval.Infinity))
 }
 
+// allocatesAfter reports whether any of the plan's allocations reaches
+// past t. A plan the scheduler built has none once it is Done.
+func (c Commitment) allocatesAfter(t interval.Time) bool {
+	for _, a := range c.Plan.Allocs {
+		if a.Term.Span.End > t {
+			return true
+		}
+	}
+	return false
+}
+
 // State is the ROTA system state S = (Θ, ρ, t): future available
 // resources, accommodated computations, and the current time.
+//
+// A State is a value. The transition rules return a new one and may
+// share Θ and the free view with the state they came from, so a field is
+// replaced, never edited in place: assign a new Theta (from Union,
+// SubtractSaturating, ...), a new Now or a new Commitments slice, but do
+// not call Theta's in-place mutators or write into Commitments' backing
+// array on a State that came out of a rule.
 type State struct {
 	// Theta is the future available resource set Θ, starting from Now.
 	Theta resource.Set
@@ -52,6 +70,25 @@ type State struct {
 	Commitments []Commitment
 	// Now is the current time t.
 	Now interval.Time
+
+	// free is Θ_free as the transition rules maintained it, or nil.
+	free *freeView
+}
+
+// freeView is a state's Θ_free together with the stamp of the state it
+// was derived for: the identity of Θ's map, |ρ| and t. Each rule that
+// keeps the view valid patches it (Accommodate subtracts the new plan's
+// demand, Acquire and Leave union what they return to the pool, a clean
+// Tick trims the elapsed step); every other change — a literal State, a
+// restored snapshot, a field assigned by hand, Repair, a Tick with
+// violations — leaves a stamp that no longer matches, and FreeResources
+// recomputes from scratch. A view is never written after it is built,
+// so states may share one.
+type freeView struct {
+	set   resource.Set
+	theta resource.Set
+	n     int
+	now   interval.Time
 }
 
 // NewState builds an initial state. Availability before t is trimmed
@@ -62,7 +99,7 @@ func NewState(theta resource.Set, t interval.Time) State {
 	return State{Theta: th, Now: t}
 }
 
-// Clone returns a deep copy of the state.
+// Clone returns a deep copy of the state. The copy carries no free view.
 func (s State) Clone() State {
 	out := State{Theta: s.Theta.Clone(), Now: s.Now}
 	out.Commitments = append([]Commitment(nil), s.Commitments...)
@@ -93,7 +130,18 @@ func (s State) CommittedDemand() resource.Set {
 // committed path — Θ minus the committed demand. These are the paper's
 // "unwanted resources which will expire unless new computations requiring
 // them enter the system", the raw material of Theorem 4.
+//
+// The result is shared — with Θ itself when ρ is empty, and with the
+// view the transition rules maintain otherwise — and must be treated as
+// read-only. Only a state whose view's stamp no longer matches pays for
+// the subtraction.
 func (s State) FreeResources() (resource.Set, error) {
+	if len(s.Commitments) == 0 {
+		return s.Theta, nil
+	}
+	if free, ok := s.view(); ok {
+		return free, nil
+	}
 	free, err := s.Theta.Subtract(s.CommittedDemand())
 	if err != nil {
 		// Committed demand exceeding availability means an earlier churn
@@ -101,6 +149,21 @@ func (s State) FreeResources() (resource.Set, error) {
 		return resource.Set{}, fmt.Errorf("core: committed demand exceeds availability: %w", err)
 	}
 	return free, nil
+}
+
+// view returns the maintained free view when its stamp matches s.
+func (s State) view() (resource.Set, bool) {
+	v := s.free
+	if v == nil || v.n != len(s.Commitments) || v.now != s.Now || !v.theta.Same(s.Theta) {
+		return resource.Set{}, false
+	}
+	return v.set, true
+}
+
+// withView stamps free as s's view.
+func (s State) withView(free resource.Set) State {
+	s.free = &freeView{set: free, theta: s.Theta, n: len(s.Commitments), now: s.Now}
+	return s
 }
 
 // String renders "(Θ: 3 terms, ρ: 2 computations, t=7)".
@@ -244,10 +307,15 @@ var ErrUnknownComputation = errors.New("core: unknown computation")
 // joining". Availability before Now is trimmed since it can never be
 // used.
 func Acquire(s State, join resource.Set) (State, Transition) {
-	next := s.Clone()
-	usable := join.Clone()
-	usable.TrimBefore(s.Now)
-	next.Theta = next.Theta.Union(usable)
+	usable := join.TrimmedBefore(s.Now)
+	next := State{
+		Theta:       s.Theta.Union(usable),
+		Commitments: append([]Commitment(nil), s.Commitments...),
+		Now:         s.Now,
+	}
+	if free, ok := s.view(); ok {
+		next = next.withView(free.PatchUnion(usable))
+	}
 	return next, Transition{Kind: KindAcquire, From: s.Now, To: s.Now, Joined: usable}
 }
 
@@ -270,8 +338,14 @@ func Accommodate(s State, req compute.Concurrent, plan schedule.Plan) (State, Tr
 	if err := schedule.Verify(free, req, plan); err != nil {
 		return State{}, Transition{}, fmt.Errorf("core: plan rejected: %w", err)
 	}
-	next := s.Clone()
-	next.Commitments = append(next.Commitments, Commitment{Req: req, Plan: plan})
+	c := Commitment{Req: req, Plan: plan}
+	rest, err := free.PatchSubtract(c.RemainingDemand(s.Now))
+	if err != nil {
+		return State{}, Transition{}, fmt.Errorf("core: plan rejected: %w", err)
+	}
+	// Θ is unchanged, so the next state shares it.
+	rho := append(append(make([]Commitment, 0, len(s.Commitments)+1), s.Commitments...), c)
+	next := State{Theta: s.Theta, Commitments: rho, Now: s.Now}.withView(rest)
 	return next, Transition{Kind: KindAccommodate, From: s.Now, To: s.Now, Computation: req.Name}, nil
 }
 
@@ -292,8 +366,12 @@ func Leave(s State, name string) (State, Transition, error) {
 	if s.Now >= s.Commitments[idx].Req.Window.Start {
 		return State{}, Transition{}, ErrAlreadyStarted
 	}
-	next := s.Clone()
-	next.Commitments = append(next.Commitments[:idx], next.Commitments[idx+1:]...)
+	// Θ is unchanged, so the next state shares it.
+	rho := append(append(make([]Commitment, 0, len(s.Commitments)-1), s.Commitments[:idx]...), s.Commitments[idx+1:]...)
+	next := State{Theta: s.Theta, Commitments: rho, Now: s.Now}
+	if free, ok := s.view(); ok {
+		next = next.withView(free.PatchUnion(s.Commitments[idx].RemainingDemand(s.Now)))
+	}
 	return next, Transition{Kind: KindLeave, From: s.Now, To: s.Now, Computation: name}, nil
 }
 
@@ -354,14 +432,25 @@ func Tick(s State, dt interval.Time) (State, Transition, []Violation) {
 
 	// Completed commitments leave ρ.
 	var live []Commitment
+	clean := len(violations) == 0
 	for _, c := range next.Commitments {
 		if c.Done(next.Now) {
 			tr.Completed = append(tr.Completed, c.Name())
+			clean = clean && !c.allocatesAfter(next.Now)
 		} else {
 			live = append(live, c)
 		}
 	}
 	next.Commitments = live
+
+	// A clean step takes the same consumption out of Θ and out of the
+	// committed demand, and a completed plan has no demand left, so the
+	// free view only loses the elapsed step. A violation — or a plan whose
+	// Finish undercuts its own allocations — breaks that balance: the view
+	// is dropped and the next read recomputes.
+	if free, ok := s.view(); ok && clean {
+		next = next.withView(free.TrimmedBefore(next.Now))
+	}
 
 	switch {
 	case len(tr.Consumptions) == 0 && tr.Expired.Empty():

@@ -1,6 +1,10 @@
 package resource
 
-import "repro/internal/interval"
+import (
+	"reflect"
+
+	"repro/internal/interval"
+)
 
 // Patch operations: the map-sharing counterparts of Union, Subtract and
 // TrimBefore used on the admission hot path.
@@ -61,4 +65,13 @@ func (s Set) PatchSubtract(other Set) (Set, error) {
 // the expired portion.
 func (s Set) TrimmedBefore(t interval.Time) Set {
 	return s.Clamp(interval.New(t, interval.Infinity))
+}
+
+// Same reports whether s and other are one set: the same map, so that an
+// in-place mutation of either would show in both. Two empty sets that
+// never allocated a map are the same. Same is identity, not equality
+// (see Equal): a holder of a view derived from s uses it to tell that s
+// has since been replaced.
+func (s Set) Same(other Set) bool {
+	return reflect.ValueOf(s.profiles).UnsafePointer() == reflect.ValueOf(other.profiles).UnsafePointer()
 }

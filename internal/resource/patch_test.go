@@ -302,3 +302,16 @@ func TestSharedProfilesUnderConcurrentPatching(t *testing.T) {
 		t.Fatalf("the shared base changed: %s != %s", base, want)
 	}
 }
+
+func TestSameIsIdentity(t *testing.T) {
+	s := NewSet(patchTerm(2, CPUAt("l1"), 0, 10))
+	if !s.Same(s) || !(Set{}).Same(Set{}) {
+		t.Fatal("a set is not the same as itself")
+	}
+	if clone := s.Clone(); s.Same(clone) || !s.Equal(clone) {
+		t.Fatal("a clone is the same set, or not an equal one")
+	}
+	if s.Same(Set{}) || !s.PatchUnion(Set{}).Same(s) {
+		t.Fatal("Same confuses a set with the empty one, or PatchUnion of nothing copied")
+	}
+}
