@@ -54,7 +54,10 @@ race:
 # standing-query sweep to waking every subscription a write flipped
 # (internal/server/wake_test.go), then ten holding the free view
 # core.State's transition rules maintain to the from-scratch Θ ∖ Σρ
-# after every rule and hand edit (internal/core/freeview_test.go).
+# after every rule and hand edit (internal/core/freeview_test.go), then
+# ten holding the hand-written admit-body decoder to json.Unmarshal +
+# ValidateJob: both refuse, or both accept equal jobs
+# (internal/server/fuzz_test.go).
 # -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileKernels$$' -fuzztime 10s ./internal/resource/
@@ -63,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInfeasibleIsACertificate$$' -fuzztime 10s ./internal/schedule/
 	$(GO) test -run '^$$' -fuzz '^FuzzWakeCoversFlips$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzFreeViewMaintained$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAdmitRequest$$' -fuzztime 10s ./internal/server/
 
 # benchmark/ is a module of its own that tier-1 neither builds nor
 # tests; vetting it here catches an exported name under internal/ that

@@ -471,14 +471,21 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, not accepting new admissions"))
 		return
 	}
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	// The buffer goes back to the pool unless a peer was sent it.
+	sent := false
+	defer func() {
+		if !sent {
+			body.Release()
+		}
+	}()
 	// Validation runs here for locally submitted AND peer-forwarded
 	// jobs: a misbehaving peer cannot push an invalid job past the wire.
-	job, err := server.DecodeAdmitRequest(body)
+	job, err := server.DecodeAdmitRequest(body.Bytes())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -510,10 +517,11 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		retry := false
 		switch {
 		case len(owners) == 1 && ownsSelf:
-			retry = n.admitLocal(w, r, job, body)
+			retry = n.admitLocal(w, r, job, body.Bytes())
 		case len(owners) == 1:
 			for ps := range owners {
-				retry = n.forward(w, r, ps, body)
+				sent = true
+				retry = n.forward(w, r, ps, body.Bytes())
 			}
 		default:
 			retry = n.coordinate(w, r, job, owners)
@@ -938,12 +946,14 @@ func (n *Node) finishCoordination(w http.ResponseWriter, trace string, job workl
 // leaves one commitment per owning node, so the release fans out to
 // every member (forwarded requests stay local — no loops).
 func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, n.maxBody)
+	buf, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	body := buf.Bytes()
 	if r.Header.Get(headerForwarded) != "" {
+		defer buf.Release()
 		n.flowMu.RLock()
 		defer n.flowMu.RUnlock()
 		r.Body = io.NopCloser(bytes.NewReader(body))
@@ -951,6 +961,7 @@ func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
 		n.srv.ServeHTTP(w, r)
 		return
 	}
+	// The body fans out to the peers, so buf is not released.
 	var req struct {
 		Name string `json:"name"`
 	}
@@ -1095,13 +1106,15 @@ func evictedReply(err error) bool {
 }
 
 func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	var g Gossip
-	if err := json.Unmarshal(body, &g); err != nil {
+	err = json.Unmarshal(body.Bytes(), &g)
+	body.Release()
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad gossip body: %w", err))
 		return
 	}
@@ -1333,12 +1346,14 @@ type MigrateRequest struct {
 // double-promised).
 func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req MigrateRequest
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := json.Unmarshal(body, &req); err != nil || req.Name == "" || req.Target == "" {
+	err = json.Unmarshal(body.Bytes(), &req)
+	body.Release()
+	if err != nil || req.Name == "" || req.Target == "" {
 		httpError(w, http.StatusBadRequest, errors.New("cluster: migrate needs {name, target}"))
 		return
 	}
@@ -1467,11 +1482,13 @@ func (n *Node) handleClusterAdvance(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Now interval.Time `json:"now"`
 	}
-	body, err := readBody(w, r, n.maxBody)
+	buf, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	// The body fans out to the peers, so buf is not released.
+	body := buf.Bytes()
 	if err := json.Unmarshal(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad advance body: %w", err))
 		return
@@ -1505,19 +1522,6 @@ func (n *Node) handleClusterAdvance(w http.ResponseWriter, r *http.Request) {
 }
 
 // HTTP helpers (the server's equivalents are unexported).
-
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	defer r.Body.Close()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, fmt.Errorf("cluster: body exceeds %d bytes", limit)
-		}
-		return nil, err
-	}
-	return body, nil
-}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

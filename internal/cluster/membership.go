@@ -531,12 +531,13 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, not accepting members"))
 		return
 	}
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := membership.DecodeJoinRequest(body)
+	defer body.Release()
+	req, err := membership.DecodeJoinRequest(body.Bytes())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -650,12 +651,13 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 // steward semaphore (queueing behind an in-flight join with a bounded
 // wait) and run the leave choreography.
 func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := membership.DecodeLeaveRequest(body)
+	defer body.Release()
+	req, err := membership.DecodeLeaveRequest(body.Bytes())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -839,12 +841,13 @@ func (n *Node) rpcPromote(ctx context.Context, to membership.Member, locs []reso
 // handleHandoff executes a steward-ordered handoff with this node as
 // the source.
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := membership.DecodeHandoffRequest(body)
+	defer body.Release()
+	req, err := membership.DecodeHandoffRequest(body.Bytes())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -865,13 +868,14 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 // install their ledger state. On import failure the adoption is rolled
 // back — the source has not dropped anything yet.
 func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	defer body.Release()
 	var req installRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad install body: %w", err))
 		return
 	}
@@ -903,13 +907,14 @@ func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
 // handlePromote promotes this node from standby to primary for the
 // given locations (steward-ordered, force-leave path).
 func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	defer body.Release()
 	var req promoteRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Locs) == 0 {
+	if err := json.Unmarshal(body.Bytes(), &req); err != nil || len(req.Locs) == 0 {
 		httpError(w, http.StatusBadRequest, errors.New("cluster: promote needs locs"))
 		return
 	}
@@ -923,13 +928,14 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 // handleShadow stores a primary's shipped exports as this node's warm
 // standby state for those locations.
 func (n *Node) handleShadow(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	defer body.Release()
 	var req installRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad shadow body: %w", err))
 		return
 	}
@@ -948,12 +954,13 @@ func (n *Node) handleTableGet(w http.ResponseWriter, r *http.Request) {
 
 // handleTablePost applies a broadcast table if it is newer.
 func (n *Node) handleTablePost(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	t, err := membership.DecodeTable(body)
+	defer body.Release()
+	t, err := membership.DecodeTable(body.Bytes())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -1035,12 +1042,13 @@ func (n *Node) releaseTargets() []*peerState {
 // the new owner; the rest run under the handoff freeze so an export/
 // drop pair never interleaves with a reservation.
 func (n *Node) handlePrepareIntercept(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	_, demand, err := server.DecodePrepareRequest(body)
+	defer body.Release()
+	_, demand, err := server.DecodePrepareRequest(body.Bytes())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -1052,7 +1060,7 @@ func (n *Node) handlePrepareIntercept(w http.ResponseWriter, r *http.Request) {
 		n.serveRedirect(w, red)
 		return
 	}
-	n.delegate(w, r, body)
+	n.delegate(w, r, body.Bytes())
 }
 
 // handleFreeIntercept fronts GET /v1/cluster/free the same way.
@@ -1086,12 +1094,13 @@ func (n *Node) handleAbortIntercept(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleFinishIntercept(w http.ResponseWriter, r *http.Request, verb string) {
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := server.DecodeFinishRequest(body)
+	defer body.Release()
+	req, err := server.DecodeFinishRequest(body.Bytes())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -1108,7 +1117,7 @@ func (n *Node) handleFinishIntercept(w http.ResponseWriter, r *http.Request, ver
 		// The common path: the embedded server's handler, under the
 		// handoff freeze.
 		defer n.flowMu.RUnlock()
-		n.delegate(w, r, body)
+		n.delegate(w, r, body.Bytes())
 		return
 	}
 	n.flowMu.RUnlock()

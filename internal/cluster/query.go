@@ -48,12 +48,13 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleQueryPost is the cluster-aware POST /v1/query.
 func (n *Node) handleQueryPost(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	c, err := server.DecodeQueryRequest(body)
+	c, err := server.DecodeQueryRequest(body.Bytes())
+	body.Release()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

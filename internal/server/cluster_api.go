@@ -105,14 +105,15 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	// via the X-Rota-Span header (lifted into the context by Instrument).
 	_, sp := s.cfg.Spans.Start(r.Context(), span.KindPrepare)
 	defer sp.End()
-	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		s.errored.Add(1)
 		sp.SetStatus(span.StatusError)
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, demand, err := DecodePrepareRequest(body)
+	req, demand, err := DecodePrepareRequest(body.Bytes())
+	body.Release()
 	if err != nil {
 		s.errored.Add(1)
 		sp.SetStatus(span.StatusError)
@@ -153,13 +154,14 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	_, sp := s.cfg.Spans.Start(r.Context(), span.KindCommit)
 	defer sp.End()
-	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		sp.SetStatus(span.StatusError)
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := DecodeFinishRequest(body)
+	req, err := DecodeFinishRequest(body.Bytes())
+	body.Release()
 	if err != nil {
 		sp.SetStatus(span.StatusError)
 		httpError(w, http.StatusBadRequest, err)
@@ -188,13 +190,14 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
 	_, sp := s.cfg.Spans.Start(r.Context(), span.KindAbort)
 	defer sp.End()
-	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		sp.SetStatus(span.StatusError)
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := DecodeFinishRequest(body)
+	req, err := DecodeFinishRequest(body.Bytes())
+	body.Release()
 	if err != nil {
 		sp.SetStatus(span.StatusError)
 		httpError(w, http.StatusBadRequest, err)

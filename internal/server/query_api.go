@@ -210,13 +210,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleQueryPost serves POST /v1/query: the text or JSON-AST wire form.
 func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		s.errored.Add(1)
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	c, err := DecodeQueryRequest(body)
+	c, err := DecodeQueryRequest(body.Bytes())
+	body.Release()
 	if err != nil {
 		s.errored.Add(1)
 		httpError(w, http.StatusBadRequest, err)

@@ -1,11 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -429,13 +429,14 @@ type QueryStats struct {
 }
 
 // DecodeAdmitRequest decodes and validates one job from an admit body.
-// Exported so the fuzz harness exercises exactly the wire path.
+// The decoded job does not alias body. Exported so the fuzz harness
+// exercises exactly the wire path.
 func DecodeAdmitRequest(body []byte) (workload.Job, error) {
-	var job workload.Job
-	if err := json.Unmarshal(body, &job); err != nil {
-		return workload.Job{}, fmt.Errorf("server: bad admit body: %w", err)
+	job, err := workload.UnmarshalJob(body)
+	if err == nil {
+		err = workload.ValidateJob(job)
 	}
-	if err := workload.ValidateJob(job); err != nil {
+	if err != nil {
 		return workload.Job{}, fmt.Errorf("server: bad admit body: %w", err)
 	}
 	return job, nil
@@ -449,10 +450,11 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	defer adSpan.End()
 
 	_, vSpan := s.cfg.Spans.Start(sctx, span.KindValidate)
-	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err == nil {
 		var job workload.Job
-		job, err = DecodeAdmitRequest(body)
+		job, err = DecodeAdmitRequest(body.Bytes())
+		body.Release()
 		if err == nil {
 			vSpan.Attr("job", job.Dist.Name)
 			vSpan.End()
@@ -690,25 +692,54 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // HTTP helpers.
 
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// A Body is a request body read into a pooled buffer. Its bytes are
+// valid until Release, after which the buffer serves another request: a
+// handler releases it once nothing reads the bytes any more, and never
+// releases one it handed to an outgoing request, which the transport may
+// still read after the round trip returns.
+type Body struct{ buf bytes.Buffer }
+
+// maxPooledBody is the largest buffer Release returns to the pool: a
+// rare large body is left to the collector rather than kept for every
+// small one after it.
+const maxPooledBody = 64 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new(Body) }}
+
+// ReadBody reads r's body, at most limit bytes, into a pooled buffer.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (*Body, error) {
 	defer r.Body.Close()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
+	b := bodyPool.Get().(*Body)
+	if _, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		b.Release()
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return nil, fmt.Errorf("server: body exceeds %d bytes", limit)
 		}
 		return nil, err
 	}
-	return body, nil
+	return b, nil
+}
+
+// Bytes returns the body, valid until Release.
+func (b *Body) Bytes() []byte { return b.buf.Bytes() }
+
+// Release returns the buffer to the pool.
+func (b *Body) Release() {
+	if b.buf.Cap() > maxPooledBody {
+		return
+	}
+	b.buf.Reset()
+	bodyPool.Put(b)
 }
 
 func decodeInto(w http.ResponseWriter, r *http.Request, limit int64, dst any) error {
-	body, err := readBody(w, r, limit)
+	body, err := ReadBody(w, r, limit)
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(body, dst); err != nil {
+	defer body.Release()
+	if err := json.Unmarshal(body.Bytes(), dst); err != nil {
 		return fmt.Errorf("server: bad request body: %w", err)
 	}
 	return nil
