@@ -8,10 +8,12 @@ GO ?= go
 # per-endpoint stats), the span store (lock-free-looking ring buffer fed
 # by every request), the metrics histogram, the core decision path they
 # drive, the self-healing layer (φ-accrual detector fed from every
-# gossip receipt, fault-injection transport under concurrent RPCs), and
-# the resource algebra, whose shared immutable profiles the ledger's
-# cache, its snapshots and every concurrent plan search read at once.
-RACE_PKGS = ./internal/resource/ ./internal/server/ ./internal/cluster/ ./internal/membership/ ./internal/query/ ./internal/obs/ ./internal/obs/span/ ./internal/metrics/ ./internal/admission/ ./internal/core/ ./internal/schedule/ ./internal/health/ ./internal/fault/ ./cmd/rotad/
+# gossip receipt, fault-injection transport under concurrent RPCs), the
+# resource algebra, whose shared immutable profiles the ledger's
+# cache, its snapshots and every concurrent plan search read at once,
+# and the selftest harness, whose single-node, cluster and chaos runs
+# drive all of them at once from concurrent load clients.
+RACE_PKGS = ./internal/resource/ ./internal/server/ ./internal/cluster/ ./internal/membership/ ./internal/query/ ./internal/obs/ ./internal/obs/span/ ./internal/metrics/ ./internal/admission/ ./internal/core/ ./internal/schedule/ ./internal/health/ ./internal/fault/ ./internal/selftest/
 
 .PHONY: ci fmt vet build test race fuzz-smoke benchmark-vet selftest cluster-selftest chaos-selftest clean
 
@@ -36,11 +38,14 @@ test:
 # squeeze, racing admits, refusals at reserve) ten times: a lost ordering
 # in the admit lock path shows there first. The third repeats the
 # standing-query tests — subscribes racing bumps, flips, the pooled
-# evaluation path, the sweep's wake check — ten times.
+# evaluation path, the sweep's wake check — ten times. The fourth
+# repeats the graceful leave queued behind a join ten times: a departed
+# member that rejoins on its own shows there first.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone' ./internal/server/
 	$(GO) test -race -count=10 -run 'Subscribe|Bump|Flip|Concurrent|Wake' ./internal/query/ ./internal/server/
+	$(GO) test -race -count=10 -run 'LeaveQueuesBehindJoin' ./internal/cluster/
 
 # Ten seconds of coverage-guided inputs holding the splice kernels to
 # the event-sweep reference (internal/resource/profile_test.go), ten
@@ -74,12 +79,16 @@ fuzz-smoke:
 benchmark-vet:
 	cd benchmark && $(GO) vet ./...
 
+# The selftests run the harness in internal/selftest through rotaload,
+# which boots the daemon in-process on loopback ports. -seed 42 keeps the
+# job streams these targets have always driven.
+#
 # End-to-end: daemon + ≥1000 requests through the HTTP API. Its query
 # probe must see one-shot GET/POST agreement and /v1/watch verdict flips
 # for a reservation landing, its release, a leased hold, and a lease
 # expiring.
 selftest:
-	$(GO) run ./cmd/rotad -selftest -requests 1000 -clients 8
+	$(GO) run ./cmd/rotaload -selftest -n 1000 -clients 8 -seed 42
 
 # End-to-end: 3-node loopback cluster + coordinator-crash injection +
 # ≥1000 mixed admits + lease-sweep and per-node audit verification. The
@@ -92,7 +101,7 @@ selftest:
 # owner, never orphaned), and the /v1/assure fan-out totals agreeing
 # with the per-node ledgers (EXPERIMENTS.md E13, E14, E18).
 cluster-selftest:
-	$(GO) run ./cmd/rotad -selftest -cluster 3 -requests 1000 -clients 8 -locations 6
+	$(GO) run ./cmd/rotaload -selftest -cluster 3 -n 1000 -clients 8 -locations 6 -seed 42
 
 # End-to-end self-healing check: a 3-node loopback cluster wired through
 # the fault-injection transport runs a seeded kill/partition/heal
@@ -103,7 +112,7 @@ cluster-selftest:
 # requires ≥1 flight-recorder snapshot whose merged spans form a
 # connected cross-node timeline (E18).
 chaos-selftest:
-	$(GO) run ./cmd/rotad -selftest -chaos -cluster 3 -requests 150 -clients 4 -locations 6
+	$(GO) run ./cmd/rotaload -selftest -chaos -cluster 3 -n 150 -clients 4 -locations 6 -seed 42
 
 clean:
 	$(GO) clean ./...

@@ -7,22 +7,14 @@
 // Usage:
 //
 //	rotad -addr :8080 -locations 4 -base 4 -horizon 100000
-//	rotad -selftest -requests 1000 -clients 8
 //	rotad -addr :8081 -node n1 -peers 'n1=http://h:8081=l1,l2;n2=http://h:8082=l3,l4'
-//	rotad -selftest -cluster 3 -requests 1000 -clients 8
-//
-// In -selftest mode the daemon starts on a loopback port, hammers itself
-// with a synthetic workload through the real HTTP stack, prints a
-// throughput/latency table, audits the ledger invariant, and exits
-// non-zero on any inconsistency.
 //
 // With -node/-peers (or -cluster-config) the daemon joins a static
 // federation: it owns its peer-table locations, forwards jobs owned
 // elsewhere, and coordinates jobs spanning owners with a two-phase
-// leased reservation. -selftest -cluster N boots an N-node loopback
-// cluster, injects a coordinator crash between prepare and commit,
-// drives the load at every node, and verifies each node's
-// no-overcommitment audit plus the lease-expiry sweep.
+// leased reservation. The end-to-end acceptance harness that boots the
+// daemon or a cluster in-process and hammers it is cmd/rotaload
+// -selftest.
 package main
 
 import (
@@ -43,14 +35,12 @@ import (
 	"repro/internal/admission"
 	"repro/internal/cluster"
 	"repro/internal/interval"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/assure"
 	"repro/internal/obs/flightrec"
 	"repro/internal/obs/span"
 	"repro/internal/resource"
 	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -62,6 +52,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rotad", flag.ContinueOnError)
+	fs.SetOutput(out)
 	addr := fs.String("addr", ":8080", "listen address")
 	policyName := fs.String("policy", "rota", "admission policy: rota or rota-exhaustive (must be plan-producing)")
 	workers := fs.Int("workers", 0, "concurrent admission decisions (0 = GOMAXPROCS)")
@@ -71,12 +62,6 @@ func run(args []string, out io.Writer) error {
 	linkRate := fs.Int64("link", 1, "network units/tick per directed link (full mesh)")
 	horizon := fs.Int64("horizon", 100000, "initial availability horizon in ticks")
 	extraTheta := fs.String("theta", "", "additional availability as a compact resource-set literal")
-	selftest := fs.Bool("selftest", false, "run the built-in load test against an in-process daemon and exit")
-	requests := fs.Int("requests", 1000, "selftest: total admit requests")
-	clients := fs.Int("clients", 8, "selftest: concurrent clients")
-	seed := fs.Int64("seed", 42, "selftest: workload seed")
-	slack := fs.Float64("slack", 3, "selftest: deadline slack factor")
-	csv := fs.Bool("csv", false, "selftest: emit CSV")
 	node := fs.String("node", "", "cluster: this node's ID (must appear in the peer table)")
 	peersSpec := fs.String("peers", "", "cluster: static peer table, id=url=l1,l2;id=url=l3,... (includes self)")
 	clusterConfig := fs.String("cluster-config", "", "cluster: JSON peer-table file {\"nodes\":[{id,url,locations}]} (overrides -peers)")
@@ -91,8 +76,6 @@ func run(args []string, out io.Writer) error {
 	rpcBackoffCap := fs.Duration("rpc-backoff-cap", 400*time.Millisecond, "cluster: exponential backoff ceiling")
 	suspectPhi := fs.Float64("suspect-phi", 0, "cluster: φ-accrual level at which a peer is suspected (0 = detector default 8)")
 	evictPhi := fs.Float64("evict-phi", 0, "cluster: φ level declaring a peer dead; > 0 also enables quorum auto-eviction (0 disables)")
-	clusterN := fs.Int("cluster", 0, "selftest: boot an N-node loopback cluster instead of a single daemon")
-	chaos := fs.Bool("chaos", false, "selftest: randomized kill/partition/heal schedule with automatic failure detection (needs -cluster >= 3)")
 	metricsOn := fs.Bool("metrics", true, "serve the Prometheus text exposition on GET /metrics")
 	assureOn := fs.Bool("assure", true, "track a deadline-assurance promise per admitted job (GET /v1/assure)")
 	flightSize := fs.Int("flightrec-size", flightrec.DefaultEventCap, "anomaly flight-recorder event ring size (snapshots at GET /debug/rota/flightrec; 0 disables)")
@@ -126,20 +109,12 @@ func run(args []string, out io.Writer) error {
 	if *flightSize > 0 {
 		rec = flightrec.New(recNode, *flightSize, flightrec.DefaultSnapshotCap, spans)
 	}
-	// The daemon logs events to stderr; selftest modes keep the event
-	// stream off (the cluster selftest wires its own per-node sinks). The
-	// flight recorder tees the same stream into its ring so a snapshot
-	// carries the lead-up to its trigger.
-	var logSink io.Writer
-	if !*selftest {
-		logSink = os.Stderr
-	}
+	// The daemon logs events to stderr. The flight recorder tees the same
+	// stream into its ring so a snapshot carries the lead-up to its
+	// trigger.
+	var logSink io.Writer = os.Stderr
 	if rec != nil {
-		if logSink != nil {
-			logSink = io.MultiWriter(logSink, rec.Writer())
-		} else {
-			logSink = rec.Writer()
-		}
+		logSink = io.MultiWriter(logSink, rec.Writer())
 	}
 	observer := obs.New(obs.Options{
 		Log:          logSink,
@@ -158,11 +133,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown policy %q (rotad needs a plan-producing policy)", *policyName)
 	}
 
-	locs := make([]resource.Location, *locations)
-	for i := range locs {
-		locs[i] = resource.Location(fmt.Sprintf("l%d", i+1))
-	}
-	theta := baseTheta(locs, *baseRate, *linkRate, interval.Time(*horizon))
+	theta := resource.Mesh(resource.Locations(*locations), *baseRate, *linkRate, interval.Time(*horizon))
 	if *extraTheta != "" {
 		extra, err := resource.ParseSet(*extraTheta)
 		if err != nil {
@@ -189,50 +160,6 @@ func run(args []string, out io.Writer) error {
 		backoffCap:  *rpcBackoffCap,
 		suspectPhi:  *suspectPhi,
 		evictPhi:    *evictPhi,
-	}
-
-	if *selftest && *chaos {
-		if *clusterN < 3 {
-			return errors.New("-chaos needs -cluster N with N >= 3 (quorum eviction is undefined below 3 members)")
-		}
-		// Promise ledgers and flight recorders are strictly per node; the
-		// selftest harnesses build their own from the knobs below.
-		ccfg := scfg
-		ccfg.Assure, ccfg.FlightRec = nil, nil
-		return runChaosSelftest(out, chaosSelftestConfig{
-			nodes:      *clusterN,
-			locs:       locs,
-			server:     ccfg,
-			leaseTTL:   interval.Time(*leaseTTL),
-			requests:   *requests,
-			clients:    *clients,
-			seed:       *seed,
-			slack:      *slack,
-			horizon:    interval.Time(*horizon),
-			csv:        *csv,
-			spanCap:    *spanCap,
-			assureOn:   *assureOn,
-			flightSize: *flightSize,
-		})
-	}
-	if *selftest && *clusterN > 1 {
-		ccfg := scfg
-		ccfg.Assure, ccfg.FlightRec = nil, nil
-		return runClusterSelftest(out, clusterSelftestConfig{
-			nodes:      *clusterN,
-			locs:       locs,
-			server:     ccfg,
-			leaseTTL:   interval.Time(*leaseTTL),
-			requests:   *requests,
-			clients:    *clients,
-			seed:       *seed,
-			slack:      *slack,
-			horizon:    interval.Time(*horizon),
-			csv:        *csv,
-			spanCap:    *spanCap,
-			assureOn:   *assureOn,
-			flightSize: *flightSize,
-		})
 	}
 
 	if *joinURL != "" {
@@ -311,9 +238,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *selftest {
-		return runSelftest(out, srv, locs, *requests, *clients, *seed, *slack, interval.Time(*horizon), *csv)
-	}
 	return serveHandler(out, debugHandler(srv, *metricsOn, *pprofOn), srv.Shutdown, *addr,
 		fmt.Sprintf("rotad: listening on %s (%d shards)", *addr, srv.Ledger().NumShards()))
 }
@@ -339,28 +263,6 @@ func (r rpcConfig) apply(c cluster.Config) cluster.Config {
 	c.SuspectPhi = r.suspectPhi
 	c.EvictPhi = r.evictPhi
 	return c
-}
-
-// baseTheta builds the initial availability: baseRate cpu per location
-// plus a full mesh of linkRate links, all over (0, horizon).
-func baseTheta(locs []resource.Location, baseRate, linkRate int64, horizon interval.Time) resource.Set {
-	var theta resource.Set
-	window := interval.New(0, horizon)
-	for _, loc := range locs {
-		if baseRate > 0 {
-			theta.Add(resource.NewTerm(resource.FromUnits(baseRate), resource.CPUAt(loc), window))
-		}
-	}
-	if linkRate > 0 {
-		for _, src := range locs {
-			for _, dst := range locs {
-				if src != dst {
-					theta.Add(resource.NewTerm(resource.FromUnits(linkRate), resource.Link(src, dst), window))
-				}
-			}
-		}
-	}
-	return theta
 }
 
 // debugHandler layers the cmd-level debug surface over the daemon
@@ -428,125 +330,5 @@ func serveHandler(out io.Writer, handler http.Handler, shutdown func(context.Con
 		return err
 	}
 	fmt.Fprintln(out, "rotad: drained")
-	return nil
-}
-
-// runSelftest starts the daemon on a loopback port, drives the load
-// generator at it over real HTTP, prints the report, and verifies the
-// daemon's accounting and ledger invariants.
-func runSelftest(out io.Writer, srv *server.Server, locs []resource.Location, requests, clients int, seed int64, slack float64, horizon interval.Time, csv bool) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go func() { _ = httpSrv.Serve(ln) }()
-	baseURL := "http://" + ln.Addr().String()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		_ = httpSrv.Shutdown(ctx)
-	}()
-
-	jobs, err := workload.Generate(workload.Config{
-		Seed:             seed,
-		Locations:        locs,
-		NumJobs:          requests,
-		MeanInterarrival: float64(horizon) / float64(requests+1) / 4,
-		ActorsMin:        1,
-		ActorsMax:        3,
-		StepsMin:         1,
-		StepsMax:         4,
-		SendProb:         0.2,
-		MigrateProb:      0.05,
-		EvalWeightMax:    3,
-		SlackFactor:      slack,
-	})
-	if err != nil {
-		return err
-	}
-
-	report, err := server.RunLoad(context.Background(), server.LoadConfig{
-		BaseURL:         baseURL,
-		Jobs:            jobs,
-		Requests:        requests,
-		Clients:         clients,
-		ReleaseAdmitted: true,
-	})
-	if err != nil {
-		return err
-	}
-	stats, err := server.FetchStats(context.Background(), baseURL)
-	if err != nil {
-		return err
-	}
-
-	t := metrics.NewTable(
-		fmt.Sprintf("rotad selftest: %d requests, %d clients", requests, clients),
-		"metric", "value")
-	t.AddRow("requests", report.Requests)
-	t.AddRow("admitted", report.Admitted)
-	t.AddRow("rejected", report.Rejected)
-	t.AddRow("released", report.Released)
-	t.AddRow("errors", report.Errors)
-	t.AddRow("duration ms", float64(report.Duration.Microseconds())/1000)
-	t.AddRow("throughput req/s", report.Throughput)
-	t.AddRow("client p50 µs", report.P50US)
-	t.AddRow("client p99 µs", report.P99US)
-	t.AddRow("decision mean µs", stats.DecisionLatencyUS.Mean)
-	t.AddRow("decision p50 µs", stats.DecisionLatencyUS.P50)
-	t.AddRow("decision p99 µs", stats.DecisionLatencyUS.P99)
-	t.AddRow("shards", stats.Shards)
-	t.AddRow("live commitments", stats.Commitments)
-	if csv {
-		t.RenderCSV(out)
-	} else {
-		t.Render(out)
-	}
-
-	// The selftest doubles as an end-to-end acceptance check.
-	if report.Errors > 0 {
-		return fmt.Errorf("selftest: %d requests errored", report.Errors)
-	}
-	if stats.Decisions != stats.Admitted+stats.Rejected {
-		return fmt.Errorf("selftest: decisions %d != admitted %d + rejected %d",
-			stats.Decisions, stats.Admitted, stats.Rejected)
-	}
-	if int(stats.Decisions) != requests {
-		return fmt.Errorf("selftest: daemon decided %d of %d requests", stats.Decisions, requests)
-	}
-	if stats.DecisionLatencyUS.P99 <= 0 {
-		return errors.New("selftest: decision p99 latency is zero")
-	}
-	if report.Admitted == 0 {
-		return errors.New("selftest: nothing admitted; workload or availability misconfigured")
-	}
-	// Query-layer probe: one-shot GET/POST agreement, then a standing
-	// /v1/watch subscription must see the verdict flip when a reservation
-	// lands, when it is released, when a leased hold arrives, and when
-	// that lease expires in an advance sweep.
-	httpc := &http.Client{Timeout: 10 * time.Second}
-	if err := runQueryProbe(context.Background(), httpc, baseURL, locs[0], horizon); err != nil {
-		return fmt.Errorf("selftest: query probe: %w", err)
-	}
-	fmt.Fprintln(out, "query probe ok")
-	// Assure probe: every released admission must have resolved to a kept
-	// promise, and nothing may have violated — a violation here means the
-	// Theorem-4 check admitted something the ledger could not honor.
-	if asr := srv.Assure(); asr != nil {
-		as := asr.Stats()
-		if as.Violated != 0 {
-			return fmt.Errorf("selftest: %d promises violated (deadline assurance broken)", as.Violated)
-		}
-		if as.Kept+as.Active == 0 {
-			return errors.New("selftest: promise ledger tracked nothing despite admissions")
-		}
-		fmt.Fprintf(out, "assure probe ok (%d kept, %d active, attainment %.3f)\n", as.Kept, as.Active, as.Attainment)
-	}
-	if err := srv.Ledger().Audit(); err != nil {
-		return fmt.Errorf("selftest: %w", err)
-	}
-	fmt.Fprintln(out, "selftest ok")
 	return nil
 }

@@ -2,108 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"slices"
 	"strings"
 	"testing"
 )
-
-// TestSelftestEndToEnd is the acceptance run: a real daemon on a
-// loopback port, ≥1000 admission requests over HTTP from ≥4 concurrent
-// clients, with the selftest's own consistency checks (admit+reject ==
-// total, nonzero p99, clean ledger audit) enforced by run's error.
-func TestSelftestEndToEnd(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{
-		"-selftest",
-		"-requests", "1000",
-		"-clients", "4",
-		"-locations", "4",
-		"-seed", "7",
-	}, &out)
-	if err != nil {
-		t.Fatalf("selftest failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "selftest ok") {
-		t.Fatalf("selftest output missing verdict:\n%s", out.String())
-	}
-	for _, want := range []string{"throughput req/s", "decision p99 µs", "admitted", "query probe ok"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("selftest table missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-// TestClusterSelftestEndToEnd boots the 3-node loopback cluster so the
-// cross-node probes — including the query fan-out equivalence check and
-// the watch flipped by a coordinated admission — run under the test
-// race detector.
-func TestClusterSelftestEndToEnd(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{
-		"-selftest",
-		"-cluster", "3",
-		"-requests", "150",
-		"-clients", "4",
-		"-locations", "6",
-		"-seed", "7",
-	}, &out)
-	if err != nil {
-		t.Fatalf("cluster selftest failed: %v\n%s", err, out.String())
-	}
-	for _, want := range []string{"cluster query probe ok", "cluster selftest ok"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("cluster selftest output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-// TestChaosSelftest runs the randomized kill/partition/heal schedule
-// under live load: automatic φ-accrual detection, quorum eviction,
-// fence-and-rejoin, and the no-lost-reservations invariant all under
-// the test race detector.
-func TestChaosSelftest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos schedule takes seconds; skipped in -short")
-	}
-	var out bytes.Buffer
-	err := run([]string{
-		"-selftest",
-		"-chaos",
-		"-cluster", "3",
-		"-requests", "150",
-		"-clients", "4",
-		"-locations", "6",
-		"-seed", "7",
-	}, &out)
-	if err != nil {
-		t.Fatalf("chaos selftest failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "chaos selftest ok") {
-		t.Errorf("chaos selftest output missing %q:\n%s", "chaos selftest ok", out.String())
-	}
-}
-
-// TestChaosNeedsCluster: -chaos without a big enough -cluster must be
-// refused with a clear error, not hang waiting for a quorum that can
-// never form.
-func TestChaosNeedsCluster(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-selftest", "-chaos", "-cluster", "2"}, &out); err == nil {
-		t.Fatal("chaos selftest with 2 nodes should be refused (quorum eviction is undefined below 3 members)")
-	}
-}
-
-func TestSelftestCSV(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{
-		"-selftest", "-requests", "40", "-clients", "4", "-csv",
-	}, &out)
-	if err != nil {
-		t.Fatalf("selftest -csv: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "requests,40") {
-		t.Errorf("csv output missing requests row:\n%s", out.String())
-	}
-}
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out bytes.Buffer
@@ -112,5 +16,32 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-theta", "garbage::("}, &out); err == nil {
 		t.Fatal("accepted a malformed -theta literal")
+	}
+}
+
+// TestFlagsAreServingFlags pins rotad's flag surface to the flags that
+// configure a serving daemon. The load and acceptance harness lives in
+// rotaload; a harness flag added here fails this test.
+func TestFlagsAreServingFlags(t *testing.T) {
+	serving := []string{
+		"addr", "assure", "base", "cluster-config", "evict-phi", "flightrec-size",
+		"gossip", "horizon", "join", "lease-ttl", "link", "locations", "log-format",
+		"metrics", "node", "peers", "pin", "policy", "pprof", "rpc-backoff-base",
+		"rpc-backoff-cap", "rpc-retries", "rpc-timeout", "self-url", "slow-ms",
+		"span-store", "suspect-phi", "theta", "timeout", "workers",
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
+	}
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(name)[0])
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, serving) {
+		t.Fatalf("rotad flags = %q\nwant the serving flags %q", got, serving)
 	}
 }

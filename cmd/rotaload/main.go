@@ -1,17 +1,21 @@
-// Command rotaload hammers a running rotad daemon with a synthetic
-// workload stream and reports throughput and decision-latency
-// percentiles — the client half of the rotad selftest, usable against
-// any live daemon.
+// Command rotaload drives a synthetic workload at rotad and reports
+// throughput and decision-latency percentiles. It dials a running
+// daemon or cluster, or, with -selftest, boots one in-process on
+// loopback ports and runs the end-to-end acceptance harness: the load,
+// every probe and every ledger audit, exiting non-zero on any broken
+// invariant.
 //
 // Usage:
 //
 //	rotad -addr :8080 &
 //	rotaload -addr http://localhost:8080 -n 1000 -clients 8
+//	rotaload -selftest -n 1000 -clients 8 -seed 42
+//	rotaload -selftest -cluster 3 -n 1000 -clients 8 -locations 6 -seed 42
+//	rotaload -selftest -chaos -cluster 3 -n 150 -clients 4 -locations 6 -seed 42
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -24,8 +28,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/assure"
 	"repro/internal/resource"
+	"repro/internal/selftest"
 	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -48,8 +52,20 @@ func run(args []string, out io.Writer) error {
 	csv := fs.Bool("csv", false, "emit CSV")
 	slowlog := fs.Int("slowlog", 0, "report the N slowest requests with their trace IDs (feed to rotatrace -spans)")
 	queryFrac := fs.Float64("query-frac", 0, "fraction of requests issued as one-shot temporal queries instead of admits (0..1)")
+	self := fs.Bool("selftest", false, "boot rotad in-process instead of dialing -addr, and run the acceptance probes and audits")
+	nodes := fs.Int("cluster", 0, "selftest: boot an N-node loopback cluster instead of a single daemon")
+	chaos := fs.Bool("chaos", false, "selftest: randomized kill/partition/heal schedule with automatic failure detection (needs -cluster >= 3)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *self {
+		return selftest.Run(out, selftest.Config{
+			Nodes: *nodes, Chaos: *chaos, Locations: *locations,
+			Requests: *n, Clients: *clients, Seed: *seed, Slack: *slack, CSV: *csv,
+		})
+	}
+	if *nodes != 0 || *chaos {
+		return fmt.Errorf("-cluster and -chaos need -selftest")
 	}
 	if *queryFrac < 0 || *queryFrac > 1 {
 		return fmt.Errorf("-query-frac %v outside [0,1]", *queryFrac)
@@ -70,29 +86,13 @@ func run(args []string, out io.Writer) error {
 	}
 	baseURL := baseURLs[0]
 
-	locs := make([]resource.Location, *locations)
-	for i := range locs {
-		locs[i] = resource.Location(fmt.Sprintf("l%d", i+1))
-	}
-	jobs, err := workload.Generate(workload.Config{
-		Seed:             *seed,
-		Locations:        locs,
-		NumJobs:          min(*n, 4096),
-		MeanInterarrival: 8,
-		ActorsMin:        1,
-		ActorsMax:        3,
-		StepsMin:         1,
-		StepsMax:         4,
-		SendProb:         0.2,
-		MigrateProb:      0.05,
-		EvalWeightMax:    3,
-		SlackFactor:      *slack,
-	})
+	locs := resource.Locations(*locations)
+	jobs, err := selftest.Jobs(selftest.Mixed, *seed, locs, min(*n, 4096), 8, *slack)
 	if err != nil {
 		return err
 	}
-
-	report, err := server.RunLoad(context.Background(), server.LoadConfig{
+	ctx := context.Background()
+	report, err := selftest.RunLoad(ctx, selftest.LoadConfig{
 		BaseURLs:        baseURLs,
 		Jobs:            jobs,
 		Requests:        *n,
@@ -106,39 +106,28 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	t := metrics.NewTable(
-		fmt.Sprintf("rotaload: %d requests, %d clients -> %s", *n, *clients, strings.Join(baseURLs, ",")),
-		"metric", "value")
-	t.AddRow("requests", report.Requests)
-	t.AddRow("admitted", report.Admitted)
-	t.AddRow("rejected", report.Rejected)
-	t.AddRow("released", report.Released)
-	t.AddRow("errors", report.Errors)
-	t.AddRow("loadgen_redirects", report.Redirects)
-	t.AddRow("duration ms", float64(report.Duration.Microseconds())/1000)
-	t.AddRow("throughput req/s", report.Throughput)
-	t.AddRow("latency mean µs", report.MeanUS)
-	t.AddRow("latency p50 µs", report.P50US)
-	t.AddRow("latency p90 µs", report.P90US)
-	t.AddRow("latency p99 µs", report.P99US)
-	t.AddRow("latency max µs", report.MaxUS)
-	if report.Queries > 0 {
-		t.AddRow("queries", report.Queries)
-		t.AddRow("queries holding", report.QueryHolds)
-		t.AddRow("query latency mean µs", report.QueryMeanUS)
-		t.AddRow("query latency p50 µs", report.QueryP50US)
-		t.AddRow("query latency p99 µs", report.QueryP99US)
-	}
-
 	// Server-side decision stats, when the daemon is reachable for them.
-	if stats, err := server.FetchStats(context.Background(), baseURL); err == nil {
-		t.AddRow("server decisions", stats.Decisions)
-		t.AddRow("server decision p50 µs", stats.DecisionLatencyUS.P50)
-		t.AddRow("server decision p99 µs", stats.DecisionLatencyUS.P99)
+	var stats *server.StatsResponse
+	if st, err := selftest.FetchStats(ctx, baseURL); err == nil {
+		stats = &st
 	}
+	t := selftest.Table(fmt.Sprintf("rotaload: %d requests, %d clients -> %s", *n, *clients, strings.Join(baseURLs, ",")), report, stats)
 	// The daemon's own account of the run: did every admitted deadline
 	// hold? /v1/assure answers for one node or, via fan-out, a cluster.
-	if as, err := fetchAssure(context.Background(), baseURL, *timeout); err == nil {
+	// Its shape differs between a single node (a stats block) and a
+	// cluster member (summed totals); decode both and keep whichever the
+	// daemon sent.
+	client := &http.Client{Timeout: *timeout}
+	var ar struct {
+		Cluster bool         `json:"cluster"`
+		Stats   assure.Stats `json:"stats"`
+		Totals  assure.Stats `json:"totals"`
+	}
+	if err := selftest.GetJSON(ctx, client, baseURL+"/v1/assure", &ar); err == nil {
+		as := ar.Stats
+		if ar.Cluster {
+			as = ar.Totals
+		}
 		t.AddRow("promise_violations", as.Violated)
 		t.AddRow("promises kept", as.Kept)
 		t.AddRow("promises active", as.Active)
@@ -147,7 +136,7 @@ func run(args []string, out io.Writer) error {
 	}
 	// And the Prometheus exposition, when the daemon serves one: the
 	// counters a dashboard would scrape, read back over the same wire.
-	if m, err := scrapeMetrics(context.Background(), baseURL, *timeout); err == nil {
+	if m, err := scrapeMetrics(client, baseURL); err == nil {
 		for _, row := range []struct{ label, family string }{
 			{"scrape admitted_total", "rota_admitted_total"},
 			{"scrape rejected_total", "rota_rejected_total"},
@@ -162,14 +151,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
-	if report.UnexplainedRejects > 0 {
-		t.AddRow("rejects without provenance", report.UnexplainedRejects)
-	}
-	if *csv {
-		t.RenderCSV(out)
-	} else {
-		t.Render(out)
-	}
+	t.Print(out, *csv)
 
 	if len(report.Slow) > 0 {
 		fmt.Fprintln(out)
@@ -179,11 +161,7 @@ func run(args []string, out io.Writer) error {
 		for _, s := range report.Slow {
 			st.AddRow(s.Trace, s.Job, s.Admit, s.LatencyUS, s.SlackAtAdmit)
 		}
-		if *csv {
-			st.RenderCSV(out)
-		} else {
-			st.Render(out)
-		}
+		st.Print(out, *csv)
 	}
 
 	if report.Errors > 0 {
@@ -192,48 +170,9 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// fetchAssure reads the promise-ledger stats from GET /v1/assure. The
-// shape differs between a single node (a Report with a stats block) and
-// a cluster member (a fan-out response with summed totals); decode both
-// and pick whichever the daemon sent.
-func fetchAssure(ctx context.Context, baseURL string, timeout time.Duration) (assure.Stats, error) {
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/assure", nil)
-	if err != nil {
-		return assure.Stats{}, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return assure.Stats{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return assure.Stats{}, fmt.Errorf("rotaload: %s/v1/assure returned %d", baseURL, resp.StatusCode)
-	}
-	var ar struct {
-		Cluster bool         `json:"cluster"`
-		Stats   assure.Stats `json:"stats"`
-		Totals  assure.Stats `json:"totals"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&ar); err != nil {
-		return assure.Stats{}, err
-	}
-	if ar.Cluster {
-		return ar.Totals, nil
-	}
-	return ar.Stats, nil
-}
-
 // scrapeMetrics fetches and parses the daemon's Prometheus exposition.
-func scrapeMetrics(ctx context.Context, baseURL string, timeout time.Duration) (map[string]float64, error) {
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
+func scrapeMetrics(client *http.Client, baseURL string) (map[string]float64, error) {
+	resp, err := client.Get(baseURL + "/metrics")
 	if err != nil {
 		return nil, err
 	}

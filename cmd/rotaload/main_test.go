@@ -7,26 +7,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/interval"
 	"repro/internal/resource"
 	"repro/internal/server"
 )
 
 func testDaemon(t *testing.T) *httptest.Server {
 	t.Helper()
-	locs := []resource.Location{"l1", "l2", "l3", "l4"}
-	var theta resource.Set
-	window := interval.New(0, 100000)
-	for _, loc := range locs {
-		theta.Add(resource.NewTerm(resource.FromUnits(4), resource.CPUAt(loc), window))
-	}
-	for _, src := range locs {
-		for _, dst := range locs {
-			if src != dst {
-				theta.Add(resource.NewTerm(resource.FromUnits(1), resource.Link(src, dst), window))
-			}
-		}
-	}
+	theta := resource.Mesh(resource.Locations(4), 4, 1, 100000)
 	srv, err := server.New(server.Config{Theta: theta, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -77,5 +64,28 @@ func TestRotaloadUnreachableDaemon(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-addr", "http://127.0.0.1:1", "-n", "4", "-clients", "2"}, &out); err == nil {
 		t.Fatal("expected errors against an unreachable daemon")
+	}
+}
+
+func TestSelftestCSV(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{
+		"-selftest", "-n", "40", "-clients", "4", "-csv",
+	}, &out)
+	if err != nil {
+		t.Fatalf("selftest -csv: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "requests,40") {
+		t.Errorf("csv output missing requests row:\n%s", out.String())
+	}
+}
+
+// TestChaosNeedsCluster: -chaos without a big enough -cluster must be
+// refused with a clear error, not hang waiting for a quorum that can
+// never form.
+func TestChaosNeedsCluster(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-selftest", "-chaos", "-cluster", "2"}, &out); err == nil {
+		t.Fatal("chaos selftest with 2 nodes should be refused (quorum eviction is undefined below 3 members)")
 	}
 }

@@ -53,10 +53,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	locs := make([]resource.Location, *locations)
-	for i := range locs {
-		locs[i] = resource.Location(fmt.Sprintf("l%d", i+1))
-	}
+	locs := resource.Locations(*locations)
 
 	var policy admission.Policy
 	switch *policyName {
@@ -214,10 +211,6 @@ func run(args []string, out io.Writer) error {
 	if res.Decisions > 0 {
 		t.AddRow("mean decision µs", float64(res.DecisionTime.Microseconds())/float64(res.Decisions))
 	}
-	if *csv {
-		t.RenderCSV(out)
-	} else {
-		t.Render(out)
-	}
+	t.Print(out, *csv)
 	return nil
 }

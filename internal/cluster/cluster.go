@@ -166,6 +166,10 @@ type Node struct {
 	imu         sync.Mutex
 	intents     map[string]*membership.Intent // steward → open intent
 	rejoining   atomic.Bool
+	// left is set once this node has handed off its locations for its
+	// own graceful leave: a table without it is then its departure, not
+	// an eviction to recover from. A successful JoinCluster clears it.
+	left atomic.Bool
 
 	httpStats map[string]*obs.EndpointStats
 

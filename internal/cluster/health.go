@@ -578,9 +578,10 @@ func (n *Node) repairLeave(ctx context.Context, cur *membership.Table, it *membe
 // (typically while partitioned). Drop all stale cluster state and
 // rejoin as a fresh member — the clean alternative to split-braining.
 // Each via is tried in turn: the caller may only have a table to go on,
-// and some of its members may be dead too.
+// and some of its members may be dead too. A node that gracefully left
+// is fenced too, and stays out.
 func (n *Node) maybeRejoin(vias ...string) {
-	if len(vias) == 0 || n.draining() || !n.rejoining.CompareAndSwap(false, true) {
+	if len(vias) == 0 || n.draining() || n.left.Load() || !n.rejoining.CompareAndSwap(false, true) {
 		return
 	}
 	go n.rejoin(vias)

@@ -218,6 +218,11 @@ func (n *Node) applyTable(t *membership.Table) bool {
 		return false
 	}
 	if _, ok := t.Member(n.self.ID); !ok {
+		if n.left.Load() {
+			// Our own graceful leave, published: follow the cluster's
+			// tables from outside it rather than rejoin.
+			return n.installTable(t)
+		}
 		if t.Epoch > n.reg.Epoch() && len(t.Members) > 0 {
 			n.obs.Log("membership.evicted",
 				"node", n.self.ID, "epoch", t.Epoch)
@@ -515,6 +520,7 @@ func (n *Node) JoinCluster(ctx context.Context, steward string, pins []resource.
 	if !n.applyTable(t) && n.reg.Epoch() < t.Epoch {
 		return fmt.Errorf("cluster: join table (epoch %d) rejected locally", t.Epoch)
 	}
+	n.left.Store(false)
 	return nil
 }
 
@@ -720,7 +726,7 @@ func (n *Node) stewardLeave(ctx context.Context, req membership.LeaveRequest) (*
 				herr = n.executeHandoff(sctx, grp.locs, grp.to, toM.URL, nextEpoch)
 			} else {
 				herr = n.rpcHandoff(sctx, victim, membership.HandoffRequest{
-					Epoch: nextEpoch, Locs: grp.locs, To: grp.to, ToURL: toM.URL})
+					Epoch: nextEpoch, Locs: grp.locs, To: grp.to, ToURL: toM.URL, Leave: true})
 			}
 			if herr != nil {
 				n.clearOwnIntent()
@@ -750,8 +756,10 @@ func (n *Node) stewardLeave(ctx context.Context, req membership.LeaveRequest) (*
 	applied := false
 	if req.ID == n.self.ID {
 		// Removing ourselves: the self-membership check must not refuse
-		// the table we are publishing on purpose.
+		// the table we are publishing on purpose, and a graceful
+		// departure must not rejoin.
 		applied = n.installTable(next)
+		n.left.Store(applied && !req.Force)
 	} else {
 		applied = n.applyTable(next)
 	}
@@ -859,6 +867,9 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	if err := n.executeHandoff(r.Context(), req.Locs, req.To, req.ToURL, req.Epoch); err != nil {
 		httpError(w, http.StatusBadGateway, err)
 		return
+	}
+	if req.Leave {
+		n.left.Store(true)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"handed_off": len(req.Locs), "to": req.To})
 }

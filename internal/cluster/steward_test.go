@@ -311,6 +311,29 @@ func TestLeaveQueuesBehindJoin(t *testing.T) {
 	})
 }
 
+// TestGracefulLeaveStaysOut: a live member that gracefully left is
+// still running and gossiping. The survivors fence its gossip, and the
+// table that dropped it is its own departure, not an eviction: it must
+// not fence-and-rejoin its way back into any survivor's table.
+func TestGracefulLeaveStaysOut(t *testing.T) {
+	tc := newHealthCluster(t, 3, 2, nil)
+	if status, body := post(t, tc.urls[0]+"/v1/cluster/leave", map[string]any{"id": "n3"}, nil); status != http.StatusOK {
+		t.Fatalf("graceful leave of n3 returned %d: %s", status, body)
+	}
+	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		for i, nd := range tc.nodes[:2] {
+			if tbl := nd.Table(); tbl.Epoch > 1 {
+				if _, listed := tbl.Member("n3"); listed {
+					t.Fatalf("n%d's table lists n3 at epoch %d after its graceful leave", i+1, tbl.Epoch)
+				}
+			}
+		}
+		if rejoins := tc.nodes[2].Stats().Cluster.Rejoins; rejoins != 0 {
+			t.Fatalf("n3 rejoined %d times after its graceful leave, want 0", rejoins)
+		}
+	}
+}
+
 // TestLeaveBoundedWaitBehindStuckJoin: when the steward stays busy past
 // the configured bound, the queued leave must fail with a clear
 // "steward busy" error rather than hanging.

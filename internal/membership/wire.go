@@ -35,11 +35,14 @@ type LeaveRequest struct {
 // HandoffRequest instructs the current owner of Locs to ship them to
 // member To (make-before-break: export, install on To, then drop).
 // Epoch is the table epoch the completed handoff will publish as.
+// Leave marks a handoff of the owner's graceful leave: once its
+// locations are gone, the owner stays out of the cluster.
 type HandoffRequest struct {
 	Epoch uint64              `json:"epoch"`
 	Locs  []resource.Location `json:"locs"`
 	To    string              `json:"to"`
 	ToURL string              `json:"to_url"`
+	Leave bool                `json:"leave,omitempty"`
 }
 
 // RedirectResponse is the body of a 421 Misdirected Request: the asked

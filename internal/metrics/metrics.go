@@ -157,6 +157,15 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
+// Print renders the table as CSV when csv is set, aligned otherwise.
+func (t *Table) Print(w io.Writer, csv bool) {
+	if csv {
+		t.RenderCSV(w)
+	} else {
+		t.Render(w)
+	}
+}
+
 // RenderCSV writes the table as CSV (headers then rows).
 func (t *Table) RenderCSV(w io.Writer) {
 	esc := func(s string) string {

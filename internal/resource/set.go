@@ -508,3 +508,35 @@ func cutTopLevel(s string) (field, rest string) {
 	}
 	return s, ""
 }
+
+// Locations names n locations l1..ln.
+func Locations(n int) []Location {
+	locs := make([]Location, n)
+	for i := range locs {
+		locs[i] = Location(fmt.Sprintf("l%d", i+1))
+	}
+	return locs
+}
+
+// Mesh builds a uniform availability over (0, horizon): cpuRate cpu at
+// every location plus a full mesh of linkRate links between them. A
+// non-positive rate leaves that kind out.
+func Mesh(locs []Location, cpuRate, linkRate int64, horizon interval.Time) Set {
+	var theta Set
+	window := interval.New(0, horizon)
+	for _, loc := range locs {
+		if cpuRate > 0 {
+			theta.Add(NewTerm(FromUnits(cpuRate), CPUAt(loc), window))
+		}
+	}
+	if linkRate > 0 {
+		for _, src := range locs {
+			for _, dst := range locs {
+				if src != dst {
+					theta.Add(NewTerm(FromUnits(linkRate), Link(src, dst), window))
+				}
+			}
+		}
+	}
+	return theta
+}

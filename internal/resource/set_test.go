@@ -376,3 +376,23 @@ func BenchmarkSetConsume(b *testing.B) {
 		}
 	}
 }
+
+func TestMesh(t *testing.T) {
+	locs := Locations(3)
+	if len(locs) != 3 || locs[0] != "l1" || locs[2] != "l3" {
+		t.Fatalf("Locations(3) = %v", locs)
+	}
+	theta := Mesh(locs, 4, 1, 100)
+	if got := len(theta.Types()); got != 3+6 {
+		t.Fatalf("mesh of 3 locations has %d located types, want 3 cpu + 6 links", got)
+	}
+	if got := theta.RateAt(CPUAt("l2"), 50); got != FromUnits(4) {
+		t.Errorf("cpu@l2 rate %v, want 4", got)
+	}
+	if got := theta.RateAt(Link("l3", "l1"), 99); got != FromUnits(1) {
+		t.Errorf("link l3>l1 rate %v, want 1", got)
+	}
+	if got := len(Mesh(locs, 4, 0, 100).Types()); got != 3 {
+		t.Errorf("a zero link rate should leave links out, got %d types", got)
+	}
+}

@@ -1,14 +1,10 @@
-package server
+package selftest
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	neturl "net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -17,18 +13,16 @@ import (
 
 	"repro/internal/membership"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/resource"
+	"repro/internal/server"
 	"repro/internal/workload"
 )
 
-// LoadConfig parameterizes a load run against a live rotad instance.
+// LoadConfig parameterizes a load run against live rotad instances.
 type LoadConfig struct {
-	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// BaseURLs, when set, spreads requests round-robin across several
-	// daemons (a cluster's nodes); BaseURL is ignored. Each admitted
-	// job is released through the same node that admitted it.
+	// BaseURLs are the daemon roots, e.g. "http://127.0.0.1:8080".
+	// Requests are spread round-robin across them (a cluster's nodes);
+	// each admitted job is released through the node that admitted it.
 	BaseURLs []string
 	// Jobs is the synthetic admission stream. When Requests exceeds
 	// len(Jobs), jobs are replayed with fresh unique names.
@@ -116,18 +110,15 @@ type LoadReport struct {
 	UnexplainedRejects int
 }
 
-// RunLoad drives the admission stream at the daemon from Clients
+// RunLoad drives the admission stream at the daemons from Clients
 // concurrent clients and reports throughput and latency percentiles.
 func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 	urls := cfg.BaseURLs
-	if len(urls) == 0 && cfg.BaseURL != "" {
-		urls = []string{cfg.BaseURL}
-	}
 	if len(urls) == 0 {
-		return LoadReport{}, fmt.Errorf("server: load needs a base URL")
+		return LoadReport{}, fmt.Errorf("selftest: load needs a base URL")
 	}
 	if len(cfg.Jobs) == 0 {
-		return LoadReport{}, fmt.Errorf("server: load needs jobs")
+		return LoadReport{}, fmt.Errorf("selftest: load needs jobs")
 	}
 	if cfg.Requests <= 0 {
 		cfg.Requests = len(cfg.Jobs)
@@ -142,15 +133,14 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 	client := &http.Client{Timeout: cfg.Timeout}
 	hist := metrics.NewHistogram()
 	qhist := metrics.NewHistogram()
-	var next, admitted, rejected, errs, released, releaseErrs, unexplained, queries, queryHolds, redirects atomic.Int64
+	var next, admitted, rejected, errs, released, releaseErrs, unexplained, queries, queryHolds atomic.Int64
 	// firstErr keeps the first failure as a plain string: atomic.Value
 	// panics when concurrent CompareAndSwap calls race with different
 	// concrete error types, and under fault injection they do.
 	var firstErr atomic.Value
-	// owners caches ownership learned from 421 redirects (location ->
-	// base URL), shared by all clients so one redirect reroutes the
-	// whole run after a rebalance.
-	var owners sync.Map
+	// One router for all clients, so one redirect reroutes the whole run
+	// after a rebalance.
+	var rt router
 	// Deterministic admit/query interleaving: request i is a query iff
 	// i mod 100 falls below the rounded percentage, so reruns mix
 	// identically and the accounting stays exact.
@@ -194,9 +184,8 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 				}
 				url := urls[i%len(urls)]
 				if queryPct > 0 && i%100 < queryPct {
-					q := loadQuery(i, job)
 					reqStart := time.Now()
-					qr, err := getQueryText(ctx, client, url, q)
+					qr, err := queryVerdict(ctx, client, url, loadQuery(i, job))
 					qhist.Observe(float64(time.Since(reqStart).Microseconds()))
 					if err != nil {
 						errs.Add(1)
@@ -210,7 +199,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 					continue
 				}
 				reqStart := time.Now()
-				resp, trace, admitURL, err := admitFollowingRedirects(ctx, client, url, job, &owners, &redirects)
+				resp, trace, admitURL, err := rt.admit(ctx, client, url, job)
 				latencyUS := time.Since(reqStart).Microseconds()
 				hist.Observe(float64(latencyUS))
 				if err != nil {
@@ -233,7 +222,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 				}
 				admitted.Add(1)
 				if cfg.ReleaseAdmitted {
-					if err := releaseFollowingRedirects(ctx, client, admitURL, job, &owners, &redirects); err != nil {
+					if err := rt.release(ctx, client, admitURL, job); err != nil {
 						releaseErrs.Add(1)
 						firstErr.CompareAndSwap(nil, err.Error())
 					} else {
@@ -257,7 +246,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 		ReleaseErrors: int(releaseErrs.Load()),
 		Queries:       int(queries.Load()),
 		QueryHolds:    int(queryHolds.Load()),
-		Redirects:     int(redirects.Load()),
+		Redirects:     int(rt.redirects.Load()),
 		Duration:      elapsed,
 		MeanUS:        sum.Mean,
 		P50US:         sum.P50,
@@ -282,14 +271,28 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 		return report, err
 	}
 	if report.Admitted+report.Rejected+report.Errors+report.Queries != report.Requests {
-		return report, fmt.Errorf("server: load accounting off: %d+%d+%d+%d != %d",
+		return report, fmt.Errorf("selftest: load accounting off: %d+%d+%d+%d != %d",
 			report.Admitted, report.Rejected, report.Errors, report.Queries, report.Requests)
 	}
-	if msg, ok := firstErr.Load().(string); ok && report.Admitted+report.Rejected+report.Queries == 0 {
+	if report.FirstError != "" && report.Admitted+report.Rejected+report.Queries == 0 {
 		// Nothing got through at all; surface why.
-		return report, fmt.Errorf("server: load failed entirely: %s", msg)
+		return report, fmt.Errorf("selftest: load failed entirely: %s", report.FirstError)
 	}
 	return report, nil
+}
+
+// add folds another run's counts into r: the chaos schedule drives its
+// background load as a series of batches and reports their sum.
+func (r *LoadReport) add(o LoadReport) {
+	r.Requests += o.Requests
+	r.Admitted += o.Admitted
+	r.Rejected += o.Rejected
+	r.Errors += o.Errors
+	r.ReleaseErrors += o.ReleaseErrors
+	r.Redirects += o.Redirects
+	if r.FirstError == "" {
+		r.FirstError = o.FirstError
+	}
 }
 
 // loadQuery derives a one-shot query from the job that would otherwise
@@ -297,9 +300,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 // footprint location, half ask whether a (possibly live) job of that
 // name remains feasible.
 func loadQuery(i int, job workload.Job) string {
-	loc := "l1"
-	if locs := job.Dist.Locations(); len(locs) > 0 {
-		loc = string(locs[0])
+	loc := firstFootprintLoc(job)
+	if loc == "" {
+		loc = "l1"
 	}
 	if i%2 == 0 {
 		return fmt.Sprintf("holds(%s, cpu>=1, next 50)", loc)
@@ -307,29 +310,14 @@ func loadQuery(i int, job workload.Job) string {
 	return fmt.Sprintf("feasible(%s)", job.Dist.Name)
 }
 
-// getQueryText evaluates one compact-form query via GET /v1/query?q=.
-func getQueryText(ctx context.Context, client *http.Client, base, q string) (QueryResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/query?q="+neturl.QueryEscape(q), nil)
-	if err != nil {
-		return QueryResponse{}, err
+// firstFootprintLoc is the cache key for a job's learned owner: the
+// first location of its initial concurrent step, empty when the job has
+// no footprint.
+func firstFootprintLoc(job workload.Job) resource.Location {
+	if locs := job.Dist.Locations(); len(locs) > 0 {
+		return locs[0]
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return QueryResponse{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return QueryResponse{}, fmt.Errorf("server: query %q returned %d: %s", q, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	var out QueryResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return QueryResponse{}, fmt.Errorf("server: query %q returned unparsable body: %w", q, err)
-	}
-	return out, nil
+	return ""
 }
 
 // redirectError carries a 421 Misdirected Request body up to the load
@@ -339,7 +327,7 @@ type redirectError struct {
 }
 
 func (e *redirectError) Error() string {
-	return fmt.Sprintf("server: ownership moved to %s (%s, epoch %d)", e.resp.OwnerID, e.resp.OwnerURL, e.resp.Epoch)
+	return fmt.Sprintf("selftest: ownership moved to %s (%s, epoch %d)", e.resp.OwnerID, e.resp.OwnerURL, e.resp.Epoch)
 }
 
 // maxRedirectHops bounds redirect-chasing per request: one rebalance
@@ -347,142 +335,68 @@ func (e *redirectError) Error() string {
 // cluster's tables disagree and the error should surface.
 const maxRedirectHops = 3
 
-// admitFollowingRedirects posts the admit, consulting and refreshing
-// the learned ownership cache: a 421 updates the cache for every
-// location the redirect names and retries at the new owner. Returns
-// the node that finally answered so the release can go to the same
-// place.
-func admitFollowingRedirects(ctx context.Context, client *http.Client, base string, job workload.Job,
-	owners *sync.Map, redirects *atomic.Int64) (AdmitResponse, string, string, error) {
-	loc := firstFootprintLoc(job)
-	if loc != "" {
-		if v, ok := owners.Load(loc); ok {
-			base = v.(string)
-		}
-	}
-	for hop := 0; ; hop++ {
-		resp, trace, err := postAdmit(ctx, client, base, job)
-		var rd *redirectError
-		if err == nil || !errors.As(err, &rd) || hop >= maxRedirectHops {
-			return resp, trace, base, err
-		}
-		redirects.Add(1)
-		base = strings.TrimSuffix(rd.resp.OwnerURL, "/")
-		locs := rd.resp.Locs
-		if len(locs) == 0 && loc != "" {
-			locs = []resource.Location{loc}
-		}
-		for _, l := range locs {
-			owners.Store(l, base)
-		}
-	}
+// router follows 421 ownership redirects and remembers what they taught
+// (location -> base URL), so later requests go straight to the owner.
+type router struct {
+	owners    sync.Map
+	redirects atomic.Int64
 }
 
-// firstFootprintLoc is the cache key for a job's learned owner: the
-// first location of its initial concurrent step (same choice loadQuery
-// makes), empty when the job has no footprint.
-func firstFootprintLoc(job workload.Job) resource.Location {
-	if locs := job.Dist.Locations(); len(locs) > 0 {
-		return locs[0]
+// admit posts the job, starting at its learned owner when there is one.
+// It returns the verdict, the trace ID the daemon stamped on it, and the
+// node that finally answered, so the release can go to the same place.
+func (rt *router) admit(ctx context.Context, client *http.Client, base string, job workload.Job) (server.AdmitResponse, string, string, error) {
+	if v, ok := rt.owners.Load(firstFootprintLoc(job)); ok {
+		base = v.(string)
 	}
-	return ""
-}
-
-// postAdmit submits one job and returns the verdict plus the trace ID
-// the daemon stamped on the response — the correlation handle for the
-// slow log.
-func postAdmit(ctx context.Context, client *http.Client, base string, job workload.Job) (AdmitResponse, string, error) {
-	body, err := json.Marshal(job)
-	if err != nil {
-		return AdmitResponse{}, "", err
-	}
-	var out AdmitResponse
-	trace, err := postJSONTraced(ctx, client, base+"/v1/admit", body, &out)
-	if err != nil {
-		return AdmitResponse{}, "", err
-	}
-	return out, trace, nil
-}
-
-func postRelease(ctx context.Context, client *http.Client, base string, name string) error {
-	body, err := json.Marshal(releaseRequest{Name: name})
-	if err != nil {
-		return err
-	}
-	return postJSON(ctx, client, base+"/v1/release", body, nil)
-}
-
-// releaseFollowingRedirects releases a commitment at the node that
-// admitted it, chasing 421s if an ownership handoff moved the
-// reservation between the admit and the release (the commitment moves
-// with its location, so the new owner honors the release).
-func releaseFollowingRedirects(ctx context.Context, client *http.Client, base string, job workload.Job,
-	owners *sync.Map, redirects *atomic.Int64) error {
-	for hop := 0; ; hop++ {
-		err := postRelease(ctx, client, base, job.Dist.Name)
-		var rd *redirectError
-		if err == nil || !errors.As(err, &rd) || hop >= maxRedirectHops {
+	var out server.AdmitResponse
+	var trace string
+	base, err := rt.follow(base, job, func(base string) error {
+		url := base + "/v1/admit"
+		r, err := send(ctx, client, url, "", job)
+		if err != nil {
 			return err
 		}
-		redirects.Add(1)
-		base = strings.TrimSuffix(rd.resp.OwnerURL, "/")
-		for _, l := range rd.resp.Locs {
-			owners.Store(l, base)
-		}
-	}
+		trace = r.trace
+		return r.decode(url, &out)
+	})
+	return out, trace, base, err
 }
 
-func postJSON(ctx context.Context, client *http.Client, url string, body []byte, out any) error {
-	_, err := postJSONTraced(ctx, client, url, body, out)
+// release releases a commitment at the node that admitted it, chasing
+// 421s if a handoff moved the reservation in between (the commitment
+// moves with its location, so the new owner honors the release).
+func (rt *router) release(ctx context.Context, client *http.Client, base string, job workload.Job) error {
+	_, err := rt.follow(base, job, func(base string) error {
+		url := base + "/v1/release"
+		r, err := send(ctx, client, url, "", map[string]string{"name": job.Dist.Name})
+		if err != nil {
+			return err
+		}
+		return r.decode(url, nil)
+	})
 	return err
 }
 
-func postJSONTraced(ctx context.Context, client *http.Client, url string, body []byte, out any) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	trace := resp.Header.Get(obs.HeaderTraceID)
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return trace, err
-	}
-	if resp.StatusCode == http.StatusMisdirectedRequest {
-		if rd, derr := membership.DecodeRedirect(data); derr == nil {
-			return trace, &redirectError{resp: rd}
+// follow runs op against base, and again at the new owner after each
+// 421 it answers, up to maxRedirectHops. Each redirect teaches the
+// router where its locations (or, when it names none, the job's first
+// one) now live. It returns the node op last ran against.
+func (rt *router) follow(base string, job workload.Job, op func(base string) error) (string, error) {
+	for hop := 0; ; hop++ {
+		err := op(base)
+		var rd *redirectError
+		if err == nil || !errors.As(err, &rd) || hop >= maxRedirectHops {
+			return base, err
+		}
+		rt.redirects.Add(1)
+		base = strings.TrimSuffix(rd.resp.OwnerURL, "/")
+		locs := rd.resp.Locs
+		if loc := firstFootprintLoc(job); len(locs) == 0 && loc != "" {
+			locs = []resource.Location{loc}
+		}
+		for _, l := range locs {
+			rt.owners.Store(l, base)
 		}
 	}
-	if resp.StatusCode != http.StatusOK {
-		return trace, fmt.Errorf("server: %s returned %d: %s", url, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return trace, fmt.Errorf("server: %s returned unparsable body: %w", url, err)
-		}
-	}
-	return trace, nil
-}
-
-// FetchStats reads the daemon's /v1/stats endpoint.
-func FetchStats(ctx context.Context, baseURL string) (StatsResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/stats", nil)
-	if err != nil {
-		return StatsResponse{}, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return StatsResponse{}, err
-	}
-	defer resp.Body.Close()
-	var out StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return StatsResponse{}, err
-	}
-	return out, nil
 }

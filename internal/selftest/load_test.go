@@ -1,4 +1,4 @@
-package server
+package selftest
 
 import (
 	"context"
@@ -8,19 +8,80 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
-	"repro/internal/interval"
 	"repro/internal/membership"
 	"repro/internal/resource"
+	"repro/internal/server"
 	"repro/internal/workload"
 )
+
+func newTestServer(t *testing.T, theta resource.Set) (*server.Server, *httptest.Server) {
+	t.Helper()
+	srv, err := server.New(server.Config{Theta: theta, Workers: 4, DecisionTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Shutdown(context.Background())
+	})
+	return srv, ts
+}
+
+// TestServerConcurrentLoad drives >100 concurrent admit/release requests
+// through the real HTTP stack (run under -race) and audits the ledger.
+func TestServerConcurrentLoad(t *testing.T) {
+	locs := []resource.Location{"l1", "l2", "l3", "l4"}
+	srv, ts := newTestServer(t, resource.Mesh(locs, 4, 1, 4096))
+
+	jobs, err := workload.Generate(workload.Config{
+		Seed: 11, Locations: locs, NumJobs: 150,
+		MeanInterarrival: 8, ActorsMin: 1, ActorsMax: 2,
+		StepsMin: 1, StepsMax: 3, SendProb: 0.25, MigrateProb: 0.05,
+		EvalWeightMax: 2, SlackFactor: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := RunLoad(context.Background(), LoadConfig{
+		BaseURLs:        []string{ts.URL},
+		Jobs:            jobs,
+		Requests:        150,
+		Clients:         8,
+		ReleaseAdmitted: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Admitted == 0 {
+		t.Fatal("nothing admitted under load")
+	}
+	if report.Errors > 0 {
+		t.Fatalf("load errors: %+v", report)
+	}
+	st := srv.Stats()
+	if st.Decisions != st.Admitted+st.Rejected {
+		t.Fatalf("stats accounting under load: %+v", st)
+	}
+	if int(st.Decisions) != report.Requests {
+		t.Fatalf("server saw %d decisions for %d requests", st.Decisions, report.Requests)
+	}
+	if st.DecisionLatencyUS.P99 <= 0 {
+		t.Fatalf("p99 latency not recorded: %+v", st.DecisionLatencyUS)
+	}
+	if err := srv.Ledger().Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestLoadFollowsOwnershipRedirect: a 421 from a stale owner must not
 // count as an error — the load generator follows it to the new owner,
 // learns the mapping, and routes the rest of the run there directly.
 func TestLoadFollowsOwnershipRedirect(t *testing.T) {
 	locs := []resource.Location{"l1", "l2"}
-	_, fresh := newTestServer(t, cpuTheta(4, 4096, locs...))
+	_, fresh := newTestServer(t, resource.Mesh(locs, 4, 0, 4096))
 
 	// The stale owner answers every admit with "l1 and l2 moved"; the
 	// redirect cache means it should only ever be asked once.
@@ -44,7 +105,7 @@ func TestLoadFollowsOwnershipRedirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	report, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:         stale.URL,
+		BaseURLs:        []string{stale.URL},
 		Jobs:            jobs,
 		Requests:        40,
 		Clients:         1, // deterministic: the first redirect reroutes everyone after
@@ -99,9 +160,9 @@ func TestLoadRedirectLoopSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	report, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL: a.URL,
-		Jobs:    jobs[:1],
-		Clients: 1,
+		BaseURLs: []string{a.URL},
+		Jobs:     jobs[:1],
+		Clients:  1,
 	})
 	// Every request died chasing redirects, so RunLoad itself reports
 	// the failure — with the redirect as the underlying cause.
@@ -115,5 +176,3 @@ func TestLoadRedirectLoopSurfaces(t *testing.T) {
 		t.Fatalf("chased %d hops, want the %d bound: %+v", report.Redirects, maxRedirectHops, report)
 	}
 }
-
-var _ = interval.New

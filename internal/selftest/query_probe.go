@@ -1,4 +1,4 @@
-package main
+package selftest
 
 import (
 	"bufio"
@@ -113,39 +113,14 @@ func (w *watcher) expectFlip(holds bool, reasons ...string) error {
 	return nil
 }
 
-// getQueryVerdict evaluates a one-shot query over GET.
-func getQueryVerdict(ctx context.Context, client *http.Client, baseURL, q string) (server.QueryResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/query?q="+neturl.QueryEscape(q), nil)
-	if err != nil {
-		return server.QueryResponse{}, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return server.QueryResponse{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return server.QueryResponse{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return server.QueryResponse{}, fmt.Errorf("query %q returned %d: %s", q, resp.StatusCode, strings.TrimSpace(string(data)))
-	}
-	var out server.QueryResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return server.QueryResponse{}, fmt.Errorf("query %q returned unparsable body: %w", q, err)
-	}
-	return out, nil
-}
-
 // runQueryProbe drives the single-node selftest's query sequence against a
 // live daemon: one-shot GET/POST agreement, a watch flipped by an
 // admission landing and its release, and a watch flipped by a leased
 // hold and its expiry sweep.
-func runQueryProbe(ctx context.Context, httpc *http.Client, baseURL string, loc resource.Location, horizon interval.Time) error {
+func runQueryProbe(ctx context.Context, httpc *http.Client, baseURL string, loc resource.Location) error {
 	// One-shot: the GET text form and the POST wire form must agree.
 	q := fmt.Sprintf("holds(%s, cpu>=1, next 10)", loc)
-	getResp, err := getQueryVerdict(ctx, httpc, baseURL, q)
+	getResp, err := queryVerdict(ctx, httpc, baseURL, q)
 	if err != nil {
 		return err
 	}
@@ -177,7 +152,7 @@ func runQueryProbe(ctx context.Context, httpc *http.Client, baseURL string, loc 
 	if ev.Holds || ev.Reason != "subscribe" {
 		return fmt.Errorf("initial verdict should be (false, subscribe), got (%v, %q)", ev.Holds, ev.Reason)
 	}
-	job, err := pinnedJob(jobName, loc, 0, horizon)
+	job, err := probeJob(jobName, 0, loc)
 	if err != nil {
 		return err
 	}
@@ -237,7 +212,7 @@ func runQueryProbe(ctx context.Context, httpc *http.Client, baseURL string, loc 
 // runClusterQueryProbe drives the cluster selftest's query probes: fan-out
 // equivalence against a hand-merged free view, and a watch on one node
 // flipped by a coordinated admission submitted through another.
-func runClusterQueryProbe(ctx context.Context, httpc *http.Client, peers []peerProbe, start, horizon interval.Time) error {
+func runClusterQueryProbe(ctx context.Context, httpc *http.Client, peers []peerProbe, start interval.Time) error {
 	if len(peers) < 2 {
 		return fmt.Errorf("cluster query probe needs 2 peers, got %d", len(peers))
 	}
@@ -245,7 +220,7 @@ func runClusterQueryProbe(ctx context.Context, httpc *http.Client, peers []peerP
 	q := fmt.Sprintf("holds(%s, cpu>=1, next 20) and holds(%s, cpu>=1, next 20)", a.loc, b.loc)
 
 	// Fan-out verdict from node a (whose ledger does not own b.loc).
-	fanout, err := getQueryVerdict(ctx, httpc, a.url, q)
+	fanout, err := queryVerdict(ctx, httpc, a.url, q)
 	if err != nil {
 		return fmt.Errorf("fan-out query: %w", err)
 	}
@@ -259,15 +234,9 @@ func runClusterQueryProbe(ctx context.Context, httpc *http.Client, peers []peerP
 	var free resource.Set
 	var now interval.Time
 	for _, p := range []peerProbe{a, b} {
-		resp, err := httpc.Get(p.url + "/v1/cluster/free?locs=" + string(p.loc))
-		if err != nil {
-			return fmt.Errorf("free view from %s: %w", p.url, err)
-		}
 		var fr server.FreeResponse
-		err = json.NewDecoder(resp.Body).Decode(&fr)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("free view from %s unparsable: %w", p.url, err)
+		if err := GetJSON(ctx, httpc, p.url+"/v1/cluster/free?locs="+string(p.loc), &fr); err != nil {
+			return fmt.Errorf("free view from %s: %w", p.url, err)
 		}
 		set, err := resource.ParseSet(fr.Free)
 		if err != nil {
@@ -298,18 +267,13 @@ func runClusterQueryProbe(ctx context.Context, httpc *http.Client, peers []peerP
 	if ev, err := w.next(5 * time.Second); err != nil || ev.Holds {
 		return fmt.Errorf("cluster watch initial verdict: holds=%v err=%v", ev.Holds, err)
 	}
-	job, err := spanningJob(jobName, a.loc, b.loc, start, horizon)
+	job, err := probeJob(jobName, start, a.loc, b.loc)
 	if err != nil {
 		return err
 	}
 	coord := peers[len(peers)-1]
-	status, data, err := postJSON(ctx, httpc, coord.url+"/v1/admit", job)
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("spanning admit via %s: status %d, err %v, body %s", coord.url, status, err, strings.TrimSpace(string(data)))
-	}
-	var verdict server.AdmitResponse
-	if jerr := json.Unmarshal(data, &verdict); jerr != nil || !verdict.Admit {
-		return fmt.Errorf("spanning admit rejected: %s", strings.TrimSpace(string(data)))
+	if ok, status, data, err := admitted(ctx, httpc, coord.url, job); !ok {
+		return fmt.Errorf("spanning admit via %s not admitted: status %d, err %v, body %s", coord.url, status, err, strings.TrimSpace(string(data)))
 	}
 	// The hold lands ("prepare") and then commits ("commit"); feasible()
 	// resolves the name once the commitment exists, so the flip arrives

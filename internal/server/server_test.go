@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/interval"
 	"repro/internal/resource"
 	"repro/internal/workload"
 )
@@ -316,56 +315,4 @@ func TestShutdownAfterInterruptedDrainWaits(t *testing.T) {
 	if c := <-code; c != http.StatusOK {
 		t.Fatalf("the held admit answered %d, want 200", c)
 	}
-}
-
-// TestServerConcurrentLoad drives >100 concurrent admit/release requests
-// through the real HTTP stack (run under -race) and audits the ledger.
-func TestServerConcurrentLoad(t *testing.T) {
-	locs := []resource.Location{"l1", "l2", "l3", "l4"}
-	theta := cpuTheta(4, 4096, locs...)
-	for _, src := range locs {
-		for _, dst := range locs {
-			if src != dst {
-				theta.Add(resource.NewTerm(u(1), resource.Link(src, dst), interval.New(0, 4096)))
-			}
-		}
-	}
-	srv, ts := newTestServer(t, theta)
-
-	jobs, err := workload.Generate(workload.Config{
-		Seed: 11, Locations: locs, NumJobs: 150,
-		MeanInterarrival: 8, ActorsMin: 1, ActorsMax: 2,
-		StepsMin: 1, StepsMax: 3, SendProb: 0.25, MigrateProb: 0.05,
-		EvalWeightMax: 2, SlackFactor: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:         ts.URL,
-		Jobs:            jobs,
-		Requests:        150,
-		Clients:         8,
-		ReleaseAdmitted: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Admitted == 0 {
-		t.Fatal("nothing admitted under load")
-	}
-	if report.Errors > 0 {
-		t.Fatalf("load errors: %+v", report)
-	}
-	st := srv.Stats()
-	if st.Decisions != st.Admitted+st.Rejected {
-		t.Fatalf("stats accounting under load: %+v", st)
-	}
-	if int(st.Decisions) != report.Requests {
-		t.Fatalf("server saw %d decisions for %d requests", st.Decisions, report.Requests)
-	}
-	if st.DecisionLatencyUS.P99 <= 0 {
-		t.Fatalf("p99 latency not recorded: %+v", st.DecisionLatencyUS)
-	}
-	mustAudit(t, srv.Ledger())
 }
