@@ -36,7 +36,10 @@ test:
 
 # The second line repeats the ledger's concurrency tests (the 64-way
 # squeeze, racing admits, refusals at reserve) ten times: a lost ordering
-# in the admit lock path shows there first. The third repeats the
+# in the admit lock path shows there first. It also holds the op stream
+# dense under the race: the ops notify sees carry epochs 1…Epoch(), each
+# once, and every admitted job's promise carries its reserve op's epoch
+# (TestLedgerNoOvercommitUnderRace). The third repeats the
 # standing-query tests — subscribes racing bumps, flips, the pooled
 # evaluation path, the sweep's wake check — ten times. The fourth
 # repeats the graceful leave queued behind a join ten times: a departed

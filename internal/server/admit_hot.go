@@ -35,8 +35,9 @@ import (
 //     fresh snapshot, bounded by defaultAdmitRetries, before a final
 //     attempt that plans under the locks (decideLocked, which cannot
 //     conflict);
-//  4. finalizes — promotes the claim, bumps the epoch and makes the
-//     deadline promise.
+//  4. lands — promotes the claim to the record the reserve op carries
+//     and applies the op, which takes its epoch and makes the deadline
+//     promise stamped with it.
 //
 // Soundness is unchanged from the lock-holding path: a reservation is
 // only ever applied after a fit check (version-unchanged or explicit
@@ -100,7 +101,7 @@ func (l *Ledger) AdmitHot() AdmitHotCounters {
 
 // admitWork is one admission deciding on the hot path: the request, its
 // claim on the name and, once an attempt has planned, that attempt's
-// accepted decision with its demand split by shard.
+// accepted decision and the reserve op it would apply.
 type admitWork struct {
 	ctx    context.Context
 	policy admission.Policy
@@ -109,24 +110,8 @@ type admitWork struct {
 	locs   []resource.Location
 	claim  *reservation
 
-	dec   admission.Decision
-	parts parts
-}
-
-// admitHot decides one claimed admission on the caller's goroutine. An
-// admitted job's claim becomes a live commitment with a promise behind
-// it; on any other outcome the claim is abandoned and nothing stays
-// reserved.
-func (l *Ledger) admitHot(ctx context.Context, policy admission.Policy, job workload.Job, now interval.Time, locs []resource.Location, claim *reservation) (admission.Decision, error) {
-	w := &admitWork{ctx: ctx, policy: policy, job: job, now: now, locs: locs, claim: claim}
-	l.hot.batchedJobs.Add(1)
-	dec, err := l.decideHot(w)
-	if err != nil || !dec.Admit {
-		l.unindex(claim)
-		return dec, err
-	}
-	l.finalize(w)
-	return dec, nil
+	dec admission.Decision
+	op  op
 }
 
 // decideHot runs the bounded optimistic attempts, then the
@@ -238,9 +223,10 @@ func DecideOnFree(ctx context.Context, spans *span.Store, policy admission.Polic
 }
 
 // plan runs the witness-plan search for w against a free view and
-// records an accepted plan with its demand split by shard. A rejection
-// is returned as the decision; a plan-less admit or a plan consuming
-// outside the footprint is an error.
+// records an accepted plan as the reserve op that would land it: its
+// demand split by shard, its finish, the job's deadline and the
+// admission time. A rejection is returned as the decision; a plan-less
+// admit or a plan consuming outside the footprint is an error.
 func (l *Ledger) plan(w *admitWork, free resource.Set, attempt int) (admission.Decision, error) {
 	dec := DecideOnFree(w.ctx, l.spans, w.policy, free, w.now, w.job, attempt)
 	if !dec.Admit {
@@ -255,7 +241,9 @@ func (l *Ledger) plan(w *admitWork, free resource.Set, attempt int) (admission.D
 			return admission.Decision{}, fmt.Errorf("server: plan for %s consumes outside its footprint (shard %s)", w.job.Dist.Name, p.loc)
 		}
 	}
-	w.dec, w.parts = dec, demand
+	w.dec = dec
+	w.op = op{kind: opReserve, locs: w.locs, rec: reservation{name: w.claim.name, parts: demand,
+		finish: dec.Plan.Finish, deadline: w.job.Dist.Deadline, admitted: w.now}}
 	return dec, nil
 }
 
@@ -274,7 +262,7 @@ func (l *Ledger) reserveIfFits(w *admitWork, vers []uint64, attempt int) (bool, 
 		return false, err
 	}
 	defer unlock()
-	tight, err := fitsLocked(shards, vers, w.parts)
+	tight, err := fitsLocked(shards, vers, w.op.rec.parts)
 	if err != nil {
 		rs.SetStatus(span.StatusError)
 		return false, err
@@ -361,24 +349,17 @@ func reserveLive(w *admitWork, shards []*shard, rs *span.Span) error {
 		rs.SetStatus(span.StatusError)
 		return fmt.Errorf("%w: %s: %w", errLate, w.job.Dist.Name, err)
 	}
-	reserve(shards, w.parts)
+	reserve(shards, w.op.rec.parts)
 	return nil
 }
 
-// finalize promotes w's claim to a live commitment, bumps the epoch and
-// makes the deadline promise: the witness plan finishes at
-// dec.Plan.Finish ≤ deadline. Every local admission, optimistic or
-// locked, ends here; a coordinated admission's share is adopted at
-// two-phase Commit instead.
-func (l *Ledger) finalize(w *admitWork) {
+// land is the index step of a reserve or a prepare op, and its apply:
+// the claim r, whose demand the op's shard step has reserved, becomes
+// the live record o carries. Every local admission, optimistic or
+// locked, and every prepared hold ends here.
+func (l *Ledger) land(o op, r *reservation) {
 	l.mu.Lock()
-	w.claim.parts = w.parts
-	w.claim.finish = w.dec.Plan.Finish
-	w.claim.deadline = w.job.Dist.Deadline
-	w.claim.admitted = w.now
-	w.claim.pending = false
+	*r = o.rec
 	l.mu.Unlock()
-	l.bumpEpoch("reserve", w.locs, w.job.Dist.Name)
-	l.assure.Reserve(w.job.Dist.Name, w.now, w.dec.Plan.Finish,
-		w.job.Dist.Deadline, l.epoch.Load(), w.locs)
+	l.apply(o)
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/interval"
+	"repro/internal/obs/assure"
 	"repro/internal/resource"
 )
 
@@ -113,7 +114,8 @@ func (l *Ledger) ExportLocations(locs []resource.Location) []LocationExport {
 // leave the owned set so later requests get ErrNotOwned. It returns the
 // two-phase keys of the reservations, leased or committed, that lost
 // demand — the cluster layer must forward their eventual commit/abort to
-// the new owner.
+// the new owner. It validates nothing: it is a drop op's effect and its
+// apply, under the locks that make the drop atomic.
 func (l *Ledger) DropLocations(locs []resource.Location) []string {
 	// Shard locks first (the canonical order: l.mu is never held while a
 	// shard lock is acquired), then l.mu for the maps. Holding both
@@ -129,6 +131,7 @@ func (l *Ledger) DropLocations(locs []resource.Location) []string {
 			delete(l.owned, loc)
 		}
 	}
+	o := op{kind: opDrop, moved: locs}
 	var movedKeys []string
 	for _, r := range l.byName {
 		if r.pending {
@@ -145,43 +148,65 @@ func (l *Ledger) DropLocations(locs []resource.Location) []string {
 		if len(r.parts) == 0 {
 			l.unindexLocked(r)
 			if r.lease == 0 {
-				// The whole commitment left with the handoff: the receiving
-				// node adopts the promise on import, this node stops counting
-				// it. Partial drops keep the promise active here — some of the
-				// footprint is still this node's to honor.
-				l.assure.Transfer(r.name)
+				// The whole commitment left with the handoff: its promise
+				// moves too. Partial drops keep the promise active here —
+				// some of the footprint is still this node's to honor.
+				o.jobs = append(o.jobs, r.name)
 			}
 		}
 	}
 	sort.Strings(movedKeys)
-	// bumpEpoch takes no locks and the notifier is non-blocking, so the
-	// bump is safe under l.mu and the drop publishes atomically with it.
-	l.bumpEpoch("handoff", nil, "")
+	l.apply(o)
 	return movedKeys
 }
 
 // ImportLocations installs exported location state on this ledger: the
 // shard appears with the exporter's clock and availability, and each
 // shipped slice lands by mergeLocked — joining the record this node
-// already carries for the same job, when it does. The caller should
-// extend the owned set (AddOwned) first so concurrent requests for the
-// location are accepted.
+// already carries for the same job, when it does. An import that would
+// overcommit a shard, or does not decode, installs nothing. The caller
+// should extend the owned set (AddOwned) first so concurrent requests
+// for the location are accepted; the install op carries the same
+// locations into the owned set.
 func (l *Ledger) ImportLocations(exports []LocationExport) error {
-	for _, exp := range exports {
+	o := op{kind: opInstall, exports: exports, moved: make([]resource.Location, len(exports))}
+	for i, exp := range exports {
+		o.moved[i] = exp.Loc
+	}
+	// An import is an install op's effect and its apply, under the locks
+	// of every shard it lands on: every export is decoded and checked
+	// against its shard before any is touched.
+	shards, unlock := l.lockedShards(o.moved)
+	defer unlock()
+	if len(shards) != len(exports) {
+		return fmt.Errorf("server: import names a location twice")
+	}
+	type landing struct {
+		sh              *shard
+		now             interval.Time
+		theta, reserved resource.Set
+		incoming        []*reservation
+	}
+	lands := make([]landing, len(exports))
+	for i, exp := range exports {
 		theta, err := resource.ParseSet(exp.Theta)
 		if err != nil {
 			return fmt.Errorf("server: import %s: bad theta: %w", exp.Loc, err)
 		}
+		sh := shards[slices.IndexFunc(shards, func(sh *shard) bool { return sh.loc == exp.Loc })]
+		ld := landing{sh: sh, now: max(sh.now, exp.Now)}
+		ld.theta = sh.theta.TrimmedBefore(ld.now).Union(theta.TrimmedBefore(ld.now))
+		ld.reserved = sh.reserved.TrimmedBefore(ld.now)
 		// Both wire lists decode into the one record type; a hold is the
 		// slice that carries a lease.
-		var incoming []*reservation
 		decode := func(in reservation, demand string) error {
 			d, err := resource.ParseSet(demand)
 			if err != nil {
 				return fmt.Errorf("server: import %s: %s demand: %w", exp.Loc, in.name, err)
 			}
-			in.parts = parts{{loc: exp.Loc, set: d}}
-			incoming = append(incoming, &in)
+			in.parts = parts{{loc: exp.Loc, set: d.TrimmedBefore(ld.now)}}
+			ld.reserved.AddSet(in.parts[0].set)
+			ld.incoming = append(ld.incoming, &in)
 			return nil
 		}
 		for _, c := range exp.Commitments {
@@ -199,28 +224,18 @@ func (l *Ledger) ImportLocations(exports []LocationExport) error {
 				return err
 			}
 		}
-
-		shards, unlock := l.lockedShards([]resource.Location{exp.Loc})
-		sh := shards[0]
-		if exp.Now > sh.now {
-			sh.now = exp.Now
-			sh.theta.TrimBefore(sh.now)
-			sh.reserved.TrimBefore(sh.now)
-		}
-		sh.theta.AddSet(theta.TrimmedBefore(sh.now))
-		for _, in := range incoming {
-			in.parts[0].set = in.parts[0].set.TrimmedBefore(sh.now)
-			sh.reserved.AddSet(in.parts[0].set)
-		}
-		sh.dirty()
-		dominated := sh.theta.Dominates(sh.reserved)
-		unlock()
-		if !dominated {
+		if !ld.theta.Dominates(ld.reserved) {
 			return fmt.Errorf("server: import %s would overcommit the shard", exp.Loc)
 		}
+		lands[i] = ld
+	}
 
-		l.mu.Lock()
-		for _, in := range incoming {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, ld := range lands {
+		ld.sh.now, ld.sh.theta, ld.sh.reserved = ld.now, ld.theta, ld.reserved
+		ld.sh.dirty()
+		for _, in := range ld.incoming {
 			if in.parts[0].set.Empty() {
 				continue
 			}
@@ -229,11 +244,12 @@ func (l *Ledger) ImportLocations(exports []LocationExport) error {
 				// The promise crosses the wire with the commitment: a handoff
 				// import or standby promotion adopts the original deadline
 				// window, so outcomes keep being counted after the owner died.
-				l.assure.Adopt(in.name, in.admitted, r.finish, in.deadline, l.epoch.Load(), r.locs())
+				o.adopted = append(o.adopted, assure.Promise{Job: in.name, Admitted: in.admitted,
+					Finish: r.finish, Deadline: in.deadline, Locations: r.locs()})
 			}
 		}
-		l.mu.Unlock()
 	}
-	l.bumpEpoch("handoff", nil, "")
+	l.addOwnedLocked(o.moved)
+	l.apply(o)
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/obs/assure"
 	"repro/internal/resource"
 )
 
@@ -19,6 +20,27 @@ func installCommitment(tb testing.TB, l *Ledger, key, name, demand string) {
 	}
 	if err := l.Commit(key); err != nil {
 		tb.Fatalf("commit %s: %v", key, err)
+	}
+}
+
+// TestImportedPromiseCarriesImportEpoch: a promise adopted on import is
+// stamped with the epoch of the install that landed its commitment, not
+// the epoch the receiver stood at before it.
+func TestImportedPromiseCarriesImportEpoch(t *testing.T) {
+	src := NewLedger(Config{Theta: cpuTheta(4, 100, "l1"), Owned: []resource.Location{"l1"}}, nil)
+	installCommitment(t, src, "k1", "j1", "2:cpu@l1:(0,10)")
+	promises := assure.New("")
+	dst := NewLedger(Config{Owned: []resource.Location{}, Assure: promises}, nil)
+	dst.AddOwned([]resource.Location{"l1"})
+	if err := dst.ImportLocations(src.ExportLocations([]resource.Location{"l1"})); err != nil {
+		t.Fatal(err)
+	}
+	p, ok := promises.Lookup("j1")
+	if !ok || p.State != assure.StateActive {
+		t.Fatalf("no active promise for j1 after the import: %+v", p)
+	}
+	if p.Epoch != dst.Epoch() {
+		t.Fatalf("imported promise stamped epoch %d, the import landed at epoch %d", p.Epoch, dst.Epoch())
 	}
 }
 
@@ -221,9 +243,15 @@ func TestAbortAfterCommitFollowsHandoff(t *testing.T) {
 	}
 }
 
+// TestImportRefusesOvercommit: an import that would break one shard's
+// invariant installs nothing, not even the locations before it that fit.
 func TestImportRefusesOvercommit(t *testing.T) {
 	dst := NewLedger(Config{}, nil)
 	exports := []LocationExport{{
+		Loc:         "l0",
+		Theta:       "2:cpu@l0:(0,10)",
+		Commitments: []ExportCommitment{{Name: "fits", Demand: "1:cpu@l0:(0,10)", Finish: 10, Deadline: 20}},
+	}, {
 		Loc:   "l1",
 		Theta: "1:cpu@l1:(0,10)",
 		Commitments: []ExportCommitment{
@@ -232,6 +260,10 @@ func TestImportRefusesOvercommit(t *testing.T) {
 	}}
 	if err := dst.ImportLocations(exports); err == nil {
 		t.Fatal("import that breaks the shard invariant must fail")
+	}
+	mustAudit(t, dst)
+	if n, e := dst.NumCommitments(), dst.Epoch(); n != 0 || e != 0 {
+		t.Fatalf("refused import left %d commitments at epoch %d", n, e)
 	}
 }
 

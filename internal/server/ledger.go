@@ -152,58 +152,51 @@ func (sh *shard) dirty() {
 	sh.ver++
 }
 
-// patched records an incremental free-view patch (counter only).
-func (sh *shard) patched() {
-	sh.hot.freePatches.Add(1)
-}
-
-// applyReserve adds part to the shard's reservations, patching the
-// cached free view instead of dropping it: free′ = free ∖ part, exact
-// because the profiles are pointwise-linear. The caller must hold sh.mu
-// and must already have verified the part fits (free dominates part), so
-// the subtraction is defined; a failed patch falls back to a recompute
-// rather than ever serving a wrong cache.
-func (sh *shard) applyReserve(part resource.Set) {
-	sh.reserved.AddSet(part)
+// patch counts a write of θ, reserved or the clock and carries the cached
+// free view across it instead of dropping it: f maps the view before the
+// write to the view after, exactly, because the profiles are
+// pointwise-linear. A patch that fails drops the cache for a recompute
+// rather than ever serving a wrong one. The caller must hold sh.mu.
+func (sh *shard) patch(f func(free resource.Set) (resource.Set, error)) {
 	sh.ver++
 	if !sh.freeOK {
 		return
 	}
-	f, err := sh.free.PatchSubtract(part)
+	free, err := f(sh.free)
 	if err != nil {
-		sh.dirty()
+		sh.free, sh.freeOK = resource.Set{}, false
 		return
 	}
-	sh.free = f
-	sh.patched()
+	sh.free = free
+	sh.hot.freePatches.Add(1)
 }
 
-// applyRelease removes part from the shard's reservations, patching the
-// cached free view (free′ = free ∪ part). The caller must hold sh.mu;
-// part must be dominated by reserved or the shard is inconsistent.
+// applyReserve adds part to the shard's reservations: free′ = free ∖
+// part. The caller must hold sh.mu and must already have verified the
+// part fits (free dominates part), so the subtraction is defined.
+func (sh *shard) applyReserve(part resource.Set) {
+	sh.reserved.AddSet(part)
+	sh.patch(func(free resource.Set) (resource.Set, error) { return free.PatchSubtract(part) })
+}
+
+// applyRelease removes part from the shard's reservations: free′ = free
+// ∪ part. The caller must hold sh.mu; part must be dominated by reserved
+// or the shard is inconsistent.
 func (sh *shard) applyRelease(part resource.Set) error {
 	freed, err := sh.reserved.PatchSubtract(part)
 	if err != nil {
 		return err
 	}
 	sh.reserved = freed
-	sh.ver++
-	if sh.freeOK {
-		sh.free = sh.free.PatchUnion(part)
-		sh.patched()
-	}
+	sh.patch(func(free resource.Set) (resource.Set, error) { return free.PatchUnion(part), nil })
 	return nil
 }
 
-// applyAcquire merges newly joined availability into θ, patching the
-// cached free view (free′ = free ∪ part). The caller must hold sh.mu.
+// applyAcquire merges newly joined availability into θ: free′ = free ∪
+// part. The caller must hold sh.mu.
 func (sh *shard) applyAcquire(part resource.Set) {
 	sh.theta.AddSet(part)
-	sh.ver++
-	if sh.freeOK {
-		sh.free = sh.free.PatchUnion(part)
-		sh.patched()
-	}
+	sh.patch(func(free resource.Set) (resource.Set, error) { return free.PatchUnion(part), nil })
 }
 
 // applyTrim advances the shard clock, trimming θ, reserved and the
@@ -216,11 +209,7 @@ func (sh *shard) applyTrim(to interval.Time) {
 	sh.theta.TrimBefore(to)
 	sh.reserved.TrimBefore(to)
 	sh.now = to
-	sh.ver++
-	if sh.freeOK {
-		sh.free = sh.free.TrimmedBefore(to)
-		sh.patched()
-	}
+	sh.patch(func(free resource.Set) (resource.Set, error) { return free.TrimmedBefore(to), nil })
 }
 
 // reservation is one member of the paper's ρ: a computation this ledger
@@ -302,21 +291,20 @@ type Ledger struct {
 	// (promise violation, audit mismatch).
 	flight *flightrec.Recorder
 
-	// Two-phase traffic counters, surfaced in /v1/stats.
-	prepares      atomic.Uint64
-	commitCount   atomic.Uint64
-	aborts        atomic.Uint64
+	// ops counts applied ops by kind; its prepares, commits and aborts,
+	// with the lapsed leases and ownership refusals, are the two-phase
+	// traffic counters surfaced in /v1/stats.
+	ops           [opInstall + 1]atomic.Uint64
 	leasesExpired atomic.Uint64
 	notOwned      atomic.Uint64
 
-	// epoch counts ledger state changes that can flip a query verdict:
-	// reservations landing and leaving (admit, release, acquire,
-	// prepare, commit, abort) and clock advances (which also sweep
-	// expired leases). notify (set once by NewLedger, may be nil) fans a
-	// bump out to the standing-query manager with what it touched; it
-	// runs on the mutating goroutine and must not block.
+	// epoch numbers the ops apply has applied: every state change that
+	// can flip a query verdict is one op, and the epoch apply takes for
+	// it is its sequence number in the stream. notify (set once by
+	// NewLedger, may be nil) receives each op with its epoch; it runs on
+	// the mutating goroutine and must not block.
 	epoch  atomic.Uint64
-	notify func(epoch uint64, reason string, locs []resource.Location, name string)
+	notify func(epoch uint64, o op)
 
 	// hot counts hot-path events (reserve rounds, optimistic retries,
 	// free-view patches vs recomputes), surfaced in /v1/stats.
@@ -333,10 +321,12 @@ type Ledger struct {
 // cfg.Theta at time cfg.Now, restricted to cfg.Owned when that is
 // non-nil (requests naming any other location are then refused with
 // ErrNotOwned), reporting to cfg.Obs, cfg.Spans, cfg.Assure and
-// cfg.FlightRec. notify, when non-nil, is called after every epoch bump
-// on the mutating goroutine and must not block; see bumpEpoch for its
-// arguments.
-func NewLedger(cfg Config, notify func(epoch uint64, reason string, locs []resource.Location, name string)) *Ledger {
+// cfg.FlightRec. notify, when non-nil, receives every op apply applies,
+// with its epoch, in epoch order for ops that do not race; it runs on
+// the mutating goroutine, sometimes under the ledger's locks, and must
+// not block. The server adapts it to the standing-query manager's
+// BumpAt (the op's reason, shards and job name).
+func NewLedger(cfg Config, notify func(epoch uint64, o op)) *Ledger {
 	l := &Ledger{
 		shards: make(map[resource.Location]*shard),
 		byName: make(map[string]*reservation),
@@ -364,21 +354,6 @@ func NewLedger(cfg Config, notify func(epoch uint64, reason string, locs []resou
 // value bracket a window with no verdict-relevant state change.
 func (l *Ledger) Epoch() uint64 {
 	return l.epoch.Load()
-}
-
-// bumpEpoch advances the epoch after a verdict-relevant state change
-// and notifies the standing-query manager, tagging the bump with the
-// mutation kind (reserve, release, acquire, advance, prepare, commit,
-// abort, handoff) and its footprint: the shards it wrote and the
-// commitment whose reservation it placed, resolved or removed (name may
-// be empty). A nil locs means the change may reach any verdict — a clock
-// advance moves every window's start, a handoff moves names between
-// nodes — and wakes every standing query.
-func (l *Ledger) bumpEpoch(reason string, locs []resource.Location, name string) {
-	e := l.epoch.Add(1)
-	if l.notify != nil {
-		l.notify(e, reason, locs, name)
-	}
 }
 
 // Now returns the ledger clock.
@@ -577,13 +552,23 @@ func misfit(shards []*shard, demand parts) (*shard, error) {
 	return nil, nil
 }
 
-// reserve adds each part to its shard. The caller holds the shard locks
-// and has verified the fit.
+// reserve adds each part to its shard: the shard step of a reserve or
+// prepare op. The caller holds the shard locks and has verified the fit.
 func reserve(shards []*shard, demand parts) {
 	for _, sh := range shards {
 		if part, ok := demand.on(sh.loc); ok {
 			sh.applyReserve(part)
 		}
+	}
+}
+
+// acquire merges each part into its shard's Θ, discarding what lies
+// before the shard clock: the shard step of an acquire op. The caller
+// holds the shard locks.
+func acquire(shards []*shard, gained parts) {
+	for _, sh := range shards {
+		part, _ := gained.on(sh.loc)
+		sh.applyAcquire(part.TrimmedBefore(sh.now))
 	}
 }
 
@@ -643,6 +628,11 @@ func (l *Ledger) checkOwnedLocked(locs []resource.Location) error {
 func (l *Ledger) AddOwned(locs []resource.Location) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.addOwnedLocked(locs)
+}
+
+// addOwnedLocked is AddOwned for callers holding l.mu.
+func (l *Ledger) addOwnedLocked(locs []resource.Location) {
 	if l.owned == nil {
 		return
 	}
@@ -717,7 +707,17 @@ func (l *Ledger) AdmitCtx(ctx context.Context, policy admission.Policy, job work
 		l.unindex(claim)
 		return admission.Decision{}, err
 	}
-	return l.admitHot(ctx, policy, job, now, locs, claim)
+	// An admitted job's claim lands as a live commitment with a promise
+	// behind it; on any other outcome it is abandoned, nothing reserved.
+	w := &admitWork{ctx: ctx, policy: policy, job: job, now: now, locs: locs, claim: claim}
+	l.hot.batchedJobs.Add(1)
+	dec, err := l.decideHot(w)
+	if err != nil || !dec.Admit {
+		l.unindex(claim)
+		return dec, err
+	}
+	l.land(w.op, claim)
+	return dec, nil
 }
 
 // Release removes a commitment and returns its not-yet-consumed demand to
@@ -743,43 +743,25 @@ func (l *Ledger) release(name string, transferred bool) error {
 	}
 	l.unindexLocked(r)
 	l.mu.Unlock()
-
-	locs, err := l.releaseParts(r)
-	if err != nil {
-		return fmt.Errorf("server: releasing %s: %w", name, err)
-	}
-	l.bumpEpoch("release", locs, name)
-	if transferred {
-		l.assure.Transfer(name)
-	} else if state := l.assure.Release(name, l.Now()); state == assure.StateViolated {
-		l.noteViolations([]string{name})
-	}
-	return nil
+	return l.free(op{kind: opRelease, at: l.Now(), unwind: transferred}, r)
 }
 
-// noteViolations records the forensic trail of promise violations: a
-// KindAssure span on the timeline and a flight-recorder freeze. Healthy
-// paths cannot reach it (admission bounds every plan finish by its
-// deadline), so firing here always marks a bug or unmodeled failure.
-func (l *Ledger) noteViolations(violated []string) {
-	if len(violated) == 0 {
-		return
+// free is a release's or an abort's effect and its apply: r, which the
+// caller has unindexed and so owns, gives back its demand.
+func (l *Ledger) free(o op, r *reservation) error {
+	locs, err := l.releaseParts(r)
+	if err != nil {
+		return fmt.Errorf("server: freeing %s: %w", r.name, err)
 	}
-	_, sp := l.spans.Start(context.Background(), span.KindAssure)
-	sp.Attr("violated", len(violated))
-	if len(violated) == 1 {
-		sp.Attr("job", violated[0])
-	}
-	sp.SetStatus("violated")
-	sp.End()
-	l.obs.Log("assure.violated", "jobs", strings.Join(violated, ","))
-	l.flight.Trigger(flightrec.TriggerViolation, strings.Join(violated, ","))
+	o.rec, o.locs = *r, locs
+	l.apply(o)
+	return nil
 }
 
 // releaseParts returns an unindexed reservation's not-yet-consumed
 // portion to the free pool, shard by shard, and returns the shards it
-// wrote (r.locs()) for the epoch bump. Only the un-elapsed part is still
-// reserved; the consumed prefix was trimmed away as the clock advanced.
+// wrote (r.locs()). Only the un-elapsed part is still reserved; the
+// consumed prefix was trimmed away as the clock advanced.
 func (l *Ledger) releaseParts(r *reservation) ([]resource.Location, error) {
 	locs := r.locs()
 	shards, unlock := l.lockedShards(locs)
@@ -808,19 +790,19 @@ func (l *Ledger) Acquire(theta resource.Set) error {
 	if err != nil {
 		return fmt.Errorf("acquire: %w", err)
 	}
-	gained := splitByShard(theta)
-	for _, sh := range shards {
-		part, _ := gained.on(sh.loc)
-		sh.applyAcquire(part.TrimmedBefore(sh.now))
-	}
+	o := op{kind: opAcquire, rec: reservation{parts: splitByShard(theta)}, locs: locs}
+	acquire(shards, o.rec.parts)
 	unlock()
-	l.bumpEpoch("acquire", locs, "")
+	l.apply(o)
 	return nil
 }
 
 // Advance moves the ledger clock to 'to', expiring availability and
 // reservation prefixes behind it and completing commitments whose plans
 // have finished. It returns the names of completed commitments.
+//
+// It validates nothing beyond the clock's direction: past that check it
+// is an advance op's effect and its apply.
 func (l *Ledger) Advance(to interval.Time) ([]string, error) {
 	for {
 		cur := l.now.Load()
@@ -841,9 +823,7 @@ func (l *Ledger) Advance(to interval.Time) ([]string, error) {
 	// plans have finished complete, and leases that ran out without a
 	// commit or abort (a crashed coordinator) are reclaimed, so no lease
 	// outlives its TTL past this Advance. The commitments left standing
-	// (claims included) are the live set of the promise sweep below: a
-	// promise whose deadline passed is `violated` when its job is still
-	// in that set and `orphaned` when nobody holds it.
+	// (claims included) are the live set of apply's promise sweep.
 	var done []string
 	var expired []*reservation
 	liveJobs := make(map[string]bool)
@@ -870,30 +850,11 @@ func (l *Ledger) Advance(to interval.Time) ([]string, error) {
 		if _, err := l.releaseParts(h); err != nil {
 			return nil, fmt.Errorf("server: sweeping expired lease %s: %w", h.key, err)
 		}
-		l.leasesExpired.Add(1)
-		l.obs.Log("ledger.lease_expired",
-			"key", h.key, "job", h.name, "expiry", h.lease, "now", to)
 	}
-	// One bump covers the whole advance: the trim, the completions, and
-	// the lease sweep land in the same epoch.
-	l.bumpEpoch("advance", nil, "")
 	sort.Strings(done)
-	if l.assure != nil {
-		// Completions first — a commitment finishing inside this advance
-		// kept its promise even if its deadline is also behind `to`.
-		for _, name := range done {
-			l.assure.Complete(name, to)
-		}
-		violated, orphaned := l.assure.Sweep(to, func(job string) bool { return liveJobs[job] })
-		if len(orphaned) > 0 {
-			_, sp := l.spans.Start(context.Background(), span.KindAssure)
-			sp.Attr("orphaned", len(orphaned))
-			sp.SetStatus("orphaned")
-			sp.End()
-			l.obs.Log("assure.orphaned", "jobs", strings.Join(orphaned, ","), "now", to)
-		}
-		l.noteViolations(violated)
-	}
+	// One op covers the whole advance: the trim, the completions, and the
+	// lease sweep land in the same epoch.
+	l.apply(op{kind: opAdvance, at: to, jobs: done, live: liveJobs, lapsed: expired})
 	return done, nil
 }
 

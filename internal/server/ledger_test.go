@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/compute"
 	"repro/internal/cost"
 	"repro/internal/interval"
+	"repro/internal/obs/assure"
 	"repro/internal/resource"
 	"repro/internal/workload"
 )
@@ -208,7 +210,9 @@ func TestAcquireOpensCapacity(t *testing.T) {
 
 // TestLedgerNoOvercommitUnderRace fires ≥100 concurrent admit/release
 // pairs at the ledger (run under -race) and then audits every shard: the
-// sum of reserved plans must never exceed Θ.
+// sum of reserved plans must never exceed Θ. The op stream stays dense
+// under the race — every epoch from 1 to Epoch() numbers exactly one op
+// — and every admitted job's promise carries its own reserve op's epoch.
 func TestLedgerNoOvercommitUnderRace(t *testing.T) {
 	locs := []resource.Location{"l1", "l2", "l3", "l4"}
 	theta := cpuTheta(3, 512, locs...)
@@ -219,13 +223,25 @@ func TestLedgerNoOvercommitUnderRace(t *testing.T) {
 			}
 		}
 	}
-	l := NewLedger(Config{Theta: theta}, nil)
+	var opMu sync.Mutex
+	opsAt := map[uint64]int{}         // epoch -> ops numbered with it
+	reservedAt := map[string]uint64{} // job -> its reserve op's epoch
+	promises := assure.New("")
+	l := NewLedger(Config{Theta: theta, Assure: promises}, func(e uint64, o op) {
+		opMu.Lock()
+		defer opMu.Unlock()
+		opsAt[e]++
+		if o.kind == opReserve {
+			reservedAt[o.rec.name] = e
+		}
+	})
 	policy := &admission.Rota{}
 
 	const workers = 16
 	const perWorker = 8 // 128 admits, each followed by a release attempt
 	var wg sync.WaitGroup
 	var admitted, rejected, releaseFail int
+	var admittedNames []string
 	var mu sync.Mutex
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -250,6 +266,7 @@ func TestLedgerNoOvercommitUnderRace(t *testing.T) {
 				mu.Lock()
 				if dec.Admit {
 					admitted++
+					admittedNames = append(admittedNames, name)
 				} else {
 					rejected++
 				}
@@ -278,6 +295,22 @@ func TestLedgerNoOvercommitUnderRace(t *testing.T) {
 		t.Fatal("nothing admitted; the race test exercised nothing")
 	}
 	mustAudit(t, l)
+
+	n := l.Epoch()
+	if uint64(len(opsAt)) != n {
+		t.Fatalf("%d distinct epochs numbered ops, Epoch() = %d", len(opsAt), n)
+	}
+	for e := uint64(1); e <= n; e++ {
+		if opsAt[e] != 1 {
+			t.Fatalf("epoch %d numbers %d ops, want 1", e, opsAt[e])
+		}
+	}
+	for _, name := range admittedNames {
+		p, ok := promises.Lookup(name)
+		if !ok || p.Epoch != reservedAt[name] {
+			t.Fatalf("%s: promise stamped epoch %d, its reserve op took epoch %d (found %v)", name, p.Epoch, reservedAt[name], ok)
+		}
+	}
 }
 
 func indexOf(locs []resource.Location, loc resource.Location) int {
@@ -287,4 +320,48 @@ func indexOf(locs []resource.Location, loc resource.Location) int {
 		}
 	}
 	return 0
+}
+
+// TestOpReasonsAndFootprints pins what each mutation hands the
+// standing-query manager — the epoch reason /v1/watch reports, the
+// shards it wrote (nil wakes every query) and the job it touched — so
+// the op alphabet keeps the bumps the mutations made before it.
+func TestOpReasonsAndFootprints(t *testing.T) {
+	var got []string
+	notify := func(e uint64, o op) {
+		got = append(got, fmt.Sprintf("%d %s %v %s", e, o.reason(), o.locs, o.rec.name))
+	}
+	l := NewLedger(Config{Theta: cpuTheta(4, 100, "l1", "l2"), Owned: []resource.Location{"l1", "l2"}}, notify)
+	if dec, err := l.Admit(&admission.Rota{}, cpuJob(t, "j1", "l1", 0, 50)); err != nil || !dec.Admit {
+		t.Fatalf("admit: %v %+v", err, dec)
+	}
+	steps := []error{
+		l.Release("j1"),
+		l.Prepare("k2", "j2", mustSet(t, "1:cpu@l2:(0,10)"), 10, 20, 50),
+		l.Prepare("k3", "j3", mustSet(t, "1:cpu@l2:(0,10)"), 10, 20, 50),
+		l.Commit("k2"),
+		l.Abort("k2"), // a commitment rolled back
+		l.Abort("k3"),
+		l.Acquire(cpuTheta(1, 100, "l2")),
+	}
+	if _, err := l.Advance(5); err != nil {
+		steps = append(steps, err)
+	}
+	dst := NewLedger(Config{Owned: []resource.Location{}}, notify)
+	steps = append(steps, dst.ImportLocations(l.ExportLocations([]resource.Location{"l2"})))
+	l.DropLocations([]resource.Location{"l2"})
+	for i, err := range steps {
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	want := []string{
+		"1 reserve [l1] j1", "2 release [l1] j1",
+		"3 prepare [l2] j2", "4 prepare [l2] j3", "5 commit [l2] j2",
+		"6 release [l2] j2", "7 abort [l2] j3", "8 acquire [l2] ",
+		"9 advance [] ", "1 handoff [] ", "10 handoff [] ",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("ops reported\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
 }

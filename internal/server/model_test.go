@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/interval"
+	"repro/internal/obs/assure"
 	"repro/internal/resource"
 )
 
@@ -51,8 +53,96 @@ type modelRec struct {
 
 type modelSide struct {
 	l     *Ledger
+	cfg   Config               // what l was built from, its promise ledger aside
 	recs  map[string]*modelRec // by job name
 	owned map[resource.Location]bool
+	ops   []loggedOp // l's op stream, as its notify received it
+	// shadow is a ledger fed nothing but l's ops: the first fed of them.
+	shadow *Ledger
+	fed    int
+}
+
+type loggedOp struct {
+	epoch uint64
+	op    op
+}
+
+// cloneOp copies what an op records deep enough that later mutations of
+// the ledger that applied it, or of one replaying it, cannot reach the
+// copy: a landed record's parts become the live record's, which merges
+// and drops edit in place. What apply derived from the ledger is not
+// part of the record and is left out.
+func cloneOp(o op) op {
+	o.rec.parts = slices.Clone(o.rec.parts)
+	for i := range o.rec.parts {
+		o.rec.parts[i].set = o.rec.parts[i].set.Clone()
+	}
+	o.locs, o.moved = slices.Clone(o.locs), slices.Clone(o.moved)
+	o.jobs, o.live, o.lapsed, o.adopted = nil, nil, nil, nil
+	return o
+}
+
+var opNames = [...]string{"reserve", "release", "prepare", "commit", "abort", "acquire", "advance", "drop", "install"}
+
+func (lo loggedOp) String() string {
+	o := lo.op
+	return fmt.Sprintf("e%d %s name=%q key=%q locs=%v moved=%v at=%d unwind=%v",
+		lo.epoch, opNames[o.kind], o.rec.name, o.rec.key, o.locs, o.moved, o.at, o.unwind)
+}
+
+// replay applies one recorded op to l through the effect steps the live
+// methods run, then apply. It calls no admission or schedule code: a
+// reserve lands the plan it carries instead of searching for one.
+// Advance, DropLocations and ImportLocations check nothing a recorded op
+// could fail, so their effect step is the method itself.
+func replay(l *Ledger, o op) error {
+	switch o.kind {
+	case opReserve, opPrepare, opAcquire:
+		shards, unlock := l.lockedShards(o.locs)
+		if o.kind == opAcquire {
+			acquire(shards, o.rec.parts)
+			unlock()
+			l.apply(o)
+			return nil
+		}
+		reserve(shards, o.rec.parts)
+		unlock()
+		claim := &reservation{name: o.rec.name, key: o.rec.key, pending: true}
+		l.mu.Lock()
+		err := l.claimLocked(claim)
+		l.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		l.land(o, claim)
+	case opRelease, opAbort:
+		l.mu.Lock()
+		r := l.byName[o.rec.name]
+		if r != nil {
+			l.unindexLocked(r)
+		}
+		l.mu.Unlock()
+		if r == nil {
+			return fmt.Errorf("no record of %s", o.rec.name)
+		}
+		return l.free(o, r)
+	case opCommit:
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		r := l.byKey[o.rec.key]
+		if r == nil {
+			return fmt.Errorf("no hold under key %s", o.rec.key)
+		}
+		l.commitLocked(o, r)
+	case opAdvance:
+		_, err := l.Advance(o.at)
+		return err
+	case opDrop:
+		l.DropLocations(o.moved)
+	case opInstall:
+		return l.ImportLocations(o.exports)
+	}
+	return nil
 }
 
 func (s *modelSide) byKey(key string) (string, *modelRec) {
@@ -88,8 +178,12 @@ func newReservationModel(t *testing.T, seed int64) *reservationModel {
 		keyOf: map[string]string{}, met: map[string]bool{}, hits: map[string]int{}}
 	for i := range m.sides {
 		mine := modelLocs[2*i : 2*i+2]
-		s := &modelSide{recs: map[string]*modelRec{}, owned: map[resource.Location]bool{}}
-		s.l = NewLedger(Config{Theta: cpuTheta(6, modelHorizon, mine...), Owned: mine}, nil)
+		s := &modelSide{recs: map[string]*modelRec{}, owned: map[resource.Location]bool{},
+			cfg: Config{Theta: cpuTheta(6, modelHorizon, mine...), Owned: mine}}
+		cfg := s.cfg
+		cfg.Assure = assure.New("")
+		s.l = NewLedger(cfg, func(e uint64, o op) { s.ops = append(s.ops, loggedOp{e, cloneOp(o)}) })
+		s.shadow = s.replayed()
 		for _, loc := range mine {
 			s.owned[loc] = true
 		}
@@ -442,31 +536,99 @@ func renderSnapshot(snap Snapshot) []string {
 	return out
 }
 
+// fail stops the run on a broken check and prints the last ops the
+// failing side's ledger applied.
+func (m *reservationModel) fail(side int, format string, args ...any) {
+	m.t.Helper()
+	ops := m.sides[side].ops
+	var tail []string
+	for _, lo := range ops[max(0, len(ops)-20):] {
+		tail = append(tail, lo.String())
+	}
+	m.t.Fatalf(format+"\nside %d's last %d ops:\n  %s", append(args, side, len(tail), strings.Join(tail, "\n  "))...)
+}
+
 // check holds both ledgers to their own books (Audit) and to the model.
 func (m *reservationModel) check(step int, op string) {
 	m.t.Helper()
 	seen := map[string]int{} // "name@loc" -> side
 	for side, s := range m.sides {
 		if err := s.l.Audit(); err != nil {
-			m.t.Fatalf("step %d (%s) t=%d side %d: %v", step, op, m.now, side, err)
+			m.fail(side, "step %d (%s) t=%d side %d: %v", step, op, m.now, side, err)
 		}
 		got := renderSnapshot(s.l.Snapshot())
 		if want := s.render(); !slices.Equal(got, want) {
-			m.t.Fatalf("step %d (%s) t=%d side %d holds\n  %s\nmodel says\n  %s", step, op, m.now, side,
+			m.fail(side, "step %d (%s) t=%d side %d holds\n  %s\nmodel says\n  %s", step, op, m.now, side,
 				strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 		}
 		if got, want := s.l.NumHolds()+s.l.NumCommitments(), len(s.recs); got != want {
-			m.t.Fatalf("step %d (%s) side %d: %d holds+commitments, model says %d", step, op, side, got, want)
+			m.fail(side, "step %d (%s) side %d: %d holds+commitments, model says %d", step, op, side, got, want)
 		}
 		for _, line := range got {
 			name, at, _ := strings.Cut(line, " key=")
 			_, at, _ = strings.Cut(at, " at ")
 			for _, loc := range strings.Split(at, ",") {
 				if other, dup := seen[name+"@"+loc]; dup && other != side {
-					m.t.Fatalf("step %d (%s): %s is live on %s on both ledgers", step, op, name, loc)
+					m.fail(side, "step %d (%s): %s is live on %s on both ledgers", step, op, name, loc)
 				}
 				seen[name+"@"+loc] = side
 			}
+		}
+	}
+}
+
+// promiseCounts is what replay must reproduce of a promise ledger: how
+// many promises stand in each state.
+func promiseCounts(l *Ledger) [6]uint64 {
+	st := l.assure.Stats()
+	return [6]uint64{st.Active, st.Kept, st.Violated, st.Orphaned, st.EvictedWithJob, st.Transferred}
+}
+
+// replayed builds a fresh ledger from the side's Config, with a fresh
+// promise ledger, for the side's ops to be replayed into.
+func (s *modelSide) replayed() *Ledger {
+	cfg := s.cfg
+	cfg.Assure = assure.New("")
+	return NewLedger(cfg, nil)
+}
+
+// checkReplay holds each side's live ledger to one fed only its op
+// stream: the shadow, fed each step's ops as they come, and at the end
+// of the run and of the drain (final) a fresh ledger fed the whole
+// stream. Each must reach the live side's state — the same Snapshot
+// JSON, owned locations, epoch and promise counts — and a clean Audit.
+func (m *reservationModel) checkReplay(when string, final bool) {
+	m.t.Helper()
+	for side, s := range m.sides {
+		l, from := s.shadow, s.fed
+		if final {
+			l, from = s.replayed(), 0
+		}
+		for _, lo := range s.ops[from:] {
+			if err := replay(l, cloneOp(lo.op)); err != nil {
+				m.fail(side, "%s: side %d replaying %v: %v", when, side, lo, err)
+			}
+		}
+		if !final {
+			s.fed = len(s.ops)
+		}
+		if err := l.Audit(); err != nil {
+			m.fail(side, "%s: side %d replayed: %v", when, side, err)
+		}
+		live, _ := json.Marshal(s.l.Snapshot())
+		replayed, _ := json.Marshal(l.Snapshot())
+		if string(live) != string(replayed) {
+			m.fail(side, "%s: side %d replayed to\n  %s\nlive\n  %s", when, side, replayed, live)
+		}
+		if got, want := l.OwnedLocations(), s.l.OwnedLocations(); !slices.Equal(got, want) {
+			m.fail(side, "%s: side %d replayed owning %v, live owns %v", when, side, got, want)
+		}
+		if got, want := l.Epoch(), s.l.Epoch(); got != want {
+			m.fail(side, "%s: side %d replayed to epoch %d, live stands at %d", when, side, got, want)
+		}
+		if got, want := promiseCounts(l), promiseCounts(s.l); got != want {
+			m.fail(side, "%s: side %d replayed promise counts %v, live %v (active kept violated orphaned evicted transferred)",
+				when, side, got, want)
 		}
 	}
 }
@@ -484,6 +646,9 @@ func (m *reservationModel) drain() {
 			delete(s.recs, name)
 		}
 		m.check(-1, "drain")
+		if active := s.l.assure.Stats().Active; active != 0 {
+			m.fail(side, "side %d drained with %d promises still active", side, active)
+		}
 		var locs []resource.Location
 		var want resource.Set
 		theta := splitByShard(m.theta.TrimmedBefore(m.now))
@@ -524,11 +689,14 @@ func (m *reservationModel) run(steps int) {
 			if pick -= op.weight; pick < 0 {
 				op.do()
 				m.check(step, op.name)
+				m.checkReplay(fmt.Sprintf("step %d (%s)", step, op.name), false)
 				break
 			}
 		}
 	}
+	m.checkReplay("run", true)
 	m.drain()
+	m.checkReplay("drain", true)
 }
 
 // TestReservationModel drives two ledgers through random admissions,
@@ -536,6 +704,10 @@ func (m *reservationModel) run(steps int) {
 // in both directions, and after every step holds both to Audit and to a
 // reference model of the one reservation state machine (pending → leased
 // → committed → gone, and the merge rule when two slices of a job meet).
+// Both ledgers keep promise ledgers, and each records its op stream: a
+// shadow ledger fed only that stream must reach the live one's state
+// after every step, and so must a fresh ledger fed the whole stream at
+// the end of the run and once drained (checkReplay).
 // The fixed seeds are kept because each drives all four mid-commit
 // hand-off interleavings; the run asserts they still do.
 func TestReservationModel(t *testing.T) {

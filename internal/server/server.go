@@ -155,7 +155,9 @@ func New(cfg Config) (*Server, error) {
 	// The manager evaluates through s.ledger only once a subscription
 	// exists, so it can be built first and hand the ledger its notifier.
 	s.queries = query.NewManager(s.managerEval, s.queryLog())
-	s.ledger = NewLedger(cfg, s.queries.BumpAt)
+	s.ledger = NewLedger(cfg, func(epoch uint64, o op) {
+		s.queries.BumpAt(epoch, o.reason(), o.locs, o.rec.name)
+	})
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/admit", "admit", s.handleAdmit)
 	s.route("POST /v1/release", "release", s.handleRelease)

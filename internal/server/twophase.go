@@ -36,6 +36,8 @@ func (l *Ledger) Prepare(key, name string, demand resource.Set, finish, deadline
 	h := &reservation{name: name, key: key, parts: slice,
 		finish: finish, deadline: deadline, lease: expiry, pending: true}
 	locs := h.locs()
+	o := op{kind: opPrepare, rec: *h, locs: locs}
+	o.rec.pending = false
 	// Refused before the claim and the locks, so a refusal creates no
 	// shard.
 	if err := l.checkOwned(locs); err != nil {
@@ -74,12 +76,7 @@ func (l *Ledger) Prepare(key, name string, demand resource.Set, finish, deadline
 	}
 	reserve(shards, slice)
 	unlock()
-
-	l.mu.Lock()
-	h.pending = false
-	l.mu.Unlock()
-	l.prepares.Add(1)
-	l.bumpEpoch("prepare", locs, name)
+	l.land(o, h)
 	return nil
 }
 
@@ -102,17 +99,18 @@ func (l *Ledger) Commit(key string) error {
 	if r.lease <= now {
 		return fmt.Errorf("%w: %s expired at t=%d, now t=%d", ErrLeaseExpired, key, r.lease, now)
 	}
-	r.lease, r.admitted = 0, now
-	l.commitCount.Add(1)
-	// The demand stays reserved, but feasible/Allen atoms can now resolve
-	// the commitment by name: still a verdict-relevant change.
-	locs := r.locs()
-	l.bumpEpoch("commit", locs, r.name)
-	// The promise is adopted, not reserved: for a coordinated admission
-	// this participant holds its share of a promise made cluster-wide,
-	// and for a migration commit the promise predates this node entirely.
-	l.assure.Adopt(r.name, now, r.finish, r.deadline, l.epoch.Load(), locs)
+	l.commitLocked(op{kind: opCommit, at: now}, r)
 	return nil
+}
+
+// commitLocked is a commit op's effect — r's lease cleared, admitted at
+// o.at — and its apply, inside the caller's hold of l.mu. The demand
+// stays reserved, but feasible/Allen atoms can now resolve the
+// commitment by name: still a verdict-relevant change.
+func (l *Ledger) commitLocked(o op, r *reservation) {
+	r.lease, r.admitted = 0, o.at
+	o.rec, o.locs = *r, r.locs()
+	l.apply(o)
 }
 
 // Abort releases a prepared hold — or rolls back an already-committed
@@ -131,21 +129,8 @@ func (l *Ledger) Abort(key string) error {
 	}
 	l.unindexLocked(r)
 	l.mu.Unlock()
-	reason := "abort"
-	if r.lease == 0 {
-		// Rolling back a committed key unwinds the admission itself: to
-		// the free view it is a release, and the promise is dropped, not
-		// kept — the job never really ran here.
-		reason = "release"
-		l.assure.Drop(r.name)
-	}
-	locs, err := l.releaseParts(r)
-	if err != nil {
-		return fmt.Errorf("server: aborting %s (%s): %w", key, r.name, err)
-	}
-	l.aborts.Add(1)
-	l.bumpEpoch(reason, locs, r.name)
-	return nil
+	// Rolling back a committed key unwinds the admission itself.
+	return l.free(op{kind: opAbort, unwind: r.lease == 0}, r)
 }
 
 // FreeView returns the merged free availability (Θ minus reservations
@@ -180,9 +165,9 @@ type TwoPhaseCounters struct {
 // TwoPhase returns the federation traffic counters.
 func (l *Ledger) TwoPhase() TwoPhaseCounters {
 	return TwoPhaseCounters{
-		Prepares:        l.prepares.Load(),
-		Commits:         l.commitCount.Load(),
-		Aborts:          l.aborts.Load(),
+		Prepares:        l.ops[opPrepare].Load(),
+		Commits:         l.ops[opCommit].Load(),
+		Aborts:          l.ops[opAbort].Load(),
 		LeasesExpired:   l.leasesExpired.Load(),
 		NotOwnedRejects: l.notOwned.Load(),
 	}
