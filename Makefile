@@ -43,12 +43,19 @@ test:
 # standing-query tests — subscribes racing bumps, flips, the pooled
 # evaluation path, the sweep's wake check — ten times. The fourth
 # repeats the graceful leave queued behind a join ten times: a departed
-# member that rejoins on its own shows there first.
+# member that rejoins on its own shows there first. The fifth repeats
+# the coordinated admit in the one admit envelope ten times — it holds a
+# decision slot through its two-phase rounds, a coordination parked past
+# DecisionTimeout aborts every hold and answers 503, and a drain aborts
+# in-flight prepares. The sixth repeats the subscribe-then-flip test
+# fifty times, the one that waits out Subscribe's self-wake sweep.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone' ./internal/server/
 	$(GO) test -race -count=10 -run 'Subscribe|Bump|Flip|Concurrent|Wake' ./internal/query/ ./internal/server/
 	$(GO) test -race -count=10 -run 'LeaveQueuesBehindJoin' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'CoordinatedAdmit|DrainAbortsInflightPrepares' ./internal/cluster/
+	$(GO) test -race -count=50 -run 'TestSubscribeInitialVerdictAndFlip$$' ./internal/query/
 
 # Ten seconds of coverage-guided inputs holding the splice kernels to
 # the event-sweep reference (internal/resource/profile_test.go), ten

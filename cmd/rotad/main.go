@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	addr := fs.String("addr", ":8080", "listen address")
 	policyName := fs.String("policy", "rota", "admission policy: rota or rota-exhaustive (must be plan-producing)")
-	workers := fs.Int("workers", 0, "concurrent admission decisions (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "concurrent admission decisions, local or coordinated (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 2*time.Second, "per-request decision deadline (slot wait + decision)")
 	locations := fs.Int("locations", 4, "number of locations in the initial availability")
 	baseRate := fs.Int64("base", 4, "cpu units/tick per location in the initial availability")

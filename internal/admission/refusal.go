@@ -39,11 +39,12 @@ func PastDeadline(deadline, now interval.Time) Decision {
 }
 
 // Overcommit refuses a plan whose slice on Shard no longer fits the
-// shard's free view. Key names the two-phase prepare that was refused;
-// it is empty for a local reservation, which the daemon replans.
+// shard's free view. Key names the two-phase prepare that was refused
+// and Node the participant that refused it; both are empty for a local
+// reservation, which the daemon replans.
 type Overcommit struct {
-	Shard     resource.Location
-	Key, Name string
+	Shard           resource.Location
+	Key, Name, Node string
 }
 
 func (e *Overcommit) Error() string {
@@ -64,8 +65,8 @@ func Refuse(err error) Decision {
 // Explain is the structured provenance of a refusal, filled from its
 // type: validate/deadline, plan/witness with the located type and
 // window that failed, plan/ordering, or capacity/free-view with the
-// shard. Any other error explains as other/other. Detail is the
-// refusal's text. Nil for a nil error.
+// shard and the refusing node. Any other error explains as
+// other/other. Detail is the refusal's text. Nil for a nil error.
 func Explain(err error) *span.Provenance {
 	if err == nil {
 		return nil
@@ -83,7 +84,7 @@ func Explain(err error) *span.Provenance {
 			p.Constraint, p.Term, p.Window = "witness", nope.Type.String(), nope.Window.String()
 		}
 	case errors.As(err, &shared):
-		p.Stage, p.Constraint, p.Term = "capacity", "free-view", string(shared.Shard)
+		p.Stage, p.Constraint, p.Term, p.Node = "capacity", "free-view", string(shared.Shard), shared.Node
 	}
 	return p
 }

@@ -179,20 +179,15 @@ type Node struct {
 
 	shutdownOnce sync.Once
 	shutdownCh   chan struct{}
-	coordWg      sync.WaitGroup
 	gossipWg     sync.WaitGroup
 
 	forwarded     atomic.Uint64
 	misrouted     atomic.Uint64
 	coordinations atomic.Uint64
-	coordAdmitted atomic.Uint64
-	coordRejected atomic.Uint64
-	coordFailed   atomic.Uint64
 	crashes       atomic.Uint64
 	migrations    atomic.Uint64
 	releases      atomic.Uint64
 	fanouts       atomic.Uint64
-	coordLatency  *metrics.Histogram
 
 	joins             atomic.Uint64
 	leaves            atomic.Uint64
@@ -257,7 +252,6 @@ func New(cfg Config) (*Node, error) {
 		stewardWait:  cfg.StewardWait,
 		shutdownCh:   make(chan struct{}),
 		leaseTTL:     cfg.LeaseTTL,
-		coordLatency: metrics.NewHistogram(),
 		obs:          cfg.Obs,
 		spans:        cfg.Spans,
 		httpStats:    make(map[string]*obs.EndpointStats),
@@ -430,12 +424,11 @@ func (n *Node) draining() bool {
 
 // Shutdown drains the node: gossip stops, in-flight coordinations abort
 // their outstanding prepares instead of leaking them, and the embedded
-// server waits out its in-flight admits.
+// server waits out its in-flight admits, coordinated ones included.
 func (n *Node) Shutdown(ctx context.Context) error {
 	n.shutdownOnce.Do(func() { close(n.shutdownCh) })
 	done := make(chan struct{})
 	go func() {
-		n.coordWg.Wait()
 		n.gossipWg.Wait()
 		close(done)
 	}()
@@ -528,7 +521,7 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 				retry = n.forward(w, r, ps, body.Bytes())
 			}
 		default:
-			retry = n.coordinate(w, r, job, owners)
+			retry = n.admitCoordinated(w, r, job, owners)
 		}
 		if !retry {
 			return
@@ -613,12 +606,8 @@ type participant struct {
 func (n *Node) freeOn(ctx context.Context, ps *peerState, locs []resource.Location) (resource.Set, interval.Time, error) {
 	if ps.isSelf {
 		n.flowMu.RLock()
-		free, now, err := n.srv.Ledger().FreeView(locs)
-		n.flowMu.RUnlock()
-		if errors.Is(err, server.ErrNotOwned) {
-			err = fmt.Errorf("%w: %v", errStaleOwner, err)
-		}
-		return free, now, err
+		defer n.flowMu.RUnlock()
+		return n.srv.Ledger().FreeView(locs)
 	}
 	parts := make([]string, len(locs))
 	for i, loc := range locs {
@@ -638,15 +627,16 @@ func (n *Node) freeOn(ctx context.Context, ps *peerState, locs []resource.Locati
 
 // prepareOn asks one owner to hold a sub-plan. A nil error means the
 // slice is held; an *admission.Overcommit (errors.Is
-// server.ErrOvercommit) is the owner's capacity refusal; anything else
-// is a protocol failure.
+// server.ErrOvercommit) naming the owner is its capacity refusal;
+// anything else is a protocol failure.
 func (n *Node) prepareOn(ctx context.Context, p *participant, key, name string, finish, deadline, expiry interval.Time) error {
 	if p.ps.isSelf {
 		n.flowMu.RLock()
 		err := n.srv.Ledger().Prepare(key, name, p.demand, finish, deadline, expiry)
 		n.flowMu.RUnlock()
-		if errors.Is(err, server.ErrNotOwned) {
-			return fmt.Errorf("%w: %v", errStaleOwner, err)
+		var over *admission.Overcommit
+		if errors.As(err, &over) {
+			over.Node = p.ps.ID
 		}
 		return err
 	}
@@ -662,7 +652,7 @@ func (n *Node) prepareOn(ctx context.Context, p *participant, key, name string, 
 		return fmt.Errorf("cluster: prepare on %s: %w", p.ps.ID, err)
 	}
 	if !resp.Held {
-		return &admission.Overcommit{Shard: resp.Shard, Key: key, Name: name}
+		return &admission.Overcommit{Shard: resp.Shard, Key: key, Name: name, Node: p.ps.ID}
 	}
 	return nil
 }
@@ -710,38 +700,43 @@ func (n *Node) abortOn(parent context.Context, ps *peerState, key string) {
 	}
 }
 
-// coordinate admits a job spanning several owners: plan against the
-// merged free views, prepare each owner's sub-plan under a TTL lease,
-// then commit everywhere. Any prepare failure aborts the rest; a commit
-// failure (an expired lease) rolls everything back. If this coordinator
-// dies between prepare and commit, every participant's lease expires and
-// the sweep reclaims the holds — no node is ever overcommitted.
-// Reports retry=true (nothing written) when a participant turned out to
-// no longer own its slice: the caller re-resolves owners and retries.
-func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.Job, owners map[*peerState][]resource.Location) (retry bool) {
-	n.coordWg.Add(1)
-	defer n.coordWg.Done()
+// admitCoordinated runs a job spanning several owners through the
+// embedded server's admit envelope, with coordinate as its placement.
+// The coordinate span is the terminal span of a federated admission:
+// the envelope annotates it, and the free views, the merged plan and
+// every per-participant prepare, commit and abort nest underneath it
+// (on this node or a peer). It reports retry when a participant no
+// longer owns its slice: the caller re-resolves owners and retries.
+func (n *Node) admitCoordinated(w http.ResponseWriter, r *http.Request, job workload.Job, owners map[*peerState][]resource.Location) (retry bool) {
 	n.coordinations.Add(1)
-	start := time.Now()
-	// The coordinate span is the terminal span of a federated admission;
-	// free views, the merged plan, and every per-participant prepare,
-	// commit and abort nest underneath it (on this node or a peer).
 	ctx, csp := n.spans.Start(r.Context(), span.KindCoordinate)
 	defer csp.End()
-	csp.Attr("job", job.Dist.Name)
 	csp.Attr("participants", len(owners))
-	trace := obs.Trace(ctx)
-	// fail ends the coordination on an error: nothing is admitted.
-	fail := func(outcome string, status int, err error) bool {
-		csp.SetStatus(span.StatusError)
+	return n.srv.Admit(ctx, w, csp, job, func(ctx context.Context) (admission.Decision, error) {
+		return n.coordinate(ctx, job, owners)
+	}) != nil
+}
+
+// coordinate places a job spanning several owners: plan against the
+// merged free views, prepare each owner's sub-plan under a TTL lease,
+// then commit everywhere. It runs in a decision slot under the
+// envelope's deadline: a ctx done before the prepare round holds
+// nothing, one done before the commit round aborts every hold. Any
+// prepare failure aborts the rest; a commit failure (an expired lease)
+// rolls everything back. If this coordinator dies between prepare and
+// commit, every participant's lease expires and the sweep reclaims the
+// holds — no node is ever overcommitted. An error wrapping
+// server.ErrNotOwned means a participant no longer owns its slice.
+func (n *Node) coordinate(ctx context.Context, job workload.Job, owners map[*peerState][]resource.Location) (admission.Decision, error) {
+	csp := span.FromContext(ctx)
+	// fail ends the coordination without a verdict; outcome says how.
+	fail := func(outcome string, err error) (admission.Decision, error) {
 		csp.Attr("outcome", outcome)
-		n.coordFailed.Add(1)
-		httpError(w, status, err)
-		return false
+		return admission.Decision{}, err
 	}
 	key := n.nextKey("2pc." + job.Dist.Name)
 	n.obs.Log("coordinate.start",
-		"trace", trace, "key", key, "job", job.Dist.Name, "owners", len(owners))
+		"trace", obs.Trace(ctx), "key", key, "job", job.Dist.Name, "owners", len(owners))
 
 	// Phase 0: merged free view across the footprint. Staleness is safe:
 	// prepare re-checks under the owners' shard locks.
@@ -754,12 +749,11 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 	var now interval.Time
 	for _, p := range parts {
 		set, pnow, err := n.freeOn(ctx, p.ps, p.locs)
+		if n.staleOwner(err) {
+			return fail("stale_owner", errStaleOwner)
+		}
 		if err != nil {
-			if n.staleOwner(err) {
-				csp.Attr("outcome", "stale_owner")
-				return true
-			}
-			return fail("failed", http.StatusServiceUnavailable, err)
+			return fail("failed", server.Unavailable(err))
 		}
 		free = free.Union(set)
 		p.now = pnow
@@ -768,19 +762,17 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 		}
 	}
 	if now >= job.Dist.Deadline {
-		n.finishCoordination(w, trace, job, start, admission.PastDeadline(job.Dist.Deadline, now), csp, "")
-		return false
+		return admission.PastDeadline(job.Dist.Deadline, now), nil
 	}
 
 	// Phase 1: decide against the merged view, exactly like a local
 	// admission against one big ledger.
 	dec := server.DecideOnFree(ctx, n.spans, n.policy, free, now, job, 0)
 	if !dec.Admit {
-		n.finishCoordination(w, trace, job, start, dec, csp, "")
-		return false
+		return dec, nil
 	}
 	if dec.Plan == nil {
-		return fail("failed", http.StatusInternalServerError, server.ErrPlanless)
+		return fail("failed", server.ErrPlanless)
 	}
 
 	// Split the witness plan's demand by owner (live table), in one pass
@@ -792,8 +784,7 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 		}
 		ref, ok := n.lookupOwner(a.Term.Type.Loc)
 		if !ok {
-			return fail("failed", http.StatusInternalServerError,
-				fmt.Errorf("cluster: plan for %s consumes unowned location %s", job.Dist.Name, a.Term.Type.Loc))
+			return fail("failed", fmt.Errorf("cluster: plan for %s consumes unowned location %s", job.Dist.Name, a.Term.Type.Loc))
 		}
 		ps := n.peerFor(ref)
 		set := split[ps]
@@ -810,10 +801,12 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 	if len(active) != len(split) {
 		// Some demand resolved to an owner that was not a participant:
 		// ownership moved between resolution and planning. Retry clean.
-		csp.Attr("outcome", "stale_owner")
-		return true
+		return fail("stale_owner", errStaleOwner)
 	}
 	parts = active
+	if err := ctx.Err(); err != nil {
+		return fail("timed_out", err)
+	}
 
 	// Phase 2: prepare everywhere, in parallel. Each owner's lease runs
 	// on its own ledger clock.
@@ -833,7 +826,6 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 	}
 	wg.Wait()
 	var refusal, protoErr error
-	var refuser string
 	stale := false
 	for i, err := range results {
 		parts[i].held = err == nil
@@ -841,9 +833,7 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 		case err == nil:
 		case errors.Is(err, server.ErrOvercommit):
 			if refusal == nil {
-				// Remember WHICH participant refused, so the surfaced
-				// provenance names the node whose free view failed.
-				refusal, refuser = err, parts[i].ps.ID
+				refusal = err
 			}
 		case n.staleOwner(err):
 			stale = true
@@ -860,21 +850,19 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 	}
 	if protoErr != nil {
 		abortHeld()
-		return fail("failed", http.StatusServiceUnavailable, protoErr)
+		return fail("failed", server.Unavailable(protoErr))
 	}
 	if stale {
 		// A participant's slice moved mid-prepare; drop what was held and
 		// retry against the refreshed ownership.
 		abortHeld()
-		csp.Attr("outcome", "stale_owner")
-		return true
+		return fail("stale_owner", errStaleOwner)
 	}
 	if refusal != nil {
 		abortHeld()
 		verdict := admission.Refuse(refusal)
 		verdict.Elapsed = dec.Elapsed
-		n.finishCoordination(w, trace, job, start, verdict, csp, refuser)
-		return false
+		return verdict, nil
 	}
 
 	if n.gate != nil {
@@ -884,66 +872,32 @@ func (n *Node) coordinate(w http.ResponseWriter, r *http.Request, job workload.J
 		// Simulated coordinator crash: walk away with every participant
 		// holding a leased prepare. The lease sweep cleans up.
 		n.crashes.Add(1)
-		csp.SetStatus(span.StatusError)
-		csp.Attr("outcome", "crashed")
-		httpError(w, http.StatusInternalServerError,
-			fmt.Errorf("cluster: injected coordinator crash before commit of %s", key))
-		return false
+		return fail("crashed", fmt.Errorf("cluster: injected coordinator crash before commit of %s", key))
 	}
 	if n.draining() {
 		// Graceful drain: never leave prepares for the sweep when we can
 		// still abort them explicitly.
 		abortHeld()
-		return fail("aborted", http.StatusServiceUnavailable, errors.New("cluster: draining, aborted in-flight prepare"))
+		return fail("aborted", server.Unavailable(errors.New("cluster: draining, aborted in-flight prepare")))
+	}
+	if err := ctx.Err(); err != nil {
+		// Nobody waits for this verdict any more: give the holds back.
+		abortHeld()
+		return fail("timed_out", err)
 	}
 
 	// Phase 3: commit everywhere. Commits are idempotent and retried;
 	// a definitive failure (lease expired first) rolls everything back,
 	// including participants already committed.
-	var commitErr error
 	for _, p := range parts {
 		if err := n.commitOn(ctx, p.ps, key); err != nil {
-			commitErr = err
-			break
+			for _, p := range parts {
+				n.abortOn(ctx, p.ps, key)
+			}
+			return fail("aborted", server.Unavailable(err))
 		}
 	}
-	if commitErr != nil {
-		for _, p := range parts {
-			n.abortOn(ctx, p.ps, key)
-		}
-		return fail("aborted", http.StatusServiceUnavailable, commitErr)
-	}
-	n.finishCoordination(w, trace, job, start, dec, csp, "")
-	return false
-}
-
-// finishCoordination records the verdict on the coordinate span and
-// writes the admit response. rejectNode, when set, names the participant
-// whose refusal decided a rejection; it is surfaced on the provenance so
-// a client can see not just which constraint failed but where.
-func (n *Node) finishCoordination(w http.ResponseWriter, trace string, job workload.Job, start time.Time, dec admission.Decision, sp *span.Span, rejectNode string) {
-	n.coordLatency.Observe(float64(time.Since(start).Microseconds()))
-	sp.Attr("admit", dec.Admit)
-	if dec.Admit {
-		n.coordAdmitted.Add(1)
-		sp.Attr("outcome", "committed")
-	} else {
-		n.coordRejected.Add(1)
-		sp.Attr("outcome", "rejected")
-		sp.SetStatus(span.StatusReject)
-	}
-	n.obs.Log("coordinate.verdict",
-		"trace", trace,
-		"job", job.Dist.Name,
-		"admit", dec.Admit,
-		"reason", dec.Reason,
-		"total_us", time.Since(start).Microseconds())
-	resp := server.Verdict(job, dec)
-	if resp.Provenance != nil {
-		resp.Provenance.Node = rejectNode
-		sp.SetProvenance(resp.Provenance)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return dec, nil
 }
 
 // handleRelease releases a job cluster-wide: a federated admission
@@ -1215,9 +1169,6 @@ type ClusterCounters struct {
 	Forwarded       uint64 `json:"forwarded" metric:"rota_cluster_forwarded_total" help:"Single-owner admissions relayed to the owning peer."`
 	Misrouted       uint64 `json:"misrouted" metric:"rota_cluster_misrouted_total" help:"Forwarded admissions refused because this node does not own the footprint."`
 	Coordinations   uint64 `json:"coordinations" metric:"rota_cluster_coordinations_total" help:"Two-phase federated admissions coordinated by this node."`
-	CoordAdmitted   uint64 `json:"coord_admitted" metric:"rota_cluster_coord_admitted_total" help:"Federated admissions that committed on every owner."`
-	CoordRejected   uint64 `json:"coord_rejected" metric:"rota_cluster_coord_rejected_total" help:"Federated admissions rejected on capacity."`
-	CoordFailed     uint64 `json:"coord_failed" metric:"rota_cluster_coord_failed_total" help:"Federated admissions that failed on protocol or transport errors."`
 	InjectedCrashes uint64 `json:"injected_crashes" metric:"rota_cluster_injected_crashes_total" help:"Simulated coordinator crashes (test instrumentation)."`
 	Migrations      uint64 `json:"migrations" metric:"rota_cluster_migrations_total" help:"Commitments re-homed onto another node (make-before-break)."`
 	Releases        uint64 `json:"releases" metric:"rota_cluster_releases_total" help:"Cluster-wide releases fanned out from this node."`
@@ -1251,12 +1202,6 @@ type ClusterCounters struct {
 	IntentRepairs  uint64 `json:"intent_repairs" metric:"rota_cluster_intent_repairs_total" help:"Dead stewards' partially applied membership plans finished or rolled back by this node."`
 	FencedGossip   uint64 `json:"fenced_gossip" metric:"rota_cluster_fenced_gossip_total" help:"Gossip messages answered 421 because the sender was evicted (epoch fence)."`
 	SuspectedPeers uint64 `json:"suspected_peers" metric:"rota_cluster_suspected_peers" help:"Peers the failure detector currently holds at Suspect or worse."`
-
-	// The JSON cut of the rota_cluster_coordination_latency_us summary,
-	// which CollectMetrics renders whole.
-	CoordLatencyMeanUS float64 `json:"coord_latency_mean_us" metric:"-"`
-	CoordLatencyP50US  float64 `json:"coord_latency_p50_us" metric:"-"`
-	CoordLatencyP99US  float64 `json:"coord_latency_p99_us" metric:"-"`
 }
 
 // RPCConfig surfaces the peer-RPC tunables actually in effect (flags or
@@ -1292,43 +1237,36 @@ func (n *Node) Stats() NodeStats {
 			BackoffBaseMS: n.client.backoffBase.Milliseconds(),
 			BackoffCapMS:  n.client.backoffCap.Milliseconds(),
 		},
-		Cluster: n.counters(n.coordLatency.Summary()),
+		Cluster: n.counters(),
 		Peers:   n.peerStatuses(),
 	}
 }
 
-// counters snapshots the federation-layer counters, with lat as the
-// coordination-latency digest they carry.
-func (n *Node) counters(lat metrics.HistogramSummary) ClusterCounters {
+// counters snapshots the federation-layer counters.
+func (n *Node) counters() ClusterCounters {
 	return ClusterCounters{
-		Forwarded:          n.forwarded.Load(),
-		Misrouted:          n.misrouted.Load(),
-		Coordinations:      n.coordinations.Load(),
-		CoordAdmitted:      n.coordAdmitted.Load(),
-		CoordRejected:      n.coordRejected.Load(),
-		CoordFailed:        n.coordFailed.Load(),
-		InjectedCrashes:    n.crashes.Load(),
-		Migrations:         n.migrations.Load(),
-		Releases:           n.releases.Load(),
-		FanoutQueries:      n.fanouts.Load(),
-		MembershipEpoch:    n.reg.Epoch(),
-		Joins:              n.joins.Load(),
-		Leaves:             n.leaves.Load(),
-		Handoffs:           n.handoffs.Load(),
-		Promotions:         n.promotions.Load(),
-		RedirectsServed:    n.redirectsServed.Load(),
-		RedirectsFollowed:  n.redirectsFollowed.Load(),
-		TableApplies:       n.tableApplies.Load(),
-		ShadowShips:        n.shadowShips.Load(),
-		ShadowMisses:       n.shadowMisses.Load(),
-		AutoEvictions:      n.autoEvictions.Load(),
-		Rejoins:            n.rejoins.Load(),
-		IntentRepairs:      n.intentRepairs.Load(),
-		FencedGossip:       n.fencedGossip.Load(),
-		SuspectedPeers:     n.suspectedNow.Load(),
-		CoordLatencyMeanUS: lat.Mean,
-		CoordLatencyP50US:  lat.P50,
-		CoordLatencyP99US:  lat.P99,
+		Forwarded:         n.forwarded.Load(),
+		Misrouted:         n.misrouted.Load(),
+		Coordinations:     n.coordinations.Load(),
+		InjectedCrashes:   n.crashes.Load(),
+		Migrations:        n.migrations.Load(),
+		Releases:          n.releases.Load(),
+		FanoutQueries:     n.fanouts.Load(),
+		MembershipEpoch:   n.reg.Epoch(),
+		Joins:             n.joins.Load(),
+		Leaves:            n.leaves.Load(),
+		Handoffs:          n.handoffs.Load(),
+		Promotions:        n.promotions.Load(),
+		RedirectsServed:   n.redirectsServed.Load(),
+		RedirectsFollowed: n.redirectsFollowed.Load(),
+		TableApplies:      n.tableApplies.Load(),
+		ShadowShips:       n.shadowShips.Load(),
+		ShadowMisses:      n.shadowMisses.Load(),
+		AutoEvictions:     n.autoEvictions.Load(),
+		Rejoins:           n.rejoins.Load(),
+		IntentRepairs:     n.intentRepairs.Load(),
+		FencedGossip:      n.fencedGossip.Load(),
+		SuspectedPeers:    n.suspectedNow.Load(),
 	}
 }
 
@@ -1410,9 +1348,7 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if errors.Is(err, server.ErrOvercommit) {
 		msp.SetStatus(span.StatusReject)
 		msp.Attr("outcome", "rejected")
-		prov := admission.Explain(err)
-		prov.Node = target.ID
-		msp.SetProvenance(prov)
+		msp.SetProvenance(admission.Explain(err))
 		httpError(w, http.StatusConflict, fmt.Errorf("cluster: %s cannot accommodate %s: %w", target.ID, req.Name, err))
 		return
 	}

@@ -40,8 +40,8 @@ type testCluster struct {
 
 // newTestCluster boots nNodes nodes owning locsPerNode cpu locations
 // each (rate units/tick over (0, horizon)), with the given lease TTL and
-// fast gossip.
-func newTestCluster(t testing.TB, nNodes, locsPerNode int, rate int64, horizon, ttl interval.Time) *testCluster {
+// fast gossip; each tweak then edits every node's Config.
+func newTestCluster(t testing.TB, nNodes, locsPerNode int, rate int64, horizon, ttl interval.Time, tweak ...func(*Config)) *testCluster {
 	t.Helper()
 	var locs []resource.Location
 	for i := 0; i < nNodes*locsPerNode; i++ {
@@ -70,7 +70,7 @@ func newTestCluster(t testing.TB, nNodes, locsPerNode int, rate int64, horizon, 
 		buf := &bytes.Buffer{}
 		tc.logs = append(tc.logs, buf)
 		tc.spans = append(tc.spans, span.NewStore(span.DefaultCapacity, tc.peers[i].ID))
-		nd, err := New(Config{
+		cfg := Config{
 			Self:           tc.peers[i].ID,
 			Peers:          tc.peers,
 			Server:         server.Config{Policy: &admission.Rota{}, Theta: theta, Assure: assure.New(tc.peers[i].ID)},
@@ -78,7 +78,11 @@ func newTestCluster(t testing.TB, nNodes, locsPerNode int, rate int64, horizon, 
 			GossipInterval: 50 * time.Millisecond,
 			Obs:            obs.New(obs.Options{Log: buf, Node: tc.peers[i].ID}),
 			Spans:          tc.spans[i],
-		})
+		}
+		for _, f := range tweak {
+			f(&cfg)
+		}
+		nd, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

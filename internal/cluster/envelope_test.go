@@ -1,0 +1,185 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"testing"
+	"time"
+
+	"repro/internal/interval"
+	"repro/internal/workload"
+)
+
+// statsOf fetches a node's /v1/stats over HTTP.
+func statsOf(t testing.TB, url string) NodeStats {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st NodeStats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// parkAtPrepared gates nd's coordinations between their prepare and
+// commit rounds: entered receives each parked key, and closing the
+// returned channel lets them all go on.
+func parkAtPrepared(nd *Node) (entered chan string, release chan struct{}) {
+	entered, release = make(chan string, 4), make(chan struct{})
+	nd.SetGate(func(stage, key string) {
+		if stage == "prepared" {
+			entered <- key
+			<-release
+		}
+	})
+	return entered, release
+}
+
+// admitAsync posts job to url's /v1/admit on its own goroutine and
+// delivers the answer's status, or 0 after reporting a transport error.
+func admitAsync(t testing.TB, url string, job workload.Job) <-chan int {
+	t.Helper()
+	body, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/admit", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	return status
+}
+
+func awaitParked(t testing.TB, entered chan string) {
+	t.Helper()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("coordination never reached the prepared stage")
+	}
+}
+
+// noHoldsAnywhere checks that a coordination which answered without a
+// verdict left nothing behind on any node.
+func noHoldsAnywhere(t testing.TB, tc *testCluster) {
+	t.Helper()
+	for i, nd := range tc.nodes {
+		if holds := nd.Server().Ledger().NumHolds(); holds != 0 {
+			t.Errorf("node %s kept %d holds", tc.peers[i].ID, holds)
+		}
+		if comms := nd.Server().Ledger().NumCommitments(); comms != 0 {
+			t.Errorf("node %s kept %d commitments", tc.peers[i].ID, comms)
+		}
+	}
+	auditAll(t, tc, "after the timed-out coordination")
+}
+
+// TestCoordinatedAdmitIsADecision: federated admits and rejects count
+// in the coordinator's decisions, like local ones.
+func TestCoordinatedAdmitIsADecision(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, 4, 1000, 50)
+	a, b := tc.peers[0].Locations[0], tc.peers[1].Locations[0]
+	// Two evaluations of 8 cpu at 4 cpu/tick fit a deadline of 1000 but
+	// not one of 1.
+	deadlines := []interval.Time{1000, 1000, 1000, 1, 1}
+	var admitted, rejected uint64
+	for i, d := range deadlines {
+		status, v := admitVerdict(t, tc.urls[0], spanningJob(t, fmt.Sprintf("dec-%d", i), a, b, d))
+		if status != http.StatusOK {
+			t.Fatalf("federated admit %d answered %d", i, status)
+		}
+		if v.Admit {
+			admitted++
+		} else {
+			rejected++
+		}
+	}
+	if admitted == 0 || rejected == 0 {
+		t.Fatalf("admitted %d, rejected %d: want both verdicts", admitted, rejected)
+	}
+	st := statsOf(t, tc.urls[0])
+	if st.Cluster.Coordinations != uint64(len(deadlines)) {
+		t.Fatalf("coordinations = %d, want %d", st.Cluster.Coordinations, len(deadlines))
+	}
+	if st.Decisions != uint64(len(deadlines)) || st.Admitted+st.Rejected != st.Decisions ||
+		st.Admitted != admitted || st.Rejected != rejected {
+		t.Fatalf("coordinator decisions=%d admitted=%d rejected=%d, want %d = %d + %d",
+			st.Decisions, st.Admitted, st.Rejected, len(deadlines), admitted, rejected)
+	}
+}
+
+// TestCoordinatedAdmitTimeout parks a coordination between prepare and
+// commit past DecisionTimeout: it must answer 503, count a timeout, and
+// give back every hold rather than commit an admit nobody waits for.
+func TestCoordinatedAdmitTimeout(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	tc := newTestCluster(t, 2, 1, 4, 1000, 50, func(c *Config) { c.Server.DecisionTimeout = timeout })
+	entered, release := parkAtPrepared(tc.nodes[0])
+
+	statusCh := admitAsync(t, tc.urls[0],
+		spanningJob(t, "slow-coord", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 1000))
+	awaitParked(t, entered)
+	// The decision deadline started before the coordination parked, so
+	// it has passed once this much wall-clock time has.
+	time.Sleep(timeout + 50*time.Millisecond)
+	close(release)
+	if status := <-statusCh; status != http.StatusServiceUnavailable {
+		t.Fatalf("timed-out coordination answered %d, want 503", status)
+	}
+	if st := statsOf(t, tc.urls[0]); st.TimedOut != 1 || st.Decisions != 0 {
+		t.Fatalf("coordinator timed_out=%d decisions=%d, want 1 and 0", st.TimedOut, st.Decisions)
+	}
+	noHoldsAnywhere(t, tc)
+}
+
+// TestCoordinatedAdmitTakesASlot: with one decision slot, a parked
+// coordination holds it, so a second admit on the same node queues for
+// the slot and times out.
+func TestCoordinatedAdmitTakesASlot(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	tc := newTestCluster(t, 2, 1, 4, 1000, 50, func(c *Config) {
+		c.Server.Workers = 1
+		c.Server.DecisionTimeout = timeout
+	})
+	entered, release := parkAtPrepared(tc.nodes[0])
+
+	coordCh := admitAsync(t, tc.urls[0],
+		spanningJob(t, "slot-coord", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 1000))
+	awaitParked(t, entered)
+
+	localCh := admitAsync(t, tc.urls[0], pinnedJob(t, "slot-local", tc.peers[0].Locations[0], 1000))
+	queued := false
+	var local int
+	for done := false; !done; {
+		select {
+		case local = <-localCh:
+			done = true
+		case <-time.After(5 * time.Millisecond):
+			queued = queued || statsOf(t, tc.urls[0]).QueueDepth >= 1
+		}
+	}
+	close(release)
+	if local != http.StatusServiceUnavailable {
+		t.Fatalf("admit behind a parked coordination answered %d, want 503", local)
+	}
+	if !queued {
+		t.Fatal("queue_depth never showed the admit waiting for the slot")
+	}
+	if status := <-coordCh; status != http.StatusServiceUnavailable {
+		t.Fatalf("coordination parked past its deadline answered %d, want 503", status)
+	}
+	noHoldsAnywhere(t, tc)
+}

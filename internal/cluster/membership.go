@@ -67,8 +67,9 @@ type ownerRef struct {
 
 // errStaleOwner signals that a coordination step discovered mid-flight
 // that a participant no longer owns part of the footprint; the caller
-// re-resolves owners and retries.
-var errStaleOwner = errors.New("cluster: ownership moved, retry with refreshed owners")
+// re-resolves owners and retries. It wraps server.ErrNotOwned, the
+// ledger's word for the same thing.
+var errStaleOwner = fmt.Errorf("cluster: ownership moved, retry with refreshed owners: %w", server.ErrNotOwned)
 
 // maxOwnerRetries bounds how many times one admission re-resolves
 // ownership after a redirect before giving up.
@@ -188,7 +189,7 @@ func (n *Node) staleOwner(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, errStaleOwner) {
+	if errors.Is(err, server.ErrNotOwned) {
 		return true
 	}
 	var se *httpStatusError

@@ -9,8 +9,9 @@ import (
 // Prometheus exposition for the federation layer. Every counter reaches
 // /metrics as a metric-tagged ClusterCounters field, walked like the
 // server's StatsResponse. The explicit lines are the families that are
-// not a ClusterCounters scalar: membership size, coordination latency
-// (its JSON trio is metric:"-"), and the per-peer φ and RPC tables.
+// not a ClusterCounters scalar: membership size and the per-peer φ and
+// RPC tables. A coordinated admit is counted and timed by the server's
+// own decision families.
 
 // CollectMetrics implements obs.Collector: the embedded server's
 // families first, then the federation layer's. One scrape of a cluster
@@ -19,9 +20,7 @@ import (
 func (n *Node) CollectMetrics(e *obs.Exposition) {
 	n.srv.CollectMetrics(e)
 
-	lat := n.coordLatency.Summary()
-	e.Struct(n.counters(lat))
-	e.Summary("rota_cluster_coordination_latency_us", "End-to-end federated admission latency in microseconds (free view through commit).", nil, lat)
+	e.Struct(n.counters())
 
 	peers := n.peersSnapshot()
 	e.Gauge("rota_cluster_peers", "Live cluster membership size, including self.", nil, float64(len(peers)))

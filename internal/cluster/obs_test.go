@@ -35,7 +35,7 @@ func TestClusterTraceCorrelation(t *testing.T) {
 			t.Errorf("participant n%d missing two-phase events:\n%s", i+1, log)
 		}
 	}
-	if !strings.Contains(tc.logs[2].String(), "event=coordinate.verdict") {
+	if !strings.Contains(tc.logs[2].String(), "event=admit.decision") {
 		t.Errorf("coordinator missing verdict event:\n%s", tc.logs[2].String())
 	}
 }
@@ -62,7 +62,7 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	checks := map[string]float64{
 		"rota_cluster_peers":                             2,
 		"rota_cluster_coordinations_total":               1,
-		"rota_cluster_coord_admitted_total":              1,
+		"rota_admitted_total":                            1,
 		`rota_cluster_peer_rpc_retries_total{peer="n2"}`: 0,
 	}
 	for key, want := range checks {

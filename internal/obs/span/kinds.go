@@ -65,11 +65,15 @@ var (
 		"attempt", "optimistic validate attempt, when >0 (status reject = conflict, retried)")
 
 	KindCoordinate = defineKind("coordinate",
-		"cross-node admission: merged free view, split demand, 2PC",
+		"cross-node admission in the admit envelope: merged free view, split demand, 2PC",
 		"job", "job name",
 		"admit", "decision verdict (true/false)",
 		"participants", "number of peer nodes holding demand",
-		"outcome", "committed / rejected / aborted / failed")
+		"queue_wait_us", "time the coordination waited for a decision slot",
+		"deadline", "job deadline tick",
+		"finish", "planned finish tick when admitted",
+		"error", "fault that ended the coordination without a verdict",
+		"outcome", "how it ended without a verdict: failed / aborted / crashed / stale_owner / timed_out")
 
 	KindFreeView = defineKind("freeview",
 		"fetch of one participant's free resource view",

@@ -22,7 +22,7 @@ type Provenance struct {
 	// Window is the interval the term was needed in, e.g. "(12,40)".
 	Window string `json:"window,omitempty"`
 	// Node is the cluster node whose free view failed the request —
-	// filled by the coordinator when a participant rejects.
+	// the participant named by a refused prepare's Overcommit.
 	Node string `json:"node,omitempty"`
 	// Detail is the refusal's human-readable text.
 	Detail string `json:"detail"`

@@ -59,6 +59,14 @@ func TestSubscribeInitialVerdictAndFlip(t *testing.T) {
 	if !first.Holds || first.Prev != nil || first.Seq != 1 {
 		t.Fatalf("initial event = %+v, want holds=true prev=nil seq=1", first)
 	}
+	// Subscribe's self-wake sweeps the new subscription once more. Let
+	// that evaluation finish first: run after the flip below, it would
+	// deliver the flip before Bump records its reason.
+	for deadline := time.Now().Add(5 * time.Second); m.Stats().Evals < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the self-wake sweep never re-evaluated the subscription")
+		}
+	}
 
 	epoch := eval.set(false)
 	m.Bump(epoch, "release")

@@ -443,11 +443,10 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 
 	// Report.
 	t := Table(fmt.Sprintf("rotad cluster selftest: %d nodes, %d requests, %d clients", cfg.Nodes, cfg.Requests, cfg.Clients), report, nil)
-	var coords, coordAdmitted, forwarded, migrations, joins, handoffs, promotions, redirectsServed uint64
+	var coords, forwarded, migrations, joins, handoffs, promotions, redirectsServed uint64
 	for i, nd := range nodes {
 		st := nd.Stats()
 		coords += st.Cluster.Coordinations
-		coordAdmitted += st.Cluster.CoordAdmitted
 		forwarded += st.Cluster.Forwarded
 		migrations += st.Cluster.Migrations
 		joins += st.Cluster.Joins
@@ -458,7 +457,6 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 		t.AddRow(fmt.Sprintf("%s shards", seeds[i].id), st.Shards)
 	}
 	t.AddRow("coordinations", coords)
-	t.AddRow("coordinated admits", coordAdmitted)
 	t.AddRow("forwarded", forwarded)
 	t.AddRow("migrations", migrations)
 	t.AddRow("injected crashes", nodes[0].Stats().Cluster.InjectedCrashes)

@@ -232,9 +232,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // decide waits for a decision slot, at most until ctx is done, and then
-// decides the job on the calling goroutine. The slots bound how many
-// Theorem-4 searches run at once however many requests are in flight.
-func (s *Server) decide(ctx context.Context, job workload.Job, trace string) (admission.Decision, error) {
+// runs place on the calling goroutine. The slots bound how many
+// Theorem-4 searches run at once however many requests are in flight,
+// local or coordinated.
+func (s *Server) decide(ctx context.Context, job workload.Job, trace string, place Placement) (admission.Decision, error) {
 	waitStart := time.Now()
 	s.waiting.Add(1)
 	select {
@@ -247,7 +248,7 @@ func (s *Server) decide(ctx context.Context, job workload.Job, trace string) (ad
 	start := time.Now()
 	queued := start.Sub(waitStart)
 	span.FromContext(ctx).Attr("queue_wait_us", queued.Microseconds())
-	dec, err := s.ledger.AdmitCtx(ctx, s.cfg.Policy, job)
+	dec, err := place(ctx)
 	decided := time.Since(start)
 	<-s.slots
 	if err == nil {
@@ -369,21 +370,22 @@ type StatsResponse struct {
 	Commitments int    `json:"commitments" metric:"rota_ledger_commitments" help:"Live admitted commitments."`
 
 	// Decisions = Admitted + Rejected, always.
-	Decisions uint64 `json:"decisions" metric:"rota_decisions_total" help:"Admission verdicts reached (admitted + rejected)."`
+	Decisions uint64 `json:"decisions" metric:"rota_decisions_total" help:"Admission verdicts reached, local or coordinated (admitted + rejected)."`
 	Admitted  uint64 `json:"admitted" metric:"rota_admitted_total" help:"Jobs admitted with a reserved witness plan."`
 	Rejected  uint64 `json:"rejected" metric:"rota_rejected_total" help:"Jobs refused by the Theorem-4 check."`
 	Released  uint64 `json:"released" metric:"rota_released_total" help:"Commitments released via the API."`
 	Errors    uint64 `json:"errors" metric:"rota_errors_total" help:"Requests that failed before a verdict."`
-	TimedOut  uint64 `json:"timed_out" metric:"rota_timeouts_total" help:"Admissions that exceeded the decision deadline."`
+	TimedOut  uint64 `json:"timed_out" metric:"rota_timeouts_total" help:"Admissions, local or coordinated, that exceeded the decision deadline."`
 	// LateDecisions counts the timed-out admits whose witness plan was
 	// found but refused at reserve because the deadline had passed; they
 	// reserved nothing (and are counted in TimedOut too).
 	LateDecisions uint64 `json:"late_decisions" metric:"rota_late_decisions_total" help:"Plans found after their admit's deadline and refused at reserve (nothing reserved)."`
 
 	// QueueDepth and InFlight are point-in-time gauges of the decision
-	// slots: admits waiting for a slot and admits holding one.
-	QueueDepth int64 `json:"queue_depth" metric:"rota_queue_depth" help:"Admits waiting for a decision slot."`
-	InFlight   int64 `json:"in_flight" metric:"rota_inflight_decisions" help:"Admits holding a decision slot, mid-search."`
+	// slots: admits waiting for a slot and admits holding one. A
+	// coordinated admit holds its slot through every two-phase round.
+	QueueDepth int64 `json:"queue_depth" metric:"rota_queue_depth" help:"Admits, local or coordinated, waiting for a decision slot."`
+	InFlight   int64 `json:"in_flight" metric:"rota_inflight_decisions" help:"Admits, local or coordinated, holding a decision slot mid-placement."`
 
 	// Holds counts live leased two-phase holds; TwoPhase digests the
 	// federation traffic this node served as a participant.
@@ -395,8 +397,9 @@ type StatsResponse struct {
 	AdmitHot AdmitHotCounters `json:"admit_hot"`
 
 	// DecisionLatencyUS digests decision service time while holding a
-	// slot (ledger lock + policy) in microseconds.
-	DecisionLatencyUS metrics.HistogramSummary `json:"decision_latency_us" metric:"rota_decision_latency_us" help:"Decision service time while holding a slot (ledger lock + policy) in microseconds."`
+	// slot in microseconds: plan search and reserve for a local admit,
+	// the free, prepare and commit rounds too for a coordinated one.
+	DecisionLatencyUS metrics.HistogramSummary `json:"decision_latency_us" metric:"rota_decision_latency_us" help:"Decision service time while holding a slot, local or coordinated, in microseconds."`
 
 	// Spans digests the span store: ring-buffer bound, live records, and
 	// the recorded/evicted totals that prove the store stays bounded.
@@ -460,7 +463,17 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			vSpan.Attr("job", job.Dist.Name)
 			vSpan.End()
-			s.admitDecide(w, sctx, adSpan, job)
+			err = s.Admit(sctx, w, adSpan, job, func(ctx context.Context) (admission.Decision, error) {
+				return s.ledger.AdmitCtx(ctx, s.cfg.Policy, job)
+			})
+			if err == nil {
+				return
+			}
+			// Only a cluster node owns less than everything, and its
+			// router checked the footprint under the handoff freeze.
+			s.errored.Add(1)
+			adSpan.SetStatus(span.StatusError)
+			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
@@ -472,23 +485,44 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	httpError(w, http.StatusBadRequest, err)
 }
 
-// admitDecide decides a validated job on the request goroutine and
-// writes the verdict. sctx carries the request's admit span.
-func (s *Server) admitDecide(w http.ResponseWriter, sctx context.Context, adSpan *span.Span, job workload.Job) {
-	adSpan.Attr("job", job.Dist.Name)
-	adSpan.Attr("deadline", job.Dist.Deadline)
+// A Placement decides one admit and places its witness plan: the
+// daemon's own is Ledger.AdmitCtx, a cluster coordinator's runs the
+// two-phase rounds across the owners. Once ctx is done it must hold
+// nothing.
+type Placement func(ctx context.Context) (admission.Decision, error)
+
+// Unavailable marks a placement failure the client may retry later, a
+// peer that did not answer or a drain: Admit answers it 503, not 500.
+func Unavailable(err error) error { return unavailable{err} }
+
+type unavailable struct{ error }
+
+func (u unavailable) Unwrap() error { return u.error }
+
+// Admit is the one admit envelope, local or coordinated: the drain
+// gate, a decision slot held for the whole placement, DecisionTimeout,
+// the decision counters, the log line and the verdict. sctx carries
+// sp, the request's terminal span, which Admit annotates. A placement
+// error wrapping ErrNotOwned — the footprint moved — is returned with
+// nothing written, for the caller to re-route; otherwise Admit answers
+// and returns nil.
+func (s *Server) Admit(sctx context.Context, w http.ResponseWriter, sp *span.Span, job workload.Job, place Placement) error {
+	sp.Attr("job", job.Dist.Name)
+	sp.Attr("deadline", job.Dist.Deadline)
 	if !s.enter() {
-		adSpan.SetStatus(span.StatusError)
+		sp.SetStatus(span.StatusError)
 		httpError(w, http.StatusServiceUnavailable, errors.New("server: draining, not accepting new admissions"))
-		return
+		return nil
 	}
 	defer s.inflight.Done()
 
 	ctx, cancel := context.WithTimeout(sctx, s.cfg.DecisionTimeout)
 	defer cancel()
 	trace := obs.Trace(sctx)
-	dec, err := s.decide(ctx, job, trace)
+	dec, err := s.decide(ctx, job, trace, place)
 	switch {
+	case errors.Is(err, ErrNotOwned):
+		return err
 	case err != nil && errors.Is(err, ctx.Err()):
 		// The deadline passed before a verdict was applied, and the
 		// ledger reserves nothing once it has: the 503 is the whole truth.
@@ -497,24 +531,28 @@ func (s *Server) admitDecide(w http.ResponseWriter, sctx context.Context, adSpan
 		if late {
 			s.lateDecisions.Add(1)
 		}
-		adSpan.SetStatus(span.StatusError)
-		adSpan.Attr("error", "decision timeout")
+		sp.SetStatus(span.StatusError)
+		sp.Attr("error", "decision timeout")
 		s.obs.Log("admit.timeout", "trace", trace, "job", job.Dist.Name,
 			"timeout_ms", s.cfg.DecisionTimeout.Milliseconds(), "late", late)
 		httpError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("server: decision for %s exceeded %v", job.Dist.Name, s.cfg.DecisionTimeout))
-		return
+		return nil
 	case err != nil:
 		status := http.StatusInternalServerError
-		if errors.Is(err, ErrDuplicate) {
+		var u unavailable
+		switch {
+		case errors.As(err, &u):
+			status = http.StatusServiceUnavailable
+		case errors.Is(err, ErrDuplicate):
 			status = http.StatusConflict
 		}
 		s.errored.Add(1)
 		s.obs.Log("admit.error", "trace", trace, "job", job.Dist.Name, "error", err)
-		adSpan.SetStatus(span.StatusError)
-		adSpan.Attr("error", err)
+		sp.SetStatus(span.StatusError)
+		sp.Attr("error", err)
 		httpError(w, status, err)
-		return
+		return nil
 	}
 	if dec.Admit {
 		s.admitted.Add(1)
@@ -528,29 +566,23 @@ func (s *Server) admitDecide(w http.ResponseWriter, sctx context.Context, adSpan
 		"reason", dec.Reason,
 		"deadline", job.Dist.Deadline,
 		"decision_us", dec.Elapsed.Microseconds())
-	resp := Verdict(job, dec)
-	adSpan.Attr("admit", dec.Admit)
-	if dec.Admit {
-		adSpan.Attr("finish", resp.Finish)
-	} else {
-		adSpan.SetStatus(span.StatusReject)
-		adSpan.SetProvenance(resp.Provenance)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// Verdict is the /v1/admit answer to a decision; a rejection carries
-// the provenance admission.Explain derives from its typed refusal.
-func Verdict(job workload.Job, dec admission.Decision) AdmitResponse {
+	// The verdict: a rejection carries the provenance admission.Explain
+	// derives from its typed refusal.
 	resp := AdmitResponse{Job: job.Dist.Name, Admit: dec.Admit, Reason: dec.Reason,
 		Deadline: job.Dist.Deadline, ElapsedUS: dec.Elapsed.Microseconds()}
 	if dec.Plan != nil {
 		resp.Finish = dec.Plan.Finish
 	}
-	if !dec.Admit {
+	sp.Attr("admit", dec.Admit)
+	if dec.Admit {
+		sp.Attr("finish", resp.Finish)
+	} else {
 		resp.Provenance = admission.Explain(dec.Refusal)
+		sp.SetStatus(span.StatusReject)
+		sp.SetProvenance(resp.Provenance)
 	}
-	return resp
+	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
