@@ -48,7 +48,9 @@ test:
 # decision slot through its two-phase rounds, a coordination parked past
 # DecisionTimeout aborts every hold and answers 503, and a drain aborts
 # in-flight prepares. The sixth repeats the subscribe-then-flip test
-# fifty times, the one that waits out Subscribe's self-wake sweep.
+# fifty times, the one that waits out Subscribe's self-wake sweep. The
+# seventh repeats the span store's concurrency tests ten times: the ring
+# copies typed records in at End and out at every read under its lock.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone' ./internal/server/
@@ -56,6 +58,7 @@ race:
 	$(GO) test -race -count=10 -run 'LeaveQueuesBehindJoin' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'CoordinatedAdmit|DrainAbortsInflightPrepares' ./internal/cluster/
 	$(GO) test -race -count=50 -run 'TestSubscribeInitialVerdictAndFlip$$' ./internal/query/
+	$(GO) test -race -count=10 -run 'StoreConcurrency|SpanTree' ./internal/obs/span/
 
 # Ten seconds of coverage-guided inputs holding the splice kernels to
 # the event-sweep reference (internal/resource/profile_test.go), ten
@@ -72,7 +75,9 @@ race:
 # after every rule and hand edit (internal/core/freeview_test.go), then
 # ten holding the hand-written admit-body decoder to json.Unmarshal +
 # ValidateJob: both refuse, or both accept equal jobs
-# (internal/server/fuzz_test.go).
+# (internal/server/fuzz_test.go), then ten holding the pooled logfmt
+# appender to the fmt.Sprintf renderer it replaced, byte for byte, bar
+# the quoting of control characters (internal/obs/logline_test.go).
 # -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileKernels$$' -fuzztime 10s ./internal/resource/
@@ -82,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWakeCoversFlips$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzFreeViewMaintained$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAdmitRequest$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzLogKV$$' -fuzztime 10s ./internal/obs/
 
 # benchmark/ is a module of its own that tier-1 neither builds nor
 # tests; vetting it here catches an exported name under internal/ that

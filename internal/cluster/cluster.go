@@ -564,7 +564,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, ps *peerState, bo
 	n.forwarded.Add(1)
 	sctx, sp := n.spans.Start(r.Context(), span.KindForward)
 	defer sp.End()
-	sp.Attr("peer", ps.ID)
+	sp.Str("peer", ps.ID)
 	headers := map[string]string{
 		headerForwarded:   n.self.ID,
 		headerIdempotency: n.nextKey("fwd"),
@@ -684,8 +684,8 @@ func (n *Node) abortOn(parent context.Context, ps *peerState, key string) {
 	defer cancel()
 	sctx, sp := n.spans.Start(ctx, span.KindAbort)
 	defer sp.End()
-	sp.Attr("peer", ps.ID)
-	sp.Attr("key", key)
+	sp.Str("peer", ps.ID)
+	sp.Str("key", key)
 	sp.Attr("detached", true)
 	if ps.isSelf {
 		if err := n.finishMoved(ctx, key, "abort"); err != nil {
@@ -711,7 +711,7 @@ func (n *Node) admitCoordinated(w http.ResponseWriter, r *http.Request, job work
 	n.coordinations.Add(1)
 	ctx, csp := n.spans.Start(r.Context(), span.KindCoordinate)
 	defer csp.End()
-	csp.Attr("participants", len(owners))
+	csp.Int("participants", int64(len(owners)))
 	return n.srv.Admit(ctx, w, csp, job, func(ctx context.Context) (admission.Decision, error) {
 		return n.coordinate(ctx, job, owners)
 	}) != nil

@@ -76,7 +76,7 @@ func (n *Node) serveQuery(w http.ResponseWriter, r *http.Request, c *query.Compi
 	}
 	_, sp := n.spans.Start(r.Context(), span.KindQuery)
 	defer sp.End()
-	sp.Attr("query", c.Source())
+	sp.Str("query", c.Source())
 	resp, err := n.fanoutQuery(r.Context(), c)
 	if err != nil {
 		sp.SetStatus(span.StatusError)
@@ -85,7 +85,7 @@ func (n *Node) serveQuery(w http.ResponseWriter, r *http.Request, c *query.Compi
 		return
 	}
 	sp.Attr("holds", resp.Holds)
-	sp.Attr("epoch", resp.Epoch)
+	sp.Int("epoch", int64(resp.Epoch))
 	n.obs.Log("query.fanout",
 		"trace", obs.Trace(r.Context()), "query", resp.Query,
 		"holds", resp.Holds, "elapsed_us", resp.ElapsedUS)

@@ -158,8 +158,8 @@ func (c *rpcClient) attemptLoop(ctx context.Context, method, url string, body []
 		// work again); the receiving peer's handler span parents onto the
 		// attempt that actually reached it.
 		actx, asp := c.spans.Start(ctx, span.KindRPC)
-		asp.Attr("path", url)
-		asp.Attr("attempt", attempt)
+		asp.Str("path", url)
+		asp.Int("attempt", int64(attempt))
 		status, data, err = c.once(actx, method, url, body, out, headers)
 		if err != nil {
 			asp.SetStatus(span.StatusError)

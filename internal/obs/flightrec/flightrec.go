@@ -156,11 +156,14 @@ func (r *Recorder) Record(line string) {
 }
 
 // writer adapts Record to io.Writer so the recorder can tee the
-// Observer's structured log stream.
+// Observer's structured log stream. The Observer writes one line per
+// call, which costs the one string the ring keeps.
 type writer struct{ r *Recorder }
 
 func (w writer) Write(p []byte) (int, error) {
-	for _, line := range bytes.Split(bytes.TrimRight(p, "\n"), []byte("\n")) {
+	for rest := p; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
 		if len(line) > 0 {
 			w.r.Record(string(line))
 		}
@@ -208,11 +211,7 @@ func (r *Recorder) Trigger(kind, detail string) (string, bool) {
 	// Sample spans and state outside r.mu: both take their own locks
 	// and the state callback may reach into health/membership layers.
 	if r.spans != nil {
-		recs := r.spans.Snapshot()
-		if len(recs) > spanWindow {
-			recs = recs[len(recs)-spanWindow:]
-		}
-		snap.Spans = recs
+		snap.Spans = r.spans.Recent(spanWindow)
 	}
 	if stateFn != nil {
 		snap.State = stateFn()

@@ -15,15 +15,16 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // HeaderTraceID is the HTTP header carrying a request's trace ID across
@@ -111,12 +112,12 @@ func (o *Observer) SlowThreshold() time.Duration {
 // Log emits one structured event line. kv is alternating key, value
 // pairs; values are rendered with %v (or JSON-encoded in JSON mode). A
 // nil observer, a nil writer, or an odd trailing key are all tolerated.
+// A kv line is appended into a pooled buffer and written once.
 func (o *Observer) Log(event string, kv ...any) {
 	if o == nil || o.w == nil {
 		return
 	}
 	ts := o.nowFn().UTC()
-	var line []byte
 	if o.fmt == FormatJSON {
 		obj := make(map[string]any, len(kv)/2+3)
 		obj["ts"] = ts.Format(time.RFC3339Nano)
@@ -127,30 +128,70 @@ func (o *Observer) Log(event string, kv ...any) {
 		for i := 0; i+1 < len(kv); i += 2 {
 			obj[fmt.Sprintf("%v", kv[i])] = jsonValue(kv[i+1])
 		}
-		line, _ = json.Marshal(obj)
+		line, _ := json.Marshal(obj)
 		line = append(line, '\n')
-	} else {
-		var b strings.Builder
-		b.WriteString("ts=")
-		b.WriteString(ts.Format(time.RFC3339Nano))
-		b.WriteString(" event=")
-		b.WriteString(kvValue(event))
-		if o.node != "" {
-			b.WriteString(" node=")
-			b.WriteString(kvValue(o.node))
-		}
-		for i := 0; i+1 < len(kv); i += 2 {
-			b.WriteByte(' ')
-			b.WriteString(fmt.Sprintf("%v", kv[i]))
-			b.WriteByte('=')
-			b.WriteString(kvValue(fmt.Sprintf("%v", kv[i+1])))
-		}
-		b.WriteByte('\n')
-		line = []byte(b.String())
+		o.write(line)
+		return
 	}
+	bp := linePool.Get().(*[]byte)
+	line := appendKVLine((*bp)[:0], ts, event, o.node, kv)
+	o.write(line)
+	if cap(line) <= maxPooledLine {
+		*bp = line
+		linePool.Put(bp)
+	}
+}
+
+func (o *Observer) write(line []byte) {
 	o.mu.Lock()
 	_, _ = o.w.Write(line)
 	o.mu.Unlock()
+}
+
+// linePool recycles kv line buffers; a line longer than maxPooledLine
+// is left to the collector rather than pinned in the pool.
+var linePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
+const maxPooledLine = 4 << 10
+
+// appendKVLine appends one logfmt line: ts, event and node first, then
+// the kv pairs, each key and value rendered as %v would and quoted when
+// kvNeedsQuote (values) or hasControl (keys) says so.
+func appendKVLine(b []byte, ts time.Time, event, node string, kv []any) []byte {
+	b = append(b, "ts="...)
+	b = ts.AppendFormat(b, time.RFC3339Nano)
+	b = append(b, " event="...)
+	b = appendKVValue(b, event)
+	if node != "" {
+		b = append(b, " node="...)
+		b = appendKVValue(b, node)
+	}
+	for i := 0; i+1 < len(kv); i += 2 {
+		b = append(b, ' ')
+		key, ok := kv[i].(string)
+		if !ok {
+			key = fmt.Sprint(kv[i])
+		}
+		if hasControl(key) {
+			b = strconv.AppendQuote(b, key)
+		} else {
+			b = append(b, key...)
+		}
+		b = append(b, '=')
+		switch v := kv[i+1].(type) {
+		case string:
+			b = appendKVValue(b, v)
+		case int:
+			b = strconv.AppendInt(b, int64(v), 10)
+		case int64:
+			b = strconv.AppendInt(b, v, 10)
+		case bool:
+			b = strconv.AppendBool(b, v)
+		default:
+			b = appendKVValue(b, fmt.Sprint(v))
+		}
+	}
+	return append(b, '\n')
 }
 
 // jsonValue keeps JSON-native types as-is and stringifies the rest, so
@@ -173,24 +214,56 @@ func jsonValue(v any) any {
 	}
 }
 
-// kvValue quotes a logfmt value when it contains spaces, quotes or
-// equals signs.
-func kvValue(s string) string {
-	if s == "" || strings.ContainsAny(s, " \t\n\"=") {
-		return fmt.Sprintf("%q", s)
+// appendKVValue appends a logfmt value, quoted (as %q would) when
+// kvNeedsQuote says so.
+func appendKVValue(b []byte, s string) []byte {
+	if kvNeedsQuote(s) {
+		return strconv.AppendQuote(b, s)
 	}
-	return s
+	return append(b, s...)
 }
 
-// MintTraceID returns a fresh 16-hex-character trace ID.
-func MintTraceID() string {
-	var buf [8]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; fall back
-		// to a clock-derived ID rather than an empty one.
-		return fmt.Sprintf("t%015x", time.Now().UnixNano()&0xFFFFFFFFFFFFFFF)
+// kvNeedsQuote reports whether a logfmt value must be quoted: it is
+// empty, holds a space, quote or equals sign that would split the line,
+// or holds a control character or invalid UTF-8 that must not reach a
+// terminal or the flight recorder raw.
+func kvNeedsQuote(s string) bool {
+	return s == "" || strings.ContainsAny(s, " \"=") || hasControl(s)
+}
+
+// hasControl reports whether s holds a control character — C0, DEL or
+// C1 — or a byte that is not UTF-8.
+func hasControl(s string) bool {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c < 0x20 || c == 0x7f {
+				return true
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if (r == utf8.RuneError && size == 1) || r <= 0x9f {
+			return true
+		}
+		i += size
 	}
-	return hex.EncodeToString(buf[:])
+	return false
+}
+
+// MintID returns a fresh trace or span ID: 16 lowercase hex characters
+// of the runtime's OS-seeded generator, formatted without an
+// intermediate buffer, so an ID costs one string allocation.
+func MintID() string {
+	const digits = "0123456789abcdef"
+	var buf [16]byte
+	x := rand.Uint64()
+	for i := len(buf) - 1; i >= 0; i-- {
+		buf[i] = digits[x&0xf]
+		x >>= 4
+	}
+	return string(buf[:])
 }
 
 // traceKey is the context key carrying a request's trace ID.
@@ -215,7 +288,7 @@ func Trace(ctx context.Context) string {
 func TraceFromRequest(r *http.Request) string {
 	id := r.Header.Get(HeaderTraceID)
 	if id == "" || len(id) > 128 {
-		return MintTraceID()
+		return MintID()
 	}
 	return id
 }

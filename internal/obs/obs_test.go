@@ -74,8 +74,8 @@ func TestTracePropagation(t *testing.T) {
 	if got := Trace(context.Background()); got != "" {
 		t.Fatalf("Trace on untagged ctx = %q", got)
 	}
-	if id := MintTraceID(); len(id) != 16 {
-		t.Fatalf("MintTraceID length = %d (%q)", len(id), id)
+	if id := MintID(); len(id) != 16 {
+		t.Fatalf("MintID length = %d (%q)", len(id), id)
 	}
 
 	r := httptest.NewRequest(http.MethodGet, "/", nil)

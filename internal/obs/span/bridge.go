@@ -3,6 +3,7 @@ package span
 import (
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -46,7 +47,7 @@ func Bridge(log *trace.Log) []Record {
 			solo++
 			out = append(out, Record{
 				Trace:       id,
-				ID:          MintID(),
+				ID:          obs.MintID(),
 				Kind:        KindSimEvent,
 				Node:        "sim",
 				StartUnixNS: int64(e.At) * tickNS,
@@ -72,7 +73,7 @@ func Bridge(log *trace.Log) []Record {
 	for _, job := range order {
 		agg := jobs[job]
 		traceID := "sim-" + job
-		rootID := MintID()
+		rootID := obs.MintID()
 		span := int64(agg.last.At-agg.first.At) * tickNS
 		root := Record{
 			Trace:       traceID,
@@ -87,7 +88,7 @@ func Bridge(log *trace.Log) []Record {
 		for _, e := range agg.events {
 			rec := Record{
 				Trace:       traceID,
-				ID:          MintID(),
+				ID:          obs.MintID(),
 				Parent:      rootID,
 				Kind:        KindSimEvent,
 				Node:        "sim",

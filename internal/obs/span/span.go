@@ -18,11 +18,10 @@ package span
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -72,9 +71,101 @@ type Span struct {
 	store *Store
 
 	mu    sync.Mutex
-	rec   Record
+	rec   record
 	begun time.Time // monotonic
 	ended bool
+}
+
+// maxAttrs is how many attributes a span holds inline. The admit span,
+// the widest on the request path, sets five; a span that sets more
+// keeps the rest in an overflow slice.
+const maxAttrs = 5
+
+// attrKind says which field of an attr holds its value.
+type attrKind uint8
+
+const (
+	attrString attrKind = iota // str
+	attrInt                    // num
+	attrBool                   // num != 0
+)
+
+// attr is one typed span attribute. It is rendered to the string Record
+// carries only when the record is read.
+type attr struct {
+	key  string
+	str  string
+	num  int64
+	kind attrKind
+}
+
+func (a attr) String() string {
+	switch a.kind {
+	case attrInt:
+		return strconv.FormatInt(a.num, 10)
+	case attrBool:
+		return strconv.FormatBool(a.num != 0)
+	}
+	return a.str
+}
+
+// record is a span as the ring holds it: Record's fields, less the
+// store-wide node, with the attributes still typed.
+type record struct {
+	trace, id, parent, kind, status string
+	startUnixNS, durationUS         int64
+	provenance                      *Provenance
+	attrs                           [maxAttrs]attr
+	nattrs                          int
+	more                            []attr // attributes past maxAttrs
+}
+
+// set adds or, for a key already set, replaces one attribute.
+func (r *record) set(a attr) {
+	for i := range r.attrs[:r.nattrs] {
+		if r.attrs[i].key == a.key {
+			r.attrs[i] = a
+			return
+		}
+	}
+	for i := range r.more {
+		if r.more[i].key == a.key {
+			r.more[i] = a
+			return
+		}
+	}
+	if r.nattrs < maxAttrs {
+		r.attrs[r.nattrs] = a
+		r.nattrs++
+		return
+	}
+	r.more = append(r.more, a)
+}
+
+// export renders the record as the Record readers see, formatting its
+// attributes into the Attrs map.
+func (r *record) export(node string) Record {
+	out := Record{
+		Trace:       r.trace,
+		ID:          r.id,
+		Parent:      r.parent,
+		Kind:        r.kind,
+		Node:        node,
+		StartUnixNS: r.startUnixNS,
+		DurationUS:  r.durationUS,
+		Status:      r.status,
+		Provenance:  r.provenance,
+	}
+	if n := r.nattrs + len(r.more); n > 0 {
+		out.Attrs = make(map[string]string, n)
+		for _, a := range r.attrs[:r.nattrs] {
+			out.Attrs[a.key] = a.String()
+		}
+		for _, a := range r.more {
+			out.Attrs[a.key] = a.String()
+		}
+	}
+	return out
 }
 
 // DefaultCapacity is the span store's bound when none is configured.
@@ -83,13 +174,14 @@ const DefaultCapacity = 4096
 // Store is a bounded in-memory ring buffer of finished spans. When the
 // buffer is full the oldest record is overwritten and the eviction
 // counter incremented, so the store's footprint is fixed however much
-// traffic the daemon serves.
+// traffic the daemon serves. The ring holds typed records by value;
+// attributes are formatted only when a reader asks for them.
 type Store struct {
 	node string
 	cap  int
 
 	mu       sync.Mutex
-	buf      []Record
+	buf      []record
 	next     int // next write slot
 	filled   int // records currently held (≤ cap)
 	recorded uint64
@@ -102,7 +194,7 @@ func NewStore(capacity int, node string) *Store {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Store{node: node, cap: capacity, buf: make([]Record, capacity)}
+	return &Store{node: node, cap: capacity, buf: make([]record, capacity)}
 }
 
 // ctxKey carries the current *Span in a context.
@@ -122,15 +214,6 @@ func NewContext(ctx context.Context, sp *Span) context.Context {
 	return context.WithValue(ctx, ctxKey{}, sp)
 }
 
-// MintID returns a fresh 16-hex-character span ID.
-func MintID() string {
-	var buf [8]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		return fmt.Sprintf("s%015x", time.Now().UnixNano()&0xFFFFFFFFFFFFFFF)
-	}
-	return hex.EncodeToString(buf[:])
-}
-
 // Start opens a span of the given kind as a child of the context's live
 // span — or, absent one, of the remote parent the X-Rota-Span header
 // propagated (obs.SpanParent). The returned context carries the new
@@ -142,28 +225,19 @@ func (st *Store) Start(ctx context.Context, kind string) (context.Context, *Span
 	}
 	var trace, parent string
 	if p := FromContext(ctx); p != nil {
-		p.mu.Lock()
-		trace, parent = p.rec.Trace, p.rec.ID
-		p.mu.Unlock()
+		// A span's trace and ID never change after Start.
+		trace, parent = p.rec.trace, p.rec.id
 	} else {
 		trace = obs.Trace(ctx)
 		parent = obs.SpanParent(ctx)
 	}
 	if trace == "" {
-		trace = obs.MintTraceID()
+		trace = obs.MintID()
 	}
-	sp := &Span{
-		store: st,
-		begun: time.Now(),
-		rec: Record{
-			Trace:       trace,
-			ID:          MintID(),
-			Parent:      parent,
-			Kind:        kind,
-			Node:        st.node,
-			StartUnixNS: time.Now().UnixNano(),
-		},
-	}
+	now := time.Now()
+	sp := &Span{store: st, begun: now}
+	sp.rec.trace, sp.rec.id, sp.rec.parent, sp.rec.kind = trace, obs.MintID(), parent, kind
+	sp.rec.startUnixNS = now.UnixNano()
 	return NewContext(ctx, sp), sp
 }
 
@@ -172,9 +246,7 @@ func (s *Span) ID() string {
 	if s == nil {
 		return ""
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rec.ID
+	return s.rec.id
 }
 
 // TraceID returns the span's trace ID ("" on nil).
@@ -182,25 +254,49 @@ func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rec.Trace
+	return s.rec.trace
 }
 
-// Attr sets one span attribute; the value is rendered with %v.
+// Attr sets one span attribute. Strings, ints and bools are kept typed
+// and rendered when the record is read; any other value is rendered
+// with %v now. Boxing a string or an int past 255 into value allocates,
+// so the request path sets those through Str and Int, which do not.
 func (s *Span) Attr(key string, value any) {
+	switch v := value.(type) {
+	case string:
+		s.Str(key, v)
+	case int:
+		s.Int(key, int64(v))
+	case int64:
+		s.Int(key, v)
+	case bool:
+		a := attr{key: key, kind: attrBool}
+		if v {
+			a.num = 1
+		}
+		s.set(a)
+	default:
+		if s != nil {
+			s.set(attr{key: key, str: fmt.Sprint(v)})
+		}
+	}
+}
+
+// Str sets a string attribute.
+func (s *Span) Str(key, value string) { s.set(attr{key: key, str: value}) }
+
+// Int sets an integer attribute.
+func (s *Span) Int(key string, value int64) { s.set(attr{key: key, kind: attrInt, num: value}) }
+
+func (s *Span) set(a attr) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ended {
-		return
+	if !s.ended {
+		s.rec.set(a)
 	}
-	if s.rec.Attrs == nil {
-		s.rec.Attrs = make(map[string]string, 4)
-	}
-	s.rec.Attrs[key] = fmt.Sprintf("%v", value)
 }
 
 // SetStatus marks the span's terminal status (ok, reject, error).
@@ -211,7 +307,7 @@ func (s *Span) SetStatus(status string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.ended {
-		s.rec.Status = status
+		s.rec.status = status
 	}
 }
 
@@ -223,7 +319,7 @@ func (s *Span) SetProvenance(p *Provenance) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.ended {
-		s.rec.Provenance = p
+		s.rec.provenance = p
 	}
 }
 
@@ -239,16 +335,16 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.rec.DurationUS = time.Since(s.begun).Microseconds()
-	if s.rec.Status == "" {
-		s.rec.Status = StatusOK
+	s.rec.durationUS = time.Since(s.begun).Microseconds()
+	if s.rec.status == "" {
+		s.rec.status = StatusOK
 	}
-	rec := s.rec
 	s.mu.Unlock()
-	s.store.add(rec)
+	// Sealed: nothing writes s.rec after ended is set.
+	s.store.add(&s.rec)
 }
 
-func (st *Store) add(rec Record) {
+func (st *Store) add(rec *record) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.filled == st.cap {
@@ -256,9 +352,14 @@ func (st *Store) add(rec Record) {
 	} else {
 		st.filled++
 	}
-	st.buf[st.next] = rec
+	st.buf[st.next] = *rec
 	st.next = (st.next + 1) % st.cap
 	st.recorded++
+}
+
+// at returns the i-th held record, oldest first. Caller holds st.mu.
+func (st *Store) at(i int) *record {
+	return &st.buf[(st.next-st.filled+i+st.cap)%st.cap]
 }
 
 // Trace returns every stored record with the given trace ID, ordered by
@@ -267,29 +368,50 @@ func (st *Store) Trace(id string) []Record {
 	if st == nil || id == "" {
 		return nil
 	}
+	var hits []record
 	st.mu.Lock()
-	var out []Record
 	for i := 0; i < st.filled; i++ {
-		idx := (st.next - st.filled + i + st.cap) % st.cap
-		if st.buf[idx].Trace == id {
-			out = append(out, st.buf[idx])
+		if r := st.at(i); r.trace == id {
+			hits = append(hits, *r)
 		}
 	}
 	st.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].StartUnixNS < out[j].StartUnixNS })
-	return out
+	sort.SliceStable(hits, func(i, j int) bool { return hits[i].startUnixNS < hits[j].startUnixNS })
+	return st.render(hits)
 }
 
 // Snapshot returns every stored record, oldest first (span dumps).
 func (st *Store) Snapshot() []Record {
+	return st.Recent(-1)
+}
+
+// Recent returns the newest n stored records (all of them when n < 0),
+// oldest first. Nil-safe (returns nil).
+func (st *Store) Recent(n int) []Record {
 	if st == nil {
 		return nil
 	}
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]Record, 0, st.filled)
-	for i := 0; i < st.filled; i++ {
-		out = append(out, st.buf[(st.next-st.filled+i+st.cap)%st.cap])
+	if n < 0 || n > st.filled {
+		n = st.filled
+	}
+	recs := make([]record, n)
+	for i := range recs {
+		recs[i] = *st.at(st.filled - n + i)
+	}
+	st.mu.Unlock()
+	return st.render(recs)
+}
+
+// render formats records copied out of the ring. It runs outside
+// st.mu, so formatting never holds up End.
+func (st *Store) render(recs []record) []Record {
+	if recs == nil {
+		return nil
+	}
+	out := make([]Record, len(recs))
+	for i := range recs {
+		out[i] = recs[i].export(st.node)
 	}
 	return out
 }

@@ -229,6 +229,7 @@ func TestStoreConcurrency(t *testing.T) {
 				}
 				_ = st.Trace(fmt.Sprintf("t%d", r%writers))
 				_ = st.Snapshot()
+				_ = st.Recent(8)
 				_ = st.Stats()
 			}
 		}(r)

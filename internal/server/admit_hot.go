@@ -204,10 +204,10 @@ func mergedFree(shards []*shard, vers []uint64) (resource.Set, error) {
 func DecideOnFree(ctx context.Context, spans *span.Store, policy admission.Policy, free resource.Set, now interval.Time, job workload.Job, attempt int) admission.Decision {
 	_, sp := spans.Start(ctx, span.KindPlan)
 	defer sp.End()
-	sp.Attr("job", job.Dist.Name)
-	sp.Attr("actors", len(job.Dist.Actors))
+	sp.Str("job", job.Dist.Name)
+	sp.Int("actors", int64(len(job.Dist.Actors)))
 	if attempt > 0 {
-		sp.Attr("attempt", attempt)
+		sp.Int("attempt", int64(attempt))
 	}
 	// The transient state presents the free view as Θ with no
 	// commitments, so State.FreeResources sees exactly the free
@@ -216,7 +216,7 @@ func DecideOnFree(ctx context.Context, spans *span.Store, policy admission.Polic
 	dec := admission.Decide(policy, admission.View{Now: now, Theta: free, State: &state}, job.Dist)
 	if !dec.Admit {
 		sp.SetStatus(span.StatusReject)
-		sp.Attr("error", dec.Reason)
+		sp.Str("error", dec.Reason)
 		sp.SetProvenance(admission.Explain(dec.Refusal))
 	}
 	return dec
@@ -332,10 +332,10 @@ func (l *Ledger) decideLocked(w *admitWork) (admission.Decision, error) {
 func (l *Ledger) startReserve(w *admitWork, attempt int) *span.Span {
 	l.hot.batches.Add(1)
 	_, rs := l.spans.Start(w.ctx, span.KindReserve)
-	rs.Attr("job", w.job.Dist.Name)
-	rs.Attr("shards", len(w.locs))
+	rs.Str("job", w.job.Dist.Name)
+	rs.Int("shards", int64(len(w.locs)))
 	if attempt > 0 {
-		rs.Attr("attempt", attempt)
+		rs.Int("attempt", int64(attempt))
 	}
 	return rs
 }

@@ -120,8 +120,8 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	sp.Attr("job", req.Name)
-	sp.Attr("key", req.Key)
+	sp.Str("job", req.Name)
+	sp.Str("key", req.Key)
 	err = s.ledger.Prepare(req.Key, req.Name, demand, req.Finish, req.Deadline, req.Expiry)
 	sp.Attr("held", err == nil)
 	s.obs.Log("twophase.prepare",
@@ -167,7 +167,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	sp.Attr("key", req.Key)
+	sp.Str("key", req.Key)
 	err = s.ledger.Commit(req.Key)
 	s.obs.Log("twophase.commit",
 		"trace", obs.Trace(r.Context()), "key", req.Key, "ok", err == nil)
@@ -203,7 +203,7 @@ func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	sp.Attr("key", req.Key)
+	sp.Str("key", req.Key)
 	err = s.ledger.Abort(req.Key)
 	s.obs.Log("twophase.abort",
 		"trace", obs.Trace(r.Context()), "key", req.Key, "ok", err == nil)

@@ -230,7 +230,7 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *query.Compiled) {
 	_, sp := s.cfg.Spans.Start(r.Context(), span.KindQuery)
 	defer sp.End()
-	sp.Attr("query", c.Source())
+	sp.Str("query", c.Source())
 	resp, err := s.EvalQuery(c)
 	if err != nil {
 		s.errored.Add(1)
@@ -244,7 +244,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *query.Com
 		return
 	}
 	sp.Attr("holds", resp.Holds)
-	sp.Attr("epoch", resp.Epoch)
+	sp.Int("epoch", int64(resp.Epoch))
 	s.obs.Log("query.oneshot",
 		"trace", obs.Trace(r.Context()), "query", resp.Query,
 		"holds", resp.Holds, "epoch", resp.Epoch, "elapsed_us", resp.ElapsedUS)
@@ -286,7 +286,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	_, sp := s.cfg.Spans.Start(r.Context(), span.KindWatch)
 	defer sp.End()
-	sp.Attr("query", c.Source())
+	sp.Str("query", c.Source())
 	sub, err := s.queries.Subscribe(c, watchQueueLen(r))
 	if err != nil {
 		s.errored.Add(1)

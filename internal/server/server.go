@@ -247,7 +247,7 @@ func (s *Server) decide(ctx context.Context, job workload.Job, trace string, pla
 	}
 	start := time.Now()
 	queued := start.Sub(waitStart)
-	span.FromContext(ctx).Attr("queue_wait_us", queued.Microseconds())
+	span.FromContext(ctx).Int("queue_wait_us", queued.Microseconds())
 	dec, err := place(ctx)
 	decided := time.Since(start)
 	<-s.slots
@@ -461,7 +461,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		job, err = DecodeAdmitRequest(body.Bytes())
 		body.Release()
 		if err == nil {
-			vSpan.Attr("job", job.Dist.Name)
+			vSpan.Str("job", job.Dist.Name)
 			vSpan.End()
 			err = s.Admit(sctx, w, adSpan, job, func(ctx context.Context) (admission.Decision, error) {
 				return s.ledger.AdmitCtx(ctx, s.cfg.Policy, job)
@@ -507,8 +507,8 @@ func (u unavailable) Unwrap() error { return u.error }
 // nothing written, for the caller to re-route; otherwise Admit answers
 // and returns nil.
 func (s *Server) Admit(sctx context.Context, w http.ResponseWriter, sp *span.Span, job workload.Job, place Placement) error {
-	sp.Attr("job", job.Dist.Name)
-	sp.Attr("deadline", job.Dist.Deadline)
+	sp.Str("job", job.Dist.Name)
+	sp.Int("deadline", job.Dist.Deadline)
 	if !s.enter() {
 		sp.SetStatus(span.StatusError)
 		httpError(w, http.StatusServiceUnavailable, errors.New("server: draining, not accepting new admissions"))
@@ -575,7 +575,7 @@ func (s *Server) Admit(sctx context.Context, w http.ResponseWriter, sp *span.Spa
 	}
 	sp.Attr("admit", dec.Admit)
 	if dec.Admit {
-		sp.Attr("finish", resp.Finish)
+		sp.Int("finish", resp.Finish)
 	} else {
 		resp.Provenance = admission.Explain(dec.Refusal)
 		sp.SetStatus(span.StatusReject)
