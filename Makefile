@@ -51,6 +51,9 @@ test:
 # fifty times, the one that waits out Subscribe's self-wake sweep. The
 # seventh repeats the span store's concurrency tests ten times: the ring
 # copies typed records in at End and out at every read under its lock.
+# The eighth repeats the resource algebra's sharing tests ten times:
+# chunked profiles share single chunks between the sets goroutines
+# derive from one base, so a write into a shared chunk shows there.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone' ./internal/server/
@@ -59,9 +62,12 @@ race:
 	$(GO) test -race -count=10 -run 'CoordinatedAdmit|DrainAbortsInflightPrepares' ./internal/cluster/
 	$(GO) test -race -count=50 -run 'TestSubscribeInitialVerdictAndFlip$$' ./internal/query/
 	$(GO) test -race -count=10 -run 'StoreConcurrency|SpanTree' ./internal/obs/span/
+	$(GO) test -race -count=10 -run 'SharedProfilesUnderConcurrentPatching|PatchAllocationBudget' ./internal/resource/
 
-# Ten seconds of coverage-guided inputs holding the splice kernels to
-# the event-sweep reference (internal/resource/profile_test.go), ten
+# Ten seconds of coverage-guided inputs holding the splice kernels and
+# clamp to the event-sweep reference, on operands long enough to be
+# chunked and cut into chunks as the input says
+# (internal/resource/profile_test.go), ten
 # holding the single-pass set parser to a NewSet fold of its terms
 # (internal/resource/fuzz_test.go), ten holding Eval's
 # quantity-summed satisfy atoms to f over the set FreeWithin builds

@@ -60,13 +60,13 @@ func (e *evaluator) freeWithin(i int, window interval.Interval) resource.Set {
 }
 
 // quantityWithin is freeWithin(i, window).QuantityWithin(lt, window)
-// without building the set.
+// without building the set, saturating as that does.
 func (e *evaluator) quantityWithin(i int, lt resource.LocatedType, window interval.Interval) resource.Quantity {
 	var q resource.Quantity
 	for j := i; j < len(e.p.Steps); j++ {
-		q += e.p.Steps[j].Expired.QuantityWithin(lt, window)
+		q = q.AddSaturating(e.p.Steps[j].Expired.QuantityWithin(lt, window))
 	}
-	return q + e.left().QuantityWithin(lt, window)
+	return q.AddSaturating(e.left().QuantityWithin(lt, window))
 }
 
 func (e *evaluator) eval(i int, f Formula) (bool, error) {

@@ -9,14 +9,17 @@ import (
 // Patch operations: the map-sharing counterparts of Union, Subtract and
 // TrimBefore used on the admission hot path.
 //
-// The sharing contract has two levels. Profiles are immutable (see
-// profile): every operation on a set leaves the segment storage of its
-// operands alone and hands on, rather than copies, each profile it does
-// not change — a type the other operand does not name, a union into a
-// type the receiver lacks, a trim or clamp that cuts nothing. That is
-// what makes a reservation cost O(segments of the types it touches) and a
-// snapshot of several shards' views cost one map. It holds for every
-// operation, so it asks nothing of callers.
+// The sharing contract has two levels. Profiles, and the chunks a long
+// one is stored in, are immutable (see profile): every operation on a
+// set leaves the segment storage of its operands alone and hands on,
+// rather than copies, each profile it does not change — a type the other
+// operand does not name, a union into a type the receiver lacks, a trim
+// or clamp that cuts nothing — and, within a long profile it does
+// change, each chunk it does not reach. That is what makes a reservation
+// cost what it touches, a chunk list and a chunk or two per touched
+// type, whatever the length of the type's history, and a snapshot of
+// several shards' views cost one map. It holds for every operation, and
+// for chunks shared between goroutines, so it asks nothing of callers.
 //
 // A Patch* method additionally returns its receiver — map and all — when
 // there is nothing to do. A Set produced by a Patch* method (and the Set

@@ -181,9 +181,29 @@ func TestPatchSharingIsCopyOnWrite(t *testing.T) {
 }
 
 // sharesStorage reports whether two profiles are the same segments in the
-// same memory.
+// same memory: one flat slice, or the same chunks in the same order.
 func sharesStorage(a, b profile) bool {
-	return len(a.segs) > 0 && len(a.segs) == len(b.segs) && &a.segs[0] == &b.segs[0]
+	n := a.numChunks()
+	if n == 0 || n != b.numChunks() || (a.tab == nil) != (b.tab == nil) {
+		return false
+	}
+	return sharedChunks(a, b) == n
+}
+
+// sharedChunks counts the chunks of a that are chunks of b, in the same
+// memory.
+func sharedChunks(a, b profile) int {
+	mine := make(map[*segment]int, b.numChunks())
+	for c := 0; c < b.numChunks(); c++ {
+		mine[&b.chunk(c)[0]] = len(b.chunk(c))
+	}
+	shared := 0
+	for c := 0; c < a.numChunks(); c++ {
+		if n, ok := mine[&a.chunk(c)[0]]; ok && n == len(a.chunk(c)) {
+			shared++
+		}
+	}
+	return shared
 }
 
 // allocBytes returns the bytes one call of fn allocates, averaged over
@@ -202,10 +222,12 @@ func allocBytes(runs int, fn func()) float64 {
 // keep them off the heap.
 var patchSink Set
 
-// The patch budget: against a set of 512-segment profiles, a patch
-// allocates the result's map plus exactly one segment slice per located
-// type it touches, of that type's size — no events, no sort, no second
-// copy — and hands on every profile it does not touch.
+// The patch budget: against a set of chunked 512-segment profiles built
+// by splices, a patch allocates the result's map plus, for each located
+// type it touches, at most one splice's three allocations and
+// spliceBudget's bytes — a new chunk list and the rebuilt chunks, never
+// a copy of the whole profile — and hands on every profile it does not
+// touch. A touched profile shares all but the chunks the patch rebuilt.
 func TestPatchAllocationBudget(t *testing.T) {
 	const segs = 512
 	types := []LocatedType{CPUAt("l1"), MemoryAt("l1"), Link("l1", "l2"), Link("l1", "l3")}
@@ -216,9 +238,6 @@ func TestPatchAllocationBudget(t *testing.T) {
 	// What copying the four-entry map costs on its own.
 	mapAllocs := testing.AllocsPerRun(100, func() { patchSink = base.Clone() })
 	mapBytes := allocBytes(100, func() { patchSink = base.Clone() })
-	// A touched profile, grown by at most a few seams, rounded up to the
-	// allocator's size class (at most one eighth).
-	profileBytes := float64(segs+8) * 24 * 1.125
 
 	for touched := 1; touched <= 2; touched++ {
 		var part Set
@@ -231,15 +250,19 @@ func TestPatchAllocationBudget(t *testing.T) {
 			"PatchUnion":    func() { patchSink = base.PatchUnion(part) },
 		}
 		for name, op := range ops {
-			if allocs := testing.AllocsPerRun(100, op); allocs > mapAllocs+float64(touched) {
-				t.Errorf("%s touching %d: %.0f allocations, budget %.0f for the map + one per type", name, touched, allocs, mapAllocs)
+			if allocs, budget := testing.AllocsPerRun(100, op), mapAllocs+3*float64(touched); allocs > budget {
+				t.Errorf("%s touching %d: %.0f allocations, budget %.0f for the map + three per type", name, touched, allocs, budget)
 			}
-			if bytes, budget := allocBytes(100, op), mapBytes+float64(touched)*profileBytes; bytes > budget {
+			if bytes, budget := allocBytes(100, op), mapBytes+float64(touched)*spliceBudget(segs); bytes > budget {
 				t.Errorf("%s touching %d: %.0f bytes, budget %.0f", name, touched, bytes, budget)
 			}
 			for i, lt := range types {
-				if shared := sharesStorage(patchSink.profiles[lt], base.profiles[lt]); shared != (i >= touched) {
+				got, was := patchSink.profiles[lt], base.profiles[lt]
+				if shared := sharesStorage(got, was); shared != (i >= touched) {
 					t.Errorf("%s touching %d: profile of %v shared=%v", name, touched, lt, shared)
+				}
+				if kept := sharedChunks(got, was); got.numChunks()-kept > 3 {
+					t.Errorf("%s touching %d: %d of the %d chunks of %v rebuilt, want at most 3", name, touched, got.numChunks()-kept, got.numChunks(), lt)
 				}
 			}
 		}
@@ -250,12 +273,18 @@ func TestPatchAllocationBudget(t *testing.T) {
 // goroutines patch, restrict, consume from and read sets derived from one
 // shared base at once — the ledger's cached free view under concurrent
 // plan searches. Each goroutine mutates only what it owns; nothing may
-// ever write into a profile another goroutine can reach.
+// ever write into a profile, or a chunk of one, another goroutine can
+// reach. The base profiles are chunked, so the goroutines' results share
+// chunks with the base and with one another.
 func TestSharedProfilesUnderConcurrentPatching(t *testing.T) {
 	types := []LocatedType{CPUAt("l1"), CPUAt("l2"), Link("l1", "l2")}
 	base := Set{profiles: map[LocatedType]profile{}}
 	for _, lt := range types {
-		base.profiles[lt] = wideProfile(64)
+		p := wideProfile(4 * chunkSize)
+		if p.numChunks() < 4 {
+			t.Fatalf("fixture: the base profile has %d chunks, want at least 4", p.numChunks())
+		}
+		base.profiles[lt] = p
 	}
 	want := NewSet(base.Terms()...)
 

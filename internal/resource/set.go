@@ -126,7 +126,8 @@ func (s Set) Locations() []Location {
 func (s Set) Terms() []Term {
 	var out []Term
 	for _, lt := range s.Types() {
-		for _, seg := range s.profiles[lt].segs {
+		segs := s.profiles[lt].all()
+		for seg, ok := segs.next(); ok; seg, ok = segs.next() {
 			out = append(out, Term{Rate: seg.rate, Type: lt, Span: seg.span})
 		}
 	}
@@ -137,7 +138,7 @@ func (s Set) Terms() []Term {
 func (s Set) NumTerms() int {
 	n := 0
 	for _, p := range s.profiles {
-		n += len(p.segs)
+		n += p.len()
 	}
 	return n
 }
@@ -185,8 +186,8 @@ func (s Set) Covers(term Term) bool {
 // or exceeds other at every tick for every located type.
 func (s Set) Dominates(other Set) bool {
 	for lt, q := range other.profiles {
-		p := s.profiles[lt]
-		for _, seg := range q.segs {
+		p, segs := s.profiles[lt], q.all()
+		for seg, ok := segs.next(); ok; seg, ok = segs.next() {
 			if !p.covers(seg.span, seg.rate) {
 				return false
 			}
@@ -201,7 +202,7 @@ func (s Set) Dominates(other Set) bool {
 func (s Set) Subtract(other Set) (Set, error) {
 	out := s.Clone()
 	for lt, q := range other.profiles {
-		p, ok := s.profiles[lt].splice(q.segs, opSub)
+		p, ok := s.profiles[lt].splice(q, opSub)
 		if !ok {
 			return Set{}, ErrInsufficient
 		}
@@ -222,7 +223,7 @@ func (s Set) SubtractTerm(t Term) (Set, error) {
 func (s Set) SubtractSaturating(other Set) Set {
 	out := s.Clone()
 	for lt, q := range other.profiles {
-		p, _ := s.profiles[lt].splice(q.segs, opSubSaturate)
+		p, _ := s.profiles[lt].splice(q, opSubSaturate)
 		out.put(lt, p)
 	}
 	return out
@@ -235,7 +236,7 @@ func (s *Set) Consume(lt LocatedType, span interval.Interval, rate Rate) error {
 	if span.Empty() || rate <= 0 {
 		return nil
 	}
-	p, ok := s.profiles[lt].splice([]segment{{span: span, rate: rate}}, opSub)
+	p, ok := s.profiles[lt].splice(profile{segs: []segment{{span: span, rate: rate}}}, opSub)
 	if !ok {
 		return ErrInsufficient
 	}
@@ -264,7 +265,7 @@ func (s *Set) ConsumeTerms(terms []Term) error {
 	if len(segs) == 0 {
 		return nil
 	}
-	p, ok := s.profiles[lt].splice(segs, opSub)
+	p, ok := s.profiles[lt].splice(profile{segs: segs}, opSub)
 	if !ok {
 		return ErrInsufficient
 	}
@@ -324,26 +325,28 @@ func (s Set) EarliestWindow(lt LocatedType, rate Rate, duration interval.Time, w
 	if duration <= 0 || rate <= 0 {
 		return interval.New(within.Start, within.Start), !within.Empty()
 	}
-	p := s.profiles[lt].clamp(within)
-	runStart := interval.Time(0)
-	runEnd := interval.Time(0)
-	inRun := false
-	for _, seg := range p.segs {
-		if seg.rate < rate {
+	var (
+		runStart, runEnd interval.Time
+		inRun, found     bool
+	)
+	s.profiles[lt].each(within, func(span interval.Interval, r Rate) bool {
+		if r < rate {
 			inRun = false
-			continue
+			return true
 		}
-		if inRun && seg.span.Start == runEnd {
-			runEnd = seg.span.End
+		if inRun && span.Start == runEnd {
+			runEnd = span.End
 		} else {
-			runStart, runEnd = seg.span.Start, seg.span.End
+			runStart, runEnd = span.Start, span.End
 			inRun = true
 		}
-		if runEnd-runStart >= duration {
-			return interval.New(runStart, runStart+duration), true
-		}
+		found = runEnd-runStart >= duration
+		return !found
+	})
+	if !found {
+		return interval.Interval{}, false
 	}
-	return interval.Interval{}, false
+	return interval.New(runStart, runStart+duration), true
 }
 
 // Support returns the ticks during which lt is available at all.
@@ -396,13 +399,14 @@ func (s Set) Compact() string {
 	types := s.Types()
 	size := 0
 	for _, lt := range types {
-		size += len(s.profiles[lt].segs) * (len(lt.Kind) + len(lt.Loc) + len(lt.Dst) + termTextBytes)
+		size += s.profiles[lt].len() * (len(lt.Kind) + len(lt.Loc) + len(lt.Dst) + termTextBytes)
 	}
 	var out strings.Builder
 	out.Grow(size)
 	var buf [96]byte
 	for _, lt := range types {
-		for _, seg := range s.profiles[lt].segs {
+		segs := s.profiles[lt].all()
+		for seg, ok := segs.next(); ok; seg, ok = segs.next() {
 			if out.Len() > 0 {
 				out.WriteByte(',')
 			}
@@ -422,7 +426,8 @@ const termTextBytes = 24
 // It reads the text in one pass into a list of terms, sorts the list by
 // located type and start unless it is in that order already, as
 // Compact's output is, and builds each type's segments in one run at the
-// tail of a single backing array. A term that starts after the last
+// tail of a single backing array; a run longer than a chunk becomes
+// chunks that share the array. A term that starts after the last
 // segment of its type, and does not abut it at an equal rate, is
 // appended there, so text whose terms do not overlap costs O(terms)
 // after the sort, however its types interleave. A term that overlaps the
@@ -456,21 +461,23 @@ func ParseSet(str string) (Set, error) {
 	)
 	for i, t := range terms {
 		if i > 0 && t.Type != terms[i-1].Type {
-			s.put(terms[i-1].Type, profile{segs: arena[run:len(arena):len(arena)]})
+			s.put(terms[i-1].Type, fromRun(arena[run:len(arena):len(arena)]))
 			run = len(arena)
 		}
 		seg := segment{span: t.Span, rate: t.Rate}
 		if n := len(arena); n > run {
 			if last := arena[n-1]; seg.span.Start < last.span.End ||
 				seg.span.Start == last.span.End && seg.rate == last.rate {
-				arena = append(arena[:run], profile{segs: arena[run:]}.add(seg.span, seg.rate).segs...)
+				// A flat operand is rebuilt whole, so the sum shares no
+				// storage with the arena it is copied back into.
+				arena = profile{segs: arena[run:]}.add(seg.span, seg.rate).appendTo(arena[:run])
 				continue
 			}
 		}
 		arena = append(arena, seg)
 	}
 	if len(terms) > 0 {
-		s.put(terms[len(terms)-1].Type, profile{segs: arena[run:len(arena):len(arena)]})
+		s.put(terms[len(terms)-1].Type, fromRun(arena[run:len(arena):len(arena)]))
 	}
 	return s, nil
 }

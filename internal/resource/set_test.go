@@ -2,6 +2,7 @@ package resource
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -394,5 +395,27 @@ func TestMesh(t *testing.T) {
 	}
 	if got := len(Mesh(locs, 4, 0, 100).Types()); got != 3 {
 		t.Errorf("a zero link rate should leave links out, got %d types", got)
+	}
+}
+
+// Availability that runs to Infinity integrates to more than a Quantity
+// holds. QuantityWithin saturates at the largest Quantity instead of
+// wrapping negative, so adding capacity never lowers it.
+func TestQuantityWithinSaturates(t *testing.T) {
+	lt := CPUAt("l1")
+	all := interval.New(0, interval.Infinity)
+	bounded := NewSet(NewTerm(FromUnits(3), lt, interval.New(0, 64)))
+	if got, want := bounded.QuantityWithin(lt, all), QuantityFromUnits(3*64); got != want {
+		t.Fatalf("3 cpu over (0,64): %d, want %d", got, want)
+	}
+	for name, s := range map[string]Set{
+		"one segment to Infinity": bounded.Union(NewSet(NewTerm(FromUnits(3), lt, interval.New(64, interval.Infinity)))),
+		"a sum past the top, each term below it": NewSet(
+			NewTerm(FromUnits(1), lt, interval.New(0, 5e15)),
+			NewTerm(FromUnits(2), lt, interval.New(5e15, 9e15))),
+	} {
+		if got := s.QuantityWithin(lt, all); got != math.MaxInt64 {
+			t.Errorf("%s: %s integrates to %d, want the largest Quantity", name, s.Compact(), got)
+		}
 	}
 }

@@ -493,16 +493,28 @@ func TestFreeViewMultiLocationAllocatesOnlyTheMap(t *testing.T) {
 	}
 }
 
-// An admit+release pair costs a fixed part plus a few exactly-sized
-// copies of the profiles it touches: the planner's one splice into its
-// overlay, and one patch each of the shard's free view and reservations
-// on the way in and on the way out — at most five copies of the free
-// profile. (The event-sweep kernels cost the equivalent of 36 such copies
-// at 1000 residents: 881 KB against 166 KB at 100, a factor 5.3.) The
-// bytes still follow the touched profile's length, so the factor between
-// 1000 and 100 residents is held under 4, not the 2 a representation
-// that copies only the touched chunk would give (ROADMAP item 2).
+// An admit+release pair costs a fixed part plus a few patches of the
+// profiles it touches: the planner's one splice into its overlay, and one
+// patch each of the shard's free view and reservations on the way in and
+// on the way out — at most five. A profile longer than the resource
+// package's chunk size K (32 segments) is chunked, and a patch rebuilds
+// only the chunks it touches: it copies a new chunk list, one entry per
+// chunk, and at most two chunks' worth of segments, and shares the rest.
+// So bytes barely follow the ledger's depth: the factor between 1000
+// residents and 100, and between 1000 and 10, is held at 2. (Copying the
+// whole touched profile, it was 3.8 and 10.6; before the splice kernels,
+// the event sweep cost the equivalent of 36 such copies at 1000
+// residents.)
 func TestAdmitReleaseBytesFollowTouchedProfiles(t *testing.T) {
+	const (
+		k           = 32 // resource's chunk size
+		segBytes    = 24 // one segment
+		chunkBytes  = 24 // one chunk list entry
+		tableBytes  = 32 // a chunk list's header and count
+		fixedBytes  = 12288
+		patches     = 5
+		sizeClasses = 1.125 // the allocator's rounding up, at most one eighth
+	)
 	policy := &admission.Rota{}
 	measure := func(commits int) (bytes float64, segments int) {
 		l, locs := benchAdmitLedger(t, 1, commits, nil)
@@ -524,22 +536,35 @@ func TestAdmitReleaseBytesFollowTouchedProfiles(t *testing.T) {
 		mustAudit(t, l)
 		return bytes, free.NumTerms()
 	}
+	at10, segs10 := measure(10)
 	at100, segs100 := measure(100)
 	at1000, segs1000 := measure(1000)
 	for _, c := range []struct {
 		bytes float64
 		segs  int
-	}{{at100, segs100}, {at1000, segs1000}} {
-		// 24 bytes a segment, rounded up to the allocator's size class.
-		if budget := 12288 + 5*24*1.125*float64(c.segs); c.bytes > budget {
+	}{{at10, segs10}, {at100, segs100}, {at1000, segs1000}} {
+		// A patch of a chunked profile: a new table with at most
+		// 2·segs/K + 2 entries, since splices keep chunks at least half
+		// full, and a rebuilt run of at most 2·K segments plus seams.
+		patch := tableBytes + chunkBytes*float64(2*c.segs/k+2) + segBytes*float64(2*k+4)
+		if budget := fixedBytes + patches*sizeClasses*patch; c.bytes > budget {
 			t.Errorf("admit+release over a %d-segment free view: %.0f bytes, budget %.0f", c.segs, c.bytes, budget)
 		}
 	}
-	if at1000 > 4*at100 {
-		t.Errorf("admit+release: %.0f bytes at 1000 residents, %.0f at 100: factor %.1f, want ≤ 4", at1000, at100, at1000/at100)
+	if segs1000 < 4*k {
+		t.Fatalf("fixture: %d segments at 1000 residents; the free view should span several chunks", segs1000)
 	}
-	t.Logf("admit+release: %.0f B at 100 residents (%d segments), %.0f B at 1000 (%d segments), factor %.2f",
-		at100, segs100, at1000, segs1000, at1000/at100)
+	for _, shallow := range []struct {
+		residents int
+		bytes     float64
+	}{{10, at10}, {100, at100}} {
+		if at1000 > 2*shallow.bytes {
+			t.Errorf("admit+release: %.0f bytes at 1000 residents, %.0f at %d: factor %.2f, want ≤ 2",
+				at1000, shallow.bytes, shallow.residents, at1000/shallow.bytes)
+		}
+	}
+	t.Logf("admit+release: %.0f B at 10 residents (%d segments), %.0f B at 100 (%d), %.0f B at 1000 (%d); factors %.2f and %.2f",
+		at10, segs10, at100, segs100, at1000, segs1000, at1000/at10, at1000/at100)
 }
 
 // Rejections decided against a snapshot are delivered immediately; the

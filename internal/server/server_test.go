@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -46,6 +47,42 @@ func admitBody(t *testing.T, job workload.Job) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// Acquiring capacity never turns a holds query false. Availability that
+// runs to Infinity integrates to the largest Quantity, not past it into
+// a negative one.
+func TestAcquireToInfinityKeepsHolds(t *testing.T) {
+	theta, err := resource.ParseSet("3:cpu@l1:(0,64)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Theta: theta, Workers: 1, DecisionTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	holds := func() bool {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/query?q="+url.QueryEscape("holds(l1, cpu>=1)"), nil))
+		var qr QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &qr); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("query: %d %s", rec.Code, rec.Body)
+		}
+		return qr.Holds
+	}
+	if !holds() {
+		t.Fatal("holds(l1, cpu>=1) is false on 3 cpu over (0,64)")
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/acquire", strings.NewReader(`{"theta":"3:cpu@l1:(64,+inf)"}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("acquire: %d %s", rec.Code, rec.Body)
+	}
+	if !holds() {
+		t.Fatal("holds(l1, cpu>=1) turned false when 3 cpu more were acquired over (64,+inf)")
+	}
 }
 
 func TestServerEndToEnd(t *testing.T) {
