@@ -54,6 +54,11 @@ test:
 # The eighth repeats the resource algebra's sharing tests ten times:
 # chunked profiles share single chunks between the sets goroutines
 # derive from one base, so a write into a shared chunk shows there.
+# The ninth repeats the federation-vs-one-ledger differential test and
+# the served-once test three times: a routed request is served by a
+# direct call into the embedded server under the handoff freeze, and
+# real loopback nodes with gossip running are where a lost ordering on
+# those rerouted paths shows up first.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone' ./internal/server/
@@ -63,6 +68,7 @@ race:
 	$(GO) test -race -count=50 -run 'TestSubscribeInitialVerdictAndFlip$$' ./internal/query/
 	$(GO) test -race -count=10 -run 'StoreConcurrency|SpanTree' ./internal/obs/span/
 	$(GO) test -race -count=10 -run 'SharedProfilesUnderConcurrentPatching|PatchAllocationBudget' ./internal/resource/
+	$(GO) test -race -count=3 -run 'TestClusterDecidesAsOneLedger|TestRoutedEndpointsServedOnce' ./internal/cluster/
 
 # Ten seconds of coverage-guided inputs holding the splice kernels and
 # clamp to the event-sweep reference, on operands long enough to be

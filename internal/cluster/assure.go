@@ -36,14 +36,15 @@ type ClusterAssureJobResponse struct {
 }
 
 func (n *Node) handleAssure(w http.ResponseWriter, r *http.Request) {
+	job := r.URL.Query().Get("job")
 	if n.srv.Assure() == nil || r.Header.Get(headerForwarded) != "" {
 		// Disabled (the server answers 404) or a peer's fan-out leg:
 		// serve the local report, no loops.
-		n.srv.ServeHTTP(w, r)
+		n.srv.ServeAssure(w, job)
 		return
 	}
 	headers := map[string]string{headerForwarded: n.self.ID}
-	if job := r.URL.Query().Get("job"); job != "" {
+	if job != "" {
 		resp := ClusterAssureJobResponse{Job: job, Nodes: map[string]server.AssureJobResponse{}}
 		var views []assure.Promise
 		for _, ps := range n.peersSnapshot() {
@@ -61,7 +62,7 @@ func (n *Node) handleAssure(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.Promise, resp.Found = assure.Merge(views)
-		writeJSON(w, http.StatusOK, resp)
+		server.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	out := ClusterAssureResponse{Cluster: true, Nodes: map[string]assure.Report{}}
@@ -78,7 +79,7 @@ func (n *Node) handleAssure(w http.ResponseWriter, r *http.Request) {
 		parts = append(parts, rep.Stats)
 	}
 	out.Totals = assure.MergeStats(parts)
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // FlightState is the health/membership digest frozen into every

@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -336,8 +334,8 @@ func New(cfg Config) (*Node, error) {
 	n.route("POST /v1/cluster/table", "cluster.table.apply", n.handleTablePost)
 	n.route("POST /v1/cluster/prepare", "cluster.prepare", n.handlePrepareIntercept)
 	n.route("GET /v1/cluster/free", "cluster.free", n.handleFreeIntercept)
-	n.route("POST /v1/cluster/commit", "cluster.commit", n.handleCommitIntercept)
-	n.route("POST /v1/cluster/abort", "cluster.abort", n.handleAbortIntercept)
+	n.route("POST /v1/cluster/commit", "cluster.commit", n.handleFinishIntercept("commit"))
+	n.route("POST /v1/cluster/abort", "cluster.abort", n.handleFinishIntercept("abort"))
 	n.mux.HandleFunc("GET /metrics", obs.Handler(n))
 	n.mux.Handle("/", srv)
 	// Flight-recorder snapshots on a cluster node carry the membership
@@ -359,9 +357,11 @@ func New(cfg Config) (*Node, error) {
 }
 
 // route registers an instrumented cluster-layer handler: per-endpoint
-// request/latency/status counters plus trace-ID minting. Requests the
-// node delegates to the embedded server are instrumented again there
-// under layer="server" labels; the trace ID minted here carries through.
+// request/latency/status counters plus trace-ID minting. A routed
+// request is served by calling the embedded server's operation on what
+// the handler decoded, so it is read, decoded and counted once, under
+// layer="cluster"; only the mux's "/" fallback reaches the embedded
+// server over HTTP, counted under layer="server".
 func (n *Node) route(pattern, endpoint string, h http.HandlerFunc) {
 	es := obs.NewEndpointStats(endpoint)
 	n.httpStats[endpoint] = es
@@ -393,10 +393,10 @@ func (n *Node) Server() *server.Server { return n.srv }
 // ID returns this node's identity.
 func (n *Node) ID() string { return n.self.ID }
 
-// ServeHTTP implements http.Handler: the cluster layer intercepts the
-// routed endpoints and delegates everything else (including the
-// node-local /v1/cluster/prepare|commit|abort|free protocol half) to the
-// embedded server.
+// ServeHTTP implements http.Handler: the cluster layer serves the routed
+// endpoints (the node-local /v1/cluster/prepare|commit|abort|free
+// protocol half included) and hands everything else to the embedded
+// server.
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.mux.ServeHTTP(w, r)
 }
@@ -465,12 +465,12 @@ func (n *Node) ownersOf(dist compute.Distributed) (map[*peerState][]resource.Loc
 // validated again and never re-forwarded.
 func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if n.draining() {
-		httpError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, not accepting new admissions"))
+		server.HTTPError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, not accepting new admissions"))
 		return
 	}
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The buffer goes back to the pool unless a peer was sent it.
@@ -484,7 +484,7 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	// jobs: a misbehaving peer cannot push an invalid job past the wire.
 	job, err := server.DecodeAdmitRequest(body.Bytes())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	forwarded := r.Header.Get(headerForwarded) != ""
@@ -492,7 +492,7 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		owners, err := n.ownersOf(job.Dist)
 		if err != nil {
 			n.misrouted.Add(1)
-			httpError(w, http.StatusUnprocessableEntity, err)
+			server.HTTPError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
 		_, ownsSelf := owners[n.self]
@@ -506,7 +506,7 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			n.misrouted.Add(1)
-			httpError(w, http.StatusUnprocessableEntity,
+			server.HTTPError(w, http.StatusUnprocessableEntity,
 				fmt.Errorf("cluster: %s forwarded %s here, but %s does not own its whole footprint",
 					r.Header.Get(headerForwarded), job.Dist.Name, n.self.ID))
 			return
@@ -514,7 +514,7 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		retry := false
 		switch {
 		case len(owners) == 1 && ownsSelf:
-			retry = n.admitLocal(w, r, job, body.Bytes())
+			retry = n.admitLocal(w, r, job)
 		case len(owners) == 1:
 			for ps := range owners {
 				sent = true
@@ -528,7 +528,7 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if attempt >= maxOwnerRetries {
 			n.misrouted.Add(1)
-			httpError(w, http.StatusServiceUnavailable,
+			server.HTTPError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("cluster: ownership of %s's footprint kept moving, giving up after %d retries",
 					job.Dist.Name, attempt))
 			return
@@ -538,9 +538,10 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 
 // admitLocal serves a whole-footprint-local admission under the handoff
 // freeze. If the footprint left this node while we waited for the
-// freeze to lift, it reports retry so the caller re-resolves owners
-// instead of burning the request on ErrNotOwned.
-func (n *Node) admitLocal(w http.ResponseWriter, r *http.Request, job workload.Job, body []byte) (retry bool) {
+// freeze to lift, or the ledger refuses it as not owned, it reports
+// retry so the caller re-resolves owners instead of burning the request
+// on ErrNotOwned.
+func (n *Node) admitLocal(w http.ResponseWriter, r *http.Request, job workload.Job) (retry bool) {
 	n.flowMu.RLock()
 	defer n.flowMu.RUnlock()
 	for _, loc := range job.Dist.Locations() {
@@ -548,10 +549,7 @@ func (n *Node) admitLocal(w http.ResponseWriter, r *http.Request, job workload.J
 			return true
 		}
 	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	r.ContentLength = int64(len(body))
-	n.srv.ServeHTTP(w, r)
-	return false
+	return n.srv.ServeAdmit(r.Context(), w, job) != nil
 }
 
 // forward relays a single-owner admit to the owning peer and relays the
@@ -572,7 +570,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, ps *peerState, bo
 	status, data, err := n.client.proxy(sctx, ps.URL+"/v1/admit", body, headers, ps.rpc)
 	if err != nil {
 		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusBadGateway, fmt.Errorf("cluster: forwarding to %s: %w", ps.ID, err))
+		server.HTTPError(w, http.StatusBadGateway, fmt.Errorf("cluster: forwarding to %s: %w", ps.ID, err))
 		return false
 	}
 	if status == http.StatusMisdirectedRequest {
@@ -623,6 +621,42 @@ func (n *Node) freeOn(ctx context.Context, ps *peerState, locs []resource.Locati
 		return resource.Set{}, 0, fmt.Errorf("cluster: free view from %s unparsable: %w", ps.ID, err)
 	}
 	return free, resp.Now, nil
+}
+
+// participants lists each owner's slice of a footprint, in owner ID
+// order.
+func participants(owners map[*peerState][]resource.Location) []*participant {
+	parts := make([]*participant, 0, len(owners))
+	for ps, locs := range owners {
+		parts = append(parts, &participant{ps: ps, locs: locs})
+	}
+	sort.Slice(parts, func(i, j int) bool { return parts[i].ps.ID < parts[j].ps.ID })
+	return parts
+}
+
+// freeViews is the one owner fan-out: it fetches each participant's
+// free view of its locations, records each owner's clock in its now,
+// and returns the merged view and the latest clock — what a coordinated
+// admit plans against and a spanning query evaluates over. An owner
+// that no longer owns its slice fails it with errStaleOwner.
+func (n *Node) freeViews(ctx context.Context, parts []*participant) (resource.Set, interval.Time, error) {
+	var free resource.Set
+	var now interval.Time
+	for _, p := range parts {
+		set, pnow, err := n.freeOn(ctx, p.ps, p.locs)
+		if n.staleOwner(err) {
+			return resource.Set{}, 0, errStaleOwner
+		}
+		if err != nil {
+			return resource.Set{}, 0, err
+		}
+		free = free.Union(set)
+		p.now = pnow
+		if pnow > now {
+			now = pnow
+		}
+	}
+	return free, now, nil
 }
 
 // prepareOn asks one owner to hold a sub-plan. A nil error means the
@@ -740,26 +774,13 @@ func (n *Node) coordinate(ctx context.Context, job workload.Job, owners map[*pee
 
 	// Phase 0: merged free view across the footprint. Staleness is safe:
 	// prepare re-checks under the owners' shard locks.
-	parts := make([]*participant, 0, len(owners))
-	for ps, locs := range owners {
-		parts = append(parts, &participant{ps: ps, locs: locs})
+	parts := participants(owners)
+	free, now, err := n.freeViews(ctx, parts)
+	if errors.Is(err, errStaleOwner) {
+		return fail("stale_owner", err)
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].ps.ID < parts[j].ps.ID })
-	var free resource.Set
-	var now interval.Time
-	for _, p := range parts {
-		set, pnow, err := n.freeOn(ctx, p.ps, p.locs)
-		if n.staleOwner(err) {
-			return fail("stale_owner", errStaleOwner)
-		}
-		if err != nil {
-			return fail("failed", server.Unavailable(err))
-		}
-		free = free.Union(set)
-		p.now = pnow
-		if pnow > now {
-			now = pnow
-		}
+	if err != nil {
+		return fail("failed", server.Unavailable(err))
 	}
 	if now >= job.Dist.Deadline {
 		return admission.PastDeadline(job.Dist.Deadline, now), nil
@@ -902,31 +923,29 @@ func (n *Node) coordinate(ctx context.Context, job workload.Job, owners map[*pee
 
 // handleRelease releases a job cluster-wide: a federated admission
 // leaves one commitment per owning node, so the release fans out to
-// every member (forwarded requests stay local — no loops).
+// every member (forwarded requests stay local — no loops). Every node's
+// leg, this one's included, is the embedded server's one release path.
 func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
 	buf, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	body := buf.Bytes()
+	name, err := server.DecodeReleaseRequest(body)
+	if err != nil {
+		buf.Release()
+		server.HTTPError(w, http.StatusBadRequest, err)
+		return
+	}
 	if r.Header.Get(headerForwarded) != "" {
-		defer buf.Release()
+		buf.Release()
 		n.flowMu.RLock()
 		defer n.flowMu.RUnlock()
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		r.ContentLength = int64(len(body))
-		n.srv.ServeHTTP(w, r)
+		n.srv.ServeRelease(w, name)
 		return
 	}
 	// The body fans out to the peers, so buf is not released.
-	var req struct {
-		Name string `json:"name"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil || req.Name == "" {
-		httpError(w, http.StatusBadRequest, errors.New("cluster: release needs a name"))
-		return
-	}
 	released := 0
 	var lastErr error
 	for {
@@ -934,7 +953,7 @@ func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
 		for _, ps := range n.releaseTargets() {
 			if ps.isSelf {
 				n.flowMu.RLock()
-				err := n.srv.Ledger().Release(req.Name)
+				err := n.srv.Release(name)
 				n.flowMu.RUnlock()
 				if err == nil {
 					released++
@@ -962,14 +981,14 @@ func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
 	}
 	if released == 0 {
 		if lastErr != nil {
-			httpError(w, http.StatusBadGateway, lastErr)
+			server.HTTPError(w, http.StatusBadGateway, lastErr)
 			return
 		}
-		httpError(w, http.StatusNotFound, fmt.Errorf("cluster: %s not committed on any node", req.Name))
+		server.HTTPError(w, http.StatusNotFound, fmt.Errorf("cluster: %s not committed on any node", name))
 		return
 	}
 	n.releases.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"released": req.Name, "nodes": released})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"released": name, "nodes": released})
 }
 
 // Gossip is the periodic Θ/reserved summary a node broadcasts: enough
@@ -1066,14 +1085,14 @@ func evictedReply(err error) bool {
 func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	var g Gossip
 	err = json.Unmarshal(body.Bytes(), &g)
 	body.Release()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad gossip body: %w", err))
+		server.HTTPError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad gossip body: %w", err))
 		return
 	}
 	tbl := n.reg.Snapshot()
@@ -1081,7 +1100,7 @@ func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 		if g.Epoch > tbl.Epoch && g.URL != "" {
 			// A member we have not heard of, on a newer table: fetch it.
 			go n.fetchTable(g.URL)
-			writeJSON(w, http.StatusOK, map[string]string{"syncing": g.Node})
+			server.WriteJSON(w, http.StatusOK, map[string]string{"syncing": g.Node})
 			return
 		}
 		// The sender is not in our (equal-or-newer) table: it was
@@ -1089,7 +1108,7 @@ func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 		// partitioned-but-alive node that comes back lands here, learns
 		// it lost, and rejoins cleanly instead of split-braining.
 		n.fencedGossip.Add(1)
-		writeJSON(w, http.StatusMisdirectedRequest, map[string]any{
+		server.WriteJSON(w, http.StatusMisdirectedRequest, map[string]any{
 			"error": fmt.Sprintf("cluster: %s is not a member at epoch %d; rejoin required", g.Node, tbl.Epoch),
 			"epoch": tbl.Epoch,
 		})
@@ -1097,7 +1116,7 @@ func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 	}
 	ps, ok := n.peerByID(g.Node)
 	if !ok || ps.isSelf {
-		httpError(w, http.StatusUnprocessableEntity, fmt.Errorf("cluster: gossip from unknown node %q", g.Node))
+		server.HTTPError(w, http.StatusUnprocessableEntity, fmt.Errorf("cluster: gossip from unknown node %q", g.Node))
 		return
 	}
 	if g.Epoch > n.reg.Epoch() {
@@ -1118,7 +1137,7 @@ func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 		// changed; re-evaluate them through the cluster evaluator.
 		n.srv.Queries().Bump(n.srv.Ledger().Epoch(), "gossip")
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"ok": g.Node})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"ok": g.Node})
 }
 
 // PeerStatus is one row of the peer table as surfaced by /v1/stats and
@@ -1160,7 +1179,7 @@ func (n *Node) peerStatuses() []PeerStatus {
 }
 
 func (n *Node) handlePeers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"self": n.self.ID, "peers": n.peerStatuses()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"self": n.self.ID, "peers": n.peerStatuses()})
 }
 
 // ClusterCounters digests this node's federation-layer activity; its
@@ -1271,7 +1290,7 @@ func (n *Node) counters() ClusterCounters {
 }
 
 func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, n.Stats())
+	server.WriteJSON(w, http.StatusOK, n.Stats())
 }
 
 // MigrateRequest asks this node to re-home a committed job's remaining
@@ -1290,34 +1309,34 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req MigrateRequest
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	err = json.Unmarshal(body.Bytes(), &req)
 	body.Release()
 	if err != nil || req.Name == "" || req.Target == "" {
-		httpError(w, http.StatusBadRequest, errors.New("cluster: migrate needs {name, target}"))
+		server.HTTPError(w, http.StatusBadRequest, errors.New("cluster: migrate needs {name, target}"))
 		return
 	}
 	target, ok := n.peerByID(req.Target)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("cluster: unknown target node %s", req.Target))
+		server.HTTPError(w, http.StatusNotFound, fmt.Errorf("cluster: unknown target node %s", req.Target))
 		return
 	}
 	if target.isSelf {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: %s already lives here", req.Name))
+		server.HTTPError(w, http.StatusBadRequest, fmt.Errorf("cluster: %s already lives here", req.Name))
 		return
 	}
 	tbl := n.reg.Snapshot()
 	selfLocs := tbl.Locations(n.self.ID)
 	targetLocs := tbl.Locations(target.ID)
 	if len(targetLocs) == 0 {
-		httpError(w, http.StatusConflict, fmt.Errorf("cluster: target %s owns no locations", target.ID))
+		server.HTTPError(w, http.StatusConflict, fmt.Errorf("cluster: target %s owns no locations", target.ID))
 		return
 	}
 	demand, info, err := n.srv.Ledger().RemainingDemand(req.Name)
 	if err != nil {
-		httpError(w, http.StatusNotFound, err)
+		server.HTTPError(w, http.StatusNotFound, err)
 		return
 	}
 	remapped, mapping := remapDemand(demand, selfLocs, targetLocs)
@@ -1333,7 +1352,7 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	fail := func(outcome string, status int, err error) {
 		msp.SetStatus(span.StatusError)
 		msp.Attr("outcome", outcome)
-		httpError(w, status, err)
+		server.HTTPError(w, status, err)
 	}
 
 	// Lease against the target's clock, then prepare/commit there.
@@ -1349,7 +1368,7 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		msp.SetStatus(span.StatusReject)
 		msp.Attr("outcome", "rejected")
 		msp.SetProvenance(admission.Explain(err))
-		httpError(w, http.StatusConflict, fmt.Errorf("cluster: %s cannot accommodate %s: %w", target.ID, req.Name, err))
+		server.HTTPError(w, http.StatusConflict, fmt.Errorf("cluster: %s cannot accommodate %s: %w", target.ID, req.Name, err))
 		return
 	}
 	if err != nil {
@@ -1375,7 +1394,7 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	msp.Attr("outcome", "migrated")
 	n.obs.Log("migrate.done",
 		"trace", obs.Trace(r.Context()), "job", req.Name, "target", target.ID, "key", key)
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"migrated": req.Name,
 		"from":     n.self.ID,
 		"to":       target.ID,
@@ -1424,13 +1443,13 @@ func (n *Node) handleClusterAdvance(w http.ResponseWriter, r *http.Request) {
 	}
 	buf, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The body fans out to the peers, so buf is not released.
 	body := buf.Bytes()
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad advance body: %w", err))
+		server.HTTPError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad advance body: %w", err))
 		return
 	}
 	peers := n.peersSnapshot()
@@ -1458,17 +1477,5 @@ func (n *Node) handleClusterAdvance(w http.ResponseWriter, r *http.Request) {
 	if failed {
 		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, map[string]any{"nodes": results})
-}
-
-// HTTP helpers (the server's equivalents are unexported).
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	server.WriteJSON(w, status, map[string]any{"nodes": results})
 }

@@ -137,6 +137,11 @@ func pinnedJob(t testing.TB, name string, loc resource.Location, deadline interv
 	return workload.Job{Dist: dist}
 }
 
+// writeJSON and httpError let a fake peer answer the way a node does.
+func writeJSON(w http.ResponseWriter, status int, v any) { server.WriteJSON(w, status, v) }
+
+func httpError(w http.ResponseWriter, status int, err error) { server.HTTPError(w, status, err) }
+
 // post sends a JSON body and returns (status, response bytes).
 func post(t testing.TB, url string, v any, headers map[string]string) (int, []byte) {
 	t.Helper()

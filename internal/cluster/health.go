@@ -392,7 +392,7 @@ func (n *Node) handleOwned(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, ownedResponse{Owned: owned})
+	server.WriteJSON(w, http.StatusOK, ownedResponse{Owned: owned})
 }
 
 // rpcOwned probes which of locs a peer's ledger owns.

@@ -1,15 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strings"
 
 	"repro/internal/membership"
 	"repro/internal/metrics"
@@ -163,7 +160,7 @@ func (n *Node) redirectFor(locs []resource.Location) (membership.RedirectRespons
 // serveRedirect answers 421 Misdirected Request with the new owner.
 func (n *Node) serveRedirect(w http.ResponseWriter, red membership.RedirectResponse) {
 	n.redirectsServed.Add(1)
-	writeJSON(w, http.StatusMisdirectedRequest, red)
+	server.WriteJSON(w, http.StatusMisdirectedRequest, red)
 }
 
 // learnRedirect records a followed redirect in the learned overlay so
@@ -535,29 +532,29 @@ func (n *Node) JoinCluster(ctx context.Context, steward string, pins []resource.
 // and publishes the final table itself.
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if n.draining() {
-		httpError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, not accepting members"))
+		server.HTTPError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, not accepting members"))
 		return
 	}
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer body.Release()
 	req, err := membership.DecodeJoinRequest(body.Bytes())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := n.acquireSteward(r.Context()); err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
+		server.HTTPError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	defer n.releaseSteward()
 	cur := n.reg.Snapshot()
 	if m, ok := cur.Member(req.ID); ok && m.URL == req.URL {
 		// Idempotent re-join: already a member, hand back the table.
-		writeJSON(w, http.StatusOK, cur.ToWire())
+		server.WriteJSON(w, http.StatusOK, cur.ToWire())
 		return
 	}
 	sctx, sp := n.spans.Start(r.Context(), span.KindJoin)
@@ -574,7 +571,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	announce := cur.Joined(member, nil, nil)
 	if !n.applyTable(announce) {
 		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusConflict, errors.New("cluster: membership changed concurrently, retry the join"))
+		server.HTTPError(w, http.StatusConflict, errors.New("cluster: membership changed concurrently, retry the join"))
 		return
 	}
 	// Journal the plan and push it to the survivors before any data
@@ -636,12 +633,12 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 			if _, ok := repaired.Member(req.ID); ok {
 				n.obs.Log("membership.join_repaired",
 					"member", req.ID, "epoch", repaired.Epoch)
-				writeJSON(w, http.StatusOK, repaired.ToWire())
+				server.WriteJSON(w, http.StatusOK, repaired.ToWire())
 				return
 			}
 		}
 		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusConflict, errors.New("cluster: membership changed concurrently, retry the join"))
+		server.HTTPError(w, http.StatusConflict, errors.New("cluster: membership changed concurrently, retry the join"))
 		return
 	}
 	n.clearOwnIntent()
@@ -651,7 +648,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	n.obs.Log("membership.join",
 		"member", req.ID, "epoch", next.Epoch, "moves", len(executed), "failed_moves", len(moves)-len(executed))
 	n.broadcastTable(sctx, next)
-	writeJSON(w, http.StatusOK, next.ToWire())
+	server.WriteJSON(w, http.StatusOK, next.ToWire())
 }
 
 // handleLeave is the steward side of /v1/cluster/leave: take the
@@ -660,26 +657,26 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer body.Release()
 	req, err := membership.DecodeLeaveRequest(body.Bytes())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := n.acquireSteward(r.Context()); err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
+		server.HTTPError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	defer n.releaseSteward()
 	next, status, err := n.stewardLeave(r.Context(), req)
 	if err != nil {
-		httpError(w, status, err)
+		server.HTTPError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, next.ToWire())
+	server.WriteJSON(w, http.StatusOK, next.ToWire())
 }
 
 // stewardLeave runs the leave choreography with this node as steward
@@ -852,27 +849,27 @@ func (n *Node) rpcPromote(ctx context.Context, to membership.Member, locs []reso
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer body.Release()
 	req, err := membership.DecodeHandoffRequest(body.Bytes())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.To == n.self.ID {
-		httpError(w, http.StatusBadRequest, errors.New("cluster: handoff to self"))
+		server.HTTPError(w, http.StatusBadRequest, errors.New("cluster: handoff to self"))
 		return
 	}
 	if err := n.executeHandoff(r.Context(), req.Locs, req.To, req.ToURL, req.Epoch); err != nil {
-		httpError(w, http.StatusBadGateway, err)
+		server.HTTPError(w, http.StatusBadGateway, err)
 		return
 	}
 	if req.Leave {
 		n.left.Store(true)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"handed_off": len(req.Locs), "to": req.To})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"handed_off": len(req.Locs), "to": req.To})
 }
 
 // handleInstall is the receiving half of a handoff: adopt the exported
@@ -882,13 +879,13 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer body.Release()
 	var req installRequest
 	if err := json.Unmarshal(body.Bytes(), &req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad install body: %w", err))
+		server.HTTPError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad install body: %w", err))
 		return
 	}
 	locs := make([]resource.Location, 0, len(req.Exports))
@@ -898,7 +895,7 @@ func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
 	n.srv.Ledger().AddOwned(locs)
 	if err := n.srv.Ledger().ImportLocations(req.Exports); err != nil {
 		n.srv.Ledger().DropLocations(locs)
-		httpError(w, http.StatusConflict, err)
+		server.HTTPError(w, http.StatusConflict, err)
 		return
 	}
 	epoch := req.Epoch
@@ -913,7 +910,7 @@ func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
 	}
 	n.omu.Unlock()
 	n.obs.Log("membership.install", "node", n.self.ID, "locations", len(locs))
-	writeJSON(w, http.StatusOK, map[string]any{"installed": len(locs)})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"installed": len(locs)})
 }
 
 // handlePromote promotes this node from standby to primary for the
@@ -921,20 +918,20 @@ func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer body.Release()
 	var req promoteRequest
 	if err := json.Unmarshal(body.Bytes(), &req); err != nil || len(req.Locs) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("cluster: promote needs locs"))
+		server.HTTPError(w, http.StatusBadRequest, errors.New("cluster: promote needs locs"))
 		return
 	}
 	if err := n.promoteLocal(r.Context(), req.Locs, n.reg.Epoch()+1); err != nil {
-		httpError(w, http.StatusConflict, err)
+		server.HTTPError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"promoted": len(req.Locs)})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"promoted": len(req.Locs)})
 }
 
 // handleShadow stores a primary's shipped exports as this node's warm
@@ -942,13 +939,13 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleShadow(w http.ResponseWriter, r *http.Request) {
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer body.Release()
 	var req installRequest
 	if err := json.Unmarshal(body.Bytes(), &req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad shadow body: %w", err))
+		server.HTTPError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad shadow body: %w", err))
 		return
 	}
 	n.smu.Lock()
@@ -956,29 +953,29 @@ func (n *Node) handleShadow(w http.ResponseWriter, r *http.Request) {
 		n.shadows[exp.Loc] = exp
 	}
 	n.smu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"shadowed": len(req.Exports)})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"shadowed": len(req.Exports)})
 }
 
 // handleTableGet serves the current table (anti-entropy pulls, joiners).
 func (n *Node) handleTableGet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, n.reg.Snapshot().ToWire())
+	server.WriteJSON(w, http.StatusOK, n.reg.Snapshot().ToWire())
 }
 
 // handleTablePost applies a broadcast table if it is newer.
 func (n *Node) handleTablePost(w http.ResponseWriter, r *http.Request) {
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer body.Release()
 	t, err := membership.DecodeTable(body.Bytes())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	applied := n.applyTable(t)
-	writeJSON(w, http.StatusOK, map[string]any{"applied": applied, "epoch": n.reg.Epoch()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"applied": applied, "epoch": n.reg.Epoch()})
 }
 
 // shipShadows sends each owned location's export to its rendezvous
@@ -1056,32 +1053,30 @@ func (n *Node) releaseTargets() []*peerState {
 func (n *Node) handlePrepareIntercept(w http.ResponseWriter, r *http.Request) {
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
-	defer body.Release()
-	_, demand, err := server.DecodePrepareRequest(body.Bytes())
+	req, demand, err := server.DecodePrepareRequest(body.Bytes())
+	body.Release()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
-	locs := demand.Locations()
 	n.flowMu.RLock()
 	defer n.flowMu.RUnlock()
-	if red, ok := n.redirectFor(locs); ok {
+	if red, ok := n.redirectFor(demand.Locations()); ok {
 		n.serveRedirect(w, red)
 		return
 	}
-	n.delegate(w, r, body.Bytes())
+	n.srv.ServePrepare(r.Context(), w, req, demand)
 }
 
 // handleFreeIntercept fronts GET /v1/cluster/free the same way.
 func (n *Node) handleFreeIntercept(w http.ResponseWriter, r *http.Request) {
-	var locs []resource.Location
-	for _, part := range strings.Split(r.URL.Query().Get("locs"), ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			locs = append(locs, resource.Location(part))
-		}
+	locs, err := server.FreeLocations(r)
+	if err != nil {
+		server.HTTPError(w, http.StatusBadRequest, err)
+		return
 	}
 	n.flowMu.RLock()
 	defer n.flowMu.RUnlock()
@@ -1089,62 +1084,55 @@ func (n *Node) handleFreeIntercept(w http.ResponseWriter, r *http.Request) {
 		n.serveRedirect(w, red)
 		return
 	}
-	n.srv.ServeHTTP(w, r)
+	n.srv.ServeFree(r.Context(), w, locs)
 }
 
-// handleCommitIntercept fronts /v1/cluster/commit: a key whose hold
-// moved mid-2PC is committed here (the slice that stayed, if any) and
-// forwarded to the new owner, so the coordinator's commit lands
-// everywhere the hold now lives.
-func (n *Node) handleCommitIntercept(w http.ResponseWriter, r *http.Request) {
-	n.handleFinishIntercept(w, r, "commit")
-}
-
-// handleAbortIntercept fronts /v1/cluster/abort symmetrically.
-func (n *Node) handleAbortIntercept(w http.ResponseWriter, r *http.Request) {
-	n.handleFinishIntercept(w, r, "abort")
-}
-
-func (n *Node) handleFinishIntercept(w http.ResponseWriter, r *http.Request, verb string) {
-	body, err := server.ReadBody(w, r, n.maxBody)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer body.Release()
-	req, err := server.DecodeFinishRequest(body.Bytes())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// The moved-check must run under the handoff freeze: a handoff
-	// between reading movedKeys and taking the flow lock would export
-	// the hold and leave a stale moved=false, and the commit would then
-	// 404 against the already-dropped hold.
-	n.flowMu.RLock()
-	n.omu.Lock()
-	_, moved := n.movedKeys[req.Key]
-	n.omu.Unlock()
-	if !moved {
-		// The common path: the embedded server's handler, under the
-		// handoff freeze.
-		defer n.flowMu.RUnlock()
-		n.delegate(w, r, body.Bytes())
-		return
-	}
-	n.flowMu.RUnlock()
-	if err := n.finishMoved(r.Context(), req.Key, verb); err != nil {
-		switch {
-		case errors.Is(err, server.ErrUnknownHold):
-			httpError(w, http.StatusNotFound, err)
-		case errors.Is(err, server.ErrLeaseExpired):
-			httpError(w, http.StatusGone, err)
-		default:
-			httpError(w, http.StatusBadGateway, err)
+// handleFinishIntercept fronts /v1/cluster/commit and /v1/cluster/abort,
+// verb naming which: a key whose hold moved mid-2PC is finished here
+// (the slice that stayed, if any) and forwarded to the new owner, so the
+// coordinator's commit or abort lands everywhere the hold now lives.
+func (n *Node) handleFinishIntercept(verb string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := server.ReadBody(w, r, n.maxBody)
+		if err != nil {
+			server.HTTPError(w, http.StatusBadRequest, err)
+			return
 		}
-		return
+		req, err := server.DecodeFinishRequest(body.Bytes())
+		body.Release()
+		if err != nil {
+			server.HTTPError(w, http.StatusBadRequest, err)
+			return
+		}
+		// The moved-check must run under the handoff freeze: a handoff
+		// between reading movedKeys and taking the flow lock would export
+		// the hold and leave a stale moved=false, and the commit would then
+		// 404 against the already-dropped hold.
+		n.flowMu.RLock()
+		n.omu.Lock()
+		_, moved := n.movedKeys[req.Key]
+		n.omu.Unlock()
+		if !moved {
+			// The common path: the embedded server's finish, under the
+			// handoff freeze.
+			defer n.flowMu.RUnlock()
+			n.srv.ServeFinish(r.Context(), w, verb, req.Key)
+			return
+		}
+		n.flowMu.RUnlock()
+		if err := n.finishMoved(r.Context(), req.Key, verb); err != nil {
+			switch {
+			case errors.Is(err, server.ErrUnknownHold):
+				server.HTTPError(w, http.StatusNotFound, err)
+			case errors.Is(err, server.ErrLeaseExpired):
+				server.HTTPError(w, http.StatusGone, err)
+			default:
+				server.HTTPError(w, http.StatusBadGateway, err)
+			}
+			return
+		}
+		server.WriteJSON(w, http.StatusOK, map[string]string{"key": req.Key, "outcome": verb})
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"key": req.Key, "outcome": verb})
 }
 
 // finishMoved applies a commit/abort locally and, when the key's
@@ -1188,12 +1176,4 @@ func (n *Node) finishMoved(ctx context.Context, key, verb string) error {
 	// map is bounded by the two-phase reservations that were live on a
 	// location when it was handed off.
 	return nil
-}
-
-// delegate rewinds the body and hands the request to the embedded
-// server.
-func (n *Node) delegate(w http.ResponseWriter, r *http.Request, body []byte) {
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	r.ContentLength = int64(len(body))
-	n.srv.ServeHTTP(w, r)
 }

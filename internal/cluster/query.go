@@ -29,18 +29,19 @@ import (
 // (?name=) and all-local queries delegate to the embedded server;
 // anything touching remote owners fans out.
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("name") != "" {
-		n.srv.ServeHTTP(w, r)
+	params := r.URL.Query()
+	if name := params.Get("name"); name != "" {
+		n.srv.ServeCommitment(w, name)
 		return
 	}
-	q := r.URL.Query().Get("q")
+	q := params.Get("q")
 	if q == "" {
-		httpError(w, http.StatusBadRequest, errors.New("cluster: query needs ?name= or ?q="))
+		server.HTTPError(w, http.StatusBadRequest, errors.New("cluster: query needs ?name= or ?q="))
 		return
 	}
 	c, err := query.ParseText(q)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	n.serveQuery(w, r, c)
@@ -50,28 +51,24 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 	body, err := server.ReadBody(w, r, n.maxBody)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	c, err := server.DecodeQueryRequest(body.Bytes())
 	body.Release()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		server.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	n.serveQuery(w, r, c)
 }
 
 // serveQuery routes a compiled query: local footprints take the embedded
-// server's path (and its metrics), spanning ones are merged here.
+// server's path (and its span, log line and metrics), spanning ones are
+// merged here.
 func (n *Node) serveQuery(w http.ResponseWriter, r *http.Request, c *query.Compiled) {
 	if len(c.Names()) == 0 && n.allSelf(c.Footprint(nil)) {
-		resp, err := n.srv.EvalQuery(c)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+		n.srv.ServeQuery(r.Context(), w, c)
 		return
 	}
 	_, sp := n.spans.Start(r.Context(), span.KindQuery)
@@ -81,7 +78,7 @@ func (n *Node) serveQuery(w http.ResponseWriter, r *http.Request, c *query.Compi
 	if err != nil {
 		sp.SetStatus(span.StatusError)
 		sp.Attr("error", err)
-		httpError(w, http.StatusServiceUnavailable, err)
+		server.HTTPError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	sp.Attr("holds", resp.Holds)
@@ -89,7 +86,7 @@ func (n *Node) serveQuery(w http.ResponseWriter, r *http.Request, c *query.Compi
 	n.obs.Log("query.fanout",
 		"trace", obs.Trace(r.Context()), "query", resp.Query,
 		"holds", resp.Holds, "elapsed_us", resp.ElapsedUS)
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // allSelf reports whether every location is owned by this node under
@@ -182,27 +179,16 @@ func (n *Node) fanoutQuery(ctx context.Context, c *query.Compiled) (server.Query
 				byOwner[ps] = append(byOwner[ps], loc)
 			}
 		}
-		free, now = resource.Set{}, 0
-		stale := false
-		for ps, locs := range byOwner {
-			set, pnow, err := n.freeOn(ctx, ps, locs)
-			if err != nil {
-				if n.staleOwner(err) {
-					stale = true
-					break
-				}
-				return server.QueryResponse{}, err
-			}
-			free = free.Union(set)
-			if pnow > now {
-				now = pnow
-			}
-		}
-		if !stale {
+		var err error
+		free, now, err = n.freeViews(ctx, participants(byOwner))
+		if err == nil {
 			if len(byOwner) == 0 {
 				now = n.srv.Ledger().Now()
 			}
 			break
+		}
+		if !errors.Is(err, errStaleOwner) {
+			return server.QueryResponse{}, err
 		}
 		if attempt >= maxOwnerRetries {
 			return server.QueryResponse{}, errStaleOwner

@@ -108,12 +108,13 @@ func TestInstrument(t *testing.T) {
 		t.Fatalf("response trace header = %q", got)
 	}
 
-	// An outer layer's context trace wins over re-minting.
+	// No route nests inside another, so a request without the header
+	// gets a freshly minted trace.
 	r = httptest.NewRequest(http.MethodPost, "/v1/admit", nil)
-	r = r.WithContext(WithTrace(r.Context(), "outer-1"))
-	h(httptest.NewRecorder(), r)
-	if seen != "outer-1" {
-		t.Fatalf("nested handler saw trace %q, want outer-1", seen)
+	w = httptest.NewRecorder()
+	h(w, r)
+	if seen == "" || seen == "corr-1" || w.Header().Get(HeaderTraceID) != seen {
+		t.Fatalf("headerless request saw trace %q, response header %q", seen, w.Header().Get(HeaderTraceID))
 	}
 
 	e := NewExposition()

@@ -352,21 +352,13 @@ func (sw *statusWriter) Flush() {
 // the context and echoed in the response header before next runs.
 func Instrument(es *EndpointStats, next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		// An outer layer (the cluster mux delegating to the embedded
-		// server) may already have resolved this request's trace; reuse
-		// it rather than minting a second ID for the same request.
-		trace := Trace(r.Context())
-		if trace == "" {
-			trace = TraceFromRequest(r)
-		}
+		trace := TraceFromRequest(r)
 		w.Header().Set(HeaderTraceID, trace)
 		ctx := WithTrace(r.Context(), trace)
 		// Lift the caller's span ID (if any) into the context so the
 		// first span this handler starts parents onto the calling side.
-		if SpanParent(ctx) == "" {
-			if parent := SpanParentFromRequest(r); parent != "" {
-				ctx = WithSpanParent(ctx, parent)
-			}
+		if parent := SpanParentFromRequest(r); parent != "" {
+			ctx = WithSpanParent(ctx, parent)
 		}
 		r = r.WithContext(ctx)
 		sw := &statusWriter{ResponseWriter: w}

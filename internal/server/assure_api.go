@@ -45,19 +45,23 @@ type AssureJobResponse struct {
 	Promise assure.Promise `json:"promise,omitempty"`
 }
 
-// handleAssure serves GET /v1/assure: the node's promise-ledger report,
-// or — with ?job=NAME — the current view of one job's promise.
 func (s *Server) handleAssure(w http.ResponseWriter, r *http.Request) {
+	s.ServeAssure(w, r.URL.Query().Get("job"))
+}
+
+// ServeAssure answers GET /v1/assure: the node's promise-ledger report,
+// or — for a non-empty job — the current view of that job's promise.
+func (s *Server) ServeAssure(w http.ResponseWriter, job string) {
 	if s.cfg.Assure == nil {
-		httpError(w, http.StatusNotFound, errors.New("server: promise ledger disabled (start with -assure)"))
+		HTTPError(w, http.StatusNotFound, errors.New("server: promise ledger disabled (start with -assure)"))
 		return
 	}
-	if job := r.URL.Query().Get("job"); job != "" {
+	if job != "" {
 		p, ok := s.cfg.Assure.Lookup(job)
-		writeJSON(w, http.StatusOK, AssureJobResponse{Job: job, Found: ok, Promise: p})
+		WriteJSON(w, http.StatusOK, AssureJobResponse{Job: job, Found: ok, Promise: p})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.cfg.Assure.Report())
+	WriteJSON(w, http.StatusOK, s.cfg.Assure.Report())
 }
 
 // FlightRecIndex is the GET /debug/rota/flightrec payload: every held
@@ -71,7 +75,7 @@ type FlightRecIndex struct {
 
 func (s *Server) handleFlightRecIndex(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.FlightRec == nil {
-		httpError(w, http.StatusNotFound, errors.New("server: flight recorder disabled (start with -flightrec-size)"))
+		HTTPError(w, http.StatusNotFound, errors.New("server: flight recorder disabled (start with -flightrec-size)"))
 		return
 	}
 	snaps := s.cfg.FlightRec.Snapshots()
@@ -82,24 +86,24 @@ func (s *Server) handleFlightRecIndex(w http.ResponseWriter, r *http.Request) {
 	if len(snaps) > 0 {
 		node = snaps[0].Node
 	}
-	writeJSON(w, http.StatusOK, FlightRecIndex{
+	WriteJSON(w, http.StatusOK, FlightRecIndex{
 		Node: node, Stats: s.cfg.FlightRec.Stats(), Snapshots: snaps})
 }
 
 func (s *Server) handleFlightRecGet(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.FlightRec == nil {
-		httpError(w, http.StatusNotFound, errors.New("server: flight recorder disabled (start with -flightrec-size)"))
+		HTTPError(w, http.StatusNotFound, errors.New("server: flight recorder disabled (start with -flightrec-size)"))
 		return
 	}
 	id := r.PathValue("id")
 	if id == "" || len(id) > 128 {
-		httpError(w, http.StatusBadRequest, errors.New("server: snapshot id must be 1..128 bytes"))
+		HTTPError(w, http.StatusBadRequest, errors.New("server: snapshot id must be 1..128 bytes"))
 		return
 	}
 	snap, ok := s.cfg.FlightRec.Get(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, errors.New("server: no such flight-recorder snapshot: "+id))
+		HTTPError(w, http.StatusNotFound, errors.New("server: no such flight-recorder snapshot: "+id))
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }

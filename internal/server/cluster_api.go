@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -101,43 +102,48 @@ func DecodeFinishRequest(body []byte) (FinishRequest, error) {
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	// The participant-side span parents onto the coordinator's RPC span
-	// via the X-Rota-Span header (lifted into the context by Instrument).
-	_, sp := s.cfg.Spans.Start(r.Context(), span.KindPrepare)
-	defer sp.End()
 	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		s.errored.Add(1)
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	req, demand, err := DecodePrepareRequest(body.Bytes())
 	body.Release()
 	if err != nil {
 		s.errored.Add(1)
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
+	s.ServePrepare(r.Context(), w, req, demand)
+}
+
+// ServePrepare holds a decoded prepare's demand under its lease and
+// answers it: a capacity refusal is a well-formed Held=false verdict,
+// anything else an error status. The participant-side span parents onto
+// the coordinator's RPC span via the X-Rota-Span header, which
+// obs.Instrument lifts into ctx.
+func (s *Server) ServePrepare(ctx context.Context, w http.ResponseWriter, req PrepareRequest, demand resource.Set) {
+	_, sp := s.cfg.Spans.Start(ctx, span.KindPrepare)
+	defer sp.End()
 	sp.Str("job", req.Name)
 	sp.Str("key", req.Key)
-	err = s.ledger.Prepare(req.Key, req.Name, demand, req.Finish, req.Deadline, req.Expiry)
+	err := s.ledger.Prepare(req.Key, req.Name, demand, req.Finish, req.Deadline, req.Expiry)
 	sp.Attr("held", err == nil)
 	s.obs.Log("twophase.prepare",
-		"trace", obs.Trace(r.Context()), "key", req.Key, "job", req.Name,
+		"trace", obs.Trace(ctx), "key", req.Key, "job", req.Name,
 		"held", err == nil, "lease_expiry", req.Expiry)
 	var over *admission.Overcommit
 	status := http.StatusInternalServerError
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, PrepareResponse{Key: req.Key, Held: true})
+		WriteJSON(w, http.StatusOK, PrepareResponse{Key: req.Key, Held: true})
 		return
 	case errors.As(err, &over):
 		// Capacity rejection: a well-formed verdict, not an error.
 		sp.SetStatus(span.StatusReject)
 		sp.SetProvenance(admission.Explain(err))
-		writeJSON(w, http.StatusOK, PrepareResponse{Key: req.Key, Held: false, Reason: err.Error(), Shard: over.Shard})
+		WriteJSON(w, http.StatusOK, PrepareResponse{Key: req.Key, Held: false, Reason: err.Error(), Shard: over.Shard})
 		return
 	case errors.Is(err, ErrNotOwned):
 		status = http.StatusUnprocessableEntity
@@ -148,90 +154,86 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	}
 	s.errored.Add(1)
 	sp.SetStatus(span.StatusError)
-	httpError(w, status, err)
+	HTTPError(w, status, err)
 }
 
-func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
-	_, sp := s.cfg.Spans.Start(r.Context(), span.KindCommit)
+// handleFinish serves POST /v1/cluster/commit and /v1/cluster/abort,
+// verb naming which.
+func (s *Server) handleFinish(verb string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+		if err != nil {
+			HTTPError(w, http.StatusBadRequest, err)
+			return
+		}
+		req, err := DecodeFinishRequest(body.Bytes())
+		body.Release()
+		if err != nil {
+			HTTPError(w, http.StatusBadRequest, err)
+			return
+		}
+		s.ServeFinish(r.Context(), w, verb, req.Key)
+	}
+}
+
+// ServeFinish commits (verb "commit") or aborts (verb "abort") the
+// prepared key and answers it. Abort is idempotent, so only a commit
+// finds no hold or an expired lease.
+func (s *Server) ServeFinish(ctx context.Context, w http.ResponseWriter, verb, key string) {
+	kind, finish, done := span.KindCommit, s.ledger.Commit, "committed"
+	if verb == "abort" {
+		kind, finish, done = span.KindAbort, s.ledger.Abort, "aborted"
+	}
+	_, sp := s.cfg.Spans.Start(ctx, kind)
 	defer sp.End()
-	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
-	if err != nil {
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusBadRequest, err)
+	sp.Str("key", key)
+	err := finish(key)
+	s.obs.Log("twophase."+verb, "trace", obs.Trace(ctx), "key", key, "ok", err == nil)
+	if err == nil {
+		WriteJSON(w, http.StatusOK, map[string]any{done: key})
 		return
 	}
-	req, err := DecodeFinishRequest(body.Bytes())
-	body.Release()
-	if err != nil {
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	sp.Str("key", req.Key)
-	err = s.ledger.Commit(req.Key)
-	s.obs.Log("twophase.commit",
-		"trace", obs.Trace(r.Context()), "key", req.Key, "ok", err == nil)
-	if err != nil {
-		sp.SetStatus(span.StatusError)
-	}
+	sp.SetStatus(span.StatusError)
+	status := http.StatusInternalServerError
 	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]any{"committed": req.Key})
 	case errors.Is(err, ErrUnknownHold):
-		httpError(w, http.StatusNotFound, err)
+		status = http.StatusNotFound
 	case errors.Is(err, ErrLeaseExpired):
-		httpError(w, http.StatusGone, err)
+		status = http.StatusGone
 	default:
 		s.errored.Add(1)
-		httpError(w, http.StatusInternalServerError, err)
 	}
+	HTTPError(w, status, err)
 }
 
-func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
-	_, sp := s.cfg.Spans.Start(r.Context(), span.KindAbort)
-	defer sp.End()
-	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
-	if err != nil {
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := DecodeFinishRequest(body.Bytes())
-	body.Release()
-	if err != nil {
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	sp.Str("key", req.Key)
-	err = s.ledger.Abort(req.Key)
-	s.obs.Log("twophase.abort",
-		"trace", obs.Trace(r.Context()), "key", req.Key, "ok", err == nil)
-	if err != nil {
-		s.errored.Add(1)
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"aborted": req.Key})
-}
-
-func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
-	_, sp := s.cfg.Spans.Start(r.Context(), span.KindFreeView)
-	defer sp.End()
+// FreeLocations reads the ?locs=l1,l2 list of a free-view request.
+func FreeLocations(r *http.Request) ([]resource.Location, error) {
 	raw := r.URL.Query().Get("locs")
 	if raw == "" {
-		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusBadRequest, errors.New("server: free view needs ?locs=l1,l2"))
-		return
+		return nil, errors.New("server: free view needs ?locs=l1,l2")
 	}
 	var locs []resource.Location
 	for _, part := range strings.Split(raw, ",") {
-		part = strings.TrimSpace(part)
-		if part != "" {
+		if part = strings.TrimSpace(part); part != "" {
 			locs = append(locs, resource.Location(part))
 		}
 	}
+	return locs, nil
+}
+
+func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
+	locs, err := FreeLocations(r)
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, err)
+		return
+	}
+	s.ServeFree(r.Context(), w, locs)
+}
+
+// ServeFree answers the free view of locs, which must all be owned here.
+func (s *Server) ServeFree(ctx context.Context, w http.ResponseWriter, locs []resource.Location) {
+	_, sp := s.cfg.Spans.Start(ctx, span.KindFreeView)
+	defer sp.End()
 	free, now, err := s.ledger.FreeView(locs)
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -239,8 +241,8 @@ func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusUnprocessableEntity
 		}
 		sp.SetStatus(span.StatusError)
-		httpError(w, status, err)
+		HTTPError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, FreeResponse{Now: now, Free: free.Compact()})
+	WriteJSON(w, http.StatusOK, FreeResponse{Now: now, Free: free.Compact()})
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -186,26 +187,31 @@ func (s *Server) EvalQuery(c *query.Compiled) (QueryResponse, error) {
 // query in the compact text form.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if name := r.URL.Query().Get("name"); name != "" {
-		info, ok := s.ledger.Commitment(name)
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrUnknown, name))
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
+		s.ServeCommitment(w, name)
 		return
 	}
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		httpError(w, http.StatusBadRequest, errors.New("server: query needs ?name= or ?q="))
+		HTTPError(w, http.StatusBadRequest, errors.New("server: query needs ?name= or ?q="))
 		return
 	}
 	c, err := query.ParseText(q)
 	if err != nil {
 		s.errored.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.serveQuery(w, r, c)
+	s.ServeQuery(r.Context(), w, c)
+}
+
+// ServeCommitment answers the commitment lookup GET /v1/query?name=.
+func (s *Server) ServeCommitment(w http.ResponseWriter, name string) {
+	info, ok := s.ledger.Commitment(name)
+	if !ok {
+		HTTPError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrUnknown, name))
+		return
+	}
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleQueryPost serves POST /v1/query: the text or JSON-AST wire form.
@@ -213,22 +219,23 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		s.errored.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	c, err := DecodeQueryRequest(body.Bytes())
 	body.Release()
 	if err != nil {
 		s.errored.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.serveQuery(w, r, c)
+	s.ServeQuery(r.Context(), w, c)
 }
 
-// serveQuery evaluates a compiled one-shot query and writes the verdict.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *query.Compiled) {
-	_, sp := s.cfg.Spans.Start(r.Context(), span.KindQuery)
+// ServeQuery evaluates a compiled one-shot query against this node's
+// ledger and writes the verdict.
+func (s *Server) ServeQuery(ctx context.Context, w http.ResponseWriter, c *query.Compiled) {
+	_, sp := s.cfg.Spans.Start(ctx, span.KindQuery)
 	defer sp.End()
 	sp.Str("query", c.Source())
 	resp, err := s.EvalQuery(c)
@@ -240,15 +247,15 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, c *query.Com
 		if errors.Is(err, ErrNotOwned) {
 			status = http.StatusUnprocessableEntity
 		}
-		httpError(w, status, err)
+		HTTPError(w, status, err)
 		return
 	}
 	sp.Attr("holds", resp.Holds)
 	sp.Int("epoch", int64(resp.Epoch))
 	s.obs.Log("query.oneshot",
-		"trace", obs.Trace(r.Context()), "query", resp.Query,
+		"trace", obs.Trace(ctx), "query", resp.Query,
 		"holds", resp.Holds, "epoch", resp.Epoch, "elapsed_us", resp.ElapsedUS)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // watchQueueLen parses the optional ?queue= bound on the subscriber's
@@ -270,18 +277,18 @@ func watchQueueLen(r *http.Request) int {
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		httpError(w, http.StatusBadRequest, errors.New("server: watch needs ?q="))
+		HTTPError(w, http.StatusBadRequest, errors.New("server: watch needs ?q="))
 		return
 	}
 	c, err := query.ParseText(q)
 	if err != nil {
 		s.errored.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, errors.New("server: response writer cannot stream"))
+		HTTPError(w, http.StatusInternalServerError, errors.New("server: response writer cannot stream"))
 		return
 	}
 	_, sp := s.cfg.Spans.Start(r.Context(), span.KindWatch)
@@ -296,7 +303,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrNotOwned) {
 			status = http.StatusUnprocessableEntity
 		}
-		httpError(w, status, err)
+		HTTPError(w, status, err)
 		return
 	}
 	defer sub.Close()
@@ -349,17 +356,17 @@ type webhookRequest struct {
 func (s *Server) handleWatchHook(w http.ResponseWriter, r *http.Request) {
 	var req webhookRequest
 	if err := decodeInto(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Query == "" || req.URL == "" {
-		httpError(w, http.StatusBadRequest, errors.New("server: watch hook needs query and url"))
+		HTTPError(w, http.StatusBadRequest, errors.New("server: watch hook needs query and url"))
 		return
 	}
 	c, err := query.ParseText(req.Query)
 	if err != nil {
 		s.errored.Add(1)
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	sub, err := s.queries.SubscribeWebhook(c, req.URL, nil, watchQueueLen(r))
@@ -369,13 +376,13 @@ func (s *Server) handleWatchHook(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrNotOwned) {
 			status = http.StatusUnprocessableEntity
 		}
-		httpError(w, status, err)
+		HTTPError(w, status, err)
 		return
 	}
 	s.webhookMu.Lock()
 	s.webhooks[sub.ID()] = sub
 	s.webhookMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"sub": sub.ID(), "query": sub.Query()})
+	WriteJSON(w, http.StatusOK, map[string]any{"sub": sub.ID(), "query": sub.Query()})
 }
 
 // handleWatchDrop serves DELETE /v1/watch?id=: removes a webhook
@@ -383,7 +390,7 @@ func (s *Server) handleWatchHook(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleWatchDrop(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.URL.Query().Get("id"), 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, errors.New("server: watch delete needs ?id="))
+		HTTPError(w, http.StatusBadRequest, errors.New("server: watch delete needs ?id="))
 		return
 	}
 	s.webhookMu.Lock()
@@ -391,9 +398,9 @@ func (s *Server) handleWatchDrop(w http.ResponseWriter, r *http.Request) {
 	delete(s.webhooks, id)
 	s.webhookMu.Unlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("server: unknown watch subscription %d", id))
+		HTTPError(w, http.StatusNotFound, fmt.Errorf("server: unknown watch subscription %d", id))
 		return
 	}
 	sub.Close()
-	writeJSON(w, http.StatusOK, map[string]any{"removed": id})
+	WriteJSON(w, http.StatusOK, map[string]any{"removed": id})
 }

@@ -179,8 +179,8 @@ func New(cfg Config) (*Server, error) {
 	// The node-local half of the federation protocol (internal/cluster
 	// drives these on peers).
 	s.route("POST /v1/cluster/prepare", "cluster.prepare", s.handlePrepare)
-	s.route("POST /v1/cluster/commit", "cluster.commit", s.handleCommit)
-	s.route("POST /v1/cluster/abort", "cluster.abort", s.handleAbort)
+	s.route("POST /v1/cluster/commit", "cluster.commit", s.handleFinish("commit"))
+	s.route("POST /v1/cluster/abort", "cluster.abort", s.handleFinish("abort"))
 	s.route("GET /v1/cluster/free", "cluster.free", s.handleFree)
 	return s, nil
 }
@@ -448,41 +448,58 @@ func DecodeAdmitRequest(body []byte) (workload.Job, error) {
 }
 
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
-	// The admit span is this request's terminal span: every phase —
-	// validation, plan search, reservation — nests underneath it, and a
-	// reject's provenance lands on it.
-	sctx, adSpan := s.cfg.Spans.Start(r.Context(), span.KindAdmit)
-	defer adSpan.End()
-
-	_, vSpan := s.cfg.Spans.Start(sctx, span.KindValidate)
-	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
-	if err == nil {
-		var job workload.Job
-		job, err = DecodeAdmitRequest(body.Bytes())
-		body.Release()
-		if err == nil {
-			vSpan.Str("job", job.Dist.Name)
-			vSpan.End()
-			err = s.Admit(sctx, w, adSpan, job, func(ctx context.Context) (admission.Decision, error) {
-				return s.ledger.AdmitCtx(ctx, s.cfg.Policy, job)
-			})
-			if err == nil {
-				return
-			}
-			// Only a cluster node owns less than everything, and its
-			// router checked the footprint under the handoff freeze.
-			s.errored.Add(1)
-			adSpan.SetStatus(span.StatusError)
-			httpError(w, http.StatusInternalServerError, err)
-			return
+	err := s.serveAdmit(r.Context(), w, func() (workload.Job, error) {
+		body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+		if err != nil {
+			return workload.Job{}, err
 		}
+		defer body.Release()
+		return DecodeAdmitRequest(body.Bytes())
+	})
+	if err != nil {
+		// Only a cluster node owns less than everything, and its router
+		// checks the footprint under the handoff freeze.
+		s.errored.Add(1)
+		HTTPError(w, http.StatusInternalServerError, err)
 	}
-	vSpan.Attr("error", err)
-	vSpan.SetStatus(span.StatusError)
+}
+
+// ServeAdmit admits a job a cluster router has already read, decoded
+// and validated, on this node's ledger: the same admit and validate
+// spans, envelope and verdict as POST /v1/admit. A placement refused
+// with ErrNotOwned — the footprint moved — is returned with nothing
+// written, for the router to re-route.
+func (s *Server) ServeAdmit(ctx context.Context, w http.ResponseWriter, job workload.Job) error {
+	return s.serveAdmit(ctx, w, func() (workload.Job, error) { return job, nil })
+}
+
+// serveAdmit runs one local admit. The admit span is the request's
+// terminal span: validation — decode, which a 400 ends — plan search
+// and reservation nest underneath it, and a reject's provenance lands on
+// it.
+func (s *Server) serveAdmit(ctx context.Context, w http.ResponseWriter, decode func() (workload.Job, error)) error {
+	sctx, adSpan := s.cfg.Spans.Start(ctx, span.KindAdmit)
+	defer adSpan.End()
+	_, vSpan := s.cfg.Spans.Start(sctx, span.KindValidate)
+	job, err := decode()
+	if err != nil {
+		vSpan.Attr("error", err)
+		vSpan.SetStatus(span.StatusError)
+		vSpan.End()
+		adSpan.SetStatus(span.StatusError)
+		s.errored.Add(1)
+		HTTPError(w, http.StatusBadRequest, err)
+		return nil
+	}
+	vSpan.Str("job", job.Dist.Name)
 	vSpan.End()
-	adSpan.SetStatus(span.StatusError)
-	s.errored.Add(1)
-	httpError(w, http.StatusBadRequest, err)
+	err = s.Admit(sctx, w, adSpan, job, func(ctx context.Context) (admission.Decision, error) {
+		return s.ledger.AdmitCtx(ctx, s.cfg.Policy, job)
+	})
+	if err != nil {
+		adSpan.SetStatus(span.StatusError)
+	}
+	return err
 }
 
 // A Placement decides one admit and places its witness plan: the
@@ -511,7 +528,7 @@ func (s *Server) Admit(sctx context.Context, w http.ResponseWriter, sp *span.Spa
 	sp.Int("deadline", job.Dist.Deadline)
 	if !s.enter() {
 		sp.SetStatus(span.StatusError)
-		httpError(w, http.StatusServiceUnavailable, errors.New("server: draining, not accepting new admissions"))
+		HTTPError(w, http.StatusServiceUnavailable, errors.New("server: draining, not accepting new admissions"))
 		return nil
 	}
 	defer s.inflight.Done()
@@ -535,7 +552,7 @@ func (s *Server) Admit(sctx context.Context, w http.ResponseWriter, sp *span.Spa
 		sp.Attr("error", "decision timeout")
 		s.obs.Log("admit.timeout", "trace", trace, "job", job.Dist.Name,
 			"timeout_ms", s.cfg.DecisionTimeout.Milliseconds(), "late", late)
-		httpError(w, http.StatusServiceUnavailable,
+		HTTPError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("server: decision for %s exceeded %v", job.Dist.Name, s.cfg.DecisionTimeout))
 		return nil
 	case err != nil:
@@ -551,7 +568,7 @@ func (s *Server) Admit(sctx context.Context, w http.ResponseWriter, sp *span.Spa
 		s.obs.Log("admit.error", "trace", trace, "job", job.Dist.Name, "error", err)
 		sp.SetStatus(span.StatusError)
 		sp.Attr("error", err)
-		httpError(w, status, err)
+		HTTPError(w, status, err)
 		return nil
 	}
 	if dec.Admit {
@@ -581,55 +598,84 @@ func (s *Server) Admit(sctx context.Context, w http.ResponseWriter, sp *span.Spa
 		sp.SetStatus(span.StatusReject)
 		sp.SetProvenance(resp.Provenance)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 	return nil
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req releaseRequest
-	if err := decodeInto(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, err)
 		return
+	}
+	name, err := DecodeReleaseRequest(body.Bytes())
+	body.Release()
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, err)
+		return
+	}
+	s.ServeRelease(w, name)
+}
+
+// DecodeReleaseRequest decodes one release body to the name it frees.
+func DecodeReleaseRequest(body []byte) (string, error) {
+	var req releaseRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return "", fmt.Errorf("server: bad request body: %w", err)
 	}
 	if req.Name == "" {
-		httpError(w, http.StatusBadRequest, errors.New("server: release needs a name"))
-		return
+		return "", errors.New("server: release needs a name")
 	}
-	if err := s.ledger.Release(req.Name); err != nil {
+	return req.Name, nil
+}
+
+// Release frees name's commitment on this node and counts it: the one
+// release path, for a client's request and for each node's leg of a
+// cluster-wide release alike.
+func (s *Server) Release(name string) error {
+	if err := s.ledger.Release(name); err != nil {
+		return err
+	}
+	s.released.Add(1)
+	return nil
+}
+
+// ServeRelease releases name and answers the request.
+func (s *Server) ServeRelease(w http.ResponseWriter, name string) {
+	if err := s.Release(name); err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, ErrUnknown) {
 			status = http.StatusNotFound
 		}
-		httpError(w, status, err)
+		HTTPError(w, status, err)
 		return
 	}
-	s.released.Add(1)
-	writeJSON(w, http.StatusOK, map[string]string{"released": req.Name})
+	WriteJSON(w, http.StatusOK, map[string]string{"released": name})
 }
 
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req acquireRequest
 	if err := decodeInto(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	set, err := resource.ParseSet(req.Theta)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.ledger.Acquire(set); err != nil {
 		// Acquire fails only with ErrNotOwned, and then applies nothing.
-		httpError(w, http.StatusUnprocessableEntity, err)
+		HTTPError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"acquired": set.Compact()})
+	WriteJSON(w, http.StatusOK, map[string]any{"acquired": set.Compact()})
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req advanceRequest
 	if err := decodeInto(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	completed, err := s.ledger.Advance(req.Now)
@@ -638,17 +684,17 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrClockBackward) {
 			status = http.StatusBadRequest
 		}
-		httpError(w, status, err)
+		HTTPError(w, status, err)
 		return
 	}
 	if completed == nil {
 		completed = []string{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"now": s.ledger.Now(), "completed": completed})
+	WriteJSON(w, http.StatusOK, map[string]any{"now": s.ledger.Now(), "completed": completed})
 }
 
 func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.ledger.Snapshot())
+	WriteJSON(w, http.StatusOK, s.ledger.Snapshot())
 }
 
 // Stats returns the daemon's counters and latency digest. Each counter
@@ -694,23 +740,23 @@ func (s *Server) Stats() StatsResponse {
 // fetch from every node and merge without special cases.
 func (s *Server) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Spans == nil {
-		httpError(w, http.StatusNotFound, errors.New("server: span store disabled (start with -span-store)"))
+		HTTPError(w, http.StatusNotFound, errors.New("server: span store disabled (start with -span-store)"))
 		return
 	}
 	id := r.PathValue("id")
 	if id == "" || len(id) > 128 {
-		httpError(w, http.StatusBadRequest, errors.New("server: trace id must be 1..128 bytes"))
+		HTTPError(w, http.StatusBadRequest, errors.New("server: trace id must be 1..128 bytes"))
 		return
 	}
 	recs := s.cfg.Spans.Trace(id)
 	if recs == nil {
 		recs = []span.Record{}
 	}
-	writeJSON(w, http.StatusOK, span.Dump{Trace: id, Spans: recs})
+	WriteJSON(w, http.StatusOK, span.Dump{Trace: id, Spans: recs})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -718,10 +764,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.drainMu.RUnlock()
 	if draining {
-		httpError(w, http.StatusServiceUnavailable, errors.New("draining"))
+		HTTPError(w, http.StatusServiceUnavailable, errors.New("draining"))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // HTTP helpers.
@@ -779,13 +825,16 @@ func decodeInto(w http.ResponseWriter, r *http.Request, limit int64, dst any) er
 	return nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as its JSON body: every response the
+// daemon and a cluster node write goes through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// HTTPError answers status with err's text as an {"error": …} body.
+func HTTPError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
