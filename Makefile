@@ -53,7 +53,9 @@ test:
 # copies typed records in at End and out at every read under its lock.
 # The eighth repeats the resource algebra's sharing tests ten times:
 # chunked profiles share single chunks between the sets goroutines
-# derive from one base, so a write into a shared chunk shows there.
+# derive from one base, so a write into a shared chunk shows there; and
+# the allocation budgets that pin a set to one exactly sized run of
+# entries, whose Clone and Types are one allocation each.
 # The ninth repeats the federation-vs-one-ledger differential test and
 # the served-once test three times: a routed request is served by a
 # direct call into the embedded server under the handoff freeze, and
@@ -67,7 +69,7 @@ race:
 	$(GO) test -race -count=10 -run 'CoordinatedAdmit|DrainAbortsInflightPrepares' ./internal/cluster/
 	$(GO) test -race -count=50 -run 'TestSubscribeInitialVerdictAndFlip$$' ./internal/query/
 	$(GO) test -race -count=10 -run 'StoreConcurrency|SpanTree' ./internal/obs/span/
-	$(GO) test -race -count=10 -run 'SharedProfilesUnderConcurrentPatching|PatchAllocationBudget' ./internal/resource/
+	$(GO) test -race -count=10 -run 'SharedProfilesUnderConcurrentPatching|PatchAllocationBudget|SetRunAllocationBudget' ./internal/resource/
 	$(GO) test -race -count=3 -run 'TestClusterDecidesAsOneLedger|TestRoutedEndpointsServedOnce' ./internal/cluster/
 
 # Ten seconds of coverage-guided inputs holding the splice kernels and
@@ -89,7 +91,12 @@ race:
 # ValidateJob: both refuse, or both accept equal jobs
 # (internal/server/fuzz_test.go), then ten holding the pooled logfmt
 # appender to the fmt.Sprintf renderer it replaced, byte for byte, bar
-# the quoting of control characters (internal/obs/logline_test.go).
+# the quoting of control characters (internal/obs/logline_test.go), then
+# ten holding the set algebra — Add, AddSet, Union, PatchUnion, Subtract,
+# PatchSubtract, SubtractSaturating, Consume, Clamp, TrimBefore and
+# Restrict in fuzz-chosen sequences — to a dense per-type, per-tick
+# reference, with types in order, no empty profile and every operand
+# unchanged after each op (internal/resource/algebra_fuzz_test.go).
 # -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileKernels$$' -fuzztime 10s ./internal/resource/
@@ -100,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFreeViewMaintained$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAdmitRequest$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzLogKV$$' -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzSetAlgebra$$' -fuzztime 10s ./internal/resource/
 
 # benchmark/ is a module of its own that tier-1 neither builds nor
 # tests; vetting it here catches an exported name under internal/ that

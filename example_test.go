@@ -6,30 +6,6 @@ import (
 	rota "repro"
 )
 
-// The paper's central question, answered constructively: can this
-// computation meet its deadline with these resources?
-func ExampleMeetDeadline() {
-	theta := rota.NewSet(
-		rota.NewTerm(rota.UnitsRate(2), rota.CPUAt("l1"), rota.NewInterval(0, 20)),
-		rota.NewTerm(rota.UnitsRate(1), rota.Link("l1", "l2"), rota.NewInterval(4, 12)),
-	)
-	comp, _ := rota.Realize(rota.PaperCost(), "a1",
-		rota.Evaluate("a1", "l1", 1),
-		rota.Send("a1", "l1", "a2", "l2", 1),
-		rota.Evaluate("a1", "l1", 1),
-	)
-	plan, err := rota.MeetDeadline(theta, comp, 0, 20)
-	if err != nil {
-		fmt.Println("refused:", err)
-		return
-	}
-	fmt.Println("assured, finish by", plan.Finish)
-	fmt.Println("break points:", plan.Breaks["a1"])
-	// Output:
-	// assured, finish by 12
-	// break points: [4 8 12]
-}
-
 // The §III worked example: overlapping identical located types simplify
 // by adding rates.
 func ExampleSet_union() {

@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -19,6 +20,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compares the four policies on one stream and writes the table and
+// the order-sensitivity demonstration to w.
+func run(w io.Writer) error {
 	locs := []rota.Location{"node-a", "node-b", "node-c"}
 	const horizon = 600
 
@@ -37,7 +46,7 @@ func main() {
 		SlackFactor:      2,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Static capacity: 3 cpu/tick per node plus a unit-rate full mesh.
@@ -66,21 +75,21 @@ func main() {
 	} {
 		res, err := rota.Simulate(rota.SimConfig{Policy: spec.policy, Executor: spec.executor}, jobs, trace)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		table.AddRow(res.Policy, res.Admitted, res.Rejected,
 			res.CompletedOnTime, res.Missed, res.MissRate(), res.GoodputRatio())
 	}
 	table.AddNote("an admission under rota is an assurance: its miss count is structurally zero")
-	table.Render(os.Stdout)
+	table.Render(w)
 
-	fmt.Println("\nWhy naive-total over-admits — a three-line demonstration:")
-	demoOrderSensitivity()
+	fmt.Fprintln(w, "\nWhy naive-total over-admits — a three-line demonstration:")
+	return demoOrderSensitivity(w)
 }
 
 // demoOrderSensitivity shows one concrete job naive aggregate reasoning
 // gets wrong.
-func demoOrderSensitivity() {
+func demoOrderSensitivity(w io.Writer) error {
 	theta := rota.NewSet(
 		rota.NewTerm(rota.UnitsRate(2), rota.Link("node-a", "node-b"), rota.NewInterval(0, 2)),
 		rota.NewTerm(rota.UnitsRate(4), rota.CPUAt("node-a"), rota.NewInterval(2, 6)),
@@ -90,12 +99,13 @@ func demoOrderSensitivity() {
 		rota.Send("x", "node-a", "y", "node-b", 1), // then network
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	need := comp.TotalAmounts()
-	fmt.Printf("  supply: %v\n  demand: %v — totals fit inside (0,6)\n", theta, need)
+	fmt.Fprintf(w, "  supply: %v\n  demand: %v — totals fit inside (0,6)\n", theta, need)
 	if _, err := rota.MeetDeadline(theta, comp, 0, 6); err != nil {
-		fmt.Println("  rota verdict: REFUSED —", err)
-		fmt.Println("  (the network lease expires before the cpu phase can finish)")
+		fmt.Fprintln(w, "  rota verdict: REFUSED —", err)
+		fmt.Fprintln(w, "  (the network lease expires before the cpu phase can finish)")
 	}
+	return nil
 }

@@ -13,13 +13,23 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	rota "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run weighs the courses of action and writes each verdict and the one
+// chosen to w.
+func run(w io.Writer) error {
 	// The environment: edge is busy (only 1 cpu/tick free), the server
 	// has 6 cpu/tick but the uplink is slow (1 unit/tick) and opens late.
 	theta := rota.NewSet(
@@ -28,9 +38,9 @@ func main() {
 		rota.NewTerm(rota.UnitsRate(1), rota.Link("edge", "server"), rota.NewInterval(4, 60)),
 	)
 	const deadline = 30
-	fmt.Println("environment Θ =", theta)
-	fmt.Println("deadline      =", deadline)
-	fmt.Println()
+	fmt.Fprintln(w, "environment Θ =", theta)
+	fmt.Fprintln(w, "deadline      =", deadline)
+	fmt.Fprintln(w)
 
 	type alternative struct {
 		name string
@@ -42,13 +52,13 @@ func main() {
 	stay, err := rota.Realize(rota.PaperCost(), "worker",
 		rota.Evaluate("worker", "edge", 5)) // weight 5 ⇒ 8+... see cost model
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Use explicit amounts for clarity: exactly 40 cpu at the edge.
 	stay.Steps[0].Amounts = rota.Amounts{rota.CPUAt("edge"): rota.UnitsQty(40)}
 	stayDist, err := rota.NewDistributed("stay", 0, deadline, stay)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	alts = append(alts, alternative{"stay at edge", stayDist})
 
@@ -58,12 +68,12 @@ func main() {
 		rota.Evaluate("worker", "server", 1),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	migrate.Steps[1].Amounts = rota.Amounts{rota.CPUAt("server"): rota.UnitsQty(40)}
 	migDist, err := rota.NewDistributed("migrate", 0, deadline, migrate)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	alts = append(alts, alternative{"migrate to server", migDist})
 
@@ -75,18 +85,18 @@ func main() {
 		rota.Evaluate("worker", "edge", 1),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	local.Steps[2].Amounts = rota.Amounts{rota.CPUAt("edge"): rota.UnitsQty(20)}
 	helper, err := rota.Realize(rota.PaperCost(), "helper",
 		rota.Evaluate("helper", "server", 1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	helper.Steps[0].Amounts = rota.Amounts{rota.CPUAt("server"): rota.UnitsQty(20)}
 	splitDist, err := rota.NewDistributed("split", 0, deadline, local, helper)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	alts = append(alts, alternative{"split edge+server", splitDist})
 
@@ -115,15 +125,16 @@ func main() {
 	})
 	for _, v := range verdicts {
 		if v.ok {
-			fmt.Printf("  %-20s ASSURED by t=%d\n", v.name, v.finish)
+			fmt.Fprintf(w, "  %-20s ASSURED by t=%d\n", v.name, v.finish)
 		} else {
-			fmt.Printf("  %-20s infeasible (%s)\n", v.name, v.reason)
+			fmt.Fprintf(w, "  %-20s infeasible (%s)\n", v.name, v.reason)
 		}
 	}
 	if best := verdicts[0]; best.ok {
-		fmt.Printf("\nchosen course of action: %s (finishes %d ticks before the deadline)\n",
+		fmt.Fprintf(w, "\nchosen course of action: %s (finishes %d ticks before the deadline)\n",
 			best.name, deadline-best.finish)
 	} else {
-		fmt.Println("\nno course of action can be assured — do not start")
+		fmt.Fprintln(w, "\nno course of action can be assured — do not start")
 	}
+	return nil
 }

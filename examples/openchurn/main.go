@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -19,6 +20,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run sweeps churn and reneging under ROTA admission and writes the table
+// and the Theorem-4 step to w.
+func run(w io.Writer) error {
 	locs := []rota.Location{"peer1", "peer2", "peer3", "peer4"}
 	const horizon = 800
 
@@ -37,7 +46,7 @@ func main() {
 		SlackFactor:      3,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	table := metrics.NewTable("peer-owned resources: ROTA admission under churn",
@@ -58,14 +67,14 @@ func main() {
 				RenegeProb:       renege,
 			})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			res, err := rota.Simulate(rota.SimConfig{
 				Policy:   rota.RotaPolicy(),
 				Executor: rota.ExecPlanned,
 			}, jobs, trace)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			table.AddRow(gap, renege, len(trace.Joins), res.Admitted,
 				res.CompletedOnTime, res.Missed, res.Violations, res.Utilization())
@@ -73,33 +82,34 @@ func main() {
 	}
 	table.AddNote("renege-p=0: honest churn — the assurance is unconditional (0 missed, 0 violations)")
 	table.AddNote("renege-p>0: misses appear only because peers broke their advertised leases")
-	table.Render(os.Stdout)
+	table.Render(w)
 
 	// A single-step view of Theorem 4's "harvest the expiring resources":
-	fmt.Println("\nTheorem 4 in one step:")
+	fmt.Fprintln(w, "\nTheorem 4 in one step:")
 	theta := rota.NewSet(rota.NewTerm(rota.UnitsRate(2), rota.CPUAt("peer1"), rota.NewInterval(0, 10)))
 	state := rota.NewState(theta, 0)
 	first, err := mkJob("first", "a1", 0, 10)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	state, plan, err := rota.Admit(state, first)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  admitted %q consuming ticks up to t=%d\n", "first", plan.Finish)
+	fmt.Fprintf(w, "  admitted %q consuming ticks up to t=%d\n", "first", plan.Finish)
 	free, err := state.FreeResources()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("  resources still expiring unused:", free)
+	fmt.Fprintln(w, "  resources still expiring unused:", free)
 	second, err := mkJob("second", "a2", 0, 10)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, _, err := rota.Admit(state, second); err == nil {
-		fmt.Println("  second job admitted into exactly that expiring capacity")
+		fmt.Fprintln(w, "  second job admitted into exactly that expiring capacity")
 	}
+	return nil
 }
 
 func mkJob(name string, a rota.ActorName, start, deadline rota.Time) (rota.Distributed, error) {

@@ -14,12 +14,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	rota "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plans the scatter-gather workflow and writes its timeline and
+// deadline sweep to out.
+func run(out io.Writer) error {
 	// Cluster: coordinator node plus two worker nodes; modest links.
 	theta := rota.NewSet(
 		rota.NewTerm(rota.UnitsRate(2), rota.CPUAt("coord"), rota.NewInterval(0, 40)),
@@ -37,14 +47,14 @@ func main() {
 		rota.Send("coord", "coord", "map2", "w2", 1),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Coordinator, segment 1: reduce — BLOCKED until both replies.
 	reduce, err := rota.Realize(rota.PaperCost(), "coord",
 		rota.Evaluate("coord", "coord", 1),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	reduce.Steps[0].Amounts = rota.Amounts{rota.CPUAt("coord"): rota.UnitsQty(10)}
 
@@ -77,46 +87,47 @@ func main() {
 			{From: m2Ref, To: coordRef(1)},
 		})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("workflow:", w)
+	fmt.Fprintln(out, "workflow:", w)
 
 	plan, err := rota.FeasibleWorkflow(theta, w)
 	if err != nil {
-		log.Fatal("deadline cannot be assured:", err)
+		return fmt.Errorf("deadline cannot be assured: %w", err)
 	}
 	if err := rota.VerifyWorkflowPlan(theta, w, plan); err != nil {
-		log.Fatal("plan failed verification:", err)
+		return fmt.Errorf("plan failed verification: %w", err)
 	}
-	fmt.Printf("ASSURED by t=%d (deadline 30). Segment timeline:\n", plan.Finish)
+	fmt.Fprintf(out, "ASSURED by t=%d (deadline 30). Segment timeline:\n", plan.Finish)
 	for _, ref := range []rota.SegmentRef{coordRef(0), m1Ref, m2Ref, coordRef(1)} {
-		fmt.Printf("  %-8v runs (%d → %d)\n", ref, plan.StartAt[ref], plan.DoneAt[ref])
+		fmt.Fprintf(out, "  %-8v runs (%d → %d)\n", ref, plan.StartAt[ref], plan.DoneAt[ref])
 	}
 
 	// The §IV approximation treats the same actors as independent — and
 	// promises an earlier, unachievable finish.
 	flat, err := rota.NewWorkflow("flat", 0, 30, w.Actors, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	flatPlan, err := rota.FeasibleWorkflow(theta, flat)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nignoring the waits (§IV model) promises t=%d — optimistic by %d ticks,\n",
+	fmt.Fprintf(out, "\nignoring the waits (§IV model) promises t=%d — optimistic by %d ticks,\n",
 		flatPlan.Finish, plan.Finish-flatPlan.Finish)
-	fmt.Println("because the reduce would start before the map replies exist.")
+	fmt.Fprintln(out, "because the reduce would start before the map replies exist.")
 
 	// Tighten the deadline until the waits make it infeasible.
 	for _, d := range []rota.Time{30, 20, 12} {
 		wd, err := rota.NewWorkflow("scatter-gather", 0, d, w.Actors, w.Edges)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if _, err := rota.FeasibleWorkflow(theta, wd); err != nil {
-			fmt.Printf("deadline %2d: REFUSED (%v)\n", d, err)
+			fmt.Fprintf(out, "deadline %2d: REFUSED (%v)\n", d, err)
 		} else {
-			fmt.Printf("deadline %2d: assured\n", d)
+			fmt.Fprintf(out, "deadline %2d: assured\n", d)
 		}
 	}
+	return nil
 }

@@ -6,12 +6,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	rota "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run walks through the basics and writes what each step shows to w.
+func run(w io.Writer) error {
 	// --- Resources in time and space (§III) -------------------------------
 	// 2 cpu/tick at l1 for 20 ticks, and a 1 unit/tick l1→l2 link that
 	// only exists during (4,12) — an open-system resource that will leave.
@@ -19,11 +28,11 @@ func main() {
 		rota.NewTerm(rota.UnitsRate(2), rota.CPUAt("l1"), rota.NewInterval(0, 20)),
 		rota.NewTerm(rota.UnitsRate(1), rota.Link("l1", "l2"), rota.NewInterval(4, 12)),
 	)
-	fmt.Println("available resources Θ =", theta)
+	fmt.Fprintln(w, "available resources Θ =", theta)
 
 	// Resource-set algebra: union simplifies, complement subtracts.
 	extra := rota.NewSet(rota.NewTerm(rota.UnitsRate(3), rota.CPUAt("l1"), rota.NewInterval(10, 16)))
-	fmt.Println("Θ ∪ extra           =", theta.Union(extra))
+	fmt.Fprintln(w, "Θ ∪ extra           =", theta.Union(extra))
 
 	// --- A computation, represented by its resource needs (§IV) ----------
 	// evaluate (8 cpu) → send (4 network l1→l2) → evaluate (8 cpu), costed
@@ -34,36 +43,36 @@ func main() {
 		rota.Evaluate("a1", "l1", 1),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("computation Γ       =", comp)
+	fmt.Fprintln(w, "computation Γ       =", comp)
 
 	// --- Theorem 3: can Γ meet deadline 20 starting at 0? ----------------
 	plan, err := rota.MeetDeadline(theta, comp, 0, 20)
 	if err != nil {
-		log.Fatal("deadline cannot be assured:", err)
+		return fmt.Errorf("deadline cannot be assured: %w", err)
 	}
-	fmt.Printf("ASSURED: finishes by t=%d, break points %v\n",
+	fmt.Fprintf(w, "ASSURED: finishes by t=%d, break points %v\n",
 		plan.Finish, plan.Breaks["a1"])
 
 	// The same computation with deadline 8 is infeasible: the link only
 	// opens at t=4 and the final 8 cpu cannot fit before t=8.
 	if _, err := rota.MeetDeadline(theta, comp, 0, 8); err != nil {
-		fmt.Println("deadline 8 correctly refused:", err)
+		fmt.Fprintln(w, "deadline 8 correctly refused:", err)
 	}
 
 	// --- Executing the committed path and querying the logic -------------
 	state := rota.NewState(theta, 0)
 	dist, err := rota.NewDistributed("job", 0, 20, comp)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	state, _, err = rota.Admit(state, dist)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res := rota.RunState(state, 20, 1)
-	fmt.Printf("executed: job completed at t=%d with %d violations\n",
+	fmt.Fprintf(w, "executed: job completed at t=%d with %d violations\n",
 		res.Completed["job"], len(res.Violations))
 
 	// Figure 1 semantics: would another 8-cpu requirement have fit in the
@@ -74,7 +83,8 @@ func main() {
 	}}
 	ok, err := rota.Eval(res.Path, 0, f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("σ,0 ⊨ satisfy(ρ[8 cpu](0,20)) =", ok)
+	fmt.Fprintln(w, "σ,0 ⊨ satisfy(ρ[8 cpu](0,20)) =", ok)
+	return nil
 }

@@ -8,12 +8,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	rota "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run answers the path-quantified questions and writes each verdict to w.
+func run(w io.Writer) error {
 	// A small open system: 2 cpu/tick at the edge for 10 ticks, and a
 	// burst of 4 cpu/tick joining for ticks (4,8).
 	base := rota.NewSet(rota.NewTerm(rota.UnitsRate(2), rota.CPUAt("edge"), rota.NewInterval(0, 10)))
@@ -22,12 +31,12 @@ func main() {
 	// One pending job that may or may not be admitted along the way.
 	comp, err := rota.Realize(rota.PaperCost(), "worker", rota.Evaluate("worker", "edge", 1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	comp.Steps[0].Amounts = rota.Amounts{rota.CPUAt("edge"): rota.UnitsQty(12)} // 12 cpu of work
 	job, err := rota.NewDistributed("batch", 0, 10, comp)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	ex := &rota.Explorer{
@@ -45,9 +54,9 @@ func main() {
 	}}
 	ok, witness, err := ex.ExistsPath(rota.NewState(base, 0), bigAsk)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("◇ (16 cpu still available):", ok)
+	fmt.Fprintln(w, "◇ (16 cpu still available):", ok)
 	if ok {
 		admitted := false
 		for _, tr := range witness.Steps {
@@ -55,7 +64,7 @@ func main() {
 				admitted = true
 			}
 		}
-		fmt.Println("  witness admits batch:", admitted)
+		fmt.Fprintln(w, "  witness admits batch:", admitted)
 	}
 
 	// Q2 (universal): however the system evolves, a 37-cpu request never
@@ -66,11 +75,11 @@ func main() {
 	}}
 	holds, counter, err := ex.ForAllPaths(rota.NewState(base, 0), rota.Not{F: tooBig})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("□ ¬(37 cpu available):", holds)
+	fmt.Fprintln(w, "□ ¬(37 cpu available):", holds)
 	if !holds {
-		fmt.Println("  counterexample:", counter)
+		fmt.Fprintln(w, "  counterexample:", counter)
 	}
 
 	// Q3: but 36 cpu IS reachable — on the branch that admits nothing.
@@ -80,16 +89,16 @@ func main() {
 	}}
 	ok, _, err = ex.ExistsPath(rota.NewState(base, 0), exactly)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("◇ (36 cpu available):", ok)
+	fmt.Fprintln(w, "◇ (36 cpu available):", ok)
 
 	// Q4: a text-syntax query on the canonical committed path (the
 	// rotacheck -formula machinery, via the facade).
 	state := rota.NewState(base, 0)
 	state, _, err = rota.Admit(state, job)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	state, _ = rota.Acquire(state, burst) // the join, known up front here
 	res := rota.RunState(state, 10, 1)
@@ -99,9 +108,10 @@ func main() {
 	}
 	verdict, err := rota.Eval(res.Path, 0, onPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("committed path ⊨ (another 8-cpu job fits ∧ ¬37cpu):", verdict)
+	fmt.Fprintln(w, "committed path ⊨ (another 8-cpu job fits ∧ ¬37cpu):", verdict)
+	return nil
 }
 
 // t2 builds the second job's computation.

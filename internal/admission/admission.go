@@ -40,6 +40,10 @@ type Decision struct {
 	// Plan is the consumption witness, present only for plan-producing
 	// policies (ROTA). Executors reserve exactly this.
 	Plan *schedule.Plan
+	// Req is the requirement Plan was found for: the job's concurrent
+	// requirement as seen at the view's Now. It is set exactly when Plan
+	// is, so an executor accommodates the plan without deriving it again.
+	Req compute.Concurrent
 	// Reason documents rejections: the text of Refusal when there is
 	// one.
 	Reason string
@@ -119,7 +123,7 @@ func (p *Rota) Decide(v View, job compute.Distributed) Decision {
 	if err != nil {
 		return Refuse(fmt.Errorf("no witness schedule: %w", err))
 	}
-	return Decision{Admit: true, Plan: &plan}
+	return Decision{Admit: true, Plan: &plan, Req: req}
 }
 
 // OnComplete implements Policy (the ROTA state tracks commitments

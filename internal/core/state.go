@@ -76,7 +76,7 @@ type State struct {
 }
 
 // freeView is a state's Θ_free together with the stamp of the state it
-// was derived for: the identity of Θ's map, |ρ| and t. Each rule that
+// was derived for: the identity of Θ's run, |ρ| and t. Each rule that
 // keeps the view valid patches it (Accommodate subtracts the new plan's
 // demand, Acquire and Leave union what they return to the pool, a clean
 // Tick trims the elapsed step); every other change — a literal State, a

@@ -141,8 +141,8 @@ func TestCodecMatchesReference(t *testing.T) {
 		if err != nil || !got.Equal(want) {
 			t.Fatalf("iter %d: ParseSet(%q) = %v, %v; want %v", iter, text, got, err, want)
 		}
-		for lt, p := range got.profiles {
-			checkSpliced(t, fmt.Sprintf("iter %d: parsed %v", iter, lt), p)
+		for _, lt := range got.Types() {
+			checkSpliced(t, fmt.Sprintf("iter %d: parsed %v", iter, lt), got.profileOf(lt))
 		}
 
 		rng.Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
@@ -155,8 +155,8 @@ func TestCodecMatchesReference(t *testing.T) {
 		if err != nil || !got.Equal(want) {
 			t.Fatalf("iter %d: ParseSet(%q) = %v, %v; want %v", iter, raw, got, err, want)
 		}
-		for lt, p := range got.profiles {
-			checkCanonical(t, fmt.Sprintf("iter %d: parsed %v", iter, lt), p)
+		for _, lt := range got.Types() {
+			checkCanonical(t, fmt.Sprintf("iter %d: parsed %v", iter, lt), got.profileOf(lt))
 		}
 	}
 }

@@ -123,14 +123,20 @@ func ParseLocatedType(s string) (LocatedType, error) {
 	return lt, nil
 }
 
-// less gives a stable total order over located types, used to keep
-// rendered resource sets deterministic.
+// compare gives a stable total order over located types — by kind, then
+// location, then link destination — the order a Set keeps its entries
+// in and renders them in.
+func (lt LocatedType) compare(other LocatedType) int {
+	switch {
+	case lt.Kind != other.Kind:
+		return strings.Compare(string(lt.Kind), string(other.Kind))
+	case lt.Loc != other.Loc:
+		return strings.Compare(string(lt.Loc), string(other.Loc))
+	}
+	return strings.Compare(string(lt.Dst), string(other.Dst))
+}
+
+// less reports whether lt comes before other in compare's order.
 func (lt LocatedType) less(other LocatedType) bool {
-	if lt.Kind != other.Kind {
-		return lt.Kind < other.Kind
-	}
-	if lt.Loc != other.Loc {
-		return lt.Loc < other.Loc
-	}
-	return lt.Dst < other.Dst
+	return lt.compare(other) < 0
 }

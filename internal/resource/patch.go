@@ -1,12 +1,10 @@
 package resource
 
 import (
-	"reflect"
-
 	"repro/internal/interval"
 )
 
-// Patch operations: the map-sharing counterparts of Union, Subtract and
+// Patch operations: the sharing counterparts of Union, Subtract and
 // TrimBefore used on the admission hot path.
 //
 // The sharing contract has two levels. Profiles, and the chunks a long
@@ -18,36 +16,46 @@ import (
 // change, each chunk it does not reach. That is what makes a reservation
 // cost what it touches, a chunk list and a chunk or two per touched
 // type, whatever the length of the type's history, and a snapshot of
-// several shards' views cost one map. It holds for every operation, and
-// for chunks shared between goroutines, so it asks nothing of callers.
+// several shards' views cost one run of entries. It holds for every
+// operation, and for chunks shared between goroutines, so it asks
+// nothing of callers.
 //
-// A Patch* method additionally returns its receiver — map and all — when
-// there is nothing to do. A Set produced by a Patch* method (and the Set
-// it was produced from) must therefore be treated as immutable by callers
-// that hold both; the in-place mutators (Add, AddSet, Consume,
-// ConsumeTerms, TrimBefore) may only be applied to sets the caller
-// exclusively owns: a zero Set it filled, or the result of Clone, Union,
-// Subtract, Clamp, TrimmedBefore or Restrict.
+// A Patch* method additionally returns its receiver — run of entries
+// and all — when there is nothing to do. A Set produced by a Patch*
+// method (and the Set it was produced from) must therefore be treated as
+// immutable by callers that hold both; the in-place mutators (Add,
+// AddSet, Consume, ConsumeTerms, TrimBefore) may only be applied to sets
+// the caller exclusively owns: a zero Set it filled, or the result of
+// Clone, Union, Subtract, Clamp, TrimmedBefore or Restrict. A mutator
+// that only replaces profiles writes them into the receiver's run; one
+// that inserts or drops a type gives the receiver a new run.
 
 // AddSet merges other into s in place (Θ ← Θ ∪ other with
 // simplification). The receiver must be exclusively owned by the caller;
-// other is not mutated.
+// other is not mutated. When s already holds every type of other, the
+// merged profiles are written into its run; otherwise s gets one new
+// run holding both.
 func (s *Set) AddSet(other Set) {
-	if len(other.profiles) == 0 {
+	b := other.entries
+	if len(b) == 0 {
 		return
 	}
-	if s.profiles == nil {
-		s.profiles = make(map[LocatedType]profile, len(other.profiles))
+	if unionLen(s.entries, b) > len(s.entries) {
+		s.entries = union(s.entries, b)
+		return
 	}
-	for lt, p := range other.profiles {
-		s.profiles[lt] = s.profiles[lt].merge(p)
+	for i := range s.entries {
+		if len(b) > 0 && s.entries[i].lt == b[0].lt {
+			s.entries[i].p = s.entries[i].p.merge(b[0].p)
+			b = b[1:]
+		}
 	}
 }
 
 // PatchUnion returns Θ ∪ other, or the receiver itself when other is
 // empty. Neither input is mutated.
 func (s Set) PatchUnion(other Set) Set {
-	if len(other.profiles) == 0 {
+	if len(other.entries) == 0 {
 		return s
 	}
 	return s.Union(other)
@@ -57,7 +65,7 @@ func (s Set) PatchUnion(other Set) Set {
 // empty — or ErrInsufficient when the complement is undefined. Neither
 // input is mutated.
 func (s Set) PatchSubtract(other Set) (Set, error) {
-	if len(other.profiles) == 0 {
+	if len(other.entries) == 0 {
 		return s, nil
 	}
 	return s.Subtract(other)
@@ -70,11 +78,12 @@ func (s Set) TrimmedBefore(t interval.Time) Set {
 	return s.Clamp(interval.New(t, interval.Infinity))
 }
 
-// Same reports whether s and other are one set: the same map, so that an
-// in-place mutation of either would show in both. Two empty sets that
-// never allocated a map are the same. Same is identity, not equality
+// Same reports whether s and other are one set: the same run of entries
+// in the same memory, so that an in-place mutation of either would show
+// in both. Two empty sets are the same. Same is identity, not equality
 // (see Equal): a holder of a view derived from s uses it to tell that s
 // has since been replaced.
 func (s Set) Same(other Set) bool {
-	return reflect.ValueOf(s.profiles).UnsafePointer() == reflect.ValueOf(other.profiles).UnsafePointer()
+	return len(s.entries) == len(other.entries) &&
+		(len(s.entries) == 0 || &s.entries[0] == &other.entries[0])
 }

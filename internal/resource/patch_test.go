@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/interval"
 )
@@ -165,7 +166,7 @@ func TestPatchSharingIsCopyOnWrite(t *testing.T) {
 	var merged Set
 	merged.AddSet(base)
 	for _, lt := range base.Types() {
-		if !sharesStorage(merged.profiles[lt], base.profiles[lt]) {
+		if !sharesStorage(merged.profileOf(lt), base.profileOf(lt)) {
 			t.Fatalf("AddSet into an empty set copied the profile of %v", lt)
 		}
 	}
@@ -222,22 +223,32 @@ func allocBytes(runs int, fn func()) float64 {
 // keep them off the heap.
 var patchSink Set
 
+// withProfiles builds a set holding, for each located type, the profile
+// mk returns for it: a fixture for profiles no short term sequence
+// builds, such as chunked ones.
+func withProfiles(types []LocatedType, mk func(LocatedType) profile) Set {
+	var s Set
+	for _, lt := range types {
+		at, found, _ := s.locate(lt)
+		s.put(at, found, lt, mk(lt))
+	}
+	return s
+}
+
 // The patch budget: against a set of chunked 512-segment profiles built
-// by splices, a patch allocates the result's map plus, for each located
-// type it touches, at most one splice's three allocations and
-// spliceBudget's bytes — a new chunk list and the rebuilt chunks, never
-// a copy of the whole profile — and hands on every profile it does not
-// touch. A touched profile shares all but the chunks the patch rebuilt.
+// by splices, a patch allocates the result's run of entries plus, for
+// each located type it touches, at most one splice's three allocations
+// and spliceBudget's bytes — a new chunk list and the rebuilt chunks,
+// never a copy of the whole profile — and hands on every profile it does
+// not touch. A touched profile shares all but the chunks the patch
+// rebuilt.
 func TestPatchAllocationBudget(t *testing.T) {
 	const segs = 512
 	types := []LocatedType{CPUAt("l1"), MemoryAt("l1"), Link("l1", "l2"), Link("l1", "l3")}
-	base := Set{profiles: map[LocatedType]profile{}}
-	for _, lt := range types {
-		base.profiles[lt] = wideProfile(segs)
-	}
-	// What copying the four-entry map costs on its own.
-	mapAllocs := testing.AllocsPerRun(100, func() { patchSink = base.Clone() })
-	mapBytes := allocBytes(100, func() { patchSink = base.Clone() })
+	base := withProfiles(types, func(LocatedType) profile { return wideProfile(segs) })
+	// What copying the four entries costs on its own.
+	copyAllocs := testing.AllocsPerRun(100, func() { patchSink = base.Clone() })
+	copyBytes := allocBytes(100, func() { patchSink = base.Clone() })
 
 	for touched := 1; touched <= 2; touched++ {
 		var part Set
@@ -250,14 +261,14 @@ func TestPatchAllocationBudget(t *testing.T) {
 			"PatchUnion":    func() { patchSink = base.PatchUnion(part) },
 		}
 		for name, op := range ops {
-			if allocs, budget := testing.AllocsPerRun(100, op), mapAllocs+3*float64(touched); allocs > budget {
-				t.Errorf("%s touching %d: %.0f allocations, budget %.0f for the map + three per type", name, touched, allocs, budget)
+			if allocs, budget := testing.AllocsPerRun(100, op), copyAllocs+3*float64(touched); allocs > budget {
+				t.Errorf("%s touching %d: %.0f allocations, budget %.0f for the entries + three per type", name, touched, allocs, budget)
 			}
-			if bytes, budget := allocBytes(100, op), mapBytes+float64(touched)*spliceBudget(segs); bytes > budget {
+			if bytes, budget := allocBytes(100, op), copyBytes+float64(touched)*spliceBudget(segs); bytes > budget {
 				t.Errorf("%s touching %d: %.0f bytes, budget %.0f", name, touched, bytes, budget)
 			}
 			for i, lt := range types {
-				got, was := patchSink.profiles[lt], base.profiles[lt]
+				got, was := patchSink.profileOf(lt), base.profileOf(lt)
 				if shared := sharesStorage(got, was); shared != (i >= touched) {
 					t.Errorf("%s touching %d: profile of %v shared=%v", name, touched, lt, shared)
 				}
@@ -265,6 +276,55 @@ func TestPatchAllocationBudget(t *testing.T) {
 					t.Errorf("%s touching %d: %d of the %d chunks of %v rebuilt, want at most 3", name, touched, got.numChunks()-kept, got.numChunks(), lt)
 				}
 			}
+		}
+	}
+}
+
+// typesSink keeps Types' result reachable, so the compiler cannot keep
+// it off the heap.
+var typesSink []LocatedType
+
+// A set is one exactly sized run of (located type, profile) entries. On
+// a 36-type set — six locations, their CPUs and the full mesh of links
+// between them — Clone and Types are one allocation each, Clone of
+// entries' bytes, and a PatchSubtract touching one chunked type is the
+// result's run plus at most one splice's three allocations.
+func TestSetRunAllocationBudget(t *testing.T) {
+	const segs = 512
+	mesh := Mesh(Locations(6), 4, 2, 1<<20)
+	touched := CPUAt("l3")
+	theta := withProfiles(mesh.Types(), func(lt LocatedType) profile {
+		if lt == touched {
+			return wideProfile(segs)
+		}
+		return mesh.profileOf(lt)
+	})
+	if n := len(theta.Types()); n != 36 {
+		t.Fatalf("fixture: %d located types, want 36", n)
+	}
+	clone := func() { patchSink = theta.Clone() }
+	if allocs := testing.AllocsPerRun(100, clone); allocs > 1 {
+		t.Errorf("Clone: %.0f allocations, want 1", allocs)
+	}
+	if bytes, budget := allocBytes(100, clone), 1.125*36*float64(unsafe.Sizeof(entry{})); bytes > budget {
+		t.Errorf("Clone: %.0f bytes, budget %.0f for 36 entries", bytes, budget)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { typesSink = theta.Types() }); allocs > 1 {
+		t.Errorf("Types: %.0f allocations, want 1", allocs)
+	}
+	part := NewSet(NewTerm(1, touched, interval.New(401, 403)), NewTerm(1, touched, interval.New(410, 431)))
+	patch := func() {
+		var err error
+		if patchSink, err = theta.PatchSubtract(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, patch); allocs > 1+3 {
+		t.Errorf("PatchSubtract touching one type: %.0f allocations, want at most 1 + 3", allocs)
+	}
+	for _, lt := range theta.Types() {
+		if shared := sharesStorage(patchSink.profileOf(lt), theta.profileOf(lt)); shared != (lt != touched) {
+			t.Errorf("PatchSubtract touching %v: profile of %v shared=%v", touched, lt, shared)
 		}
 	}
 }
@@ -278,13 +338,11 @@ func TestPatchAllocationBudget(t *testing.T) {
 // chunks with the base and with one another.
 func TestSharedProfilesUnderConcurrentPatching(t *testing.T) {
 	types := []LocatedType{CPUAt("l1"), CPUAt("l2"), Link("l1", "l2")}
-	base := Set{profiles: map[LocatedType]profile{}}
+	base := withProfiles(types, func(LocatedType) profile { return wideProfile(4 * chunkSize) })
 	for _, lt := range types {
-		p := wideProfile(4 * chunkSize)
-		if p.numChunks() < 4 {
+		if p := base.profileOf(lt); p.numChunks() < 4 {
 			t.Fatalf("fixture: the base profile has %d chunks, want at least 4", p.numChunks())
 		}
-		base.profiles[lt] = p
 	}
 	want := NewSet(base.Terms()...)
 

@@ -94,7 +94,8 @@ func checkCanonical(t *testing.T, what string, p profile) {
 			t.Fatalf("%s: chunked profile of %d segments in %d chunks", what, p.tab.n, len(p.tab.chunks))
 		}
 		n := 0
-		for c, segs := range p.tab.chunks {
+		for c, ref := range p.tab.chunks {
+			segs := ref.segs()
 			if len(segs) == 0 || len(segs) > chunkSize {
 				t.Fatalf("%s: chunk %d holds %d segments", what, c, len(segs))
 			}
@@ -180,7 +181,7 @@ func partition(segs []segment, cuts []byte) profile {
 			size = 1 + int(cuts[i%len(cuts)])%chunkSize
 		}
 		size = min(size, len(own))
-		tab.chunks = append(tab.chunks, own[:size:size])
+		tab.chunks = append(tab.chunks, refOf(own[:size]))
 		own = own[size:]
 	}
 	return profile{tab: tab}
@@ -406,7 +407,7 @@ func TestSplicesKeepChunksHalfFull(t *testing.T) {
 		}
 		checkSpliced(t, "thinned", p)
 		for c := 0; p.tab != nil && c < len(p.tab.chunks); c++ {
-			if n := len(p.tab.chunks[c]); n < chunkSize/2 {
+			if n := p.tab.chunks[c].n; n < chunkSize/2 {
 				t.Fatalf("after taking out %v: chunk %d of %d holds %d segments", gone, c, len(p.tab.chunks), n)
 			}
 		}
@@ -417,7 +418,7 @@ func TestSplicesKeepChunksHalfFull(t *testing.T) {
 // size classes (at most one eighth).
 const (
 	segmentBytes  = 24 // one segment
-	chunkRefBytes = 24 // one chunk in a table's chunk list: a slice header
+	chunkRefBytes = 16 // one chunk in a table's chunk list: a chunkRef
 	tableBytes    = 32 // a table's count and chunk list header
 )
 

@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/interval"
@@ -23,6 +23,14 @@ var ErrInsufficient = errors.New("resource: relative complement undefined (insuf
 // located types have their rates summed, exactly as §III's simplification
 // rule prescribes.
 //
+// Located types are disjoint resources, so Θ is a product over them: a
+// Set is one sorted run of (located type, profile) entries, ordered by
+// located type, none holding the everywhere-zero profile. A lookup is a
+// binary search, and every operation on two sets walks both runs once.
+// Every run an operation builds is exactly sized (len == cap), so an
+// entry inserted into one holder's set is never written into capacity
+// another holder's set can reach.
+//
 // The zero value is the empty set, ready for use. Pure operations (Union,
 // Subtract, Clamp, ...) return new sets; mutating operations (Add,
 // Consume, TrimBefore) are documented as such. A mutating operation
@@ -30,7 +38,49 @@ var ErrInsufficient = errors.New("resource: relative complement undefined (insuf
 // sets derived from one another share the profiles they have in common
 // (see patch.go for the contract).
 type Set struct {
-	profiles map[LocatedType]profile
+	entries []entry
+}
+
+// entry is one located type's availability in a Set: a profile that is
+// not empty.
+type entry struct {
+	lt LocatedType
+	p  profile
+}
+
+// setOf returns the set holding run, an exactly sized run of entries in
+// type order, none empty; a run that was allocated for more entries than
+// it holds is cut to its length, and an empty one is the zero Set.
+func setOf(run []entry) Set {
+	if len(run) == 0 {
+		return Set{}
+	}
+	return Set{entries: run[:len(run):len(run)]}
+}
+
+// locate returns the index of lt's entry, whether it is present and its
+// profile; an absent type has the zero profile, and its index is where
+// its entry would be inserted.
+func (s Set) locate(lt LocatedType) (at int, found bool, p profile) {
+	lo, hi := 0, len(s.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		switch c := s.entries[m].lt.compare(lt); {
+		case c < 0:
+			lo = m + 1
+		case c > 0:
+			hi = m
+		default:
+			return m, true, s.entries[m].p
+		}
+	}
+	return lo, false, profile{}
+}
+
+// profileOf returns lt's profile, the zero profile when lt is absent.
+func (s Set) profileOf(lt LocatedType) profile {
+	_, _, p := s.locate(lt)
+	return p
 }
 
 // NewSet builds a normalized set from terms.
@@ -44,29 +94,33 @@ func NewSet(terms ...Term) Set {
 
 // Clone returns a copy the caller owns: mutating either set afterwards
 // leaves the other unchanged. Profiles are immutable, so the copy costs
-// one map, whatever the number of segments.
+// one exactly sized run of entries, whatever the number of segments.
 func (s Set) Clone() Set {
-	if len(s.profiles) == 0 {
+	if len(s.entries) == 0 {
 		return Set{}
 	}
-	out := Set{profiles: make(map[LocatedType]profile, len(s.profiles))}
-	for lt, p := range s.profiles {
-		out.profiles[lt] = p
-	}
-	return out
+	out := make([]entry, len(s.entries))
+	copy(out, s.entries)
+	return Set{entries: out}
 }
 
-// put stores lt's profile in place, dropping the entry when the profile
-// is zero everywhere.
-func (s *Set) put(lt LocatedType, p profile) {
-	if p.empty() {
-		delete(s.profiles, lt)
-		return
+// put stores p as lt's profile in place, at and found being what locate
+// returned for lt. A profile that is zero everywhere drops the entry.
+// Replacing a profile writes into the run; inserting or dropping an
+// entry builds a new exactly sized one, so that a holder of the old run
+// never sees a half-shifted copy.
+func (s *Set) put(at int, found bool, lt LocatedType, p profile) {
+	switch {
+	case found && !p.empty():
+		s.entries[at].p = p
+	case found:
+		out := make([]entry, 0, len(s.entries)-1)
+		*s = setOf(append(append(out, s.entries[:at]...), s.entries[at+1:]...))
+	case !p.empty():
+		out := make([]entry, 0, len(s.entries)+1)
+		out = append(append(out, s.entries[:at]...), entry{lt: lt, p: p})
+		s.entries = append(out, s.entries[at:]...)
 	}
-	if s.profiles == nil {
-		s.profiles = make(map[LocatedType]profile)
-	}
-	s.profiles[lt] = p
 }
 
 // Add merges a term into the set in place (Θ ∪ {t} with simplification).
@@ -75,35 +129,64 @@ func (s *Set) Add(t Term) {
 	if t.Null() {
 		return
 	}
-	s.put(t.Type, s.profiles[t.Type].add(t.Span, t.Rate))
+	at, found, p := s.locate(t.Type)
+	s.put(at, found, t.Type, p.add(t.Span, t.Rate))
 }
 
 // Union returns Θ1 ∪ Θ2 as a new set.
 func (s Set) Union(other Set) Set {
-	out := s.Clone()
-	out.AddSet(other)
-	return out
+	return setOf(union(s.entries, other.entries))
+}
+
+// unionLen returns the number of distinct located types in two runs.
+func unionLen(a, b []entry) int {
+	n := len(a) + len(b)
+	for len(a) > 0 && len(b) > 0 {
+		switch c := a[0].lt.compare(b[0].lt); {
+		case c < 0:
+			a = a[1:]
+		case c > 0:
+			b = b[1:]
+		default:
+			a, b, n = a[1:], b[1:], n-1
+		}
+	}
+	return n
+}
+
+// union returns the sum of two runs in one exactly sized run. A type
+// only one side holds keeps that side's profile.
+func union(a, b []entry) []entry {
+	n := unionLen(a, b)
+	if n == 0 {
+		return nil
+	}
+	out := make([]entry, 0, n)
+	for len(a) > 0 && len(b) > 0 {
+		switch c := a[0].lt.compare(b[0].lt); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out = append(out, entry{lt: a[0].lt, p: a[0].p.merge(b[0].p)})
+			a, b = a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // Empty reports whether the set provides no resource at all.
 func (s Set) Empty() bool {
-	for _, p := range s.profiles {
-		if !p.empty() {
-			return false
-		}
-	}
-	return true
+	return len(s.entries) == 0
 }
 
 // Types returns the located types present, in deterministic order.
 func (s Set) Types() []LocatedType {
-	out := make([]LocatedType, 0, len(s.profiles))
-	for lt, p := range s.profiles {
-		if !p.empty() {
-			out = append(out, lt)
-		}
+	out := make([]LocatedType, len(s.entries))
+	for i, e := range s.entries {
+		out[i] = e.lt
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
 	return out
 }
 
@@ -111,11 +194,9 @@ func (s Set) Types() []LocatedType {
 // and distinct. A directed link counts at its source, which is where the
 // cost model charges it.
 func (s Set) Locations() []Location {
-	out := make([]Location, 0, len(s.profiles))
-	for lt, p := range s.profiles {
-		if !p.empty() {
-			out = append(out, lt.Loc)
-		}
+	out := make([]Location, len(s.entries))
+	for i, e := range s.entries {
+		out[i] = e.lt.Loc
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
@@ -124,11 +205,15 @@ func (s Set) Locations() []Location {
 // Terms returns the normalized terms of the set in deterministic order:
 // by located type, then by interval start.
 func (s Set) Terms() []Term {
-	var out []Term
-	for _, lt := range s.Types() {
-		segs := s.profiles[lt].all()
+	n := s.NumTerms()
+	if n == 0 {
+		return nil
+	}
+	out := make([]Term, 0, n)
+	for _, e := range s.entries {
+		segs := e.p.all()
 		for seg, ok := segs.next(); ok; seg, ok = segs.next() {
-			out = append(out, Term{Rate: seg.rate, Type: lt, Span: seg.span})
+			out = append(out, Term{Rate: seg.rate, Type: e.lt, Span: seg.span})
 		}
 	}
 	return out
@@ -137,35 +222,35 @@ func (s Set) Terms() []Term {
 // NumTerms returns the number of normalized terms.
 func (s Set) NumTerms() int {
 	n := 0
-	for _, p := range s.profiles {
-		n += p.len()
+	for _, e := range s.entries {
+		n += e.p.len()
 	}
 	return n
 }
 
 // RateAt returns the available rate of lt at tick t.
 func (s Set) RateAt(lt LocatedType, t interval.Time) Rate {
-	return s.profiles[lt].rateAt(t)
+	return s.profileOf(lt).rateAt(t)
 }
 
 // MinRate returns the minimum rate of lt over the window (zero if any
 // tick is uncovered).
 func (s Set) MinRate(lt LocatedType, window interval.Interval) Rate {
-	return s.profiles[lt].minRate(window)
+	return s.profileOf(lt).minRate(window)
 }
 
 // QuantityWithin integrates availability of lt over the window. This is
 // the ∪ₛᵈ Θ aggregate used by the paper's satisfy function f.
 func (s Set) QuantityWithin(lt LocatedType, window interval.Interval) Quantity {
-	return s.profiles[lt].quantity(window)
+	return s.profileOf(lt).quantity(window)
 }
 
 // TotalQuantity integrates availability of every type over the window.
 func (s Set) TotalQuantity(window interval.Interval) map[LocatedType]Quantity {
-	out := make(map[LocatedType]Quantity, len(s.profiles))
-	for lt, p := range s.profiles {
-		if q := p.quantity(window); q > 0 {
-			out[lt] = q
+	out := make(map[LocatedType]Quantity, len(s.entries))
+	for _, e := range s.entries {
+		if q := e.p.quantity(window); q > 0 {
+			out[e.lt] = q
 		}
 	}
 	return out
@@ -179,16 +264,23 @@ func (s Set) Covers(term Term) bool {
 	if term.Null() {
 		return true
 	}
-	return s.profiles[term.Type].covers(term.Span, term.Rate)
+	return s.profileOf(term.Type).covers(term.Span, term.Rate)
 }
 
 // Dominates reports whether Θ1 \ Θ2 is defined: availability in s meets
 // or exceeds other at every tick for every located type.
 func (s Set) Dominates(other Set) bool {
-	for lt, q := range other.profiles {
-		p, segs := s.profiles[lt], q.all()
+	a := s.entries
+	for _, q := range other.entries {
+		for len(a) > 0 && a[0].lt.less(q.lt) {
+			a = a[1:]
+		}
+		if len(a) == 0 || a[0].lt != q.lt {
+			return false // q is not empty, and s has none of its type
+		}
+		segs := q.p.all()
 		for seg, ok := segs.next(); ok; seg, ok = segs.next() {
-			if !p.covers(seg.span, seg.rate) {
+			if !a[0].p.covers(seg.span, seg.rate) {
 				return false
 			}
 		}
@@ -200,15 +292,42 @@ func (s Set) Dominates(other Set) bool {
 // complement is undefined. Each located type of other is removed in one
 // splice, which also is the coverage check.
 func (s Set) Subtract(other Set) (Set, error) {
-	out := s.Clone()
-	for lt, q := range other.profiles {
-		p, ok := s.profiles[lt].splice(q, opSub)
-		if !ok {
-			return Set{}, ErrInsufficient
-		}
-		out.put(lt, p)
+	out, ok := subtract(s.entries, other.entries, opSub)
+	if !ok {
+		return Set{}, ErrInsufficient
 	}
-	return out, nil
+	return setOf(out), nil
+}
+
+// subtract returns a minus b, splicing each type b holds with op, in one
+// run sized for a. An exact subtraction fails when b holds more of a
+// type than a, or a type a lacks; a saturating one clamps at zero and
+// ignores the types a lacks.
+func subtract(a, b []entry, op spliceOp) ([]entry, bool) {
+	if len(a) == 0 {
+		return nil, len(b) == 0 || op == opSubSaturate
+	}
+	out := make([]entry, 0, len(a))
+	for _, e := range a {
+		for len(b) > 0 && b[0].lt.less(e.lt) {
+			if op == opSub {
+				return nil, false
+			}
+			b = b[1:]
+		}
+		if len(b) == 0 || b[0].lt != e.lt {
+			out = append(out, e)
+			continue
+		}
+		p, ok := e.p.splice(b[0].p, op)
+		if !ok {
+			return nil, false
+		}
+		if b = b[1:]; !p.empty() {
+			out = append(out, entry{lt: e.lt, p: p})
+		}
+	}
+	return out, len(b) == 0 || op == opSubSaturate
 }
 
 // SubtractTerm returns Θ \ {t}.
@@ -221,12 +340,8 @@ func (s Set) SubtractTerm(t Term) (Set, error) {
 // reneges on its advertised availability: whatever overlap exists
 // disappears, regardless of whether something was counting on it.
 func (s Set) SubtractSaturating(other Set) Set {
-	out := s.Clone()
-	for lt, q := range other.profiles {
-		p, _ := s.profiles[lt].splice(q, opSubSaturate)
-		out.put(lt, p)
-	}
-	return out
+	out, _ := subtract(s.entries, other.entries, opSubSaturate)
+	return setOf(out)
 }
 
 // Consume removes rate×span of lt from the set in place. It returns
@@ -236,11 +351,18 @@ func (s *Set) Consume(lt LocatedType, span interval.Interval, rate Rate) error {
 	if span.Empty() || rate <= 0 {
 		return nil
 	}
-	p, ok := s.profiles[lt].splice(profile{segs: []segment{{span: span, rate: rate}}}, opSub)
+	return s.consume(lt, profile{segs: []segment{{span: span, rate: rate}}})
+}
+
+// consume splices q out of lt's profile in place, or returns
+// ErrInsufficient and leaves the set unchanged.
+func (s *Set) consume(lt LocatedType, q profile) error {
+	at, found, p := s.locate(lt)
+	p, ok := p.splice(q, opSub)
 	if !ok {
 		return ErrInsufficient
 	}
-	s.put(lt, p)
+	s.put(at, found, lt, p)
 	return nil
 }
 
@@ -265,56 +387,100 @@ func (s *Set) ConsumeTerms(terms []Term) error {
 	if len(segs) == 0 {
 		return nil
 	}
-	p, ok := s.profiles[lt].splice(profile{segs: segs}, opSub)
-	if !ok {
-		return ErrInsufficient
-	}
-	s.put(lt, p)
-	return nil
+	return s.consume(lt, profile{segs: segs})
 }
 
 // TrimBefore discards all availability before tick t in place, modeling
 // expiration of resources as the clock advances (the paper's resource
 // expiration rules). It returns the expired portion as a new set.
 func (s *Set) TrimBefore(t interval.Time) Set {
-	expired := Set{}
-	for lt, p := range s.profiles {
-		expired.put(lt, p.clamp(interval.New(interval.NegInfinity, t)))
-		s.put(lt, p.clamp(interval.New(t, interval.Infinity)))
+	expires, lasts := 0, 0
+	for _, e := range s.entries {
+		if e.p.first().span.Start < t {
+			expires++
+		}
+		if e.p.last().span.End > t {
+			lasts++
+		}
 	}
-	return expired
+	past, future := interval.New(interval.NegInfinity, t), interval.New(t, interval.Infinity)
+	var expired []entry
+	if expires > 0 {
+		expired = make([]entry, 0, expires)
+	}
+	kept := s.entries
+	if lasts < len(s.entries) {
+		kept = make([]entry, 0, lasts)
+	}
+	for i, e := range s.entries {
+		if e.p.first().span.Start < t {
+			expired = append(expired, entry{lt: e.lt, p: e.p.clamp(past)})
+		}
+		switch p := e.p.clamp(future); {
+		case lasts == len(s.entries):
+			kept[i].p = p
+		case !p.empty():
+			kept = append(kept, entry{lt: e.lt, p: p})
+		}
+	}
+	*s = setOf(kept)
+	return setOf(expired)
 }
 
 // Clamp returns the subset of availability inside the window.
 func (s Set) Clamp(window interval.Interval) Set {
-	if len(s.profiles) == 0 {
+	if len(s.entries) == 0 {
 		return Set{}
 	}
-	out := Set{profiles: make(map[LocatedType]profile, len(s.profiles))}
-	for lt, p := range s.profiles {
-		out.put(lt, p.clamp(window))
+	out := make([]entry, 0, len(s.entries))
+	for _, e := range s.entries {
+		if p := e.p.clamp(window); !p.empty() {
+			out = append(out, entry{lt: e.lt, p: p})
+		}
 	}
-	return out
+	return setOf(out)
 }
 
 // Restrict returns the availability of the listed located types inside
 // the window: the slice of Θ a search confined to those types and that
-// window can ever read. Its size is that of the slice, not of s.
+// window can ever read. Its size is that of the slice, not of s. The
+// types may come in any order, and more than once: each is looked up
+// and marked, and the marked entries are read in s's order.
 func (s Set) Restrict(window interval.Interval, types ...LocatedType) Set {
-	out := Set{}
+	var small [1]uint64
+	marked := small[:]
+	if len(s.entries) > 64 {
+		marked = make([]uint64, (len(s.entries)+63)/64)
+	}
 	for _, lt := range types {
-		if _, done := out.profiles[lt]; !done {
-			out.put(lt, s.profiles[lt].clamp(window))
+		if at, found, _ := s.locate(lt); found {
+			marked[at/64] |= 1 << (at % 64)
 		}
 	}
-	return out
+	n := 0
+	for _, w := range marked {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return Set{}
+	}
+	out := make([]entry, 0, n)
+	for i, e := range s.entries {
+		if marked[i/64]&(1<<(i%64)) == 0 {
+			continue
+		}
+		if p := e.p.clamp(window); !p.empty() {
+			out = append(out, entry{lt: e.lt, p: p})
+		}
+	}
+	return setOf(out)
 }
 
 // EachSegment calls fn, in time order, for every stretch of constant
 // positive availability of lt inside the window, until fn returns false.
 // It allocates nothing: the read-side alternative to Clamp(window).Terms().
 func (s Set) EachSegment(lt LocatedType, window interval.Interval, fn func(span interval.Interval, rate Rate) bool) {
-	s.profiles[lt].each(window, fn)
+	s.profileOf(lt).each(window, fn)
 }
 
 // EarliestWindow finds the earliest interval of the given duration,
@@ -329,7 +495,7 @@ func (s Set) EarliestWindow(lt LocatedType, rate Rate, duration interval.Time, w
 		runStart, runEnd interval.Time
 		inRun, found     bool
 	)
-	s.profiles[lt].each(within, func(span interval.Interval, r Rate) bool {
+	s.profileOf(lt).each(within, func(span interval.Interval, r Rate) bool {
 		if r < rate {
 			inRun = false
 			return true
@@ -351,28 +517,27 @@ func (s Set) EarliestWindow(lt LocatedType, rate Rate, duration interval.Time, w
 
 // Support returns the ticks during which lt is available at all.
 func (s Set) Support(lt LocatedType) interval.Set {
-	return s.profiles[lt].support()
+	return s.profileOf(lt).support()
 }
 
 // Hull returns the smallest interval covering all availability of every
 // type.
 func (s Set) Hull() interval.Interval {
 	var hull interval.Interval
-	for _, p := range s.profiles {
-		hull = hull.Hull(p.hull())
+	for _, e := range s.entries {
+		hull = hull.Hull(e.p.hull())
 	}
 	return hull
 }
 
-// Equal reports point-wise equality of two sets.
+// Equal reports point-wise equality of two sets. Neither run holds an
+// empty profile, so equal sets hold the same types in the same order.
 func (s Set) Equal(other Set) bool {
-	for lt, p := range s.profiles {
-		if !p.equal(other.profiles[lt]) {
-			return false
-		}
+	if len(s.entries) != len(other.entries) {
+		return false
 	}
-	for lt, p := range other.profiles {
-		if _, seen := s.profiles[lt]; !seen && !p.empty() {
+	for i, e := range s.entries {
+		if f := other.entries[i]; e.lt != f.lt || !e.p.equal(f.p) {
 			return false
 		}
 	}
@@ -396,21 +561,20 @@ func (s Set) String() string {
 // Compact renders the set in scenario-file syntax: comma-separated
 // compact terms, in Terms order.
 func (s Set) Compact() string {
-	types := s.Types()
 	size := 0
-	for _, lt := range types {
-		size += s.profiles[lt].len() * (len(lt.Kind) + len(lt.Loc) + len(lt.Dst) + termTextBytes)
+	for _, e := range s.entries {
+		size += e.p.len() * (len(e.lt.Kind) + len(e.lt.Loc) + len(e.lt.Dst) + termTextBytes)
 	}
 	var out strings.Builder
 	out.Grow(size)
 	var buf [96]byte
-	for _, lt := range types {
-		segs := s.profiles[lt].all()
+	for _, e := range s.entries {
+		segs := e.p.all()
 		for seg, ok := segs.next(); ok; seg, ok = segs.next() {
 			if out.Len() > 0 {
 				out.WriteByte(',')
 			}
-			out.Write(appendTerm(buf[:0], seg.rate, lt, seg.span))
+			out.Write(appendTerm(buf[:0], seg.rate, e.lt, seg.span))
 		}
 	}
 	return out.String()
@@ -454,14 +618,20 @@ func ParseSet(str string) (Set, error) {
 	if !slices.IsSortedFunc(terms, byTypeThenStart) {
 		slices.SortFunc(terms, byTypeThenStart)
 	}
+	types := 0
+	for i, t := range terms {
+		if i == 0 || t.Type != terms[i-1].Type {
+			types++
+		}
+	}
 	var (
-		s     Set
-		arena = make([]segment, 0, len(terms))
-		run   int // the current type's segments are arena[run:]
+		entries = make([]entry, 0, types)
+		arena   = make([]segment, 0, len(terms))
+		run     int // the current type's segments are arena[run:]
 	)
 	for i, t := range terms {
 		if i > 0 && t.Type != terms[i-1].Type {
-			s.put(terms[i-1].Type, fromRun(arena[run:len(arena):len(arena)]))
+			entries = append(entries, entry{lt: terms[i-1].Type, p: fromRun(arena[run:len(arena):len(arena)])})
 			run = len(arena)
 		}
 		seg := segment{span: t.Span, rate: t.Rate}
@@ -477,19 +647,16 @@ func ParseSet(str string) (Set, error) {
 		arena = append(arena, seg)
 	}
 	if len(terms) > 0 {
-		s.put(terms[len(terms)-1].Type, fromRun(arena[run:len(arena):len(arena)]))
+		entries = append(entries, entry{lt: terms[len(terms)-1].Type, p: fromRun(arena[run:len(arena):len(arena)])})
 	}
-	return s, nil
+	return setOf(entries), nil
 }
 
 // byTypeThenStart orders terms as Compact writes them: by located type,
 // then by start.
 func byTypeThenStart(a, b Term) int {
-	switch {
-	case a.Type.less(b.Type):
-		return -1
-	case b.Type.less(a.Type):
-		return 1
+	if c := a.Type.compare(b.Type); c != 0 {
+		return c
 	}
 	return cmp.Compare(a.Span.Start, b.Span.Start)
 }

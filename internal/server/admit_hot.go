@@ -177,8 +177,9 @@ func (l *Ledger) snapshotFree(locs []resource.Location, vers []uint64) (resource
 // mergedFree merges the free views of shards whose locks the caller
 // holds, recording their mutation versions into vers when non-nil. A
 // lone shard's cached view is returned as is, shared read-only. Shards
-// own disjoint located types, so the union of several is one map holding
-// the shards' own profiles: its cost does not grow with their segments.
+// own disjoint located types, so the union of several is one run of
+// entries, built by one sorted merge per shard, holding the shards' own
+// profiles: its cost does not grow with their segments.
 func mergedFree(shards []*shard, vers []uint64) (resource.Set, error) {
 	var free resource.Set
 	for i, sh := range shards {

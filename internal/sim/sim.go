@@ -182,7 +182,8 @@ func (r Result) GoodputRatio() float64 {
 }
 
 // ErrPlanlessAdmission is returned when a planned-execution run admits a
-// job without a witness plan.
+// job without a witness plan, or without the requirement it was planned
+// for (Decision.Req), which the run accommodates as it stands.
 var ErrPlanlessAdmission = errors.New("sim: planned executor needs a plan-producing policy")
 
 // Run executes one simulation.
@@ -272,10 +273,10 @@ func runPlanned(cfg Config, jobs []workload.Job, churnTrace churn.Trace, horizon
 				if !dec.Admit {
 					continue
 				}
-				if dec.Plan == nil {
+				if dec.Plan == nil || dec.Req.Name != job.Dist.Name {
 					return Result{}, ErrPlanlessAdmission
 				}
-				next, _, err := core.Accommodate(state, core.ConcurrentAt(job.Dist, state.Now), *dec.Plan)
+				next, _, err := core.Accommodate(state, dec.Req, *dec.Plan)
 				if err != nil {
 					// The policy admitted but the state rejected the plan
 					// (e.g. a renege raced the decision): count as reject.
