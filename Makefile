@@ -56,11 +56,13 @@ test:
 # derive from one base, so a write into a shared chunk shows there; and
 # the allocation budgets that pin a set to one exactly sized run of
 # entries, whose Clone and Types are one allocation each.
-# The ninth repeats the federation-vs-one-ledger differential test and
-# the served-once test three times: a routed request is served by a
-# direct call into the embedded server under the handoff freeze, and
-# real loopback nodes with gossip running are where a lost ordering on
-# those rerouted paths shows up first.
+# The ninth repeats the federation-vs-one-ledger differential test, the
+# served-once test and the cluster query tests three times: a routed
+# request is served by a direct call into the embedded server under the
+# handoff freeze, a query reads its owners' views through the server's
+# snapshot hook from handler and sweep goroutines alike, and real
+# loopback nodes with gossip running are where a lost ordering on those
+# paths shows up first.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone' ./internal/server/
@@ -70,7 +72,7 @@ race:
 	$(GO) test -race -count=50 -run 'TestSubscribeInitialVerdictAndFlip$$' ./internal/query/
 	$(GO) test -race -count=10 -run 'StoreConcurrency|SpanTree' ./internal/obs/span/
 	$(GO) test -race -count=10 -run 'SharedProfilesUnderConcurrentPatching|PatchAllocationBudget|SetRunAllocationBudget' ./internal/resource/
-	$(GO) test -race -count=3 -run 'TestClusterDecidesAsOneLedger|TestRoutedEndpointsServedOnce' ./internal/cluster/
+	$(GO) test -race -count=3 -run 'TestClusterDecidesAsOneLedger|TestRoutedEndpointsServedOnce|TestClusterQuery' ./internal/cluster/
 
 # Ten seconds of coverage-guided inputs holding the splice kernels and
 # clamp to the event-sweep reference, on operands long enough to be

@@ -145,10 +145,7 @@ func Generate(cfg Config) (Trace, error) {
 // TotalOffered integrates every join's advertised capacity (before
 // reneging) plus the base.
 func (t Trace) TotalOffered(window interval.Interval) resource.Quantity {
-	var total resource.Quantity
-	for _, q := range t.Base.TotalQuantity(window) {
-		total += q
-	}
+	total := t.Base.TotalWithin(window)
 	for _, j := range t.Joins {
 		for _, term := range j.Terms.Terms() {
 			total += term.QuantityWithin(window)

@@ -308,15 +308,12 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.srv = srv
 	n.maxBody = 1 << 20
-	// Standing watches evaluate through the cluster so their verdicts
-	// stay correct when footprint locations change owners.
-	srv.SetWatchEvaluator(n.clusterEval)
+	// Every query, one-shot or standing, reads the footprint's owners.
+	srv.SetQuerySnapshot(n.querySnapshot)
 
 	n.mux = http.NewServeMux()
 	n.route("POST /v1/admit", "admit", n.handleAdmit)
 	n.route("POST /v1/release", "release", n.handleRelease)
-	n.route("GET /v1/query", "query", n.handleQuery)
-	n.route("POST /v1/query", "query.eval", n.handleQueryPost)
 	n.route("GET /v1/stats", "stats", n.handleStats)
 	n.route("GET /v1/assure", "assure", n.handleAssure)
 	n.route("POST /v1/cluster/gossip", "cluster.gossip", n.handleGossip)

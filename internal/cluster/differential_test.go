@@ -16,6 +16,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/interval"
 	"repro/internal/obs/assure"
+	"repro/internal/query"
 	"repro/internal/resource"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -34,7 +35,9 @@ import (
 // workload.Generate job with sends and migrates), a release or a clock
 // advance, entered at a rotating node. After every step it compares the
 // status, the verdict, the plan finish and the refusal's stage and
-// constraint, then the promise totals on /v1/assure.
+// constraint, then the promise totals on /v1/assure, then two one-shot
+// queries: a holds over two owners' locations and feasible() of the
+// latest live two-owner job.
 func TestClusterDecidesAsOneLedger(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -126,6 +129,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 			what = d.advance()
 		}
 		d.compareAssure(fmt.Sprintf("step %d (%s)", i, what))
+		d.compareQueries(fmt.Sprintf("step %d (%s)", i, what))
 	}
 	var coordinated, forwarded uint64
 	for _, nd := range d.tc.nodes {
@@ -311,5 +315,44 @@ func (d *differential) compareAssure(when string) {
 		d.t.Fatalf("%s: federation promise totals active=%d kept=%d violated=%d orphaned=%d evicted=%d transferred=%d, want %d %d %d %d %d %d",
 			when, got.Active, got.Kept, got.Violated, got.Orphaned, got.EvictedWithJob, got.Transferred,
 			want.Active, want.Kept, want.Violated, want.Orphaned, want.EvictedWithJob, want.Transferred)
+	}
+}
+
+// compareQueries enters two one-shot queries at the rotating node and
+// holds each verdict, and the formula it was decided by, to the one
+// ledger's EvalQuery: a holds whose footprint spans two owners, and
+// feasible() of the latest live job with a share on two owners.
+func (d *differential) compareQueries(when string) {
+	a := d.locs[0]
+	b := d.locs[len(d.locs)-1]
+	if d.owner[a] == d.owner[b] {
+		d.t.Fatalf("fixture: %s and %s share an owner", a, b)
+	}
+	qs := []string{fmt.Sprintf("holds(%s, cpu>=2, always, next 12) or holds(%s, cpu>=3, eventually, next 6)", a, b)}
+	for i := len(d.names) - 1; i >= 0; i-- {
+		if _, live := d.one.Ledger().Commitment(d.names[i]); live && d.shares[d.names[i]] > 1 {
+			qs = append(qs, fmt.Sprintf("feasible(%s)", d.names[i]))
+			break
+		}
+	}
+	for _, q := range qs {
+		c, err := query.ParseText(q)
+		if err != nil {
+			d.t.Fatal(err)
+		}
+		want, err := d.one.EvalQuery(c)
+		if err != nil {
+			d.t.Fatal(err)
+		}
+		at := d.entry()
+		status, data := post(d.t, d.tc.urls[at]+"/v1/query", server.QueryRequest{Query: q}, nil)
+		var got server.QueryResponse
+		if status != http.StatusOK || json.Unmarshal(data, &got) != nil {
+			d.t.Fatalf("%s: %s via %s answered %d %s", when, q, d.tc.peers[at].ID, status, data)
+		}
+		if got.Holds != want.Holds || got.Formula != want.Formula {
+			d.t.Fatalf("%s: %s via %s: federation holds=%v by %s, one ledger holds=%v by %s",
+				when, q, d.tc.peers[at].ID, got.Holds, got.Formula, want.Holds, want.Formula)
+		}
 	}
 }

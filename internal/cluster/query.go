@@ -6,129 +6,97 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"time"
+	"slices"
 
-	"repro/internal/interval"
-	"repro/internal/obs"
-	"repro/internal/obs/span"
 	"repro/internal/query"
 	"repro/internal/resource"
 	"repro/internal/server"
 )
 
-// Cluster-aware temporal queries. A query whose footprint lives entirely
-// on this node delegates to the embedded server; one spanning locations
-// owned by other nodes is answered against the merged free views of the
-// owners — the same views a coordinated admission plans against, so a
-// fan-out verdict always equals a single merged-ledger evaluation.
-// Standing queries (/v1/watch) stay node-local by design: each node
-// watches its own ledger epochs, and the mux's "/" fallback already
-// routes them to the embedded server.
+// Cluster temporal queries. The embedded server parses, evaluates,
+// serves and watches every query (/v1/query and /v1/watch reach it
+// through the mux's "/" fallback); the cluster supplies only the
+// snapshot: the owners' merged free views, the exact views a coordinated
+// admission plans against, so a federation answers as one ledger over
+// the union Θ.
 
-// handleQuery is the cluster-aware GET /v1/query: commitment lookups
-// (?name=) and all-local queries delegate to the embedded server;
-// anything touching remote owners fans out.
-func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	if name := params.Get("name"); name != "" {
-		n.srv.ServeCommitment(w, name)
-		return
+// querySnapshot is the cluster's query-snapshot hook. It resolves the
+// query's names on every member, groups the footprint by owner under the
+// live ownership table and reads the owners' views through freeViews,
+// retrying when ownership moves underneath it. Because owners are
+// resolved per evaluation, a standing watch keeps answering correctly
+// when its locations change hands. Locations no node owns contribute no
+// free resources, so atoms over them are false, as on an empty shard.
+// The snapshot is scoped exactly when the query names nothing and every
+// location is this node's own: only then do this ledger's writes say
+// everything that can change the verdict.
+func (n *Node) querySnapshot(ctx context.Context, c *query.Compiled) (query.Snapshot, error) {
+	if ctx.Done() == nil {
+		// A standing watch, evaluated on the manager's one sweep
+		// goroutine with no request to cancel it: one RPC timeout bounds
+		// its whole fan-out, as a request's context bounds a one-shot's.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, n.client.timeout)
+		defer cancel()
 	}
-	q := params.Get("q")
-	if q == "" {
-		server.HTTPError(w, http.StatusBadRequest, errors.New("cluster: query needs ?name= or ?q="))
-		return
-	}
-	c, err := query.ParseText(q)
-	if err != nil {
-		server.HTTPError(w, http.StatusBadRequest, err)
-		return
-	}
-	n.serveQuery(w, r, c)
-}
-
-// handleQueryPost is the cluster-aware POST /v1/query.
-func (n *Node) handleQueryPost(w http.ResponseWriter, r *http.Request) {
-	body, err := server.ReadBody(w, r, n.maxBody)
-	if err != nil {
-		server.HTTPError(w, http.StatusBadRequest, err)
-		return
-	}
-	c, err := server.DecodeQueryRequest(body.Bytes())
-	body.Release()
-	if err != nil {
-		server.HTTPError(w, http.StatusBadRequest, err)
-		return
-	}
-	n.serveQuery(w, r, c)
-}
-
-// serveQuery routes a compiled query: local footprints take the embedded
-// server's path (and its span, log line and metrics), spanning ones are
-// merged here.
-func (n *Node) serveQuery(w http.ResponseWriter, r *http.Request, c *query.Compiled) {
-	if len(c.Names()) == 0 && n.allSelf(c.Footprint(nil)) {
-		n.srv.ServeQuery(r.Context(), w, c)
-		return
-	}
-	_, sp := n.spans.Start(r.Context(), span.KindQuery)
-	defer sp.End()
-	sp.Str("query", c.Source())
-	resp, err := n.fanoutQuery(r.Context(), c)
-	if err != nil {
-		sp.SetStatus(span.StatusError)
-		sp.Attr("error", err)
-		server.HTTPError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	sp.Attr("holds", resp.Holds)
-	sp.Int("epoch", int64(resp.Epoch))
-	n.obs.Log("query.fanout",
-		"trace", obs.Trace(r.Context()), "query", resp.Query,
-		"holds", resp.Holds, "elapsed_us", resp.ElapsedUS)
-	server.WriteJSON(w, http.StatusOK, resp)
-}
-
-// allSelf reports whether every location is owned by this node under
-// the live ownership table (including its handoff overlays).
-func (n *Node) allSelf(locs []resource.Location) bool {
-	for _, loc := range locs {
-		if ref, ok := n.lookupOwner(loc); !ok || ref.id != n.self.ID {
-			return false
+	snap := query.Snapshot{Epoch: n.srv.Ledger().Epoch(), Commitments: make(map[string]query.Commitment)}
+	for _, name := range c.Names() {
+		cm, ok, err := n.resolveCommitment(ctx, name)
+		if err != nil {
+			return query.Snapshot{}, server.Unavailable(err)
+		}
+		if ok {
+			snap.Commitments[name] = cm
 		}
 	}
-	return true
+	snap.Footprint = c.Footprint(snap.Commitments)
+	for attempt := 0; ; attempt++ {
+		// Resolve owners per attempt: a 421 consumed below refreshes the
+		// learned overlay, so the retry routes to the new owner.
+		snap.Scoped = len(c.Names()) == 0
+		byOwner := make(map[*peerState][]resource.Location)
+		for _, loc := range snap.Footprint {
+			ref, ok := n.lookupOwner(loc)
+			if !ok || ref.id != n.self.ID {
+				snap.Scoped = false
+			}
+			if ok {
+				ps := n.peerFor(ref)
+				byOwner[ps] = append(byOwner[ps], loc)
+			}
+		}
+		var err error
+		snap.Free, snap.Now, err = n.freeViews(ctx, participants(byOwner))
+		switch {
+		case err == nil:
+			if len(byOwner) == 0 {
+				snap.Now = n.srv.Ledger().Now()
+			}
+			if !snap.Scoped {
+				n.fanouts.Add(1)
+			}
+			return snap, nil
+		case !errors.Is(err, errStaleOwner) || attempt >= maxOwnerRetries:
+			return query.Snapshot{}, server.Unavailable(err)
+		}
+	}
 }
 
-// clusterEval is the standing-watch evaluator in cluster mode: a watch
-// whose footprint stays on this node evaluates against the local ledger
-// exactly as before; one touching remote owners evaluates through the
-// same fan-out path as a one-shot query. Because ownership is resolved
-// per evaluation, a watch keeps answering correctly when its footprint
-// locations change owners mid-subscription.
-func (n *Node) clusterEval(c *query.Compiled) (query.Verdict, error) {
-	if len(c.Names()) == 0 && n.allSelf(c.Footprint(nil)) {
-		return n.srv.LocalEval(c)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.client.timeout)
-	defer cancel()
-	resp, err := n.fanoutQuery(ctx, c)
-	if err != nil {
-		return query.Verdict{}, err
-	}
-	return query.Verdict{Holds: resp.Holds, Epoch: resp.Epoch, Now: resp.Now}, nil
-}
-
-// resolveCommitment finds a named commitment anywhere in the cluster:
-// locally first, then on each peer via its commitment-lookup endpoint. A
-// name committed nowhere resolves to nothing (feasible/Allen atoms over
-// it are false), matching single-node semantics.
+// resolveCommitment finds a named commitment on every member: this
+// node's ledger and each peer's commitment lookup. A coordinated job
+// leaves a share on each of its owners, and located types are disjoint,
+// so the job is the union of its shares — their remaining demand and
+// locations, the earliest admission, the latest finish and deadline —
+// which is what one ledger over the union Θ holds. A name committed
+// nowhere resolves to nothing (feasible/Allen atoms over it are false),
+// matching single-node semantics.
 func (n *Node) resolveCommitment(ctx context.Context, name string) (query.Commitment, bool, error) {
-	if cm, ok := n.srv.Ledger().QueryCommitment(name); ok {
-		return cm, true, nil
-	}
+	var shares []query.Commitment
 	for _, ps := range n.peersSnapshot() {
 		if ps.isSelf {
+			if cm, ok := n.srv.Ledger().QueryCommitment(name); ok {
+				shares = append(shares, cm)
+			}
 			continue
 		}
 		var info server.CommitmentInfo
@@ -144,72 +112,20 @@ func (n *Node) resolveCommitment(ctx context.Context, name string) (query.Commit
 		if err != nil {
 			return query.Commitment{}, false, fmt.Errorf("cluster: commitment %s demand unparsable: %w", name, err)
 		}
-		return info.QueryCommitment(demand), true, nil
+		shares = append(shares, info.QueryCommitment(demand))
 	}
-	return query.Commitment{}, false, nil
-}
-
-// fanoutQuery evaluates a query against the merged free views of every
-// owner in its footprint — the exact views a coordinated admission plans
-// against. Locations no node owns contribute no free resources, so atoms
-// over them are false rather than errors, matching an empty shard.
-func (n *Node) fanoutQuery(ctx context.Context, c *query.Compiled) (server.QueryResponse, error) {
-	start := time.Now()
-	n.fanouts.Add(1)
-	comms := make(map[string]query.Commitment)
-	for _, name := range c.Names() {
-		cm, ok, err := n.resolveCommitment(ctx, name)
-		if err != nil {
-			return server.QueryResponse{}, err
-		}
-		if ok {
-			comms[name] = cm
-		}
+	if len(shares) == 0 {
+		return query.Commitment{}, false, nil
 	}
-	footprint := c.Footprint(comms)
-	var free resource.Set
-	var now interval.Time
-	for attempt := 0; ; attempt++ {
-		// Resolve owners per attempt: a 421 consumed below refreshes the
-		// learned overlay, so the retry routes to the new owner.
-		byOwner := make(map[*peerState][]resource.Location)
-		for _, loc := range footprint {
-			if ref, ok := n.lookupOwner(loc); ok {
-				ps := n.peerFor(ref)
-				byOwner[ps] = append(byOwner[ps], loc)
-			}
-		}
-		var err error
-		free, now, err = n.freeViews(ctx, participants(byOwner))
-		if err == nil {
-			if len(byOwner) == 0 {
-				now = n.srv.Ledger().Now()
-			}
-			break
-		}
-		if !errors.Is(err, errStaleOwner) {
-			return server.QueryResponse{}, err
-		}
-		if attempt >= maxOwnerRetries {
-			return server.QueryResponse{}, errStaleOwner
-		}
+	cm := shares[0]
+	for _, sh := range shares[1:] {
+		cm.Admitted = min(cm.Admitted, sh.Admitted)
+		cm.Finish = max(cm.Finish, sh.Finish)
+		cm.Deadline = max(cm.Deadline, sh.Deadline)
+		cm.Locations = append(cm.Locations, sh.Locations...)
+		cm.Demand = cm.Demand.Union(sh.Demand)
 	}
-	snap := query.Snapshot{
-		Now:         now,
-		Epoch:       n.srv.Ledger().Epoch(),
-		Free:        free,
-		Commitments: comms,
-	}
-	res, err := c.Evaluate(snap)
-	if err != nil {
-		return server.QueryResponse{}, err
-	}
-	return server.QueryResponse{
-		Query:     c.Source(),
-		Holds:     res.Holds,
-		Formula:   res.Formula.String(),
-		Now:       snap.Now,
-		Epoch:     snap.Epoch,
-		ElapsedUS: time.Since(start).Microseconds(),
-	}, nil
+	slices.Sort(cm.Locations)
+	cm.Locations = slices.Compact(cm.Locations)
+	return cm, true, nil
 }

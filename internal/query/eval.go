@@ -34,6 +34,15 @@ type Snapshot struct {
 	Epoch       uint64
 	Free        resource.Set
 	Commitments map[string]Commitment
+	// Footprint is the sorted set of locations Free was read from.
+	// Located types are disjoint resources, so a write touching none of
+	// them, and none of the query's names, cannot change the verdict.
+	Footprint []resource.Location
+	// Scoped reports that Footprint is the whole read set. A snapshot
+	// that cannot name one (a cluster fan-out reads peers' ledgers)
+	// leaves it false. A scoped snapshot with an empty footprint read no
+	// location: "true", or a query whose names all resolved to nothing.
+	Scoped bool
 }
 
 // Result is a query verdict with the core formula it was decided by.

@@ -14,26 +14,21 @@ import (
 )
 
 // Evaluator decides a compiled query against the current ledger state.
-// The server injects one that snapshots the free view; the manager
-// never touches the ledger directly.
+// The server passes one that evaluates the Snapshot its query-snapshot
+// hook returns: its own ledger's, or on a cluster node the merged views
+// of the footprint's owners. The manager never touches a ledger.
 type Evaluator func(c *Compiled) (Verdict, error)
 
 // Verdict is one evaluation outcome with the state it was taken
-// against and the locations it was read from.
+// against and the locations it was read from: Footprint and Scoped are
+// the Snapshot's. An unscoped verdict's subscription is re-evaluated on
+// every sweep.
 type Verdict struct {
-	Holds bool
-	Epoch uint64
-	Now   interval.Time
-	// Footprint is the sorted set of locations the verdict was read
-	// from. Located types are disjoint resources, so a write touching
-	// none of them, and none of the query's names, cannot flip it.
+	Holds     bool
+	Epoch     uint64
+	Now       interval.Time
 	Footprint []resource.Location
-	// Scoped reports that Footprint is the whole read set. An evaluator
-	// that cannot name one (a cluster fan-out reads peers' ledgers)
-	// leaves it false, and the subscription is re-evaluated on every
-	// sweep. A scoped verdict with an empty footprint read no location:
-	// "true", or a query whose names all resolved to nothing.
-	Scoped bool
+	Scoped    bool
 }
 
 // Event is one delivery to a subscriber: the initial verdict when the

@@ -245,6 +245,18 @@ func (s Set) QuantityWithin(lt LocatedType, window interval.Interval) Quantity {
 	return s.profileOf(lt).quantity(window)
 }
 
+// TotalWithin integrates availability over the window, summed across
+// every type: TotalQuantity's values added up, with no map built.
+func (s Set) TotalWithin(window interval.Interval) Quantity {
+	var total Quantity
+	for _, e := range s.entries {
+		if q := e.p.quantity(window); q > 0 {
+			total += q
+		}
+	}
+	return total
+}
+
 // TotalQuantity integrates availability of every type over the window.
 func (s Set) TotalQuantity(window interval.Interval) map[LocatedType]Quantity {
 	out := make(map[LocatedType]Quantity, len(s.entries))

@@ -150,6 +150,19 @@ func TestQuantityWithin(t *testing.T) {
 	if total[cpuL1] != QuantityFromUnits(28) || total[netL12] != QuantityFromUnits(28) {
 		t.Errorf("TotalQuantity = %v", total)
 	}
+	// TotalWithin is TotalQuantity summed, without building the map.
+	for _, w := range []interval.Interval{interval.New(0, 8), interval.New(3, 5), interval.New(8, 9)} {
+		var want Quantity
+		for _, q := range s.TotalQuantity(w) {
+			want += q
+		}
+		if got := s.TotalWithin(w); got != want {
+			t.Errorf("TotalWithin%v = %d, want %d", w, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.TotalWithin(interval.New(0, 8)) }); allocs != 0 {
+		t.Errorf("TotalWithin allocates %.0f times, want 0", allocs)
+	}
 }
 
 func TestConsume(t *testing.T) {

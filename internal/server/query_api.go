@@ -42,9 +42,8 @@ type QueryResponse struct {
 	ElapsedUS int64         `json:"elapsed_us"`
 }
 
-// DecodeQueryRequest decodes and compiles one query body. Exported so
-// the fuzz harness exercises exactly the wire path.
-func DecodeQueryRequest(body []byte) (*query.Compiled, error) {
+// decodeQueryRequest decodes and compiles one POST /v1/query body.
+func decodeQueryRequest(body []byte) (*query.Compiled, error) {
 	var req QueryRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, fmt.Errorf("server: bad query body: %w", err)
@@ -61,38 +60,58 @@ func DecodeQueryRequest(body []byte) (*query.Compiled, error) {
 	}
 }
 
-// evalQuery resolves the query's named refs and footprint against the
-// ledger, snapshots the free view and evaluates, returning the footprint
-// the verdict was read from. The epoch is read before the free view: a
-// mutation racing the snapshot lands a later epoch, so the subscription
-// manager's next sweep re-checks — verdicts are never stale across a
-// quiet epoch.
-func (s *Server) evalQuery(c *query.Compiled) (query.Result, query.Snapshot, []resource.Location, error) {
-	epoch := s.ledger.Epoch()
-	comms := make(map[string]query.Commitment)
+// A QuerySnapshot returns the Snapshot a compiled query is evaluated
+// against: its resolved names, the free view of its footprint, the
+// clock and the epoch, and whether that footprint is its whole read set.
+// ctx carries the evaluating request's span, so the spans of any RPC
+// the hook makes nest under it.
+type QuerySnapshot func(ctx context.Context, c *query.Compiled) (query.Snapshot, error)
+
+// SetQuerySnapshot replaces the hook every query evaluation, one-shot
+// or standing, reads its snapshot through. A cluster node installs one
+// that reads the footprint's owners. Call it once, before the server
+// accepts queries or subscriptions.
+func (s *Server) SetQuerySnapshot(fn QuerySnapshot) { s.snapshot = fn }
+
+// ledgerSnapshot is the default hook: this node's ledger. The epoch is
+// read before the free view, so a mutation racing the snapshot lands a
+// later epoch. Absent names are left out, not errors. The snapshot is
+// scoped: a write to none of its footprint's shards, for none of the
+// query's names, cannot change the verdict.
+func (s *Server) ledgerSnapshot(_ context.Context, c *query.Compiled) (query.Snapshot, error) {
+	snap := query.Snapshot{Epoch: s.ledger.Epoch(), Commitments: make(map[string]query.Commitment), Scoped: true}
 	for _, name := range c.Names() {
-		// Absent refs evaluate to false, not errors.
 		if cm, ok := s.ledger.QueryCommitment(name); ok {
-			comms[name] = cm
+			snap.Commitments[name] = cm
 		}
 	}
-	var (
-		free resource.Set
-		now  interval.Time
-	)
-	locs := c.Footprint(comms)
-	if len(locs) > 0 {
-		var err error
-		free, now, err = s.ledger.FreeView(locs)
-		if err != nil {
-			return query.Result{}, query.Snapshot{}, nil, err
-		}
-	} else {
-		now = s.ledger.Now()
+	snap.Footprint = c.Footprint(snap.Commitments)
+	if len(snap.Footprint) == 0 {
+		snap.Now = s.ledger.Now()
+		return snap, nil
 	}
-	snap := query.Snapshot{Now: now, Epoch: epoch, Free: free, Commitments: comms}
+	var err error
+	snap.Free, snap.Now, err = s.ledger.FreeView(snap.Footprint)
+	return snap, err
+}
+
+// evalQuery is the one query evaluation: the hook's snapshot, decided.
+// A one-shot answer and a standing watch's verdict are both built from
+// what it returns.
+func (s *Server) evalQuery(ctx context.Context, c *query.Compiled) (query.Result, query.Verdict, error) {
+	snap, err := s.snapshot(ctx, c)
+	if err != nil {
+		return query.Result{}, query.Verdict{}, err
+	}
 	res, err := c.Evaluate(snap)
-	return res, snap, locs, err
+	return res, query.Verdict{Holds: res.Holds, Epoch: snap.Epoch, Now: snap.Now,
+		Footprint: snap.Footprint, Scoped: snap.Scoped}, err
+}
+
+// watchEval is the subscription manager's evaluator.
+func (s *Server) watchEval(c *query.Compiled) (query.Verdict, error) {
+	_, v, err := s.evalQuery(context.Background(), c)
+	return v, err
 }
 
 // QueryCommitment resolves a live commitment for a query evaluation,
@@ -123,51 +142,25 @@ func (info CommitmentInfo) QueryCommitment(demand resource.Set) query.Commitment
 	}
 }
 
-// managerEval adapts evalQuery for the subscription manager. An
-// installed override (SetWatchEvaluator) takes precedence: the cluster
-// layer injects one that fans footprints spanning other owners out to
-// the live ownership table, so a standing watch keeps evaluating
-// correctly after the locations it names change hands.
-func (s *Server) managerEval(c *query.Compiled) (query.Verdict, error) {
-	if fn, ok := s.watchEval.Load().(query.Evaluator); ok && fn != nil {
-		return fn(c)
-	}
-	return s.LocalEval(c)
-}
-
-// LocalEval evaluates a compiled query against this node's ledger only
-// — the building block a cluster-aware watch evaluator falls back to
-// for all-local footprints. The verdict is scoped: a write to none of
-// its footprint's shards, for none of the query's names, cannot flip it.
-func (s *Server) LocalEval(c *query.Compiled) (query.Verdict, error) {
-	res, snap, locs, err := s.evalQuery(c)
-	if err != nil {
-		return query.Verdict{}, err
-	}
-	return query.Verdict{Holds: res.Holds, Epoch: snap.Epoch, Now: snap.Now,
-		Footprint: locs, Scoped: true}, nil
-}
-
-// SetWatchEvaluator overrides the evaluator standing watches re-run on
-// every ledger epoch. Intended to be called once, before the server
-// accepts subscriptions.
-func (s *Server) SetWatchEvaluator(fn query.Evaluator) {
-	s.watchEval.Store(fn)
-}
-
 // Queries exposes the subscription manager (selftest and tests).
 func (s *Server) Queries() *query.Manager {
 	return s.queries
 }
 
-// EvalQuery runs a compiled query against the live ledger (cluster
-// fan-out delegates single-owner queries here, and the selftest uses it
-// for merged-view equivalence checks).
+// EvalQuery answers a compiled one-shot query (the benchmark's replay
+// times this call).
 func (s *Server) EvalQuery(c *query.Compiled) (QueryResponse, error) {
+	resp, _, err := s.answerQuery(context.Background(), c)
+	return resp, err
+}
+
+// answerQuery evaluates, counts and answers one one-shot query. scoped
+// reports whether it read this node's ledger alone.
+func (s *Server) answerQuery(ctx context.Context, c *query.Compiled) (resp QueryResponse, scoped bool, err error) {
 	start := time.Now()
-	res, snap, _, err := s.evalQuery(c)
+	res, v, err := s.evalQuery(ctx, c)
 	if err != nil {
-		return QueryResponse{}, err
+		return resp, false, err
 	}
 	s.queryCount.Add(1)
 	elapsed := time.Since(start).Microseconds()
@@ -176,10 +169,23 @@ func (s *Server) EvalQuery(c *query.Compiled) (QueryResponse, error) {
 		Query:     c.Source(),
 		Holds:     res.Holds,
 		Formula:   res.Formula.String(),
-		Now:       snap.Now,
-		Epoch:     snap.Epoch,
+		Now:       v.Now,
+		Epoch:     v.Epoch,
 		ElapsedUS: elapsed,
-	}, nil
+	}, v.Scoped, nil
+}
+
+// queryStatus is the HTTP status of a failed query evaluation: 503 when
+// an owner could not be read, 422 when a location is not this node's.
+func queryStatus(err error) int {
+	var u unavailable
+	switch {
+	case errors.As(err, &u):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrNotOwned):
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusInternalServerError
 }
 
 // handleQuery serves GET /v1/query. ?name= is the commitment lookup the
@@ -187,7 +193,12 @@ func (s *Server) EvalQuery(c *query.Compiled) (QueryResponse, error) {
 // query in the compact text form.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if name := r.URL.Query().Get("name"); name != "" {
-		s.ServeCommitment(w, name)
+		info, ok := s.ledger.Commitment(name)
+		if !ok {
+			HTTPError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrUnknown, name))
+			return
+		}
+		WriteJSON(w, http.StatusOK, info)
 		return
 	}
 	q := r.URL.Query().Get("q")
@@ -201,17 +212,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.ServeQuery(r.Context(), w, c)
-}
-
-// ServeCommitment answers the commitment lookup GET /v1/query?name=.
-func (s *Server) ServeCommitment(w http.ResponseWriter, name string) {
-	info, ok := s.ledger.Commitment(name)
-	if !ok {
-		HTTPError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrUnknown, name))
-		return
-	}
-	WriteJSON(w, http.StatusOK, info)
+	s.serveQuery(r.Context(), w, c)
 }
 
 // handleQueryPost serves POST /v1/query: the text or JSON-AST wire form.
@@ -222,39 +223,35 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
-	c, err := DecodeQueryRequest(body.Bytes())
+	c, err := decodeQueryRequest(body.Bytes())
 	body.Release()
 	if err != nil {
 		s.errored.Add(1)
 		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.ServeQuery(r.Context(), w, c)
+	s.serveQuery(r.Context(), w, c)
 }
 
-// ServeQuery evaluates a compiled one-shot query against this node's
-// ledger and writes the verdict.
-func (s *Server) ServeQuery(ctx context.Context, w http.ResponseWriter, c *query.Compiled) {
-	_, sp := s.cfg.Spans.Start(ctx, span.KindQuery)
+// serveQuery evaluates a compiled one-shot query and writes the
+// verdict. The query span's context reaches the snapshot hook.
+func (s *Server) serveQuery(ctx context.Context, w http.ResponseWriter, c *query.Compiled) {
+	ctx, sp := s.cfg.Spans.Start(ctx, span.KindQuery)
 	defer sp.End()
 	sp.Str("query", c.Source())
-	resp, err := s.EvalQuery(c)
+	resp, scoped, err := s.answerQuery(ctx, c)
 	if err != nil {
 		s.errored.Add(1)
 		sp.SetStatus(span.StatusError)
 		sp.Attr("error", err)
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrNotOwned) {
-			status = http.StatusUnprocessableEntity
-		}
-		HTTPError(w, status, err)
+		HTTPError(w, queryStatus(err), err)
 		return
 	}
 	sp.Attr("holds", resp.Holds)
 	sp.Int("epoch", int64(resp.Epoch))
 	s.obs.Log("query.oneshot",
-		"trace", obs.Trace(ctx), "query", resp.Query,
-		"holds", resp.Holds, "epoch", resp.Epoch, "elapsed_us", resp.ElapsedUS)
+		"trace", obs.Trace(ctx), "query", resp.Query, "holds", resp.Holds,
+		"epoch", resp.Epoch, "fanout", !scoped, "elapsed_us", resp.ElapsedUS)
 	WriteJSON(w, http.StatusOK, resp)
 }
 
@@ -299,11 +296,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		s.errored.Add(1)
 		sp.SetStatus(span.StatusError)
 		sp.Attr("error", err)
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrNotOwned) {
-			status = http.StatusUnprocessableEntity
-		}
-		HTTPError(w, status, err)
+		HTTPError(w, queryStatus(err), err)
 		return
 	}
 	defer sub.Close()
@@ -372,11 +365,7 @@ func (s *Server) handleWatchHook(w http.ResponseWriter, r *http.Request) {
 	sub, err := s.queries.SubscribeWebhook(c, req.URL, nil, watchQueueLen(r))
 	if err != nil {
 		s.errored.Add(1)
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrNotOwned) {
-			status = http.StatusUnprocessableEntity
-		}
-		HTTPError(w, status, err)
+		HTTPError(w, queryStatus(err), err)
 		return
 	}
 	s.webhookMu.Lock()

@@ -124,11 +124,11 @@ type Server struct {
 	obs       *obs.Observer
 	httpStats map[string]*obs.EndpointStats
 
-	// queries is the temporal-query subscription manager: standing
-	// queries re-evaluated on every ledger epoch bump. watchEval holds
-	// an optional query.Evaluator override (the cluster layer's
-	// ownership-aware evaluator) consulted by managerEval.
-	watchEval      atomic.Value
+	// snapshot is the query-snapshot hook every query evaluation reads
+	// through (ledgerSnapshot unless SetQuerySnapshot replaced it), and
+	// queries the temporal-query subscription manager: standing queries
+	// re-evaluated on every ledger epoch bump.
+	snapshot       QuerySnapshot
 	queries        *query.Manager
 	queryCount     atomic.Uint64
 	queryLatencyUS *metrics.Histogram
@@ -152,9 +152,11 @@ func New(cfg Config) (*Server, error) {
 		httpStats:      make(map[string]*obs.EndpointStats),
 		webhooks:       make(map[uint64]*query.Subscription),
 	}
+	// The method value is taken once: one per evaluation would allocate.
+	s.snapshot = s.ledgerSnapshot
 	// The manager evaluates through s.ledger only once a subscription
 	// exists, so it can be built first and hand the ledger its notifier.
-	s.queries = query.NewManager(s.managerEval, s.queryLog())
+	s.queries = query.NewManager(s.watchEval, s.queryLog())
 	s.ledger = NewLedger(cfg, func(epoch uint64, o op) {
 		s.queries.BumpAt(epoch, o.reason(), o.locs, o.rec.name)
 	})

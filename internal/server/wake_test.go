@@ -58,7 +58,7 @@ type wakeRun struct {
 	watches []*wakeWatch
 	subs    int // Subscribe calls, each one evaluation
 	log     []string
-	// racing, when set, is a write the watch evaluator runs right after
+	// racing, when set, is a write the snapshot hook runs right after
 	// the initial read of the query it names: a bump landing between a
 	// subscription's first evaluation and its registration.
 	racing atomic.Pointer[racingWrite]
@@ -76,12 +76,12 @@ func newWakeRun(t *testing.T, data []byte) *wakeRun {
 	}
 	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
 	r := &wakeRun{t: t, srv: srv, data: data}
-	srv.SetWatchEvaluator(func(c *query.Compiled) (query.Verdict, error) {
-		v, err := srv.LocalEval(c)
+	srv.SetQuerySnapshot(func(ctx context.Context, c *query.Compiled) (query.Snapshot, error) {
+		snap, err := srv.ledgerSnapshot(ctx, c)
 		if w := r.racing.Load(); w != nil && w.c == c && r.racing.CompareAndSwap(w, nil) {
 			w.write()
 		}
-		return v, err
+		return snap, err
 	})
 	return r
 }
@@ -171,7 +171,11 @@ func (r *wakeRun) subscribe(src string, what string, write func()) {
 func (r *wakeRun) settle() {
 	r.t.Helper()
 	for _, w := range r.watches {
-		v, err := r.srv.LocalEval(w.c)
+		snap, err := r.srv.ledgerSnapshot(context.Background(), w.c)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		v, err := w.c.Evaluate(snap)
 		if err != nil {
 			r.t.Fatal(err)
 		}

@@ -339,9 +339,7 @@ func runPlanned(cfg Config, jobs []workload.Job, churnTrace churn.Trace, horizon
 		for _, c := range tr.Consumptions {
 			res.ConsumedQty += resource.Quantity(c.Rate) * resource.Quantity(cfg.DT)
 		}
-		for _, q := range tr.Expired.TotalQuantity(interval.New(tr.From, tr.To)) {
-			res.ExpiredQty += q
-		}
+		res.ExpiredQty += tr.Expired.TotalWithin(interval.New(tr.From, tr.To))
 		for _, name := range tr.Completed {
 			cfg.Policy.OnComplete(name)
 			if violated[name] || next.Now > deadlines[name] {
@@ -415,10 +413,7 @@ func runGreedy(cfg Config, jobs []workload.Job, churnTrace churn.Trace, horizon 
 		// Account expiry: availability for this tick that survives the
 		// EDF pass is lost.
 		tick := interval.New(now, now+1)
-		var before resource.Quantity
-		for _, q := range avail.TotalQuantity(tick) {
-			before += q
-		}
+		before := avail.TotalWithin(tick)
 		consumed := rt.TickEDF(&avail)
 		var used resource.Quantity
 		for _, c := range consumed {
