@@ -40,8 +40,8 @@ test:
 # dense under the race: the ops notify sees carry epochs 1…Epoch(), each
 # once, and every admitted job's promise carries its reserve op's epoch
 # (TestLedgerNoOvercommitUnderRace). The third repeats the
-# standing-query tests — subscribes racing bumps, flips, the pooled
-# evaluation path, the sweep's wake check — ten times. The fourth
+# standing-query tests — subscribes racing bumps, flips, concurrent
+# evaluations, the sweep's wake check — ten times. The fourth
 # repeats the graceful leave queued behind a join ten times: a departed
 # member that rejoins on its own shows there first. The fifth repeats
 # the coordinated admit in the one admit envelope ten times — it holds a
@@ -86,7 +86,10 @@ race:
 # the refused need of its located type within its window
 # (internal/schedule/certificate_test.go), then ten holding the
 # standing-query sweep to waking every subscription a write flipped
-# (internal/server/wake_test.go), then ten holding the free view
+# (internal/server/wake_test.go), then ten holding each holds atom's one
+# read to deciding it on its own full speculative path, and a typed
+# verdict to not moving under a write outside its reads
+# (internal/query/oneread_test.go), then ten holding the free view
 # core.State's transition rules maintain to the from-scratch Θ ∖ Σρ
 # after every rule and hand edit (internal/core/freeview_test.go), then
 # ten holding the hand-written admit-body decoder to json.Unmarshal +
@@ -106,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalSatisfy$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzInfeasibleIsACertificate$$' -fuzztime 10s ./internal/schedule/
 	$(GO) test -run '^$$' -fuzz '^FuzzWakeCoversFlips$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzHoldsOneRead$$' -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzFreeViewMaintained$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAdmitRequest$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzLogKV$$' -fuzztime 10s ./internal/obs/

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/compute"
 	"repro/internal/core"
@@ -36,7 +35,9 @@ type Snapshot struct {
 	Commitments map[string]Commitment
 	// Footprint is the sorted set of locations Free was read from.
 	// Located types are disjoint resources, so a write touching none of
-	// them, and none of the query's names, cannot change the verdict.
+	// them, and none of the query's names, cannot change the verdict. A
+	// typed Result narrows that to the (located type, window) quantities
+	// its atoms read.
 	Footprint []resource.Location
 	// Scoped reports that Footprint is the whole read set. A snapshot
 	// that cannot name one (a cluster fan-out reads peers' ledgers)
@@ -45,80 +46,52 @@ type Snapshot struct {
 	Scoped bool
 }
 
-// Result is a query verdict with the core formula it was decided by.
-// The formula is kept as a value: only a one-shot answer renders it.
+// Result is a query verdict with the core formula it was decided by and
+// what it read. The formula is kept as a value: only a one-shot answer
+// renders it.
 type Result struct {
 	Holds   bool
 	Formula core.Formula
+	// Reads are the quantities the formula's satisfy atoms read. Typed
+	// reports that they are everything the verdict read; an unbounded □
+	// atom also reads the hull of the whole free view, which a write to
+	// any type at a footprint location can move, so its result is not
+	// typed.
+	Reads []Read
+	Typed bool
 }
 
-// maxPathStates bounds the speculative path a modal query is evaluated
-// on: windows of any size are sampled at at most this many positions, so
-// a "next 10^9" query costs the same as a "next 30" one. Satisfy atoms
-// are monotone over the suffix windows clampWindow produces, so
-// coarsening positions never flips a verdict that a finer sampling of
-// the same horizon would give between sampled points.
-const maxPathStates = 64
-
-// pathPool recycles the speculative paths Evaluate decides queries on.
-// A modal query's path holds up to maxPathStates states, all sharing
-// one free view, plus the steps between them: about 10 KB that every
-// evaluation would otherwise allocate afresh. core.Eval keeps no
-// reference to the path, so it is free again once Evaluate returns.
-var pathPool = sync.Pool{New: func() any {
-	return &core.Path{
-		States: make([]core.State, 0, maxPathStates),
-		Steps:  make([]core.Transition, 0, maxPathStates-1),
-	}
-}}
+// Read is one quantity an evaluation read: the free availability of a
+// located type within a window. Located types are disjoint resources and
+// a quantity sums its window's ticks, so only a write to that type
+// inside that window can move it.
+type Read struct {
+	Type   resource.LocatedType
+	Window interval.Interval
+}
 
 // Evaluate compiles the query against the snapshot and decides it at
-// the snapshot's clock (path position 0).
+// the snapshot's clock.
+//
+// A query is judged on the speculative path that holds the free view
+// constant while the clock advances. Along it an atom's window only
+// shrinks, and satisfaction is monotone in the resources available, so
+// each atom is decided by one window: a ◇ or plain atom by its own
+// window at the first tick, a □ atom by what remains of its window at
+// the window's last tick. The atoms compile to satisfy formulas over
+// those windows, decided at position 0 of a one-state path.
 func (c *Compiled) Evaluate(snap Snapshot) (Result, error) {
-	f, horizon, err := c.build(c.root, snap)
+	b := builder{snap: snap, typed: true}
+	f, err := b.build(c.root)
 	if err != nil {
 		return Result{}, err
 	}
-	p := pathPool.Get().(*core.Path)
-	speculativePath(p, snap.Free, snap.Now, horizon)
-	holds, err := core.Eval(p, 0, f)
-	// A pooled path must not keep this snapshot's free view alive.
-	clear(p.States)
-	p.States, p.Steps = p.States[:0], p.Steps[:0]
-	pathPool.Put(p)
+	path := core.Path{States: []core.State{{Theta: snap.Free, Now: snap.Now}}}
+	holds, err := core.Eval(&path, 0, f)
 	if err != nil {
 		return Result{}, fmt.Errorf("query: evaluating %s: %w", c.source, err)
 	}
-	return Result{Holds: holds, Formula: f}, nil
-}
-
-// speculativePath fills the empty path p with the committed path the
-// query is judged on: the free view held constant while the clock
-// advances to the horizon, in at most maxPathStates states. Each step
-// carries no expirations, so FreeWithin reduces to the free set clamped
-// to the (position-clamped) window — exactly the paper's "resources
-// that will expire unused unless something new consumes them" for a
-// ledger whose reservations are already subtracted out.
-func speculativePath(p *core.Path, free resource.Set, now, horizon interval.Time) {
-	p.States = append(p.States, core.State{Theta: free, Now: now})
-	if horizon <= now {
-		return
-	}
-	span := horizon - now
-	steps := span
-	if steps > maxPathStates-1 {
-		steps = maxPathStates - 1
-	}
-	dt := (span + steps - 1) / steps
-	for t := now; t < horizon; {
-		next := satAdd(t, dt)
-		if next > horizon {
-			next = horizon
-		}
-		p.Steps = append(p.Steps, core.Transition{Kind: core.KindIdle, From: t, To: next})
-		p.States = append(p.States, core.State{Theta: free, Now: next})
-		t = next
-	}
+	return Result{Holds: holds, Formula: f, Reads: b.reads, Typed: b.typed}, nil
 }
 
 // satAdd adds two non-negative times, saturating at Infinity so huge
@@ -130,27 +103,30 @@ func satAdd(a, b interval.Time) interval.Time {
 	return a + b
 }
 
-// build compiles one AST node into a core formula, returning the
-// furthest horizon any modal atom needs the path to reach.
-func (c *Compiled) build(n *Node, snap Snapshot) (core.Formula, interval.Time, error) {
+// builder compiles one evaluation's formula, recording what its atoms
+// read.
+type builder struct {
+	snap  Snapshot
+	reads []Read
+	typed bool
+}
+
+// build compiles one AST node into a core formula.
+func (b *builder) build(n *Node) (core.Formula, error) {
 	switch n.Op {
 	case "true":
-		return core.True{}, snap.Now, nil
+		return core.True{}, nil
 	case "false":
-		return core.False{}, snap.Now, nil
+		return core.False{}, nil
 	case "not":
-		inner, h, err := c.build(n.Args[0], snap)
-		return core.Not{F: inner}, h, err
+		inner, err := b.build(n.Args[0])
+		return core.Not{F: inner}, err
 	case "and", "or":
 		var out core.Formula
-		horizon := snap.Now
 		for _, a := range n.Args {
-			inner, h, err := c.build(a, snap)
+			inner, err := b.build(a)
 			if err != nil {
-				return nil, 0, err
-			}
-			if h > horizon {
-				horizon = h
+				return nil, err
 			}
 			switch {
 			case out == nil:
@@ -161,25 +137,27 @@ func (c *Compiled) build(n *Node, snap Snapshot) (core.Formula, interval.Time, e
 				out = core.Or{L: out, R: inner}
 			}
 		}
-		return out, horizon, nil
+		return out, nil
 	case "holds":
-		return c.buildHolds(n, snap)
+		return b.holds(n)
 	case "feasible":
-		return c.buildFeasible(n, snap), snap.Now, nil
+		return b.feasible(n), nil
 	case "allen":
-		return c.buildAllen(n, snap), snap.Now, nil
+		return b.allen(n), nil
 	default:
-		return nil, 0, fmt.Errorf("query: unknown operator %q", n.Op)
+		return nil, fmt.Errorf("query: unknown operator %q", n.Op)
 	}
 }
 
-// buildHolds compiles holds(loc[>dst], kind>=qty, mode, window) into a
-// (possibly modal) satisfy atom over the free view.
-func (c *Compiled) buildHolds(n *Node, snap Snapshot) (core.Formula, interval.Time, error) {
-	window := interval.New(snap.Now, interval.Infinity)
+// holds compiles holds(loc[>dst], kind>=qty, mode, window) into the
+// satisfy atom over the window that decides it, or false when that
+// window has passed.
+func (b *builder) holds(n *Node) (core.Formula, error) {
+	now := b.snap.Now
+	window := interval.New(now, interval.Infinity)
 	switch {
 	case n.Next > 0:
-		window = interval.New(snap.Now, satAdd(snap.Now, n.Next))
+		window = interval.New(now, satAdd(now, n.Next))
 	case n.To > 0:
 		window = interval.New(n.From, n.To)
 	}
@@ -190,46 +168,41 @@ func (c *Compiled) buildHolds(n *Node, snap Snapshot) (core.Formula, interval.Ti
 	}
 	need := resource.Quantity(n.Min * float64(resource.Unit))
 	if need <= 0 {
-		return nil, 0, fmt.Errorf("query: holds threshold %v rounds to nothing", n.Min)
+		return nil, fmt.Errorf("query: holds threshold %v rounds to nothing", n.Min)
 	}
-	var f core.Formula = core.SatisfySimple{Req: compute.Simple{
-		Amounts: resource.Amounts{lt: need},
-		Window:  window,
-	}}
-	horizon := snap.Now
-	switch n.Mode {
-	case "always":
-		f = core.Always{F: f}
-		horizon = window.End - 1
-	case "eventually":
-		f = core.Eventually{F: f}
-		horizon = window.End - 1
-	}
-	if horizon >= interval.Infinity-1 {
-		// An unbounded modal window: sample out to the end of the known
-		// availability — beyond it nothing changes, so the last position
-		// decides the tail.
-		if hull := snap.Free.Hull(); !hull.Empty() && hull.End > snap.Now {
-			horizon = hull.End - 1
-		} else {
-			horizon = snap.Now
+	// at is the tick the atom is decided at: the first for ◇ and plain
+	// atoms, the window's last for □.
+	at := now
+	if n.Mode == "always" {
+		at = max(now, window.End-1)
+		if window.End >= interval.Infinity {
+			// An unbounded □ runs out to the end of the known
+			// availability: beyond it nothing changes, so its last tick
+			// decides the tail.
+			at = now
+			if hull := b.snap.Free.Hull(); !hull.Empty() && hull.End > now {
+				at = hull.End - 1
+			}
+			b.typed = false
 		}
 	}
-	// The path's final position is the last tick at which the window is
-	// still open (clampWindow empties at End), so □ quantifies over
-	// exactly the window's ticks instead of vacuously failing at End.
-	if horizon < snap.Now {
-		horizon = snap.Now
+	if at >= window.End {
+		return core.False{}, nil
 	}
-	return f, horizon, nil
+	window.Start = max(window.Start, at)
+	b.reads = append(b.reads, Read{Type: lt, Window: window})
+	return core.SatisfySimple{Req: compute.Simple{
+		Amounts: resource.Amounts{lt: need},
+		Window:  window,
+	}}, nil
 }
 
-// buildFeasible compiles feasible(job[, before d]) into the speculative
+// feasible compiles feasible(job[, before d]) into the speculative
 // re-admission atom: would the job's remaining demand, re-planned from
 // scratch, still fit the free view before the deadline? An unknown job
 // is false — the standing form of "is there headroom to re-home this".
-func (c *Compiled) buildFeasible(n *Node, snap Snapshot) core.Formula {
-	cm, ok := snap.Commitments[n.Job]
+func (b *builder) feasible(n *Node) core.Formula {
+	cm, ok := b.snap.Commitments[n.Job]
 	if !ok {
 		return core.False{}
 	}
@@ -237,34 +210,33 @@ func (c *Compiled) buildFeasible(n *Node, snap Snapshot) core.Formula {
 	if n.Before > 0 {
 		deadline = n.Before
 	}
+	window := interval.New(b.snap.Now, deadline)
 	amounts := make(resource.Amounts)
-	for lt, qty := range cm.Demand.TotalQuantity(cm.Demand.Hull()) {
-		if qty > 0 {
+	cm.Demand.EachType(func(lt resource.LocatedType, hull interval.Interval) {
+		if qty := cm.Demand.QuantityWithin(lt, hull); qty > 0 {
 			amounts[lt] = qty
+			b.reads = append(b.reads, Read{Type: lt, Window: window})
 		}
-	}
+	})
 	if len(amounts) == 0 {
 		// Nothing left to do: trivially feasible.
 		return core.True{}
 	}
-	return core.SatisfySimple{Req: compute.Simple{
-		Amounts: amounts,
-		Window:  interval.New(snap.Now, deadline),
-	}}
+	return core.SatisfySimple{Req: compute.Simple{Amounts: amounts, Window: window}}
 }
 
-// buildAllen resolves both refs against the snapshot and decides the
+// allen resolves both refs against the snapshot and decides the
 // relation at compile time: reservation windows are fixed once
 // admitted, so the atom is a constant within one epoch. Unresolvable or
 // empty operands are false (the algebra is defined only on proper
 // intervals).
-func (c *Compiled) buildAllen(n *Node, snap Snapshot) core.Formula {
-	a, okA := resolveRef(n.A, snap)
-	b, okB := resolveRef(n.B, snap)
-	if !okA || !okB || a.Empty() || b.Empty() {
+func (b *builder) allen(n *Node) core.Formula {
+	x, okX := resolveRef(n.A, b.snap)
+	y, okY := resolveRef(n.B, b.snap)
+	if !okX || !okY || x.Empty() || y.Empty() {
 		return core.False{}
 	}
-	if interval.RelationBetween(a, b) == allenRelations[n.Rel] {
+	if interval.RelationBetween(x, y) == allenRelations[n.Rel] {
 		return core.True{}
 	}
 	return core.False{}

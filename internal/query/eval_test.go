@@ -12,7 +12,7 @@ import (
 )
 
 // standingQuery is the shape of a standing subscription: a modal holds
-// atom sampled at every position of a long speculative path.
+// atom over a long window, decided by one read at its last tick.
 const standingQuery = "holds(l1, cpu>=1, always, next 4096)"
 
 // segmentedView is a free view of cpu at l1 over [0, 4096) cut into n
@@ -30,8 +30,8 @@ func segmentedView(n int) Snapshot {
 
 // evaluateFootprint returns the mallocs and bytes one Evaluate of the
 // compiled query over the snapshot costs: the least of several single
-// evaluations, because under the race detector sync.Pool drops a random
-// share of Puts and an average would count those misses too.
+// evaluations, so a collection or a background allocation landing in
+// one of them does not count.
 func evaluateFootprint(t *testing.T, c *Compiled, snap Snapshot) (allocs, bytes float64) {
 	t.Helper()
 	var before, after runtime.MemStats
@@ -48,9 +48,9 @@ func evaluateFootprint(t *testing.T, c *Compiled, snap Snapshot) (allocs, bytes 
 	return allocs, bytes
 }
 
-// TestEvaluateCostIndependentOfViewSize: a simple atom reads one
-// quantity per position, so a standing query over a view ten times as
-// fragmented must not allocate in proportion to it.
+// TestEvaluateCostIndependentOfViewSize: a holds atom reads one
+// quantity, so a standing query over a view ten times as fragmented
+// must not allocate in proportion to it.
 func TestEvaluateCostIndependentOfViewSize(t *testing.T) {
 	c := mustParse(t, standingQuery)
 	small, large := segmentedView(200), segmentedView(2000)
@@ -72,11 +72,10 @@ func TestEvaluateCostIndependentOfViewSize(t *testing.T) {
 	}
 }
 
-// TestEvaluateReusesPath: the speculative path a standing query is
-// decided on comes from a pool, so one evaluation of a 64-state modal
-// query allocates its formula and its answer, not the ~10 KB of states
-// and steps the path holds.
-func TestEvaluateReusesPath(t *testing.T) {
+// TestEvaluateAllocatesLittle: a modal query is decided on a one-state
+// path, so one evaluation allocates its formula, its read and its
+// answer, not a path that grows with the window.
+func TestEvaluateAllocatesLittle(t *testing.T) {
 	c := mustParse(t, standingQuery)
 	_, bytes := evaluateFootprint(t, c, segmentedView(200))
 	t.Logf("%s: %.0f B per evaluation", standingQuery, bytes)
@@ -85,13 +84,10 @@ func TestEvaluateReusesPath(t *testing.T) {
 	}
 }
 
-// TestEvaluateConcurrentSnapshots is the -race check on the path pool:
-// goroutines evaluating one compiled query against different snapshots,
-// with paths of different lengths, each get the verdict a serial
-// evaluation of their own snapshot gives.
+// TestEvaluateConcurrentSnapshots is the -race check on evaluation:
+// goroutines evaluating one compiled query against different snapshots
+// each get the verdict a serial evaluation of their own snapshot gives.
 func TestEvaluateConcurrentSnapshots(t *testing.T) {
-	// An unbounded window samples out to the view's end, so each clock
-	// below gives the path a different length.
 	c := mustParse(t, "holds(l1, cpu>=3, always)")
 	const workers = 8
 	snaps := make([]Snapshot, workers)

@@ -1,10 +1,10 @@
 package query
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/resource"
 )
@@ -164,6 +164,66 @@ func TestHoldsModalities(t *testing.T) {
 	}
 }
 
+// TestModalConjunctionOverDifferentHorizons: each atom of a conjunction
+// is judged over its own window, so a shorter □ beside a longer modal
+// atom is not checked past its window's end. Each atom alone holds on a
+// flat 4-unit view, and so does each conjunction.
+func TestModalConjunctionOverDifferentHorizons(t *testing.T) {
+	snap := snapshot(4)
+	for _, src := range []string{
+		"holds(l1, cpu>=1, always, next 30) and holds(l1, cpu>=1, always, next 100)",
+		"holds(l1, cpu>=1, always, next 30) and holds(l1, cpu>=1, eventually, next 100)",
+	} {
+		if !evalText(t, src, snap) {
+			t.Errorf("%s = false, want true", src)
+		}
+	}
+}
+
+// TestEvaluateReads: a bounded □ atom reads, and renders as, the satisfy
+// atom over its window's last tick; a ◇ or plain atom reads its window
+// from now; a feasible atom reads each demand type up to its deadline;
+// an atom whose window has passed reads nothing; and an unbounded □,
+// decided at the free view's last tick, leaves the result untyped.
+func TestEvaluateReads(t *testing.T) {
+	cpu := resource.At("cpu", "l1")
+	snap := snapshot(4)
+	snap.Now = 5
+	var demand resource.Set
+	demand.Add(resource.NewTerm(resource.FromUnits(2), cpu, interval.New(5, 10)))
+	snap.Commitments["j1"] = Commitment{Name: "j1", Deadline: 20, Locations: []resource.Location{"l1"}, Demand: demand}
+	cases := []struct {
+		src     string
+		formula string
+		reads   []interval.Interval
+		typed   bool
+	}{
+		{"holds(l1, cpu>=5, always, next 30)", "satisfy(ρ{[5]⟨cpu,l1⟩}(34,35))", []interval.Interval{{Start: 34, End: 35}}, true},
+		{"holds(l1, cpu>=5, eventually, from 0 to 30)", "satisfy(ρ{[5]⟨cpu,l1⟩}(5,30))", []interval.Interval{{Start: 5, End: 30}}, true},
+		{"holds(l1, cpu>=5, from 10 to 12)", "satisfy(ρ{[5]⟨cpu,l1⟩}(10,12))", []interval.Interval{{Start: 10, End: 12}}, true},
+		{"holds(l1, cpu>=5, always, from 0 to 5)", "false", nil, true},
+		{"feasible(j1)", "satisfy(ρ{[10]⟨cpu,l1⟩}(5,20))", []interval.Interval{{Start: 5, End: 20}}, true},
+		{"holds(l1, cpu>=5, always)", "satisfy(ρ{[5]⟨cpu,l1⟩}(99,+inf))", []interval.Interval{{Start: 99, End: interval.Infinity}}, false},
+	}
+	for _, tc := range cases {
+		res, err := mustParse(t, tc.src).Evaluate(snap)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		var windows []interval.Interval
+		for _, r := range res.Reads {
+			if r.Type != cpu {
+				t.Errorf("%s read %v, want only %v", tc.src, r.Type, cpu)
+			}
+			windows = append(windows, r.Window)
+		}
+		if got := res.Formula.String(); got != tc.formula || !slices.Equal(windows, tc.reads) || res.Typed != tc.typed {
+			t.Errorf("%s: formula %s, reads %v, typed %v; want %s, %v, %v",
+				tc.src, got, windows, res.Typed, tc.formula, tc.reads, tc.typed)
+		}
+	}
+}
+
 func TestFeasible(t *testing.T) {
 	snap := snapshot(4)
 	var demand resource.Set
@@ -245,16 +305,5 @@ func TestFootprintAndNames(t *testing.T) {
 	}
 	if want := "l1,l2,l3"; strings.Join(got, ",") != want {
 		t.Fatalf("Footprint() = %q, want %q", strings.Join(got, ","), want)
-	}
-}
-
-func TestSpeculativePathBounded(t *testing.T) {
-	p := &core.Path{}
-	speculativePath(p, freeSet(4), 0, interval.Infinity-1)
-	if p.Len() > maxPathStates {
-		t.Fatalf("path has %d states, bound is %d", p.Len(), maxPathStates)
-	}
-	if p.Last().Now != interval.Infinity-1 {
-		t.Fatalf("path ends at %d, want horizon", p.Last().Now)
 	}
 }

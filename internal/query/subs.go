@@ -20,13 +20,17 @@ import (
 type Evaluator func(c *Compiled) (Verdict, error)
 
 // Verdict is one evaluation outcome with the state it was taken
-// against and the locations it was read from: Footprint and Scoped are
-// the Snapshot's. An unscoped verdict's subscription is re-evaluated on
-// every sweep.
+// against and what it read: Reads and Typed are the Result's, Footprint
+// and Scoped the Snapshot's. A sweep re-evaluates an unscoped verdict's
+// subscription every time, an untyped one's when a write touched its
+// footprint, and a typed one's only when a write reached one of its
+// reads: the same located type, in an overlapping window.
 type Verdict struct {
 	Holds     bool
 	Epoch     uint64
 	Now       interval.Time
+	Reads     []Read
+	Typed     bool
 	Footprint []resource.Location
 	Scoped    bool
 }
@@ -57,19 +61,19 @@ type Subscription struct {
 	events chan Event
 
 	m *Manager
-	// verdict/seq are guarded by m.mu.
-	verdict bool
+	// last is the last successful evaluation: its verdict is the one
+	// delivered, its reads what a write must reach to wake it. last and
+	// seq are guarded by m.mu.
+	last    Verdict
 	seq     uint64
 	dropped atomic.Uint64
 	removed bool // guarded by m.mu; true once events is closed
-	// The last evaluation's read set, guarded by m.mu. stale marks a
-	// verdict no write can be trusted to invalidate: the initial one
-	// (a bump may land between it and the registration) and one whose
-	// re-evaluation errored. A stale subscription is re-evaluated by the
-	// next sweep whatever that sweep's writes touched.
-	stale  bool
-	reads  []resource.Location
-	scoped bool
+	// stale, guarded by m.mu, marks a verdict no write can be trusted to
+	// invalidate: the initial one (a bump may land between it and the
+	// registration) and one whose re-evaluation errored. A stale
+	// subscription is re-evaluated by the next sweep whatever that
+	// sweep's writes touched.
+	stale bool
 }
 
 // ID returns the subscription's identifier.
@@ -102,9 +106,9 @@ type ManagerStats struct {
 // re-evaluation goroutine coalesces bursts of epoch bumps: while one
 // sweep runs, any number of further bumps collapse into one pending
 // wake and one pending touched set, and the next sweep re-evaluates
-// only the subscriptions whose last read set those writes touched: a
+// only the subscriptions whose last reads those writes reached: a
 // sweep's evaluations cost what the writes since the last one touched,
-// and the rest of the subscriptions cost a map probe each.
+// and the rest of the subscriptions cost a few map probes each.
 type Manager struct {
 	eval Evaluator
 	log  func(event string, kv ...any)
@@ -113,8 +117,8 @@ type Manager struct {
 	subs   map[uint64]*Subscription
 	nextID uint64
 	closed bool
-	// live mirrors len(subs) for BumpAt, which must not take mu: with
-	// no subscriptions a bump records nothing and wakes nothing.
+	// live mirrors len(subs) for Live and BumpAt, which must not take
+	// mu: with no subscriptions a bump records nothing and wakes nothing.
 	live atomic.Int64
 
 	// pmu is a leaf lock over what the bumps since the last sweep
@@ -146,22 +150,27 @@ type Manager struct {
 }
 
 // touched is what the writes since the last sweep changed: the
-// locations they reserved on or released from and the commitment names
-// they added, moved or removed — or all, after a write that may have
-// changed anything (a clock advance moves every window's start, a
-// handoff moves names between nodes, a cluster bump names nothing).
+// locations they wrote, the hull of what they wrote of each located type,
+// and the commitment names they added, moved or removed — or all, after
+// a write that may have changed anything (a clock advance moves every
+// window's start, a handoff moves names between nodes, a cluster bump
+// names nothing). One hull per type bounds the set by the types written,
+// however many writes a sweep coalesces.
 type touched struct {
 	all   bool
 	locs  map[resource.Location]struct{}
+	types map[resource.LocatedType]interval.Interval
 	names map[string]struct{}
 }
 
 func newTouched() touched {
-	return touched{locs: make(map[resource.Location]struct{}), names: make(map[string]struct{})}
+	return touched{locs: make(map[resource.Location]struct{}),
+		types: make(map[resource.LocatedType]interval.Interval), names: make(map[string]struct{})}
 }
 
-// add records one write's footprint; nil locs means anything.
-func (t *touched) add(locs []resource.Location, name string) {
+// add records one write: the locations it wrote, the sets it wrote to
+// them and the commitment it wrote for. Nil locs means anything.
+func (t *touched) add(locs []resource.Location, name string, wrote []resource.Set) {
 	if t.all {
 		return
 	}
@@ -172,25 +181,41 @@ func (t *touched) add(locs []resource.Location, name string) {
 	for _, loc := range locs {
 		t.locs[loc] = struct{}{}
 	}
+	for _, set := range wrote {
+		set.EachType(func(lt resource.LocatedType, hull interval.Interval) {
+			t.types[lt] = t.types[lt].Hull(hull)
+		})
+	}
 	if name != "" {
 		t.names[name] = struct{}{}
 	}
 }
 
 // wakes reports whether sub's verdict may have moved: it is stale, its
-// evaluator named no read set, or the writes touched a location its
-// last evaluation read or a name it references. Callers hold m.mu.
+// evaluator named no read set, the writes touched a name it references,
+// or they reached what its last evaluation read — a location of its
+// footprint when that evaluation was untyped, else one of its
+// (located type, window) reads. Callers hold m.mu.
 func (t *touched) wakes(sub *Subscription) bool {
-	if t.all || sub.stale || !sub.scoped {
+	v := &sub.last
+	if t.all || sub.stale || !v.Scoped {
 		return true
-	}
-	for _, loc := range sub.reads {
-		if _, ok := t.locs[loc]; ok {
-			return true
-		}
 	}
 	for _, name := range sub.c.Names() {
 		if _, ok := t.names[name]; ok {
+			return true
+		}
+	}
+	if !v.Typed {
+		for _, loc := range v.Footprint {
+			if _, ok := t.locs[loc]; ok {
+				return true
+			}
+		}
+		return false
+	}
+	for _, r := range v.Reads {
+		if hull, ok := t.types[r.Type]; ok && hull.Overlaps(r.Window) {
 			return true
 		}
 	}
@@ -201,6 +226,7 @@ func (t *touched) wakes(sub *Subscription) bool {
 func (t *touched) reset() {
 	t.all = false
 	clear(t.locs)
+	clear(t.types)
 	clear(t.names)
 }
 
@@ -228,21 +254,28 @@ func NewManager(eval Evaluator, log func(event string, kv ...any)) *Manager {
 // without saying what: every subscription is re-evaluated by the next
 // sweep. It is BumpAt with a nil footprint.
 func (m *Manager) Bump(epoch uint64, reason string) {
-	m.BumpAt(epoch, reason, nil, "")
+	m.BumpAt(epoch, reason, nil, "", nil)
 }
+
+// Live reports whether any subscription is registered: while none is, a
+// notifier need not gather what a write wrote.
+func (m *Manager) Live() bool { return m.live.Load() > 0 }
 
 // BumpAt notifies the manager that the ledger moved to the given epoch
 // for the given reason (reserve, release, acquire, advance, prepare,
 // commit, abort, handoff) by a write to locs on behalf of the named
-// commitment (name may be empty). A nil locs means anything may have
-// changed. Verdicts carry their own epochs, so the epoch is not kept.
-// Never blocks: wakes and footprints coalesce until the next sweep.
-func (m *Manager) BumpAt(epoch uint64, reason string, locs []resource.Location, name string) {
+// commitment (name may be empty). wrote are the sets the write added to
+// or took from the free view of those locations; a typed verdict wakes
+// only for a write that names a type it read, in a window overlapping
+// the one it read. A nil locs means anything may have changed. Verdicts
+// carry their own epochs, so the epoch is not kept. Never blocks: wakes
+// and footprints coalesce until the next sweep.
+func (m *Manager) BumpAt(epoch uint64, reason string, locs []resource.Location, name string, wrote []resource.Set) {
 	m.pmu.Lock()
 	m.reason = reason
-	live := m.live.Load() > 0
+	live := m.Live()
 	if live {
-		m.pending.add(locs, name)
+		m.pending.add(locs, name, wrote)
 	}
 	m.pmu.Unlock()
 	if !live {
@@ -279,14 +312,12 @@ func (m *Manager) Subscribe(c *Compiled, queueLen int) (*Subscription, error) {
 	}
 	m.nextID++
 	sub := &Subscription{
-		id:      m.nextID,
-		c:       c,
-		events:  make(chan Event, queueLen),
-		m:       m,
-		verdict: v.Holds,
-		stale:   true,
-		reads:   v.Footprint,
-		scoped:  v.Scoped,
+		id:     m.nextID,
+		c:      c,
+		events: make(chan Event, queueLen),
+		m:      m,
+		last:   v,
+		stale:  true,
 	}
 	m.subs[sub.id] = sub
 	m.live.Add(1)
@@ -417,13 +448,12 @@ func (m *Manager) reevaluate(sub *Subscription) {
 		return
 	}
 	m.mu.Lock()
-	sub.stale, sub.reads, sub.scoped = false, v.Footprint, v.Scoped
-	if sub.removed || sub.verdict == v.Holds {
+	prev := sub.last.Holds
+	sub.stale, sub.last = false, v
+	if sub.removed || prev == v.Holds {
 		m.mu.Unlock()
 		return
 	}
-	prev := sub.verdict
-	sub.verdict = v.Holds
 	m.flips.Add(1)
 	// Sampled after the evaluation it labels: a sweep that started on
 	// an older wake (Subscribe's self-wake carries no bump at all) may

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/interval"
 	"repro/internal/resource"
 )
 
@@ -263,6 +264,25 @@ func (e *scopedEval) eval(c *Compiled) (Verdict, error) {
 	return Verdict{Holds: e.holds[c.Source()], Footprint: reads, Scoped: scoped}, nil
 }
 
+// sweepExpecting runs one sweep of m and fails unless it re-evaluated
+// exactly the queries want, as count, the evaluations per query, shows.
+func sweepExpecting(t *testing.T, m *Manager, count map[string]int, want ...string) {
+	t.Helper()
+	before := maps.Clone(count)
+	m.sweep()
+	var got []string
+	for q, n := range count {
+		if n != before[q] {
+			got = append(got, q)
+		}
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("sweep re-evaluated %q, want %q", got, want)
+	}
+}
+
 // TestWakeOnlyTouched: a sweep re-evaluates the subscriptions that are
 // stale or unscoped, or whose last read set or names the writes since
 // the last sweep touched — and every subscription after a bump with no
@@ -283,31 +303,19 @@ func TestWakeOnlyTouched(t *testing.T) {
 	}
 	sweep := func(want ...string) {
 		t.Helper()
-		before := maps.Clone(e.count)
-		m.sweep()
-		var got []string
-		for q, n := range e.count {
-			if n != before[q] {
-				got = append(got, q)
-			}
-		}
-		sort.Strings(got)
-		sort.Strings(want)
-		if !slices.Equal(got, want) {
-			t.Fatalf("sweep re-evaluated %q, want %q", got, want)
-		}
+		sweepExpecting(t, m, e.count, want...)
 	}
 	all := []string{h1, h2, fj, tr, fan}
 	sweep(all...) // every new subscription is stale
 	sweep(fan)    // nothing touched: only the unscoped one
-	m.BumpAt(1, "reserve", []resource.Location{"l1"}, "j9")
+	m.BumpAt(1, "reserve", []resource.Location{"l1"}, "j9", nil)
 	sweep(h1, fan)
-	m.BumpAt(2, "reserve", []resource.Location{"l4"}, "j1")
+	m.BumpAt(2, "reserve", []resource.Location{"l4"}, "j1", nil)
 	sweep(fj, fan)
-	m.BumpAt(3, "acquire", []resource.Location{"l2"}, "")
-	m.BumpAt(4, "release", []resource.Location{"l1"}, "j7")
+	m.BumpAt(3, "acquire", []resource.Location{"l2"}, "", nil)
+	m.BumpAt(4, "release", []resource.Location{"l1"}, "j7", nil)
 	sweep(h1, h2, fan)
-	m.BumpAt(5, "advance", nil, "")
+	m.BumpAt(5, "advance", nil, "", nil)
 	sweep(all...)
 	m.Bump(6, "gossip")
 	sweep(all...)
@@ -319,6 +327,53 @@ func TestWakeOnlyTouched(t *testing.T) {
 	if st.SweepWoken != 5+1+2+2+3+5+5 || st.SweepSkipped != 7*5-st.SweepWoken {
 		t.Fatalf("woken = %d, skipped = %d, want 23 and 12", st.SweepWoken, st.SweepSkipped)
 	}
+}
+
+// TestWakeTypedReads: a typed verdict wakes only for a write to a
+// located type it read, in a window overlapping the one it read, or for
+// a name it references; an untyped one for any write to its footprint.
+// Coalesced writes keep one hull per type, so two writes on either side
+// of a read wake it.
+func TestWakeTypedReads(t *testing.T) {
+	cpu1, cpu2, mem1 := resource.At("cpu", "l1"), resource.At("cpu", "l2"), resource.At("mem", "l1")
+	box, fj, open := "holds(l1, cpu>=1, always, next 100)", "feasible(j1)", "holds(l1, cpu>=1, always)"
+	verdicts := map[string]Verdict{
+		box: {Reads: []Read{{Type: cpu1, Window: interval.New(99, 100)}}, Typed: true,
+			Footprint: []resource.Location{"l1"}, Scoped: true},
+		fj: {Reads: []Read{{Type: cpu2, Window: interval.New(0, 50)}}, Typed: true,
+			Footprint: []resource.Location{"l2"}, Scoped: true},
+		open: {Footprint: []resource.Location{"l1"}, Scoped: true},
+	}
+	count := map[string]int{}
+	m := manualManager(func(c *Compiled) (Verdict, error) {
+		count[c.Source()]++
+		return verdicts[c.Source()], nil
+	})
+	for _, q := range []string{box, fj, open} {
+		if _, err := m.Subscribe(mustParse(t, q), 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweepExpecting(t, m, count, box, fj, open) // every new subscription is stale
+	wrote := func(lt resource.LocatedType, from, to interval.Time) []resource.Set {
+		return []resource.Set{resource.NewSet(resource.NewTerm(resource.FromUnits(1), lt, interval.New(from, to)))}
+	}
+	l1, l2 := []resource.Location{"l1"}, []resource.Location{"l2"}
+	m.BumpAt(1, "reserve", l1, "j9", wrote(cpu1, 0, 10))
+	sweepExpecting(t, m, count, open)
+	m.BumpAt(2, "reserve", l1, "", wrote(cpu1, 90, 100))
+	sweepExpecting(t, m, count, box, open)
+	m.BumpAt(3, "acquire", l1, "", wrote(mem1, 0, 200))
+	sweepExpecting(t, m, count, open)
+	m.BumpAt(4, "release", l2, "", wrote(cpu2, 50, 70))
+	sweepExpecting(t, m, count)
+	m.BumpAt(5, "release", l2, "", wrote(cpu2, 40, 70))
+	sweepExpecting(t, m, count, fj)
+	m.BumpAt(6, "commit", []resource.Location{"l3"}, "j1", nil)
+	sweepExpecting(t, m, count, fj)
+	m.BumpAt(7, "reserve", l1, "", wrote(cpu1, 0, 10))
+	m.BumpAt(8, "reserve", l1, "", wrote(cpu1, 200, 300))
+	sweepExpecting(t, m, count, box, open)
 }
 
 // TestWakeRetriesFailedEvaluation: a subscription whose re-evaluation
@@ -336,7 +391,7 @@ func TestWakeRetriesFailedEvaluation(t *testing.T) {
 	waitEvent(t, sub)
 	m.sweep() // clears the subscribe's stale mark
 	e.fail[q] = true
-	m.BumpAt(1, "reserve", []resource.Location{"l1"}, "")
+	m.BumpAt(1, "reserve", []resource.Location{"l1"}, "", nil)
 	m.sweep()
 	e.fail[q], e.holds[q] = false, true
 	m.sweep() // nothing touched: the retry is what wakes it
@@ -362,7 +417,7 @@ func TestWakeSubscribeRacingBump(t *testing.T) {
 		v, err := e.eval(c)
 		if e.count[q] == 1 { // the write lands after the initial read
 			e.holds[q] = true
-			m.BumpAt(1, "reserve", []resource.Location{"l1"}, "j1")
+			m.BumpAt(1, "reserve", []resource.Location{"l1"}, "j1", nil)
 		}
 		return v, err
 	})
@@ -386,7 +441,7 @@ func TestBumpAtWithoutSubscriptionsAllocatesNothing(t *testing.T) {
 	m := NewManager(newScopedEval().eval, nil)
 	defer m.Close()
 	locs := []resource.Location{"l1", "l2"}
-	if n := testing.AllocsPerRun(100, func() { m.BumpAt(1, "reserve", locs, "j1") }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { m.BumpAt(1, "reserve", locs, "j1", nil) }); n != 0 {
 		t.Fatalf("BumpAt allocates %.0f times per call with no subscriptions", n)
 	}
 	if st := m.Stats(); st.SweepWoken+st.SweepSkipped != 0 {

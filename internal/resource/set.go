@@ -190,6 +190,14 @@ func (s Set) Types() []LocatedType {
 	return out
 }
 
+// EachType calls fn with each located type present, in order, and the
+// hull of its availability.
+func (s Set) EachType(fn func(lt LocatedType, hull interval.Interval)) {
+	for _, e := range s.entries {
+		fn(e.lt, e.p.hull())
+	}
+}
+
 // Locations returns the locations of the located types present, sorted
 // and distinct. A directed link counts at its source, which is where the
 // cost model charges it.

@@ -76,6 +76,15 @@ func (p parts) on(loc resource.Location) (resource.Set, bool) {
 	return resource.Set{}, false
 }
 
+// sets returns the parts' sets, in location order.
+func (p parts) sets() []resource.Set {
+	out := make([]resource.Set, len(p))
+	for i, e := range p {
+		out[i] = e.set
+	}
+	return out
+}
+
 // splitByShard partitions a resource set into per-shard subsets. Located
 // types are disjoint across shards, so the split is exact: the union of
 // the parts is the original set.
@@ -325,7 +334,8 @@ type Ledger struct {
 // with its epoch, in epoch order for ops that do not race; it runs on
 // the mutating goroutine, sometimes under the ledger's locks, and must
 // not block. The server adapts it to the standing-query manager's
-// BumpAt (the op's reason, shards and job name).
+// BumpAt (the op's reason, shards and job name, and while a subscription
+// is live the sets it wrote).
 func NewLedger(cfg Config, notify func(epoch uint64, o op)) *Ledger {
 	l := &Ledger{
 		shards: make(map[resource.Location]*shard),

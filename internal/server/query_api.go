@@ -105,7 +105,7 @@ func (s *Server) evalQuery(ctx context.Context, c *query.Compiled) (query.Result
 	}
 	res, err := c.Evaluate(snap)
 	return res, query.Verdict{Holds: res.Holds, Epoch: snap.Epoch, Now: snap.Now,
-		Footprint: snap.Footprint, Scoped: snap.Scoped}, err
+		Reads: res.Reads, Typed: res.Typed, Footprint: snap.Footprint, Scoped: snap.Scoped}, err
 }
 
 // watchEval is the subscription manager's evaluator.

@@ -45,27 +45,29 @@ func BenchmarkQueryParse(b *testing.B) {
 
 // BenchmarkQueryLoadedLedger evaluates one-shot queries against ledgers
 // preloaded with 10, 100 and 1000 live commitments: the availability
-// form walks one location's free profile, the feasibility form resolves
-// a named commitment's remaining demand first.
+// form walks one location's free profile, the standing form is a □ over
+// a long window, the shape a standing watch re-evaluates, and the
+// feasibility form resolves a named commitment's remaining demand first.
 func BenchmarkQueryLoadedLedger(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
 		srv := loadedQueryServer(b, n)
-		holds := mustParse(b, "holds(l1, cpu>=1, eventually, next 100)")
-		feasible := mustParse(b, fmt.Sprintf("feasible(bench-%d)", n/2))
-		b.Run(fmt.Sprintf("holds/commitments=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := srv.EvalQuery(holds); err != nil {
-					b.Fatal(err)
+		shapes := []struct {
+			name string
+			c    *query.Compiled
+		}{
+			{"holds", mustParse(b, "holds(l1, cpu>=1, eventually, next 100)")},
+			{"standing", mustParse(b, "holds(l1, cpu>=8, always, next 4096)")},
+			{"feasible", mustParse(b, fmt.Sprintf("feasible(bench-%d)", n/2))},
+		}
+		for _, shape := range shapes {
+			b.Run(fmt.Sprintf("%s/commitments=%d", shape.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := srv.EvalQuery(shape.c); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("feasible/commitments=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := srv.EvalQuery(feasible); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -158,7 +158,11 @@ func New(cfg Config) (*Server, error) {
 	// exists, so it can be built first and hand the ledger its notifier.
 	s.queries = query.NewManager(s.watchEval, s.queryLog())
 	s.ledger = NewLedger(cfg, func(epoch uint64, o op) {
-		s.queries.BumpAt(epoch, o.reason(), o.locs, o.rec.name)
+		var wrote []resource.Set
+		if s.queries.Live() {
+			wrote = o.rec.parts.sets()
+		}
+		s.queries.BumpAt(epoch, o.reason(), o.locs, o.rec.name, wrote)
 	})
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/admit", "admit", s.handleAdmit)

@@ -303,3 +303,81 @@ func TestWakeCoversFlipsExercisesFlips(t *testing.T) {
 		t.Fatalf("the seed corpus flipped %d of the %d standing queries: %v", len(flipped), len(wakeQueries), flipped)
 	}
 }
+
+// TestStandingQuerySkipsWritesOutsideItsReads: a standing □ over the
+// next 100 ticks reads cpu@l1 at tick 99 alone, so a sweep skips it for
+// a reservation that ends before then and for a write to another type
+// at its location, and wakes it for a reservation that reaches tick 99.
+// A feasible watch still wakes when its job is released.
+func TestStandingQuerySkipsWritesOutsideItsReads(t *testing.T) {
+	srv, err := New(Config{Theta: cpuTheta(4, 1000, "l1", "l2")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	l, m := srv.Ledger(), srv.Queries()
+	if dec, err := l.Admit(srv.cfg.Policy, cpuJob(t, "j", "l2", 0, 50)); err != nil || !dec.Admit {
+		t.Fatalf("admit j: admit=%v err=%v", dec.Admit, err)
+	}
+	// Each subscription's own sweep ends before the next write, so every
+	// write below is swept alone.
+	waitStats := func(done func(query.ManagerStats) bool) query.ManagerStats {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if st := m.Stats(); done(st) {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("stats never settled: %+v", m.Stats())
+			}
+		}
+	}
+	for i, src := range []string{"holds(l1, cpu>=1, always, next 100)", "feasible(j)"} {
+		c, err := query.ParseText(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Subscribe(c, 16); err != nil {
+			t.Fatal(err)
+		}
+		waitStats(func(st query.ManagerStats) bool { return st.Evals == uint64(2*(i+1)) })
+	}
+	steps := []struct {
+		what          string
+		write         func() error
+		woken, evals  uint64
+		skippedAlways bool
+	}{
+		{"a reservation on cpu@l1 within [0,10)", func() error {
+			_, err := l.Admit(srv.cfg.Policy, cpuJob(t, "r0", "l1", 0, 10))
+			return err
+		}, 0, 0, true},
+		{"a reservation on cpu@l1 reaching tick 99", func() error {
+			demand := resource.NewSet(resource.NewTerm(u(1), resource.CPUAt("l1"), interval.New(95, 100)))
+			return l.Prepare("k1", "r1", demand, 100, 110, 500)
+		}, 1, 1, false},
+		{"an acquire of a link at l1", func() error {
+			return l.Acquire(resource.NewSet(resource.NewTerm(u(2), resource.Link("l1", "l2"), interval.New(0, 200))))
+		}, 0, 0, true},
+		{"the release of j", func() error { return l.Release("j") }, 1, 1, false},
+	}
+	for _, step := range steps {
+		before := m.Stats()
+		if err := step.write(); err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		after := waitStats(func(st query.ManagerStats) bool {
+			return st.SweepWoken+st.SweepSkipped == before.SweepWoken+before.SweepSkipped+2
+		})
+		after = waitStats(func(st query.ManagerStats) bool { return st.Evals >= before.Evals+step.evals })
+		if woken := after.SweepWoken - before.SweepWoken; woken != step.woken {
+			t.Errorf("%s woke %d standing queries, want %d", step.what, woken, step.woken)
+		}
+		if evals := after.Evals - before.Evals; evals != step.evals {
+			t.Errorf("%s ran %d evaluations, want %d", step.what, evals, step.evals)
+		}
+		if step.skippedAlways && after.SweepSkipped-before.SweepSkipped != 2 {
+			t.Errorf("%s skipped %d standing queries, want both", step.what, after.SweepSkipped-before.SweepSkipped)
+		}
+	}
+}
