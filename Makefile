@@ -101,7 +101,12 @@ race:
 # PatchSubtract, SubtractSaturating, Consume, Clamp, TrimBefore and
 # Restrict in fuzz-chosen sequences — to a dense per-type, per-tick
 # reference, with types in order, no empty profile and every operand
-# unchanged after each op (internal/resource/algebra_fuzz_test.go).
+# unchanged after each op (internal/resource/algebra_fuzz_test.go), then
+# ten holding a requirement's sorted runs — every phase's amounts, built
+# by merging consecutive single-type steps, one computation at a time or
+# all of ConcurrentOf's actors in one pass — to the Amounts maps they
+# were built as: the same phases, and equal under lookup, total,
+# SingleType, Empty and String (internal/compute/needs_fuzz_test.go).
 # -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileKernels$$' -fuzztime 10s ./internal/resource/
@@ -114,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAdmitRequest$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzLogKV$$' -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzSetAlgebra$$' -fuzztime 10s ./internal/resource/
+	$(GO) test -run '^$$' -fuzz '^FuzzPhasesMatchMaps$$' -fuzztime 10s ./internal/compute/
 
 # benchmark/ is a module of its own that tier-1 neither builds nor
 # tests; vetting it here catches an exported name under internal/ that

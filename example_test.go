@@ -60,7 +60,7 @@ func ExampleEval() {
 	res := rota.RunState(rota.NewState(theta, 0), 10, 1)
 
 	fits := rota.SatisfySimple{Req: rota.Simple{
-		Amounts: rota.Amounts{rota.CPUAt("l1"): rota.UnitsQty(20)},
+		Amounts: rota.NewNeeds(rota.AmountOf(20, rota.CPUAt("l1"))),
 		Window:  rota.NewInterval(0, 10),
 	}}
 	ok, _ := rota.Eval(res.Path, 0, fits)

@@ -78,7 +78,7 @@ func run(w io.Writer) error {
 	// Figure 1 semantics: would another 8-cpu requirement have fit in the
 	// resources this path let expire?
 	f := rota.SatisfySimple{Req: rota.Simple{
-		Amounts: rota.Amounts{rota.CPUAt("l1"): rota.UnitsQty(8)},
+		Amounts: rota.NewNeeds(rota.AmountOf(8, rota.CPUAt("l1"))),
 		Window:  rota.NewInterval(0, 20),
 	}}
 	ok, err := rota.Eval(res.Path, 0, f)

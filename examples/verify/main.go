@@ -49,7 +49,7 @@ func run(w io.Writer) error {
 	// request could still be satisfied? (Only if "batch" is never
 	// admitted, or admitted against the burst.)
 	bigAsk := rota.SatisfySimple{Req: rota.Simple{
-		Amounts: rota.Amounts{rota.CPUAt("edge"): rota.UnitsQty(16)},
+		Amounts: rota.NewNeeds(rota.AmountOf(16, rota.CPUAt("edge"))),
 		Window:  rota.NewInterval(0, 10),
 	}}
 	ok, witness, err := ex.ExistsPath(rota.NewState(base, 0), bigAsk)
@@ -70,7 +70,7 @@ func run(w io.Writer) error {
 	// Q2 (universal): however the system evolves, a 37-cpu request never
 	// fits (total capacity incl. the burst is 20+16 = 36).
 	tooBig := rota.SatisfySimple{Req: rota.Simple{
-		Amounts: rota.Amounts{rota.CPUAt("edge"): rota.UnitsQty(37)},
+		Amounts: rota.NewNeeds(rota.AmountOf(37, rota.CPUAt("edge"))),
 		Window:  rota.NewInterval(0, 10),
 	}}
 	holds, counter, err := ex.ForAllPaths(rota.NewState(base, 0), rota.Not{F: tooBig})
@@ -84,7 +84,7 @@ func run(w io.Writer) error {
 
 	// Q3: but 36 cpu IS reachable — on the branch that admits nothing.
 	exactly := rota.SatisfySimple{Req: rota.Simple{
-		Amounts: rota.Amounts{rota.CPUAt("edge"): rota.UnitsQty(36)},
+		Amounts: rota.NewNeeds(rota.AmountOf(36, rota.CPUAt("edge"))),
 		Window:  rota.NewInterval(0, 10),
 	}}
 	ok, _, err = ex.ExistsPath(rota.NewState(base, 0), exactly)

@@ -6,6 +6,12 @@
 // Following the paper, a computation is represented purely by the
 // resources it requires — "which resources, when and how much of them do
 // computations consume, rather than what the computations do".
+//
+// A step carries Φ's value for its action as a resource.Amounts map,
+// written by key where the action is priced. A requirement carries its
+// amounts as resource.Needs runs, sorted by located type, which is how
+// the schedule reads them: ConcurrentOf builds every phase of a job from
+// the steps' maps in one pass.
 package compute
 
 import (

@@ -10,9 +10,10 @@ import (
 )
 
 // Step is one action of an actor computation together with the resources
-// Φ says it requires. Steps are the unit of sequential ordering: a step
-// is a "possible action" (Definition 1) only when every earlier step has
-// completed.
+// Φ says it requires, as a map: a cost model or decoder writes it by key,
+// and the requirement built from it is a sorted run (Phase, Simple).
+// Steps are the unit of sequential ordering: a step is a "possible
+// action" (Definition 1) only when every earlier step has completed.
 type Step struct {
 	Action  Action
 	Amounts resource.Amounts
@@ -60,32 +61,70 @@ func (c Computation) TotalAmounts() resource.Amounts {
 	return out
 }
 
+// TotalQty returns the summed required quantity across steps and types.
+func (c Computation) TotalQty() resource.Quantity {
+	var total resource.Quantity
+	for _, st := range c.Steps {
+		total += st.TotalQty()
+	}
+	return total
+}
+
 // Phases groups maximal runs of consecutive steps whose requirements use
 // one identical located type, following §IV-B2: "a sequence of actions
 // which require the same single type of resource need not be broken down
 // into multiple subcomputations". Steps needing several types (e.g.
 // migrate) form single-step phases. The result is the subcomputation
-// sequence Γ1, Γ2, …, Γm of the complex resource requirement.
+// sequence Γ1, Γ2, …, Γm of the complex resource requirement; every
+// phase's amounts are a run in one backing array.
 func (c Computation) Phases() []Phase {
-	var phases []Phase
+	phases, amounts := c.phaseBounds()
+	out, _ := c.appendPhases(make([]Phase, 0, phases), make([]resource.Amount, 0, amounts))
+	return out
+}
+
+// phaseBounds bounds what appendPhases adds: at most one phase and
+// len(Amounts) entries per step that requires anything.
+func (c Computation) phaseBounds() (phases, amounts int) {
+	for _, st := range c.Steps {
+		if !st.Amounts.Empty() {
+			phases++
+			amounts += len(st.Amounts)
+		}
+	}
+	return phases, amounts
+}
+
+// appendPhases appends c's phases to phases, their amounts to buf, and
+// returns both. Only phases appended by this call are merged into, so
+// several computations' phases can share the two arrays. A merge adds
+// as Amounts.Add does: a step's zero quantity leaves the phase as it
+// is, and a sum that is not positive empties it.
+func (c Computation) appendPhases(phases []Phase, buf []resource.Amount) ([]Phase, []resource.Amount) {
+	first := len(phases)
 	for _, st := range c.Steps {
 		if st.Amounts.Empty() {
 			continue // a free action imposes no requirement
 		}
 		lt, single := st.Amounts.SingleType()
-		if n := len(phases); single && n > 0 {
-			if prevLT, prevSingle := phases[n-1].Amounts.SingleType(); prevSingle && prevLT == lt {
-				phases[n-1].Amounts.Merge(st.Amounts)
-				phases[n-1].Steps = append(phases[n-1].Steps, st)
+		if n := len(phases); single && n > first {
+			last := &phases[n-1]
+			if prevLT, prevSingle := last.Amounts.SingleType(); prevSingle && prevLT == lt {
+				if q := st.Amounts[lt]; q != 0 {
+					if sum := last.Amounts[0].Qty + q; sum > 0 {
+						last.Amounts[0].Qty = sum
+					} else {
+						last.Amounts = nil
+					}
+				}
 				continue
 			}
 		}
-		phases = append(phases, Phase{
-			Amounts: st.Amounts.Clone(),
-			Steps:   []Step{st},
-		})
+		from := len(buf)
+		buf = resource.AppendNeeds(buf, st.Amounts)
+		phases = append(phases, Phase{Amounts: buf[from:len(buf):len(buf)]})
 	}
-	return phases
+	return phases, buf
 }
 
 // String renders the computation as "Γ(a1): send; evaluate; …".
@@ -97,13 +136,12 @@ func (c Computation) String() string {
 	return fmt.Sprintf("Γ(%s): %s", c.Actor, strings.Join(names, "; "))
 }
 
-// Phase is one subcomputation Γi of a complex requirement: a consecutive
-// group of steps with its aggregate required amounts. The phase must
-// receive its amounts within whatever subinterval the schedule assigns it,
-// after all earlier phases have completed.
+// Phase is one subcomputation Γi of a complex requirement: the aggregate
+// required amounts of a consecutive group of steps, as a sorted run. The
+// phase must receive its amounts within whatever subinterval the schedule
+// assigns it, after all earlier phases have completed.
 type Phase struct {
-	Amounts resource.Amounts
-	Steps   []Step
+	Amounts resource.Needs
 }
 
 // Distributed is the paper's computation triple (Λ, s, d): a set of
@@ -135,6 +173,16 @@ func NewDistributed(name string, start, deadline interval.Time, actors ...Comput
 // Window returns the execution window (s, d).
 func (d Distributed) Window() interval.Interval {
 	return interval.New(d.Start, d.Deadline)
+}
+
+// TotalQty returns the summed required quantity across actors, steps and
+// types — the job's total work — without building a merged map.
+func (d Distributed) TotalQty() resource.Quantity {
+	var total resource.Quantity
+	for _, a := range d.Actors {
+		total += a.TotalQty()
+	}
+	return total
 }
 
 // TotalAmounts aggregates requirements across all actors.

@@ -149,16 +149,17 @@ func TestPhasesGroupsSameTypeRuns(t *testing.T) {
 	if len(phases) != 3 {
 		t.Fatalf("got %d phases, want 3: %+v", len(phases), phases)
 	}
-	if got := phases[0].Amounts[cpuL1]; got != resource.QuantityFromUnits(13) {
+	if got, _ := phases[0].Amounts.Lookup(cpuL1); got != resource.QuantityFromUnits(13) {
 		t.Errorf("phase 0 cpu = %d, want 13 units", got)
 	}
-	if len(phases[0].Steps) != 2 {
-		t.Errorf("phase 0 has %d steps", len(phases[0].Steps))
+	// The two cpu steps merge into one entry of one run.
+	if len(phases[0].Amounts) != 1 || cap(phases[0].Amounts) != 1 {
+		t.Errorf("phase 0 amounts = %v (cap %d), want one entry", phases[0].Amounts, cap(phases[0].Amounts))
 	}
-	if got := phases[1].Amounts[netL12]; got != resource.QuantityFromUnits(4) {
+	if got, _ := phases[1].Amounts.Lookup(netL12); got != resource.QuantityFromUnits(4) {
 		t.Errorf("phase 1 net = %d", got)
 	}
-	if got := phases[2].Amounts[cpuL1]; got != resource.QuantityFromUnits(2) {
+	if got, _ := phases[2].Amounts.Lookup(cpuL1); got != resource.QuantityFromUnits(2) {
 		t.Errorf("phase 2 cpu = %d", got)
 	}
 }
@@ -200,7 +201,7 @@ func TestPhasesSkipsFreeSteps(t *testing.T) {
 	if len(phases) != 1 {
 		t.Fatalf("got %d phases, want 1", len(phases))
 	}
-	if got := phases[0].Amounts[cpuL1]; got != resource.QuantityFromUnits(10) {
+	if got, _ := phases[0].Amounts.Lookup(cpuL1); got != resource.QuantityFromUnits(10) {
 		t.Errorf("merged cpu = %d", got)
 	}
 }

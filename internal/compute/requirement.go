@@ -11,15 +11,16 @@ import (
 // Simple is the paper's simple resource requirement ρ(γ, s, d) =
 // [Φ(a,γ)]^(s,d): a total amount of resources required at any time within
 // a window. It carries no ordering constraint — that is what Complex adds.
+// Its amounts are a sorted run, one entry per located type.
 type Simple struct {
-	Amounts resource.Amounts
+	Amounts resource.Needs
 	Window  interval.Interval
 }
 
 // SimpleOf builds the simple requirement of a single action over a
 // window.
 func SimpleOf(step Step, window interval.Interval) Simple {
-	return Simple{Amounts: step.Amounts.Clone(), Window: window}
+	return Simple{Amounts: resource.NeedsOf(step.Amounts), Window: window}
 }
 
 // Satisfied implements the paper's boolean function f(Θ, ρ(γ, s, d)):
@@ -44,8 +45,8 @@ func (r Simple) SatisfiedBy(quantity func(resource.LocatedType) resource.Quantit
 	if r.Window.Empty() {
 		return r.Amounts.Empty()
 	}
-	for lt, need := range r.Amounts {
-		if quantity(lt) < need {
+	for _, need := range r.Amounts {
+		if quantity(need.Type) < need.Qty {
 			return false
 		}
 	}
@@ -84,13 +85,13 @@ func (r Complex) Empty() bool {
 	return len(r.Phases) == 0
 }
 
-// TotalAmounts aggregates over phases.
-func (r Complex) TotalAmounts() resource.Amounts {
-	out := make(resource.Amounts)
+// Total returns the summed quantity across phases and types.
+func (r Complex) Total() resource.Quantity {
+	var total resource.Quantity
 	for _, ph := range r.Phases {
-		out.Merge(ph.Amounts)
+		total += ph.Amounts.Total()
 	}
-	return out
+	return total
 }
 
 // SatisfiedWithBreaks checks the specific break points t1 … t_{m-1}
@@ -139,13 +140,27 @@ type Concurrent struct {
 	Window interval.Interval
 }
 
-// ConcurrentOf derives the requirement of a distributed computation.
+// ConcurrentOf derives the requirement of a distributed computation in
+// one pass: every actor's phases share one array, and every phase's
+// amounts one array of amount entries, so a requirement costs three
+// allocations whatever the number of actors, steps and types.
 func ConcurrentOf(d Distributed) Concurrent {
-	actors := make([]Complex, 0, len(d.Actors))
+	window := d.Window()
+	var nPhases, nAmounts int
 	for _, a := range d.Actors {
-		actors = append(actors, ComplexOf(a, d.Window()))
+		p, q := a.phaseBounds()
+		nPhases += p
+		nAmounts += q
 	}
-	return Concurrent{Name: d.Name, Actors: actors, Window: d.Window()}
+	actors := make([]Complex, len(d.Actors))
+	phases := make([]Phase, 0, nPhases)
+	buf := make([]resource.Amount, 0, nAmounts)
+	for i, a := range d.Actors {
+		from := len(phases)
+		phases, buf = a.appendPhases(phases, buf)
+		actors[i] = Complex{Actor: a.Actor, Phases: phases[from:len(phases):len(phases)], Window: window}
+	}
+	return Concurrent{Name: d.Name, Actors: actors, Window: window}
 }
 
 // Empty reports whether no actor requires anything.
@@ -156,15 +171,6 @@ func (r Concurrent) Empty() bool {
 		}
 	}
 	return true
-}
-
-// TotalAmounts aggregates across actors.
-func (r Concurrent) TotalAmounts() resource.Amounts {
-	out := make(resource.Amounts)
-	for _, a := range r.Actors {
-		out.Merge(a.TotalAmounts())
-	}
-	return out
 }
 
 // String renders the requirement with its actor list.

@@ -21,40 +21,40 @@ func TestSimpleSatisfied(t *testing.T) {
 	}{
 		{
 			"cpu fits",
-			Simple{Amounts: resource.NewAmounts(resource.AmountOf(20, cpuL1)), Window: interval.New(0, 4)},
+			Simple{Amounts: resource.NewNeeds(resource.AmountOf(20, cpuL1)), Window: interval.New(0, 4)},
 			true,
 		},
 		{
 			"cpu too much",
-			Simple{Amounts: resource.NewAmounts(resource.AmountOf(21, cpuL1)), Window: interval.New(0, 4)},
+			Simple{Amounts: resource.NewNeeds(resource.AmountOf(21, cpuL1)), Window: interval.New(0, 4)},
 			false,
 		},
 		{
 			"window clips availability",
-			Simple{Amounts: resource.NewAmounts(resource.AmountOf(20, cpuL1)), Window: interval.New(2, 6)},
+			Simple{Amounts: resource.NewNeeds(resource.AmountOf(20, cpuL1)), Window: interval.New(2, 6)},
 			false, // only 10 units of cpu inside (2,6)
 		},
 		{
 			"multi type",
 			Simple{
-				Amounts: resource.NewAmounts(resource.AmountOf(10, cpuL1), resource.AmountOf(8, netL12)),
+				Amounts: resource.NewNeeds(resource.AmountOf(10, cpuL1), resource.AmountOf(8, netL12)),
 				Window:  interval.New(0, 6),
 			},
 			true,
 		},
 		{
 			"absent type",
-			Simple{Amounts: resource.NewAmounts(resource.AmountOf(1, cpuL2)), Window: interval.New(0, 6)},
+			Simple{Amounts: resource.NewNeeds(resource.AmountOf(1, cpuL2)), Window: interval.New(0, 6)},
 			false,
 		},
 		{
 			"empty requirement always satisfied",
-			Simple{Amounts: resource.NewAmounts(), Window: interval.New(0, 1)},
+			Simple{Amounts: resource.NewNeeds(), Window: interval.New(0, 1)},
 			true,
 		},
 		{
 			"empty window with demands",
-			Simple{Amounts: resource.NewAmounts(resource.AmountOf(1, cpuL1)), Window: interval.Interval{}},
+			Simple{Amounts: resource.NewNeeds(resource.AmountOf(1, cpuL1)), Window: interval.Interval{}},
 			false,
 		},
 	}
@@ -120,9 +120,8 @@ func TestComplexTotals(t *testing.T) {
 	if req.Empty() {
 		t.Error("requirement should not be empty")
 	}
-	total := req.TotalAmounts()
-	if total[cpuL1] != resource.QuantityFromUnits(14) || total[netL12] != resource.QuantityFromUnits(4) {
-		t.Errorf("TotalAmounts = %v", total)
+	if total := req.Total(); total != resource.QuantityFromUnits(18) {
+		t.Errorf("Total = %v", total)
 	}
 	if req.String() == "" {
 		t.Error("String empty")
@@ -148,11 +147,24 @@ func TestConcurrentOf(t *testing.T) {
 	if req.Empty() {
 		t.Error("should not be empty")
 	}
-	total := req.TotalAmounts()
-	if total[cpuL1] != resource.QuantityFromUnits(14) ||
-		total[netL12] != resource.QuantityFromUnits(4) ||
-		total[cpuL2] != resource.QuantityFromUnits(3) {
-		t.Errorf("TotalAmounts = %v", total)
+	// Each actor's requirement is its own computation's, phase by phase.
+	for i, want := range []Computation{c1, c2} {
+		got := req.Actors[i]
+		if got.Actor != want.Actor || !got.Window.Equal(d.Window()) {
+			t.Errorf("actor %d = %s over %v", i, got.Actor, got.Window)
+		}
+		phases := want.Phases()
+		if len(got.Phases) != len(phases) {
+			t.Fatalf("actor %s: %d phases, want %d", got.Actor, len(got.Phases), len(phases))
+		}
+		for k := range phases {
+			if got.Phases[k].Amounts.String() != phases[k].Amounts.String() {
+				t.Errorf("actor %s phase %d = %v, want %v", got.Actor, k, got.Phases[k].Amounts, phases[k].Amounts)
+			}
+		}
+	}
+	if req.Actors[0].Total() != resource.QuantityFromUnits(18) || req.Actors[1].Total() != resource.QuantityFromUnits(3) {
+		t.Errorf("totals = %v, %v", req.Actors[0].Total(), req.Actors[1].Total())
 	}
 	if req.String() == "" {
 		t.Error("String empty")

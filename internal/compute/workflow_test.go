@@ -122,13 +122,13 @@ func TestStepAndRequirementHelpers(t *testing.T) {
 	if !strings.Contains(simple.String(), "ρ{") {
 		t.Errorf("Simple String = %q", simple.String())
 	}
-	// SimpleOf clones: mutating the requirement must not touch the step.
-	simple.Amounts.Add(resource.AmountOf(100, cpuL1))
+	// SimpleOf copies: mutating the requirement must not touch the step.
+	simple.Amounts[0].Qty += resource.QuantityFromUnits(100)
 	if st.Amounts[cpuL1] != resource.QuantityFromUnits(3) {
 		t.Error("SimpleOf aliases the step's amounts")
 	}
 
-	empty := Simple{Amounts: resource.NewAmounts(), Window: interval.New(0, 5)}
+	empty := Simple{Amounts: resource.NewNeeds(), Window: interval.New(0, 5)}
 	if !empty.Empty() {
 		t.Error("empty requirement misreported")
 	}

@@ -77,7 +77,7 @@ func BenchmarkEvalFormulaOnPath(b *testing.B) {
 	s := benchState(b, 8)
 	res := Run(s, 128, 1)
 	f := Eventually{F: SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(100, cpuL1)),
+		Amounts: resource.NewNeeds(resource.AmountOf(100, cpuL1)),
 		Window:  interval.New(0, 128),
 	}}}
 	b.ResetTimer()

@@ -79,8 +79,11 @@ func Admit(s State, dist compute.Distributed) (State, schedule.Plan, error) {
 func ConcurrentAt(dist compute.Distributed, now interval.Time) compute.Concurrent {
 	req := compute.ConcurrentOf(dist)
 	if now > req.Window.Start && now < req.Window.End {
-		window := interval.New(now, req.Window.End)
-		req = clampConcurrent(req, window)
+		// req is this call's own: clamp it in place.
+		req.Window = interval.New(now, req.Window.End)
+		for i := range req.Actors {
+			req.Actors[i].Window = req.Window
+		}
 	}
 	return req
 }

@@ -114,7 +114,7 @@ func randomSimpleFormula(draw func(int) int, depth int) Formula {
 		}
 		start := interval.Time(draw(50)) - 5
 		return SatisfySimple{Req: compute.Simple{
-			Amounts: amounts,
+			Amounts: resource.NeedsOf(amounts),
 			Window:  interval.New(start, start+interval.Time(draw(50))-3),
 		}}
 	case k == 1:

@@ -86,11 +86,11 @@ func TestEvalAtomsAndConnectives(t *testing.T) {
 	p := res.Path
 
 	fits := SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(20, cpuL1)),
+		Amounts: resource.NewNeeds(resource.AmountOf(20, cpuL1)),
 		Window:  interval.New(0, 10),
 	}}
 	tooBig := SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(21, cpuL1)),
+		Amounts: resource.NewNeeds(resource.AmountOf(21, cpuL1)),
 		Window:  interval.New(0, 10),
 	}}
 
@@ -122,7 +122,7 @@ func TestEvalAtomsAndConnectives(t *testing.T) {
 	// fits holds only at position 0, so □fits is false but ◇fits true.
 	check(Always{F: fits}, 0, false)
 	smaller := SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(2, cpuL1)),
+		Amounts: resource.NewNeeds(resource.AmountOf(2, cpuL1)),
 		Window:  interval.New(0, 10),
 	}}
 	// 2 units fit at every position while the window is open, but at the
@@ -201,7 +201,7 @@ func TestEvalNowMatchesIndexAt(t *testing.T) {
 	s := freshIdleState(2, interval.New(0, 6))
 	res := Run(s, 6, 1)
 	f := SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(4, cpuL1)),
+		Amounts: resource.NewNeeds(resource.AmountOf(4, cpuL1)),
 		Window:  interval.New(0, 6),
 	}}
 	a, err := EvalNow(res.Path, 3, f)
@@ -221,7 +221,7 @@ func TestFormulaStrings(t *testing.T) {
 	f := Always{F: Not{F: Or{
 		L: And{L: True{}, R: False{}},
 		R: Eventually{F: SatisfySimple{Req: compute.Simple{
-			Amounts: resource.NewAmounts(resource.AmountOf(1, cpuL1)),
+			Amounts: resource.NewNeeds(resource.AmountOf(1, cpuL1)),
 			Window:  interval.New(0, 5),
 		}}},
 	}}}

@@ -19,7 +19,7 @@ func TestExistsPathFindsAdmission(t *testing.T) {
 	job := evalJob(t, "j1", "a1", 0, 8) // 8 cpu
 
 	bigAsk := SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(16, cpuL1)),
+		Amounts: resource.NewNeeds(resource.AmountOf(16, cpuL1)),
 		Window:  interval.New(0, 8),
 	}}
 	ex := &Explorer{
@@ -60,7 +60,7 @@ func TestForAllPathsInvariant(t *testing.T) {
 	theta := resource.NewSet(resource.NewTerm(u(2), cpuL1, interval.New(0, 8)))
 	job := evalJob(t, "j1", "a1", 0, 8)
 	tooBig := SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(17, cpuL1)),
+		Amounts: resource.NewNeeds(resource.AmountOf(17, cpuL1)),
 		Window:  interval.New(0, 8),
 	}}
 	ex := &Explorer{Pending: []compute.Distributed{job}, Horizon: 8}
@@ -86,7 +86,7 @@ func TestExplorerJoins(t *testing.T) {
 	// an 8-cpu requirement within (3,8).
 	join := resource.NewSet(resource.NewTerm(u(2), cpuL1, interval.New(3, 8)))
 	ask := SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(8, cpuL1)),
+		Amounts: resource.NewNeeds(resource.AmountOf(8, cpuL1)),
 		Window:  interval.New(0, 8),
 	}}
 	ex := &Explorer{
@@ -119,7 +119,7 @@ func TestExplorerDeferredAdmissionBranch(t *testing.T) {
 	// On admitting branches the job's consumption shrinks expiring
 	// capacity below 16 within (4,12).
 	probe := SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(16, cpuL1)),
+		Amounts: resource.NewNeeds(resource.AmountOf(16, cpuL1)),
 		Window:  interval.New(4, 12),
 	}}
 	ex := &Explorer{Pending: []compute.Distributed{job}, Horizon: 12}
@@ -178,7 +178,7 @@ func TestExplorerJoinsApplyOncePerTick(t *testing.T) {
 	job.Actors[0].Steps[0].Amounts = resource.NewAmounts(resource.AmountOf(12, cpuL1))
 
 	tooBig := SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(37, cpuL1)),
+		Amounts: resource.NewNeeds(resource.AmountOf(37, cpuL1)),
 		Window:  interval.New(0, 10),
 	}}
 	ex := &Explorer{
@@ -195,7 +195,7 @@ func TestExplorerJoinsApplyOncePerTick(t *testing.T) {
 	}
 	// 36 units are genuinely reachable (the admit-nothing branch).
 	exactly := SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(36, cpuL1)),
+		Amounts: resource.NewNeeds(resource.AmountOf(36, cpuL1)),
 		Window:  interval.New(0, 10),
 	}}
 	ok, _, err := ex.ExistsPath(NewState(base, 0), exactly)

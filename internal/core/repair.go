@@ -109,7 +109,7 @@ func remainingRequirement(c Commitment, now interval.Time, missed []Violation) c
 			if amounts.Empty() {
 				continue
 			}
-			phases = append(phases, compute.Phase{Amounts: amounts})
+			phases = append(phases, compute.Phase{Amounts: resource.NeedsOf(amounts)})
 		}
 		if len(phases) > 0 {
 			out.Actors = append(out.Actors, compute.Complex{

@@ -86,8 +86,8 @@ func E10Estimation(cfg E10Config) *metrics.Table {
 						saved++
 					}
 				}
-				estTotal := estComp.TotalAmounts().Total()
-				actTotal := actComp.TotalAmounts().Total()
+				estTotal := estComp.TotalQty()
+				actTotal := actComp.TotalQty()
 				if actTotal > 0 {
 					reserveRatios = append(reserveRatios, float64(estTotal)/float64(actTotal))
 				}

@@ -86,14 +86,14 @@ func E2Semantics() *metrics.Table {
 		return fmt.Sprint(ok)
 	}
 	fits := core.SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(20, cpu)),
+		Amounts: resource.NewNeeds(resource.AmountOf(20, cpu)),
 		Window:  interval.New(0, 10),
 	}}
 	addCheck("σ,0 ⊨ satisfy(ρ[20cpu](0,10))", "true", evalStr(fits, 0))
 	addCheck("σ,1 ⊨ satisfy(ρ[20cpu](0,10))", "false", evalStr(fits, 1))
 	addCheck("σ,0 ⊨ ◇¬satisfy(...)", "true", evalStr(core.Eventually{F: core.Not{F: fits}}, 0))
 	small := core.SatisfySimple{Req: compute.Simple{
-		Amounts: resource.NewAmounts(resource.AmountOf(2, cpu)),
+		Amounts: resource.NewNeeds(resource.AmountOf(2, cpu)),
 		Window:  interval.New(0, 10),
 	}}
 	addCheck("σ,0 ⊨ satisfy(ρ[2cpu](0,10))", "true", evalStr(small, 0))

@@ -144,7 +144,7 @@ func randomJob(rng *rand.Rand, trial, idx int, locs []resource.Location) (comput
 		if err != nil {
 			return compute.Distributed{}, err
 		}
-		if w := comp.TotalAmounts().Total(); w > critical {
+		if w := comp.TotalQty(); w > critical {
 			critical = w
 		}
 		comps = append(comps, comp)

@@ -286,7 +286,7 @@ func (p *parser) parseSatisfy() (core.Formula, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.SatisfySimple{Req: compute.Simple{Amounts: amounts, Window: window}}, nil
+		return core.SatisfySimple{Req: compute.Simple{Amounts: resource.NeedsOf(amounts), Window: window}}, nil
 	case tokLParen:
 		p.next()
 		if p.tok.kind != tokIdent && p.tok.kind != tokNumber {

@@ -154,7 +154,7 @@ func TestParseNumericLocations(t *testing.T) {
 	if !ok {
 		t.Fatalf("got %T", f)
 	}
-	if _, ok := atom.Req.Amounts[resource.At("cpu", "42")]; !ok {
+	if _, ok := atom.Req.Amounts.Lookup(resource.At("cpu", "42")); !ok {
 		t.Errorf("amounts = %v", atom.Req.Amounts)
 	}
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/compute"
 	"repro/internal/core"
@@ -192,7 +193,7 @@ func (b *builder) holds(n *Node) (core.Formula, error) {
 	window.Start = max(window.Start, at)
 	b.reads = append(b.reads, Read{Type: lt, Window: window})
 	return core.SatisfySimple{Req: compute.Simple{
-		Amounts: resource.Amounts{lt: need},
+		Amounts: resource.Needs{{Qty: need, Type: lt}},
 		Window:  window,
 	}}, nil
 }
@@ -211,13 +212,14 @@ func (b *builder) feasible(n *Node) core.Formula {
 		deadline = n.Before
 	}
 	window := interval.New(b.snap.Now, deadline)
-	amounts := make(resource.Amounts)
+	var amounts resource.Needs
 	cm.Demand.EachType(func(lt resource.LocatedType, hull interval.Interval) {
 		if qty := cm.Demand.QuantityWithin(lt, hull); qty > 0 {
-			amounts[lt] = qty
+			amounts = append(amounts, resource.Amount{Qty: qty, Type: lt})
 			b.reads = append(b.reads, Read{Type: lt, Window: window})
 		}
 	})
+	amounts = slices.Clip(amounts)
 	if len(amounts) == 0 {
 		// Nothing left to do: trivially feasible.
 		return core.True{}

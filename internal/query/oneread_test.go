@@ -109,7 +109,7 @@ func oneReadReference(t *testing.T, n *Node, free resource.Set, now interval.Tim
 	}
 	lt := resource.LocatedType{Kind: resource.Kind(n.Kind), Loc: resource.Location(n.Loc), Dst: resource.Location(n.Dst)}
 	var f core.Formula = core.SatisfySimple{Req: compute.Simple{
-		Amounts: resource.Amounts{lt: resource.Quantity(n.Min * float64(resource.Unit))},
+		Amounts: resource.Needs{{Qty: resource.Quantity(n.Min * float64(resource.Unit)), Type: lt}},
 		Window:  window,
 	}}
 	horizon := now

@@ -2,7 +2,7 @@ package resource
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -34,7 +34,10 @@ func (a Amount) String() string {
 	return fmt.Sprintf("[%.3f]%s", float64(a.Qty)/float64(Unit), a.Type)
 }
 
-// Amounts is a multiset of required amounts, one entry per located type.
+// Amounts is a multiset of required amounts, one entry per located type:
+// Φ's value for one action, which a computation's steps carry. What the
+// schedule reads — a phase's amounts, a simple requirement's — is the
+// same multiset as a Needs run.
 type Amounts map[LocatedType]Quantity
 
 // NewAmounts sums a list of Amount values into canonical form, dropping
@@ -87,7 +90,7 @@ func (m Amounts) Types() []LocatedType {
 	for lt := range m {
 		out = append(out, lt)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	slices.SortFunc(out, LocatedType.compare)
 	return out
 }
 
@@ -116,12 +119,95 @@ func (m Amounts) SingleType() (LocatedType, bool) {
 
 // String renders the amounts deterministically: "{[8]⟨cpu,l1⟩, ...}".
 func (m Amounts) String() string {
+	return NeedsOf(m).String()
+}
+
+// Needs is a requirement's amounts as one sorted run: one Amount per
+// located type, in the order a Set keeps its types. Located types are
+// disjoint resources, so a requirement, like Θ, is a product over them,
+// and the schedule walks it in type order with no map to look up or keys
+// to sort. A run is exactly sized (len == cap), so appending to one
+// holder's run never writes into another's. A zero quantity is an entry
+// like any other, as it is in an Amounts map.
+type Needs []Amount
+
+// NewNeeds sums a list of Amount values into a run, dropping zero
+// entries, as NewAmounts does.
+func NewNeeds(list ...Amount) Needs {
+	return NeedsOf(NewAmounts(list...))
+}
+
+// NeedsOf returns m's entries as a run; an empty m is the nil run.
+func NeedsOf(m Amounts) Needs {
 	if len(m) == 0 {
+		return nil
+	}
+	return Needs(AppendNeeds(make([]Amount, 0, len(m)), m))
+}
+
+// AppendNeeds appends m's entries to buf in type order and returns the
+// extended slice, whose last len(m) entries are m as a run. Many runs
+// can share one backing array this way: each holder slices its own
+// entries with their length as capacity.
+func AppendNeeds(buf []Amount, m Amounts) []Amount {
+	from := len(buf)
+	for lt, q := range m {
+		buf = append(buf, Amount{Qty: q, Type: lt})
+	}
+	slices.SortFunc(buf[from:], func(a, b Amount) int { return a.Type.compare(b.Type) })
+	return buf
+}
+
+// Empty reports whether nothing is required.
+func (n Needs) Empty() bool {
+	return len(n) == 0
+}
+
+// Lookup returns lt's required quantity and whether the run holds an
+// entry for it.
+func (n Needs) Lookup(lt LocatedType) (Quantity, bool) {
+	lo, hi := 0, len(n)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		switch c := n[m].Type.compare(lt); {
+		case c < 0:
+			lo = m + 1
+		case c > 0:
+			hi = m
+		default:
+			return n[m].Qty, true
+		}
+	}
+	return 0, false
+}
+
+// Total returns the summed quantity across all types.
+func (n Needs) Total() Quantity {
+	var total Quantity
+	for _, a := range n {
+		total += a.Qty
+	}
+	return total
+}
+
+// SingleType reports whether all required quantity is of one located
+// type, returning it if so.
+func (n Needs) SingleType() (LocatedType, bool) {
+	if len(n) != 1 {
+		return LocatedType{}, false
+	}
+	return n[0].Type, true
+}
+
+// String renders the run as Amounts.String renders the same multiset:
+// "{[8]⟨cpu,l1⟩, ...}".
+func (n Needs) String() string {
+	if len(n) == 0 {
 		return "{}"
 	}
-	parts := make([]string, 0, len(m))
-	for _, lt := range m.Types() {
-		parts = append(parts, Amount{Qty: m[lt], Type: lt}.String())
+	parts := make([]string, len(n))
+	for i, a := range n {
+		parts[i] = a.String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }

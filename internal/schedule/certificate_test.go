@@ -43,7 +43,7 @@ func FuzzInfeasibleIsACertificate(f *testing.F) {
 			for m := draw(2) + 1; m > 0; m-- {
 				amounts[types[draw(len(types))]] += resource.Quantity(draw(16)+1) * resource.Quantity(resource.Unit)
 			}
-			actor.Phases = append(actor.Phases, compute.Phase{Amounts: amounts})
+			actor.Phases = append(actor.Phases, compute.Phase{Amounts: resource.NeedsOf(amounts)})
 		}
 		req := compute.Concurrent{Name: "j", Actors: []compute.Complex{actor}, Window: actor.Window}
 

@@ -13,9 +13,10 @@
 package schedule
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/compute"
 	"repro/internal/interval"
@@ -144,10 +145,18 @@ func Concurrent(theta resource.Set, req compute.Concurrent, opts ...Option) (Pla
 	actors := make([]compute.Complex, len(req.Actors))
 	copy(actors, req.Actors)
 	// Heuristic order: largest total demand first, so the bulkiest actor
-	// gets first pick of scarce capacity.
-	sort.SliceStable(actors, func(i, j int) bool {
-		return actors[i].TotalAmounts().Total() > actors[j].TotalAmounts().Total()
-	})
+	// gets first pick of scarce capacity. Each actor's total is summed
+	// once, before the sort.
+	if len(actors) > 1 {
+		byDemand := make([]demand, len(actors))
+		for i, a := range actors {
+			byDemand[i] = demand{total: a.Total(), actor: a}
+		}
+		slices.SortStableFunc(byDemand, func(a, b demand) int { return cmp.Compare(b.total, a.total) })
+		for i, d := range byDemand {
+			actors[i] = d.actor
+		}
+	}
 
 	if plan, err := tryOrder(theta, actors); err == nil {
 		return plan, nil
@@ -173,6 +182,12 @@ func Concurrent(theta resource.Set, req compute.Concurrent, opts ...Option) (Pla
 	return *found, nil
 }
 
+// demand is an actor keyed by its total required quantity.
+type demand struct {
+	total resource.Quantity
+	actor compute.Complex
+}
+
 // tryOrder schedules the actors in the given order. The search reads Θ
 // only for the located types the actors require and only inside their
 // windows, so it consumes from an overlay holding exactly that slice —
@@ -181,12 +196,18 @@ func Concurrent(theta resource.Set, req compute.Concurrent, opts ...Option) (Pla
 func tryOrder(theta resource.Set, order []compute.Complex) (Plan, error) {
 	plan := Plan{Breaks: map[compute.ActorName][]interval.Time{}}
 	var window interval.Interval
-	var types []resource.LocatedType
+	n := 0
 	for _, actor := range order {
 		window = window.Hull(actor.Window)
 		for _, phase := range actor.Phases {
-			for lt := range phase.Amounts {
-				types = append(types, lt)
+			n += len(phase.Amounts)
+		}
+	}
+	types := make([]resource.LocatedType, 0, n)
+	for _, actor := range order {
+		for _, phase := range actor.Phases {
+			for _, need := range phase.Amounts {
+				types = append(types, need.Type)
 			}
 		}
 	}
@@ -231,13 +252,13 @@ func permute(actors []compute.Complex, visit func([]compute.Complex) bool) {
 // completes.
 func scheduleActor(working *resource.Set, req compute.Complex, later []compute.Complex, plan *Plan) error {
 	cursor := req.Window.Start
-	var breaks []interval.Time
+	breaks := make([]interval.Time, 0, len(req.Phases))
 	for phaseIdx, phase := range req.Phases {
 		completion := cursor
 		// Allocate each required type independently from the cursor; the
 		// phase completes when its slowest type is fully delivered.
-		for _, lt := range phase.Amounts.Types() {
-			need := phase.Amounts[lt]
+		for _, amount := range phase.Amounts {
+			lt, need := amount.Type, amount.Qty
 			allocs, doneAt, err := earliestAllocations(*working, lt, need, interval.New(cursor, req.Window.End))
 			if err != nil {
 				return &Infeasible{Actor: req.Actor, Phase: phaseIdx, Type: lt, Need: need,
@@ -268,7 +289,7 @@ func scheduleActor(working *resource.Set, req compute.Complex, later []compute.C
 // later, requires lt.
 func readLater(lt resource.LocatedType, phases []compute.Phase, later []compute.Complex) bool {
 	for _, ph := range phases {
-		if _, ok := ph.Amounts[lt]; ok {
+		if _, ok := ph.Amounts.Lookup(lt); ok {
 			return true
 		}
 	}
@@ -378,10 +399,10 @@ func Verify(theta resource.Set, req compute.Concurrent, plan Plan) error {
 				}
 				got.Add(resource.Amount{Qty: a.Term.Quantity(), Type: a.Term.Type})
 			}
-			for lt, needQ := range phase.Amounts {
-				if got[lt] < needQ {
+			for _, need := range phase.Amounts {
+				if got[need.Type] < need.Qty {
 					return fmt.Errorf("schedule: actor %s phase %d got %v of %v, needs %v",
-						actor.Actor, i, got[lt], lt, needQ)
+						actor.Actor, i, got[need.Type], need.Type, need.Qty)
 				}
 			}
 			prev = end

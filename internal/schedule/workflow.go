@@ -55,8 +55,8 @@ func FeasibleWorkflow(theta resource.Set, w compute.Workflow) (WorkflowPlan, err
 	for _, ref := range order {
 		if seg, ok := w.Segment(ref); ok {
 			for _, phase := range seg.Phases() {
-				for lt := range phase.Amounts {
-					types = append(types, lt)
+				for _, need := range phase.Amounts {
+					types = append(types, need.Type)
 				}
 			}
 		}
@@ -77,8 +77,8 @@ func FeasibleWorkflow(theta resource.Set, w compute.Workflow) (WorkflowPlan, err
 		cursor := start
 		for phaseIdx, phase := range seg.Phases() {
 			completion := cursor
-			for _, lt := range phase.Amounts.Types() {
-				need := phase.Amounts[lt]
+			for _, amount := range phase.Amounts {
+				lt, need := amount.Type, amount.Qty
 				allocs, doneAt, err := earliestAllocations(working, lt, need, interval.New(cursor, w.Deadline))
 				if err != nil {
 					return WorkflowPlan{}, fmt.Errorf("%w: segment %v phase %d needs %v of %v in (%d,%d)",

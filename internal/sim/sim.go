@@ -89,7 +89,7 @@ func (c Config) emit(e trace.Event) {
 // so span.Bridge copies them instead of parsing the reason.
 func (res *Result) offer(cfg Config, t interval.Time, job workload.Job, view admission.View) (admission.Decision, resource.Quantity) {
 	res.Offered++
-	work := job.Dist.TotalAmounts().Total()
+	work := job.Dist.TotalQty()
 	res.OfferedWork += work
 	cfg.emit(trace.Event{At: t, Kind: trace.KindArrival, Job: job.Dist.Name, Quantity: work.Units()})
 	dec := admission.Decide(cfg.Policy, view, job.Dist)

@@ -123,7 +123,7 @@ func generateJob(rng *rand.Rand, cfg Config, model cost.Model, idx int, arrival 
 		if err != nil {
 			return compute.Distributed{}, fmt.Errorf("workload: job %d actor %d: %w", idx, ai, err)
 		}
-		if w := comp.TotalAmounts().Total(); w > critical {
+		if w := comp.TotalQty(); w > critical {
 			critical = w
 		}
 		actors = append(actors, comp)
@@ -170,7 +170,7 @@ func randomAction(rng *rand.Rand, cfg Config, name compute.ActorName, loc *resou
 func TotalWork(jobs []Job) resource.Quantity {
 	var total resource.Quantity
 	for _, j := range jobs {
-		total += j.Dist.TotalAmounts().Total()
+		total += j.Dist.TotalQty()
 	}
 	return total
 }

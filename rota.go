@@ -128,8 +128,13 @@ type Set = resource.Set
 // Amount is a required quantity [q]_ξ of a located type.
 type Amount = resource.Amount
 
-// Amounts maps located types to required quantities.
+// Amounts maps located types to required quantities: Φ's value for one
+// action, which a Step carries.
 type Amounts = resource.Amounts
+
+// Needs is a requirement's amounts as a sorted run, one entry per
+// located type: what a Simple requirement and a phase carry.
+type Needs = resource.Needs
 
 // ErrInsufficient is returned when a relative complement is undefined.
 var ErrInsufficient = resource.ErrInsufficient
@@ -177,6 +182,11 @@ func ParseSet(s string) (Set, error) {
 // AmountOf builds an Amount from whole units.
 func AmountOf(units int64, lt LocatedType) Amount {
 	return resource.AmountOf(units, lt)
+}
+
+// NewNeeds sums amounts into a requirement's sorted run.
+func NewNeeds(list ...Amount) Needs {
+	return resource.NewNeeds(list...)
 }
 
 // ---- Computations (§IV) ----

@@ -54,7 +54,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	}
 
 	f := SatisfySimple{Req: Simple{
-		Amounts: Amounts{CPUAt("l1"): UnitsQty(8)},
+		Amounts: NewNeeds(AmountOf(8, CPUAt("l1"))),
 		Window:  NewInterval(0, 20),
 	}}
 	ok, err := Eval(res.Path, 0, f)
