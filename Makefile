@@ -106,7 +106,12 @@ race:
 # by merging consecutive single-type steps, one computation at a time or
 # all of ConcurrentOf's actors in one pass — to the Amounts maps they
 # were built as: the same phases, and equal under lookup, total,
-# SingleType, Empty and String (internal/compute/needs_fuzz_test.go).
+# SingleType, Empty and String (internal/compute/needs_fuzz_test.go),
+# then ten holding the temporal query grammar's text parser — the one
+# parser of formula text, fed from the command line by rotacheck
+# -formula — to never panicking, and everything it accepts to evaluate
+# and to re-parse from its canonical rendering to the same verdict
+# (internal/query/fuzz_test.go).
 # -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileKernels$$' -fuzztime 10s ./internal/resource/
@@ -120,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLogKV$$' -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzSetAlgebra$$' -fuzztime 10s ./internal/resource/
 	$(GO) test -run '^$$' -fuzz '^FuzzPhasesMatchMaps$$' -fuzztime 10s ./internal/compute/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 10s ./internal/query/
 
 # benchmark/ is a module of its own that tier-1 neither builds nor
 # tests; vetting it here catches an exported name under internal/ that

@@ -7,7 +7,13 @@
 //
 //	rotacheck scenario.rota
 //	rotacheck -independent scenario.rota   # check each job against the full Θ
+//	rotacheck -formula 'holds(l1, cpu>=8, from 0 to 20) and feasible(j1)' scenario.rota
 //	echo "..." | rotacheck -
+//
+// -formula asks a question in the temporal query grammar of
+// internal/query (the one /v1/query serves) and decides it on the final
+// state: its free view at its clock, and the admitted commitments the
+// query names.
 //
 // Exit status is 0 when every job is accommodated, 2 when any is not.
 package main
@@ -21,7 +27,7 @@ import (
 
 	"repro/internal/compute"
 	"repro/internal/core"
-	"repro/internal/formula"
+	"repro/internal/query"
 	"repro/internal/scenario"
 	"repro/internal/schedule"
 )
@@ -40,8 +46,8 @@ func run(args []string, out io.Writer) (int, error) {
 	independent := fs.Bool("independent", false,
 		"check every job against the full resource set instead of admitting cumulatively")
 	verbose := fs.Bool("v", false, "print witness allocations, not just break points")
-	query := fs.String("formula", "",
-		`ROTA formula to evaluate on the committed path, e.g. "<> satisfy{8:cpu@l1}(0,20)" or "satisfy(j1)"`)
+	formula := fs.String("formula", "",
+		`temporal query to decide on the final state, e.g. "holds(l1, cpu>=8, eventually, from 0 to 20) and feasible(j1)"`)
 	stateIn := fs.String("state", "", "load the initial ROTA state from a snapshot instead of starting fresh")
 	stateOut := fs.String("save-state", "", "write the final ROTA state (resources + commitments) to this snapshot file")
 	if err := fs.Parse(args); err != nil {
@@ -142,29 +148,20 @@ func run(args []string, out io.Writer) (int, error) {
 		}
 	}
 
-	if *query != "" {
-		jobsByName := make(map[string]compute.Distributed, len(sc.Jobs))
-		for _, j := range sc.Jobs {
-			jobsByName[j.Name] = j
-		}
-		f, err := formula.Parse(*query, jobsByName)
+	if *formula != "" {
+		c, err := query.ParseText(*formula)
 		if err != nil {
 			return 1, err
 		}
-		// Materialize the committed path (admitted jobs execute their
-		// plans; everything else expires) and evaluate at t=0.
-		horizon := sc.Resources.Hull().End
-		for _, j := range sc.Jobs {
-			if j.Deadline > horizon {
-				horizon = j.Deadline
-			}
-		}
-		res := core.Run(state, horizon, 1)
-		verdict, err := core.Eval(res.Path, 0, f)
+		snap, err := snapshotOf(state, c.Names())
 		if err != nil {
 			return 1, err
 		}
-		fmt.Fprintf(out, "formula %s = %v\n", f, verdict)
+		res, err := c.Evaluate(snap)
+		if err != nil {
+			return 1, err
+		}
+		fmt.Fprintf(out, "formula %s = %v\n", c.Source(), res.Holds)
 	}
 	if *stateOut != "" {
 		f, err := os.Create(*stateOut)
@@ -183,4 +180,35 @@ func run(args []string, out io.Writer) (int, error) {
 		return 2, nil
 	}
 	return 0, nil
+}
+
+// snapshotOf is the query layer's view of a final state: its free view
+// at its clock, and the admitted commitments among names. A scenario job
+// is admitted at the start of its requirement window, its start or the
+// clock, whichever is later.
+//
+// No commitment arrives on the committed path core.Run materialises
+// from the state, so the free view ahead of the clock never changes on
+// it. Satisfaction is monotone in the resources available, so a plain
+// holds atom decided on this view has the verdict of satisfy at
+// position 0 of that path, and an eventually atom that of ◇satisfy
+// (TestHoldsAgreesWithTheCommittedPath).
+func snapshotOf(state core.State, names []string) (query.Snapshot, error) {
+	free, err := state.FreeResources()
+	if err != nil {
+		return query.Snapshot{}, err
+	}
+	snap := query.Snapshot{Now: state.Now, Free: free,
+		Commitments: make(map[string]query.Commitment, len(names))}
+	for _, name := range names {
+		c, ok := state.Commitment(name)
+		if !ok {
+			continue
+		}
+		demand := c.RemainingDemand(state.Now)
+		snap.Commitments[name] = query.Commitment{Name: name,
+			Admitted: c.Req.Window.Start, Finish: c.Plan.Finish, Deadline: c.Req.Window.End,
+			Locations: demand.Locations(), Demand: demand}
+	}
+	return snap, nil
 }

@@ -112,28 +112,40 @@ func TestRunVerboseShowsAllocations(t *testing.T) {
 }
 
 func TestRunFormulaFlag(t *testing.T) {
+	// j1 reserves [0,6) and j2 [0,4) of demoScenario's Θ; both are
+	// admitted, and what they leave free is decided at t=0.
 	path := writeTemp(t, demoScenario)
+	for _, tc := range []struct{ query, want string }{
+		{"holds(l1, cpu>=1, from 0 to 14) & !holds(l1, cpu>=999, from 0 to 14)",
+			"formula holds(l1, cpu>=1, from 0 to 14) and not holds(l1, cpu>=999, from 0 to 14) = true"},
+		{"feasible(j1)", "formula feasible(j1) = true"},
+		{"feasible(j1, before 5)", "formula feasible(j1, before 5) = false"},
+		{"starts(j2, j1) and not before(j1, j2)", "formula starts(j2, j1) and not before(j1, j2) = true"},
+		{"holds(l1>l2, network>=1, eventually)", "formula holds(l1>l2, network>=1, eventually) = true"},
+		{"feasible(nosuchjob)", "formula feasible(nosuchjob) = false"},
+	} {
+		var sb strings.Builder
+		if _, err := run([]string{"-formula", tc.query, path}, &sb); err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		if !strings.HasSuffix(sb.String(), tc.want+"\n") {
+			t.Errorf("%s: want last line %q:\n%s", tc.query, tc.want, sb.String())
+		}
+	}
+	// A refused job has no commitment for feasible to re-plan.
+	starved := writeTemp(t, starvedScenario)
 	var sb strings.Builder
-	if _, err := run([]string{"-formula", "satisfy{1:cpu@l1}(0,14) & !satisfy{999:cpu@l1}(0,14)", path}, &sb); err != nil {
+	if _, err := run([]string{"-formula", "feasible(hungry)", starved}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "= true") {
-		t.Errorf("formula verdict missing:\n%s", sb.String())
+	if !strings.HasSuffix(sb.String(), "formula feasible(hungry) = false\n") {
+		t.Errorf("refused job feasible:\n%s", sb.String())
 	}
-	// Job-name atoms resolve.
-	var sb2 strings.Builder
-	if _, err := run([]string{"-formula", "satisfy(j1)", path}, &sb2); err != nil {
-		t.Fatal(err)
-	}
-	// j1 is already admitted, so its requirement no longer fits in what
-	// remains free — either verdict is legitimate output; just require a
-	// verdict line.
-	if !strings.Contains(sb2.String(), "formula ") {
-		t.Errorf("formula output missing:\n%s", sb2.String())
-	}
-	// Malformed formula errors out.
-	if _, err := run([]string{"-formula", "satisfy{", path}, &strings.Builder{}); err == nil {
-		t.Error("malformed formula accepted")
+	// Malformed queries, and the retired satisfy{…} syntax, error out.
+	for _, bad := range []string{"holds(l1", "satisfy{1:cpu@l1}(0,14)", "<> true"} {
+		if _, err := run([]string{"-formula", bad, path}, &strings.Builder{}); err == nil {
+			t.Errorf("malformed query %q accepted", bad)
+		}
 	}
 }
 

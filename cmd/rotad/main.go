@@ -54,7 +54,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rotad", flag.ContinueOnError)
 	fs.SetOutput(out)
 	addr := fs.String("addr", ":8080", "listen address")
-	policyName := fs.String("policy", "rota", "admission policy: rota or rota-exhaustive (must be plan-producing)")
 	workers := fs.Int("workers", 0, "concurrent admission decisions, local or coordinated (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 2*time.Second, "per-request decision deadline (slot wait + decision)")
 	locations := fs.Int("locations", 4, "number of locations in the initial availability")
@@ -123,16 +122,6 @@ func run(args []string, out io.Writer) error {
 		SlowDecision: time.Duration(*slowMS) * time.Millisecond,
 	})
 
-	var policy admission.Policy
-	switch *policyName {
-	case "rota":
-		policy = &admission.Rota{}
-	case "rota-exhaustive":
-		policy = &admission.Rota{Exhaustive: true}
-	default:
-		return fmt.Errorf("unknown policy %q (rotad needs a plan-producing policy)", *policyName)
-	}
-
 	theta := resource.Mesh(resource.Locations(*locations), *baseRate, *linkRate, interval.Time(*horizon))
 	if *extraTheta != "" {
 		extra, err := resource.ParseSet(*extraTheta)
@@ -143,7 +132,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	scfg := server.Config{
-		Policy:          policy,
+		Policy:          &admission.Rota{},
 		Theta:           theta,
 		Workers:         *workers,
 		DecisionTimeout: *timeout,

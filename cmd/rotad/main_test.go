@@ -11,9 +11,6 @@ import (
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-policy", "naive-total"}, &out); err == nil {
-		t.Fatal("accepted a plan-less policy")
-	}
 	if err := run([]string{"-theta", "garbage::("}, &out); err == nil {
 		t.Fatal("accepted a malformed -theta literal")
 	}
@@ -26,7 +23,7 @@ func TestFlagsAreServingFlags(t *testing.T) {
 	serving := []string{
 		"addr", "assure", "base", "cluster-config", "evict-phi", "flightrec-size",
 		"gossip", "horizon", "join", "lease-ttl", "link", "locations", "log-format",
-		"metrics", "node", "peers", "pin", "policy", "pprof", "rpc-backoff-base",
+		"metrics", "node", "peers", "pin", "pprof", "rpc-backoff-base",
 		"rpc-backoff-cap", "rpc-retries", "rpc-timeout", "self-url", "slow-ms",
 		"span-store", "suspect-phi", "theta", "timeout", "workers",
 	}

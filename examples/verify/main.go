@@ -93,8 +93,8 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "◇ (36 cpu available):", ok)
 
-	// Q4: a text-syntax query on the canonical committed path (the
-	// rotacheck -formula machinery, via the facade).
+	// Q4: a formula decided on the canonical committed path that
+	// RunState materialises.
 	state := rota.NewState(base, 0)
 	state, _, err = rota.Admit(state, job)
 	if err != nil {

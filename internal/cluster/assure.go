@@ -13,17 +13,24 @@ import (
 // whole cluster. Promise records are deliberately node-local — a job
 // that migrated leaves a `transferred` record behind and a live promise
 // ahead — so the cluster view is a sum of per-node reports plus, for a
-// single job, a precedence merge of each node's account.
+// single job, a precedence merge of each node's account. A member the
+// fan-out cannot reach is named in Missing, never silently left out of
+// the sum.
 
 // ClusterAssureResponse is the cluster-wide GET /v1/assure payload.
 type ClusterAssureResponse struct {
 	Cluster bool `json:"cluster"`
 	// Nodes maps member ID to its local promise report.
 	Nodes map[string]assure.Report `json:"nodes"`
-	// Totals sums the per-node counters; attainment is recomputed over
-	// the summed outcomes (transferred promises are counted once, by the
-	// node that finished the job, so the sum is double-count-free).
+	// Totals sums the reached members' counters, and attainment is
+	// recomputed over the summed outcomes. Each member counts one
+	// promise per share of a job it holds, so a job coordinated across
+	// k owners counts k times; a migrated job's old owner counts it
+	// only as transferred.
 	Totals assure.Stats `json:"totals"`
+	// Missing lists the members the fan-out could not reach, sorted;
+	// Totals leaves their promises out.
+	Missing []string `json:"missing,omitempty"`
 }
 
 // ClusterAssureJobResponse is the cluster-wide GET /v1/assure?job=X
@@ -33,6 +40,9 @@ type ClusterAssureJobResponse struct {
 	Found   bool                                `json:"found"`
 	Promise assure.Promise                      `json:"promise,omitempty"`
 	Nodes   map[string]server.AssureJobResponse `json:"nodes,omitempty"`
+	// Missing lists the members the fan-out could not reach, sorted:
+	// their account of the job is not in the merge.
+	Missing []string `json:"missing,omitempty"`
 }
 
 func (n *Node) handleAssure(w http.ResponseWriter, r *http.Request) {
@@ -54,6 +64,7 @@ func (n *Node) handleAssure(w http.ResponseWriter, r *http.Request) {
 				view = server.AssureJobResponse{Job: job, Found: ok, Promise: p}
 			} else if err := n.client.call(r.Context(), http.MethodGet,
 				ps.URL+"/v1/assure?job="+url.QueryEscape(job), nil, &view, headers, ps.rpc); err != nil {
+				resp.Missing = append(resp.Missing, ps.ID)
 				continue
 			}
 			resp.Nodes[ps.ID] = view
@@ -62,6 +73,7 @@ func (n *Node) handleAssure(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.Promise, resp.Found = assure.Merge(views)
+		sort.Strings(resp.Missing)
 		server.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -73,12 +85,14 @@ func (n *Node) handleAssure(w http.ResponseWriter, r *http.Request) {
 			rep = n.srv.Assure().Report()
 		} else if err := n.client.call(r.Context(), http.MethodGet,
 			ps.URL+"/v1/assure", nil, &rep, headers, ps.rpc); err != nil {
+			out.Missing = append(out.Missing, ps.ID)
 			continue
 		}
 		out.Nodes[ps.ID] = rep
 		parts = append(parts, rep.Stats)
 	}
 	out.Totals = assure.MergeStats(parts)
+	sort.Strings(out.Missing)
 	server.WriteJSON(w, http.StatusOK, out)
 }
 

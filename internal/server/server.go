@@ -27,9 +27,10 @@ import (
 
 // Config parameterizes the daemon.
 type Config struct {
-	// Policy makes admission decisions. It must be plan-producing (rota
-	// or rota-exhaustive): the live ledger reserves witness plans, and a
-	// policy that admits without one cannot be held to Theorem 4.
+	// Policy makes admission decisions; nil means &admission.Rota{},
+	// which is what rotad passes. It must be an *admission.Rota: the live
+	// ledger reserves witness plans, and a policy that admits without one
+	// cannot be held to Theorem 4.
 	Policy admission.Policy
 	// Theta is the initial availability.
 	Theta resource.Set
