@@ -43,7 +43,10 @@ test:
 # standing-query tests — subscribes racing bumps, flips, concurrent
 # evaluations, the sweep's wake check — ten times. The fourth
 # repeats the graceful leave queued behind a join ten times: a departed
-# member that rejoins on its own shows there first. The fifth repeats
+# member that rejoins on its own shows there first; and a location
+# handed on before the table granting its install arrived, which the
+# one routing overlay must send to its new owner, not back to the
+# emptied ledger. The fifth repeats
 # the coordinated admit in the one admit envelope ten times — it holds a
 # decision slot through its two-phase rounds, a coordination parked past
 # DecisionTimeout aborts every hold and answers 503, and a drain aborts
@@ -67,7 +70,7 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone' ./internal/server/
 	$(GO) test -race -count=10 -run 'Subscribe|Bump|Flip|Concurrent|Wake' ./internal/query/ ./internal/server/
-	$(GO) test -race -count=10 -run 'LeaveQueuesBehindJoin' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'LeaveQueuesBehindJoin|HandoffBeforeGrantRoutesToNewOwner' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'CoordinatedAdmit|DrainAbortsInflightPrepares' ./internal/cluster/
 	$(GO) test -race -count=50 -run 'TestSubscribeInitialVerdictAndFlip$$' ./internal/query/
 	$(GO) test -race -count=10 -run 'StoreConcurrency|SpanTree' ./internal/obs/span/

@@ -13,12 +13,13 @@
 // -formula asks a question in the temporal query grammar of
 // internal/query (the one /v1/query serves) and decides it on the final
 // state: its free view at its clock, and the admitted commitments the
-// query names.
+// query names. It refuses -independent, which admits nothing.
 //
 // Exit status is 0 when every job is accommodated, 2 when any is not.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -53,8 +54,14 @@ func run(args []string, out io.Writer) (int, error) {
 	if err := fs.Parse(args); err != nil {
 		return 1, err
 	}
+	const usage = "usage: rotacheck [-independent | -formula query] [-v] [-state file] [-save-state file] <scenario-file|->"
 	if fs.NArg() != 1 {
-		return 1, fmt.Errorf("usage: rotacheck [-independent] [-v] <scenario-file|->")
+		return 1, errors.New(usage)
+	}
+	if *independent && *formula != "" {
+		// -independent admits nothing, so the query would be decided on a
+		// state holding none of the jobs it names.
+		return 1, fmt.Errorf("-formula needs the admitted state, which -independent never builds\n%s", usage)
 	}
 	var in io.Reader
 	if fs.Arg(0) == "-" {

@@ -161,6 +161,23 @@ func TestRunUsageErrors(t *testing.T) {
 	if _, err := run([]string{bad}, &sb); err == nil {
 		t.Error("malformed scenario accepted")
 	}
+	_, err := run(nil, &sb)
+	for _, flag := range []string{"-formula", "-state", "-save-state"} {
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("usage line %v does not name %s", err, flag)
+		}
+	}
+	// -independent admits nothing, so a query over the jobs would be
+	// decided on a state that holds none of them.
+	sb.Reset()
+	path := writeTemp(t, demoScenario)
+	code, err := run([]string{"-independent", "-formula", "feasible(j1)", path}, &sb)
+	if err == nil || code != 1 || !strings.Contains(err.Error(), "usage:") {
+		t.Errorf("-independent -formula: code %d, err %v; want a usage error", code, err)
+	}
+	if sb.Len() != 0 {
+		t.Errorf("-independent -formula printed before refusing:\n%s", sb.String())
+	}
 }
 
 func TestRunWorkflowScenario(t *testing.T) {

@@ -229,26 +229,7 @@ func treeDurationUS(t *span.Tree) int64 {
 func renderSpanTree(t *span.Tree, out io.Writer) {
 	t.WriteTree(out)
 	fmt.Fprintln(out)
-
-	cp := metrics.NewTable("critical path", "kind", "node", "total µs", "self µs")
-	for _, n := range t.CriticalPath() {
-		cp.AddRow(n.Kind, n.Node, n.DurationUS, n.SelfUS())
-	}
-	cp.Render(out)
-	fmt.Fprintln(out)
-
-	phases := t.PhaseBreakdown()
-	kinds := make([]string, 0, len(phases))
-	for k := range phases {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	pb := metrics.NewTable("per-phase latency breakdown", "phase", "total µs")
-	for _, k := range kinds {
-		pb.AddRow(k, phases[k])
-	}
-	pb.Render(out)
-	fmt.Fprintln(out)
+	t.WriteBreakdown(out, "critical path")
 }
 
 // loadSpanSource reads one source of span records: a daemon base URL

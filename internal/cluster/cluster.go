@@ -45,8 +45,9 @@ type Config struct {
 	// LeaseTTL is how long a prepared hold lives on the owner's ledger
 	// clock before the expiry sweep reclaims it; default 50 ticks.
 	LeaseTTL interval.Time
-	// GossipInterval paces the Θ/reserved summary broadcast; default 1s,
-	// negative disables.
+	// GossipInterval paces the gossip broadcast (clock, holds, epochs,
+	// suspects, open intent) and standby shipping; default 1s, negative
+	// disables.
 	GossipInterval time.Duration
 	// RPCTimeout bounds each peer RPC attempt; default 2s.
 	RPCTimeout time.Duration
@@ -107,7 +108,6 @@ type Node struct {
 	cfg    Config
 	self   *peerState
 	srv    *server.Server
-	policy admission.Policy
 	client *rpcClient
 	mux    *http.ServeMux
 	obs    *obs.Observer
@@ -133,16 +133,15 @@ type Node struct {
 	// the gap and be lost.
 	flowMu sync.RWMutex
 
-	// omu guards the routing overlays that bridge a handoff and the
-	// next table broadcast (see membership.go). pendingOwned maps each
-	// installed-but-not-yet-granted location to the table epoch its
-	// install belongs to, so a final table that assigns it elsewhere
-	// (a rolled-back plan) clears the overlay AND the installed state.
-	omu          sync.Mutex
-	pendingOwned map[resource.Location]uint64
-	handedOff    map[resource.Location]ownerRef
-	learned      map[resource.Location]ownerRef
-	movedKeys    map[string]ownerRef
+	// omu guards the routing overlay that bridges an ownership move and
+	// the table that publishes it (see membership.go): one entry per
+	// moved location, naming its owner and the epoch of the move. An
+	// entry naming this node is an install no table has granted yet, so
+	// a published table that assigns the location elsewhere (a
+	// rolled-back plan) clears the entry AND the installed state.
+	omu       sync.Mutex
+	overlay   map[resource.Location]ownerRef
+	movedKeys map[string]ownerRef
 
 	// smu guards the warm-standby shadows gossip ships here.
 	smu         sync.Mutex
@@ -171,7 +170,6 @@ type Node struct {
 
 	httpStats map[string]*obs.EndpointStats
 
-	maxBody  int64
 	leaseTTL interval.Time
 	seq      atomic.Uint64
 
@@ -236,9 +234,8 @@ func New(cfg Config) (*Node, error) {
 		dopts.BootstrapInterval = 5 * cfg.GossipInterval
 	}
 	n := &Node{
-		cfg:    cfg,
-		byID:   make(map[string]*peerState),
-		policy: &admission.Rota{},
+		cfg:  cfg,
+		byID: make(map[string]*peerState),
 		client: newRPCClient(rpcOptions{
 			timeout:     cfg.RPCTimeout,
 			retries:     pickRetries(cfg.RPCRetries),
@@ -246,23 +243,21 @@ func New(cfg Config) (*Node, error) {
 			backoffCap:  cfg.RPCBackoffCap,
 			transport:   cfg.Transport,
 		}, cfg.Obs, cfg.Spans),
-		mmu:          make(chan struct{}, 1),
-		stewardWait:  cfg.StewardWait,
-		shutdownCh:   make(chan struct{}),
-		leaseTTL:     cfg.LeaseTTL,
-		obs:          cfg.Obs,
-		spans:        cfg.Spans,
-		httpStats:    make(map[string]*obs.EndpointStats),
-		pendingOwned: make(map[resource.Location]uint64),
-		handedOff:    make(map[resource.Location]ownerRef),
-		learned:      make(map[resource.Location]ownerRef),
-		movedKeys:    make(map[string]ownerRef),
-		shadows:      make(map[resource.Location]server.LocationExport),
-		detector:     health.NewDetector(dopts),
-		autoEvict:    cfg.EvictPhi > 0,
-		accusals:     make(map[string]map[string]time.Time),
-		evicting:     make(map[string]bool),
-		intents:      make(map[string]*membership.Intent),
+		mmu:         make(chan struct{}, 1),
+		stewardWait: cfg.StewardWait,
+		shutdownCh:  make(chan struct{}),
+		leaseTTL:    cfg.LeaseTTL,
+		obs:         cfg.Obs,
+		spans:       cfg.Spans,
+		httpStats:   make(map[string]*obs.EndpointStats),
+		overlay:     make(map[resource.Location]ownerRef),
+		movedKeys:   make(map[string]ownerRef),
+		shadows:     make(map[resource.Location]server.LocationExport),
+		detector:    health.NewDetector(dopts),
+		autoEvict:   cfg.EvictPhi > 0,
+		accusals:    make(map[string]map[string]time.Time),
+		evicting:    make(map[string]bool),
+		intents:     make(map[string]*membership.Intent),
 	}
 	if n.leaseTTL <= 0 {
 		n.leaseTTL = 50
@@ -307,7 +302,6 @@ func New(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n.srv = srv
-	n.maxBody = 1 << 20
 	// Every query, one-shot or standing, reads the footprint's owners.
 	srv.SetQuerySnapshot(n.querySnapshot)
 
@@ -438,7 +432,7 @@ func (n *Node) Shutdown(ctx context.Context) error {
 }
 
 // ownersOf groups a job's footprint by owning peer, as resolved by the
-// live ownership table and its overlays.
+// live ownership table and its overlay.
 func (n *Node) ownersOf(dist compute.Distributed) (map[*peerState][]resource.Location, error) {
 	out := make(map[*peerState][]resource.Location)
 	for _, loc := range dist.Locations() {
@@ -465,7 +459,7 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		server.HTTPError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, not accepting new admissions"))
 		return
 	}
-	body, err := server.ReadBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -594,7 +588,6 @@ type participant struct {
 	locs   []resource.Location
 	demand resource.Set
 	now    interval.Time
-	held   bool
 }
 
 // freeOn fetches one owner's free availability for the given locations.
@@ -785,7 +778,7 @@ func (n *Node) coordinate(ctx context.Context, job workload.Job, owners map[*pee
 
 	// Phase 1: decide against the merged view, exactly like a local
 	// admission against one big ledger.
-	dec := server.DecideOnFree(ctx, n.spans, n.policy, free, now, job, 0)
+	dec := server.DecideOnFree(ctx, n.spans, n.srv.Policy(), free, now, job, 0)
 	if !dec.Admit {
 		return dec, nil
 	}
@@ -826,61 +819,19 @@ func (n *Node) coordinate(ctx context.Context, job workload.Job, owners map[*pee
 		return fail("timed_out", err)
 	}
 
-	// Phase 2: prepare everywhere, in parallel. Each owner's lease runs
-	// on its own ledger clock.
-	var wg sync.WaitGroup
-	results := make([]error, len(parts))
-	for i, p := range parts {
-		expiry := p.now
-		if now > expiry {
-			expiry = now
-		}
-		expiry += n.leaseTTL
-		wg.Add(1)
-		go func(i int, p *participant, expiry interval.Time) {
-			defer wg.Done()
-			results[i] = n.prepareOn(ctx, p, key, job.Dist.Name, dec.Plan.Finish, job.Dist.Deadline, expiry)
-		}(i, p, expiry)
-	}
-	wg.Wait()
-	var refusal, protoErr error
-	stale := false
-	for i, err := range results {
-		parts[i].held = err == nil
-		switch {
-		case err == nil:
-		case errors.Is(err, server.ErrOvercommit):
-			if refusal == nil {
-				refusal = err
-			}
-		case n.staleOwner(err):
-			stale = true
-		default:
-			protoErr = err
-		}
-	}
-	abortHeld := func() {
-		for _, p := range parts {
-			if p.held {
-				n.abortOn(ctx, p.ps, key)
-			}
-		}
-	}
-	if protoErr != nil {
-		abortHeld()
-		return fail("failed", server.Unavailable(protoErr))
-	}
-	if stale {
-		// A participant's slice moved mid-prepare; drop what was held and
-		// retry against the refreshed ownership.
-		abortHeld()
-		return fail("stale_owner", errStaleOwner)
-	}
-	if refusal != nil {
-		abortHeld()
-		verdict := admission.Refuse(refusal)
+	// Phase 2: prepare everywhere.
+	err = n.prepareRound(ctx, parts, key, job.Dist.Name, dec.Plan.Finish, job.Dist.Deadline, now)
+	switch {
+	case errors.Is(err, server.ErrOvercommit):
+		verdict := admission.Refuse(err)
 		verdict.Elapsed = dec.Elapsed
 		return verdict, nil
+	case errors.Is(err, errStaleOwner):
+		// A participant's slice moved mid-prepare: retry against the
+		// refreshed ownership.
+		return fail("stale_owner", err)
+	case err != nil:
+		return fail("failed", server.Unavailable(err))
 	}
 
 	if n.gate != nil {
@@ -895,27 +846,92 @@ func (n *Node) coordinate(ctx context.Context, job workload.Job, owners map[*pee
 	if n.draining() {
 		// Graceful drain: never leave prepares for the sweep when we can
 		// still abort them explicitly.
-		abortHeld()
+		n.abortAll(ctx, parts, key)
 		return fail("aborted", server.Unavailable(errors.New("cluster: draining, aborted in-flight prepare")))
 	}
 	if err := ctx.Err(); err != nil {
 		// Nobody waits for this verdict any more: give the holds back.
-		abortHeld()
+		n.abortAll(ctx, parts, key)
 		return fail("timed_out", err)
 	}
 
-	// Phase 3: commit everywhere. Commits are idempotent and retried;
-	// a definitive failure (lease expired first) rolls everything back,
-	// including participants already committed.
-	for _, p := range parts {
-		if err := n.commitOn(ctx, p.ps, key); err != nil {
-			for _, p := range parts {
-				n.abortOn(ctx, p.ps, key)
-			}
-			return fail("aborted", server.Unavailable(err))
-		}
+	// Phase 3: commit everywhere.
+	if err := n.commitRound(ctx, parts, key); err != nil {
+		return fail("aborted", server.Unavailable(err))
 	}
 	return dec, nil
+}
+
+// prepareRound asks every participant, in parallel, to hold its demand
+// under key; each lease runs on the participant's own ledger clock, to
+// the later of its clock and now plus the lease TTL. When any prepare
+// fails, the holds that were taken are aborted and the error says why:
+// a capacity refusal (errors.Is server.ErrOvercommit), errStaleOwner
+// when a participant no longer owns its slice, or the protocol failure,
+// which outranks both.
+func (n *Node) prepareRound(ctx context.Context, parts []*participant, key, name string, finish, deadline, now interval.Time) error {
+	var wg sync.WaitGroup
+	results := make([]error, len(parts))
+	for i, p := range parts {
+		expiry := max(p.now, now) + n.leaseTTL
+		wg.Add(1)
+		go func(i int, p *participant) {
+			defer wg.Done()
+			results[i] = n.prepareOn(ctx, p, key, name, finish, deadline, expiry)
+		}(i, p)
+	}
+	wg.Wait()
+	var refusal, protoErr error
+	stale := false
+	for _, err := range results {
+		switch {
+		case err == nil:
+		case errors.Is(err, server.ErrOvercommit):
+			if refusal == nil {
+				refusal = err
+			}
+		case n.staleOwner(err):
+			stale = true
+		default:
+			protoErr = err
+		}
+	}
+	if protoErr == nil && !stale && refusal == nil {
+		return nil
+	}
+	for i, p := range parts {
+		if results[i] == nil {
+			n.abortOn(ctx, p.ps, key)
+		}
+	}
+	switch {
+	case protoErr != nil:
+		return protoErr
+	case stale:
+		return errStaleOwner
+	}
+	return refusal
+}
+
+// commitRound commits every participant's hold. Commits are idempotent
+// and retried; a definitive failure (a lease expired first) rolls every
+// participant back, those already committed included.
+func (n *Node) commitRound(ctx context.Context, parts []*participant, key string) error {
+	for _, p := range parts {
+		if err := n.commitOn(ctx, p.ps, key); err != nil {
+			n.abortAll(ctx, parts, key)
+			return err
+		}
+	}
+	return nil
+}
+
+// abortAll gives back every participant's hold, or rolls back its
+// commit.
+func (n *Node) abortAll(ctx context.Context, parts []*participant, key string) {
+	for _, p := range parts {
+		n.abortOn(ctx, p.ps, key)
+	}
 }
 
 // handleRelease releases a job cluster-wide: a federated admission
@@ -923,7 +939,7 @@ func (n *Node) coordinate(ctx context.Context, job workload.Job, owners map[*pee
 // every member (forwarded requests stay local — no loops). Every node's
 // leg, this one's included, is the embedded server's one release path.
 func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
-	buf, err := server.ReadBody(w, r, n.maxBody)
+	buf, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -988,22 +1004,19 @@ func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, map[string]any{"released": name, "nodes": released})
 }
 
-// Gossip is the periodic Θ/reserved summary a node broadcasts: enough
-// for peers to see its clock, load, per-location availability, and —
-// since dynamic membership — its table epoch (anti-entropy trigger) and
-// ledger epoch (standing watches on other nodes re-evaluate when a
-// remote ledger they depend on changed).
+// Gossip is the periodic message a node broadcasts, and everything in it
+// is what peers read: its clock and leased holds (the peer table), its
+// table epoch (anti-entropy trigger) and ledger epoch (standing watches
+// on other nodes re-evaluate when a remote ledger they depend on
+// changed), its suspects and its open intent (self-healing). Receipt is
+// itself the failure detector's heartbeat.
 type Gossip struct {
-	Node        string            `json:"node"`
-	URL         string            `json:"url,omitempty"`
-	Now         interval.Time     `json:"now"`
-	Shards      int               `json:"shards"`
-	Commitments int               `json:"commitments"`
-	Holds       int               `json:"holds"`
-	Epoch       uint64            `json:"epoch"`
-	LedgerEpoch uint64            `json:"ledger_epoch"`
-	Theta       map[string]string `json:"theta"`
-	Reserved    map[string]string `json:"reserved"`
+	Node        string        `json:"node"`
+	URL         string        `json:"url,omitempty"`
+	Now         interval.Time `json:"now"`
+	Holds       int           `json:"holds"`
+	Epoch       uint64        `json:"epoch"`
+	LedgerEpoch uint64        `json:"ledger_epoch"`
 	// Suspects names the peers this sender's φ-accrual detector holds
 	// at Suspect or worse — the accusation half of quorum eviction.
 	Suspects []string `json:"suspects,omitempty"`
@@ -1014,22 +1027,13 @@ type Gossip struct {
 }
 
 func (n *Node) buildGossip() Gossip {
-	snap := n.srv.Ledger().Snapshot()
 	g := Gossip{
 		Node:        n.self.ID,
 		URL:         n.self.URL,
-		Now:         snap.Now,
-		Shards:      len(snap.Shards),
-		Commitments: len(snap.Commitments),
-		Holds:       len(snap.Holds),
+		Now:         n.srv.Ledger().Now(),
+		Holds:       n.srv.Ledger().NumHolds(),
 		Epoch:       n.reg.Epoch(),
 		LedgerEpoch: n.srv.Ledger().Epoch(),
-		Theta:       make(map[string]string, len(snap.Shards)),
-		Reserved:    make(map[string]string, len(snap.Shards)),
-	}
-	for _, sh := range snap.Shards {
-		g.Theta[string(sh.Location)] = sh.Theta
-		g.Reserved[string(sh.Location)] = sh.Reserved
 	}
 	n.hmu.Lock()
 	g.Suspects = append([]string(nil), n.suspects...)
@@ -1038,7 +1042,30 @@ func (n *Node) buildGossip() Gossip {
 	return g
 }
 
-// gossipLoop periodically pushes this node's summary to every peer and
+// sendGossip posts this node's gossip to every other member and returns
+// the URLs of those that fenced it out (421: their table no longer
+// lists this node). The tick sends it and reacts to a fence; a steward
+// also sends it off-tick right after journaling an intent, so the
+// intent reaches survivors before any handoff starts, and leaves a
+// fence to the next tick.
+func (n *Node) sendGossip(ctx context.Context) (fencedBy []string) {
+	body, err := json.Marshal(n.buildGossip())
+	if err != nil {
+		return nil
+	}
+	for _, ps := range n.peersSnapshot() {
+		if ps.isSelf {
+			continue
+		}
+		err := n.client.call(ctx, http.MethodPost, ps.URL+"/v1/cluster/gossip", body, nil, nil, ps.rpc)
+		if evictedReply(err) {
+			fencedBy = append(fencedBy, ps.URL)
+		}
+	}
+	return fencedBy
+}
+
+// gossipLoop periodically sends this node's gossip to every peer and
 // ships warm-standby shadows when the ledger changed.
 func (n *Node) gossipLoop(every time.Duration) {
 	defer n.gossipWg.Done()
@@ -1050,21 +1077,11 @@ func (n *Node) gossipLoop(every time.Duration) {
 			return
 		case <-ticker.C:
 		}
-		body, err := json.Marshal(n.buildGossip())
-		if err != nil {
-			continue
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), n.client.timeout)
-		for _, ps := range n.peersSnapshot() {
-			if ps.isSelf {
-				continue
-			}
-			err := n.client.call(ctx, http.MethodPost, ps.URL+"/v1/cluster/gossip", body, nil, nil, ps.rpc)
-			if evictedReply(err) {
-				// The peer's table no longer lists us: we were evicted
-				// while partitioned. Drop everything and rejoin fresh.
-				n.maybeRejoin(ps.URL)
-			}
+		for _, url := range n.sendGossip(ctx) {
+			// The peer's table no longer lists us: we were evicted while
+			// partitioned. Drop everything and rejoin fresh.
+			n.maybeRejoin(url)
 		}
 		n.shipShadows(ctx, n.reg.Snapshot())
 		n.healthTick(ctx, time.Now())
@@ -1080,7 +1097,7 @@ func evictedReply(err error) bool {
 }
 
 func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
-	body, err := server.ReadBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -1304,7 +1321,7 @@ type MigrateRequest struct {
 // double-promised).
 func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req MigrateRequest
-	body, err := server.ReadBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -1352,15 +1369,17 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		server.HTTPError(w, status, err)
 	}
 
-	// Lease against the target's clock, then prepare/commit there.
-	_, targetNow, err := n.freeOn(sctx, target, targetLocs)
+	// A migration is a one-participant hold: lease against the target's
+	// clock, then prepare and commit there in the coordinator's rounds.
+	parts := []*participant{{ps: target, locs: targetLocs}}
+	_, targetNow, err := n.freeViews(sctx, parts)
 	if err != nil {
 		fail("failed", http.StatusServiceUnavailable, err)
 		return
 	}
+	parts[0].demand = remapped
 	key := n.nextKey("migrate." + req.Name)
-	p := &participant{ps: target, demand: remapped}
-	err = n.prepareOn(sctx, p, key, req.Name, info.Finish, info.Deadline, targetNow+n.leaseTTL)
+	err = n.prepareRound(sctx, parts, key, req.Name, info.Finish, info.Deadline, targetNow)
 	if errors.Is(err, server.ErrOvercommit) {
 		msp.SetStatus(span.StatusReject)
 		msp.Attr("outcome", "rejected")
@@ -1372,8 +1391,7 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		fail("failed", http.StatusServiceUnavailable, err)
 		return
 	}
-	if err := n.commitOn(sctx, target, key); err != nil {
-		n.abortOn(sctx, target, key)
+	if err := n.commitRound(sctx, parts, key); err != nil {
 		fail("aborted", http.StatusServiceUnavailable, err)
 		return
 	}
@@ -1438,7 +1456,7 @@ func (n *Node) handleClusterAdvance(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Now interval.Time `json:"now"`
 	}
-	buf, err := server.ReadBody(w, r, n.maxBody)
+	buf, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return

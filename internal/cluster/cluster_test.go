@@ -398,23 +398,32 @@ func TestClusterMigrate(t *testing.T) {
 	auditAll(t, tc, "after release")
 }
 
-// TestClusterGossip waits for the periodic summaries to propagate and
-// checks they land in the peer table.
+// TestClusterGossip waits for the periodic gossip to propagate and
+// checks that what peers read of it lands in the peer table: the
+// sender's clock and its count of leased holds.
 func TestClusterGossip(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 4, 1000, 50)
+	if _, err := tc.nodes[1].Server().Ledger().Advance(7); err != nil {
+		t.Fatal(err)
+	}
+	var demand resource.Set
+	demand.Add(resource.NewTerm(resource.FromUnits(1), resource.CPUAt(tc.peers[1].Locations[0]), interval.New(10, 20)))
+	if err := tc.nodes[1].Server().Ledger().Prepare("k1", "held", demand, 20, 100, 500); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		heard := 0
+		var last PeerStatus
 		for _, st := range tc.nodes[0].Stats().Peers {
-			if !st.Self && st.LastHeardMS >= 0 {
-				heard++
+			if st.ID == "n2" {
+				last = st
 			}
 		}
-		if heard == 1 {
+		if last.LastHeardMS >= 0 && last.GossipNow == 7 && last.GossipHolds == 1 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no gossip heard from peer within 5s")
+			t.Fatalf("n2's gossip never reached n1's peer table within 5s: %+v", last)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

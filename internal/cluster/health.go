@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -590,8 +589,8 @@ func (n *Node) maybeRejoin(vias ...string) {
 // rejoin demotes this node to a blank joiner and re-enters the cluster
 // through the first reachable via. Everything epoch-fenced is
 // discarded: owned locations
-// (their committed state lives on with the promoted standbys), routing
-// overlays, shadows, detector histories, accusations, journaled
+// (their committed state lives on with the promoted standbys), the
+// routing overlay, shadows, detector histories, accusations, journaled
 // intents. Reservations committed here after the cluster evicted us are
 // lost by design — the fenced side of a partition loses, which is
 // exactly what keeps both sides from promising the same capacity.
@@ -614,9 +613,7 @@ func (n *Node) rejoin(vias []string) {
 	}
 	n.srv.Ledger().DropLocations(dropped)
 	n.omu.Lock()
-	n.pendingOwned = make(map[resource.Location]uint64)
-	n.handedOff = make(map[resource.Location]ownerRef)
-	n.learned = make(map[resource.Location]ownerRef)
+	n.overlay = make(map[resource.Location]ownerRef)
 	n.movedKeys = make(map[string]ownerRef)
 	n.omu.Unlock()
 	n.flowMu.Unlock()
@@ -649,22 +646,6 @@ func (n *Node) rejoin(vias []string) {
 	sp.SetStatus(span.StatusError)
 	sp.Attr("error", err)
 	n.obs.Log("health.rejoin_failed", "node", n.self.ID, "vias", len(vias), "error", err)
-}
-
-// pushGossip broadcasts this node's gossip immediately (off-tick), so a
-// freshly journaled intent reaches survivors before any handoff starts
-// instead of waiting out the gossip interval.
-func (n *Node) pushGossip(ctx context.Context) {
-	body, err := json.Marshal(n.buildGossip())
-	if err != nil {
-		return
-	}
-	for _, ps := range n.peersSnapshot() {
-		if ps.isSelf {
-			continue
-		}
-		_ = n.client.call(ctx, http.MethodPost, ps.URL+"/v1/cluster/gossip", body, nil, nil, ps.rpc)
-	}
 }
 
 // PeerHealth is one peer's failure-detector verdict as surfaced by

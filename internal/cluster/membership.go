@@ -34,13 +34,15 @@ import (
 //     gossip carries the sender's epoch, and a node that hears a higher
 //     one fetches the table.
 //
-//   - Between a handoff completing and the new table reaching everyone,
-//     routing is covered by per-node overlays: the old owner answers
-//     421 Misdirected Request with the new owner's coordinates
-//     (handedOff), the new owner accepts traffic for locations the
-//     table does not yet grant it (pendingOwned), and any node that
-//     followed a redirect remembers it (learned). Overlays die as soon
-//     as a table of an equal-or-higher epoch lands.
+//   - Between an ownership move and the table that publishes it
+//     reaching everyone, routing is covered by one per-node overlay: a
+//     location maps to the owner this node last saw it move to and the
+//     epoch of that move. An install or promotion here names this node
+//     (it accepts traffic the table does not grant it yet), a handoff
+//     names the new owner (the old owner answers 421 Misdirected Request
+//     with its coordinates), and a followed redirect names whoever the
+//     redirect did. Routing reads the overlay, then the table; an entry
+//     dies as soon as a table of an equal-or-higher epoch lands.
 //
 //   - Two-phase reservations whose location moved keep working, leased
 //     (mid-2PC) or already committed (the coordinator may still roll a
@@ -56,6 +58,8 @@ import (
 
 // ownerRef is one overlay routing entry: where a location (or a moved
 // reservation's key) now lives, and the table epoch the move belongs to.
+// A location has one owner at each epoch, so one entry per location is
+// the whole routing fact.
 type ownerRef struct {
 	id    string
 	url   string
@@ -106,25 +110,17 @@ func (n *Node) peerFor(ref ownerRef) *peerState {
 	return ps
 }
 
-// lookupOwner resolves a location to its current owner: overlays first
-// (they are newer than the published table during a handoff window),
-// then the table.
+// lookupOwner resolves a location to its current owner: the overlay
+// first (it is newer than the published table during a move), then the
+// table.
 func (n *Node) lookupOwner(loc resource.Location) (ownerRef, bool) {
 	tbl := n.reg.Snapshot()
 	n.omu.Lock()
-	if ep, ok := n.pendingOwned[loc]; ok && ep > tbl.Epoch {
-		n.omu.Unlock()
-		return ownerRef{id: n.self.ID, url: n.self.URL, epoch: ep}, true
-	}
-	if h, ok := n.handedOff[loc]; ok && h.epoch > tbl.Epoch {
-		n.omu.Unlock()
-		return h, true
-	}
-	if l, ok := n.learned[loc]; ok && l.epoch > tbl.Epoch {
-		n.omu.Unlock()
-		return l, true
-	}
+	ref, ok := n.overlay[loc]
 	n.omu.Unlock()
+	if ok && ref.epoch > tbl.Epoch {
+		return ref, true
+	}
 	if id, ok := tbl.OwnerOf(loc); ok {
 		m, _ := tbl.Member(id)
 		return ownerRef{id: id, url: m.URL, epoch: tbl.Epoch}, true
@@ -135,11 +131,11 @@ func (n *Node) lookupOwner(loc resource.Location) (ownerRef, bool) {
 // redirectFor builds the 421 body for a request touching locations
 // owned elsewhere: the owner of the first foreign location plus every
 // requested location living with that same owner. Owners are resolved
-// like every other routing decision (lookupOwner: overlays, then the
+// like every other routing decision (lookupOwner: the overlay, then the
 // published table), which covers the handoff window before the new
-// table lands (handedOff) and the window after it (the table itself) —
-// and keeps a new owner from bouncing requests back to the old one
-// while its own table still lags the install (pendingOwned).
+// table lands and the window after it (the table itself) — and keeps a
+// new owner from bouncing requests back to the old one while its own
+// table still lags the install.
 func (n *Node) redirectFor(locs []resource.Location) (membership.RedirectResponse, bool) {
 	for _, loc := range locs {
 		ref, ok := n.lookupOwner(loc)
@@ -163,18 +159,28 @@ func (n *Node) serveRedirect(w http.ResponseWriter, red membership.RedirectRespo
 	server.WriteJSON(w, http.StatusMisdirectedRequest, red)
 }
 
-// learnRedirect records a followed redirect in the learned overlay so
-// later requests route straight to the new owner.
+// learnRedirect records a followed redirect in the overlay so later
+// requests route straight to the new owner.
 func (n *Node) learnRedirect(red membership.RedirectResponse) {
-	ref := ownerRef{id: red.OwnerID, url: red.OwnerURL, epoch: red.Epoch}
-	n.omu.Lock()
-	for _, loc := range red.Locs {
-		if cur, ok := n.learned[loc]; !ok || red.Epoch > cur.epoch {
-			n.learned[loc] = ref
-		}
-	}
-	n.omu.Unlock()
+	n.place(red.Locs, ownerRef{id: red.OwnerID, url: red.OwnerURL, epoch: red.Epoch}, true)
 	n.redirectsFollowed.Add(1)
+}
+
+// place records locs as living with ref in the overlay. A move this
+// node's own ledger made (an install, a promotion, a handoff) always
+// lands: the entry must name whoever now holds what the ledger took in
+// or shipped out. A followed redirect is hearsay, and lands only when
+// its epoch is newer than the entry's and the entry is not an install
+// here that no table has granted or rolled back yet.
+func (n *Node) place(locs []resource.Location, ref ownerRef, heard bool) {
+	n.omu.Lock()
+	defer n.omu.Unlock()
+	for _, loc := range locs {
+		if cur, ok := n.overlay[loc]; heard && ok && (cur.epoch >= ref.epoch || cur.id == n.self.ID) {
+			continue
+		}
+		n.overlay[loc] = ref
+	}
 }
 
 // staleOwner inspects a peer-RPC failure for an ownership redirect;
@@ -203,8 +209,9 @@ func (n *Node) staleOwner(err error) bool {
 
 // applyTable installs a newer membership table: the registry advances,
 // the peer list is rebuilt (existing peer states survive so RPC stats
-// and gossip history carry over), overlays the table supersedes are
-// cleared, and standing watches re-evaluate against the new ownership.
+// and gossip history carry over), overlay entries the table supersedes
+// are cleared, and standing watches re-evaluate against the new
+// ownership.
 //
 // A newer table that excludes this node is refused: it means the
 // cluster evicted us (we were partitioned, presumed dead, failed over).
@@ -289,27 +296,22 @@ func (n *Node) installTable(t *membership.Table) bool {
 	}
 	var rollback []resource.Location
 	n.omu.Lock()
-	for loc, ep := range n.pendingOwned {
-		if id, ok := t.OwnerOf(loc); ok && id == n.self.ID {
+	for loc, ref := range n.overlay {
+		owner, _ := t.OwnerOf(loc)
+		switch {
+		case ref.id == n.self.ID && owner == n.self.ID:
 			// Granted: the table now records us as the owner.
-			delete(n.pendingOwned, loc)
-		} else if ep <= t.Epoch {
-			// Superseded: the epoch this install belonged to has been
-			// published and assigned the location elsewhere — a repaired
-			// (rolled-back) plan. Drop the un-granted install so we stop
-			// accepting traffic the table routes to someone else.
-			delete(n.pendingOwned, loc)
-			rollback = append(rollback, loc)
-		}
-	}
-	for loc, h := range n.handedOff {
-		if h.epoch <= t.Epoch {
-			delete(n.handedOff, loc)
-		}
-	}
-	for loc, l := range n.learned {
-		if l.epoch <= t.Epoch {
-			delete(n.learned, loc)
+			delete(n.overlay, loc)
+		case ref.epoch <= t.Epoch:
+			delete(n.overlay, loc)
+			if ref.id == n.self.ID {
+				// Superseded: the epoch this install belonged to has been
+				// published and assigned the location elsewhere — a
+				// repaired (rolled-back) plan. Drop the un-granted install
+				// so we stop accepting traffic the table routes to someone
+				// else.
+				rollback = append(rollback, loc)
+			}
 		}
 	}
 	n.omu.Unlock()
@@ -382,8 +384,8 @@ func (n *Node) fetchTable(url string) {
 // installRequest ships exported location state between nodes: handoff
 // installs and standby shadow feeds use the same body. Epoch is the
 // table epoch the install belongs to (handoffs only; zero for shadow
-// feeds): the receiver stamps its pendingOwned overlay with it so a
-// final table that rolls the plan back can also roll back the install.
+// feeds): the receiver stamps its overlay entry with it so a final
+// table that rolls the plan back can also roll back the install.
 type installRequest struct {
 	Epoch   uint64                  `json:"epoch,omitempty"`
 	Exports []server.LocationExport `json:"exports"`
@@ -399,8 +401,8 @@ type promoteRequest struct {
 // make-before-break: freeze the flow paths, export, install on the new
 // owner, and only then drop locally. On install failure nothing is
 // dropped — the locations simply stay here (a retried install is
-// idempotent: imports merge by name and key). After the drop, routing
-// overlays cover the window until the new table propagates.
+// idempotent: imports merge by name and key). After the drop, the
+// routing overlay covers the window until the new table propagates.
 func (n *Node) executeHandoff(ctx context.Context, locs []resource.Location, toID, toURL string, epoch uint64) error {
 	sctx, sp := n.spans.Start(ctx, span.KindHandoff)
 	defer sp.End()
@@ -423,11 +425,8 @@ func (n *Node) executeHandoff(ctx context.Context, locs []resource.Location, toI
 	}
 	moved := n.srv.Ledger().DropLocations(locs)
 	ref := ownerRef{id: toID, url: toURL, epoch: epoch}
+	n.place(locs, ref, false)
 	n.omu.Lock()
-	for _, loc := range locs {
-		n.handedOff[loc] = ref
-		delete(n.learned, loc)
-	}
 	for _, key := range moved {
 		n.movedKeys[key] = ref
 	}
@@ -479,13 +478,7 @@ func (n *Node) promoteLocal(ctx context.Context, locs []resource.Location, epoch
 		sp.Attr("error", err)
 		return fmt.Errorf("cluster: promoting from shadows: %w", err)
 	}
-	n.omu.Lock()
-	for _, loc := range locs {
-		n.pendingOwned[loc] = epoch
-		delete(n.handedOff, loc)
-		delete(n.learned, loc)
-	}
-	n.omu.Unlock()
+	n.place(locs, ownerRef{id: n.self.ID, url: n.self.URL, epoch: epoch}, false)
 	if misses > 0 {
 		n.shadowMisses.Add(uint64(misses))
 	}
@@ -535,7 +528,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		server.HTTPError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, not accepting members"))
 		return
 	}
-	body, err := server.ReadBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -587,7 +580,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		Moves: moves, Pins: pinStrs, Stage: membership.StageAnnounced,
 	})
 	n.broadcastTable(sctx, announce)
-	n.pushGossip(sctx)
+	n.sendGossip(sctx)
 	n.stage("join.announced", req.ID)
 	nextEpoch := announce.Epoch + 1
 	n.setOwnIntentStage(membership.StageMoving)
@@ -655,7 +648,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 // steward semaphore (queueing behind an in-flight join with a bounded
 // wait) and run the leave choreography.
 func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
-	body, err := server.ReadBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -709,7 +702,7 @@ func (n *Node) stewardLeave(ctx context.Context, req membership.LeaveRequest) (*
 		AnnounceEpoch: cur.Epoch, TargetEpoch: nextEpoch,
 		Moves: moves, Stage: membership.StageAnnounced,
 	})
-	n.pushGossip(sctx)
+	n.sendGossip(sctx)
 	n.stage("leave.announced", req.ID)
 	n.setOwnIntentStage(membership.StageMoving)
 	n.stage("leave.moving", req.ID)
@@ -847,7 +840,7 @@ func (n *Node) rpcPromote(ctx context.Context, to membership.Member, locs []reso
 // handleHandoff executes a steward-ordered handoff with this node as
 // the source.
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	body, err := server.ReadBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -877,7 +870,7 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 // install their ledger state. On import failure the adoption is rolled
 // back — the source has not dropped anything yet.
 func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
-	body, err := server.ReadBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -902,13 +895,7 @@ func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
 	if epoch == 0 {
 		epoch = n.reg.Epoch() + 1 // older senders: assume the next epoch
 	}
-	n.omu.Lock()
-	for _, loc := range locs {
-		n.pendingOwned[loc] = epoch
-		delete(n.handedOff, loc)
-		delete(n.learned, loc)
-	}
-	n.omu.Unlock()
+	n.place(locs, ownerRef{id: n.self.ID, url: n.self.URL, epoch: epoch}, false)
 	n.obs.Log("membership.install", "node", n.self.ID, "locations", len(locs))
 	server.WriteJSON(w, http.StatusOK, map[string]any{"installed": len(locs)})
 }
@@ -916,7 +903,7 @@ func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
 // handlePromote promotes this node from standby to primary for the
 // given locations (steward-ordered, force-leave path).
 func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
-	body, err := server.ReadBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -937,7 +924,7 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 // handleShadow stores a primary's shipped exports as this node's warm
 // standby state for those locations.
 func (n *Node) handleShadow(w http.ResponseWriter, r *http.Request) {
-	body, err := server.ReadBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -963,7 +950,7 @@ func (n *Node) handleTableGet(w http.ResponseWriter, r *http.Request) {
 
 // handleTablePost applies a broadcast table if it is newer.
 func (n *Node) handleTablePost(w http.ResponseWriter, r *http.Request) {
-	body, err := server.ReadBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -1016,24 +1003,19 @@ func (n *Node) shipShadows(ctx context.Context, tbl *membership.Table) {
 }
 
 // releaseTargets is the peer set a cluster-wide release fans out to:
-// the live member list plus any overlay owners — a node that just
+// the live member list plus any overlay owner — a node that just
 // received locations may hold commitments before the table naming it
 // reaches this node.
 func (n *Node) releaseTargets() []*peerState {
 	out := n.peersSnapshot()
-	seen := make(map[string]bool, len(out))
+	seen := make(map[string]bool, len(out)+1)
+	seen[n.self.ID] = true
 	for _, ps := range out {
 		seen[ps.ID] = true
 	}
 	n.omu.Lock()
 	var extra []ownerRef
-	for _, ref := range n.handedOff {
-		if !seen[ref.id] {
-			seen[ref.id] = true
-			extra = append(extra, ref)
-		}
-	}
-	for _, ref := range n.learned {
+	for _, ref := range n.overlay {
 		if !seen[ref.id] {
 			seen[ref.id] = true
 			extra = append(extra, ref)
@@ -1051,7 +1033,7 @@ func (n *Node) releaseTargets() []*peerState {
 // the new owner; the rest run under the handoff freeze so an export/
 // drop pair never interleaves with a reservation.
 func (n *Node) handlePrepareIntercept(w http.ResponseWriter, r *http.Request) {
-	body, err := server.ReadBody(w, r, n.maxBody)
+	body, err := server.ReadBody(w, r)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -1093,7 +1075,7 @@ func (n *Node) handleFreeIntercept(w http.ResponseWriter, r *http.Request) {
 // coordinator's commit or abort lands everywhere the hold now lives.
 func (n *Node) handleFinishIntercept(verb string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := server.ReadBody(w, r, n.maxBody)
+		body, err := server.ReadBody(w, r)
 		if err != nil {
 			server.HTTPError(w, http.StatusBadRequest, err)
 			return

@@ -52,7 +52,7 @@ func (n *Node) querySnapshot(ctx context.Context, c *query.Compiled) (query.Snap
 	snap.Footprint = c.Footprint(snap.Commitments)
 	for attempt := 0; ; attempt++ {
 		// Resolve owners per attempt: a 421 consumed below refreshes the
-		// learned overlay, so the retry routes to the new owner.
+		// routing overlay, so the retry routes to the new owner.
 		snap.Scoped = len(c.Names()) == 0
 		byOwner := make(map[*peerState][]resource.Location)
 		for _, loc := range snap.Footprint {

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // TreeNode is one span in a reconstructed trace tree.
@@ -163,6 +165,30 @@ func (t *Tree) PhaseBreakdown() map[string]int64 {
 		walk(r)
 	}
 	return out
+}
+
+// WriteBreakdown renders the critical path as a table titled title, then
+// the per-phase latency breakdown with its phases in name order, each
+// table followed by a blank line.
+func (t *Tree) WriteBreakdown(w io.Writer, title string) {
+	cp := metrics.NewTable(title, "kind", "node", "total µs", "self µs")
+	for _, n := range t.CriticalPath() {
+		cp.AddRow(n.Kind, n.Node, n.DurationUS, n.SelfUS())
+	}
+	cp.Render(w)
+	fmt.Fprintln(w)
+	phases := t.PhaseBreakdown()
+	kinds := make([]string, 0, len(phases))
+	for k := range phases {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	pb := metrics.NewTable("per-phase latency breakdown", "phase", "total µs")
+	for _, k := range kinds {
+		pb.AddRow(k, phases[k])
+	}
+	pb.Render(w)
+	fmt.Fprintln(w)
 }
 
 func frame(n *TreeNode) string {

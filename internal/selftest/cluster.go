@@ -8,12 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/obs/assure"
 	"repro/internal/obs/span"
 	"repro/internal/resource"
@@ -121,25 +119,7 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 			len(tree.Roots), tree.Orphans, buf.String())
 	}
 	fmt.Fprintln(out)
-	cp := metrics.NewTable(fmt.Sprintf("trace %s critical path (%d spans, connected)", probeTrace, tree.Spans),
-		"kind", "node", "total µs", "self µs")
-	for _, n := range tree.CriticalPath() {
-		cp.AddRow(n.Kind, n.Node, n.DurationUS, n.SelfUS())
-	}
-	cp.Render(out)
-	fmt.Fprintln(out)
-	phases := tree.PhaseBreakdown()
-	kinds := make([]string, 0, len(phases))
-	for k := range phases {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	pb := metrics.NewTable("per-phase latency breakdown", "phase", "total µs")
-	for _, k := range kinds {
-		pb.AddRow(k, phases[k])
-	}
-	pb.Render(out)
-	fmt.Fprintln(out)
+	tree.WriteBreakdown(out, fmt.Sprintf("trace %s critical path (%d spans, connected)", probeTrace, tree.Spans))
 
 	// Main load: mixed single- and multi-location jobs at every node.
 	jobs, err := Jobs(Mixed, cfg.Seed, locs, cfg.Requests, spread(cfg.Requests), cfg.Slack)

@@ -102,7 +102,7 @@ func DecodeFinishRequest(body []byte) (FinishRequest, error) {
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	body, err := ReadBody(w, r)
 	if err != nil {
 		s.errored.Add(1)
 		HTTPError(w, http.StatusBadRequest, err)
@@ -161,7 +161,7 @@ func (s *Server) ServePrepare(ctx context.Context, w http.ResponseWriter, req Pr
 // verb naming which.
 func (s *Server) handleFinish(verb string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+		body, err := ReadBody(w, r)
 		if err != nil {
 			HTTPError(w, http.StatusBadRequest, err)
 			return

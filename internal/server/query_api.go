@@ -217,7 +217,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleQueryPost serves POST /v1/query: the text or JSON-AST wire form.
 func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
-	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	body, err := ReadBody(w, r)
 	if err != nil {
 		s.errored.Add(1)
 		HTTPError(w, http.StatusBadRequest, err)
@@ -348,7 +348,7 @@ type webhookRequest struct {
 // queries. Returns the subscription id; DELETE /v1/watch?id= removes it.
 func (s *Server) handleWatchHook(w http.ResponseWriter, r *http.Request) {
 	var req webhookRequest
-	if err := decodeInto(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeInto(w, r, &req); err != nil {
 		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}

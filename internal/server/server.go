@@ -45,8 +45,6 @@ type Config struct {
 	// itself: a plan found after the deadline is refused at reserve and
 	// never applied, so a timed-out client never holds resources.
 	DecisionTimeout time.Duration
-	// MaxBodyBytes bounds request bodies; default 1 MiB.
-	MaxBodyBytes int64
 	// Owned restricts the ledger to these locations (cluster mode):
 	// admissions and prepares naming any other location are rejected
 	// with ErrNotOwned. Nil means standalone — own everything. A
@@ -85,9 +83,6 @@ func (c *Config) fill() error {
 	}
 	if c.DecisionTimeout <= 0 {
 		c.DecisionTimeout = 2 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	return nil
 }
@@ -204,6 +199,10 @@ func (s *Server) route(pattern, endpoint string, h http.HandlerFunc) {
 func (s *Server) Ledger() *Ledger {
 	return s.ledger
 }
+
+// Policy is the admission policy the server decides with; a cluster
+// coordinator plans a spanning job with it too.
+func (s *Server) Policy() admission.Policy { return s.cfg.Policy }
 
 // Assure exposes the promise ledger (nil when disabled). The cluster
 // layer reaches it here so promises survive jobs changing owners.
@@ -456,7 +455,7 @@ func DecodeAdmitRequest(body []byte) (workload.Job, error) {
 
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	err := s.serveAdmit(r.Context(), w, func() (workload.Job, error) {
-		body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+		body, err := ReadBody(w, r)
 		if err != nil {
 			return workload.Job{}, err
 		}
@@ -610,7 +609,7 @@ func (s *Server) Admit(sctx context.Context, w http.ResponseWriter, sp *span.Spa
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	body, err := ReadBody(w, r)
 	if err != nil {
 		HTTPError(w, http.StatusBadRequest, err)
 		return
@@ -662,7 +661,7 @@ func (s *Server) ServeRelease(w http.ResponseWriter, name string) {
 
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req acquireRequest
-	if err := decodeInto(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeInto(w, r, &req); err != nil {
 		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -681,7 +680,7 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req advanceRequest
-	if err := decodeInto(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeInto(w, r, &req); err != nil {
 		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -793,15 +792,19 @@ const maxPooledBody = 64 << 10
 
 var bodyPool = sync.Pool{New: func() any { return new(Body) }}
 
-// ReadBody reads r's body, at most limit bytes, into a pooled buffer.
-func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (*Body, error) {
+// maxBodyBytes bounds every request body a node reads, the cluster
+// layer's included: 1 MiB.
+const maxBodyBytes = 1 << 20
+
+// ReadBody reads r's body, at most maxBodyBytes, into a pooled buffer.
+func ReadBody(w http.ResponseWriter, r *http.Request) (*Body, error) {
 	defer r.Body.Close()
 	b := bodyPool.Get().(*Body)
-	if _, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+	if _, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		b.Release()
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return nil, fmt.Errorf("server: body exceeds %d bytes", limit)
+			return nil, fmt.Errorf("server: body exceeds %d bytes", maxBodyBytes)
 		}
 		return nil, err
 	}
@@ -820,8 +823,8 @@ func (b *Body) Release() {
 	bodyPool.Put(b)
 }
 
-func decodeInto(w http.ResponseWriter, r *http.Request, limit int64, dst any) error {
-	body, err := ReadBody(w, r, limit)
+func decodeInto(w http.ResponseWriter, r *http.Request, dst any) error {
+	body, err := ReadBody(w, r)
 	if err != nil {
 		return err
 	}
