@@ -65,7 +65,13 @@ test:
 # handoff freeze, a query reads its owners' views through the server's
 # snapshot hook from handler and sweep goroutines alike, and real
 # loopback nodes with gossip running are where a lost ordering on those
-# paths shows up first.
+# paths shows up first. The tenth repeats the membership runner's
+# failover tests three times: a steward killed mid-join or mid-leave
+# whose plan a survivor finishes through the same runner, a graceful
+# leaver that must stay out, a member that accepts connections and
+# never answers, which must neither get a live member suspected nor
+# delay its own eviction, and a shadow shipment lost to a partition,
+# which must be sent again after the heal with the ledger idle.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone' ./internal/server/
@@ -76,6 +82,7 @@ race:
 	$(GO) test -race -count=10 -run 'StoreConcurrency|SpanTree' ./internal/obs/span/
 	$(GO) test -race -count=10 -run 'SharedProfilesUnderConcurrentPatching|PatchAllocationBudget|SetRunAllocationBudget' ./internal/resource/
 	$(GO) test -race -count=3 -run 'TestClusterDecidesAsOneLedger|TestRoutedEndpointsServedOnce|TestClusterQuery' ./internal/cluster/
+	$(GO) test -race -count=3 -run 'StewardDeathMid|GracefulLeaveStaysOut|HungMemberSilencesNoOne|ShadowShipmentRetriedAfterPartition' ./internal/cluster/
 
 # Ten seconds of coverage-guided inputs holding the splice kernels and
 # clamp to the event-sweep reference, on operands long enough to be

@@ -93,6 +93,12 @@ type peerState struct {
 	isSelf bool
 	rpc    *metrics.RPCStats
 
+	// gossiping and shipping hold a tick's call to this peer in flight
+	// (spawnOnce); shadowEpoch is the ledger epoch of the last shadow
+	// shipment it acknowledged.
+	gossiping, shipping atomic.Bool
+	shadowEpoch         atomic.Uint64
+
 	mu              sync.Mutex
 	lastHeard       time.Time
 	lastNow         interval.Time
@@ -144,9 +150,8 @@ type Node struct {
 	movedKeys map[string]ownerRef
 
 	// smu guards the warm-standby shadows gossip ships here.
-	smu         sync.Mutex
-	shadows     map[resource.Location]server.LocationExport
-	lastShipped uint64 // ledger epoch at the last shadow shipment (gossip goroutine only)
+	smu     sync.Mutex
+	shadows map[resource.Location]server.LocationExport
 
 	// Failure detection and self-healing (see health.go). hmu guards
 	// the accusation ledger, the per-victim eviction guards, and the
@@ -1042,31 +1047,58 @@ func (n *Node) buildGossip() Gossip {
 	return g
 }
 
-// sendGossip posts this node's gossip to every other member and returns
-// the URLs of those that fenced it out (421: their table no longer
-// lists this node). The tick sends it and reacts to a fence; a steward
-// also sends it off-tick right after journaling an intent, so the
-// intent reaches survivors before any handoff starts, and leaves a
-// fence to the next tick.
-func (n *Node) sendGossip(ctx context.Context) (fencedBy []string) {
-	body, err := json.Marshal(n.buildGossip())
-	if err != nil {
-		return nil
+// gossipTo posts gossip to one peer. A 421 means the peer's table no
+// longer lists this node: we were evicted while partitioned, so drop
+// everything and rejoin fresh.
+func (n *Node) gossipTo(ctx context.Context, ps *peerState, body []byte) {
+	if evictedReply(n.client.call(ctx, http.MethodPost, ps.URL+"/v1/cluster/gossip", body, nil, nil, ps.rpc)) {
+		n.maybeRejoin(ps.URL)
 	}
-	for _, ps := range n.peersSnapshot() {
-		if ps.isSelf {
-			continue
-		}
-		err := n.client.call(ctx, http.MethodPost, ps.URL+"/v1/cluster/gossip", body, nil, nil, ps.rpc)
-		if evictedReply(err) {
-			fencedBy = append(fencedBy, ps.URL)
-		}
-	}
-	return fencedBy
 }
 
-// gossipLoop periodically sends this node's gossip to every peer and
-// ships warm-standby shadows when the ledger changed.
+// callEach runs call for every other member but skip, each on its own
+// goroutine under its own deadline of one RPC timeout, and waits for
+// them all: a peer that never answers delays or cancels no other
+// peer's call.
+func (n *Node) callEach(ctx context.Context, skip string, call func(ctx context.Context, ps *peerState)) {
+	var wg sync.WaitGroup
+	for _, ps := range n.peersSnapshot() {
+		if ps.isSelf || ps.ID == skip {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cctx, cancel := context.WithTimeout(ctx, n.client.timeout)
+			defer cancel()
+			call(cctx, ps)
+		}()
+	}
+	wg.Wait()
+}
+
+// spawnOnce runs one tick's call to a peer on its own goroutine under a
+// deadline of one RPC timeout, unless the previous call held by busy is
+// still in flight: a peer that never answers holds one call, not one
+// per tick. Only the gossip goroutine calls it, so Shutdown's wait on
+// gossipWg covers these calls too.
+func (n *Node) spawnOnce(busy *atomic.Bool, call func(ctx context.Context)) {
+	if !busy.CompareAndSwap(false, true) {
+		return
+	}
+	n.gossipWg.Add(1)
+	go func() {
+		defer n.gossipWg.Done()
+		defer busy.Store(false)
+		ctx, cancel := context.WithTimeout(context.Background(), n.client.timeout)
+		defer cancel()
+		call(ctx)
+	}()
+}
+
+// gossipLoop periodically sends this node's gossip to every peer, ships
+// warm-standby shadows when the ledger changed, and runs the failure
+// detector.
 func (n *Node) gossipLoop(every time.Duration) {
 	defer n.gossipWg.Done()
 	ticker := time.NewTicker(every)
@@ -1077,15 +1109,18 @@ func (n *Node) gossipLoop(every time.Duration) {
 			return
 		case <-ticker.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.client.timeout)
-		for _, url := range n.sendGossip(ctx) {
-			// The peer's table no longer lists us: we were evicted while
-			// partitioned. Drop everything and rejoin fresh.
-			n.maybeRejoin(url)
+		// Each call runs on its own goroutine under its own deadline
+		// (spawnOnce), so a peer that never answers neither delays nor
+		// cancels what the others hear, nor the next tick.
+		if body, err := json.Marshal(n.buildGossip()); err == nil {
+			for _, ps := range n.peersSnapshot() {
+				if !ps.isSelf {
+					n.spawnOnce(&ps.gossiping, func(ctx context.Context) { n.gossipTo(ctx, ps, body) })
+				}
+			}
 		}
-		n.shipShadows(ctx, n.reg.Snapshot())
-		n.healthTick(ctx, time.Now())
-		cancel()
+		n.shipShadows(n.reg.Snapshot())
+		n.healthTick(time.Now())
 	}
 }
 

@@ -50,10 +50,11 @@ import (
 // (membership.Intent): a steward records its full membership plan the
 // moment the choreography starts and gossips it until the final table
 // lands. Any survivor that still sees an open intent from a steward it
-// has declared dead repairs the plan deterministically — probe each
-// move's target for what actually arrived, keep the moves that
-// completed, promote what a force-leave still needs, and publish the
-// final table itself (repairIntent).
+// has declared dead takes the plan to its final table through the
+// runner its steward used (runIntent), as the repairer: it probes each
+// move's target for what actually arrived, keeps the moves that
+// completed, promotes what a leave still needs, and publishes the final
+// table itself.
 
 // stage fires the test gate hook at a named protocol point.
 func (n *Node) stage(stage, key string) {
@@ -95,22 +96,6 @@ func (n *Node) releaseSteward() { <-n.mmu }
 func (n *Node) setOwnIntent(it *membership.Intent) {
 	n.imu.Lock()
 	n.intents[n.self.ID] = it.Clone()
-	n.imu.Unlock()
-}
-
-// setOwnIntentStage checkpoints the stage the choreography reached.
-func (n *Node) setOwnIntentStage(stage string) {
-	n.imu.Lock()
-	if it := n.intents[n.self.ID]; it != nil {
-		it.Stage = stage
-	}
-	n.imu.Unlock()
-}
-
-// clearOwnIntent closes this node's journal entry (choreography done).
-func (n *Node) clearOwnIntent() {
-	n.imu.Lock()
-	delete(n.intents, n.self.ID)
 	n.imu.Unlock()
 }
 
@@ -187,7 +172,7 @@ func (n *Node) accusalWindow() time.Duration {
 // the current roster, refresh the advertised suspect set, and — when
 // auto-eviction is enabled and a quorum agrees a peer is dead — start
 // the failover if this node is the deterministic steward.
-func (n *Node) healthTick(ctx context.Context, now time.Time) {
+func (n *Node) healthTick(now time.Time) {
 	tbl := n.reg.Snapshot()
 	roster := make(map[string]bool, len(tbl.Members))
 	for _, m := range tbl.Members {
@@ -332,9 +317,9 @@ func (n *Node) electSteward(tbl *membership.Table, victim string, bad, accusers 
 }
 
 // autoEvictVictim runs one automatic failover: acquire the steward
-// semaphore, re-verify the victim is still a dead member, repair any
+// semaphore, re-verify the victim is still a dead member, finish any
 // membership plan the victim left open (it may itself have died
-// mid-steward), then drive the standard force-leave choreography.
+// mid-steward), then run the standard forced leave.
 func (n *Node) autoEvictVictim(victim string) {
 	defer func() {
 		n.hmu.Lock()
@@ -356,7 +341,7 @@ func (n *Node) autoEvictVictim(victim string) {
 		return // it came back while we queued for the semaphore
 	}
 	if it := n.intentFor(victim); it != nil {
-		if err := n.repairIntent(ctx, it); err != nil {
+		if _, _, err := n.runIntent(ctx, it); err != nil {
 			n.obs.Log("health.repair_failed", "node", n.self.ID, "steward", victim, "error", err)
 		}
 	}
@@ -394,8 +379,18 @@ func (n *Node) handleOwned(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, ownedResponse{Owned: owned})
 }
 
-// rpcOwned probes which of locs a peer's ledger owns.
+// rpcOwned probes which of locs a member's ledger owns; this node's
+// own ledger is read directly.
 func (n *Node) rpcOwned(ctx context.Context, m membership.Member, locs []resource.Location) (map[resource.Location]bool, error) {
+	out := make(map[resource.Location]bool, len(locs))
+	if m.ID == n.self.ID {
+		for _, loc := range locs {
+			if n.srv.Ledger().Owned(loc) {
+				out[loc] = true
+			}
+		}
+		return out, nil
+	}
 	parts := make([]string, len(locs))
 	for i, loc := range locs {
 		parts[i] = string(loc)
@@ -406,171 +401,10 @@ func (n *Node) rpcOwned(ctx context.Context, m membership.Member, locs []resourc
 	if err := n.client.call(ctx, http.MethodGet, target, nil, &resp, nil, ps.rpc); err != nil {
 		return nil, fmt.Errorf("cluster: owned probe on %s: %w", m.ID, err)
 	}
-	out := make(map[resource.Location]bool, len(resp.Owned))
 	for _, loc := range resp.Owned {
 		out[resource.Location(loc)] = true
 	}
 	return out, nil
-}
-
-// repairIntent finishes (or rolls back) a dead steward's partially
-// applied membership plan. The rule is "commit what completed": probe
-// each planned move's target for what actually arrived, keep exactly
-// those moves in the final table, promote what a force-leave still
-// needs, and publish. The forward-only epoch CAS makes repair
-// idempotent — if anyone (including a resurrected steward) already
-// published the target epoch, every apply below is a no-op.
-//
-// Caller must hold the steward semaphore.
-func (n *Node) repairIntent(ctx context.Context, it *membership.Intent) error {
-	cur := n.reg.Snapshot()
-	if cur.Epoch >= it.TargetEpoch {
-		n.clearIntentFor(it.Steward)
-		return nil // already finished (by the steward or a prior repair)
-	}
-	sctx, sp := n.spans.Start(ctx, span.KindRepair)
-	defer sp.End()
-	sp.Attr("steward", it.Steward)
-	sp.Attr("member", it.Member.ID)
-	sp.Attr("kind", it.Kind)
-	sp.Attr("stage", it.Stage)
-	var final *membership.Table
-	var executed []membership.Move
-	var err error
-	switch it.Kind {
-	case membership.IntentJoin:
-		final, executed, err = n.repairJoin(sctx, cur, it)
-	case membership.IntentLeave:
-		final, executed, err = n.repairLeave(sctx, cur, it)
-	default:
-		err = fmt.Errorf("cluster: unknown intent kind %q", it.Kind)
-	}
-	if err != nil {
-		sp.SetStatus(span.StatusError)
-		sp.Attr("error", err)
-		return err
-	}
-	if final != nil {
-		if !n.applyTable(final) && n.reg.Epoch() < final.Epoch {
-			sp.SetStatus(span.StatusError)
-			return fmt.Errorf("cluster: repaired table (epoch %d) rejected locally", final.Epoch)
-		}
-		n.broadcastTable(sctx, final)
-	}
-	n.intentRepairs.Add(1)
-	n.clearIntentFor(it.Steward)
-	sp.Attr("epoch", it.TargetEpoch)
-	sp.Attr("moves", len(executed))
-	n.obs.Log("health.intent_repaired",
-		"node", n.self.ID, "steward", it.Steward, "kind", it.Kind,
-		"member", it.Member.ID, "stage", it.Stage, "epoch", it.TargetEpoch, "moves", len(executed))
-	return nil
-}
-
-// repairJoin completes an interrupted join: ensure the roster
-// announcement is applied, probe the joiner for which planned handoffs
-// actually landed, and build the final table recording exactly those.
-func (n *Node) repairJoin(ctx context.Context, cur *membership.Table, it *membership.Intent) (*membership.Table, []membership.Move, error) {
-	if cur.Epoch+1 == it.AnnounceEpoch {
-		// The steward died before its announce broadcast reached us;
-		// re-derive and apply it so the final table's epoch lines up.
-		announce := cur.Joined(it.Member, nil, nil)
-		if n.applyTable(announce) {
-			n.broadcastTable(ctx, announce)
-		}
-		cur = n.reg.Snapshot()
-	}
-	if cur.Epoch != it.AnnounceEpoch {
-		return nil, nil, fmt.Errorf("cluster: cannot repair join of %s: table at epoch %d, intent announced at %d",
-			it.Member.ID, cur.Epoch, it.AnnounceEpoch)
-	}
-	// Probe regardless of the journaled stage: the steward may have
-	// started a handoff before its moving-stage checkpoint gossiped out.
-	var executed []membership.Move
-	if len(it.Moves) > 0 {
-		locs := make([]resource.Location, len(it.Moves))
-		for i, mv := range it.Moves {
-			locs[i] = mv.Loc
-		}
-		arrived, err := n.rpcOwned(ctx, it.Member, locs)
-		if err != nil {
-			// The joiner is unreachable too: keep the roster change (it is
-			// already announced) but record no moves — the old owners still
-			// hold the data.
-			n.obs.Log("health.repair_probe_failed", "member", it.Member.ID, "error", err)
-		}
-		for _, mv := range it.Moves {
-			if arrived[mv.Loc] {
-				executed = append(executed, mv)
-			}
-		}
-	}
-	gained := make(map[resource.Location]bool, len(executed))
-	for _, mv := range executed {
-		gained[mv.Loc] = true
-	}
-	var pins []resource.Location
-	for _, p := range it.Pins {
-		loc := resource.Location(p)
-		if owner, ok := cur.OwnerOf(loc); gained[loc] || (ok && owner == it.Member.ID) {
-			pins = append(pins, loc)
-		}
-	}
-	return cur.Joined(it.Member, executed, pins), executed, nil
-}
-
-// repairLeave completes an interrupted (force-)leave: probe each move's
-// target, promote the groups that have not adopted their locations yet,
-// and publish the departure table. Graceful leaves are force-completed
-// — the dead steward cannot tell us how far the handoffs got, and the
-// targets are the victims' warm standbys either way.
-func (n *Node) repairLeave(ctx context.Context, cur *membership.Table, it *membership.Intent) (*membership.Table, []membership.Move, error) {
-	victim := it.Member.ID
-	if _, ok := cur.Member(victim); !ok {
-		return nil, nil, fmt.Errorf("cluster: cannot repair leave: %s is no longer a member at epoch %d", victim, cur.Epoch)
-	}
-	if cur.Epoch != it.AnnounceEpoch {
-		return nil, nil, fmt.Errorf("cluster: cannot repair leave of %s: table at epoch %d, intent announced at %d",
-			victim, cur.Epoch, it.AnnounceEpoch)
-	}
-	for _, grp := range groupMovesByTo(it.Moves) {
-		if grp.to == "" {
-			continue
-		}
-		toM, ok := cur.Member(grp.to)
-		if !ok {
-			continue
-		}
-		need := grp.locs
-		if grp.to == n.self.ID {
-			need = nil
-			for _, loc := range grp.locs {
-				if !n.srv.Ledger().Owned(loc) {
-					need = append(need, loc)
-				}
-			}
-		} else if arrived, err := n.rpcOwned(ctx, toM, grp.locs); err == nil {
-			need = nil
-			for _, loc := range grp.locs {
-				if !arrived[loc] {
-					need = append(need, loc)
-				}
-			}
-		}
-		if len(need) == 0 {
-			continue
-		}
-		var perr error
-		if grp.to == n.self.ID {
-			perr = n.promoteLocal(ctx, need, it.TargetEpoch)
-		} else {
-			perr = n.rpcPromote(ctx, toM, need)
-		}
-		if perr != nil {
-			n.obs.Log("health.repair_promote_failed", "to", grp.to, "error", perr)
-		}
-	}
-	return cur.Left(victim, it.Moves), it.Moves, nil
 }
 
 // maybeRejoin reacts to a 421 fence on our own gossip: we were evicted

@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -328,4 +330,115 @@ func TestOwnedProbeEscapesLocations(t *testing.T) {
 	if len(owned) != len(odd) {
 		t.Errorf("owned = %v, want exactly %v", owned, odd)
 	}
+}
+
+// hang replaces node i with a listener that accepts connections and
+// never answers: the peer that is neither alive nor refusing, whose
+// every call runs to its deadline.
+func (tc *testCluster) hang(t testing.TB, i int) {
+	t.Helper()
+	addr := strings.TrimPrefix(tc.urls[i], "http://")
+	tc.kill(t, i)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("re-listening on %s: %v", addr, err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+}
+
+// TestHungMemberSilencesNoOne: a member that accepts connections but
+// never answers costs the others nothing. Each gossip call and shadow
+// shipment runs under its own deadline, so no live member misses a
+// tick's gossip and is ever suspected, and the hung member is evicted
+// about as fast as a crashed one.
+func TestHungMemberSilencesNoOne(t *testing.T) {
+	tc := newHealthCluster(t, 5, 2, nil)
+	waitDetectorWarm(t, tc.nodes, []string{"n1", "n2", "n3", "n4", "n5"}, 10*time.Second)
+	tc.hang(t, 1)
+	live := []*Node{tc.nodes[0], tc.nodes[2], tc.nodes[3], tc.nodes[4]}
+	start := time.Now()
+	var evicted time.Duration
+	for evicted == 0 || time.Since(start) < evicted+time.Second {
+		for _, nd := range live {
+			for _, ph := range nd.Stats().Health.Peers {
+				if ph.Peer != "n2" && ph.State != "alive" {
+					t.Fatalf("%s holds the live %s %s (phi %.1f) %s after n2 hung",
+						nd.ID(), ph.Peer, ph.State, ph.Phi, time.Since(start).Round(time.Millisecond))
+				}
+			}
+		}
+		if evicted == 0 {
+			gone := true
+			for _, nd := range live {
+				if _, ok := nd.Table().Member("n2"); ok {
+					gone = false
+				}
+			}
+			if gone {
+				evicted = time.Since(start)
+			} else if time.Since(start) > 3*time.Second {
+				t.Fatal("the hung n2 was not evicted within 3s")
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Logf("hung n2 evicted %s after it hung", evicted.Round(time.Millisecond))
+}
+
+// TestShadowShipmentRetriedAfterPartition: a shadow shipment lost to a
+// partition is sent again once the standby is reachable, with the
+// ledger idle — a standby counts as fed only once a shipment succeeds.
+func TestShadowShipmentRetriedAfterPartition(t *testing.T) {
+	fnet := fault.NewNetwork(1)
+	tc := newHealthCluster(t, 3, 2, func(i int, c *Config) {
+		if i == 0 {
+			for _, p := range c.Peers {
+				fnet.Register(p.ID, p.URL)
+			}
+		}
+		c.Transport = fnet.Transport(c.Self, nil)
+		c.EvictPhi = 0 // the partition must not evict the standby
+	})
+	var loc resource.Location
+	for _, l := range tc.peers[0].Locations {
+		if tc.nodes[0].Table().StandbyOf(l) == "n2" {
+			loc = l
+		}
+	}
+	if loc == "" {
+		t.Skip("no location of n1 has n2 as standby under this rendezvous layout")
+	}
+	fnet.Partition([]string{"n2"})
+	if status, body := post(t, tc.urls[0]+"/v1/admit", pinnedJob(t, "shadow-seed", loc, 5000), nil); status != http.StatusOK {
+		t.Fatalf("admit on %s: %d: %s", loc, status, body)
+	}
+	time.Sleep(300 * time.Millisecond) // several ticks' shipments, all cut
+	if _, _, ok := tc.nodes[1].ShadowFor(loc); ok {
+		t.Fatal("n2 received a shadow across the partition")
+	}
+	fnet.Heal()
+	waitFor(t, 2*time.Second, "shadow of "+string(loc)+" on n2 after the heal", func() bool {
+		cms, _, ok := tc.nodes[1].ShadowFor(loc)
+		return ok && cms == 1
+	})
 }

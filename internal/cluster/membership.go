@@ -352,18 +352,14 @@ func (n *Node) installTable(t *membership.Table) bool {
 	return true
 }
 
-// broadcastTable pushes a freshly applied table to every other member
-// (best effort; gossip anti-entropy repairs any miss).
+// broadcastTable pushes a freshly applied table to every other member,
+// all at once (callEach); best effort, gossip anti-entropy repairs any
+// miss.
 func (n *Node) broadcastTable(ctx context.Context, t *membership.Table) {
-	body, err := json.Marshal(t.ToWire())
-	if err != nil {
-		return
-	}
-	for _, ps := range n.peersSnapshot() {
-		if ps.isSelf {
-			continue
-		}
-		_ = n.client.call(ctx, http.MethodPost, ps.URL+"/v1/cluster/table", body, nil, nil, ps.rpc)
+	if body, err := json.Marshal(t.ToWire()); err == nil {
+		n.callEach(ctx, "", func(ctx context.Context, ps *peerState) {
+			_ = n.client.call(ctx, http.MethodPost, ps.URL+"/v1/cluster/table", body, nil, nil, ps.rpc)
+		})
 	}
 }
 
@@ -515,14 +511,9 @@ func (n *Node) JoinCluster(ctx context.Context, steward string, pins []resource.
 	return nil
 }
 
-// handleJoin is the steward side of /v1/cluster/join: announce the new
-// member (roster only, no ownership change), journal the full plan as
-// an intent, execute the implied moves as make-before-break handoffs,
-// publish the final table, and hand it back to the joiner. A handoff
-// that fails simply leaves its location with the old owner — the table
-// only records moves that completed. If this steward dies partway, any
-// survivor holding the gossiped intent repairs the plan (repairIntent)
-// and publishes the final table itself.
+// handleJoin is the steward side of /v1/cluster/join: plan the join
+// (announce the member, then move what the grown roster assigns it)
+// and run it, handing the final table back to the joiner.
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if n.draining() {
 		server.HTTPError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, not accepting members"))
@@ -550,103 +541,26 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		server.WriteJSON(w, http.StatusOK, cur.ToWire())
 		return
 	}
-	sctx, sp := n.spans.Start(r.Context(), span.KindJoin)
-	defer sp.End()
-	sp.Attr("member", req.ID)
 	member := membership.Member{ID: req.ID, URL: req.URL}
-	moves := cur.JoinMoves(member, req.Pins)
-	// Announce the member before moving any data. Release, coordination,
-	// and query fan-outs target the roster, so a commitment that lands on
-	// the joiner mid-handoff is only reachable from nodes whose roster
-	// already includes it. The announce table grows the roster one epoch
-	// early and changes no ownership; the handoffs and the final table
-	// then land at the epoch after it.
-	announce := cur.Joined(member, nil, nil)
-	if !n.applyTable(announce) {
-		sp.SetStatus(span.StatusError)
-		server.HTTPError(w, http.StatusConflict, errors.New("cluster: membership changed concurrently, retry the join"))
-		return
-	}
-	// Journal the plan and push it to the survivors before any data
-	// moves: from here on, a steward crash is repairable by anyone who
-	// heard this gossip.
-	pinStrs := make([]string, len(req.Pins))
+	pins := make([]string, len(req.Pins))
 	for i, loc := range req.Pins {
-		pinStrs[i] = string(loc)
+		pins[i] = string(loc)
 	}
-	n.setOwnIntent(&membership.Intent{
+	next, status, err := n.runIntent(r.Context(), &membership.Intent{
 		Steward: n.self.ID, Kind: membership.IntentJoin, Member: member,
-		AnnounceEpoch: announce.Epoch, TargetEpoch: announce.Epoch + 1,
-		Moves: moves, Pins: pinStrs, Stage: membership.StageAnnounced,
+		AnnounceEpoch: cur.Epoch + 1, TargetEpoch: cur.Epoch + 2,
+		Moves: cur.JoinMoves(member, req.Pins), Pins: pins,
 	})
-	n.broadcastTable(sctx, announce)
-	n.sendGossip(sctx)
-	n.stage("join.announced", req.ID)
-	nextEpoch := announce.Epoch + 1
-	n.setOwnIntentStage(membership.StageMoving)
-	n.stage("join.moving", req.ID)
-	executed := make([]membership.Move, 0, len(moves))
-	for _, grp := range groupMovesByFrom(moves) {
-		var herr error
-		if grp.from == n.self.ID {
-			herr = n.executeHandoff(sctx, grp.locs, req.ID, req.URL, nextEpoch)
-		} else if from, ok := cur.Member(grp.from); ok {
-			herr = n.rpcHandoff(sctx, from, membership.HandoffRequest{
-				Epoch: nextEpoch, Locs: grp.locs, To: req.ID, ToURL: req.URL})
-		} else {
-			herr = fmt.Errorf("cluster: move source %s not a member", grp.from)
-		}
-		if herr != nil {
-			n.obs.Log("membership.handoff_failed",
-				"from", grp.from, "to", req.ID, "error", herr)
-			continue
-		}
-		executed = append(executed, grp.moves...)
-		n.stage("join.handoff", grp.from)
-	}
-	gained := make(map[resource.Location]bool, len(executed))
-	for _, mv := range executed {
-		gained[mv.Loc] = true
-	}
-	pins := make([]resource.Location, 0, len(req.Pins))
-	for _, loc := range req.Pins {
-		if owner, ok := cur.OwnerOf(loc); gained[loc] || (ok && owner == req.ID) {
-			pins = append(pins, loc)
-		}
-	}
-	n.stage("join.committing", req.ID)
-	next := announce.Joined(member, executed, pins)
-	if !n.applyTable(next) {
-		n.clearOwnIntent()
-		// A survivor may have declared us dead mid-choreography and
-		// repaired the plan; if the current table already publishes the
-		// target epoch with the member aboard, the join succeeded —
-		// return the repaired table instead of a spurious conflict.
-		if repaired := n.reg.Snapshot(); repaired.Epoch >= next.Epoch {
-			if _, ok := repaired.Member(req.ID); ok {
-				n.obs.Log("membership.join_repaired",
-					"member", req.ID, "epoch", repaired.Epoch)
-				server.WriteJSON(w, http.StatusOK, repaired.ToWire())
-				return
-			}
-		}
-		sp.SetStatus(span.StatusError)
-		server.HTTPError(w, http.StatusConflict, errors.New("cluster: membership changed concurrently, retry the join"))
+	if err != nil {
+		server.HTTPError(w, status, err)
 		return
 	}
-	n.clearOwnIntent()
-	n.joins.Add(1)
-	sp.Attr("epoch", next.Epoch)
-	sp.Attr("moves", len(executed))
-	n.obs.Log("membership.join",
-		"member", req.ID, "epoch", next.Epoch, "moves", len(executed), "failed_moves", len(moves)-len(executed))
-	n.broadcastTable(sctx, next)
 	server.WriteJSON(w, http.StatusOK, next.ToWire())
 }
 
 // handleLeave is the steward side of /v1/cluster/leave: take the
 // steward semaphore (queueing behind an in-flight join with a bounded
-// wait) and run the leave choreography.
+// wait) and run the leave.
 func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 	body, err := server.ReadBody(w, r)
 	if err != nil {
@@ -672,14 +586,11 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, next.ToWire())
 }
 
-// stewardLeave runs the leave choreography with this node as steward
-// (caller holds the steward semaphore). Graceful: the leaving node
-// hands each location to its rendezvous successor (which is its warm
-// standby) before the table drops it. Forced: the node is presumed
-// dead, so each successor promotes from its gossip-fed shadow instead —
-// committed state survives up to the last shadow shipment, and the
-// ledger's lease sweep reclaims anything mid-2PC. The plan is journaled
-// as an intent before any promotion so a steward crash is repairable.
+// stewardLeave plans the departure of req.ID with this node as steward
+// and runs it (caller holds the steward semaphore). Each of the
+// member's locations goes to its rendezvous successor, which is its
+// warm standby: handed off on a graceful leave, promoted from the
+// gossip-fed shadow on a forced one.
 func (n *Node) stewardLeave(ctx context.Context, req membership.LeaveRequest) (*membership.Table, int, error) {
 	cur := n.reg.Snapshot()
 	victim, ok := cur.Member(req.ID)
@@ -689,128 +600,239 @@ func (n *Node) stewardLeave(ctx context.Context, req membership.LeaveRequest) (*
 	if len(cur.Members) == 1 {
 		return nil, http.StatusBadRequest, errors.New("cluster: refusing to remove the last member")
 	}
-	sctx, sp := n.spans.Start(ctx, span.KindLeave)
-	defer sp.End()
-	sp.Attr("member", req.ID)
-	sp.Attr("force", req.Force)
-	moves := cur.LeaveMoves(req.ID)
-	nextEpoch := cur.Epoch + 1
-	// Journal the plan before any data moves (leaves announce no roster
-	// change, so the intent itself is the announcement).
-	n.setOwnIntent(&membership.Intent{
+	return n.runIntent(ctx, &membership.Intent{
 		Steward: n.self.ID, Kind: membership.IntentLeave, Member: victim, Force: req.Force,
-		AnnounceEpoch: cur.Epoch, TargetEpoch: nextEpoch,
-		Moves: moves, Stage: membership.StageAnnounced,
+		AnnounceEpoch: cur.Epoch, TargetEpoch: cur.Epoch + 1, Moves: cur.LeaveMoves(req.ID),
 	})
-	n.sendGossip(sctx)
-	n.stage("leave.announced", req.ID)
-	n.setOwnIntentStage(membership.StageMoving)
-	n.stage("leave.moving", req.ID)
-	for _, grp := range groupMovesByTo(moves) {
-		if grp.to == "" {
-			continue // roster would be empty; Validate blocks this anyway
-		}
-		toM, _ := cur.Member(grp.to)
-		if !req.Force {
-			var herr error
-			if req.ID == n.self.ID {
-				herr = n.executeHandoff(sctx, grp.locs, grp.to, toM.URL, nextEpoch)
-			} else {
-				herr = n.rpcHandoff(sctx, victim, membership.HandoffRequest{
-					Epoch: nextEpoch, Locs: grp.locs, To: grp.to, ToURL: toM.URL, Leave: true})
-			}
-			if herr != nil {
-				n.clearOwnIntent()
-				sp.SetStatus(span.StatusError)
-				sp.Attr("error", herr)
-				return nil, http.StatusBadGateway,
-					fmt.Errorf("cluster: graceful leave of %s failed (use force if it is dead): %w", req.ID, herr)
-			}
-			n.stage("leave.handoff", grp.to)
-			continue
-		}
-		var perr error
-		if grp.to == n.self.ID {
-			perr = n.promoteLocal(sctx, grp.locs, nextEpoch)
-		} else {
-			perr = n.rpcPromote(sctx, toM, grp.locs)
-		}
-		if perr != nil {
-			// Forced removal proceeds regardless: membership must converge
-			// even if a standby cannot promote right now.
-			n.obs.Log("membership.promote_failed", "to", grp.to, "error", perr)
-		}
-		n.stage("leave.handoff", grp.to)
+}
+
+// runIntent takes one membership change, journaled as it, to its final
+// table. Its steward runs it, and so does a survivor repairing the plan
+// of a steward it holds dead; the two differ only in how a move group
+// lands (landGroup). The steps:
+//
+//   - a join's roster announcement is applied first, one epoch before
+//     any data moves: release, coordination and query fan-outs target
+//     the roster, so a commitment that lands on the joiner mid-handoff
+//     is reachable only from nodes whose roster already lists it. A
+//     leave announces nothing; the intent itself is the announcement;
+//   - the steward journals the plan and gossips it before any data
+//     moves, so from then on its crash is repairable by anyone who
+//     heard it;
+//   - each (from, to) move group lands, in pair order;
+//   - the final table records exactly the moves that landed. It is
+//     applied, or a table someone else already published at the target
+//     epoch with the same outcome is accepted (a survivor repaired this
+//     steward's plan, or a steward outran its repairer); then it is
+//     broadcast and the journal entry closed.
+//
+// The forward-only epoch makes a rerun harmless. The caller holds the
+// steward semaphore.
+func (n *Node) runIntent(ctx context.Context, it *membership.Intent) (*membership.Table, int, error) {
+	cur := n.reg.Snapshot()
+	if cur.Epoch >= it.TargetEpoch {
+		n.clearIntentFor(it.Steward) // finished by its steward or an earlier repair
+		return cur, http.StatusOK, nil
 	}
-	n.stage("leave.committing", req.ID)
-	next := cur.Left(req.ID, moves)
+	steward, join := it.Steward == n.self.ID, it.Kind == membership.IntentJoin
+	kind := span.KindLeave
+	if !steward {
+		kind = span.KindRepair
+	} else if join {
+		kind = span.KindJoin
+	}
+	sctx, sp := n.spans.Start(ctx, kind)
+	defer sp.End()
+	sp.Attr("steward", it.Steward)
+	sp.Attr("kind", it.Kind)
+	sp.Attr("member", it.Member.ID)
+	sp.Attr("force", it.Force)
+	fail := func(status int, err error) (*membership.Table, int, error) {
+		if steward {
+			n.clearIntentFor(n.self.ID)
+		}
+		sp.SetStatus(span.StatusError)
+		sp.Attr("error", err)
+		return nil, status, err
+	}
+	var announce *membership.Table
+	if join && cur.Epoch+1 == it.AnnounceEpoch {
+		if announce = cur.Joined(it.Member, nil, nil); n.applyTable(announce) {
+			cur = announce
+		} else {
+			announce, cur = nil, n.reg.Snapshot()
+		}
+	}
+	if _, ok := cur.Member(it.Member.ID); !ok || cur.Epoch != it.AnnounceEpoch {
+		return fail(http.StatusConflict, fmt.Errorf("cluster: membership changed concurrently (epoch %d, %s of %s planned at %d), retry",
+			cur.Epoch, it.Kind, it.Member.ID, it.AnnounceEpoch))
+	}
+	if steward {
+		n.setOwnIntent(it)
+	}
+	if announce != nil {
+		n.broadcastTable(sctx, announce)
+	}
+	if steward {
+		// Off-tick gossip carrying the plan, waited for, so it reaches
+		// the survivors before any data moves. A forced leave's victim
+		// is presumed dead: waiting on it would only delay the
+		// promotions.
+		skip := ""
+		if it.Force {
+			skip = it.Member.ID
+		}
+		if body, err := json.Marshal(n.buildGossip()); err == nil {
+			n.callEach(sctx, skip, func(ctx context.Context, ps *peerState) { n.gossipTo(ctx, ps, body) })
+		}
+	}
+	n.stage(it.Kind+".announced", it.Member.ID)
+	n.stage(it.Kind+".moving", it.Member.ID)
+	var landed []membership.Move
+	for _, g := range groupMoves(it.Moves) {
+		moves, err := n.landGroup(sctx, cur, it, g)
+		if err != nil {
+			if steward && !join && !it.Force {
+				return fail(http.StatusBadGateway, fmt.Errorf("cluster: graceful leave of %s failed (use force if it is dead): %w", it.Member.ID, err))
+			}
+			n.obs.Log("membership.move_failed",
+				"node", n.self.ID, "kind", it.Kind, "from", g[0].From, "to", g[0].To, "error", err)
+		}
+		landed = append(landed, moves...)
+		if join {
+			n.stage("join.handoff", g[0].From)
+		} else {
+			n.stage("leave.handoff", g[0].To)
+		}
+	}
+	var next *membership.Table
+	if join {
+		gained := make(map[resource.Location]bool, len(landed))
+		for _, mv := range landed {
+			gained[mv.Loc] = true
+		}
+		var pins []resource.Location
+		for _, p := range it.Pins {
+			loc := resource.Location(p)
+			if owner, ok := cur.OwnerOf(loc); gained[loc] || (ok && owner == it.Member.ID) {
+				pins = append(pins, loc)
+			}
+		}
+		next = cur.Joined(it.Member, landed, pins)
+	} else {
+		next = cur.Left(it.Member.ID, landed)
+	}
+	n.stage(it.Kind+".committing", it.Member.ID)
 	applied := false
-	if req.ID == n.self.ID {
+	if it.Member.ID == n.self.ID && !join {
 		// Removing ourselves: the self-membership check must not refuse
 		// the table we are publishing on purpose, and a graceful
 		// departure must not rejoin.
 		applied = n.installTable(next)
-		n.left.Store(applied && !req.Force)
+		n.left.Store(applied && !it.Force)
 	} else {
 		applied = n.applyTable(next)
 	}
 	if !applied {
-		n.clearOwnIntent()
-		// A survivor may have repaired this plan after declaring us dead.
-		if repaired := n.reg.Snapshot(); repaired.Epoch >= next.Epoch {
-			if _, still := repaired.Member(req.ID); !still {
-				n.obs.Log("membership.leave_repaired",
-					"member", req.ID, "epoch", repaired.Epoch)
-				return repaired, http.StatusOK, nil
-			}
+		published := n.reg.Snapshot()
+		if _, member := published.Member(it.Member.ID); published.Epoch < it.TargetEpoch || member != join {
+			return fail(http.StatusConflict, fmt.Errorf("cluster: membership changed concurrently, retry the %s", it.Kind))
 		}
-		sp.SetStatus(span.StatusError)
-		return nil, http.StatusConflict, errors.New("cluster: membership changed concurrently, retry the leave")
+		next = published
 	}
-	n.clearOwnIntent()
-	n.leaves.Add(1)
-	sp.Attr("epoch", next.Epoch)
-	n.obs.Log("membership.leave",
-		"member", req.ID, "force", req.Force, "epoch", next.Epoch, "moves", len(moves))
+	n.clearIntentFor(it.Steward)
 	n.broadcastTable(sctx, next)
+	switch {
+	case !steward:
+		n.intentRepairs.Add(1)
+	case join:
+		n.joins.Add(1)
+	default:
+		n.leaves.Add(1)
+	}
+	sp.Attr("epoch", next.Epoch)
+	sp.Attr("moves", len(landed))
+	n.obs.Log("membership."+it.Kind,
+		"node", n.self.ID, "steward", it.Steward, "member", it.Member.ID, "force", it.Force,
+		"epoch", next.Epoch, "published_here", applied, "moves", len(landed), "planned", len(it.Moves))
 	return next, http.StatusOK, nil
 }
 
-// moveGroup is one handoff's worth of moves: same source, same target.
-type moveGroup struct {
-	from, to string
-	locs     []resource.Location
-	moves    []membership.Move
-}
-
-func groupMovesByFrom(moves []membership.Move) []moveGroup {
-	return groupMoves(moves, func(m membership.Move) string { return m.From })
-}
-
-func groupMovesByTo(moves []membership.Move) []moveGroup {
-	return groupMoves(moves, func(m membership.Move) string { return m.To })
-}
-
-func groupMoves(moves []membership.Move, keyOf func(membership.Move) string) []moveGroup {
-	byKey := make(map[string]*moveGroup)
-	var keys []string
-	for _, mv := range moves {
-		k := keyOf(mv)
-		g, ok := byKey[k]
-		if !ok {
-			g = &moveGroup{from: mv.From, to: mv.To}
-			byKey[k] = g
-			keys = append(keys, k)
+// landGroup lands one (from, to) group of the intent's moves and
+// returns the moves that now stand. A steward hands the group off, or
+// for a forced leave promotes the target from its shadows. A repairer
+// cannot ask the dead steward how far it got, so it probes the target
+// first: a join keeps exactly what arrived (the old owners still hold
+// the rest), and a leave promotes what is missing — a graceful one is
+// force-completed, its targets being the victim's standbys either way.
+func (n *Node) landGroup(ctx context.Context, tbl *membership.Table, it *membership.Intent, g []membership.Move) ([]membership.Move, error) {
+	from, _ := tbl.Member(g[0].From)
+	to, _ := tbl.Member(g[0].To)
+	locs := make([]resource.Location, len(g))
+	for i, mv := range g {
+		locs[i] = mv.Loc
+	}
+	switch {
+	case it.Steward == n.self.ID && it.Force:
+		return g, n.promote(ctx, to, locs, it.TargetEpoch)
+	case it.Steward == n.self.ID:
+		var err error
+		if from.ID == n.self.ID {
+			err = n.executeHandoff(ctx, locs, to.ID, to.URL, it.TargetEpoch)
+		} else {
+			err = n.rpcHandoff(ctx, from, membership.HandoffRequest{
+				Epoch: it.TargetEpoch, Locs: locs, To: to.ID, ToURL: to.URL, Leave: it.Kind == membership.IntentLeave})
 		}
-		g.locs = append(g.locs, mv.Loc)
-		g.moves = append(g.moves, mv)
+		if err != nil {
+			return nil, err
+		}
+		return g, nil
 	}
-	sort.Strings(keys)
-	out := make([]moveGroup, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *byKey[k])
+	arrived, err := n.rpcOwned(ctx, to, locs)
+	var kept []membership.Move
+	var missing []resource.Location
+	for _, mv := range g {
+		if arrived[mv.Loc] {
+			kept = append(kept, mv)
+		} else {
+			missing = append(missing, mv.Loc)
+		}
 	}
-	return out
+	if it.Kind == membership.IntentJoin {
+		return kept, err
+	}
+	if len(missing) == 0 {
+		return g, nil
+	}
+	return g, n.promote(ctx, to, missing, it.TargetEpoch)
+}
+
+// groupMoves splits a plan into its (from, to) groups in pair order: a
+// join's moves share their target, so its groups run by source, and a
+// leave's share their source, so its groups run by target.
+func groupMoves(moves []membership.Move) [][]membership.Move {
+	sorted := append([]membership.Move(nil), moves...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		a, b := sorted[i], sorted[j]
+		return a.From < b.From || (a.From == b.From && a.To < b.To)
+	})
+	var groups [][]membership.Move
+	for i, mv := range sorted {
+		if i == 0 || mv.From != sorted[i-1].From || mv.To != sorted[i-1].To {
+			groups = append(groups, nil)
+		}
+		groups[len(groups)-1] = append(groups[len(groups)-1], mv)
+	}
+	return groups
+}
+
+// promote has the standby take locs over from its shadows: here when
+// this node is the standby, over RPC otherwise.
+func (n *Node) promote(ctx context.Context, to membership.Member, locs []resource.Location, epoch uint64) error {
+	if to.ID == n.self.ID {
+		return n.promoteLocal(ctx, locs, epoch)
+	}
+	return n.rpcPromote(ctx, to, locs)
 }
 
 func (n *Node) rpcHandoff(ctx context.Context, from membership.Member, req membership.HandoffRequest) error {
@@ -966,40 +988,34 @@ func (n *Node) handleTablePost(w http.ResponseWriter, r *http.Request) {
 }
 
 // shipShadows sends each owned location's export to its rendezvous
-// standby whenever the ledger changed since the last shipment — the
-// gossip-ticked feed that keeps standbys warm.
-func (n *Node) shipShadows(ctx context.Context, tbl *membership.Table) {
+// standby whenever the ledger moved past what that standby last
+// received — the gossip-ticked feed that keeps standbys warm. A standby
+// counts as fed only once a shipment to it succeeds, so one lost to a
+// partition is sent again on the next tick. Each shipment runs on its
+// own goroutine under its own deadline (spawnOnce), so a standby that
+// never answers delays no other standby and no other gossip.
+func (n *Node) shipShadows(tbl *membership.Table) {
 	ep := n.srv.Ledger().Epoch()
-	if ep == n.lastShipped {
-		return
-	}
 	byStandby := make(map[string][]resource.Location)
 	for _, loc := range tbl.Locations(n.self.ID) {
 		if sb := tbl.StandbyOf(loc); sb != "" && sb != n.self.ID {
 			byStandby[sb] = append(byStandby[sb], loc)
 		}
 	}
-	ids := make([]string, 0, len(byStandby))
-	for id := range byStandby {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		m, ok := tbl.Member(id)
-		if !ok {
-			continue
-		}
-		exports := n.srv.Ledger().ExportLocations(byStandby[id])
-		body, err := json.Marshal(installRequest{Exports: exports})
-		if err != nil {
-			continue
-		}
+	for id, locs := range byStandby {
+		m, _ := tbl.Member(id)
 		ps := n.peerFor(ownerRef{id: m.ID, url: m.URL})
-		if err := n.client.call(ctx, http.MethodPost, m.URL+"/v1/cluster/shadow", body, nil, nil, ps.rpc); err == nil {
-			n.shadowShips.Add(1)
+		if ps.shadowEpoch.Load() == ep {
+			continue
 		}
+		n.spawnOnce(&ps.shipping, func(ctx context.Context) {
+			body, err := json.Marshal(installRequest{Exports: n.srv.Ledger().ExportLocations(locs)})
+			if err == nil && n.client.call(ctx, http.MethodPost, m.URL+"/v1/cluster/shadow", body, nil, nil, ps.rpc) == nil {
+				ps.shadowEpoch.Store(ep)
+				n.shadowShips.Add(1)
+			}
+		})
 	}
-	n.lastShipped = ep
 }
 
 // releaseTargets is the peer set a cluster-wide release fans out to:

@@ -1,9 +1,6 @@
 package membership
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Intent is the steward's crash-safety journal entry for one membership
 // choreography. A join or leave is a multi-step plan — announce the
@@ -43,25 +40,12 @@ type Intent struct {
 	Moves []Move `json:"moves,omitempty"`
 	// Pins are the join request's pinned locations (join only).
 	Pins []string `json:"pins,omitempty"`
-	// Stage is the last checkpoint the steward reached: StageAnnounced
-	// before any data moved, StageMoving once handoffs started.
-	Stage string `json:"stage"`
 }
 
 // Intent kinds.
 const (
 	IntentJoin  = "join"
 	IntentLeave = "leave"
-)
-
-// Intent stages.
-const (
-	// StageAnnounced: the plan is recorded (and, for joins, the roster
-	// announcement applied) but no ownership has moved yet.
-	StageAnnounced = "announced"
-	// StageMoving: at least one handoff/promotion may have started;
-	// repair must probe targets to learn which completed.
-	StageMoving = "moving"
 )
 
 // Validate checks an intent's wire form.
@@ -81,9 +65,6 @@ func (it *Intent) Validate() error {
 	if it.TargetEpoch == 0 || it.TargetEpoch < it.AnnounceEpoch {
 		return fmt.Errorf("membership: intent epochs invalid (announce %d, target %d)", it.AnnounceEpoch, it.TargetEpoch)
 	}
-	if it.Stage != StageAnnounced && it.Stage != StageMoving {
-		return fmt.Errorf("membership: unknown intent stage %q", it.Stage)
-	}
 	if len(it.Moves) > maxLocs {
 		return fmt.Errorf("membership: intent plans %d moves (max %d)", len(it.Moves), maxLocs)
 	}
@@ -102,18 +83,6 @@ func (it *Intent) Validate() error {
 		return fmt.Errorf("membership: intent pins %d locations (max %d)", len(it.Pins), maxLocs)
 	}
 	return nil
-}
-
-// DecodeIntent parses and validates an intent body.
-func DecodeIntent(body []byte) (*Intent, error) {
-	var it Intent
-	if err := json.Unmarshal(body, &it); err != nil {
-		return nil, fmt.Errorf("membership: bad intent body: %w", err)
-	}
-	if err := it.Validate(); err != nil {
-		return nil, err
-	}
-	return &it, nil
 }
 
 // Clone returns a deep copy (intents are gossiped while mutating).
