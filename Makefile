@@ -39,7 +39,11 @@ test:
 # in the admit lock path shows there first. It also holds the op stream
 # dense under the race: the ops notify sees carry epochs 1…Epoch(), each
 # once, and every admitted job's promise carries its reserve op's epoch
-# (TestLedgerNoOvercommitUnderRace). The third repeats the
+# (TestLedgerNoOvercommitUnderRace). The same line repeats the free-view
+# tests and the refused release: a shard's free view is its only state,
+# planned against outside the lock while writers patch it, so a write
+# into a run a reader holds, or a release that writes before it checks,
+# shows there. The third repeats the
 # standing-query tests — subscribes racing bumps, flips, concurrent
 # evaluations, the sweep's wake check — ten times. The fourth
 # repeats the graceful leave queued behind a join ten times: a departed
@@ -74,7 +78,7 @@ test:
 # which must be sent again after the heal with the ledger idle.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone' ./internal/server/
+	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone|FreeView|ReleaseBeyond' ./internal/server/
 	$(GO) test -race -count=10 -run 'Subscribe|Bump|Flip|Concurrent|Wake' ./internal/query/ ./internal/server/
 	$(GO) test -race -count=10 -run 'LeaveQueuesBehindJoin|HandoffBeforeGrantRoutesToNewOwner' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'CoordinatedAdmit|DrainAbortsInflightPrepares' ./internal/cluster/

@@ -308,6 +308,25 @@ func (s Set) Dominates(other Set) bool {
 	return true
 }
 
+// DominatesWithin reports whether s meets or exceeds other at every tick
+// of every located type within names, inside the hull of that type's
+// availability in within: Dominates, confined to within's types and
+// hulls. It allocates nothing, so a writer can check a patched view
+// against the set bounding it where the patch reached, and nowhere else.
+func (s Set) DominatesWithin(other, within Set) bool {
+	for _, w := range within.entries {
+		p, ok := s.profileOf(w.lt), true
+		other.profileOf(w.lt).each(w.p.hull(), func(span interval.Interval, rate Rate) bool {
+			ok = p.covers(span, rate)
+			return ok
+		})
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // Subtract returns Θ1 \ Θ2 per §III, or ErrInsufficient when the
 // complement is undefined. Each located type of other is removed in one
 // splice, which also is the coverage check.

@@ -432,3 +432,61 @@ func TestQuantityWithinSaturates(t *testing.T) {
 		}
 	}
 }
+
+// DominatesWithin agrees with a per-tick comparison confined to each of
+// within's types and the hull of its availability, and is Dominates when
+// within covers everything other holds.
+func TestPropertyDominatesWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	types := []LocatedType{cpuL1, netL12, CPUAt("l2")}
+	randSet := func(max int) Set {
+		var s Set
+		for i := 0; i < rng.Intn(max+1); i++ {
+			s.Add(randTermFor(rng, types[rng.Intn(len(types))]))
+		}
+		return s
+	}
+	var seen [2]int
+	for iter := 0; iter < 2000; iter++ {
+		a, b, w := randSet(4), randSet(4), randSet(2)
+		want := true
+		for _, lt := range types {
+			hull := w.Restrict(interval.New(interval.NegInfinity, interval.Infinity), lt).Hull()
+			for tick := hull.Start; tick < hull.End; tick++ {
+				if a.RateAt(lt, tick) < b.RateAt(lt, tick) {
+					want = false
+				}
+			}
+		}
+		if got := a.DominatesWithin(b, w); got != want {
+			t.Fatalf("iter %d: DominatesWithin(%v, within %v) of %v = %v, want %v", iter, b, w, a, got, want)
+		}
+		if want {
+			seen[1]++
+		} else {
+			seen[0]++
+		}
+		if got, want := a.DominatesWithin(b, b), a.Dominates(b); got != want {
+			t.Fatalf("iter %d: DominatesWithin(b, b) = %v, Dominates = %v (a=%v b=%v)", iter, got, want, a, b)
+		}
+	}
+	if seen[0] < 100 || seen[1] < 100 {
+		t.Fatalf("fixture: %d refusals and %d passes; both outcomes need exercising", seen[0], seen[1])
+	}
+}
+
+// DominatesWithin allocates nothing, on chunked profiles too.
+func TestDominatesWithinAllocatesNothing(t *testing.T) {
+	var theta, free, part Set
+	theta.Add(patchTerm(4, cpuL1, 0, 1000))
+	for i := interval.Time(0); i < 200; i++ {
+		free.Add(patchTerm(1+int64(i%3), cpuL1, 5*i, 5*i+3))
+	}
+	part.Add(patchTerm(1, cpuL1, 400, 700))
+	if !theta.DominatesWithin(free.Union(part), part) {
+		t.Fatal("fixture: theta should dominate free ∪ part")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { theta.DominatesWithin(free, part) }); allocs != 0 {
+		t.Fatalf("DominatesWithin allocates %.1f per call, want 0", allocs)
+	}
+}

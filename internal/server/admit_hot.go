@@ -24,7 +24,7 @@ import (
 // location on the (expensive) search. Instead each admission:
 //
 //  1. snapshots — locks the footprint shards just long enough to read
-//     the cached free view and each shard's mutation version;
+//     each shard's free view and mutation version;
 //  2. plans — runs admission.Decide against the snapshot outside any
 //     lock, so plan searches for the same shard proceed in parallel;
 //  3. reserves — re-locks the shards and applies the plan if the
@@ -72,8 +72,8 @@ type hotCounters struct {
 	batchedJobs    atomic.Uint64 // jobs decided through the hot path
 	planRetries    atomic.Uint64 // plans re-run after a validation conflict
 	planFallbacks  atomic.Uint64 // jobs that fell back to planning under locks
-	freePatches    atomic.Uint64 // incremental free-view patches applied
-	freeRecomputes atomic.Uint64 // full θ∖reserved recomputes
+	freePatches    atomic.Uint64 // free-view writes: one per shard a reserve, release, acquire or trim reaches
+	freeRecomputes atomic.Uint64 // free views computed on import
 }
 
 // AdmitHotCounters is the JSON shape of the hot-path counters for
@@ -83,8 +83,8 @@ type AdmitHotCounters struct {
 	BatchedJobs    uint64 `json:"batched_jobs" metric:"rota_admit_batched_jobs_total" help:"Jobs decided on the admission hot path, whatever their verdict."`
 	PlanRetries    uint64 `json:"plan_retries" metric:"rota_admit_plan_retries_total" help:"Optimistic plans re-run after a validation conflict."`
 	PlanFallbacks  uint64 `json:"plan_fallbacks" metric:"rota_admit_plan_fallbacks_total" help:"Jobs that exhausted optimistic retries and planned under the shard locks."`
-	FreePatches    uint64 `json:"free_patches" metric:"rota_free_view_patches_total" help:"Incremental free-view cache patches applied."`
-	FreeRecomputes uint64 `json:"free_recomputes" metric:"rota_free_view_recomputes_total" help:"Full free-view recomputes (theta minus reserved)."`
+	FreePatches    uint64 `json:"free_patches" metric:"rota_free_view_patches_total" help:"Free-view patches applied: one per shard a reserve, release, acquire or clock advance writes."`
+	FreeRecomputes uint64 `json:"free_recomputes" metric:"rota_free_view_recomputes_total" help:"Free views computed on import: one per location a hand-off or standby promotion installs."`
 }
 
 // AdmitHot returns the admission hot-path counters.
@@ -123,10 +123,7 @@ func (l *Ledger) decideHot(w *admitWork) (admission.Decision, error) {
 			return admission.Decision{}, err
 		}
 		vers := make([]uint64, len(w.locs))
-		free, err := l.snapshotFree(w.locs, vers)
-		if err != nil {
-			return admission.Decision{}, err
-		}
+		free := l.snapshotFree(w.locs, vers)
 		if dec, err := l.plan(w, free, attempt); err != nil || !dec.Admit {
 			// Rejected against the snapshot: a legitimate linearization
 			// point — admission control promises no-overcommit, not
@@ -157,12 +154,11 @@ func (l *Ledger) decideHot(w *admitWork) (admission.Decision, error) {
 // snapshotFree reads the merged free view of the footprint, holding
 // the shard locks only for the reads. With vers non-nil (one slot per
 // location; locs sorted and distinct) it also records each shard's
-// mutation version. The returned set shares the shards' cached profiles
-// and must be treated as read-only (admission.Decide and
-// schedule.Concurrent never write to the view they search).
-// Single-location footprints return the cached set directly — no clone,
-// no allocation.
-func (l *Ledger) snapshotFree(locs []resource.Location, vers []uint64) (resource.Set, error) {
+// mutation version. The returned set shares the shards' profiles and
+// must be treated as read-only (admission.Decide and schedule.Concurrent
+// never write to the view they search). Single-location footprints
+// return the shard's free view directly — no clone, no allocation.
+func (l *Ledger) snapshotFree(locs []resource.Location, vers []uint64) resource.Set {
 	if len(locs) == 1 {
 		sh := l.shardFor(locs[0])
 		sh.mu.Lock()
@@ -176,26 +172,22 @@ func (l *Ledger) snapshotFree(locs []resource.Location, vers []uint64) (resource
 
 // mergedFree merges the free views of shards whose locks the caller
 // holds, recording their mutation versions into vers when non-nil. A
-// lone shard's cached view is returned as is, shared read-only. Shards
-// own disjoint located types, so the union of several is one run of
+// lone shard's view is returned as is, shared read-only. Shards own
+// disjoint located types, so the union of several is one run of
 // entries, built by one sorted merge per shard, holding the shards' own
 // profiles: its cost does not grow with their segments.
-func mergedFree(shards []*shard, vers []uint64) (resource.Set, error) {
+func mergedFree(shards []*shard, vers []uint64) resource.Set {
 	var free resource.Set
 	for i, sh := range shards {
-		part, err := sh.freeView()
-		if err != nil {
-			return resource.Set{}, fmt.Errorf("server: shard %s invariant broken: %w", sh.loc, err)
-		}
 		if vers != nil {
 			vers[i] = sh.ver
 		}
 		if len(shards) == 1 {
-			return part, nil
+			return sh.free
 		}
-		free.AddSet(part)
+		free.AddSet(sh.free)
 	}
-	return free, nil
+	return free
 }
 
 // DecideOnFree runs policy for job against a free view at now, under a
@@ -263,12 +255,7 @@ func (l *Ledger) reserveIfFits(w *admitWork, vers []uint64, attempt int) (bool, 
 		return false, err
 	}
 	defer unlock()
-	tight, err := fitsLocked(shards, vers, w.op.rec.parts)
-	if err != nil {
-		rs.SetStatus(span.StatusError)
-		return false, err
-	}
-	if tight != nil {
+	if tight := fitsLocked(shards, vers, w.op.rec.parts); tight != nil {
 		// The attempt is refused for capacity — its plan no longer fits
 		// the tight shard's free view — and like every reject span says
 		// so.
@@ -287,7 +274,7 @@ func (l *Ledger) reserveIfFits(w *admitWork, vers []uint64, attempt int) (bool, 
 // dominate its part of the demand. The caller holds the shard locks;
 // shards is in lockedShards order, matching the order snapshotFree
 // recorded versions in.
-func fitsLocked(shards []*shard, vers []uint64, demand parts) (*shard, error) {
+func fitsLocked(shards []*shard, vers []uint64, demand parts) *shard {
 	unchanged := len(vers) == len(shards)
 	if unchanged {
 		for i, sh := range shards {
@@ -298,7 +285,7 @@ func fitsLocked(shards []*shard, vers []uint64, demand parts) (*shard, error) {
 		}
 	}
 	if unchanged {
-		return nil, nil
+		return nil
 	}
 	return misfit(shards, demand)
 }
@@ -313,11 +300,7 @@ func (l *Ledger) decideLocked(w *admitWork) (admission.Decision, error) {
 		return admission.Decision{}, err
 	}
 	defer unlock()
-	free, err := mergedFree(shards, nil)
-	if err != nil {
-		return admission.Decision{}, err
-	}
-	if dec, err := l.plan(w, free, 0); err != nil || !dec.Admit {
+	if dec, err := l.plan(w, mergedFree(shards, nil), 0); err != nil || !dec.Admit {
 		return dec, err
 	}
 	rs := l.startReserve(w, 0)
@@ -350,7 +333,10 @@ func reserveLive(w *admitWork, shards []*shard, rs *span.Span) error {
 		rs.SetStatus(span.StatusError)
 		return fmt.Errorf("%w: %s: %w", errLate, w.job.Dist.Name, err)
 	}
-	reserve(shards, w.op.rec.parts)
+	if err := reserve(shards, w.op.rec.parts); err != nil {
+		rs.SetStatus(span.StatusError)
+		return err
+	}
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,10 +171,7 @@ func TestOptimisticConflictRetriesAndReplans(t *testing.T) {
 		if !fired.CompareAndSwap(false, true) {
 			return
 		}
-		sh := l.shardFor("l1")
-		sh.mu.Lock()
-		sh.applyReserve(synthetic)
-		sh.mu.Unlock()
+		reserveOn(t, l, "l1", synthetic)
 	}
 
 	dec, err := l.Admit(policy, cpuJob(t, "j1", "l1", 0, 40))
@@ -194,12 +192,8 @@ func TestOptimisticConflictRetriesAndReplans(t *testing.T) {
 	// Return the synthetic reservation so the audit's commitment
 	// accounting balances, then verify the ledger is consistent.
 	l.testPostPlanHook = nil
-	sh := l.shardFor("l1")
-	sh.mu.Lock()
-	relErr := sh.applyRelease(synthetic)
-	sh.mu.Unlock()
-	if relErr != nil {
-		t.Fatal(relErr)
+	if err := releaseOn(l, "l1", synthetic); err != nil {
+		t.Fatal(err)
 	}
 	mustAudit(t, l)
 }
@@ -225,10 +219,7 @@ func TestReplanExhaustionFallsBackToLockedPlan(t *testing.T) {
 		var taken resource.Set
 		taken.Add(resource.NewTerm(u(1), resource.CPUAt("l1"), interval.New(block, block+16)))
 		synthetic.AddSet(taken)
-		sh := l.shardFor("l1")
-		sh.mu.Lock()
-		sh.applyReserve(taken)
-		sh.mu.Unlock()
+		reserveOn(t, l, "l1", taken)
 	}
 
 	dec, err := l.Admit(policy, cpuJob(t, "j1", "l1", 0, 100))
@@ -284,59 +275,157 @@ func TestReplanExhaustionFallsBackToLockedPlan(t *testing.T) {
 	}
 
 	// The plan was reserved beside every synthetic block without
-	// overcommitting the shard.
+	// overcommitting the shard: θ dominates the records and the blocks
+	// together, and the free view is what they leave of it.
 	l.testPostPlanHook = nil
-	sh := l.shardFor("l1")
-	sh.mu.Lock()
-	fits := sh.theta.Dominates(sh.reserved)
-	relErr := sh.applyRelease(synthetic)
-	sh.mu.Unlock()
-	if !fits {
-		t.Error("theta no longer dominates reserved after the fallback reserve")
+	if want, got, err := recordedFree(l, "l1", synthetic); err != nil || !got.Equal(want) {
+		t.Errorf("after the fallback reserve: free %s, θ minus records and blocks %s (%v)", got, want, err)
 	}
-	if relErr != nil {
-		t.Fatal(relErr)
+	if err := releaseOn(l, "l1", synthetic); err != nil {
+		t.Fatal(err)
 	}
 	mustAudit(t, l)
 }
 
-// checkPatchedFreeViews verifies, on every shard whose cached free view
-// is live, that the incrementally patched cache equals a from-scratch
-// θ ∖ reserved recompute. Returns how many live caches were checked.
+// reserveOn takes a synthetic block on loc's shard, outside any record:
+// the write a test hook makes between a plan and its reserve round.
+func reserveOn(tb testing.TB, l *Ledger, loc resource.Location, block resource.Set) {
+	tb.Helper()
+	sh := l.shardFor(loc)
+	sh.mu.Lock()
+	err := reserve([]*shard{sh}, parts{{loc: loc, set: block}})
+	sh.mu.Unlock()
+	if err != nil {
+		tb.Error(err)
+	}
+}
+
+// releaseOn gives a synthetic block back to loc's shard.
+func releaseOn(l *Ledger, loc resource.Location, block resource.Set) error {
+	sh := l.shardFor(loc)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return patchFree([]*shard{sh}, parts{{loc: loc, set: block}}, (*shard).giving)
+}
+
+// recordedFree returns the from-scratch free view of loc's shard — θ
+// minus the remaining demand of every record on it and of extra, blocks
+// reserved outside any record — and the free view the shard holds. The
+// error is the subtraction's: θ does not dominate what is held.
+func recordedFree(l *Ledger, loc resource.Location, extra resource.Set) (want, got resource.Set, err error) {
+	held := extra
+	l.mu.Lock()
+	for _, r := range l.byName {
+		if p, ok := r.parts.on(loc); ok && !r.pending {
+			held = held.Union(p)
+		}
+	}
+	sh := l.shards[loc]
+	l.mu.Unlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	want, err = sh.theta.Subtract(held.TrimmedBefore(sh.now))
+	return want, sh.free, err
+}
+
+// checkPatchedFreeViews verifies, on every shard, that the patched free
+// view equals a from-scratch θ ∖ Σ records subtraction. Returns how many
+// shards were checked.
 func checkPatchedFreeViews(t *testing.T, l *Ledger) int {
 	t.Helper()
 	l.mu.Lock()
-	shards := make([]*shard, 0, len(l.shards))
-	for _, sh := range l.shards {
-		shards = append(shards, sh)
+	locs := make([]resource.Location, 0, len(l.shards))
+	for loc := range l.shards {
+		locs = append(locs, loc)
 	}
 	l.mu.Unlock()
-	checked := 0
-	for _, sh := range shards {
-		sh.mu.Lock()
-		if !sh.freeOK {
-			sh.mu.Unlock()
-			continue
-		}
-		checked++
-		want, err := sh.theta.Subtract(sh.reserved)
-		ok := err == nil && sh.free.Equal(want)
-		got, loc := sh.free, sh.loc
-		sh.mu.Unlock()
+	for _, loc := range locs {
+		want, got, err := recordedFree(l, loc, resource.Set{})
 		if err != nil {
-			t.Fatalf("shard %s: recompute: %v", loc, err)
+			t.Fatalf("shard %s: θ does not dominate the records: %v", loc, err)
 		}
-		if !ok {
-			t.Fatalf("shard %s: patched free view %s != recomputed %s", loc, got, want.Compact())
+		if !got.Equal(want) {
+			t.Fatalf("shard %s: patched free view %s != θ minus records %s", loc, got, want.Compact())
 		}
 	}
-	return checked
+	return len(locs)
+}
+
+// A release of a part a shard does not hold — a record released twice,
+// or a part no reservation placed — is refused as an inconsistency and
+// writes nothing: every shard keeps its free view, the very run it held,
+// and its version, and Audit stays clean. A release spanning a shard
+// that holds its part and one that does not writes neither.
+func TestReleaseBeyondReservationRefused(t *testing.T) {
+	l := NewLedger(Config{Theta: cpuTheta(4, 100, "l1", "l2")}, nil)
+	policy := &admission.Rota{}
+	for _, name := range []string{"j1", "j2"} {
+		if dec, err := l.Admit(policy, cpuJob(t, name, "l1", 0, 100)); err != nil || !dec.Admit {
+			t.Fatalf("admit %s: %v %+v", name, err, dec)
+		}
+	}
+	l.mu.Lock()
+	j1, j2 := *l.byName["j1"], *l.byName["j2"]
+	l.mu.Unlock()
+	if err := l.Release("j1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Release("j1"); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("second Release of j1: %v, want ErrUnknown", err)
+	}
+	mustAudit(t, l)
+
+	block := func(lt resource.LocatedType, start, end interval.Time) resource.Set {
+		return resource.NewSet(resource.NewTerm(u(1), lt, interval.New(start, end)))
+	}
+	j2l1, _ := j2.parts.on("l1")
+	for _, c := range []struct {
+		name  string
+		parts parts
+	}{
+		{"double release", j1.parts},
+		{"beyond theta's rate", parts{{loc: "l1", set: block(resource.CPUAt("l1"), 10, 20)}}},
+		{"a type theta lacks", parts{{loc: "l1", set: block(resource.MemoryAt("l1"), 10, 20)}}},
+		{"past theta's horizon", parts{{loc: "l1", set: block(resource.CPUAt("l1"), 100, 110)}}},
+		{"one shard held, one not", parts{{loc: "l1", set: j2l1}, {loc: "l2", set: block(resource.CPUAt("l2"), 0, 10)}}},
+	} {
+		type state struct {
+			free resource.Set
+			text string
+			ver  uint64
+		}
+		read := func() map[resource.Location]state {
+			out := map[resource.Location]state{}
+			for _, loc := range []resource.Location{"l1", "l2"} {
+				sh := l.shardFor(loc)
+				sh.mu.Lock()
+				out[loc] = state{sh.free, sh.free.Compact(), sh.ver}
+				sh.mu.Unlock()
+			}
+			return out
+		}
+		before := read()
+		_, err := l.releaseParts(&reservation{name: c.name, parts: c.parts})
+		if err == nil || !errors.Is(err, resource.ErrInsufficient) || !strings.Contains(err.Error(), "reservation inconsistent") {
+			t.Errorf("%s: release = %v, want a reservation-inconsistent error", c.name, err)
+		}
+		for loc, after := range read() {
+			if b := before[loc]; !after.free.Same(b.free) || after.text != b.text || after.ver != b.ver {
+				t.Errorf("%s: shard %s written: free %s (ver %d) → %s (ver %d)", c.name, loc, b.text, b.ver, after.text, after.ver)
+			}
+		}
+		mustAudit(t, l)
+	}
+	if err := l.Release("j2"); err != nil {
+		t.Fatal(err)
+	}
+	mustAudit(t, l)
 }
 
 // Seeded property test: after randomized admit / release / prepare /
-// abort / acquire / advance (incl. lease-expiry sweeps), the delta-
-// patched free-view caches must agree with a from-scratch recompute,
-// and the full ledger audit must stay clean at every step.
+// abort / acquire / advance (incl. lease-expiry sweeps), the patched
+// free views must agree with a from-scratch subtraction of the records
+// from θ, and the full ledger audit must stay clean at every step.
 func TestFreeViewPatchingMatchesRecompute(t *testing.T) {
 	locs := []resource.Location{"l1", "l2"}
 	for _, seed := range []int64{1, 7, 42, 1234} {
@@ -347,7 +436,7 @@ func TestFreeViewPatchingMatchesRecompute(t *testing.T) {
 			live := []string{}
 			keys := []string{}
 			names, preps := 0, 0
-			checkedCaches := 0
+			checked := 0
 
 			for step := 0; step < 300; step++ {
 				now := l.Now()
@@ -413,11 +502,11 @@ func TestFreeViewPatchingMatchesRecompute(t *testing.T) {
 						}
 					}
 				}
-				checkedCaches += checkPatchedFreeViews(t, l)
+				checked += checkPatchedFreeViews(t, l)
 				mustAudit(t, l)
 			}
-			if checkedCaches == 0 {
-				t.Fatal("no live free-view cache was ever checked; the test exercised nothing")
+			if checked == 0 {
+				t.Fatal("no free view was ever checked; the test exercised nothing")
 			}
 		})
 	}
@@ -495,8 +584,8 @@ func TestFreeViewMultiLocationAllocatesOnlyTheMap(t *testing.T) {
 
 // An admit+release pair costs a fixed part plus a few patches of the
 // profiles it touches: the planner's one splice into its overlay, and one
-// patch each of the shard's free view and reservations on the way in and
-// on the way out — at most five. A profile longer than the resource
+// patch of the shard's free view on the way in and one on the way out —
+// three. A profile longer than the resource
 // package's chunk size K (32 segments) is chunked, and a patch rebuilds
 // only the chunks it touches: it copies a new chunk list, one entry per
 // chunk, and at most two chunks' worth of segments, and shares the rest.
@@ -512,12 +601,12 @@ func TestAdmitReleaseBytesFollowTouchedProfiles(t *testing.T) {
 		chunkBytes  = 16 // one chunk list entry
 		tableBytes  = 32 // a chunk list's header and count
 		fixedBytes  = 12288
-		patches     = 5
+		patches     = 3
 		sizeClasses = 1.125 // the allocator's rounding up, at most one eighth
-		// Five patches' chunk lists over the 1000-resident free view of
-		// 1024 segments, in chunks between half and wholly full: 3 296
+		// Three patches' chunk lists over the 1000-resident free view of
+		// 1024 segments, in chunks between half and wholly full: 1 920
 		// bytes measured on x86-64 with Go 1.24.
-		depthBytes = 3840
+		depthBytes = 2464
 	)
 	policy := &admission.Rota{}
 	measure := func(commits int) (bytes float64, segments int) {
@@ -613,10 +702,7 @@ func TestExpiredPlanReservesNothing(t *testing.T) {
 				var taken resource.Set
 				taken.Add(resource.NewTerm(u(1), resource.CPUAt("l1"), interval.New(block, block+16)))
 				synthetic.AddSet(taken)
-				sh := l.shardFor("l1")
-				sh.mu.Lock()
-				sh.applyReserve(taken)
-				sh.mu.Unlock()
+				reserveOn(t, l, "l1", taken)
 				if rounds == defaultAdmitRetries+1 {
 					cancel()
 				}
@@ -638,16 +724,11 @@ func TestExpiredPlanReservesNothing(t *testing.T) {
 				t.Fatalf("commitments=%d epoch %d → %d, want nothing applied", n, epoch, e)
 			}
 			// Nothing beyond the hook's own blocks was reserved.
-			sh := l.shardFor("l1")
-			sh.mu.Lock()
-			relErr := sh.applyRelease(synthetic)
-			empty := sh.reserved.Empty()
-			sh.mu.Unlock()
-			if relErr != nil {
-				t.Fatal(relErr)
+			if err := releaseOn(l, "l1", synthetic); err != nil {
+				t.Fatal(err)
 			}
-			if !empty {
-				t.Fatal("the refused plan left a reservation on l1")
+			if want, got, err := recordedFree(l, "l1", resource.Set{}); err != nil || !got.Equal(want) {
+				t.Fatalf("the refused plan left a reservation on l1: free %s, θ minus records %s (%v)", got, want, err)
 			}
 			mustAudit(t, l)
 			// The claim is gone: the name admits afresh.

@@ -163,11 +163,14 @@ func (l *Ledger) DropLocations(locs []resource.Location) []string {
 // ImportLocations installs exported location state on this ledger: the
 // shard appears with the exporter's clock and availability, and each
 // shipped slice lands by mergeLocked — joining the record this node
-// already carries for the same job, when it does. An import that would
-// overcommit a shard, or does not decode, installs nothing. The caller
-// should extend the owned set (AddOwned) first so concurrent requests
-// for the location are accepted; the install op carries the same
-// locations into the owned set.
+// already carries for the same job, when it does. The shard's free view
+// is computed once, free′ = free ∪ θ_in ∖ r_in (θ_in the shipped
+// availability, r_in the shipped slices). An import for which that
+// subtraction is undefined would overcommit the shard, and it installs
+// nothing, as does one that does not decode. The caller should extend
+// the owned set (AddOwned) first so concurrent requests for the
+// location are accepted; the install op carries the same locations into
+// the owned set.
 func (l *Ledger) ImportLocations(exports []LocationExport) error {
 	o := op{kind: opInstall, exports: exports, moved: make([]resource.Location, len(exports))}
 	for i, exp := range exports {
@@ -182,10 +185,10 @@ func (l *Ledger) ImportLocations(exports []LocationExport) error {
 		return fmt.Errorf("server: import names a location twice")
 	}
 	type landing struct {
-		sh              *shard
-		now             interval.Time
-		theta, reserved resource.Set
-		incoming        []*reservation
+		sh          *shard
+		now         interval.Time
+		theta, free resource.Set
+		incoming    []*reservation
 	}
 	lands := make([]landing, len(exports))
 	for i, exp := range exports {
@@ -195,17 +198,18 @@ func (l *Ledger) ImportLocations(exports []LocationExport) error {
 		}
 		sh := shards[slices.IndexFunc(shards, func(sh *shard) bool { return sh.loc == exp.Loc })]
 		ld := landing{sh: sh, now: max(sh.now, exp.Now)}
-		ld.theta = sh.theta.TrimmedBefore(ld.now).Union(theta.TrimmedBefore(ld.now))
-		ld.reserved = sh.reserved.TrimmedBefore(ld.now)
+		theta = theta.TrimmedBefore(ld.now)
+		ld.theta = sh.theta.TrimmedBefore(ld.now).Union(theta)
 		// Both wire lists decode into the one record type; a hold is the
 		// slice that carries a lease.
+		var shipped resource.Set
 		decode := func(in reservation, demand string) error {
 			d, err := resource.ParseSet(demand)
 			if err != nil {
 				return fmt.Errorf("server: import %s: %s demand: %w", exp.Loc, in.name, err)
 			}
 			in.parts = parts{{loc: exp.Loc, set: d.TrimmedBefore(ld.now)}}
-			ld.reserved.AddSet(in.parts[0].set)
+			shipped.AddSet(in.parts[0].set)
 			ld.incoming = append(ld.incoming, &in)
 			return nil
 		}
@@ -224,7 +228,7 @@ func (l *Ledger) ImportLocations(exports []LocationExport) error {
 				return err
 			}
 		}
-		if !ld.theta.Dominates(ld.reserved) {
+		if ld.free, err = sh.free.TrimmedBefore(ld.now).Union(theta).PatchSubtract(shipped); err != nil {
 			return fmt.Errorf("server: import %s would overcommit the shard", exp.Loc)
 		}
 		lands[i] = ld
@@ -233,8 +237,9 @@ func (l *Ledger) ImportLocations(exports []LocationExport) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, ld := range lands {
-		ld.sh.now, ld.sh.theta, ld.sh.reserved = ld.now, ld.theta, ld.reserved
-		ld.sh.dirty()
+		ld.sh.now, ld.sh.theta, ld.sh.free = ld.now, ld.theta, ld.free
+		ld.sh.ver++
+		l.hot.freeRecomputes.Add(1)
 		for _, in := range ld.incoming {
 			if in.parts[0].set.Empty() {
 				continue

@@ -107,28 +107,28 @@ func splitAllocs(allocs []schedule.Allocation) parts {
 	return out
 }
 
-// shard is one location's slice of the live ledger. Both sets are kept
-// trimmed to ≥ now: theta is the raw future availability, reserved the
-// union of the remaining demands of every commitment touching this shard.
-// The shard invariant — theta dominates reserved — is exactly "the sum of
-// reserved plans never exceeds Θ", and holding it is what makes every
-// admitted deadline assured on the committed path.
+// shard is one location's slice of the live ledger: its availability θ
+// and its free view, both kept trimmed to ≥ now. Located types are
+// disjoint across shards, so the free view is the exact slice on this
+// location of Θ_free, the capacity the committed path leaves free: θ
+// minus the remaining demand of every reservation touching the shard.
+// It is the shard's state, not a cache of it — a reserve subtracts its
+// part from free, a release adds it back, and what is reserved is θ ∖
+// free, derived when something asks (Snapshot). The shard invariant —
+// free is θ minus the records' demand, which is defined only when θ
+// dominates that demand — is exactly "the sum of reserved plans never
+// exceeds Θ", and holding it is what makes every admitted deadline
+// assured on the committed path. Audit checks both halves.
 type shard struct {
-	mu       sync.Mutex
-	loc      resource.Location
-	theta    resource.Set
-	reserved resource.Set
-	now      interval.Time
-	// free caches theta \ reserved between mutations: every query (and
-	// every standing-watch re-evaluation after an epoch bump) needs the
-	// free view, and recomputing the subtraction per evaluation dominates
-	// query cost on a loaded shard. Valid iff freeOK; any write to theta,
-	// reserved or now must go through an apply* helper (which patches the
-	// cache incrementally) or call dirty. Shared read-only — callers
-	// treat the returned set as immutable (patch ops share its profiles).
-	free   resource.Set
-	freeOK bool
-	// ver counts mutations of theta/reserved/now. The optimistic admit
+	mu    sync.Mutex
+	loc   resource.Location
+	theta resource.Set
+	// free is shared read-only: the admit path plans against it outside
+	// the lock. Every write therefore builds a new run for it, and it
+	// never shares θ's, which acquire and trim write in place.
+	free resource.Set
+	now  interval.Time
+	// ver counts mutations of theta/free/now. The optimistic admit
 	// path snapshots (free, ver) under the lock, plans outside it, and
 	// revalidates ver before reserving: an unchanged ver proves the free
 	// view the plan was decided against is still current.
@@ -137,88 +137,76 @@ type shard struct {
 	hot *hotCounters
 }
 
-// freeView returns the shard's free availability (θ minus reserved),
-// computing and caching it on the first call after a mutation. The
-// caller must hold sh.mu and must not mutate the returned set in place.
-func (sh *shard) freeView() (resource.Set, error) {
-	if sh.freeOK {
-		return sh.free, nil
-	}
-	part, err := sh.theta.Subtract(sh.reserved)
-	if err != nil {
-		return resource.Set{}, err
-	}
-	sh.free, sh.freeOK = part, true
-	sh.hot.freeRecomputes.Add(1)
-	return part, nil
-}
-
-// dirty drops the cached free view and bumps the mutation version. The
-// caller must hold sh.mu. The rare cold paths (import) still use it; the
-// hot paths patch the cache through the apply* helpers instead.
-func (sh *shard) dirty() {
-	sh.free, sh.freeOK = resource.Set{}, false
-	sh.ver++
-}
-
-// patch counts a write of θ, reserved or the clock and carries the cached
-// free view across it instead of dropping it: f maps the view before the
-// write to the view after, exactly, because the profiles are
-// pointwise-linear. A patch that fails drops the cache for a recompute
-// rather than ever serving a wrong one. The caller must hold sh.mu.
-func (sh *shard) patch(f func(free resource.Set) (resource.Set, error)) {
-	sh.ver++
-	if !sh.freeOK {
-		return
-	}
-	free, err := f(sh.free)
-	if err != nil {
-		sh.free, sh.freeOK = resource.Set{}, false
-		return
-	}
+// setFree installs the shard's next free view and counts the write. The
+// caller must hold sh.mu.
+func (sh *shard) setFree(free resource.Set) {
 	sh.free = free
+	sh.ver++
 	sh.hot.freePatches.Add(1)
 }
 
-// applyReserve adds part to the shard's reservations: free′ = free ∖
-// part. The caller must hold sh.mu and must already have verified the
-// part fits (free dominates part), so the subtraction is defined.
-func (sh *shard) applyReserve(part resource.Set) {
-	sh.reserved.AddSet(part)
-	sh.patch(func(free resource.Set) (resource.Set, error) { return free.PatchSubtract(part) })
+// giving returns the free view with part's remaining demand released:
+// free ∪ part, trimmed to the shard clock. It is refused unless θ still
+// dominates the result on part's types and hull — under free = θ ∖
+// reserved, exactly when part is reserved here, pointwise — so a double
+// release, or one of demand this shard never held, is an error. The
+// check allocates nothing. The caller must hold sh.mu.
+func (sh *shard) giving(part resource.Set) (resource.Set, error) {
+	if sh.now > part.Hull().Start {
+		part = part.TrimmedBefore(sh.now)
+	}
+	free := sh.free.PatchUnion(part)
+	if !sh.theta.DominatesWithin(free, part) {
+		return resource.Set{}, resource.ErrInsufficient
+	}
+	return free, nil
 }
 
-// applyRelease removes part from the shard's reservations: free′ = free
-// ∪ part. The caller must hold sh.mu; part must be dominated by reserved
-// or the shard is inconsistent.
-func (sh *shard) applyRelease(part resource.Set) error {
-	freed, err := sh.reserved.PatchSubtract(part)
-	if err != nil {
-		return err
+// patchFree moves each shard that demand has a part on to the free view
+// next computes from that part, writing none of them unless every one is
+// defined. The caller holds the shard locks.
+func patchFree(shards []*shard, demand parts, next func(*shard, resource.Set) (resource.Set, error)) error {
+	type write struct {
+		sh   *shard
+		free resource.Set
 	}
-	sh.reserved = freed
-	sh.patch(func(free resource.Set) (resource.Set, error) { return free.PatchUnion(part), nil })
+	var buf [4]write
+	writes := buf[:0]
+	for _, sh := range shards {
+		part, ok := demand.on(sh.loc)
+		if !ok {
+			continue
+		}
+		free, err := next(sh, part)
+		if err != nil {
+			return fmt.Errorf("server: shard %s reservation inconsistent: %w", sh.loc, err)
+		}
+		writes = append(writes, write{sh, free})
+	}
+	for _, w := range writes {
+		w.sh.setFree(w.free)
+	}
 	return nil
 }
 
 // applyAcquire merges newly joined availability into θ: free′ = free ∪
-// part. The caller must hold sh.mu.
+// part. The free view is built first, as a new run: θ's AddSet may write
+// into θ's own. The caller must hold sh.mu.
 func (sh *shard) applyAcquire(part resource.Set) {
+	sh.setFree(sh.free.PatchUnion(part))
 	sh.theta.AddSet(part)
-	sh.patch(func(free resource.Set) (resource.Set, error) { return free.PatchUnion(part), nil })
 }
 
-// applyTrim advances the shard clock, trimming θ, reserved and the
-// cached free view ((θ∖r) clamped = θ clamped ∖ r clamped, pointwise).
-// The caller must hold sh.mu.
+// applyTrim advances the shard clock, trimming θ and the free view
+// ((θ∖r) clamped = θ clamped ∖ r clamped, pointwise). The caller must
+// hold sh.mu.
 func (sh *shard) applyTrim(to interval.Time) {
 	if to <= sh.now {
 		return
 	}
 	sh.theta.TrimBefore(to)
-	sh.reserved.TrimBefore(to)
 	sh.now = to
-	sh.patch(func(free resource.Set) (resource.Set, error) { return free.TrimmedBefore(to), nil })
+	sh.setFree(sh.free.TrimmedBefore(to))
 }
 
 // reservation is one member of the paper's ρ: a computation this ledger
@@ -355,7 +343,8 @@ func NewLedger(cfg Config, notify func(epoch uint64, o op)) *Ledger {
 	}
 	l.now.Store(cfg.Now)
 	for _, p := range splitByShard(cfg.Theta.TrimmedBefore(cfg.Now)) {
-		l.shardLocked(p.loc).theta = p.set
+		sh := l.shardLocked(p.loc)
+		sh.theta, sh.free = p.set, p.set.Clone()
 	}
 	return l
 }
@@ -477,20 +466,24 @@ func (l *Ledger) mergeLocked(in *reservation) *reservation {
 }
 
 // lockedShards returns the shards for the given locations, creating any
-// that do not exist yet, locked in canonical (sorted) order. The caller
-// must call the returned unlock exactly once.
+// that do not exist yet, locked in canonical (sorted) order. locs is only
+// read: a footprint already sorted and distinct, as a job's and a
+// record's are, is used as it is. The caller must call the returned
+// unlock exactly once.
 func (l *Ledger) lockedShards(locs []resource.Location) ([]*shard, func()) {
-	sorted := append([]resource.Location(nil), locs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	l.mu.Lock()
-	shards := make([]*shard, 0, len(sorted))
-	var prev resource.Location
-	for i, loc := range sorted {
-		if i > 0 && loc == prev {
-			continue
+	sorted := locs
+	for i := 1; i < len(locs); i++ {
+		if locs[i-1] >= locs[i] {
+			sorted = slices.Clone(locs)
+			slices.Sort(sorted)
+			sorted = slices.Compact(sorted)
+			break
 		}
-		prev = loc
-		shards = append(shards, l.shardLocked(loc))
+	}
+	l.mu.Lock()
+	shards := make([]*shard, len(sorted))
+	for i, loc := range sorted {
+		shards[i] = l.shardLocked(loc)
 	}
 	l.mu.Unlock()
 	for _, sh := range shards {
@@ -542,34 +535,25 @@ func (l *Ledger) lockOwned(locs []resource.Location) ([]*shard, func(), error) {
 
 // misfit returns the first shard whose free view does not dominate its
 // part of the demand (free dominates part ⟺ θ dominates reserved ∪
-// part), nil when the whole demand fits. It runs against the cached free
-// view, so a loaded shard pays an incremental patch, not a recompute. The
-// caller holds the shard locks.
-func misfit(shards []*shard, demand parts) (*shard, error) {
+// part), nil when the whole demand fits. The caller holds the shard
+// locks.
+func misfit(shards []*shard, demand parts) *shard {
 	for _, sh := range shards {
-		part, ok := demand.on(sh.loc)
-		if !ok {
-			continue
-		}
-		free, err := sh.freeView()
-		if err != nil {
-			return nil, fmt.Errorf("server: shard %s invariant broken: %w", sh.loc, err)
-		}
-		if !free.Dominates(part) {
-			return sh, nil
+		if part, ok := demand.on(sh.loc); ok && !sh.free.Dominates(part) {
+			return sh
 		}
 	}
-	return nil, nil
+	return nil
 }
 
-// reserve adds each part to its shard: the shard step of a reserve or
-// prepare op. The caller holds the shard locks and has verified the fit.
-func reserve(shards []*shard, demand parts) {
-	for _, sh := range shards {
-		if part, ok := demand.on(sh.loc); ok {
-			sh.applyReserve(part)
-		}
-	}
+// reserve takes each part out of its shard's free view, free ∖ part,
+// one patch per shard: the shard step of a reserve or prepare op. The
+// caller holds the shard locks and has verified the fit, so an error —
+// nothing written — means the fit check and the view disagree.
+func reserve(shards []*shard, demand parts) error {
+	return patchFree(shards, demand, func(sh *shard, part resource.Set) (resource.Set, error) {
+		return sh.free.PatchSubtract(part)
+	})
 }
 
 // acquire merges each part into its shard's Θ, discarding what lies
@@ -769,18 +753,16 @@ func (l *Ledger) free(o op, r *reservation) error {
 }
 
 // releaseParts returns an unindexed reservation's not-yet-consumed
-// portion to the free pool, shard by shard, and returns the shards it
-// wrote (r.locs()). Only the un-elapsed part is still reserved; the
-// consumed prefix was trimmed away as the clock advanced.
+// portion to the free pool, one patch per shard, and returns the shards
+// it wrote (r.locs()). Only the un-elapsed part is still reserved; the
+// consumed prefix was trimmed away as the clock advanced. A part a shard
+// does not hold is an error, and then no shard is written.
 func (l *Ledger) releaseParts(r *reservation) ([]resource.Location, error) {
 	locs := r.locs()
 	shards, unlock := l.lockedShards(locs)
 	defer unlock()
-	for _, sh := range shards {
-		part, _ := r.parts.on(sh.loc)
-		if err := sh.applyRelease(part.TrimmedBefore(sh.now)); err != nil {
-			return nil, fmt.Errorf("server: shard %s reservation inconsistent: %w", sh.loc, err)
-		}
+	if err := patchFree(shards, r.parts, (*shard).giving); err != nil {
+		return nil, err
 	}
 	return locs, nil
 }
@@ -941,12 +923,16 @@ func (l *Ledger) Snapshot() Snapshot {
 	sort.Slice(shards, func(i, j int) bool { return shards[i].loc < shards[j].loc })
 	for _, sh := range shards {
 		sh.mu.Lock()
+		// What the reservations hold is θ ∖ free. A broken shard, whose
+		// free view θ does not dominate, is Audit's to report; here what
+		// θ lacks is left out.
+		reserved := sh.theta.SubtractSaturating(sh.free)
 		snap.Shards = append(snap.Shards, ShardInfo{
 			Location:     sh.loc,
 			Theta:        sh.theta.Compact(),
-			Reserved:     sh.reserved.Compact(),
+			Reserved:     reserved.Compact(),
 			ThetaTerms:   sh.theta.NumTerms(),
-			ReservedTerm: sh.reserved.NumTerms(),
+			ReservedTerm: reserved.NumTerms(),
 		})
 		sh.mu.Unlock()
 	}
@@ -1002,11 +988,12 @@ func (l *Ledger) RemainingDemand(name string) (resource.Set, CommitmentInfo, err
 }
 
 // Audit verifies the ledger invariants, intended for tests and debugging
-// on a quiescent ledger: on every shard, (1) the recorded reservation
-// equals the union of the live commitments' remaining demands plus the
-// leased (prepared) holds' demands, (2) Θ dominates it — no shard is
-// overcommitted even counting uncommitted holds — and (3) no hold's
-// lease has already expired (Advance must have swept it). A failed
+// on a quiescent ledger: on every shard, (1) Θ dominates the union of
+// the live commitments' remaining demands and the leased (prepared)
+// holds' demands — no shard is overcommitted even counting uncommitted
+// holds — (2) the free view equals Θ minus that union — no reservation
+// drifted from its record — and (3) no hold's lease has already expired
+// (Advance must have swept it). A failed
 // audit freezes a flight-recorder snapshot: the invariant break is the
 // anomaly whose run-up evidence must not scroll away.
 func (l *Ledger) Audit() error {
@@ -1046,11 +1033,11 @@ func (l *Ledger) audit() error {
 		// message shows the state that failed the check.
 		var err error
 		sh.mu.Lock()
-		want := expected[sh.loc].TrimmedBefore(sh.now)
-		if !sh.reserved.Equal(want) {
-			err = fmt.Errorf("server: shard %s reservation drift: ledger %q, commitments %q", sh.loc, sh.reserved.Compact(), want.Compact())
-		} else if !sh.theta.Dominates(sh.reserved) {
-			err = fmt.Errorf("server: shard %s overcommitted: theta %q does not dominate reserved %q", sh.loc, sh.theta.Compact(), sh.reserved.Compact())
+		held := expected[sh.loc].TrimmedBefore(sh.now)
+		if want, subErr := sh.theta.Subtract(held); subErr != nil {
+			err = fmt.Errorf("server: shard %s overcommitted: theta %q does not dominate commitments %q", sh.loc, sh.theta.Compact(), held.Compact())
+		} else if !sh.free.Equal(want) {
+			err = fmt.Errorf("server: shard %s reservation drift: free %q, theta minus commitments %q", sh.loc, sh.free.Compact(), want.Compact())
 		}
 		sh.mu.Unlock()
 		if err != nil {

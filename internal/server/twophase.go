@@ -65,17 +65,16 @@ func (l *Ledger) Prepare(key, name string, demand resource.Set, finish, deadline
 	}
 	// Check every shard before touching any, so a rejection leaves the
 	// ledger exactly as it was.
-	tight, err := misfit(shards, slice)
-	if err == nil && tight != nil {
+	if tight := misfit(shards, slice); tight != nil {
 		err = &admission.Overcommit{Shard: tight.loc, Key: key, Name: name}
+	} else {
+		err = reserve(shards, slice)
 	}
+	unlock()
 	if err != nil {
-		unlock()
 		l.unindex(h)
 		return err
 	}
-	reserve(shards, slice)
-	unlock()
 	l.land(o, h)
 	return nil
 }
@@ -139,18 +138,13 @@ func (l *Ledger) Abort(key string) error {
 // subsequent Prepare re-checks, so staleness costs a rejection, never an
 // overcommit.
 // The returned set must be treated as read-only: single-location
-// requests (the common case) return the shard's cached free view
-// directly — no clone, no allocation on the warm path — and multi-
+// requests (the common case) return the shard's free view directly — no clone, no allocation on the warm path — and multi-
 // location requests share the untouched shards' profiles.
 func (l *Ledger) FreeView(locs []resource.Location) (resource.Set, interval.Time, error) {
 	if err := l.checkOwned(locs); err != nil {
 		return resource.Set{}, 0, err
 	}
-	free, err := l.snapshotFree(locs, nil)
-	if err != nil {
-		return resource.Set{}, 0, err
-	}
-	return free, l.Now(), nil
+	return l.snapshotFree(locs, nil), l.Now(), nil
 }
 
 // TwoPhaseCounters is the ledger's federation traffic digest.
