@@ -94,7 +94,7 @@ race:
 # (internal/resource/profile_test.go), ten
 # holding the single-pass set parser to a NewSet fold of its terms
 # (internal/resource/fuzz_test.go), ten holding Eval's
-# quantity-summed satisfy atoms to f over the set FreeWithin builds
+# quantity-summed satisfy atoms to f over the free pool's set
 # (internal/core/eval_quantity_test.go), then ten holding every
 # single-actor schedule refusal to a true certificate: Θ has less than
 # the refused need of its located type within its window

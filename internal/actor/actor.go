@@ -97,19 +97,6 @@ func (t *Task) Needs() resource.Amounts {
 	return t.remaining
 }
 
-// RemainingWork sums the quantity still needed across all steps.
-func (t *Task) RemainingWork() resource.Quantity {
-	if t.Done() {
-		return 0
-	}
-	var total resource.Quantity
-	total += t.remaining.Total()
-	for i := t.stepIdx + 1; i < len(t.steps); i++ {
-		total += t.steps[i].Amounts.Total()
-	}
-	return total
-}
-
 // Feed delivers qty of lt to the current step at time now, returning the
 // quantity actually absorbed (zero if the step does not need lt). When
 // the step's needs reach zero the step completes, its side effect fires,

@@ -35,8 +35,8 @@ func TestTaskLifecycle(t *testing.T) {
 	if task.DoneAt() != -1 {
 		t.Fatal("DoneAt before completion")
 	}
-	if got := task.RemainingWork(); got != resource.QuantityFromUnits(8) {
-		t.Fatalf("RemainingWork = %d", got)
+	if got := task.Needs().Total(); got != resource.QuantityFromUnits(8) {
+		t.Fatalf("Needs().Total() = %d", got)
 	}
 	step, ok := task.Step()
 	if !ok || step.Action.Op != compute.OpEvaluate {

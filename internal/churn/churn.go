@@ -141,15 +141,3 @@ func Generate(cfg Config) (Trace, error) {
 	sort.SliceStable(tr.Joins, func(i, j int) bool { return tr.Joins[i].At < tr.Joins[j].At })
 	return tr, nil
 }
-
-// TotalOffered integrates every join's advertised capacity (before
-// reneging) plus the base.
-func (t Trace) TotalOffered(window interval.Interval) resource.Quantity {
-	total := t.Base.TotalWithin(window)
-	for _, j := range t.Joins {
-		for _, term := range j.Terms.Terms() {
-			total += term.QuantityWithin(window)
-		}
-	}
-	return total
-}

@@ -103,7 +103,7 @@ func TestRenegeInjection(t *testing.T) {
 			if w.Span.Start != j.RenegeAt {
 				t.Errorf("join %d withdrawal starts at %d, not renege time %d", i, w.Span.Start, j.RenegeAt)
 			}
-			if !j.Terms.Covers(w) {
+			if j.Terms.MinRate(w.Type, w.Span) < w.Rate {
 				t.Errorf("join %d withdraws %v it never advertised", i, w)
 			}
 		}
@@ -125,13 +125,10 @@ func TestBaseResources(t *testing.T) {
 			t.Errorf("base rate at %s = %d", loc, got)
 		}
 	}
-	if tr.TotalOffered(interval.New(0, cfg.Horizon)) <= 0 {
-		t.Error("TotalOffered should be positive")
-	}
 	// Base contributes horizon × rate × locations at minimum.
 	minBase := resource.QuantityFromUnits(3 * int64(cfg.Horizon) * 2)
-	if got := tr.TotalOffered(interval.New(0, cfg.Horizon)); got < minBase {
-		t.Errorf("TotalOffered %d below base-only %d", got, minBase)
+	if got := tr.Base.TotalWithin(interval.New(0, cfg.Horizon)); got < minBase {
+		t.Errorf("base offers %d, below horizon × rate × locations %d", got, minBase)
 	}
 }
 

@@ -206,7 +206,9 @@ type Node struct {
 	fencedGossip  atomic.Uint64
 	suspectedNow  atomic.Uint64 // gauge: peers currently suspect or worse
 
-	// Test instrumentation (see InjectCrashBeforeCommit / SetGate).
+	// Test instrumentation (see InjectCrashBeforeCommit). gate, when a
+	// test sets it before the node serves traffic, runs at named protocol
+	// stages ("prepared", between the prepare and commit phases).
 	crashNext atomic.Bool
 	gate      func(stage, key string)
 }
@@ -403,11 +405,6 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // expire on the participants. Test-only instrumentation for the
 // crash-safety property.
 func (n *Node) InjectCrashBeforeCommit() { n.crashNext.Store(true) }
-
-// SetGate installs a test hook invoked at named protocol stages
-// (currently "prepared", between the prepare and commit phases). Must be
-// set before the node serves traffic.
-func (n *Node) SetGate(gate func(stage, key string)) { n.gate = gate }
 
 func (n *Node) draining() bool {
 	select {
@@ -854,7 +851,7 @@ func (n *Node) coordinate(ctx context.Context, job workload.Job, owners map[*pee
 		n.abortAll(ctx, parts, key)
 		return fail("aborted", server.Unavailable(errors.New("cluster: draining, aborted in-flight prepare")))
 	}
-	if err := ctx.Err(); err != nil {
+	if err := server.Expired(ctx); err != nil {
 		// Nobody waits for this verdict any more: give the holds back.
 		n.abortAll(ctx, parts, key)
 		return fail("timed_out", err)

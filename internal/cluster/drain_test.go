@@ -17,12 +17,12 @@ func TestDrainAbortsInflightPrepares(t *testing.T) {
 
 	entered := make(chan string, 1)
 	release := make(chan struct{})
-	tc.nodes[0].SetGate(func(stage, key string) {
+	tc.nodes[0].gate = func(stage, key string) {
 		if stage == "prepared" {
 			entered <- key
 			<-release
 		}
-	})
+	}
 
 	job := spanningJob(t, "drain-probe", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 1000)
 	statusCh := make(chan int, 1)

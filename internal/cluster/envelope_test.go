@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,12 +35,12 @@ func statsOf(t testing.TB, url string) NodeStats {
 // returned channel lets them all go on.
 func parkAtPrepared(nd *Node) (entered chan string, release chan struct{}) {
 	entered, release = make(chan string, 4), make(chan struct{})
-	nd.SetGate(func(stage, key string) {
+	nd.gate = func(stage, key string) {
 		if stage == "prepared" {
 			entered <- key
 			<-release
 		}
-	})
+	}
 	return entered, release
 }
 
@@ -180,6 +183,53 @@ func TestCoordinatedAdmitTakesASlot(t *testing.T) {
 	}
 	if status := <-coordCh; status != http.StatusServiceUnavailable {
 		t.Fatalf("coordination parked past its deadline answered %d, want 503", status)
+	}
+	noHoldsAnywhere(t, tc)
+}
+
+// movableDeadline is a context whose deadline the test sets and which
+// is never done: Err() stays nil after the deadline passes, as it is
+// between a deadline and the timer that cancels its context.
+type movableDeadline struct {
+	context.Context
+	at atomic.Int64 // unix nanoseconds
+}
+
+func (c *movableDeadline) Deadline() (time.Time, bool) { return time.Unix(0, c.at.Load()), true }
+
+// TestCoordinatedLateVerdictReservesNothing parks a coordination between
+// prepare and commit and moves its deadline behind the clock there,
+// without the context being done. The check before the commit round must
+// see the passed deadline: abort every hold and answer 503, never commit
+// a verdict reached after its deadline.
+func TestCoordinatedLateVerdictReservesNothing(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, 4, 1000, 50, func(c *Config) { c.Server.DecisionTimeout = time.Minute })
+	ctx := &movableDeadline{Context: context.Background()}
+	// Sooner than DecisionTimeout, so the envelope keeps this deadline.
+	ctx.at.Store(time.Now().Add(30 * time.Second).UnixNano())
+	tc.nodes[0].gate = func(stage, key string) {
+		if stage == "prepared" {
+			ctx.at.Store(time.Now().Add(-time.Millisecond).UnixNano())
+		}
+	}
+	job := spanningJob(t, "late-coord", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 1000)
+	body, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/admit", bytes.NewReader(body)).WithContext(ctx)
+	tc.nodes[0].handleAdmit(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("coordination past its deadline answered %d (%s), want 503", rec.Code, rec.Body)
+	}
+	if st := statsOf(t, tc.urls[0]); st.TimedOut != 1 || st.Decisions != 0 {
+		t.Fatalf("coordinator timed_out=%d decisions=%d, want 1 and 0", st.TimedOut, st.Decisions)
+	}
+	for i, nd := range tc.nodes {
+		if _, ok := nd.Server().Ledger().Commitment(job.Dist.Name); ok {
+			t.Errorf("node %d committed a verdict reached after its deadline", i)
+		}
 	}
 	noHoldsAnywhere(t, tc)
 }

@@ -388,9 +388,11 @@ type installRequest struct {
 }
 
 // promoteRequest asks a standby to take ownership of locations from its
-// shadows (the force-leave path, when the primary cannot hand off).
+// shadows (the force-leave path, when the primary cannot hand off), as
+// of the intent's target epoch.
 type promoteRequest struct {
-	Locs []resource.Location `json:"locs"`
+	Epoch uint64              `json:"epoch"`
+	Locs  []resource.Location `json:"locs"`
 }
 
 // executeHandoff moves locations from this node to a new owner,
@@ -832,7 +834,7 @@ func (n *Node) promote(ctx context.Context, to membership.Member, locs []resourc
 	if to.ID == n.self.ID {
 		return n.promoteLocal(ctx, locs, epoch)
 	}
-	return n.rpcPromote(ctx, to, locs)
+	return n.rpcPromote(ctx, to, locs, epoch)
 }
 
 func (n *Node) rpcHandoff(ctx context.Context, from membership.Member, req membership.HandoffRequest) error {
@@ -847,8 +849,8 @@ func (n *Node) rpcHandoff(ctx context.Context, from membership.Member, req membe
 	return nil
 }
 
-func (n *Node) rpcPromote(ctx context.Context, to membership.Member, locs []resource.Location) error {
-	body, err := json.Marshal(promoteRequest{Locs: locs})
+func (n *Node) rpcPromote(ctx context.Context, to membership.Member, locs []resource.Location, epoch uint64) error {
+	body, err := json.Marshal(promoteRequest{Epoch: epoch, Locs: locs})
 	if err != nil {
 		return err
 	}
@@ -903,6 +905,10 @@ func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
 		server.HTTPError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad install body: %w", err))
 		return
 	}
+	if req.Epoch == 0 {
+		server.HTTPError(w, http.StatusBadRequest, errors.New("cluster: install needs an epoch"))
+		return
+	}
 	locs := make([]resource.Location, 0, len(req.Exports))
 	for _, exp := range req.Exports {
 		locs = append(locs, exp.Loc)
@@ -913,11 +919,7 @@ func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
 		server.HTTPError(w, http.StatusConflict, err)
 		return
 	}
-	epoch := req.Epoch
-	if epoch == 0 {
-		epoch = n.reg.Epoch() + 1 // older senders: assume the next epoch
-	}
-	n.place(locs, ownerRef{id: n.self.ID, url: n.self.URL, epoch: epoch}, false)
+	n.place(locs, ownerRef{id: n.self.ID, url: n.self.URL, epoch: req.Epoch}, false)
 	n.obs.Log("membership.install", "node", n.self.ID, "locations", len(locs))
 	server.WriteJSON(w, http.StatusOK, map[string]any{"installed": len(locs)})
 }
@@ -932,11 +934,11 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	defer body.Release()
 	var req promoteRequest
-	if err := json.Unmarshal(body.Bytes(), &req); err != nil || len(req.Locs) == 0 {
-		server.HTTPError(w, http.StatusBadRequest, errors.New("cluster: promote needs locs"))
+	if err := json.Unmarshal(body.Bytes(), &req); err != nil || len(req.Locs) == 0 || req.Epoch == 0 {
+		server.HTTPError(w, http.StatusBadRequest, errors.New("cluster: promote needs locs and an epoch"))
 		return
 	}
-	if err := n.promoteLocal(r.Context(), req.Locs, n.reg.Epoch()+1); err != nil {
+	if err := n.promoteLocal(r.Context(), req.Locs, req.Epoch); err != nil {
 		server.HTTPError(w, http.StatusConflict, err)
 		return
 	}

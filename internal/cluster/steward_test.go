@@ -43,12 +43,12 @@ func parkSteward(t *testing.T, tc *testCluster, i int, stage string) (<-chan str
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	var parkOnce, releaseOnce sync.Once
-	tc.nodes[i].SetGate(func(st, key string) {
+	tc.nodes[i].gate = func(st, key string) {
 		if st == stage {
 			parkOnce.Do(func() { close(parked) })
 			<-release
 		}
-	})
+	}
 	rel := func() { releaseOnce.Do(func() { close(release) }) }
 	t.Cleanup(rel)
 	return parked, rel

@@ -211,15 +211,6 @@ func (d Distributed) Locations() []resource.Location {
 	return slices.Compact(out)
 }
 
-// NumSteps returns the total number of steps across actors.
-func (d Distributed) NumSteps() int {
-	n := 0
-	for _, a := range d.Actors {
-		n += len(a.Steps)
-	}
-	return n
-}
-
 // String renders "(Λ name: 2 actors, s=0, d=20)".
 func (d Distributed) String() string {
 	return fmt.Sprintf("(Λ %s: %d actors, s=%d, d=%d)", d.Name, len(d.Actors), d.Start, d.Deadline)

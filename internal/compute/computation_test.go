@@ -219,8 +219,8 @@ func TestNewDistributed(t *testing.T) {
 	if !d.Window().Equal(interval.New(0, 20)) {
 		t.Errorf("Window = %v", d.Window())
 	}
-	if d.NumSteps() != 2 {
-		t.Errorf("NumSteps = %d", d.NumSteps())
+	if n := len(d.Actors[0].Steps) + len(d.Actors[1].Steps); n != 2 {
+		t.Errorf("steps = %d, want 2", n)
 	}
 	if got := d.TotalAmounts()[cpuL1]; got != resource.QuantityFromUnits(16) {
 		t.Errorf("TotalAmounts cpu = %d", got)

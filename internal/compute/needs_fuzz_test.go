@@ -14,7 +14,7 @@ import (
 // out of their sort order so that a run's order is never the order its
 // types were first seen in.
 var needsTypes = [6]resource.LocatedType{
-	resource.Link("l2", "l1"), resource.CPUAt("l2"), resource.MemoryAt("l1"),
+	resource.Link("l2", "l1"), resource.CPUAt("l2"), resource.At(resource.Memory, "l1"),
 	resource.CPUAt("l1"), resource.Link("l1", "l2"), resource.At("gpu", "l1"),
 }
 

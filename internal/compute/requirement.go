@@ -94,38 +94,6 @@ func (r Complex) Total() resource.Quantity {
 	return total
 }
 
-// SatisfiedWithBreaks checks the specific break points t1 … t_{m-1}
-// proposed for the phases: it partitions the window at those points and
-// tests every phase's simple requirement on its subinterval (Theorem 2's
-// "so that the system can satisfy the simple resource requirements for
-// each subinterval").
-//
-// Note the test is per-subinterval aggregate quantity — valid because
-// subintervals are disjoint, so quantity available in one cannot be
-// double-counted in another.
-func (r Complex) SatisfiedWithBreaks(theta resource.Set, breaks []interval.Time) error {
-	if len(breaks) != len(r.Phases)-1 && !(len(r.Phases) == 0 && len(breaks) == 0) {
-		return fmt.Errorf("compute: %d phases need %d break points, got %d",
-			len(r.Phases), len(r.Phases)-1, len(breaks))
-	}
-	prev := r.Window.Start
-	for i, ph := range r.Phases {
-		end := r.Window.End
-		if i < len(breaks) {
-			end = breaks[i]
-		}
-		if end < prev || end > r.Window.End {
-			return fmt.Errorf("compute: break points not monotone within window: %v", breaks)
-		}
-		sub := Simple{Amounts: ph.Amounts, Window: interval.New(prev, end)}
-		if !sub.Satisfied(theta) {
-			return fmt.Errorf("compute: phase %d of %s unsatisfied on %v", i, r.Actor, sub.Window)
-		}
-		prev = end
-	}
-	return nil
-}
-
 // String renders "ρ(Γ a1: 3 phases)(0,10)".
 func (r Complex) String() string {
 	return fmt.Sprintf("ρ(Γ %s: %d phases)%s", r.Actor, len(r.Phases), r.Window)

@@ -80,40 +80,6 @@ func buildSeqComputation(t *testing.T) Computation {
 	return c
 }
 
-func TestComplexSatisfiedWithBreaks(t *testing.T) {
-	c := buildSeqComputation(t)
-	req := ComplexOf(c, interval.New(0, 12))
-	if len(req.Phases) != 3 {
-		t.Fatalf("phases = %d", len(req.Phases))
-	}
-	// cpu available early and late, network only in the middle: order
-	// matters and these breaks respect it.
-	theta := resource.NewSet(
-		resource.NewTerm(u(2), cpuL1, interval.New(0, 4)),  // 8 cpu
-		resource.NewTerm(u(2), netL12, interval.New(4, 6)), // 4 net
-		resource.NewTerm(u(2), cpuL1, interval.New(6, 9)),  // 6 cpu
-	)
-	if err := req.SatisfiedWithBreaks(theta, []interval.Time{4, 6}); err != nil {
-		t.Errorf("good breaks rejected: %v", err)
-	}
-	// Breaks that put the network phase where there is no network fail.
-	if err := req.SatisfiedWithBreaks(theta, []interval.Time{2, 4}); err == nil {
-		t.Error("bad breaks accepted")
-	}
-	// Wrong break count.
-	if err := req.SatisfiedWithBreaks(theta, []interval.Time{4}); err == nil {
-		t.Error("wrong break count accepted")
-	}
-	// Non-monotone breaks.
-	if err := req.SatisfiedWithBreaks(theta, []interval.Time{6, 4}); err == nil {
-		t.Error("non-monotone breaks accepted")
-	}
-	// Breaks escaping the window.
-	if err := req.SatisfiedWithBreaks(theta, []interval.Time{4, 20}); err == nil {
-		t.Error("break past deadline accepted")
-	}
-}
-
 func TestComplexTotals(t *testing.T) {
 	c := buildSeqComputation(t)
 	req := ComplexOf(c, interval.New(0, 12))

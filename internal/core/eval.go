@@ -49,8 +49,12 @@ func (e *evaluator) left() resource.Set {
 	return e.leftover
 }
 
-// freeWithin is ⋃ Θ_expire from position i onward, restricted to the
-// window; see Path.FreeWithin.
+// freeWithin returns ⋃ Θ_expire: the resources that expire unused along
+// the path from position i onward, restricted to the window — plus the
+// final state's still-unclaimed future availability (resources that will
+// expire after the materialized horizon unless something new consumes
+// them). This is the resource pool Figure 1's satisfy semantics evaluates
+// requirements against: capacity the committed path does not need.
 func (e *evaluator) freeWithin(i int, window interval.Interval) resource.Set {
 	var free resource.Set
 	for j := i; j < len(e.p.Steps); j++ {

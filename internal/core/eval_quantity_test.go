@@ -12,12 +12,12 @@ import (
 
 // The quantity rule: Eval decides a simple atom from the per-type
 // quantities of the path's expirations and leftover instead of building
-// FreeWithin's set. These tests hold it to the set-building reference on
-// random paths.
+// the free pool's set. These tests hold it to the set-building reference
+// on random paths.
 
 var quantityTypes = []resource.LocatedType{cpuL1, resource.CPUAt("l2"), netL12}
 
-// refEval is Eval judging every simple atom by f over the set FreeWithin
+// refEval is Eval judging every simple atom by f over the set freeWithin
 // builds at its position — the reference the quantity rule must match.
 func refEval(p *Path, i int, f Formula) bool {
 	switch f := f.(type) {
@@ -27,7 +27,7 @@ func refEval(p *Path, i int, f Formula) bool {
 			return f.Req.Empty()
 		}
 		req := compute.Simple{Amounts: f.Req.Amounts, Window: window}
-		return req.Satisfied(p.FreeWithin(i, window))
+		return req.Satisfied(freeWithin(p, i, window))
 	case Not:
 		return !refEval(p, i, f.F)
 	case Eventually:

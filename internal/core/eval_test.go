@@ -36,18 +36,23 @@ func TestPathBasics(t *testing.T) {
 	}
 }
 
+// freeWithin is the evaluator's free pool at position i of p.
+func freeWithin(p *Path, i int, window interval.Interval) resource.Set {
+	return (&evaluator{p: p}).freeWithin(i, window)
+}
+
 func TestFreeWithinCollectsExpiredResources(t *testing.T) {
 	// An idle system expires everything; all of it should be visible as
 	// free capacity from position 0.
 	s := freshIdleState(2, interval.New(0, 5))
 	res := Run(s, 5, 1)
-	free := res.Path.FreeWithin(0, interval.New(0, 5))
+	free := freeWithin(res.Path, 0, interval.New(0, 5))
 	want := resource.NewSet(resource.NewTerm(u(2), cpuL1, interval.New(0, 5)))
 	if !free.Equal(want) {
 		t.Errorf("free = %v, want %v", free, want)
 	}
 	// From position 3, only ticks 3 and 4 remain free.
-	free = res.Path.FreeWithin(3, interval.New(0, 5))
+	free = freeWithin(res.Path, 3, interval.New(0, 5))
 	want = resource.NewSet(resource.NewTerm(u(2), cpuL1, interval.New(3, 5)))
 	if !free.Equal(want) {
 		t.Errorf("free from 3 = %v, want %v", free, want)
@@ -62,7 +67,7 @@ func TestFreeWithinExcludesCommittedConsumption(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := Run(s2, 8, 1)
-	free := res.Path.FreeWithin(0, interval.New(0, 8))
+	free := freeWithin(res.Path, 0, interval.New(0, 8))
 	want := resource.NewSet(resource.NewTerm(u(2), cpuL1, interval.New(4, 8)))
 	if !free.Equal(want) {
 		t.Errorf("free = %v, want %v", free, want)
@@ -73,7 +78,7 @@ func TestFreeWithinIncludesUnmaterializedFuture(t *testing.T) {
 	// Availability beyond the run horizon still counts as free.
 	s := freshIdleState(2, interval.New(0, 10))
 	res := Run(s, 3, 1)
-	free := res.Path.FreeWithin(0, interval.New(0, 10))
+	free := freeWithin(res.Path, 0, interval.New(0, 10))
 	want := resource.NewSet(resource.NewTerm(u(2), cpuL1, interval.New(0, 10)))
 	if !free.Equal(want) {
 		t.Errorf("free = %v, want %v", free, want)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/interval"
-	"repro/internal/resource"
 )
 
 // Path is a computation path σ (Definition 2): one branch of the tree of
@@ -52,16 +51,6 @@ func (p *Path) IndexAt(t interval.Time) int {
 		}
 	}
 	return len(p.States) - 1
-}
-
-// FreeWithin returns ⋃ Θ_expire: the resources that expire unused along
-// the path from position i onward, restricted to the window — plus the
-// final state's still-unclaimed future availability (resources that will
-// expire after the materialized horizon unless something new consumes
-// them). This is the resource pool Figure 1's satisfy semantics evaluates
-// requirements against: capacity the committed path does not need.
-func (p *Path) FreeWithin(i int, window interval.Interval) resource.Set {
-	return (&evaluator{p: p}).freeWithin(i, window)
 }
 
 // Violations returned by Run are tagged with their path position.

@@ -79,9 +79,7 @@ func TestRepairRecoversFromRenege(t *testing.T) {
 	// The revised plan reserves exactly the 8 missing units.
 	var planned resource.Quantity
 	for _, c := range repaired.Commitments {
-		for _, q := range c.Plan.Demand().TotalQuantity(interval.New(0, 12)) {
-			planned += q
-		}
+		planned += c.Plan.Demand().TotalWithin(interval.New(0, 12))
 	}
 	if planned != resource.QuantityFromUnits(8) {
 		t.Errorf("revised plan reserves %d, want exactly the 8 missing units", planned)

@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,14 +146,6 @@ func (n *Network) Heal() {
 	n.mu.Unlock()
 }
 
-// Partitioned reports whether src and dst are currently on different
-// sides of a partition.
-func (n *Network) Partitioned(src, dst string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.side[src] != n.side[dst]
-}
-
 // Counters returns the running injection totals.
 func (n *Network) Counters() Counters {
 	return Counters{
@@ -164,19 +155,6 @@ func (n *Network) Counters() Counters {
 		Duplicated: n.duplicated.Load(),
 		Partition:  n.partitioned.Load(),
 	}
-}
-
-// Rules returns a deterministic description of the active rules, for
-// logging a chaos schedule.
-func (n *Network) Rules() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.rules))
-	for p, r := range n.rules {
-		out = append(out, fmt.Sprintf("%s→%s drop=%.2f delay=%s dup=%.2f", p.src, p.dst, r.Drop, r.Delay, r.Duplicate))
-	}
-	sort.Strings(out)
-	return out
 }
 
 // plan resolves what should happen to one request: the effective rule
@@ -289,44 +267,3 @@ func (t *transport) deliver(req *http.Request) {
 		resp.Body.Close()
 	}
 }
-
-// Hooks is a tiny crash/pause-point registry for choreography stages
-// (2PC prepare, handoff, join announce, …). The cluster's gate hook
-// fires every stage crossing; tests Arm a callback on the one stage they
-// want to perturb. Composable with Network: a hook can flip rules or
-// partitions at an exact protocol instant.
-type Hooks struct {
-	mu  sync.Mutex
-	fns map[string]func(key string)
-}
-
-// NewHooks returns an empty registry.
-func NewHooks() *Hooks { return &Hooks{fns: make(map[string]func(string))} }
-
-// Arm installs fn to run (synchronously, on the protocol goroutine) each
-// time stage is crossed. Arming nil disarms.
-func (h *Hooks) Arm(stage string, fn func(key string)) {
-	h.mu.Lock()
-	if fn == nil {
-		delete(h.fns, stage)
-	} else {
-		h.fns[stage] = fn
-	}
-	h.mu.Unlock()
-}
-
-// Disarm removes the hook for stage.
-func (h *Hooks) Disarm(stage string) { h.Arm(stage, nil) }
-
-// Fire runs the armed hook for stage, if any.
-func (h *Hooks) Fire(stage, key string) {
-	h.mu.Lock()
-	fn := h.fns[stage]
-	h.mu.Unlock()
-	if fn != nil {
-		fn(key)
-	}
-}
-
-// Gate adapts the registry to the cluster's gate signature.
-func (h *Hooks) Gate() func(stage, key string) { return h.Fire }

@@ -42,11 +42,6 @@ func New(start, end Time) Interval {
 	return Interval{Start: start, End: end}
 }
 
-// Point returns the unit interval [t, t+1) covering exactly tick t.
-func Point(t Time) Interval {
-	return Interval{Start: t, End: t + 1}
-}
-
 // Span returns the interval [start, start+length).
 func Span(start Time, length Time) Interval {
 	return Interval{Start: start, End: start + length}
@@ -102,15 +97,6 @@ func (iv Interval) Overlaps(other Interval) bool {
 	return !iv.Intersect(other).Empty()
 }
 
-// Adjacent reports whether the intervals are disjoint but share an
-// endpoint, i.e. one meets the other (in either direction).
-func (iv Interval) Adjacent(other Interval) bool {
-	if iv.Empty() || other.Empty() {
-		return false
-	}
-	return iv.End == other.Start || other.End == iv.Start
-}
-
 // Hull returns the smallest interval containing both inputs. The hull of
 // an empty interval with x is x.
 func (iv Interval) Hull(other Interval) Interval {
@@ -143,22 +129,9 @@ func (iv Interval) Subtract(other Interval) []Interval {
 	return out
 }
 
-// Shift returns the interval translated by delta ticks.
-func (iv Interval) Shift(delta Time) Interval {
-	if iv.Empty() {
-		return Interval{}
-	}
-	return Interval{Start: iv.Start + delta, End: iv.End + delta}
-}
-
 // ClampStart returns the portion of iv at or after t.
 func (iv Interval) ClampStart(t Time) Interval {
 	return iv.Intersect(Interval{Start: t, End: Infinity})
-}
-
-// ClampEnd returns the portion of iv strictly before t.
-func (iv Interval) ClampEnd(t Time) Interval {
-	return iv.Intersect(Interval{Start: NegInfinity, End: t})
 }
 
 // String renders the interval in the paper's (start, end) notation.

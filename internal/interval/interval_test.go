@@ -14,7 +14,7 @@ func TestNewAndEmpty(t *testing.T) {
 		wantLen   Time
 	}{
 		{"proper", New(0, 3), false, 3},
-		{"unit", Point(5), false, 1},
+		{"unit", New(5, 6), false, 1},
 		{"zero value", Interval{}, true, 0},
 		{"inverted", New(3, 0), true, 0},
 		{"degenerate", New(2, 2), true, 0},
@@ -118,42 +118,18 @@ func TestSubtract(t *testing.T) {
 	}
 }
 
-func TestHullShiftClamp(t *testing.T) {
+func TestHullClamp(t *testing.T) {
 	if got := New(0, 3).Hull(New(7, 9)); !got.Equal(New(0, 9)) {
 		t.Errorf("Hull = %v, want (0,9)", got)
 	}
 	if got := (Interval{}).Hull(New(7, 9)); !got.Equal(New(7, 9)) {
 		t.Errorf("Hull with empty = %v, want (7,9)", got)
 	}
-	if got := New(1, 4).Shift(10); !got.Equal(New(11, 14)) {
-		t.Errorf("Shift = %v, want (11,14)", got)
-	}
 	if got := New(0, 10).ClampStart(4); !got.Equal(New(4, 10)) {
 		t.Errorf("ClampStart = %v, want (4,10)", got)
 	}
-	if got := New(0, 10).ClampEnd(4); !got.Equal(New(0, 4)) {
-		t.Errorf("ClampEnd = %v, want (0,4)", got)
-	}
 	if got := New(0, 10).ClampStart(12); !got.Empty() {
 		t.Errorf("ClampStart past end should be empty, got %v", got)
-	}
-}
-
-func TestAdjacent(t *testing.T) {
-	if !New(0, 3).Adjacent(New(3, 5)) {
-		t.Error("(0,3) should be adjacent to (3,5)")
-	}
-	if !New(3, 5).Adjacent(New(0, 3)) {
-		t.Error("adjacency should be symmetric")
-	}
-	if New(0, 3).Adjacent(New(4, 5)) {
-		t.Error("(0,3) should not be adjacent to (4,5)")
-	}
-	if New(0, 3).Adjacent(New(2, 5)) {
-		t.Error("overlapping intervals are not adjacent")
-	}
-	if (Interval{}).Adjacent(New(0, 3)) {
-		t.Error("empty interval is never adjacent")
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 // nodes are intervals, and each directed edge (i, j) carries a RelSet of
 // Allen relations that may hold between variable i and variable j.
 //
-// Networks answer the questions ROTA's scheduling layer asks of Interval
-// Algebra: "is this collection of qualitative temporal statements
-// consistent, and if so give me concrete intervals realizing it".
+// Networks answer the question Interval Algebra is asked of a
+// collection of qualitative temporal statements: are they consistent?
 type Network struct {
 	names []string
 	index map[string]int
@@ -61,15 +60,12 @@ func (nw *Network) Name(i int) string {
 	return nw.names[i]
 }
 
-// Index returns the index of a named variable.
-func (nw *Network) Index(name string) (int, bool) {
-	i, ok := nw.index[name]
-	return i, ok
-}
-
 // Constrain intersects the edge (i, j) with rels, keeping the network
 // symmetric by applying the converse to (j, i). It returns
 // ErrInconsistent if the edge becomes empty.
+//
+// Kept: the path-consistency API of the root package's Network (see
+// NewNetwork there), which rota_test.go exercises.
 func (nw *Network) Constrain(i, j int, rels RelSet) error {
 	if i < 0 || j < 0 || i >= len(nw.names) || j >= len(nw.names) {
 		return fmt.Errorf("interval: variable index out of range (%d, %d)", i, j)
@@ -93,22 +89,6 @@ func (nw *Network) Constraint(i, j int) RelSet {
 	return nw.cons[i][j]
 }
 
-// Clone returns a deep copy of the network.
-func (nw *Network) Clone() *Network {
-	out := &Network{
-		names: append([]string(nil), nw.names...),
-		index: make(map[string]int, len(nw.index)),
-		cons:  make([][]RelSet, len(nw.cons)),
-	}
-	for name, i := range nw.index {
-		out.index[name] = i
-	}
-	for r := range nw.cons {
-		out.cons[r] = append([]RelSet(nil), nw.cons[r]...)
-	}
-	return out
-}
-
 // Propagate enforces path consistency (Allen's propagation algorithm): for
 // every triple (i, k, j) the label on (i, j) is intersected with the
 // composition of (i, k) and (k, j), to a fixed point. It returns
@@ -116,8 +96,10 @@ func (nw *Network) Clone() *Network {
 //
 // Path consistency is complete for deciding consistency of networks whose
 // labels lie in tractable subclasses (e.g. pointisable relations) and is a
-// sound filter in general; ConsistentScenario performs the full
-// backtracking search when a concrete witness is needed.
+// sound filter in general.
+//
+// Kept: the path-consistency API of the root package's Network (see
+// NewNetwork there), which rota_test.go exercises.
 func (nw *Network) Propagate() error {
 	n := len(nw.names)
 	type edge struct{ i, j int }
@@ -166,207 +148,4 @@ func (nw *Network) Propagate() error {
 		}
 	}
 	return nil
-}
-
-// Minimize computes the minimal labels of the network: for every edge,
-// exactly the relations that appear in at least one globally consistent
-// scenario. Path consistency alone over-approximates minimal labels
-// (famously, for some networks it leaves relations no scenario realizes);
-// Minimize decides each candidate relation by backtracking search, so the
-// result is exact. Cost is exponential in the worst case — intended for
-// the moderate network sizes the scheduling layer produces.
-//
-// The network is modified in place. ErrInconsistent means no scenario
-// exists at all.
-func (nw *Network) Minimize() error {
-	if err := nw.Propagate(); err != nil {
-		return err
-	}
-	n := len(nw.names)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			label := nw.cons[i][j]
-			var minimal RelSet
-			for _, r := range label.Relations() {
-				trial := nw.Clone()
-				if err := trial.Constrain(i, j, NewRelSet(r)); err != nil {
-					continue
-				}
-				if err := trial.Propagate(); err != nil {
-					continue
-				}
-				if trial.searchScenario(0, 1) {
-					minimal = minimal.Add(r)
-				}
-			}
-			if minimal.IsEmpty() {
-				return ErrInconsistent
-			}
-			nw.cons[i][j] = minimal
-			nw.cons[j][i] = minimal.Converse()
-		}
-	}
-	return nil
-}
-
-// ConsistentScenario searches for an atomic refinement of the network (a
-// single relation per edge) that is globally consistent, and returns
-// concrete integer intervals realizing it, indexed like the variables.
-// It returns ErrInconsistent if no scenario exists.
-func (nw *Network) ConsistentScenario() ([]Interval, error) {
-	work := nw.Clone()
-	if err := work.Propagate(); err != nil {
-		return nil, err
-	}
-	if !work.searchScenario(0, 1) {
-		return nil, ErrInconsistent
-	}
-	return work.realize()
-}
-
-// searchScenario backtracks over edges in row-major order starting at
-// (i, j), refining each to a single relation and re-propagating.
-func (nw *Network) searchScenario(i, j int) bool {
-	n := len(nw.names)
-	for ; i < n; i++ {
-		for ; j < n; j++ {
-			if _, single := nw.cons[i][j].Singleton(); !single {
-				goto refine
-			}
-		}
-		j = i + 2
-	}
-	return true
-refine:
-	for _, r := range nw.cons[i][j].Relations() {
-		trial := nw.Clone()
-		if err := trial.Constrain(i, j, NewRelSet(r)); err != nil {
-			continue
-		}
-		if err := trial.Propagate(); err != nil {
-			continue
-		}
-		if trial.searchScenario(i, j) {
-			*nw = *trial
-			return true
-		}
-	}
-	return false
-}
-
-// realize converts an atomic, path-consistent network into concrete
-// intervals by ordering the 2n endpoints. Each atomic Allen relation
-// induces equality/strict-order constraints on endpoints; a topological
-// ordering of the endpoint graph yields integer coordinates.
-func (nw *Network) realize() ([]Interval, error) {
-	n := len(nw.names)
-	// Endpoint p: 2*v is start of variable v, 2*v+1 is its end.
-	numPts := 2 * n
-	parent := make([]int, numPts)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	type lt struct{ a, b int } // endpoint a strictly before endpoint b
-	var strict []lt
-	addRel := func(v, w int, r Relation) {
-		sv, ev, sw, ew := 2*v, 2*v+1, 2*w, 2*w+1
-		switch r {
-		case Before:
-			strict = append(strict, lt{ev, sw})
-		case After:
-			strict = append(strict, lt{ew, sv})
-		case Meets:
-			union(ev, sw)
-		case MetBy:
-			union(ew, sv)
-		case OverlapsWith:
-			strict = append(strict, lt{sv, sw}, lt{sw, ev}, lt{ev, ew})
-		case OverlappedBy:
-			strict = append(strict, lt{sw, sv}, lt{sv, ew}, lt{ew, ev})
-		case Starts:
-			union(sv, sw)
-			strict = append(strict, lt{ev, ew})
-		case StartedBy:
-			union(sv, sw)
-			strict = append(strict, lt{ew, ev})
-		case During:
-			strict = append(strict, lt{sw, sv}, lt{ev, ew})
-		case Contains:
-			strict = append(strict, lt{sv, sw}, lt{ew, ev})
-		case Finishes:
-			union(ev, ew)
-			strict = append(strict, lt{sw, sv})
-		case FinishedBy:
-			union(ev, ew)
-			strict = append(strict, lt{sv, sw})
-		case Equal:
-			union(sv, sw)
-			union(ev, ew)
-		}
-	}
-	for v := 0; v < n; v++ {
-		strict = append(strict, lt{2 * v, 2*v + 1}) // start < end
-		for w := v + 1; w < n; w++ {
-			r, ok := nw.cons[v][w].Singleton()
-			if !ok {
-				return nil, fmt.Errorf("interval: realize on non-atomic network edge (%d,%d)", v, w)
-			}
-			addRel(v, w, r)
-		}
-	}
-	// Topological sort of equivalence-class representatives.
-	adj := make(map[int][]int)
-	indeg := make(map[int]int)
-	nodes := make(map[int]bool)
-	for p := 0; p < numPts; p++ {
-		nodes[find(p)] = true
-	}
-	for _, e := range strict {
-		a, b := find(e.a), find(e.b)
-		if a == b {
-			return nil, ErrInconsistent
-		}
-		adj[a] = append(adj[a], b)
-		indeg[b]++
-	}
-	var ready []int
-	for node := range nodes {
-		if indeg[node] == 0 {
-			ready = append(ready, node)
-		}
-	}
-	coord := make(map[int]Time, len(nodes))
-	processed := 0
-	for len(ready) > 0 {
-		node := ready[0]
-		ready = ready[1:]
-		processed++
-		for _, next := range adj[node] {
-			if c := coord[node] + 1; c > coord[next] {
-				coord[next] = c
-			}
-			indeg[next]--
-			if indeg[next] == 0 {
-				ready = append(ready, next)
-			}
-		}
-	}
-	if processed != len(nodes) {
-		return nil, ErrInconsistent // cycle through a strict edge
-	}
-	out := make([]Interval, n)
-	for v := 0; v < n; v++ {
-		out[v] = Interval{Start: coord[find(2*v)], End: coord[find(2*v+1)]}
-	}
-	return out, nil
 }

@@ -14,12 +14,6 @@ func TestNetworkBasics(t *testing.T) {
 	if nw.Name(0) != "a" || nw.Name(1) != "b" {
 		t.Error("names wrong")
 	}
-	if i, ok := nw.Index("b"); !ok || i != 1 {
-		t.Error("Index lookup failed")
-	}
-	if _, ok := nw.Index("zzz"); ok {
-		t.Error("Index should miss unknown name")
-	}
 	// Duplicate add returns existing index.
 	if got := nw.AddVariable("a"); got != 0 {
 		t.Errorf("duplicate AddVariable = %d", got)
@@ -83,91 +77,6 @@ func TestPropagateTightens(t *testing.T) {
 	}
 }
 
-func TestConsistentScenarioSimple(t *testing.T) {
-	nw := NewNetwork("x", "y", "z")
-	mustConstrain(t, nw, 0, 1, NewRelSet(During))
-	mustConstrain(t, nw, 1, 2, NewRelSet(Meets))
-	ivs, err := nw.ConsistentScenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ivs) != 3 {
-		t.Fatalf("got %d intervals", len(ivs))
-	}
-	if got := RelationBetween(ivs[0], ivs[1]); got != During {
-		t.Errorf("x-y realized as %v, want during (x=%v y=%v)", got, ivs[0], ivs[1])
-	}
-	if got := RelationBetween(ivs[1], ivs[2]); got != Meets {
-		t.Errorf("y-z realized as %v, want meets", got)
-	}
-}
-
-func TestConsistentScenarioDisjunctive(t *testing.T) {
-	// Disjunctive labels: solver must pick a consistent combination.
-	nw := NewNetwork("a", "b", "c")
-	mustConstrain(t, nw, 0, 1, NewRelSet(Before, Meets))
-	mustConstrain(t, nw, 1, 2, NewRelSet(Before, Meets, OverlapsWith))
-	mustConstrain(t, nw, 0, 2, NewRelSet(Before))
-	ivs, err := nw.ConsistentScenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRealization := func(i, j int, allowed RelSet) {
-		if got := RelationBetween(ivs[i], ivs[j]); !allowed.Has(got) {
-			t.Errorf("edge (%d,%d) realized as %v not in %v", i, j, got, allowed)
-		}
-	}
-	checkRealization(0, 1, NewRelSet(Before, Meets))
-	checkRealization(1, 2, NewRelSet(Before, Meets, OverlapsWith))
-	checkRealization(0, 2, NewRelSet(Before))
-}
-
-func TestConsistentScenarioInconsistent(t *testing.T) {
-	nw := NewNetwork("a", "b")
-	mustConstrain(t, nw, 0, 1, NewRelSet(Before))
-	// Force the converse direction too — direct contradiction via a third
-	// variable chain.
-	nw.AddVariable("c")
-	mustConstrain(t, nw, 1, 2, NewRelSet(Before))
-	mustConstrain(t, nw, 2, 0, NewRelSet(Before, Meets))
-	if _, err := nw.ConsistentScenario(); !errors.Is(err, ErrInconsistent) {
-		t.Errorf("expected ErrInconsistent, got %v", err)
-	}
-}
-
-func TestPropertyScenarioRealizesAtomicNetworks(t *testing.T) {
-	// Build random concrete intervals, extract their exact relations as an
-	// atomic network, and confirm the solver reconstructs intervals with
-	// the same qualitative pattern.
-	rng := rand.New(rand.NewSource(21))
-	for iter := 0; iter < 150; iter++ {
-		n := 2 + rng.Intn(4)
-		truth := make([]Interval, n)
-		nw := NewNetwork()
-		for i := 0; i < n; i++ {
-			truth[i] = randInterval(rng)
-			nw.AddVariable(string(rune('a' + i)))
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				mustConstrain(t, nw, i, j, NewRelSet(RelationBetween(truth[i], truth[j])))
-			}
-		}
-		got, err := nw.ConsistentScenario()
-		if err != nil {
-			t.Fatalf("iter %d: %v (truth %v)", iter, err, truth)
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				want := RelationBetween(truth[i], truth[j])
-				if have := RelationBetween(got[i], got[j]); have != want {
-					t.Fatalf("iter %d: edge (%d,%d) = %v, want %v", iter, i, j, have, want)
-				}
-			}
-		}
-	}
-}
-
 func TestPropertyPropagationPreservesSolutions(t *testing.T) {
 	// Any concrete solution of the original constraints must survive
 	// propagation (propagation only removes impossible relations).
@@ -228,111 +137,6 @@ func BenchmarkPropagate(b *testing.B) {
 		}
 		if err := nw.Propagate(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func TestMinimizeDropsUnrealizableRelations(t *testing.T) {
-	// a before b, b before c: the a-c edge starts full; minimization must
-	// shrink it to exactly {before}.
-	nw := NewNetwork("a", "b", "c")
-	mustConstrain(t, nw, 0, 1, NewRelSet(Before))
-	mustConstrain(t, nw, 1, 2, NewRelSet(Before))
-	if err := nw.Minimize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := nw.Constraint(0, 2); got != NewRelSet(Before) {
-		t.Errorf("minimal a-c label = %v", got)
-	}
-	// Converse edge kept in sync.
-	if got := nw.Constraint(2, 0); got != NewRelSet(After) {
-		t.Errorf("converse label = %v", got)
-	}
-}
-
-func TestMinimizeInconsistentNetwork(t *testing.T) {
-	nw := NewNetwork("a", "b", "c")
-	mustConstrain(t, nw, 0, 1, NewRelSet(Before))
-	mustConstrain(t, nw, 1, 2, NewRelSet(Before))
-	mustConstrain(t, nw, 2, 0, NewRelSet(Before))
-	if err := nw.Minimize(); !errors.Is(err, ErrInconsistent) {
-		t.Errorf("want ErrInconsistent, got %v", err)
-	}
-}
-
-func TestPropertyMinimizeExact(t *testing.T) {
-	// Cross-validate minimal labels against brute force: a relation
-	// survives minimization iff some concrete realization exhibits it.
-	rng := rand.New(rand.NewSource(77))
-	for iter := 0; iter < 60; iter++ {
-		n := 3 + rng.Intn(2)
-		// Random satisfiable base: derive labels from concrete intervals,
-		// then widen with noise.
-		truth := make([]Interval, n)
-		nw := NewNetwork()
-		for i := 0; i < n; i++ {
-			truth[i] = randInterval(rng)
-			nw.AddVariable(string(rune('a' + i)))
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				label := NewRelSet(RelationBetween(truth[i], truth[j]))
-				for k := 0; k < rng.Intn(3); k++ {
-					label = label.Add(AllRelations[rng.Intn(13)])
-				}
-				mustConstrain(t, nw, i, j, label)
-			}
-		}
-		pre := nw.Clone()
-		if err := nw.Minimize(); err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		// Brute force: enumerate all interval assignments over a small
-		// grid, collect realized relations per edge subject to the
-		// original labels.
-		realized := make(map[[2]int]RelSet)
-		var assign func(idx int, ivs []Interval)
-		assign = func(idx int, ivs []Interval) {
-			if idx == n {
-				for i := 0; i < n; i++ {
-					for j := i + 1; j < n; j++ {
-						realized[[2]int{i, j}] = realized[[2]int{i, j}].Add(RelationBetween(ivs[i], ivs[j]))
-					}
-				}
-				return
-			}
-			for s := Time(0); s < 4; s++ {
-				for e := s + 1; e <= 4; e++ {
-					iv := New(s, e)
-					okHere := true
-					for p := 0; p < idx; p++ {
-						if !pre.Constraint(p, idx).Has(RelationBetween(ivs[p], iv)) {
-							okHere = false
-							break
-						}
-					}
-					if okHere {
-						ivs[idx] = iv
-						assign(idx+1, ivs)
-					}
-				}
-			}
-		}
-		assign(0, make([]Interval, n))
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				brute := realized[[2]int{i, j}]
-				minimal := nw.Constraint(i, j)
-				// Brute force uses a coordinate grid of 0..4 — every
-				// qualitative configuration of ≤4 intervals fits in it? Not
-				// quite: n intervals need up to 2n distinct coordinates. Use
-				// the subset relation that is guaranteed: brute ⊆ minimal,
-				// and for n where the grid suffices (2n ≤ 5), equality.
-				if brute.Union(minimal) != minimal {
-					t.Fatalf("iter %d edge (%d,%d): brute %v ⊄ minimal %v",
-						iter, i, j, brute, minimal)
-				}
-			}
 		}
 	}
 }

@@ -230,48 +230,6 @@ func (s RelSet) IsEmpty() bool {
 	return s&FullRelSet == 0
 }
 
-// Singleton reports whether the set contains exactly one relation, and if
-// so returns it.
-func (s RelSet) Singleton() (Relation, bool) {
-	var found Relation
-	n := 0
-	for _, r := range AllRelations {
-		if s.Has(r) {
-			found = r
-			n++
-			if n > 1 {
-				return 0, false
-			}
-		}
-	}
-	if n == 1 {
-		return found, true
-	}
-	return 0, false
-}
-
-// Count returns the number of relations in the set.
-func (s RelSet) Count() int {
-	n := 0
-	for _, r := range AllRelations {
-		if s.Has(r) {
-			n++
-		}
-	}
-	return n
-}
-
-// Relations returns the members in declaration order.
-func (s RelSet) Relations() []Relation {
-	out := make([]Relation, 0, s.Count())
-	for _, r := range AllRelations {
-		if s.Has(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Converse returns the set of converses of the members.
 func (s RelSet) Converse() RelSet {
 	var out RelSet

@@ -90,25 +90,30 @@ func TestRelationStringAndSymbol(t *testing.T) {
 	}
 }
 
+// count returns the number of relations in s.
+func count(s RelSet) int {
+	n := 0
+	for _, r := range AllRelations {
+		if s.Has(r) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestRelSetBasics(t *testing.T) {
 	s := NewRelSet(Before, Meets)
 	if !s.Has(Before) || !s.Has(Meets) || s.Has(After) {
 		t.Errorf("membership wrong in %v", s)
 	}
-	if s.Count() != 2 {
-		t.Errorf("Count = %d, want 2", s.Count())
-	}
-	if _, ok := s.Singleton(); ok {
-		t.Error("two-element set reported as singleton")
-	}
-	if r, ok := NewRelSet(During).Singleton(); !ok || r != During {
-		t.Errorf("Singleton = %v, %v", r, ok)
+	if n := count(s); n != 2 {
+		t.Errorf("%d members, want 2", n)
 	}
 	if !EmptyRelSet.IsEmpty() {
 		t.Error("EmptyRelSet should be empty")
 	}
-	if FullRelSet.Count() != 13 {
-		t.Errorf("FullRelSet has %d members, want 13", FullRelSet.Count())
+	if n := count(FullRelSet); n != 13 {
+		t.Errorf("FullRelSet has %d members, want 13", n)
 	}
 	if got := s.String(); got != "{before,meets}" {
 		t.Errorf("String = %q", got)
@@ -133,9 +138,5 @@ func TestRelSetOps(t *testing.T) {
 	}
 	if got := FullRelSet.Converse(); got != FullRelSet {
 		t.Errorf("FullRelSet converse = %v", got)
-	}
-	rels := a.Relations()
-	if len(rels) != 3 {
-		t.Fatalf("Relations() = %v", rels)
 	}
 }

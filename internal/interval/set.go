@@ -65,11 +65,6 @@ func (s Set) Len() Time {
 	return total
 }
 
-// Pieces returns the number of maximal intervals in the set.
-func (s Set) Pieces() int {
-	return len(s.ivs)
-}
-
 // Contains reports whether tick t is covered.
 func (s Set) Contains(t Time) bool {
 	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].End > t })

@@ -47,8 +47,8 @@ func TestSetQueries(t *testing.T) {
 	if got := s.Len(); got != 7 {
 		t.Errorf("Len = %d, want 7", got)
 	}
-	if got := s.Pieces(); got != 2 {
-		t.Errorf("Pieces = %d, want 2", got)
+	if got := len(s.Intervals()); got != 2 {
+		t.Errorf("%d maximal intervals, want 2", got)
 	}
 	if !s.Contains(0) || !s.Contains(2) || s.Contains(3) || s.Contains(4) || !s.Contains(8) || s.Contains(9) {
 		t.Error("Contains misclassifies ticks")

@@ -165,12 +165,6 @@ func rendezvous(members []Member, loc resource.Location, exclude string) string 
 	return best
 }
 
-// RendezvousOwner returns the hash's preferred owner for loc among the
-// current roster (ignoring pins and the recorded owner).
-func (t *Table) RendezvousOwner(loc resource.Location) string {
-	return rendezvous(t.Members, loc, "")
-}
-
 // StandbyOf returns the member that should hold loc's warm shadow: the
 // best-scoring member other than the current owner. Empty when the
 // roster has no second member or loc is unowned.

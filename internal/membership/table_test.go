@@ -40,8 +40,8 @@ func TestSeedTable(t *testing.T) {
 func TestRendezvousDeterministicAndStable(t *testing.T) {
 	tab := seedTable()
 	for _, loc := range []resource.Location{"l1", "l2", "l3", "l4", "l5", "l6"} {
-		a := tab.RendezvousOwner(loc)
-		b := tab.RendezvousOwner(loc)
+		a := rendezvous(tab.Members, loc, "")
+		b := rendezvous(tab.Members, loc, "")
 		if a != b || a == "" {
 			t.Fatalf("rendezvous for %s unstable: %q vs %q", loc, a, b)
 		}

@@ -119,14 +119,6 @@ func (h *Histogram) Summary() HistogramSummary {
 	return s
 }
 
-// Quantile estimates the p-th percentile (0..100) of the observations,
-// or 0 when empty.
-func (h *Histogram) Quantile(p float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(p)
-}
-
 func (h *Histogram) quantileLocked(p float64) float64 {
 	if h.count == 0 {
 		return 0

@@ -23,20 +23,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (n−1), or 0 when n < 2.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
 // Percentile returns the p-th percentile (0..100) by nearest-rank, or 0
 // for an empty slice.
 func Percentile(xs []float64, p float64) float64 {
@@ -94,6 +80,8 @@ func (t *Table) AddNote(format string, args ...any) {
 }
 
 // NumRows returns the number of data rows.
+//
+// Kept: the row-count checks of the metrics and experiments tests.
 func (t *Table) NumRows() int {
 	return len(t.rows)
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -12,16 +11,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{2, 4, 6}); got != 4 {
 		t.Errorf("Mean = %f", got)
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{5}); got != 0 {
-		t.Errorf("StdDev single = %f", got)
-	}
-	got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2.138) > 0.01 {
-		t.Errorf("StdDev = %f, want ≈2.138", got)
 	}
 }
 

@@ -207,6 +207,8 @@ var (
 )
 
 // Kinds returns every registered kind schema, sorted by name.
+//
+// Kept: the registry-completeness tests of span and obs.
 func Kinds() []KindSchema {
 	out := make([]KindSchema, 0, len(kindRegistry))
 	for _, ks := range kindRegistry {
@@ -217,6 +219,9 @@ func Kinds() []KindSchema {
 }
 
 // LookupKind returns the schema for a kind name.
+//
+// Kept: the tests of span, obs and server that check each recorded
+// span's attributes against its kind's schema.
 func LookupKind(name string) (KindSchema, bool) {
 	ks, ok := kindRegistry[name]
 	return ks, ok

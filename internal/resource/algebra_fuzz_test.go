@@ -11,7 +11,7 @@ import (
 // of their sort order so that a set's order is never the order its
 // types were first added in.
 var algebraTypes = [8]LocatedType{
-	Link("l2", "l1"), CPUAt("l2"), At("gpu", "l3"), MemoryAt("l1"),
+	Link("l2", "l1"), CPUAt("l2"), At("gpu", "l3"), At(Memory, "l1"),
 	CPUAt("l1"), Link("l1", "l2"), At("disk", "l1"), Link("l1", "l3"),
 }
 

@@ -1,10 +1,6 @@
 package resource
 
-import (
-	"testing"
-
-	"repro/internal/interval"
-)
+import "testing"
 
 func TestAmountBasics(t *testing.T) {
 	a := AmountOf(4, cpuL1)
@@ -86,25 +82,6 @@ func TestAmountsSingleType(t *testing.T) {
 	}
 	if _, ok := NewAmounts().SingleType(); ok {
 		t.Error("empty amounts reported single")
-	}
-}
-
-func TestSubtractTermConvenience(t *testing.T) {
-	s := NewSet(NewTerm(u(5), cpuL1, interval.New(0, 4)))
-	rest, err := s.SubtractTerm(NewTerm(u(2), cpuL1, interval.New(1, 3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NewSet(
-		NewTerm(u(5), cpuL1, interval.New(0, 1)),
-		NewTerm(u(3), cpuL1, interval.New(1, 3)),
-		NewTerm(u(5), cpuL1, interval.New(3, 4)),
-	)
-	if !rest.Equal(want) {
-		t.Errorf("SubtractTerm = %v, want %v", rest, want)
-	}
-	if _, err := s.SubtractTerm(NewTerm(u(9), cpuL1, interval.New(0, 4))); err == nil {
-		t.Error("oversubtraction accepted")
 	}
 }
 

@@ -83,7 +83,7 @@ func refParseSet(str string) (Set, error) {
 }
 
 var codecTypes = []LocatedType{
-	CPUAt("l1"), CPUAt("l2"), MemoryAt("node-7"), At("gpu", "l1"), Link("l1", "l2"), Link("l2", "l1"),
+	CPUAt("l1"), CPUAt("l2"), At(Memory, "node-7"), At("gpu", "l1"), Link("l1", "l2"), Link("l2", "l1"),
 }
 
 // randCodecTerms draws n terms over codecTypes that reach every path of

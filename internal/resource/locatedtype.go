@@ -48,11 +48,6 @@ func CPUAt(loc Location) LocatedType {
 	return LocatedType{Kind: CPU, Loc: loc}
 }
 
-// MemoryAt returns the located type ⟨memory, loc⟩.
-func MemoryAt(loc Location) LocatedType {
-	return LocatedType{Kind: Memory, Loc: loc}
-}
-
 // Link returns the located type ⟨network, src → dst⟩.
 func Link(src, dst Location) LocatedType {
 	return LocatedType{Kind: Network, Loc: src, Dst: dst}

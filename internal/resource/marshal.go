@@ -1,11 +1,5 @@
 package resource
 
-import (
-	"fmt"
-
-	"repro/internal/interval"
-)
-
 // Text marshaling uses the compact scenario-file syntax, which makes the
 // resource types directly embeddable in JSON documents and traces:
 // a Term renders as "5:cpu@l1:(0,3)", a Set as a comma-separated term
@@ -68,23 +62,4 @@ func (s *Set) UnmarshalText(text []byte) error {
 	}
 	*s = parsed
 	return nil
-}
-
-// Interval marshaling lives here rather than in the interval package so
-// the compact forms stay defined in one place.
-
-// MarshalInterval renders an interval in "(s,e)" form (exported for
-// tooling; interval.Interval itself is a plain struct and marshals as
-// JSON numbers by default).
-func MarshalInterval(iv interval.Interval) string {
-	return iv.String()
-}
-
-// UnmarshalInterval parses the "(s,e)" form.
-func UnmarshalInterval(s string) (interval.Interval, error) {
-	iv, err := interval.Parse(s)
-	if err != nil {
-		return interval.Interval{}, fmt.Errorf("resource: %w", err)
-	}
-	return iv, nil
 }

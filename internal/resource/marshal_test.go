@@ -102,14 +102,3 @@ func TestSetJSONInsideStruct(t *testing.T) {
 		t.Errorf("round trip: %+v -> %s -> %+v", in, data, out)
 	}
 }
-
-func TestIntervalHelpers(t *testing.T) {
-	iv := interval.New(3, 9)
-	back, err := UnmarshalInterval(MarshalInterval(iv))
-	if err != nil || !back.Equal(iv) {
-		t.Errorf("interval helpers: %v, %v", back, err)
-	}
-	if _, err := UnmarshalInterval("junk"); err == nil {
-		t.Error("malformed interval accepted")
-	}
-}

@@ -22,7 +22,7 @@ func randomPatchSet(rng *rand.Rand, locs []Location) Set {
 		loc := locs[rng.Intn(len(locs))]
 		lt := CPUAt(loc)
 		if rng.Intn(2) == 0 {
-			lt = MemoryAt(loc)
+			lt = At(Memory, loc)
 		}
 		start := interval.Time(rng.Intn(50))
 		end := start + 1 + interval.Time(rng.Intn(40))
@@ -134,7 +134,7 @@ func TestTrimmedBeforeMatchesTrimBefore(t *testing.T) {
 func TestPatchSharingIsCopyOnWrite(t *testing.T) {
 	var base Set
 	base.Add(patchTerm(4, CPUAt("l1"), 0, 20))
-	base.Add(patchTerm(4, MemoryAt("l2"), 0, 20))
+	base.Add(patchTerm(4, At(Memory, "l2"), 0, 20))
 	var part Set
 	part.Add(patchTerm(1, CPUAt("l1"), 0, 10))
 
@@ -172,7 +172,7 @@ func TestPatchSharingIsCopyOnWrite(t *testing.T) {
 	}
 	baseBefore := NewSet(base.Terms()...)
 	merged.Add(patchTerm(2, CPUAt("l1"), 5, 30))
-	if err := merged.Consume(MemoryAt("l2"), interval.New(0, 20), FromUnits(4)); err != nil {
+	if err := merged.Consume(At(Memory, "l2"), interval.New(0, 20), FromUnits(4)); err != nil {
 		t.Fatal(err)
 	}
 	merged.TrimBefore(3)
@@ -244,7 +244,7 @@ func withProfiles(types []LocatedType, mk func(LocatedType) profile) Set {
 // rebuilt.
 func TestPatchAllocationBudget(t *testing.T) {
 	const segs = 512
-	types := []LocatedType{CPUAt("l1"), MemoryAt("l1"), Link("l1", "l2"), Link("l1", "l3")}
+	types := []LocatedType{CPUAt("l1"), At(Memory, "l1"), Link("l1", "l2"), Link("l1", "l3")}
 	base := withProfiles(types, func(LocatedType) profile { return wideProfile(segs) })
 	// What copying the four entries costs on its own.
 	copyAllocs := testing.AllocsPerRun(100, func() { patchSink = base.Clone() })

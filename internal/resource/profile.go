@@ -623,17 +623,6 @@ func (p profile) clamp(window interval.Interval) profile {
 	return profile{tab: &table{n: m, chunks: chunks}}
 }
 
-// support returns the set of ticks where the profile is positive.
-func (p profile) support() interval.Set {
-	ivs := make([]interval.Interval, 0, p.len())
-	for c, n := 0, p.numChunks(); c < n; c++ {
-		for _, s := range p.chunk(c) {
-			ivs = append(ivs, s.span)
-		}
-	}
-	return interval.NewSet(ivs...)
-}
-
 // hull returns the smallest interval containing all segments.
 func (p profile) hull() interval.Interval {
 	if p.empty() {

@@ -86,10 +86,10 @@ func TestQuickDominanceImpliesCoverage(t *testing.T) {
 			return false
 		}
 		s := NewSet(big)
-		if !s.Covers(small) {
+		if !covers(s, small) {
 			return false
 		}
-		_, err := s.SubtractTerm(small)
+		_, err := s.Subtract(NewSet(small))
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -103,17 +103,17 @@ func TestQuickTrimPartitionsQuantity(t *testing.T) {
 		s := NewSet(a, b)
 		window := interval.New(interval.NegInfinity/2, interval.Infinity/2)
 		totalBefore := Quantity(0)
-		for _, q := range s.TotalQuantity(window) {
+		for _, q := range totalQuantity(s, window) {
 			totalBefore += q
 		}
 		cut := interval.Time(cutRaw % 32)
 		expired := s.TrimBefore(cut)
 		totalAfter := Quantity(0)
-		for _, q := range s.TotalQuantity(window) {
+		for _, q := range totalQuantity(s, window) {
 			totalAfter += q
 		}
 		totalExpired := Quantity(0)
-		for _, q := range expired.TotalQuantity(window) {
+		for _, q := range totalQuantity(expired, window) {
 			totalExpired += q
 		}
 		return totalBefore == totalAfter+totalExpired

@@ -237,6 +237,9 @@ func (s Set) NumTerms() int {
 }
 
 // RateAt returns the available rate of lt at tick t.
+//
+// Kept: point checks in the tests of resource, core, actor, churn,
+// scenario and the root package.
 func (s Set) RateAt(lt LocatedType, t interval.Time) Rate {
 	return s.profileOf(lt).rateAt(t)
 }
@@ -263,28 +266,6 @@ func (s Set) TotalWithin(window interval.Interval) Quantity {
 		}
 	}
 	return total
-}
-
-// TotalQuantity integrates availability of every type over the window.
-func (s Set) TotalQuantity(window interval.Interval) map[LocatedType]Quantity {
-	out := make(map[LocatedType]Quantity, len(s.entries))
-	for _, e := range s.entries {
-		if q := e.p.quantity(window); q > 0 {
-			out[e.lt] = q
-		}
-	}
-	return out
-}
-
-// Covers reports whether the set provides at least term.Rate of
-// term.Type at every tick of term.Span — the set-level generalization of
-// term dominance (a single dominating term implies coverage, but coverage
-// may also be assembled from simplification of several terms).
-func (s Set) Covers(term Term) bool {
-	if term.Null() {
-		return true
-	}
-	return s.profileOf(term.Type).covers(term.Span, term.Rate)
 }
 
 // Dominates reports whether Θ1 \ Θ2 is defined: availability in s meets
@@ -367,11 +348,6 @@ func subtract(a, b []entry, op spliceOp) ([]entry, bool) {
 		}
 	}
 	return out, len(b) == 0 || op == opSubSaturate
-}
-
-// SubtractTerm returns Θ \ {t}.
-func (s Set) SubtractTerm(t Term) (Set, error) {
-	return s.Subtract(NewSet(t))
 }
 
 // SubtractSaturating removes as much of other as is present, clamping at
@@ -520,43 +496,6 @@ func (s Set) Restrict(window interval.Interval, types ...LocatedType) Set {
 // It allocates nothing: the read-side alternative to Clamp(window).Terms().
 func (s Set) EachSegment(lt LocatedType, window interval.Interval, fn func(span interval.Interval, rate Rate) bool) {
 	s.profileOf(lt).each(window, fn)
-}
-
-// EarliestWindow finds the earliest interval of the given duration,
-// within the given bounds, throughout which lt is available at rate or
-// better — the query a planner asks when placing a constant-rate
-// reservation. It returns ok=false when no such window exists.
-func (s Set) EarliestWindow(lt LocatedType, rate Rate, duration interval.Time, within interval.Interval) (interval.Interval, bool) {
-	if duration <= 0 || rate <= 0 {
-		return interval.New(within.Start, within.Start), !within.Empty()
-	}
-	var (
-		runStart, runEnd interval.Time
-		inRun, found     bool
-	)
-	s.profileOf(lt).each(within, func(span interval.Interval, r Rate) bool {
-		if r < rate {
-			inRun = false
-			return true
-		}
-		if inRun && span.Start == runEnd {
-			runEnd = span.End
-		} else {
-			runStart, runEnd = span.Start, span.End
-			inRun = true
-		}
-		found = runEnd-runStart >= duration
-		return !found
-	})
-	if !found {
-		return interval.Interval{}, false
-	}
-	return interval.New(runStart, runStart+duration), true
-}
-
-// Support returns the ticks during which lt is available at all.
-func (s Set) Support(lt LocatedType) interval.Set {
-	return s.profileOf(lt).support()
 }
 
 // Hull returns the smallest interval covering all availability of every

@@ -109,18 +109,36 @@ func TestSubtractInsufficient(t *testing.T) {
 	}
 }
 
+// covers reports whether s provides at least term.Rate of term.Type at
+// every tick of term.Span: coverage assembled from any of s's terms.
+func covers(s Set, term Term) bool {
+	return term.Null() || s.profileOf(term.Type).covers(term.Span, term.Rate)
+}
+
+// totalQuantity integrates availability of every type over the window:
+// the per-type reference that TotalWithin sums without building a map.
+func totalQuantity(s Set, window interval.Interval) map[LocatedType]Quantity {
+	out := make(map[LocatedType]Quantity)
+	for _, lt := range s.Types() {
+		if q := s.QuantityWithin(lt, window); q > 0 {
+			out[lt] = q
+		}
+	}
+	return out
+}
+
 func TestCoversAndMinRate(t *testing.T) {
 	s := NewSet(
 		NewTerm(u(5), cpuL1, interval.New(0, 4)),
 		NewTerm(u(2), cpuL1, interval.New(4, 8)),
 	)
-	if !s.Covers(NewTerm(u(2), cpuL1, interval.New(0, 8))) {
+	if !covers(s, NewTerm(u(2), cpuL1, interval.New(0, 8))) {
 		t.Error("should cover rate 2 throughout")
 	}
-	if s.Covers(NewTerm(u(3), cpuL1, interval.New(0, 8))) {
+	if covers(s, NewTerm(u(3), cpuL1, interval.New(0, 8))) {
 		t.Error("rate 3 unavailable after t=4")
 	}
-	if !s.Covers(Term{}) {
+	if !covers(s, Term{}) {
 		t.Error("null term always covered")
 	}
 	if got := s.MinRate(cpuL1, interval.New(0, 8)); got != u(2) {
@@ -146,14 +164,14 @@ func TestQuantityWithin(t *testing.T) {
 	if got := s.QuantityWithin(cpuL1, interval.New(3, 5)); got != QuantityFromUnits(7) {
 		t.Errorf("cpu window quantity = %d", got)
 	}
-	total := s.TotalQuantity(interval.New(0, 8))
+	total := totalQuantity(s, interval.New(0, 8))
 	if total[cpuL1] != QuantityFromUnits(28) || total[netL12] != QuantityFromUnits(28) {
-		t.Errorf("TotalQuantity = %v", total)
+		t.Errorf("per-type quantity = %v", total)
 	}
-	// TotalWithin is TotalQuantity summed, without building the map.
+	// TotalWithin is the per-type quantities summed, without a map.
 	for _, w := range []interval.Interval{interval.New(0, 8), interval.New(3, 5), interval.New(8, 9)} {
 		var want Quantity
-		for _, q := range s.TotalQuantity(w) {
+		for _, q := range totalQuantity(s, w) {
 			want += q
 		}
 		if got := s.TotalWithin(w); got != want {
@@ -204,7 +222,7 @@ func TestTrimBefore(t *testing.T) {
 	if got := s.RateAt(cpuL1, 3); got != 0 {
 		t.Errorf("past cpu rate = %d, want 0", got)
 	}
-	if !s.Support(netL12).Empty() {
+	if !s.profileOf(netL12).empty() {
 		t.Error("network should be fully expired")
 	}
 	wantExpired := NewSet(
@@ -264,7 +282,7 @@ func TestSetCompactRoundTrip(t *testing.T) {
 	s := NewSet(
 		NewTerm(u(5), cpuL1, interval.New(0, 3)),
 		NewTerm(u(7), netL12, interval.New(2, 9)),
-		NewTerm(u(1), MemoryAt("l3"), interval.New(1, 2)),
+		NewTerm(u(1), At(Memory, "l3"), interval.New(1, 2)),
 	)
 	back, err := ParseSet(s.Compact())
 	if err != nil {

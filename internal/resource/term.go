@@ -106,12 +106,6 @@ func (t Term) Dominates(other Term) bool {
 		t.Span.ContainsInterval(other.Span)
 }
 
-// StrictlyDominates is the paper's literal > with a strict rate
-// inequality.
-func (t Term) StrictlyDominates(other Term) bool {
-	return t.Dominates(other) && !other.Null() && t.Rate > other.Rate
-}
-
 // Subtract computes t − other per §III: the remainder outside other's
 // interval keeps rate t.Rate, and the overlap keeps rate t.Rate −
 // other.Rate. It returns ok=false (and no terms) unless t dominates

@@ -13,7 +13,7 @@ func TestLocatedTypeString(t *testing.T) {
 	}{
 		{CPUAt("l1"), "⟨cpu,l1⟩"},
 		{Link("l1", "l2"), "⟨network,l1→l2⟩"},
-		{MemoryAt("n3"), "⟨memory,n3⟩"},
+		{At(Memory, "n3"), "⟨memory,n3⟩"},
 		{At("gpu", "l9"), "⟨gpu,l9⟩"},
 	}
 	for _, tt := range tests {
@@ -150,13 +150,6 @@ func TestTermDominates(t *testing.T) {
 	}
 	if (Term{}).Dominates(big) {
 		t.Error("null term cannot dominate a real term")
-	}
-	// The paper's strict variant.
-	if !big.StrictlyDominates(NewTerm(FromUnits(3), cpu, interval.New(2, 5))) {
-		t.Error("strict dominance should hold for smaller rate")
-	}
-	if big.StrictlyDominates(big) {
-		t.Error("strict dominance must fail on equal rates")
 	}
 }
 

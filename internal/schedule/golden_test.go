@@ -145,7 +145,7 @@ func TestPlanEquivalenceGolden(t *testing.T) {
 	planned, refused := 0, 0
 	for _, job := range jobs {
 		req := compute.ConcurrentOf(job.Dist)
-		plan, err := schedule.Concurrent(tight, req, schedule.WithExhaustive(), schedule.WithMaxPermutations(24))
+		plan, err := schedule.Concurrent(tight, req, schedule.WithExhaustive())
 		hashPlan(h, job.Dist.Name, plan, err)
 		if err != nil {
 			refused++

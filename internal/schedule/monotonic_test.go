@@ -116,7 +116,7 @@ func bruteForceFeasible(theta resource.Set, req compute.Complex) bool {
 	var rec func(breaks []interval.Time, from interval.Time) bool
 	rec = func(breaks []interval.Time, from interval.Time) bool {
 		if len(breaks) == m-1 {
-			return req.SatisfiedWithBreaks(theta, breaks) == nil
+			return satisfiedWithBreaks(theta, req, breaks)
 		}
 		for t := from; t <= req.Window.End; t++ {
 			if rec(append(breaks, t), t) {
@@ -126,4 +126,25 @@ func bruteForceFeasible(theta resource.Set, req compute.Complex) bool {
 		return false
 	}
 	return rec(nil, req.Window.Start)
+}
+
+// satisfiedWithBreaks partitions req's window at the monotone break
+// points t1 … t_{m-1} and tests every phase's simple requirement on its
+// subinterval (Theorem 2's "so that the system can satisfy the simple
+// resource requirements for each subinterval"). The subintervals are
+// disjoint, so quantity in one cannot be counted again in another.
+func satisfiedWithBreaks(theta resource.Set, req compute.Complex, breaks []interval.Time) bool {
+	prev := req.Window.Start
+	for i, ph := range req.Phases {
+		end := req.Window.End
+		if i < len(breaks) {
+			end = breaks[i]
+		}
+		sub := compute.Simple{Amounts: ph.Amounts, Window: interval.New(prev, end)}
+		if !sub.Satisfied(theta) {
+			return false
+		}
+		prev = end
+	}
+	return true
 }

@@ -104,26 +104,23 @@ func Single(theta resource.Set, req compute.Complex) (Plan, error) {
 
 // config controls the multi-actor search.
 type config struct {
-	exhaustive      bool
-	maxPermutations int
+	exhaustive bool
 }
+
+// maxPermutations bounds the actor orderings the exhaustive search
+// visits: 6!.
+const maxPermutations = 720
 
 // Option configures Concurrent.
 type Option func(*config)
 
 // WithExhaustive makes Concurrent try actor orderings until one succeeds
-// (bounded by WithMaxPermutations) instead of the single
+// (at most maxPermutations of them) instead of the single
 // largest-demand-first heuristic order. The greedy pass is sound but not
 // complete under contention; exhaustive search restores completeness at
 // factorial cost.
 func WithExhaustive() Option {
 	return func(c *config) { c.exhaustive = true }
-}
-
-// WithMaxPermutations bounds the orderings the exhaustive search visits.
-// The default is 720 (6!).
-func WithMaxPermutations(n int) Option {
-	return func(c *config) { c.maxPermutations = n }
 }
 
 // Concurrent decides accommodation for a multi-actor computation against
@@ -138,7 +135,7 @@ func WithMaxPermutations(n int) Option {
 // verdict from this function is definitive only for single-actor inputs
 // or an unexhausted permutation budget.
 func Concurrent(theta resource.Set, req compute.Concurrent, opts ...Option) (Plan, error) {
-	cfg := config{maxPermutations: 720}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -167,7 +164,7 @@ func Concurrent(theta resource.Set, req compute.Concurrent, opts ...Option) (Pla
 	tried := 0
 	permute(actors, func(order []compute.Complex) bool {
 		tried++
-		if tried > cfg.maxPermutations {
+		if tried > maxPermutations {
 			return false
 		}
 		if plan, err := tryOrder(theta, order); err == nil {

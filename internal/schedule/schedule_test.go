@@ -412,9 +412,13 @@ func TestConcurrentMaxPermutationsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	theta := resource.NewSet(resource.NewTerm(u(1), cpuL1, interval.New(0, 10)))
-	_, err = Concurrent(theta, compute.ConcurrentOf(d), WithExhaustive(), WithMaxPermutations(10))
+	_, err = Concurrent(theta, compute.ConcurrentOf(d), WithExhaustive())
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
+	}
+	var inf *Infeasible
+	if !errors.As(err, &inf) || inf.OrdersTried > maxPermutations+1 {
+		t.Fatalf("search tried %+v orders, want it stopped at the %d budget, short of 7! = 5040", inf, maxPermutations)
 	}
 }
 

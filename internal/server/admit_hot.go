@@ -325,11 +325,12 @@ func (l *Ledger) startReserve(w *admitWork, attempt int) *span.Span {
 }
 
 // reserveLive reserves w's fitted plan on shards whose locks the caller
-// holds — unless w's ctx is done, in which case the plan is refused with
-// errLate, wrapping the ctx error, and nothing is reserved: a
-// reservation is made inside its requester's window or not at all.
+// holds — unless w's ctx window has closed (Expired), in which case the
+// plan is refused with errLate, wrapping the ctx error, and nothing is
+// reserved: a reservation is made inside its requester's window or not
+// at all.
 func reserveLive(w *admitWork, shards []*shard, rs *span.Span) error {
-	if err := w.ctx.Err(); err != nil {
+	if err := Expired(w.ctx); err != nil {
 		rs.SetStatus(span.StatusError)
 		return fmt.Errorf("%w: %s: %w", errLate, w.job.Dist.Name, err)
 	}

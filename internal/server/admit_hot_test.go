@@ -385,7 +385,7 @@ func TestReleaseBeyondReservationRefused(t *testing.T) {
 	}{
 		{"double release", j1.parts},
 		{"beyond theta's rate", parts{{loc: "l1", set: block(resource.CPUAt("l1"), 10, 20)}}},
-		{"a type theta lacks", parts{{loc: "l1", set: block(resource.MemoryAt("l1"), 10, 20)}}},
+		{"a type theta lacks", parts{{loc: "l1", set: block(resource.At(resource.Memory, "l1"), 10, 20)}}},
 		{"past theta's horizon", parts{{loc: "l1", set: block(resource.CPUAt("l1"), 100, 110)}}},
 		{"one shard held, one not", parts{{loc: "l1", set: j2l1}, {loc: "l2", set: block(resource.CPUAt("l2"), 0, 10)}}},
 	} {

@@ -522,6 +522,20 @@ type unavailable struct{ error }
 
 func (u unavailable) Unwrap() error { return u.error }
 
+// Expired reports whether ctx's window has closed: ctx.Err() once ctx is
+// done, or context.DeadlineExceeded once its deadline has passed even
+// if the timer that will cancel it has not fired yet. nil while the
+// window is open. A verdict reached in a closed window reserves nothing.
+func Expired(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // Admit is the one admit envelope, local or coordinated: the drain
 // gate, a decision slot held for the whole placement, DecisionTimeout,
 // the decision counters, the log line and the verdict. sctx carries
@@ -546,7 +560,7 @@ func (s *Server) Admit(sctx context.Context, w http.ResponseWriter, sp *span.Spa
 	switch {
 	case errors.Is(err, ErrNotOwned):
 		return err
-	case err != nil && errors.Is(err, ctx.Err()):
+	case err != nil && errors.Is(err, Expired(ctx)):
 		// The deadline passed before a verdict was applied, and the
 		// ledger reserves nothing once it has: the 503 is the whole truth.
 		late := errors.Is(err, errLate)

@@ -466,15 +466,3 @@ func runGreedy(cfg Config, jobs []workload.Job, churnTrace churn.Trace, horizon 
 	}
 	return res, nil
 }
-
-// MaxDeadline returns the latest deadline in a job list (handy for
-// choosing horizons).
-func MaxDeadline(jobs []workload.Job) interval.Time {
-	var max interval.Time
-	for _, j := range jobs {
-		if j.Dist.Deadline > max {
-			max = j.Dist.Deadline
-		}
-	}
-	return max
-}

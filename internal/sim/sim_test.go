@@ -227,19 +227,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestMaxDeadline(t *testing.T) {
-	jobs := []workload.Job{
-		mkJob(t, "a", "a1", "l1", 0, 7),
-		mkJob(t, "b", "b1", "l1", 0, 19),
-	}
-	if got := MaxDeadline(jobs); got != 19 {
-		t.Errorf("MaxDeadline = %d", got)
-	}
-	if got := MaxDeadline(nil); got != 0 {
-		t.Errorf("MaxDeadline(nil) = %d", got)
-	}
-}
-
 func TestTraceIntegration(t *testing.T) {
 	tr := churn.Trace{Joins: []churn.Join{{
 		At:        0,

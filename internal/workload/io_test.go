@@ -27,8 +27,13 @@ func TestJSONRoundTrip(t *testing.T) {
 			a.Dist.Start != b.Dist.Start || a.Dist.Deadline != b.Dist.Deadline {
 			t.Fatalf("job %d header differs: %+v vs %+v", i, a, b)
 		}
-		if a.Dist.NumSteps() != b.Dist.NumSteps() {
-			t.Fatalf("job %d steps differ", i)
+		if len(a.Dist.Actors) != len(b.Dist.Actors) {
+			t.Fatalf("job %d actors differ", i)
+		}
+		for k := range a.Dist.Actors {
+			if len(a.Dist.Actors[k].Steps) != len(b.Dist.Actors[k].Steps) {
+				t.Fatalf("job %d actor %d steps differ", i, k)
+			}
 		}
 		if a.Dist.TotalAmounts().Total() != b.Dist.TotalAmounts().Total() {
 			t.Fatalf("job %d amounts differ", i)
