@@ -125,7 +125,11 @@ race:
 # parser of formula text, fed from the command line by rotacheck
 # -formula — to never panicking, and everything it accepts to evaluate
 # and to re-parse from its canonical rendering to the same verdict
-# (internal/query/fuzz_test.go).
+# (internal/query/fuzz_test.go), then ten holding the one-pass set
+# builder SetOf, which a plan's per-shard demand and the set parser use,
+# to a NewSet fold of the same terms — overlapping, abutting at equal
+# rates, null, and in runs longer than a chunk — and UnionOf of two
+# halves to the same set (internal/resource/setof_fuzz_test.go).
 # -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileKernels$$' -fuzztime 10s ./internal/resource/
@@ -140,6 +144,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetAlgebra$$' -fuzztime 10s ./internal/resource/
 	$(GO) test -run '^$$' -fuzz '^FuzzPhasesMatchMaps$$' -fuzztime 10s ./internal/compute/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 10s ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzSetOfMatchesAdd$$' -fuzztime 10s ./internal/resource/
 
 # benchmark/ is a module of its own that tier-1 neither builds nor
 # tests; vetting it here catches an exported name under internal/ that

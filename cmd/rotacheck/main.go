@@ -120,12 +120,12 @@ func run(args []string, out io.Writer) (int, error) {
 		fmt.Fprintf(out, "job %-12s ASSURED  finish by %d (deadline %d)\n",
 			job.Name, plan.Finish, job.Deadline)
 		actors := make([]string, 0, len(plan.Breaks))
-		for a := range plan.Breaks {
-			actors = append(actors, string(a))
+		for _, b := range plan.Breaks {
+			actors = append(actors, string(b.Actor))
 		}
 		sort.Strings(actors)
 		for _, a := range actors {
-			fmt.Fprintf(out, "  actor %-10s breaks %v\n", a, plan.Breaks[compute.ActorName(a)])
+			fmt.Fprintf(out, "  actor %-10s breaks %v\n", a, plan.BreaksOf(compute.ActorName(a)))
 		}
 		if *verbose {
 			for _, alloc := range plan.Allocs {

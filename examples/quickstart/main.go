@@ -53,7 +53,7 @@ func run(w io.Writer) error {
 		return fmt.Errorf("deadline cannot be assured: %w", err)
 	}
 	fmt.Fprintf(w, "ASSURED: finishes by t=%d, break points %v\n",
-		plan.Finish, plan.Breaks["a1"])
+		plan.Finish, plan.BreaksOf("a1"))
 
 	// The same computation with deadline 8 is infeasible: the link only
 	// opens at t=4 and the final 8 cpu cannot fit before t=8.

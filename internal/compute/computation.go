@@ -197,9 +197,19 @@ func (d Distributed) TotalAmounts() resource.Amounts {
 // Locations returns the computation's resource footprint: the sorted,
 // distinct locations its steps consume from. A directed link counts at
 // its source, which is where the cost model charges it — and where the
-// daemon shards and a cluster assigns ownership of it.
+// daemon shards and a cluster assigns ownership of it. It is one
+// allocation, sized by counting the steps' types first.
 func (d Distributed) Locations() []resource.Location {
-	var out []resource.Location
+	n := 0
+	for _, a := range d.Actors {
+		for _, st := range a.Steps {
+			n += len(st.Amounts)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]resource.Location, 0, n)
 	for _, a := range d.Actors {
 		for _, st := range a.Steps {
 			for lt := range st.Amounts {

@@ -132,7 +132,7 @@ func TestAccommodateRejectsBogusPlan(t *testing.T) {
 	job := evalJob(t, "j1", "a1", 0, 4) // needs 8
 	// Hand-forge a plan claiming more than available.
 	forged := schedule.Plan{
-		Breaks: map[compute.ActorName][]interval.Time{"a1": {4}},
+		Breaks: []schedule.ActorBreaks{{Actor: "a1", Times: []interval.Time{4}}},
 		Allocs: []schedule.Allocation{{
 			Actor: "a1", Phase: 0,
 			Term: resource.NewTerm(u(2), cpuL1, interval.New(0, 4)),

@@ -113,7 +113,7 @@ func E2Semantics() *metrics.Table {
 		plan, err := core.MeetDeadline(ordered, comp, 0, 6)
 		got := "infeasible"
 		if err == nil {
-			got = fmt.Sprintf("breaks %v", plan.Breaks["a1"])
+			got = fmt.Sprintf("breaks %v", plan.BreaksOf("a1"))
 		}
 		addCheck("Theorem 3 witness (ordered supply)", "breaks [2 4 6]", got)
 

@@ -48,10 +48,11 @@ type entry struct {
 	p  profile
 }
 
-// setOf returns the set holding run, an exactly sized run of entries in
-// type order, none empty; a run that was allocated for more entries than
-// it holds is cut to its length, and an empty one is the zero Set.
-func setOf(run []entry) Set {
+// fromEntries returns the set holding run, an exactly sized run of
+// entries in type order, none empty; a run that was allocated for more
+// entries than it holds is cut to its length, and an empty one is the
+// zero Set.
+func fromEntries(run []entry) Set {
 	if len(run) == 0 {
 		return Set{}
 	}
@@ -92,6 +93,115 @@ func NewSet(terms ...Term) Set {
 	return s
 }
 
+// SetOf builds the set NewSet(terms...) builds, in one sorted pass: it
+// orders terms by located type, then start — reordering the caller's
+// slice unless it is in that order already — and makes one exactly sized
+// run of entries and, for each type, one run of segments, chunked past
+// chunkSize. A type whose terms do not overlap, as a witness plan's
+// allocations of one type mostly do not, costs that run and nothing
+// else. Null terms are skipped.
+func SetOf(terms []Term) Set {
+	if !slices.IsSortedFunc(terms, byTypeThenStart) {
+		slices.SortFunc(terms, byTypeThenStart)
+	}
+	types := 0
+	var last LocatedType
+	for _, t := range terms {
+		if !t.Null() && (types == 0 || t.Type != last) {
+			types, last = types+1, t.Type
+		}
+	}
+	if types == 0 {
+		return Set{}
+	}
+	entries := make([]entry, 0, types)
+	for i := 0; i < len(terms); {
+		j := i + 1
+		for j < len(terms) && terms[j].Type == terms[i].Type {
+			j++
+		}
+		if run := appendSteps(make([]segment, 0, steps(terms[i:j])), terms[i:j]); len(run) > 0 {
+			entries = append(entries, entry{lt: terms[i].Type, p: fromRun(run[:len(run):len(run)])})
+		}
+		i = j
+	}
+	return fromEntries(entries)
+}
+
+// steps returns the number of segments appendSteps makes of one type's
+// terms, sorted by start, when none overlaps another: one per term that
+// is not null and does not continue its predecessor at an equal rate.
+func steps(terms []Term) int {
+	n := 0
+	var last Term
+	for _, t := range terms {
+		if t.Null() {
+			continue
+		}
+		if n == 0 || t.Span.Start != last.Span.End || t.Rate != last.Rate {
+			n++
+		}
+		last = t
+	}
+	return n
+}
+
+// appendSteps adds one type's terms, sorted by start, to run, a canonical
+// run of segments the caller owns, and returns it canonical. A term that
+// starts after the run ends is appended and one that meets its end at
+// the same rate extends it, in place; one that overlaps the run is
+// folded in by an add splice.
+func appendSteps(run []segment, terms []Term) []segment {
+	for _, t := range terms {
+		if t.Null() {
+			continue
+		}
+		seg, n := segment{span: t.Span, rate: t.Rate}, len(run)
+		switch {
+		case n == 0 || seg.span.Start > run[n-1].span.End ||
+			seg.span.Start == run[n-1].span.End && seg.rate != run[n-1].rate:
+			run = append(run, seg)
+		case seg.span.Start == run[n-1].span.End:
+			run[n-1].span.End = seg.span.End
+		default:
+			// The sum is built in fresh storage, so copying it back into
+			// run reads nothing it overwrites.
+			run = profile{segs: run}.add(seg.span, seg.rate).appendTo(run[:0])
+		}
+	}
+	return run
+}
+
+// UnionOf returns the union of sets in one exactly sized run of entries.
+// It is built for views whose located types are disjoint, as a ledger's
+// location shards are: their union is their entries interleaved in type
+// order, each profile shared and none merged. A type more than one set
+// holds is merged, as Union merges it.
+func UnionOf(sets []Set) Set {
+	n := 0
+	for _, s := range sets {
+		n += len(s.entries)
+	}
+	if n == 0 {
+		return Set{}
+	}
+	out := make([]entry, 0, n)
+	for _, s := range sets {
+		out = append(out, s.entries...)
+	}
+	slices.SortStableFunc(out, func(a, b entry) int { return a.lt.compare(b.lt) })
+	k := 0
+	for _, e := range out[1:] {
+		if e.lt == out[k].lt {
+			out[k].p = out[k].p.merge(e.p)
+			continue
+		}
+		k++
+		out[k] = e
+	}
+	return fromEntries(out[:k+1])
+}
+
 // Clone returns a copy the caller owns: mutating either set afterwards
 // leaves the other unchanged. Profiles are immutable, so the copy costs
 // one exactly sized run of entries, whatever the number of segments.
@@ -115,7 +225,7 @@ func (s *Set) put(at int, found bool, lt LocatedType, p profile) {
 		s.entries[at].p = p
 	case found:
 		out := make([]entry, 0, len(s.entries)-1)
-		*s = setOf(append(append(out, s.entries[:at]...), s.entries[at+1:]...))
+		*s = fromEntries(append(append(out, s.entries[:at]...), s.entries[at+1:]...))
 	case !p.empty():
 		out := make([]entry, 0, len(s.entries)+1)
 		out = append(append(out, s.entries[:at]...), entry{lt: lt, p: p})
@@ -135,7 +245,7 @@ func (s *Set) Add(t Term) {
 
 // Union returns Θ1 ∪ Θ2 as a new set.
 func (s Set) Union(other Set) Set {
-	return setOf(union(s.entries, other.entries))
+	return fromEntries(union(s.entries, other.entries))
 }
 
 // unionLen returns the number of distinct located types in two runs.
@@ -316,7 +426,7 @@ func (s Set) Subtract(other Set) (Set, error) {
 	if !ok {
 		return Set{}, ErrInsufficient
 	}
-	return setOf(out), nil
+	return fromEntries(out), nil
 }
 
 // subtract returns a minus b, splicing each type b holds with op, in one
@@ -356,7 +466,7 @@ func subtract(a, b []entry, op spliceOp) ([]entry, bool) {
 // disappears, regardless of whether something was counting on it.
 func (s Set) SubtractSaturating(other Set) Set {
 	out, _ := subtract(s.entries, other.entries, opSubSaturate)
-	return setOf(out)
+	return fromEntries(out)
 }
 
 // Consume removes rate×span of lt from the set in place. It returns
@@ -438,8 +548,8 @@ func (s *Set) TrimBefore(t interval.Time) Set {
 			kept = append(kept, entry{lt: e.lt, p: p})
 		}
 	}
-	*s = setOf(kept)
-	return setOf(expired)
+	*s = fromEntries(kept)
+	return fromEntries(expired)
 }
 
 // Clamp returns the subset of availability inside the window.
@@ -453,7 +563,7 @@ func (s Set) Clamp(window interval.Interval) Set {
 			out = append(out, entry{lt: e.lt, p: p})
 		}
 	}
-	return setOf(out)
+	return fromEntries(out)
 }
 
 // Restrict returns the availability of the listed located types inside
@@ -488,7 +598,7 @@ func (s Set) Restrict(window interval.Interval, types ...LocatedType) Set {
 			out = append(out, entry{lt: e.lt, p: p})
 		}
 	}
-	return setOf(out)
+	return fromEntries(out)
 }
 
 // EachSegment calls fn, in time order, for every stretch of constant
@@ -565,16 +675,10 @@ const termTextBytes = 24
 // ParseSet parses the comma-separated compact syntax produced by Compact.
 // An empty string yields the empty set.
 //
-// It reads the text in one pass into a list of terms, sorts the list by
-// located type and start unless it is in that order already, as
-// Compact's output is, and builds each type's segments in one run at the
-// tail of a single backing array; a run longer than a chunk becomes
-// chunks that share the array. A term that starts after the last
-// segment of its type, and does not abut it at an equal rate, is
-// appended there, so text whose terms do not overlap costs O(terms)
-// after the sort, however its types interleave. A term that overlaps the
-// last segment or meets it at an equal rate is folded in by an add
-// splice, exactly as NewSet would.
+// It reads the text in one pass into a list of terms and builds the set
+// with SetOf, so text whose terms do not overlap, as Compact's output
+// does not, costs O(terms) once they are sorted, however its types
+// interleave.
 func ParseSet(str string) (Set, error) {
 	str = strings.TrimSpace(str)
 	// A term has two colons and is at least as long as the shortest one.
@@ -593,41 +697,7 @@ func ParseSet(str string) (Set, error) {
 			terms = append(terms, t)
 		}
 	}
-	if !slices.IsSortedFunc(terms, byTypeThenStart) {
-		slices.SortFunc(terms, byTypeThenStart)
-	}
-	types := 0
-	for i, t := range terms {
-		if i == 0 || t.Type != terms[i-1].Type {
-			types++
-		}
-	}
-	var (
-		entries = make([]entry, 0, types)
-		arena   = make([]segment, 0, len(terms))
-		run     int // the current type's segments are arena[run:]
-	)
-	for i, t := range terms {
-		if i > 0 && t.Type != terms[i-1].Type {
-			entries = append(entries, entry{lt: terms[i-1].Type, p: fromRun(arena[run:len(arena):len(arena)])})
-			run = len(arena)
-		}
-		seg := segment{span: t.Span, rate: t.Rate}
-		if n := len(arena); n > run {
-			if last := arena[n-1]; seg.span.Start < last.span.End ||
-				seg.span.Start == last.span.End && seg.rate == last.rate {
-				// A flat operand is rebuilt whole, so the sum shares no
-				// storage with the arena it is copied back into.
-				arena = profile{segs: arena[run:]}.add(seg.span, seg.rate).appendTo(arena[:run])
-				continue
-			}
-		}
-		arena = append(arena, seg)
-	}
-	if len(terms) > 0 {
-		entries = append(entries, entry{lt: terms[len(terms)-1].Type, p: fromRun(arena[run:len(arena):len(arena)])})
-	}
-	return setOf(entries), nil
+	return SetOf(terms), nil
 }
 
 // byTypeThenStart orders terms as Compact writes them: by located type,

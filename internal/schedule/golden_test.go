@@ -52,12 +52,12 @@ func hashPlan(h hash.Hash, name string, plan schedule.Plan, err error) {
 		fmt.Fprintf(h, "  %s/%d %d %s %d %d\n", a.Actor, a.Phase, a.Term.Rate, a.Term.Type, a.Term.Span.Start, a.Term.Span.End)
 	}
 	actors := make([]string, 0, len(plan.Breaks))
-	for actor := range plan.Breaks {
-		actors = append(actors, string(actor))
+	for _, b := range plan.Breaks {
+		actors = append(actors, string(b.Actor))
 	}
 	sort.Strings(actors)
 	for _, actor := range actors {
-		fmt.Fprintf(h, "  breaks %s %v\n", actor, plan.Breaks[compute.ActorName(actor)])
+		fmt.Fprintf(h, "  breaks %s %v\n", actor, plan.BreaksOf(compute.ActorName(actor)))
 	}
 }
 

@@ -67,11 +67,31 @@ type Plan struct {
 	// Allocs lists every planned consumption, ordered by actor then
 	// phase.
 	Allocs []Allocation
-	// Breaks maps each actor to its phase completion times (the paper's
-	// t1 … t_{m-1} plus the final completion time t_m).
-	Breaks map[compute.ActorName][]interval.Time
+	// Breaks holds each actor's phase completion times, one entry per
+	// actor in the order the actors were scheduled; BreaksOf looks one
+	// up by name.
+	Breaks []ActorBreaks
 	// Finish is the time by which every actor completes.
 	Finish interval.Time
+}
+
+// ActorBreaks is one actor's phase completion times in a Plan: the
+// paper's t1 … t_{m-1} plus the final completion time t_m. A plan's
+// break times share one backing array.
+type ActorBreaks struct {
+	Actor compute.ActorName
+	Times []interval.Time
+}
+
+// BreaksOf returns the phase completion times of the named actor, nil
+// when the plan schedules no actor of that name.
+func (p Plan) BreaksOf(actor compute.ActorName) []interval.Time {
+	for _, b := range p.Breaks {
+		if b.Actor == actor {
+			return b.Times
+		}
+	}
+	return nil
 }
 
 // Demand returns the total planned consumption as a resource set. A valid
@@ -82,11 +102,6 @@ func (p Plan) Demand() resource.Set {
 		s.Add(a.Term)
 	}
 	return s
-}
-
-// Empty reports whether the plan consumes nothing.
-func (p Plan) Empty() bool {
-	return len(p.Allocs) == 0
 }
 
 // Single decides Theorems 1 and 2 for one actor: can the sequential
@@ -142,18 +157,8 @@ func Concurrent(theta resource.Set, req compute.Concurrent, opts ...Option) (Pla
 	actors := make([]compute.Complex, len(req.Actors))
 	copy(actors, req.Actors)
 	// Heuristic order: largest total demand first, so the bulkiest actor
-	// gets first pick of scarce capacity. Each actor's total is summed
-	// once, before the sort.
-	if len(actors) > 1 {
-		byDemand := make([]demand, len(actors))
-		for i, a := range actors {
-			byDemand[i] = demand{total: a.Total(), actor: a}
-		}
-		slices.SortStableFunc(byDemand, func(a, b demand) int { return cmp.Compare(b.total, a.total) })
-		for i, d := range byDemand {
-			actors[i] = d.actor
-		}
-	}
+	// gets first pick of scarce capacity.
+	slices.SortStableFunc(actors, func(a, b compute.Complex) int { return cmp.Compare(b.Total(), a.Total()) })
 
 	if plan, err := tryOrder(theta, actors); err == nil {
 		return plan, nil
@@ -179,45 +184,50 @@ func Concurrent(theta resource.Set, req compute.Concurrent, opts ...Option) (Pla
 	return *found, nil
 }
 
-// demand is an actor keyed by its total required quantity.
-type demand struct {
-	total resource.Quantity
-	actor compute.Complex
-}
-
 // tryOrder schedules the actors in the given order. The search reads Θ
 // only for the located types the actors require and only inside their
 // windows, so it consumes from an overlay holding exactly that slice —
 // each type clamped once to the window — and never copies, or writes to,
-// Θ itself.
+// Θ itself. The plan is built in runs sized from the requirement: one
+// entry per actor, one break time per phase, all in one array, and room
+// for one allocation per need — a need met inside one stretch of
+// availability, as a loaded ledger's nearly all are, takes one; one that
+// drains more stretches grows the run.
 func tryOrder(theta resource.Set, order []compute.Complex) (Plan, error) {
-	plan := Plan{Breaks: map[compute.ActorName][]interval.Time{}}
 	var window interval.Interval
-	n := 0
+	// The distinct required types, gathered on the stack: a requirement
+	// names few.
+	var buf [16]resource.LocatedType
+	types := buf[:0]
+	phases, needs := 0, 0
 	for _, actor := range order {
 		window = window.Hull(actor.Window)
+		phases += len(actor.Phases)
 		for _, phase := range actor.Phases {
-			n += len(phase.Amounts)
-		}
-	}
-	types := make([]resource.LocatedType, 0, n)
-	for _, actor := range order {
-		for _, phase := range actor.Phases {
+			needs += len(phase.Amounts)
 			for _, need := range phase.Amounts {
-				types = append(types, need.Type)
+				if !slices.Contains(types, need.Type) {
+					types = append(types, need.Type)
+				}
 			}
 		}
 	}
 	working := theta.Restrict(window, types...)
+	plan := Plan{
+		Allocs: make([]Allocation, 0, needs),
+		Breaks: make([]ActorBreaks, len(order)),
+	}
+	times := make([]interval.Time, phases)
 	for i, actor := range order {
-		if err := scheduleActor(&working, actor, order[i+1:], &plan); err != nil {
+		n := len(actor.Phases)
+		plan.Breaks[i] = ActorBreaks{Actor: actor.Actor, Times: times[:n:n]}
+		if err := scheduleActor(&working, actor, order[i+1:], &plan, times[:n:n]); err != nil {
 			return Plan{}, err
 		}
-	}
-	for _, breaks := range plan.Breaks {
-		if n := len(breaks); n > 0 && breaks[n-1] > plan.Finish {
-			plan.Finish = breaks[n-1]
+		if n > 0 && times[n-1] > plan.Finish {
+			plan.Finish = times[n-1]
 		}
+		times = times[n:]
 	}
 	return plan, nil
 }
@@ -243,43 +253,52 @@ func permute(actors []compute.Complex, visit func([]compute.Complex) bool) {
 }
 
 // scheduleActor plans one actor's phases against the working set,
-// consuming what it allocates wherever a later allocation of the same
-// type — a later phase of req, or an actor in later — will read it. The
-// actor's phases run back to back: phase i begins the moment phase i−1
-// completes.
-func scheduleActor(working *resource.Set, req compute.Complex, later []compute.Complex, plan *Plan) error {
+// appending its allocations to plan.Allocs and phase i's completion time
+// to breaks[i], and consuming what it allocates wherever a later
+// allocation of the same type — a later phase of req, or an actor in
+// later — will read it. The actor's phases run back to back: phase i
+// begins the moment phase i−1 completes.
+func scheduleActor(working *resource.Set, req compute.Complex, later []compute.Complex, plan *Plan, breaks []interval.Time) error {
 	cursor := req.Window.Start
-	breaks := make([]interval.Time, 0, len(req.Phases))
 	for phaseIdx, phase := range req.Phases {
 		completion := cursor
 		// Allocate each required type independently from the cursor; the
 		// phase completes when its slowest type is fully delivered.
 		for _, amount := range phase.Amounts {
 			lt, need := amount.Type, amount.Qty
-			allocs, doneAt, err := earliestAllocations(*working, lt, need, interval.New(cursor, req.Window.End))
+			window := interval.New(cursor, req.Window.End)
+			from := len(plan.Allocs)
+			allocs, doneAt, err := earliestAllocations(plan.Allocs, *working, req.Actor, phaseIdx, lt, need, window)
 			if err != nil {
-				return &Infeasible{Actor: req.Actor, Phase: phaseIdx, Type: lt, Need: need,
-					Window: interval.New(cursor, req.Window.End)}
+				return &Infeasible{Actor: req.Actor, Phase: phaseIdx, Type: lt, Need: need, Window: window}
 			}
+			plan.Allocs = allocs
 			// A consumption nothing reads again would cost a copy of the
 			// type's whole profile for nothing.
 			if readLater(lt, req.Phases[phaseIdx+1:], later) {
-				if consumeErr := working.ConsumeTerms(allocs); consumeErr != nil {
+				if consumeErr := consume(working, allocs[from:]); consumeErr != nil {
 					return fmt.Errorf("schedule: internal: allocation exceeds availability: %v", consumeErr)
 				}
-			}
-			for _, term := range allocs {
-				plan.Allocs = append(plan.Allocs, Allocation{Actor: req.Actor, Phase: phaseIdx, Term: term})
 			}
 			if doneAt > completion {
 				completion = doneAt
 			}
 		}
 		cursor = completion
-		breaks = append(breaks, cursor)
+		breaks[phaseIdx] = cursor
 	}
-	plan.Breaks[req.Actor] = breaks
 	return nil
+}
+
+// consume takes one need's allocations out of the working set in one
+// splice, their terms gathered on the stack.
+func consume(working *resource.Set, allocs []Allocation) error {
+	var buf [8]resource.Term
+	terms := buf[:0]
+	for _, a := range allocs {
+		terms = append(terms, a.Term)
+	}
+	return working.ConsumeTerms(terms)
 }
 
 // readLater reports whether any of phases, or any phase of the actors in
@@ -300,14 +319,15 @@ func readLater(lt resource.LocatedType, phases []compute.Phase, later []compute.
 
 // earliestAllocations greedily accumulates need units of lt starting at
 // window.Start, consuming the full available rate of every tick until the
-// final tick, which consumes only the remainder. It returns the
-// allocation terms — in time order and disjoint — and the completion time
-// (the tick after the last consumption). The terms are its only
-// allocation: one walk over the window's segments finds where the need is
-// met, a second fills the exactly-sized result.
-func earliestAllocations(theta resource.Set, lt resource.LocatedType, need resource.Quantity, window interval.Interval) ([]resource.Term, interval.Time, error) {
+// final tick, which consumes only the remainder. It appends the
+// allocations — in time order and disjoint, each the given actor's phase
+// — to allocs and returns them with the completion time (the tick after
+// the last consumption). One walk over the window's segments finds where
+// the need is met, a second appends the terms, into allocs' spare room
+// when it has enough.
+func earliestAllocations(allocs []Allocation, theta resource.Set, actor compute.ActorName, phase int, lt resource.LocatedType, need resource.Quantity, window interval.Interval) ([]Allocation, interval.Time, error) {
 	if need <= 0 {
-		return nil, window.Start, nil
+		return allocs, window.Start, nil
 	}
 	// The need drains `full` segments whole, then takes wholeTicks of the
 	// next one at its full rate and what remains in one partial-rate tick.
@@ -326,7 +346,7 @@ func earliestAllocations(theta resource.Set, lt resource.LocatedType, need resou
 		return false
 	})
 	if !met {
-		return nil, 0, ErrInfeasible
+		return allocs, 0, ErrInfeasible
 	}
 	n := full
 	if wholeTicks > 0 {
@@ -335,24 +355,34 @@ func earliestAllocations(theta resource.Set, lt resource.LocatedType, need resou
 	if remaining > 0 {
 		n++
 	}
-	out := make([]resource.Term, 0, n)
+	if len(allocs)+n > cap(allocs) {
+		// Grown by hand rather than by slices.Grow, whose temporary the
+		// race detector's instrumentation makes a second allocation.
+		grown := make([]Allocation, len(allocs), max(len(allocs)+n, 2*cap(allocs)))
+		allocs = grown[:copy(grown, allocs)]
+	}
+	add := func(rate resource.Rate, span interval.Interval) {
+		allocs = append(allocs, Allocation{Actor: actor, Phase: phase, Term: resource.Term{Rate: rate, Type: lt, Span: span}})
+	}
 	var doneAt interval.Time
+	taken := 0
 	theta.EachSegment(lt, window, func(span interval.Interval, rate resource.Rate) bool {
-		if len(out) < full {
-			out = append(out, resource.Term{Rate: rate, Type: lt, Span: span})
+		if taken < full {
+			taken++
+			add(rate, span)
 			return true
 		}
 		doneAt = span.Start + wholeTicks
 		if wholeTicks > 0 {
-			out = append(out, resource.Term{Rate: rate, Type: lt, Span: interval.New(span.Start, doneAt)})
+			add(rate, interval.New(span.Start, doneAt))
 		}
 		if remaining > 0 {
-			out = append(out, resource.Term{Rate: resource.Rate(remaining), Type: lt, Span: interval.New(doneAt, doneAt+1)})
+			add(resource.Rate(remaining), interval.New(doneAt, doneAt+1))
 			doneAt++
 		}
 		return false
 	})
-	return out, doneAt, nil
+	return allocs, doneAt, nil
 }
 
 // Verify independently checks a plan against the resources and the
@@ -370,7 +400,7 @@ func Verify(theta resource.Set, req compute.Concurrent, plan Plan) error {
 		byActor[a.Actor] = append(byActor[a.Actor], a)
 	}
 	for _, actor := range req.Actors {
-		breaks := plan.Breaks[actor.Actor]
+		breaks := plan.BreaksOf(actor.Actor)
 		if len(actor.Phases) == 0 {
 			continue
 		}

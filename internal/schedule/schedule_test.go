@@ -78,7 +78,7 @@ func TestSingleSequentialOrderMatters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("well-ordered resources rejected: %v", err)
 	}
-	breaks := plan.Breaks["a1"]
+	breaks := plan.BreaksOf("a1")
 	if len(breaks) != 3 {
 		t.Fatalf("breaks = %v", breaks)
 	}
@@ -178,7 +178,7 @@ func TestSingleEmptyRequirement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Empty() {
+	if len(plan.Allocs) != 0 {
 		t.Errorf("empty requirement should yield empty plan: %+v", plan)
 	}
 }
@@ -272,13 +272,13 @@ func TestVerifyRejectsCorruptPlans(t *testing.T) {
 
 	// Missing breaks.
 	noBreaks := plan
-	noBreaks.Breaks = map[compute.ActorName][]interval.Time{}
+	noBreaks.Breaks = nil
 	if err := Verify(theta, conc, noBreaks); err == nil {
 		t.Error("plan without breaks accepted")
 	}
 
 	// Allocation escaping its phase subinterval.
-	shifted := Plan{Breaks: map[compute.ActorName][]interval.Time{"a1": {1, 2, 3}}}
+	shifted := Plan{Breaks: []ActorBreaks{{Actor: "a1", Times: []interval.Time{1, 2, 3}}}}
 	shifted.Allocs = []Allocation{{
 		Actor: "a1", Phase: 0,
 		Term: resource.NewTerm(u(8), cpuL1, interval.New(4, 5)), // after break 1
@@ -288,7 +288,7 @@ func TestVerifyRejectsCorruptPlans(t *testing.T) {
 	}
 
 	// Underfed phase.
-	hungry := Plan{Breaks: map[compute.ActorName][]interval.Time{"a1": {4, 8, 12}}}
+	hungry := Plan{Breaks: []ActorBreaks{{Actor: "a1", Times: []interval.Time{4, 8, 12}}}}
 	hungry.Allocs = []Allocation{{
 		Actor: "a1", Phase: 0,
 		Term: resource.NewTerm(u(1), cpuL1, interval.New(0, 2)), // 2 of 8 needed
@@ -455,32 +455,46 @@ func fragmentedView(n int) resource.Set {
 	return theta
 }
 
-// The planner's read of Θ allocates only what it returns: the walk over
-// the window's segments is a cursor, not a clamped, rendered copy.
+// The planner's read of Θ allocates only what it appends, and only when
+// the run it appends to lacks the room: the walk over the window's
+// segments is a cursor, not a clamped, rendered copy.
 func TestEarliestAllocationsAllocatesOnlyItsResult(t *testing.T) {
 	theta := fragmentedView(512)
 	window := interval.New(1001, 1400)
 	need := resource.QuantityFromUnits(75) // drains several segments, then part of one
-	var terms []resource.Term
+	var got []Allocation
 	allocs := testing.AllocsPerRun(100, func() {
-		terms, _, _ = earliestAllocations(theta, cpuL1, need, window)
+		got, _, _ = earliestAllocations(nil, theta, "a1", 2, cpuL1, need, window)
 	})
 	if allocs != 1 {
-		t.Errorf("earliestAllocations: %.0f allocations, want 1 (its result)", allocs)
+		t.Errorf("earliestAllocations into nil: %.0f allocations, want 1 (its result)", allocs)
 	}
-	if len(terms) < 4 || len(terms) != cap(terms) {
-		t.Errorf("result holds %d terms in storage for %d; want several, exactly sized", len(terms), cap(terms))
+	if len(got) < 4 {
+		t.Errorf("result holds %d allocations; want several", len(got))
 	}
-	var got resource.Quantity
-	for _, term := range terms {
-		got += term.Quantity()
+	var sum resource.Quantity
+	for _, a := range got {
+		if a.Actor != "a1" || a.Phase != 2 {
+			t.Errorf("allocation %+v not tagged a1/2", a)
+		}
+		sum += a.Term.Quantity()
 	}
-	if got != need {
-		t.Errorf("allocated %v, need %v", got, need)
+	if sum != need {
+		t.Errorf("allocated %v, need %v", sum, need)
+	}
+	// Appended after what the run holds, into its spare room: nothing.
+	room := make([]Allocation, 1, 1+len(got))
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, _, _ = earliestAllocations(room, theta, "a1", 2, cpuL1, need, window)
+	}); allocs != 0 {
+		t.Errorf("earliestAllocations into a run with room: %.0f allocations, want 0", allocs)
+	}
+	if more, _, _ := earliestAllocations(room, theta, "a1", 2, cpuL1, need, window); len(more) != 1+len(got) || more[1] != got[0] {
+		t.Errorf("appended %d allocations after 1, want %d after it", len(more)-1, len(got))
 	}
 	// An infeasible read allocates nothing at all.
 	if allocs := testing.AllocsPerRun(100, func() {
-		_, _, _ = earliestAllocations(theta, cpuL1, resource.QuantityFromUnits(1<<30), window)
+		_, _, _ = earliestAllocations(nil, theta, "a1", 0, cpuL1, resource.QuantityFromUnits(1<<30), window)
 	}); allocs != 0 {
 		t.Errorf("infeasible earliestAllocations: %.0f allocations, want 0", allocs)
 	}
@@ -513,5 +527,53 @@ func TestPlannerLeavesViewUnchanged(t *testing.T) {
 	}
 	if !theta.Equal(before) {
 		t.Fatalf("planning changed the view it searched:\n got %v\nwant %v", theta, before)
+	}
+}
+
+// planSink keeps Concurrent's plan reachable, so the compiler cannot
+// keep it off the heap.
+var planSink Plan
+
+// A decision writes its plan once, in runs sized from the requirement,
+// and otherwise allocates only the overlay of Θ it consumes from. On a
+// 3-actor, 3-phase job over a fragmented Θ of two chunked types, with
+// more than one allocation to most needs, that is a fixed budget: the
+// options' config, which escapes to the options; five runs for the plan
+// (the actor copy, the allocations and their one regrowth — the run has
+// room for one per need — the per-actor break entries, the one array of
+// break times); the overlay's run of entries and, per type, a clamp of
+// three (a cut end chunk, a chunk list, a table); and a splice of three
+// (a rebuilt chunk, a chunk list, a table) for each of the seven needs
+// a later phase or actor reads. No map of break points and no per-need
+// slice.
+func TestConcurrentAllocatesItsPlan(t *testing.T) {
+	theta := fragmentedView(512)
+	for i := 0; i < 256; i++ {
+		theta.Add(resource.NewTerm(u(int64(1+i%2)), netL12, interval.New(interval.Time(2*i), interval.Time(2*i+2))))
+	}
+	window := interval.New(3, 900)
+	req := compute.Concurrent{Window: window, Actors: []compute.Complex{
+		compute.ComplexOf(seqActor(t, "a1"), window),
+		compute.ComplexOf(seqActor(t, "a2"), window),
+		compute.ComplexOf(seqActor(t, "a3"), window),
+	}}
+	plan, err := Concurrent(theta, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(theta, req, plan); err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Allocs) <= 9 {
+		t.Fatalf("fixture: %d allocations for 9 needs; each should drain more than one stretch", len(plan.Allocs))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if planSink, err = Concurrent(theta, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 1 + 5 + (1 + 2*3) + 7*3
+	if allocs > budget {
+		t.Errorf("Concurrent: %.0f allocations, budget %d", allocs, budget)
 	}
 }

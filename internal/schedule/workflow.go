@@ -62,6 +62,8 @@ func FeasibleWorkflow(theta resource.Set, w compute.Workflow) (WorkflowPlan, err
 		}
 	}
 	working := theta.Restrict(interval.New(w.Start, w.Deadline), types...)
+	// fill holds one need's allocations, reused from need to need.
+	var fill []Allocation
 	for _, ref := range order {
 		seg, ok := w.Segment(ref)
 		if !ok {
@@ -79,16 +81,17 @@ func FeasibleWorkflow(theta resource.Set, w compute.Workflow) (WorkflowPlan, err
 			completion := cursor
 			for _, amount := range phase.Amounts {
 				lt, need := amount.Type, amount.Qty
-				allocs, doneAt, err := earliestAllocations(working, lt, need, interval.New(cursor, w.Deadline))
+				var doneAt interval.Time
+				fill, doneAt, err = earliestAllocations(fill[:0], working, "", phaseIdx, lt, need, interval.New(cursor, w.Deadline))
 				if err != nil {
 					return WorkflowPlan{}, fmt.Errorf("%w: segment %v phase %d needs %v of %v in (%d,%d)",
 						ErrInfeasible, ref, phaseIdx, need, lt, cursor, w.Deadline)
 				}
-				if consumeErr := working.ConsumeTerms(allocs); consumeErr != nil {
+				if consumeErr := consume(&working, fill); consumeErr != nil {
 					return WorkflowPlan{}, fmt.Errorf("schedule: internal: workflow allocation exceeds availability: %v", consumeErr)
 				}
-				for _, term := range allocs {
-					plan.Allocs = append(plan.Allocs, WorkflowAllocation{Ref: ref, Phase: phaseIdx, Term: term})
+				for _, a := range fill {
+					plan.Allocs = append(plan.Allocs, WorkflowAllocation{Ref: ref, Phase: phaseIdx, Term: a.Term})
 				}
 				if doneAt > completion {
 					completion = doneAt

@@ -159,35 +159,33 @@ func (l *Ledger) decideHot(w *admitWork) (admission.Decision, error) {
 // never write to the view they search). Single-location footprints
 // return the shard's free view directly — no clone, no allocation.
 func (l *Ledger) snapshotFree(locs []resource.Location, vers []uint64) resource.Set {
-	if len(locs) == 1 {
-		sh := l.shardFor(locs[0])
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return mergedFree([]*shard{sh}, vers)
-	}
-	shards, unlock := l.lockedShards(locs)
-	defer unlock()
+	var buf lockBuf
+	shards := l.lockedShards(&buf, locs)
+	defer shards.unlock()
 	return mergedFree(shards, vers)
 }
 
 // mergedFree merges the free views of shards whose locks the caller
 // holds, recording their mutation versions into vers when non-nil. A
 // lone shard's view is returned as is, shared read-only. Shards own
-// disjoint located types, so the union of several is one run of
-// entries, built by one sorted merge per shard, holding the shards' own
-// profiles: its cost does not grow with their segments.
+// disjoint located types, so the union of several is their entries
+// interleaved in one run (resource.UnionOf), holding the shards' own
+// profiles: one allocation, whatever the number of shards or segments.
 func mergedFree(shards []*shard, vers []uint64) resource.Set {
-	var free resource.Set
-	for i, sh := range shards {
-		if vers != nil {
+	if vers != nil {
+		for i, sh := range shards {
 			vers[i] = sh.ver
 		}
-		if len(shards) == 1 {
-			return sh.free
-		}
-		free.AddSet(sh.free)
 	}
-	return free
+	if len(shards) == 1 {
+		return shards[0].free
+	}
+	var buf [4]resource.Set
+	views := buf[:0]
+	for _, sh := range shards {
+		views = append(views, sh.free)
+	}
+	return resource.UnionOf(views)
 }
 
 // DecideOnFree runs policy for job against a free view at now, under a
@@ -249,12 +247,13 @@ func (l *Ledger) plan(w *admitWork, free resource.Set, attempt int) (admission.D
 func (l *Ledger) reserveIfFits(w *admitWork, vers []uint64, attempt int) (bool, error) {
 	rs := l.startReserve(w, attempt)
 	defer rs.End()
-	shards, unlock, err := l.lockOwned(w.locs)
+	var buf lockBuf
+	shards, err := l.lockOwned(&buf, w.locs)
 	if err != nil {
 		rs.SetStatus(span.StatusError)
 		return false, err
 	}
-	defer unlock()
+	defer shards.unlock()
 	if tight := fitsLocked(shards, vers, w.op.rec.parts); tight != nil {
 		// The attempt is refused for capacity — its plan no longer fits
 		// the tight shard's free view — and like every reject span says
@@ -295,11 +294,12 @@ func fitsLocked(shards []*shard, vers []uint64, demand parts) *shard {
 // view cannot move under the locks — which is why it is the fallback
 // once the bounded optimistic attempts are spent.
 func (l *Ledger) decideLocked(w *admitWork) (admission.Decision, error) {
-	shards, unlock, err := l.lockOwned(w.locs)
+	var buf lockBuf
+	shards, err := l.lockOwned(&buf, w.locs)
 	if err != nil {
 		return admission.Decision{}, err
 	}
-	defer unlock()
+	defer shards.unlock()
 	if dec, err := l.plan(w, mergedFree(shards, nil), 0); err != nil || !dec.Admit {
 		return dec, err
 	}

@@ -13,11 +13,13 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/compute"
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/interval"
 	"repro/internal/obs/flightrec"
 	"repro/internal/obs/span"
 	"repro/internal/resource"
+	"repro/internal/schedule"
 	"repro/internal/workload"
 )
 
@@ -291,10 +293,10 @@ func TestReplanExhaustionFallsBackToLockedPlan(t *testing.T) {
 // the write a test hook makes between a plan and its reserve round.
 func reserveOn(tb testing.TB, l *Ledger, loc resource.Location, block resource.Set) {
 	tb.Helper()
-	sh := l.shardFor(loc)
-	sh.mu.Lock()
-	err := reserve([]*shard{sh}, parts{{loc: loc, set: block}})
-	sh.mu.Unlock()
+	var buf lockBuf
+	shards := l.lockedShards(&buf, []resource.Location{loc})
+	err := reserve(shards, parts{{loc: loc, set: block}})
+	shards.unlock()
 	if err != nil {
 		tb.Error(err)
 	}
@@ -302,10 +304,10 @@ func reserveOn(tb testing.TB, l *Ledger, loc resource.Location, block resource.S
 
 // releaseOn gives a synthetic block back to loc's shard.
 func releaseOn(l *Ledger, loc resource.Location, block resource.Set) error {
-	sh := l.shardFor(loc)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return patchFree([]*shard{sh}, parts{{loc: loc, set: block}}, (*shard).giving)
+	var buf lockBuf
+	shards := l.lockedShards(&buf, []resource.Location{loc})
+	defer shards.unlock()
+	return patchFree(shards, parts{{loc: loc, set: block}}, (*shard).giving)
 }
 
 // recordedFree returns the from-scratch free view of loc's shard — θ
@@ -396,12 +398,12 @@ func TestReleaseBeyondReservationRefused(t *testing.T) {
 		}
 		read := func() map[resource.Location]state {
 			out := map[resource.Location]state{}
-			for _, loc := range []resource.Location{"l1", "l2"} {
-				sh := l.shardFor(loc)
-				sh.mu.Lock()
-				out[loc] = state{sh.free, sh.free.Compact(), sh.ver}
-				sh.mu.Unlock()
+			var buf lockBuf
+			shards := l.lockedShards(&buf, []resource.Location{"l1", "l2"})
+			for _, sh := range shards {
+				out[sh.loc] = state{sh.free, sh.free.Compact(), sh.ver}
 			}
+			shards.unlock()
 			return out
 		}
 		before := read()
@@ -579,6 +581,103 @@ func TestFreeViewMultiLocationAllocatesOnlyTheMap(t *testing.T) {
 	}
 	if manyBytes > 2048 {
 		t.Errorf("3-shard snapshot allocates %.0f bytes, want the lock bookkeeping and one small map (≤ 2048)", manyBytes)
+	}
+}
+
+// ringView returns a loaded 3-shard ledger whose shards also carry
+// fragmented links l1→l2, l2→l3 and l3→l1, so that the shards' views
+// interleave in a set's type order, and its locations.
+func ringView(t *testing.T) (*Ledger, []resource.Location) {
+	t.Helper()
+	l, locs := benchAdmitLedger(t, 3, 300, nil)
+	var links resource.Set
+	for i, src := range locs {
+		for k := 0; k < 64; k++ {
+			at := interval.Time(3 * k)
+			links.Add(resource.NewTerm(u(int64(1+k%2)), resource.Link(src, locs[(i+1)%3]), interval.New(at, at+2)))
+		}
+	}
+	if err := l.Acquire(links); err != nil {
+		t.Fatal(err)
+	}
+	return l, locs
+}
+
+// A multi-shard snapshot is one allocation: shards own disjoint located
+// types, so the union of their views is their entries interleaved in
+// one run, every profile shared.
+func TestMergedFreeOneAllocation(t *testing.T) {
+	l, locs := ringView(t)
+	var buf lockBuf
+	shards := l.lockedShards(&buf, locs)
+	defer shards.unlock()
+	var want resource.Set
+	for _, sh := range shards {
+		want = want.Union(sh.free)
+	}
+	vers := make([]uint64, len(shards))
+	if got := mergedFree(shards, vers); !got.Equal(want) {
+		t.Fatalf("mergedFree = %v, want the union of the views %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = mergedFree(shards, vers) }); allocs != 1 {
+		t.Errorf("3-shard mergedFree: %.0f allocations, want 1", allocs)
+	}
+}
+
+// A plan's demand splits by shard in one sort of its terms: the parts
+// run, then per shard its set's run of entries and per located type its
+// run of segments — at most one allocation per shard plus one per type,
+// besides the parts themselves — and each shard's part is the set its
+// terms make.
+func TestSplitAllocsAllocationBudget(t *testing.T) {
+	l, locs := ringView(t)
+	free, _, err := l.FreeView(locs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := make([]compute.Computation, len(locs))
+	for i, loc := range locs {
+		actor := compute.ActorName(fmt.Sprintf("ring.a%d", i))
+		if cs[i], err = cost.Realize(cost.Paper(), actor,
+			compute.Evaluate(actor, loc, 1),
+			compute.Send(actor, loc, "peer", locs[(i+1)%3], 1),
+			compute.Evaluate(actor, loc, 1),
+		); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := compute.NewDistributed("ring", 0, 4096, cs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := schedule.Concurrent(free, core.ConcurrentAt(d, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byShard := map[resource.Location]*resource.Set{}
+	for _, a := range plan.Allocs {
+		if byShard[a.Term.Type.Loc] == nil {
+			byShard[a.Term.Type.Loc] = &resource.Set{}
+		}
+		byShard[a.Term.Type.Loc].Add(a.Term)
+	}
+	got := splitAllocs(plan.Allocs)
+	if len(got) != 3 || len(plan.Allocs) <= 6 {
+		t.Fatalf("fixture: %d allocations on %d shards; want 3 shards, more allocations than types", len(plan.Allocs), len(got))
+	}
+	types := 0
+	for i, p := range got {
+		if i > 0 && p.loc <= got[i-1].loc {
+			t.Fatalf("parts out of location order: %s after %s", p.loc, got[i-1].loc)
+		}
+		if want := byShard[p.loc]; want == nil || !p.set.Equal(*want) {
+			t.Fatalf("part on %s = %v, want %v", p.loc, p.set, want)
+		}
+		types += len(p.set.Types())
+	}
+	budget := float64(1 + len(got) + types)
+	if allocs := testing.AllocsPerRun(100, func() { _ = splitAllocs(plan.Allocs) }); allocs > budget {
+		t.Errorf("splitAllocs of %d allocations on %d shards and %d types: %.0f allocations, budget %.0f", len(plan.Allocs), len(got), types, allocs, budget)
 	}
 }
 

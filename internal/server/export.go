@@ -121,8 +121,8 @@ func (l *Ledger) DropLocations(locs []resource.Location) []string {
 	// shard lock is acquired), then l.mu for the maps. Holding both
 	// serializes the drop against in-flight admissions and prepares,
 	// whose post-lock ownership re-check sees the shrunken owned set.
-	_, unlock := l.lockedShards(locs)
-	defer unlock()
+	var buf lockBuf
+	defer l.lockedShards(&buf, locs).unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, loc := range locs {
@@ -179,8 +179,9 @@ func (l *Ledger) ImportLocations(exports []LocationExport) error {
 	// An import is an install op's effect and its apply, under the locks
 	// of every shard it lands on: every export is decoded and checked
 	// against its shard before any is touched.
-	shards, unlock := l.lockedShards(o.moved)
-	defer unlock()
+	var buf lockBuf
+	shards := l.lockedShards(&buf, o.moved)
+	defer shards.unlock()
 	if len(shards) != len(exports) {
 		return fmt.Errorf("server: import names a location twice")
 	}

@@ -15,6 +15,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -97,14 +98,51 @@ func splitByShard(s resource.Set) parts {
 }
 
 // splitAllocs partitions a witness plan's allocations into per-shard
-// demand sets in one pass: what the reservation adds to each shard, what
-// its record keeps, and what releasing it gives back.
+// demand sets: what the reservation adds to each shard, what its record
+// keeps, and what releasing it gives back. The terms are sorted once, by
+// shard and then in a Set's order, so each shard's are one stretch that
+// resource.SetOf builds as it stands: the parts cost one run, and each
+// shard's set its run of entries and a run of segments per type.
 func splitAllocs(allocs []schedule.Allocation) parts {
-	var out parts
+	var buf [32]resource.Term
+	terms := buf[:0]
+	if len(allocs) > len(buf) {
+		terms = make([]resource.Term, 0, len(allocs))
+	}
 	for _, a := range allocs {
-		out.at(shardOf(a.Term.Type)).Add(a.Term)
+		terms = append(terms, a.Term)
+	}
+	slices.SortFunc(terms, byShardThenType)
+	n := 0
+	for i, t := range terms {
+		if i == 0 || shardOf(t.Type) != shardOf(terms[i-1].Type) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(parts, 0, n)
+	for i := 0; i < len(terms); {
+		loc, j := shardOf(terms[i].Type), i+1
+		for j < len(terms) && shardOf(terms[j].Type) == loc {
+			j++
+		}
+		out = append(out, part{loc: loc, set: resource.SetOf(terms[i:j])})
+		i = j
 	}
 	return out
+}
+
+// byShardThenType orders terms by shard, then as a Set orders them: by
+// kind, link destination and start, the location being the shard's.
+func byShardThenType(a, b resource.Term) int {
+	return cmp.Or(
+		strings.Compare(string(shardOf(a.Type)), string(shardOf(b.Type))),
+		strings.Compare(string(a.Type.Kind), string(b.Type.Kind)),
+		strings.Compare(string(a.Type.Dst), string(b.Type.Dst)),
+		cmp.Compare(a.Span.Start, b.Span.Start),
+	)
 }
 
 // shard is one location's slice of the live ledger: its availability θ
@@ -465,12 +503,27 @@ func (l *Ledger) mergeLocked(in *reservation) *reservation {
 	return r
 }
 
+// lockSet is a footprint's shards, locked in canonical order by
+// lockedShards. The caller releases them with unlock, exactly once.
+type lockSet []*shard
+
+// lockBuf is a caller's room for a lockSet: a footprint of up to four
+// locations, as nearly every job's is, locks without allocating.
+type lockBuf [4]*shard
+
+// unlock releases the shards, in the reverse of the order they were
+// locked in.
+func (ls lockSet) unlock() {
+	for i := len(ls) - 1; i >= 0; i-- {
+		ls[i].mu.Unlock()
+	}
+}
+
 // lockedShards returns the shards for the given locations, creating any
-// that do not exist yet, locked in canonical (sorted) order. locs is only
-// read: a footprint already sorted and distinct, as a job's and a
-// record's are, is used as it is. The caller must call the returned
-// unlock exactly once.
-func (l *Ledger) lockedShards(locs []resource.Location) ([]*shard, func()) {
+// that do not exist yet, locked in canonical (sorted) order, in buf's
+// storage when it has the room. locs is only read: a footprint already
+// sorted and distinct, as a job's and a record's are, is used as it is.
+func (l *Ledger) lockedShards(buf *lockBuf, locs []resource.Location) lockSet {
 	sorted := locs
 	for i := 1; i < len(locs); i++ {
 		if locs[i-1] >= locs[i] {
@@ -480,30 +533,16 @@ func (l *Ledger) lockedShards(locs []resource.Location) ([]*shard, func()) {
 			break
 		}
 	}
+	shards := lockSet(buf[:0])
 	l.mu.Lock()
-	shards := make([]*shard, len(sorted))
-	for i, loc := range sorted {
-		shards[i] = l.shardLocked(loc)
+	for _, loc := range sorted {
+		shards = append(shards, l.shardLocked(loc))
 	}
 	l.mu.Unlock()
 	for _, sh := range shards {
 		sh.mu.Lock()
 	}
-	return shards, func() {
-		for i := len(shards) - 1; i >= 0; i-- {
-			shards[i].mu.Unlock()
-		}
-	}
-}
-
-// shardFor returns loc's shard, creating it if absent. Unlike
-// lockedShards it does not lock the shard and allocates nothing on the
-// hit path — the single-location fast path of the free-view fetch.
-func (l *Ledger) shardFor(loc resource.Location) *shard {
-	l.mu.Lock()
-	sh := l.shardLocked(loc)
-	l.mu.Unlock()
-	return sh
+	return shards
 }
 
 // shardLocked returns loc's shard, creating an empty one at the ledger
@@ -524,13 +563,13 @@ func (l *Ledger) shardLocked(loc resource.Location) *shard {
 // earlier check is caught here, and ownership that holds here holds until
 // unlock — a reservation placed on a dropped shard would never be
 // committed, released or swept.
-func (l *Ledger) lockOwned(locs []resource.Location) ([]*shard, func(), error) {
-	shards, unlock := l.lockedShards(locs)
+func (l *Ledger) lockOwned(buf *lockBuf, locs []resource.Location) (lockSet, error) {
+	shards := l.lockedShards(buf, locs)
 	if err := l.checkOwned(locs); err != nil {
-		unlock()
-		return nil, nil, err
+		shards.unlock()
+		return nil, err
 	}
-	return shards, unlock, nil
+	return shards, nil
 }
 
 // misfit returns the first shard whose free view does not dominate its
@@ -759,8 +798,9 @@ func (l *Ledger) free(o op, r *reservation) error {
 // does not hold is an error, and then no shard is written.
 func (l *Ledger) releaseParts(r *reservation) ([]resource.Location, error) {
 	locs := r.locs()
-	shards, unlock := l.lockedShards(locs)
-	defer unlock()
+	var buf lockBuf
+	shards := l.lockedShards(&buf, locs)
+	defer shards.unlock()
 	if err := patchFree(shards, r.parts, (*shard).giving); err != nil {
 		return nil, err
 	}
@@ -778,13 +818,14 @@ func (l *Ledger) Acquire(theta resource.Set) error {
 	if err := l.checkOwned(locs); err != nil {
 		return fmt.Errorf("acquire: %w", err)
 	}
-	shards, unlock, err := l.lockOwned(locs)
+	var buf lockBuf
+	shards, err := l.lockOwned(&buf, locs)
 	if err != nil {
 		return fmt.Errorf("acquire: %w", err)
 	}
 	o := op{kind: opAcquire, rec: reservation{parts: splitByShard(theta)}, locs: locs}
 	acquire(shards, o.rec.parts)
-	unlock()
+	shards.unlock()
 	l.apply(o)
 	return nil
 }

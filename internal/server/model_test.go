@@ -98,15 +98,16 @@ func (lo loggedOp) String() string {
 func replay(l *Ledger, o op) error {
 	switch o.kind {
 	case opReserve, opPrepare, opAcquire:
-		shards, unlock := l.lockedShards(o.locs)
+		var buf lockBuf
+		shards := l.lockedShards(&buf, o.locs)
 		if o.kind == opAcquire {
 			acquire(shards, o.rec.parts)
-			unlock()
+			shards.unlock()
 			l.apply(o)
 			return nil
 		}
 		reserve(shards, o.rec.parts)
-		unlock()
+		shards.unlock()
 		claim := &reservation{name: o.rec.name, key: o.rec.key, pending: true}
 		l.mu.Lock()
 		err := l.claimLocked(claim)

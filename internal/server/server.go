@@ -670,7 +670,12 @@ func (s *Server) ServeRelease(w http.ResponseWriter, name string) {
 		HTTPError(w, status, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]string{"released": name})
+	WriteJSON(w, http.StatusOK, releasedBody{Released: name})
+}
+
+// releasedBody is a successful release's answer: {"released": name}.
+type releasedBody struct {
+	Released string `json:"released"`
 }
 
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
@@ -860,5 +865,10 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 
 // HTTPError answers status with err's text as an {"error": …} body.
 func HTTPError(w http.ResponseWriter, status int, err error) {
-	WriteJSON(w, status, map[string]string{"error": err.Error()})
+	WriteJSON(w, status, errorBody{Error: err.Error()})
+}
+
+// errorBody is HTTPError's answer: {"error": text}.
+type errorBody struct {
+	Error string `json:"error"`
 }

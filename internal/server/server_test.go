@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -351,5 +352,37 @@ func TestShutdownAfterInterruptedDrainWaits(t *testing.T) {
 	}
 	if c := <-code; c != http.StatusOK {
 		t.Fatalf("the held admit answered %d, want 200", c)
+	}
+}
+
+// The release answer and the error answer are pinned byte for byte:
+// their struct bodies write what the one-key maps they replaced wrote,
+// HTML-escaped as encoding/json escapes a map's string values, with the
+// encoder's trailing newline.
+func TestReleaseAndErrorBodiesBytes(t *testing.T) {
+	_, ts := newTestServer(t, cpuTheta(4, 1000, "l1"))
+	job := cpuJob(t, "rel<1>&", "l1", 0, 100)
+	if resp, body := postBody(t, ts.URL+"/v1/admit", admitBody(t, job)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("admit: %d %s", resp.StatusCode, body)
+	}
+	for _, c := range []struct {
+		status int
+		body   string
+	}{
+		{http.StatusOK, `{"released":"rel\u003c1\u003e\u0026"}` + "\n"},
+		{http.StatusNotFound, `{"error":"server: unknown computation: rel\u003c1\u003e\u0026"}` + "\n"},
+	} {
+		resp, body := postBody(t, ts.URL+"/v1/release", `{"name":"rel<1>&"}`)
+		if resp.StatusCode != c.status || string(body) != c.body {
+			t.Errorf("release: %d %q, want %d %q", resp.StatusCode, body, c.status, c.body)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("release: Content-Type %q", ct)
+		}
+	}
+	rec := httptest.NewRecorder()
+	HTTPError(rec, http.StatusTeapot, errors.New(`a "quoted" <tag> & é`))
+	if want := `{"error":"a \"quoted\" \u003ctag\u003e \u0026 é"}` + "\n"; rec.Code != http.StatusTeapot || rec.Body.String() != want {
+		t.Errorf("HTTPError: %d %q, want %d %q", rec.Code, rec.Body.String(), http.StatusTeapot, want)
 	}
 }

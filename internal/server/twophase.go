@@ -58,7 +58,8 @@ func (l *Ledger) Prepare(key, name string, demand resource.Set, finish, deadline
 		return err
 	}
 
-	shards, unlock, err := l.lockOwned(locs)
+	var buf lockBuf
+	shards, err := l.lockOwned(&buf, locs)
 	if err != nil {
 		l.unindex(h)
 		return fmt.Errorf("prepare %s for %s: %w", key, name, err)
@@ -70,7 +71,7 @@ func (l *Ledger) Prepare(key, name string, demand resource.Set, finish, deadline
 	} else {
 		err = reserve(shards, slice)
 	}
-	unlock()
+	shards.unlock()
 	if err != nil {
 		l.unindex(h)
 		return err

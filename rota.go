@@ -414,8 +414,9 @@ func EvalNow(p *Path, t Time, f Formula) (bool, error) {
 
 // ---- Decision procedures (Theorems 1–4) ----
 
-// Plan is a witness schedule: per-phase resource allocations and the
-// break points t1 … t_m of Theorem 2.
+// Plan is a witness schedule: per-phase resource allocations and each
+// actor's break points t1 … t_m of Theorem 2, which Plan.BreaksOf
+// looks up by actor name.
 type Plan = schedule.Plan
 
 // Allocation is one planned consumption within a Plan.

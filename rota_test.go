@@ -29,7 +29,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if plan.Finish != 12 {
 		t.Errorf("Finish = %d, want 12", plan.Finish)
 	}
-	if got := plan.Breaks["a1"]; len(got) != 3 || got[0] != 4 || got[1] != 8 || got[2] != 12 {
+	if got := plan.BreaksOf("a1"); len(got) != 3 || got[0] != 4 || got[1] != 8 || got[2] != 12 {
 		t.Errorf("breaks = %v, want [4 8 12]", got)
 	}
 	if _, err := MeetDeadline(theta, comp, 0, 8); !errors.Is(err, ErrInfeasible) {
