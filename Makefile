@@ -45,7 +45,10 @@ test:
 # into a run a reader holds, or a release that writes before it checks,
 # shows there. The third repeats the
 # standing-query tests — subscribes racing bumps, flips, concurrent
-# evaluations, the sweep's wake check — ten times. The fourth
+# evaluations, the sweep's wake check and its margins (a take of exactly
+# a read's slack skipped, one quantity step more woken, a margin debited
+# across skipped sweeps: TestWakeMarginBoundary, which the Wake pattern
+# matches) — ten times. The fourth
 # repeats the graceful leave queued behind a join ten times: a departed
 # member that rejoins on its own shows there first; and a location
 # handed on before the table granting its install arrived, which the

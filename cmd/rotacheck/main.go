@@ -205,17 +205,16 @@ func snapshotOf(state core.State, names []string) (query.Snapshot, error) {
 	if err != nil {
 		return query.Snapshot{}, err
 	}
-	snap := query.Snapshot{Now: state.Now, Free: free,
-		Commitments: make(map[string]query.Commitment, len(names))}
+	snap := query.Snapshot{Now: state.Now, Free: free}
 	for _, name := range names {
 		c, ok := state.Commitment(name)
 		if !ok {
 			continue
 		}
 		demand := c.RemainingDemand(state.Now)
-		snap.Commitments[name] = query.Commitment{Name: name,
+		snap.Commitments = append(snap.Commitments, query.Commitment{Name: name,
 			Admitted: c.Req.Window.Start, Finish: c.Plan.Finish, Deadline: c.Req.Window.End,
-			Locations: demand.Locations(), Demand: demand}
+			Locations: demand.Locations(), Demand: demand})
 	}
 	return snap, nil
 }

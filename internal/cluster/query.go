@@ -39,14 +39,14 @@ func (n *Node) querySnapshot(ctx context.Context, c *query.Compiled) (query.Snap
 		ctx, cancel = context.WithTimeout(ctx, n.client.timeout)
 		defer cancel()
 	}
-	snap := query.Snapshot{Epoch: n.srv.Ledger().Epoch(), Commitments: make(map[string]query.Commitment)}
+	snap := query.Snapshot{Epoch: n.srv.Ledger().Epoch()}
 	for _, name := range c.Names() {
 		cm, ok, err := n.resolveCommitment(ctx, name)
 		if err != nil {
 			return query.Snapshot{}, server.Unavailable(err)
 		}
 		if ok {
-			snap.Commitments[name] = cm
+			snap.Commitments = append(snap.Commitments, cm)
 		}
 	}
 	snap.Footprint = c.Footprint(snap.Commitments)

@@ -30,10 +30,13 @@ type Commitment struct {
 // absent: feasible/Allen atoms over them evaluate to false rather than
 // erroring, so a standing query may outlive the jobs it watches.
 type Snapshot struct {
-	Now         interval.Time
-	Epoch       uint64
-	Free        resource.Set
-	Commitments map[string]Commitment
+	Now   interval.Time
+	Epoch uint64
+	Free  resource.Set
+	// Commitments are the referenced commitments that resolved, looked
+	// up by name: a query names one or two, so a scan is all a lookup
+	// needs, and no evaluation builds a map.
+	Commitments []Commitment
 	// Footprint is the sorted set of locations Free was read from.
 	// Located types are disjoint resources, so a write touching none of
 	// them, and none of the query's names, cannot change the verdict. A
@@ -45,6 +48,16 @@ type Snapshot struct {
 	// leaves it false. A scoped snapshot with an empty footprint read no
 	// location: "true", or a query whose names all resolved to nothing.
 	Scoped bool
+}
+
+// commitment returns the resolved commitment named name.
+func (s *Snapshot) commitment(name string) (Commitment, bool) {
+	for _, cm := range s.Commitments {
+		if cm.Name == name {
+			return cm, true
+		}
+	}
+	return Commitment{}, false
 }
 
 // Result is a query verdict with the core formula it was decided by and
@@ -66,9 +79,16 @@ type Result struct {
 // located type within a window. Located types are disjoint resources and
 // a quantity sums its window's ticks, so only a write to that type
 // inside that window can move it.
+//
+// Slack is that quantity minus what the atom needs of it: the read is
+// met exactly when Slack ≥ 0, and a negative Slack is a deficit. The
+// test is monotone in free capacity, so the read's verdict holds until
+// writes take more than its slack from the window, or give back at
+// least its deficit.
 type Read struct {
 	Type   resource.LocatedType
 	Window interval.Interval
+	Slack  resource.Quantity
 }
 
 // Evaluate compiles the query against the snapshot and decides it at
@@ -110,6 +130,14 @@ type builder struct {
 	snap  Snapshot
 	reads []Read
 	typed bool
+}
+
+// read records that an atom needs need of lt within window, with the
+// slack the free view leaves it there: the quantity the satisfy atom
+// compares with need (compute.Simple.SatisfiedBy).
+func (b *builder) read(lt resource.LocatedType, window interval.Interval, need resource.Quantity) {
+	have := b.snap.Free.QuantityWithin(lt, window)
+	b.reads = append(b.reads, Read{Type: lt, Window: window, Slack: have - need})
 }
 
 // build compiles one AST node into a core formula.
@@ -191,7 +219,7 @@ func (b *builder) holds(n *Node) (core.Formula, error) {
 		return core.False{}, nil
 	}
 	window.Start = max(window.Start, at)
-	b.reads = append(b.reads, Read{Type: lt, Window: window})
+	b.read(lt, window, need)
 	return core.SatisfySimple{Req: compute.Simple{
 		Amounts: resource.Needs{{Qty: need, Type: lt}},
 		Window:  window,
@@ -203,7 +231,7 @@ func (b *builder) holds(n *Node) (core.Formula, error) {
 // scratch, still fit the free view before the deadline? An unknown job
 // is false — the standing form of "is there headroom to re-home this".
 func (b *builder) feasible(n *Node) core.Formula {
-	cm, ok := b.snap.Commitments[n.Job]
+	cm, ok := b.snap.commitment(n.Job)
 	if !ok {
 		return core.False{}
 	}
@@ -216,7 +244,7 @@ func (b *builder) feasible(n *Node) core.Formula {
 	cm.Demand.EachType(func(lt resource.LocatedType, hull interval.Interval) {
 		if qty := cm.Demand.QuantityWithin(lt, hull); qty > 0 {
 			amounts = append(amounts, resource.Amount{Qty: qty, Type: lt})
-			b.reads = append(b.reads, Read{Type: lt, Window: window})
+			b.read(lt, window, qty)
 		}
 	})
 	amounts = slices.Clip(amounts)
@@ -233,8 +261,8 @@ func (b *builder) feasible(n *Node) core.Formula {
 // empty operands are false (the algebra is defined only on proper
 // intervals).
 func (b *builder) allen(n *Node) core.Formula {
-	x, okX := resolveRef(n.A, b.snap)
-	y, okY := resolveRef(n.B, b.snap)
+	x, okX := resolveRef(n.A, &b.snap)
+	y, okY := resolveRef(n.B, &b.snap)
 	if !okX || !okY || x.Empty() || y.Empty() {
 		return core.False{}
 	}
@@ -244,11 +272,11 @@ func (b *builder) allen(n *Node) core.Formula {
 	return core.False{}
 }
 
-func resolveRef(r *Ref, snap Snapshot) (interval.Interval, bool) {
+func resolveRef(r *Ref, snap *Snapshot) (interval.Interval, bool) {
 	if r.Job == "" {
 		return interval.New(r.From, r.To), true
 	}
-	cm, ok := snap.Commitments[r.Job]
+	cm, ok := snap.commitment(r.Job)
 	if !ok {
 		return interval.Interval{}, false
 	}

@@ -25,7 +25,7 @@ func segmentedView(n int) Snapshot {
 		free.Add(resource.NewTerm(resource.FromUnits(2+int64(i%2)),
 			resource.At("cpu", "l1"), interval.New(start, start+width)))
 	}
-	return Snapshot{Free: free, Commitments: map[string]Commitment{}}
+	return Snapshot{Free: free}
 }
 
 // evaluateFootprint returns the mallocs and bytes one Evaluate of the

@@ -19,10 +19,10 @@ func fuzzSnapshot() Snapshot {
 		Now:   3,
 		Epoch: 7,
 		Free:  free,
-		Commitments: map[string]Commitment{
-			"j1": {Name: "j1", Admitted: 0, Finish: 15, Deadline: 30,
+		Commitments: []Commitment{
+			{Name: "j1", Admitted: 0, Finish: 15, Deadline: 30,
 				Locations: []resource.Location{"l1"}, Demand: demand},
-			"j2": {Name: "j2", Admitted: 15, Finish: 40, Deadline: 60,
+			{Name: "j2", Admitted: 15, Finish: 40, Deadline: 60,
 				Locations: []resource.Location{"l2"}},
 		},
 	}

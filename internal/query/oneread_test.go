@@ -166,7 +166,7 @@ func FuzzHoldsOneRead(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := Snapshot{Now: now, Free: free, Commitments: map[string]Commitment{}}
+		snap := Snapshot{Now: now, Free: free}
 		res, err := c.Evaluate(snap)
 		if err != nil {
 			t.Fatal(err)

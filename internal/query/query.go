@@ -36,6 +36,7 @@ package query
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,27 +120,22 @@ func (c *Compiled) Source() string { return c.source }
 func (c *Compiled) Names() []string { return c.names }
 
 // Footprint returns the locations the query's verdict depends on: the
-// holds atoms' static locations plus the footprints of the referenced
-// commitments that resolved. The free view backing a snapshot must
-// cover at least these locations.
-func (c *Compiled) Footprint(comms map[string]Commitment) []resource.Location {
-	seen := make(map[resource.Location]bool, len(c.locs))
-	for _, loc := range c.locs {
-		seen[loc] = true
+// holds atoms' static locations plus the footprints of comms, the
+// referenced commitments that resolved, as one sorted run with no
+// repeats. The free view backing a snapshot must cover at least these
+// locations.
+func (c *Compiled) Footprint(comms []Commitment) []resource.Location {
+	n := len(c.locs)
+	for _, cm := range comms {
+		n += len(cm.Locations)
 	}
-	for _, name := range c.names {
-		if cm, ok := comms[name]; ok {
-			for _, loc := range cm.Locations {
-				seen[loc] = true
-			}
-		}
+	out := make([]resource.Location, 0, n)
+	out = append(out, c.locs...)
+	for _, cm := range comms {
+		out = append(out, cm.Locations...)
 	}
-	out := make([]resource.Location, 0, len(seen))
-	for loc := range seen {
-		out = append(out, loc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // allenRelations maps the thirteen lowercase Allen relation names (the

@@ -18,8 +18,7 @@ func freeSet(units int64) resource.Set {
 }
 
 func snapshot(units int64) Snapshot {
-	return Snapshot{Now: 0, Epoch: 1, Free: freeSet(units),
-		Commitments: map[string]Commitment{}}
+	return Snapshot{Now: 0, Epoch: 1, Free: freeSet(units)}
 }
 
 func mustParse(t *testing.T, src string) *Compiled {
@@ -191,19 +190,24 @@ func TestEvaluateReads(t *testing.T) {
 	snap.Now = 5
 	var demand resource.Set
 	demand.Add(resource.NewTerm(resource.FromUnits(2), cpu, interval.New(5, 10)))
-	snap.Commitments["j1"] = Commitment{Name: "j1", Deadline: 20, Locations: []resource.Location{"l1"}, Demand: demand}
+	snap.Commitments = append(snap.Commitments, Commitment{Name: "j1", Deadline: 20, Locations: []resource.Location{"l1"}, Demand: demand})
+	// The view holds 4 units a tick, so a read's slack is 4 units per
+	// tick of its window less the need: a deficit where one tick of 4
+	// must cover 5.
+	units := resource.QuantityFromUnits
 	cases := []struct {
 		src     string
 		formula string
 		reads   []interval.Interval
+		slacks  []resource.Quantity
 		typed   bool
 	}{
-		{"holds(l1, cpu>=5, always, next 30)", "satisfy(ρ{[5]⟨cpu,l1⟩}(34,35))", []interval.Interval{{Start: 34, End: 35}}, true},
-		{"holds(l1, cpu>=5, eventually, from 0 to 30)", "satisfy(ρ{[5]⟨cpu,l1⟩}(5,30))", []interval.Interval{{Start: 5, End: 30}}, true},
-		{"holds(l1, cpu>=5, from 10 to 12)", "satisfy(ρ{[5]⟨cpu,l1⟩}(10,12))", []interval.Interval{{Start: 10, End: 12}}, true},
-		{"holds(l1, cpu>=5, always, from 0 to 5)", "false", nil, true},
-		{"feasible(j1)", "satisfy(ρ{[10]⟨cpu,l1⟩}(5,20))", []interval.Interval{{Start: 5, End: 20}}, true},
-		{"holds(l1, cpu>=5, always)", "satisfy(ρ{[5]⟨cpu,l1⟩}(99,+inf))", []interval.Interval{{Start: 99, End: interval.Infinity}}, false},
+		{"holds(l1, cpu>=5, always, next 30)", "satisfy(ρ{[5]⟨cpu,l1⟩}(34,35))", []interval.Interval{{Start: 34, End: 35}}, []resource.Quantity{units(-1)}, true},
+		{"holds(l1, cpu>=5, eventually, from 0 to 30)", "satisfy(ρ{[5]⟨cpu,l1⟩}(5,30))", []interval.Interval{{Start: 5, End: 30}}, []resource.Quantity{units(95)}, true},
+		{"holds(l1, cpu>=5, from 10 to 12)", "satisfy(ρ{[5]⟨cpu,l1⟩}(10,12))", []interval.Interval{{Start: 10, End: 12}}, []resource.Quantity{units(3)}, true},
+		{"holds(l1, cpu>=5, always, from 0 to 5)", "false", nil, nil, true},
+		{"feasible(j1)", "satisfy(ρ{[10]⟨cpu,l1⟩}(5,20))", []interval.Interval{{Start: 5, End: 20}}, []resource.Quantity{units(50)}, true},
+		{"holds(l1, cpu>=5, always)", "satisfy(ρ{[5]⟨cpu,l1⟩}(99,+inf))", []interval.Interval{{Start: 99, End: interval.Infinity}}, []resource.Quantity{units(-1)}, false},
 	}
 	for _, tc := range cases {
 		res, err := mustParse(t, tc.src).Evaluate(snap)
@@ -211,15 +215,20 @@ func TestEvaluateReads(t *testing.T) {
 			t.Fatalf("%s: %v", tc.src, err)
 		}
 		var windows []interval.Interval
+		var slacks []resource.Quantity
 		for _, r := range res.Reads {
 			if r.Type != cpu {
 				t.Errorf("%s read %v, want only %v", tc.src, r.Type, cpu)
 			}
 			windows = append(windows, r.Window)
+			slacks = append(slacks, r.Slack)
 		}
 		if got := res.Formula.String(); got != tc.formula || !slices.Equal(windows, tc.reads) || res.Typed != tc.typed {
 			t.Errorf("%s: formula %s, reads %v, typed %v; want %s, %v, %v",
 				tc.src, got, windows, res.Typed, tc.formula, tc.reads, tc.typed)
+		}
+		if !slices.Equal(slacks, tc.slacks) {
+			t.Errorf("%s: slacks %v, want %v", tc.src, slacks, tc.slacks)
 		}
 	}
 }
@@ -228,10 +237,10 @@ func TestFeasible(t *testing.T) {
 	snap := snapshot(4)
 	var demand resource.Set
 	demand.Add(resource.NewTerm(resource.FromUnits(2), resource.At("cpu", "l1"), interval.New(5, 10)))
-	snap.Commitments["j1"] = Commitment{
+	snap.Commitments = append(snap.Commitments, Commitment{
 		Name: "j1", Admitted: 0, Finish: 10, Deadline: 20,
 		Locations: []resource.Location{"l1"}, Demand: demand,
-	}
+	})
 	if !evalText(t, "feasible(j1)", snap) {
 		t.Error("10 remaining units should re-fit in an 80-unit window")
 	}
@@ -245,7 +254,7 @@ func TestFeasible(t *testing.T) {
 		t.Error("an unknown job is not feasible")
 	}
 	// A drained commitment is trivially feasible.
-	snap.Commitments["done"] = Commitment{Name: "done", Admitted: 0, Finish: 10, Deadline: 20}
+	snap.Commitments = append(snap.Commitments, Commitment{Name: "done", Admitted: 0, Finish: 10, Deadline: 20})
 	if !evalText(t, "feasible(done)", snap) {
 		t.Error("an empty remaining demand is trivially feasible")
 	}
@@ -253,8 +262,8 @@ func TestFeasible(t *testing.T) {
 
 func TestAllenPredicates(t *testing.T) {
 	snap := snapshot(4)
-	snap.Commitments["j1"] = Commitment{Name: "j1", Admitted: 5, Finish: 10, Deadline: 20}
-	snap.Commitments["j2"] = Commitment{Name: "j2", Admitted: 10, Finish: 30, Deadline: 40}
+	snap.Commitments = append(snap.Commitments, Commitment{Name: "j1", Admitted: 5, Finish: 10, Deadline: 20})
+	snap.Commitments = append(snap.Commitments, Commitment{Name: "j2", Admitted: 10, Finish: 30, Deadline: 40})
 	cases := map[string]bool{
 		"during(j1, window(0, 50))":  true,
 		"before(j1, window(20, 25))": true,
@@ -295,8 +304,8 @@ func TestFootprintAndNames(t *testing.T) {
 	if got, want := strings.Join(c.Names(), ","), "j1,j2"; got != want {
 		t.Fatalf("Names() = %q, want %q", got, want)
 	}
-	comms := map[string]Commitment{
-		"j1": {Name: "j1", Locations: []resource.Location{"l3"}},
+	comms := []Commitment{
+		{Name: "j1", Locations: []resource.Location{"l3", "l1"}},
 	}
 	fp := c.Footprint(comms)
 	var got []string

@@ -23,8 +23,9 @@ type Evaluator func(c *Compiled) (Verdict, error)
 // against and what it read: Reads and Typed are the Result's, Footprint
 // and Scoped the Snapshot's. A sweep re-evaluates an unscoped verdict's
 // subscription every time, an untyped one's when a write touched its
-// footprint, and a typed one's only when a write reached one of its
-// reads: the same located type, in an overlapping window.
+// footprint, and a typed one's only when the writes could flip one of
+// its reads: of the same located type, in an overlapping window, they
+// took more than its slack or gave back at least its deficit.
 type Verdict struct {
 	Holds     bool
 	Epoch     uint64
@@ -98,7 +99,7 @@ type ManagerStats struct {
 	Drops         uint64 `json:"drops" metric:"rota_query_drops_total" help:"Verdict events dropped on full subscriber queues."`
 	WebhookErrors uint64 `json:"webhook_errors" metric:"rota_query_webhook_errors_total" help:"Webhook verdict deliveries that failed."`
 	SweepWoken    uint64 `json:"sweep_woken" metric:"rota_query_sweep_woken_total" help:"Standing queries a sweep re-evaluated: stale, unscoped, or reading what a write since the last sweep touched."`
-	SweepSkipped  uint64 `json:"sweep_skipped" metric:"rota_query_sweep_skipped_total" help:"Standing queries a sweep left alone because no write since the last sweep touched what they read."`
+	SweepSkipped  uint64 `json:"sweep_skipped" metric:"rota_query_sweep_skipped_total" help:"Standing queries a sweep left alone because no write since the last sweep could flip what they read: none touched it, or none took more than its slack or gave back its deficit (a margin is spent across sweeps)."`
 }
 
 // Manager re-evaluates standing queries when the ledger epoch advances
@@ -106,9 +107,10 @@ type ManagerStats struct {
 // re-evaluation goroutine coalesces bursts of epoch bumps: while one
 // sweep runs, any number of further bumps collapse into one pending
 // wake and one pending touched set, and the next sweep re-evaluates
-// only the subscriptions whose last reads those writes reached: a
-// sweep's evaluations cost what the writes since the last one touched,
-// and the rest of the subscriptions cost a few map probes each.
+// only the subscriptions whose last reads those writes could flip: a
+// sweep's evaluations cost what the writes since the last one moved
+// across a margin, and the rest of the subscriptions cost a few map
+// probes each.
 type Manager struct {
 	eval Evaluator
 	log  func(event string, kv ...any)
@@ -150,27 +152,37 @@ type Manager struct {
 }
 
 // touched is what the writes since the last sweep changed: the
-// locations they wrote, the hull of what they wrote of each located type,
-// and the commitment names they added, moved or removed — or all, after
-// a write that may have changed anything (a clock advance moves every
-// window's start, a handoff moves names between nodes, a cluster bump
-// names nothing). One hull per type bounds the set by the types written,
+// locations they wrote, what they wrote of each located type, and the
+// commitment names they added, moved or removed — or all, after a write
+// that may have changed anything (a clock advance moves every window's
+// start, a handoff moves names between nodes, a cluster bump names
+// nothing). One delta per type bounds the set by the types written,
 // however many writes a sweep coalesces.
 type touched struct {
 	all   bool
 	locs  map[resource.Location]struct{}
-	types map[resource.LocatedType]interval.Interval
+	types map[resource.LocatedType]delta
 	names map[string]struct{}
+}
+
+// delta is what the writes since the last sweep did to one located
+// type's free view: the hull of what they wrote, and the quantities they
+// took from it and gave to it. Within any window the free quantity fell
+// by at most taken and rose by at most given.
+type delta struct {
+	hull         interval.Interval
+	taken, given resource.Quantity
 }
 
 func newTouched() touched {
 	return touched{locs: make(map[resource.Location]struct{}),
-		types: make(map[resource.LocatedType]interval.Interval), names: make(map[string]struct{})}
+		types: make(map[resource.LocatedType]delta), names: make(map[string]struct{})}
 }
 
-// add records one write: the locations it wrote, the sets it wrote to
-// them and the commitment it wrote for. Nil locs means anything.
-func (t *touched) add(locs []resource.Location, name string, wrote []resource.Set) {
+// add records one write: the locations it wrote, the sets it took from
+// and gave to their free view, and the commitment it wrote for. Nil
+// locs means anything.
+func (t *touched) add(locs []resource.Location, name string, took, gave []resource.Set) {
 	if t.all {
 		return
 	}
@@ -181,13 +193,26 @@ func (t *touched) add(locs []resource.Location, name string, wrote []resource.Se
 	for _, loc := range locs {
 		t.locs[loc] = struct{}{}
 	}
-	for _, set := range wrote {
-		set.EachType(func(lt resource.LocatedType, hull interval.Interval) {
-			t.types[lt] = t.types[lt].Hull(hull)
-		})
-	}
+	t.write(took, false)
+	t.write(gave, true)
 	if name != "" {
 		t.names[name] = struct{}{}
+	}
+}
+
+// write adds sets, each taken or given whole, to their types' deltas.
+func (t *touched) write(sets []resource.Set, gave bool) {
+	for _, set := range sets {
+		set.EachType(func(lt resource.LocatedType, hull interval.Interval) {
+			d := t.types[lt]
+			d.hull = d.hull.Hull(hull)
+			if q := set.QuantityWithin(lt, hull); gave {
+				d.given = d.given.AddSaturating(q)
+			} else {
+				d.taken = d.taken.AddSaturating(q)
+			}
+			t.types[lt] = d
+		})
 	}
 }
 
@@ -195,7 +220,11 @@ func (t *touched) add(locs []resource.Location, name string, wrote []resource.Se
 // evaluator named no read set, the writes touched a name it references,
 // or they reached what its last evaluation read — a location of its
 // footprint when that evaluation was untyped, else one of its
-// (located type, window) reads. Callers hold m.mu.
+// (located type, window) reads across its margin. A met read can fail
+// only if the writes took more than its slack, a read in deficit can be
+// met only if they gave back at least the deficit, and a verdict is a
+// function of its reads: while none can flip, no formula over them can,
+// not included. Callers hold m.mu.
 func (t *touched) wakes(sub *Subscription) bool {
 	v := &sub.last
 	if t.all || sub.stale || !v.Scoped {
@@ -215,11 +244,37 @@ func (t *touched) wakes(sub *Subscription) bool {
 		return false
 	}
 	for _, r := range v.Reads {
-		if hull, ok := t.types[r.Type]; ok && hull.Overlaps(r.Window) {
+		d, ok := t.types[r.Type]
+		if !ok || !d.hull.Overlaps(r.Window) {
+			continue
+		}
+		if r.Slack >= 0 && d.taken > r.Slack || r.Slack < 0 && d.given >= -r.Slack {
 			return true
 		}
 	}
 	return false
+}
+
+// debit charges a typed verdict the sweep skipped with the writes it
+// skipped: a met read's slack loses what they took, a deficit shrinks by
+// what they gave. Each stays a bound on what its read would see now, so
+// a margin is spent across sweeps, not renewed by each. Callers hold
+// m.mu.
+func (t *touched) debit(sub *Subscription) {
+	if !sub.last.Typed {
+		return
+	}
+	for i := range sub.last.Reads {
+		r := &sub.last.Reads[i]
+		d, ok := t.types[r.Type]
+		switch {
+		case !ok || !d.hull.Overlaps(r.Window):
+		case r.Slack >= 0:
+			r.Slack -= d.taken
+		default:
+			r.Slack += d.given
+		}
+	}
 }
 
 // reset empties the set, keeping its maps' storage.
@@ -254,7 +309,7 @@ func NewManager(eval Evaluator, log func(event string, kv ...any)) *Manager {
 // without saying what: every subscription is re-evaluated by the next
 // sweep. It is BumpAt with a nil footprint.
 func (m *Manager) Bump(epoch uint64, reason string) {
-	m.BumpAt(epoch, reason, nil, "", nil)
+	m.BumpAt(epoch, reason, nil, "", nil, nil)
 }
 
 // Live reports whether any subscription is registered: while none is, a
@@ -264,18 +319,20 @@ func (m *Manager) Live() bool { return m.live.Load() > 0 }
 // BumpAt notifies the manager that the ledger moved to the given epoch
 // for the given reason (reserve, release, acquire, advance, prepare,
 // commit, abort, handoff) by a write to locs on behalf of the named
-// commitment (name may be empty). wrote are the sets the write added to
-// or took from the free view of those locations; a typed verdict wakes
-// only for a write that names a type it read, in a window overlapping
-// the one it read. A nil locs means anything may have changed. Verdicts
-// carry their own epochs, so the epoch is not kept. Never blocks: wakes
-// and footprints coalesce until the next sweep.
-func (m *Manager) BumpAt(epoch uint64, reason string, locs []resource.Location, name string, wrote []resource.Set) {
+// commitment (name may be empty). took are the sets the write took from
+// the free view of those locations and gave the sets it gave to it; a
+// write that may have done either passes its sets as both. A typed
+// verdict wakes only for writes to a type it read, in a window
+// overlapping the one it read, that take more than that read's slack or
+// give back at least its deficit. A nil locs means anything may have
+// changed. Verdicts carry their own epochs, so the epoch is not kept.
+// Never blocks: wakes and footprints coalesce until the next sweep.
+func (m *Manager) BumpAt(epoch uint64, reason string, locs []resource.Location, name string, took, gave []resource.Set) {
 	m.pmu.Lock()
 	m.reason = reason
 	live := m.Live()
 	if live {
-		m.pending.add(locs, name, wrote)
+		m.pending.add(locs, name, took, gave)
 	}
 	m.pmu.Unlock()
 	if !live {
@@ -404,9 +461,11 @@ func (m *Manager) loop() {
 }
 
 // sweep re-evaluates every subscription the writes since the last
-// sweep may have flipped, and delivers flips. The touched set is taken
-// before any evaluation reads the ledger, so a write it misses bumps
-// after the take and wakes the next sweep.
+// sweep may have flipped, debits the rest with those writes, and
+// delivers flips. The touched set is taken before any evaluation reads
+// the ledger, so a write it misses bumps after the take and counts
+// against the next sweep's margins, whether or not the evaluation saw
+// it: a write counted twice only wakes a verdict sooner.
 func (m *Manager) sweep() {
 	m.pmu.Lock()
 	m.pending, m.swept = m.swept, m.pending
@@ -417,6 +476,8 @@ func (m *Manager) sweep() {
 	for _, sub := range m.subs {
 		if m.swept.wakes(sub) {
 			batch = append(batch, sub)
+		} else {
+			m.swept.debit(sub)
 		}
 	}
 	skipped := len(m.subs) - len(batch)

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
 	"sort"
@@ -308,14 +309,14 @@ func TestWakeOnlyTouched(t *testing.T) {
 	all := []string{h1, h2, fj, tr, fan}
 	sweep(all...) // every new subscription is stale
 	sweep(fan)    // nothing touched: only the unscoped one
-	m.BumpAt(1, "reserve", []resource.Location{"l1"}, "j9", nil)
+	m.BumpAt(1, "reserve", []resource.Location{"l1"}, "j9", nil, nil)
 	sweep(h1, fan)
-	m.BumpAt(2, "reserve", []resource.Location{"l4"}, "j1", nil)
+	m.BumpAt(2, "reserve", []resource.Location{"l4"}, "j1", nil, nil)
 	sweep(fj, fan)
-	m.BumpAt(3, "acquire", []resource.Location{"l2"}, "", nil)
-	m.BumpAt(4, "release", []resource.Location{"l1"}, "j7", nil)
+	m.BumpAt(3, "acquire", []resource.Location{"l2"}, "", nil, nil)
+	m.BumpAt(4, "release", []resource.Location{"l1"}, "j7", nil, nil)
 	sweep(h1, h2, fan)
-	m.BumpAt(5, "advance", nil, "", nil)
+	m.BumpAt(5, "advance", nil, "", nil, nil)
 	sweep(all...)
 	m.Bump(6, "gossip")
 	sweep(all...)
@@ -359,20 +360,26 @@ func TestWakeTypedReads(t *testing.T) {
 		return []resource.Set{resource.NewSet(resource.NewTerm(resource.FromUnits(1), lt, interval.New(from, to)))}
 	}
 	l1, l2 := []resource.Location{"l1"}, []resource.Location{"l2"}
-	m.BumpAt(1, "reserve", l1, "j9", wrote(cpu1, 0, 10))
+	// Each write passes its sets as taken and given, the way a write of
+	// either direction does: this test is about what a write reaches,
+	// and the zero slacks above leave no margin to cross.
+	bump := func(epoch uint64, reason string, locs []resource.Location, name string, sets []resource.Set) {
+		m.BumpAt(epoch, reason, locs, name, sets, sets)
+	}
+	bump(1, "reserve", l1, "j9", wrote(cpu1, 0, 10))
 	sweepExpecting(t, m, count, open)
-	m.BumpAt(2, "reserve", l1, "", wrote(cpu1, 90, 100))
+	bump(2, "reserve", l1, "", wrote(cpu1, 90, 100))
 	sweepExpecting(t, m, count, box, open)
-	m.BumpAt(3, "acquire", l1, "", wrote(mem1, 0, 200))
+	bump(3, "acquire", l1, "", wrote(mem1, 0, 200))
 	sweepExpecting(t, m, count, open)
-	m.BumpAt(4, "release", l2, "", wrote(cpu2, 50, 70))
+	bump(4, "release", l2, "", wrote(cpu2, 50, 70))
 	sweepExpecting(t, m, count)
-	m.BumpAt(5, "release", l2, "", wrote(cpu2, 40, 70))
+	bump(5, "release", l2, "", wrote(cpu2, 40, 70))
 	sweepExpecting(t, m, count, fj)
-	m.BumpAt(6, "commit", []resource.Location{"l3"}, "j1", nil)
+	m.BumpAt(6, "commit", []resource.Location{"l3"}, "j1", nil, nil)
 	sweepExpecting(t, m, count, fj)
-	m.BumpAt(7, "reserve", l1, "", wrote(cpu1, 0, 10))
-	m.BumpAt(8, "reserve", l1, "", wrote(cpu1, 200, 300))
+	bump(7, "reserve", l1, "", wrote(cpu1, 0, 10))
+	bump(8, "reserve", l1, "", wrote(cpu1, 200, 300))
 	sweepExpecting(t, m, count, box, open)
 }
 
@@ -391,7 +398,7 @@ func TestWakeRetriesFailedEvaluation(t *testing.T) {
 	waitEvent(t, sub)
 	m.sweep() // clears the subscribe's stale mark
 	e.fail[q] = true
-	m.BumpAt(1, "reserve", []resource.Location{"l1"}, "", nil)
+	m.BumpAt(1, "reserve", []resource.Location{"l1"}, "", nil, nil)
 	m.sweep()
 	e.fail[q], e.holds[q] = false, true
 	m.sweep() // nothing touched: the retry is what wakes it
@@ -417,7 +424,7 @@ func TestWakeSubscribeRacingBump(t *testing.T) {
 		v, err := e.eval(c)
 		if e.count[q] == 1 { // the write lands after the initial read
 			e.holds[q] = true
-			m.BumpAt(1, "reserve", []resource.Location{"l1"}, "j1", nil)
+			m.BumpAt(1, "reserve", []resource.Location{"l1"}, "j1", nil, nil)
 		}
 		return v, err
 	})
@@ -441,10 +448,98 @@ func TestBumpAtWithoutSubscriptionsAllocatesNothing(t *testing.T) {
 	m := NewManager(newScopedEval().eval, nil)
 	defer m.Close()
 	locs := []resource.Location{"l1", "l2"}
-	if n := testing.AllocsPerRun(100, func() { m.BumpAt(1, "reserve", locs, "j1", nil) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { m.BumpAt(1, "reserve", locs, "j1", nil, nil) }); n != 0 {
 		t.Fatalf("BumpAt allocates %.0f times per call with no subscriptions", n)
 	}
 	if st := m.Stats(); st.SweepWoken+st.SweepSkipped != 0 {
 		t.Fatalf("stats = %+v: a bump with no subscriptions swept", st)
+	}
+}
+
+// TestWakeMarginBoundary pins the margin at its edges. One standing
+// query reads cpu@l1 within [0, 10), where the view holds 20 units a
+// tick, 200 000 in all; each case sets the need, then makes writes of
+// exact quantities at tick 5, one sweep each. After every sweep the
+// delivered verdict must equal a full evaluation, and the sweep must
+// have evaluated the query exactly when the case says it wakes:
+//   - a take of exactly the slack cannot fail the read, so it is skipped;
+//   - one quantity step more can, so it wakes, and flips the verdict;
+//   - a give never fails a met read, however large;
+//   - a give of exactly the deficit can meet the read, so it wakes;
+//   - a skipped write is debited, so a second write that crosses what
+//     is left of the margin wakes, for a slack and for a deficit alike.
+func TestWakeMarginBoundary(t *testing.T) {
+	cpu := resource.At("cpu", "l1")
+	view := resource.NewSet(resource.NewTerm(resource.FromUnits(20), cpu, interval.New(0, 10)))
+	at5 := func(q resource.Quantity) resource.Set {
+		return resource.NewSet(resource.NewTerm(resource.Rate(q), cpu, interval.New(5, 6)))
+	}
+	type write struct {
+		q    resource.Quantity // taken when positive, given when negative
+		wake bool
+	}
+	cases := []struct {
+		name   string
+		need   int // units within the window: 190 leaves a slack of 10 000, 210 a deficit of 10 000
+		writes []write
+	}{
+		{"take of the slack", 190, []write{{10_000, false}}},
+		{"take one step past the slack", 190, []write{{10_001, true}}},
+		{"give to a met read", 190, []write{{-1_000_000, false}}},
+		{"give of the deficit", 210, []write{{-10_000, true}}},
+		{"give one step short of the deficit", 210, []write{{-9_999, false}}},
+		{"second take past a debited slack", 190, []write{{6_000, false}, {4_000, false}, {1, true}}},
+		{"second give of a debited deficit", 210, []write{{-9_999, false}, {-1, true}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mustParse(t, fmt.Sprintf("holds(l1, cpu>=%d, from 0 to 10)", tc.need))
+			free := view
+			full := func() Verdict {
+				res, err := c.Evaluate(Snapshot{Free: free})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return Verdict{Holds: res.Holds, Reads: res.Reads, Typed: res.Typed,
+					Footprint: []resource.Location{"l1"}, Scoped: true}
+			}
+			m := manualManager(func(*Compiled) (Verdict, error) { return full(), nil })
+			sub, err := m.Subscribe(c, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delivered := waitEvent(t, sub).Holds
+			m.sweep() // clears the subscribe's stale mark
+			for i, w := range tc.writes {
+				before := m.Stats()
+				if w.q > 0 {
+					free = free.SubtractSaturating(at5(w.q))
+					m.BumpAt(uint64(i+1), "reserve", []resource.Location{"l1"}, "", []resource.Set{at5(w.q)}, nil)
+				} else {
+					free = free.Union(at5(-w.q))
+					m.BumpAt(uint64(i+1), "release", []resource.Location{"l1"}, "", nil, []resource.Set{at5(-w.q)})
+				}
+				m.sweep()
+				after := m.Stats()
+				evals, skipped := after.Evals-before.Evals, after.SweepSkipped-before.SweepSkipped
+				if evals+skipped != 1 || (evals == 1) != w.wake {
+					t.Fatalf("write %d of %d: %d evaluations, %d skipped; want woken=%v", i, w.q, evals, skipped, w.wake)
+				}
+				select {
+				case ev := <-sub.Events():
+					delivered = ev.Holds
+				default:
+				}
+				if want := full().Holds; delivered != want {
+					t.Fatalf("write %d of %d: delivered verdict %v, a full evaluation says %v", i, w.q, delivered, want)
+				}
+			}
+			if st := m.Stats(); st.Evals != 1+st.SweepWoken {
+				t.Fatalf("evals = %d, want 1 subscribe + %d woken", st.Evals, st.SweepWoken)
+			}
+			if last := tc.writes[len(tc.writes)-1]; last.wake && m.Stats().Flips != 1 {
+				t.Fatalf("the waking write flipped %d verdicts, want 1", m.Stats().Flips)
+			}
+		})
 	}
 }

@@ -247,7 +247,7 @@ func runClusterQueryProbe(ctx context.Context, httpc *http.Client, peers []peerP
 			now = fr.Now
 		}
 	}
-	merged, err := c.Evaluate(query.Snapshot{Now: now, Free: free, Commitments: map[string]query.Commitment{}})
+	merged, err := c.Evaluate(query.Snapshot{Now: now, Free: free})
 	if err != nil {
 		return err
 	}

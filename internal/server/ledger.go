@@ -361,7 +361,7 @@ type Ledger struct {
 // the mutating goroutine, sometimes under the ledger's locks, and must
 // not block. The server adapts it to the standing-query manager's
 // BumpAt (the op's reason, shards and job name, and while a subscription
-// is live the sets it wrote).
+// is live the sets it took from and gave to the free view, op.flow).
 func NewLedger(cfg Config, notify func(epoch uint64, o op)) *Ledger {
 	l := &Ledger{
 		shards: make(map[resource.Location]*shard),
@@ -1000,11 +1000,21 @@ func (l *Ledger) committed(name string) (resource.Set, CommitmentInfo, bool) {
 	now := l.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	r, ok := l.byName[name]
-	if !ok || r.pending || r.lease != 0 {
+	r := l.liveLocked(name)
+	if r == nil {
 		return resource.Set{}, CommitmentInfo{}, false
 	}
 	return r.demand().TrimmedBefore(now), r.info(), true
+}
+
+// liveLocked returns the live commitment named name — indexed, neither
+// pending nor leased — or nil. Callers hold l.mu.
+func (l *Ledger) liveLocked(name string) *reservation {
+	r, ok := l.byName[name]
+	if !ok || r.pending || r.lease != 0 {
+		return nil
+	}
+	return r
 }
 
 // Commitment reports a live commitment by name, its remaining demand

@@ -79,6 +79,22 @@ func (o *op) reason() string {
 	return opReasons[o.kind]
 }
 
+// flow returns the sets o took from the free view of the shards it wrote
+// and the sets it gave to it: a reserve or a prepare takes its demand, a
+// release or an abort gives it back, and an acquire gives availability.
+// Any other kind passes its sets as both, so a standing query reading
+// them wakes whichever way its margin lies.
+func (o *op) flow() (took, gave []resource.Set) {
+	sets := o.rec.parts.sets()
+	switch o.kind {
+	case opReserve, opPrepare:
+		return sets, nil
+	case opRelease, opAbort, opAcquire:
+		return nil, sets
+	}
+	return sets, sets
+}
+
 // apply makes o, whose effect is already on the ledger, a numbered
 // change: it takes the next epoch — o's sequence number in the stream —
 // and hands o to notify, moves the deadline promises o touched, stamped

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -79,10 +80,10 @@ func (s *Server) SetQuerySnapshot(fn QuerySnapshot) { s.snapshot = fn }
 // scoped: a write to none of its footprint's shards, for none of the
 // query's names, cannot change the verdict.
 func (s *Server) ledgerSnapshot(_ context.Context, c *query.Compiled) (query.Snapshot, error) {
-	snap := query.Snapshot{Epoch: s.ledger.Epoch(), Commitments: make(map[string]query.Commitment), Scoped: true}
+	snap := query.Snapshot{Epoch: s.ledger.Epoch(), Scoped: true}
 	for _, name := range c.Names() {
 		if cm, ok := s.ledger.QueryCommitment(name); ok {
-			snap.Commitments[name] = cm
+			snap.Commitments = append(snap.Commitments, cm)
 		}
 	}
 	snap.Footprint = c.Footprint(snap.Commitments)
@@ -115,18 +116,30 @@ func (s *Server) watchEval(c *query.Compiled) (query.Verdict, error) {
 }
 
 // QueryCommitment resolves a live commitment for a query evaluation,
-// its remaining demand kept as a set: nothing is rendered to text that
-// does not leave the process.
+// its remaining demand kept as a set and its locations read once from
+// the reservation: nothing is rendered to text that does not leave the
+// process.
 func (l *Ledger) QueryCommitment(name string) (query.Commitment, bool) {
-	demand, info, ok := l.committed(name)
-	if !ok {
+	now := l.Now()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	r := l.liveLocked(name)
+	if r == nil {
 		return query.Commitment{}, false
 	}
-	return info.QueryCommitment(demand), true
+	return query.Commitment{
+		Name:      r.name,
+		Admitted:  r.admitted,
+		Finish:    r.finish,
+		Deadline:  r.deadline,
+		Locations: r.locs(),
+		Demand:    r.demand().TrimmedBefore(now),
+	}, true
 }
 
-// QueryCommitment is the query layer's view of the commitment, with
-// demand its remaining demand (the set Demand renders).
+// QueryCommitment is the query layer's view of a commitment read off
+// the wire (a peer's ?name= lookup), with demand its remaining demand
+// (the set Demand renders).
 func (info CommitmentInfo) QueryCommitment(demand resource.Set) query.Commitment {
 	locs := make([]resource.Location, len(info.Locations))
 	for i, loc := range info.Locations {
@@ -192,7 +205,8 @@ func queryStatus(err error) int {
 // endpoint has always answered; ?q= evaluates a one-shot temporal
 // query in the compact text form.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if name := r.URL.Query().Get("name"); name != "" {
+	args := r.URL.Query()
+	if name := args.Get("name"); name != "" {
 		info, ok := s.ledger.Commitment(name)
 		if !ok {
 			HTTPError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrUnknown, name))
@@ -201,7 +215,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, info)
 		return
 	}
-	q := r.URL.Query().Get("q")
+	q := args.Get("q")
 	if q == "" {
 		HTTPError(w, http.StatusBadRequest, errors.New("server: query needs ?name= or ?q="))
 		return
@@ -256,9 +270,9 @@ func (s *Server) serveQuery(ctx context.Context, w http.ResponseWriter, c *query
 }
 
 // watchQueueLen parses the optional ?queue= bound on the subscriber's
-// event queue.
-func watchQueueLen(r *http.Request) int {
-	if raw := r.URL.Query().Get("queue"); raw != "" {
+// event queue from the request's parsed URL query.
+func watchQueueLen(args url.Values) int {
+	if raw := args.Get("queue"); raw != "" {
 		if n, err := strconv.Atoi(raw); err == nil {
 			return n
 		}
@@ -272,7 +286,8 @@ func watchQueueLen(r *http.Request) int {
 // kind that caused it. The stream ends when the client disconnects or
 // the daemon shuts down.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	args := r.URL.Query()
+	q := args.Get("q")
 	if q == "" {
 		HTTPError(w, http.StatusBadRequest, errors.New("server: watch needs ?q="))
 		return
@@ -291,7 +306,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	_, sp := s.cfg.Spans.Start(r.Context(), span.KindWatch)
 	defer sp.End()
 	sp.Str("query", c.Source())
-	sub, err := s.queries.Subscribe(c, watchQueueLen(r))
+	sub, err := s.queries.Subscribe(c, watchQueueLen(args))
 	if err != nil {
 		s.errored.Add(1)
 		sp.SetStatus(span.StatusError)
@@ -362,7 +377,7 @@ func (s *Server) handleWatchHook(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
-	sub, err := s.queries.SubscribeWebhook(c, req.URL, nil, watchQueueLen(r))
+	sub, err := s.queries.SubscribeWebhook(c, req.URL, nil, watchQueueLen(r.URL.Query()))
 	if err != nil {
 		s.errored.Add(1)
 		HTTPError(w, queryStatus(err), err)

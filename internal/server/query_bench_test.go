@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/interval"
@@ -13,7 +15,7 @@ import (
 // loadedQueryServer builds a daemon whose ledger carries n live
 // commitments — the E14 setup, measuring query latency as a function of
 // ledger size. Jobs are staggered so every one admits.
-func loadedQueryServer(b *testing.B, n int) *Server {
+func loadedQueryServer(b testing.TB, n int) *Server {
 	b.Helper()
 	horizon := interval.Time(10*n + 1000)
 	theta := cpuTheta(int64(64), horizon, "l1", "l2", "l3", "l4")
@@ -32,6 +34,51 @@ func loadedQueryServer(b *testing.B, n int) *Server {
 		}
 	}
 	return srv
+}
+
+// TestEvalQueryAllocationBudget: a one-shot feasible(j) over a loaded
+// ledger allocates what its answer is made of and nothing more. The
+// budget, counted from a -memprofilerate 1 profile of this call:
+//   - the snapshot: its run of resolved commitments (1, 96 B), the
+//     commitment's locations (1, 16 B), its demand as the union of its
+//     parts and that trimmed to the clock (2, 160 B), and the footprint
+//     (1, 16 B);
+//   - the evaluation: its one-state path (1, 64 B), the satisfy atom
+//     boxed as a formula (1, 48 B), its amounts (1, 64 B) and its reads
+//     (1, 80 B);
+//   - the answer's rendering of that formula (9, 232 B).
+//
+// That is 18 allocations and 776 B, held to 18 and 1 KiB. A map of the
+// resolved commitments would cost its header and first group, two
+// allocations and about 940 B, and break both bounds on its own.
+func TestEvalQueryAllocationBudget(t *testing.T) {
+	srv := loadedQueryServer(t, 100)
+	c, err := query.ParseText("feasible(bench-0)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func() {
+		if _, err := srv.EvalQuery(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval() // warm the ledger's and fmt's pools
+	// The cost is the least of several single evaluations, so a
+	// background allocation landing in one does not count, nor does a
+	// pooled buffer the race detector's sync.Pool dropped.
+	var before, after runtime.MemStats
+	allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := 0; i < 16; i++ {
+		runtime.ReadMemStats(&before)
+		eval()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%s: %d allocations, %d B per evaluation", c.Source(), allocs, bytes)
+	if allocs > 18 || bytes > 1024 {
+		t.Fatalf("one evaluation of %s makes %d allocations and %d B, want at most 18 and 1 KiB", c.Source(), allocs, bytes)
+	}
 }
 
 func BenchmarkQueryParse(b *testing.B) {

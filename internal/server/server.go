@@ -154,11 +154,11 @@ func New(cfg Config) (*Server, error) {
 	// exists, so it can be built first and hand the ledger its notifier.
 	s.queries = query.NewManager(s.watchEval, s.queryLog())
 	s.ledger = NewLedger(cfg, func(epoch uint64, o op) {
-		var wrote []resource.Set
+		var took, gave []resource.Set
 		if s.queries.Live() {
-			wrote = o.rec.parts.sets()
+			took, gave = o.flow()
 		}
-		s.queries.BumpAt(epoch, o.reason(), o.locs, o.rec.name, wrote)
+		s.queries.BumpAt(epoch, o.reason(), o.locs, o.rec.name, took, gave)
 	})
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/admit", "admit", s.handleAdmit)
