@@ -65,7 +65,7 @@ test:
 # chunked profiles share single chunks between the sets goroutines
 # derive from one base, so a write into a shared chunk shows there; and
 # the allocation budgets that pin a set to one exactly sized run of
-# entries, whose Clone and Types are one allocation each.
+# entries, whose Clone is one allocation.
 # The ninth repeats the federation-vs-one-ledger differential test, the
 # served-once test and the cluster query tests three times: a routed
 # request is served by a direct call into the embedded server under the
@@ -149,9 +149,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzSetOfMatchesAdd$$' -fuzztime 10s ./internal/resource/
 
-# benchmark/ is a module of its own that tier-1 neither builds nor
-# tests; vetting it here catches an exported name under internal/ that
-# changed out from under it (see benchmark/README.md).
+# benchmark/ is a module of its own. Tier-1 type-checks its non-test
+# packages (the reachability guard in decls_test.go roots its mains), so
+# a deletion under internal/ that breaks it already fails `go test .`;
+# vetting it here adds vet's checks and its test files (see
+# benchmark/README.md).
 benchmark-vet:
 	cd benchmark && $(GO) vet ./...
 

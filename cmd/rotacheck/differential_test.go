@@ -71,7 +71,9 @@ func TestHoldsAgreesWithTheCommittedPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			types := append(sc.Resources.Types(), resource.At("mem", "l1"))
+			var types []resource.LocatedType
+			sc.Resources.EachType(func(lt resource.LocatedType, _ interval.Interval) { types = append(types, lt) })
+			types = append(types, resource.At("mem", "l1"))
 			quantities := []float64{0.5, 1, 2, 4, 7.5, 8, 12, 16, 24, 32, 48}
 			atoms, trues := 0, 0
 			for _, lt := range types {

@@ -75,20 +75,6 @@ func (t *Task) DoneAt() interval.Time {
 	return t.doneAt
 }
 
-// Location returns the actor's current location (updated by completed
-// migrations).
-func (t *Task) Location() resource.Location {
-	return t.loc
-}
-
-// Step returns the current step, if any.
-func (t *Task) Step() (compute.Step, bool) {
-	if t.Done() {
-		return compute.Step{}, false
-	}
-	return t.steps[t.stepIdx], true
-}
-
 // Needs returns the amounts still required to finish the current step.
 func (t *Task) Needs() resource.Amounts {
 	if t.Done() {
@@ -199,12 +185,6 @@ func (rt *Runtime) Spawn(t *Task) error {
 		t.doneAt = rt.now // all-free script completes immediately
 	}
 	return nil
-}
-
-// Task returns the named task.
-func (rt *Runtime) Task(name compute.ActorName) (*Task, bool) {
-	t, ok := rt.index[name]
-	return t, ok
 }
 
 // Tasks returns all tasks (live and done).

@@ -38,7 +38,7 @@ func TestTaskLifecycle(t *testing.T) {
 	if got := task.Needs().Total(); got != resource.QuantityFromUnits(8) {
 		t.Fatalf("Needs().Total() = %d", got)
 	}
-	step, ok := task.Step()
+	step, ok := task.steps[task.stepIdx], !task.Done()
 	if !ok || step.Action.Op != compute.OpEvaluate {
 		t.Fatalf("Step = %+v, %v", step, ok)
 	}
@@ -86,7 +86,7 @@ func TestTaskSkipsFreeSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := NewTask("job", comp, 10)
-	step, ok := task.Step()
+	step, ok := task.steps[task.stepIdx], !task.Done()
 	if !ok || step.Amounts.Empty() {
 		t.Fatalf("current step should be the paid one: %+v", step)
 	}
@@ -112,8 +112,8 @@ func TestSideEffects(t *testing.T) {
 		c := mustRealize(t, child, compute.Evaluate(child, "l1", 1))
 		return &c
 	}
-	if task.Location() != "l1" {
-		t.Fatalf("initial location %s", task.Location())
+	if task.loc != "l1" {
+		t.Fatalf("initial location %s", task.loc)
 	}
 	// Complete the send (4 net).
 	task.Feed(rt, netL12, resource.QuantityFromUnits(4), 1)
@@ -125,7 +125,7 @@ func TestSideEffects(t *testing.T) {
 	if len(rt.Creations) != 1 || rt.Creations[0].Child != "kid" {
 		t.Fatalf("Creations = %+v", rt.Creations)
 	}
-	kid, ok := rt.Task("kid")
+	kid, ok := rt.index["kid"]
 	if !ok {
 		t.Fatal("child not spawned")
 	}
@@ -139,8 +139,8 @@ func TestSideEffects(t *testing.T) {
 	if len(rt.Migrations) != 1 {
 		t.Fatalf("Migrations = %+v", rt.Migrations)
 	}
-	if task.Location() != "l2" {
-		t.Errorf("location after migrate = %s", task.Location())
+	if task.loc != "l2" {
+		t.Errorf("location after migrate = %s", task.loc)
 	}
 	if !task.Done() {
 		t.Error("task should be done after all steps")
@@ -168,7 +168,7 @@ func TestSpawnAllFreeScriptCompletesImmediately(t *testing.T) {
 	if err := rt.Spawn(NewTask("j", comp, 20)); err != nil {
 		t.Fatal(err)
 	}
-	task, _ := rt.Task("a1")
+	task := rt.index["a1"]
 	if !task.Done() || task.DoneAt() != 7 {
 		t.Errorf("free script: done=%v at %d, want done at 7", task.Done(), task.DoneAt())
 	}

@@ -115,11 +115,7 @@ func (p *Rota) Decide(v View, job compute.Distributed) Decision {
 		return Refuse(err)
 	}
 	req := core.ConcurrentAt(job, v.Now)
-	var opts []schedule.Option
-	if p.Exhaustive {
-		opts = append(opts, schedule.WithExhaustive())
-	}
-	plan, err := schedule.Concurrent(free, req, opts...)
+	plan, err := schedule.Concurrent(free, req, p.Exhaustive)
 	if err != nil {
 		return Refuse(fmt.Errorf("no witness schedule: %w", err))
 	}

@@ -70,7 +70,7 @@ func TestJoinsRespectHorizonAndLease(t *testing.T) {
 			if lease := term.Span.Len(); lease > cfg.LeaseMax {
 				t.Errorf("join %d lease %d exceeds max", i, lease)
 			}
-			units := term.Rate.Units()
+			units := int64(term.Rate / resource.Unit)
 			if units < cfg.RateMin || units > cfg.RateMax {
 				t.Errorf("join %d rate %d outside bounds", i, units)
 			}

@@ -46,11 +46,6 @@ func NewComputation(actor ActorName, steps ...Step) (Computation, error) {
 	return Computation{Actor: actor, Steps: steps}, nil
 }
 
-// Empty reports whether the computation has no steps.
-func (c Computation) Empty() bool {
-	return len(c.Steps) == 0
-}
-
 // TotalAmounts sums required amounts over all steps (order-insensitive
 // aggregate — what the NaiveTotal baseline reasons with).
 func (c Computation) TotalAmounts() resource.Amounts {

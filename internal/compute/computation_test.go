@@ -111,7 +111,7 @@ func TestNewComputationValidates(t *testing.T) {
 		t.Error("invalid action should be rejected")
 	}
 	empty, err := NewComputation("a1")
-	if err != nil || !empty.Empty() {
+	if err != nil || len(empty.Steps) != 0 {
 		t.Errorf("empty computation: %v, %v", empty, err)
 	}
 }

@@ -17,30 +17,17 @@ type Simple struct {
 	Window  interval.Interval
 }
 
-// SimpleOf builds the simple requirement of a single action over a
-// window.
-func SimpleOf(step Step, window interval.Interval) Simple {
-	return Simple{Amounts: resource.NeedsOf(step.Amounts), Window: window}
-}
-
-// Satisfied implements the paper's boolean function f(Θ, ρ(γ, s, d)):
-// true when the union of all resources in Θ existing within the window
-// provides at least the required quantity of every required located type.
+// SatisfiedBy implements the paper's boolean function f(Θ, ρ(γ, s, d)):
+// true when the resources of Θ existing within the window provide at
+// least the required quantity of every required located type. Θ is given
+// as the quantity of each located type it holds within the window — all
+// f ever reads of it — so a caller whose pool is a union of sets can sum
+// their quantities instead of building the union.
 //
 // Per the paper this is an aggregate-quantity test: for a single action
 // (or a single-type run of actions) having enough total quantity within
 // the window guarantees completion, because the action can consume at
 // whatever rate is available.
-func (r Simple) Satisfied(theta resource.Set) bool {
-	return r.SatisfiedBy(func(lt resource.LocatedType) resource.Quantity {
-		return theta.QuantityWithin(lt, r.Window)
-	})
-}
-
-// SatisfiedBy is Satisfied with the pool given as the quantity of each
-// located type it holds within the window — all f ever reads of Θ — so a
-// caller whose pool is a union of sets can sum their quantities instead
-// of building the union.
 func (r Simple) SatisfiedBy(quantity func(resource.LocatedType) resource.Quantity) bool {
 	if r.Window.Empty() {
 		return r.Amounts.Empty()

@@ -60,8 +60,11 @@ func TestSimpleSatisfied(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.req.Satisfied(theta); got != tt.want {
-				t.Errorf("Satisfied = %v, want %v", got, tt.want)
+			got := tt.req.SatisfiedBy(func(lt resource.LocatedType) resource.Quantity {
+				return theta.QuantityWithin(lt, tt.req.Window)
+			})
+			if got != tt.want {
+				t.Errorf("SatisfiedBy = %v, want %v", got, tt.want)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/interval"
-	"repro/internal/resource"
 )
 
 // The paper's §IV model restricts concurrent computations to independent
@@ -97,11 +96,6 @@ func NewWorkflow(name string, start, deadline interval.Time, actors []Segmented,
 	return w, nil
 }
 
-// Window returns the execution window (s, d).
-func (w Workflow) Window() interval.Interval {
-	return interval.New(w.Start, w.Deadline)
-}
-
 // Segment returns the computation of a segment reference.
 func (w Workflow) Segment(ref SegmentRef) (Computation, bool) {
 	for _, a := range w.Actors {
@@ -171,17 +165,6 @@ func (w Workflow) TopoOrder() ([]SegmentRef, error) {
 	return out, nil
 }
 
-// TotalAmounts aggregates requirements across all segments.
-func (w Workflow) TotalAmounts() resource.Amounts {
-	out := make(resource.Amounts)
-	for _, a := range w.Actors {
-		for _, seg := range a.Segments {
-			out.Merge(seg.TotalAmounts())
-		}
-	}
-	return out
-}
-
 // NumSegments returns the total segment count.
 func (w Workflow) NumSegments() int {
 	n := 0
@@ -189,22 +172,6 @@ func (w Workflow) NumSegments() int {
 		n += len(a.Segments)
 	}
 	return n
-}
-
-// Independent converts a plain distributed computation into the
-// degenerate workflow with one segment per actor and no edges — the §IV
-// special case.
-func Independent(d Distributed) Workflow {
-	actors := make([]Segmented, 0, len(d.Actors))
-	for _, a := range d.Actors {
-		actors = append(actors, Segmented{Actor: a.Actor, Segments: []Computation{a}})
-	}
-	return Workflow{
-		Name:     d.Name,
-		Start:    d.Start,
-		Deadline: d.Deadline,
-		Actors:   actors,
-	}
 }
 
 // String renders "(W name: 3 actors, 5 segments, 2 waits, s=0, d=20)".

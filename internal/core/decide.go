@@ -9,18 +9,11 @@ import (
 	"repro/internal/schedule"
 )
 
-// This file packages the paper's four theorems as decision procedures.
-// Each procedure is constructive where the theorem is existential: a
+// This file packages the paper's Theorems 2–4 as decision procedures
+// (Theorem 1's test is f itself, compute.Simple.SatisfiedBy). Each
+// procedure is constructive where the theorem is existential: a
 // positive answer comes with a witness (break points and a consumption
 // plan) that schedule.Verify and the simulator can check independently.
-
-// CanCompleteAction decides Theorem 1 (Single Action Accommodation): a
-// computation (γ, s, d) containing a single action can be accommodated
-// iff the system satisfies its simple resource requirement,
-// f(Θ, ρ(γ, s, d)) = true.
-func CanCompleteAction(theta resource.Set, step compute.Step, window interval.Interval) bool {
-	return compute.SimpleOf(step, window).Satisfied(theta)
-}
 
 // MeetDeadline decides Theorems 2 and 3 (Sequential Computation
 // Accommodation / Meet Deadline): the sequential computation Γ completes
@@ -54,7 +47,7 @@ func AccommodateAdditional(s State, dist compute.Distributed) (schedule.Plan, er
 		return schedule.Plan{}, err
 	}
 	req := ConcurrentAt(dist, s.Now)
-	return schedule.Concurrent(free, req)
+	return schedule.Concurrent(free, req, false)
 }
 
 // Admit runs the full Theorem-4 pipeline: decide, then apply the

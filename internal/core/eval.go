@@ -108,7 +108,7 @@ func (e *evaluator) eval(i int, f Formula) (bool, error) {
 		}
 		free := e.freeWithin(i, window)
 		req := clampConcurrent(f.Req, window)
-		_, err := schedule.Concurrent(free, req, schedule.WithExhaustive())
+		_, err := schedule.Concurrent(free, req, true)
 		return err == nil, nil
 	case Not:
 		inner, err := e.eval(i, f.F)
@@ -150,11 +150,6 @@ func (e *evaluator) eval(i int, f Formula) (bool, error) {
 	default:
 		return false, fmt.Errorf("core: unknown formula %T", f)
 	}
-}
-
-// EvalNow evaluates ψ at the position of time t on the path.
-func EvalNow(p *Path, t interval.Time, f Formula) (bool, error) {
-	return Eval(p, p.IndexAt(t), f)
 }
 
 // clampWindow restricts a requirement window to start no earlier than

@@ -27,7 +27,8 @@ func refEval(p *Path, i int, f Formula) bool {
 			return f.Req.Empty()
 		}
 		req := compute.Simple{Amounts: f.Req.Amounts, Window: window}
-		return req.Satisfied(freeWithin(p, i, window))
+		free := freeWithin(p, i, window)
+		return req.SatisfiedBy(func(lt resource.LocatedType) resource.Quantity { return free.QuantityWithin(lt, window) })
 	case Not:
 		return !refEval(p, i, f.F)
 	case Eventually:

@@ -42,17 +42,6 @@ func (p *Path) append(tr Transition, next State) {
 	p.States = append(p.States, next)
 }
 
-// IndexAt returns the position of the first state whose time is ≥ t, or
-// the last position if the path ends earlier.
-func (p *Path) IndexAt(t interval.Time) int {
-	for i, s := range p.States {
-		if s.Now >= t {
-			return i
-		}
-	}
-	return len(p.States) - 1
-}
-
 // Violations returned by Run are tagged with their path position.
 type RunResult struct {
 	Path       *Path

@@ -53,7 +53,7 @@ func Repair(s State, name string, missed []Violation) (State, error) {
 	if err != nil {
 		return s, fmt.Errorf("core: repair of %s: %w", name, err)
 	}
-	plan, err := schedule.Concurrent(free, remaining)
+	plan, err := schedule.Concurrent(free, remaining, false)
 	if err != nil {
 		return s, fmt.Errorf("core: repair of %s: %w", name, err)
 	}

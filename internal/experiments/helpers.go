@@ -10,7 +10,7 @@ import (
 // scheduleExhaustive runs the witness search with actor-permutation
 // backtracking enabled.
 func scheduleExhaustive(theta resource.Set, req compute.Concurrent) (schedule.Plan, error) {
-	return schedule.Concurrent(theta, req, schedule.WithExhaustive())
+	return schedule.Concurrent(theta, req, true)
 }
 
 // calibrateWorkload generates a job sequence whose total offered work is

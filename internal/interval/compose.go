@@ -51,20 +51,3 @@ func Compose(r1, r2 Relation) RelSet {
 	composeOnce.Do(buildComposeTable)
 	return composeTable[r1][r2]
 }
-
-// ComposeSets lifts Compose to relation sets: the union of compositions of
-// all member pairs. This is the propagation step of path consistency.
-func ComposeSets(s1, s2 RelSet) RelSet {
-	var out RelSet
-	for _, r1 := range AllRelations {
-		if !s1.Has(r1) {
-			continue
-		}
-		for _, r2 := range AllRelations {
-			if s2.Has(r2) {
-				out = out.Union(Compose(r1, r2))
-			}
-		}
-	}
-	return out
-}

@@ -42,11 +42,6 @@ func New(start, end Time) Interval {
 	return Interval{Start: start, End: end}
 }
 
-// Span returns the interval [start, start+length).
-func Span(start Time, length Time) Interval {
-	return Interval{Start: start, End: start + length}
-}
-
 // Empty reports whether the interval contains no ticks.
 func (iv Interval) Empty() bool {
 	return iv.End <= iv.Start
@@ -107,26 +102,6 @@ func (iv Interval) Hull(other Interval) Interval {
 		return iv
 	}
 	return Interval{Start: min64(iv.Start, other.Start), End: max64(iv.End, other.End)}
-}
-
-// Subtract returns iv \ other as up to two disjoint intervals, in
-// ascending order. Empty pieces are omitted.
-func (iv Interval) Subtract(other Interval) []Interval {
-	if iv.Empty() {
-		return nil
-	}
-	ov := iv.Intersect(other)
-	if ov.Empty() {
-		return []Interval{iv}
-	}
-	var out []Interval
-	if left := (Interval{Start: iv.Start, End: ov.Start}); !left.Empty() {
-		out = append(out, left)
-	}
-	if right := (Interval{Start: ov.End, End: iv.End}); !right.Empty() {
-		out = append(out, right)
-	}
-	return out
 }
 
 // ClampStart returns the portion of iv at or after t.

@@ -18,7 +18,7 @@ func TestNewAndEmpty(t *testing.T) {
 		{"zero value", Interval{}, true, 0},
 		{"inverted", New(3, 0), true, 0},
 		{"degenerate", New(2, 2), true, 0},
-		{"span", Span(10, 4), false, 4},
+		{"span", New(10, 14), false, 4},
 		{"negative start", New(-5, -2), false, 3},
 	}
 	for _, tt := range tests {

@@ -188,15 +188,6 @@ const (
 	FullRelSet RelSet = (1 << numRelations) - 1
 )
 
-// NewRelSet builds a set from individual relations.
-func NewRelSet(rs ...Relation) RelSet {
-	var s RelSet
-	for _, r := range rs {
-		s = s.Add(r)
-	}
-	return s
-}
-
 func (s RelSet) bit(r Relation) RelSet {
 	return 1 << (uint(r) - 1)
 }
@@ -212,33 +203,6 @@ func (s RelSet) Add(r Relation) RelSet {
 // Has reports whether r is in the set.
 func (s RelSet) Has(r Relation) bool {
 	return r.Valid() && s&s.bit(r) != 0
-}
-
-// Intersect returns the relations common to both sets.
-func (s RelSet) Intersect(other RelSet) RelSet {
-	return s & other
-}
-
-// Union returns relations present in either set.
-func (s RelSet) Union(other RelSet) RelSet {
-	return s | other
-}
-
-// IsEmpty reports whether the set contains no relation (an inconsistent
-// constraint).
-func (s RelSet) IsEmpty() bool {
-	return s&FullRelSet == 0
-}
-
-// Converse returns the set of converses of the members.
-func (s RelSet) Converse() RelSet {
-	var out RelSet
-	for _, r := range AllRelations {
-		if s.Has(r) {
-			out = out.Add(r.Converse())
-		}
-	}
-	return out
 }
 
 // String renders the set as "{before,meets}".

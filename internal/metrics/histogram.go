@@ -85,13 +85,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // HistogramSummary is a point-in-time digest of a histogram, and the one
 // shape every latency or slack digest takes on /v1/stats and /metrics.
 type HistogramSummary struct {

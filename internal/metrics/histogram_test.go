@@ -8,7 +8,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 {
+	if h.Summary().Count != 0 {
 		t.Fatal("fresh histogram not empty")
 	}
 	s := h.Summary()
@@ -46,8 +46,8 @@ func TestHistogramClampsJunk(t *testing.T) {
 	h.Observe(math.NaN())
 	h.Observe(0.25)
 	h.Observe(math.MaxFloat64) // far beyond the top bucket
-	if h.Count() != 4 {
-		t.Fatalf("count = %d", h.Count())
+	if n := h.Summary().Count; n != 4 {
+		t.Fatalf("count = %d", n)
 	}
 	// The extremes are exact; a quantile lands in the top bucket.
 	s := h.Summary()
@@ -73,8 +73,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != workers*per {
-		t.Fatalf("count = %d, want %d", h.Count(), workers*per)
+	if n := h.Summary().Count; n != workers*per {
+		t.Fatalf("count = %d, want %d", n, workers*per)
 	}
 }
 

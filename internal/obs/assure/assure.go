@@ -178,15 +178,6 @@ func New(node string) *Ledger {
 	}
 }
 
-// SetNow overrides the wall clock used for the violation burn rate
-// (tests only).
-func (l *Ledger) SetNow(now func() time.Time) {
-	if l == nil {
-		return
-	}
-	l.nowFn = now
-}
-
 // Reserve records the promise made by a local admission: the witness
 // plan finishes at finish ≤ deadline, reserved at ledger epoch `epoch`
 // across locs. Overwrites any stale active promise for the same job.

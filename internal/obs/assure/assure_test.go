@@ -187,7 +187,7 @@ func TestEvictAll(t *testing.T) {
 func TestBurnRateWindow(t *testing.T) {
 	l := New("n1")
 	clock := time.Unix(1000, 0)
-	l.SetNow(func() time.Time { return clock })
+	l.nowFn = func() time.Time { return clock }
 	for i := 0; i < 3; i++ {
 		job := string(rune('a' + i))
 		l.Reserve(job, 0, 10, 20, 1, nil)
@@ -321,7 +321,6 @@ func TestNilLedgerIsSafe(t *testing.T) {
 	l.Drop("j")
 	l.Sweep(1, nil)
 	l.EvictAll(1)
-	l.SetNow(nil)
 	if st := l.Stats(); st.Active != 0 {
 		t.Fatalf("nil stats = %+v", st)
 	}

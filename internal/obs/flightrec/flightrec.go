@@ -121,14 +121,6 @@ func New(node string, eventCap, snapCap int, spans *span.Store) *Recorder {
 	}
 }
 
-// SetNow overrides the wall clock (tests only).
-func (r *Recorder) SetNow(now func() time.Time) {
-	if r == nil {
-		return
-	}
-	r.nowFn = now
-}
-
 // SetState installs the callback sampled into each snapshot — a
 // health/membership digest. Called once at wiring time.
 func (r *Recorder) SetState(fn func() any) {

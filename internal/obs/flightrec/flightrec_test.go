@@ -44,7 +44,7 @@ func TestEventRingEviction(t *testing.T) {
 func TestSnapshotRingEviction(t *testing.T) {
 	r := New("n1", 8, 2, nil)
 	clock := time.Unix(0, 0)
-	r.SetNow(func() time.Time { return clock })
+	r.nowFn = func() time.Time { return clock }
 	var ids []string
 	for i := 0; i < 3; i++ {
 		clock = clock.Add(2 * time.Second) // outside the dedup window
@@ -159,7 +159,6 @@ func TestTriggerSamplesSpansAndState(t *testing.T) {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record("x")
-	r.SetNow(nil)
 	r.SetState(nil)
 	if _, ok := r.Trigger("t", ""); ok {
 		t.Fatal("nil recorder took a snapshot")

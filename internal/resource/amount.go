@@ -21,11 +21,6 @@ func AmountOf(units int64, lt LocatedType) Amount {
 	return Amount{Qty: QuantityFromUnits(units), Type: lt}
 }
 
-// Zero reports whether the amount requires nothing.
-func (a Amount) Zero() bool {
-	return a.Qty <= 0
-}
-
 // String renders "[4]⟨network,l1→l2⟩".
 func (a Amount) String() string {
 	if a.Qty%Quantity(Unit) == 0 {

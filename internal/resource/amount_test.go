@@ -4,12 +4,6 @@ import "testing"
 
 func TestAmountBasics(t *testing.T) {
 	a := AmountOf(4, cpuL1)
-	if a.Zero() {
-		t.Error("4 units is not zero")
-	}
-	if (Amount{}).Zero() == false {
-		t.Error("zero amount misreported")
-	}
 	if got := a.String(); got != "[4]⟨cpu,l1⟩" {
 		t.Errorf("String = %q", got)
 	}

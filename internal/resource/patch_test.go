@@ -280,15 +280,11 @@ func TestPatchAllocationBudget(t *testing.T) {
 	}
 }
 
-// typesSink keeps Types' result reachable, so the compiler cannot keep
-// it off the heap.
-var typesSink []LocatedType
-
 // A set is one exactly sized run of (located type, profile) entries. On
 // a 36-type set — six locations, their CPUs and the full mesh of links
-// between them — Clone and Types are one allocation each, Clone of
-// entries' bytes, and a PatchSubtract touching one chunked type is the
-// result's run plus at most one splice's three allocations.
+// between them — Clone is one allocation, of entries' bytes, and a
+// PatchSubtract touching one chunked type is the result's run plus at
+// most one splice's three allocations.
 func TestSetRunAllocationBudget(t *testing.T) {
 	const segs = 512
 	mesh := Mesh(Locations(6), 4, 2, 1<<20)
@@ -308,9 +304,6 @@ func TestSetRunAllocationBudget(t *testing.T) {
 	}
 	if bytes, budget := allocBytes(100, clone), 1.125*36*float64(unsafe.Sizeof(entry{})); bytes > budget {
 		t.Errorf("Clone: %.0f bytes, budget %.0f for 36 entries", bytes, budget)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { typesSink = theta.Types() }); allocs > 1 {
-		t.Errorf("Types: %.0f allocations, want 1", allocs)
 	}
 	part := NewSet(NewTerm(1, touched, interval.New(401, 403)), NewTerm(1, touched, interval.New(410, 431)))
 	patch := func() {

@@ -62,8 +62,10 @@ func sweepSubtract(p, q profile) profile {
 				raw = append(raw, s)
 				continue
 			}
-			for _, rest := range s.span.Subtract(step.span) {
-				raw = append(raw, segment{span: rest, rate: s.rate})
+			for _, rest := range []interval.Interval{interval.New(s.span.Start, ov.Start), interval.New(ov.End, s.span.End)} {
+				if !rest.Empty() {
+					raw = append(raw, segment{span: rest, rate: s.rate})
+				}
 			}
 			if remain := s.rate - step.rate; remain > 0 {
 				raw = append(raw, segment{span: ov, rate: remain})

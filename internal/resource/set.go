@@ -291,15 +291,6 @@ func (s Set) Empty() bool {
 	return len(s.entries) == 0
 }
 
-// Types returns the located types present, in deterministic order.
-func (s Set) Types() []LocatedType {
-	out := make([]LocatedType, len(s.entries))
-	for i, e := range s.entries {
-		out[i] = e.lt
-	}
-	return out
-}
-
 // EachType calls fn with each located type present, in order, and the
 // hull of its availability.
 func (s Set) EachType(fn func(lt LocatedType, hull interval.Interval)) {

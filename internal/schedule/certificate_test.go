@@ -47,7 +47,7 @@ func FuzzInfeasibleIsACertificate(f *testing.F) {
 		}
 		req := compute.Concurrent{Name: "j", Actors: []compute.Complex{actor}, Window: actor.Window}
 
-		plan, err := Concurrent(theta, req)
+		plan, err := Concurrent(theta, req, false)
 		if err == nil {
 			if verr := Verify(theta, req, plan); verr != nil {
 				t.Fatalf("admitted plan does not verify: %v", verr)

@@ -81,7 +81,7 @@ func loadedFreeView(t *testing.T, h hash.Hash, theta resource.Set, n int) resour
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := schedule.Concurrent(free, compute.ConcurrentOf(d))
+		plan, err := schedule.Concurrent(free, compute.ConcurrentOf(d), false)
 		hashPlan(h, name, plan, err)
 		if err != nil {
 			t.Fatalf("resident %d: %v", k, err)
@@ -114,7 +114,7 @@ func TestPlanEquivalenceGolden(t *testing.T) {
 	}
 	admitted := 0
 	for i, job := range jobs {
-		plan, err := schedule.Concurrent(free, compute.ConcurrentOf(job.Dist))
+		plan, err := schedule.Concurrent(free, compute.ConcurrentOf(job.Dist), false)
 		hashPlan(h, job.Dist.Name, plan, err)
 		if err != nil {
 			continue
@@ -145,7 +145,7 @@ func TestPlanEquivalenceGolden(t *testing.T) {
 	planned, refused := 0, 0
 	for _, job := range jobs {
 		req := compute.ConcurrentOf(job.Dist)
-		plan, err := schedule.Concurrent(tight, req, schedule.WithExhaustive())
+		plan, err := schedule.Concurrent(tight, req, true)
 		hashPlan(h, job.Dist.Name, plan, err)
 		if err != nil {
 			refused++

@@ -141,7 +141,7 @@ func satisfiedWithBreaks(theta resource.Set, req compute.Complex, breaks []inter
 			end = breaks[i]
 		}
 		sub := compute.Simple{Amounts: ph.Amounts, Window: interval.New(prev, end)}
-		if !sub.Satisfied(theta) {
+		if !sub.SatisfiedBy(func(lt resource.LocatedType) resource.Quantity { return theta.QuantityWithin(lt, sub.Window) }) {
 			return false
 		}
 		prev = end

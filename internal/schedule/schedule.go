@@ -117,43 +117,24 @@ func Single(theta resource.Set, req compute.Complex) (Plan, error) {
 	return tryOrder(theta, []compute.Complex{req})
 }
 
-// config controls the multi-actor search.
-type config struct {
-	exhaustive bool
-}
-
 // maxPermutations bounds the actor orderings the exhaustive search
 // visits: 6!.
 const maxPermutations = 720
-
-// Option configures Concurrent.
-type Option func(*config)
-
-// WithExhaustive makes Concurrent try actor orderings until one succeeds
-// (at most maxPermutations of them) instead of the single
-// largest-demand-first heuristic order. The greedy pass is sound but not
-// complete under contention; exhaustive search restores completeness at
-// factorial cost.
-func WithExhaustive() Option {
-	return func(c *config) { c.exhaustive = true }
-}
 
 // Concurrent decides accommodation for a multi-actor computation against
 // Θ: it schedules actors one at a time — the paper's "try to accommodate
 // one more computation at a time" — subtracting each actor's planned
 // consumption before scheduling the next.
 //
-// A returned plan is always a genuine witness (sound). When the default
-// greedy ordering fails, callers may retry with WithExhaustive, which
-// searches actor orderings; failure of the exhaustive search within its
-// permutation budget still returns ErrInfeasible, so an infeasibility
-// verdict from this function is definitive only for single-actor inputs
-// or an unexhausted permutation budget.
-func Concurrent(theta resource.Set, req compute.Concurrent, opts ...Option) (Plan, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
+// A returned plan is always a genuine witness (sound). Without
+// exhaustive, only the largest-demand-first heuristic order is tried: it
+// is sound but not complete under contention. With exhaustive, a failed
+// heuristic pass goes on to try actor orderings until one succeeds (at
+// most maxPermutations of them), restoring completeness at factorial
+// cost; failure within that budget still returns ErrInfeasible, so an
+// infeasibility verdict is definitive only for single-actor inputs or an
+// unexhausted permutation budget.
+func Concurrent(theta resource.Set, req compute.Concurrent, exhaustive bool) (Plan, error) {
 	actors := make([]compute.Complex, len(req.Actors))
 	copy(actors, req.Actors)
 	// Heuristic order: largest total demand first, so the bulkiest actor
@@ -162,7 +143,7 @@ func Concurrent(theta resource.Set, req compute.Concurrent, opts ...Option) (Pla
 
 	if plan, err := tryOrder(theta, actors); err == nil {
 		return plan, nil
-	} else if !cfg.exhaustive {
+	} else if !exhaustive {
 		return Plan{}, err
 	}
 	var found *Plan

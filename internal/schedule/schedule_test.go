@@ -196,7 +196,7 @@ func TestConcurrentSharesResources(t *testing.T) {
 		resource.NewTerm(u(2), cpuL1, interval.New(0, 16)),  // 32 cpu ≥ 2×14
 		resource.NewTerm(u(1), netL12, interval.New(0, 16)), // 16 net ≥ 2×4
 	)
-	plan, err := Concurrent(theta, req)
+	plan, err := Concurrent(theta, req, false)
 	if err != nil {
 		t.Fatalf("feasible pair rejected: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestConcurrentSharesResources(t *testing.T) {
 		resource.NewTerm(u(1), cpuL1, interval.New(0, 16)),
 		resource.NewTerm(u(1), netL12, interval.New(0, 16)),
 	)
-	if _, err := Concurrent(tight, req); !errors.Is(err, ErrInfeasible) {
+	if _, err := Concurrent(tight, req, false); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("infeasible pair accepted: %v", err)
 	}
 }
@@ -235,7 +235,7 @@ func TestConcurrentDistinctLocations(t *testing.T) {
 		resource.NewTerm(u(2), cpuL1, interval.New(0, 4)),
 		resource.NewTerm(u(2), cpuL2, interval.New(0, 4)),
 	)
-	plan, err := Concurrent(theta, compute.ConcurrentOf(d))
+	plan, err := Concurrent(theta, compute.ConcurrentOf(d), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestConcurrentExhaustiveFindsOrderDependentSchedules(t *testing.T) {
 		resource.NewTerm(u(1), netL12, interval.New(0, 8)),
 	)
 	req := compute.ConcurrentOf(d)
-	plan, err := Concurrent(theta, req, WithExhaustive())
+	plan, err := Concurrent(theta, req, true)
 	if err != nil {
 		t.Fatalf("exhaustive search failed: %v", err)
 	}
@@ -377,7 +377,7 @@ func TestPropertyPlansAlwaysVerify(t *testing.T) {
 				interval.New(start, start+1+interval.Time(rng.Intn(10)))))
 		}
 		req := compute.ConcurrentOf(d)
-		plan, err := Concurrent(theta, req)
+		plan, err := Concurrent(theta, req, false)
 		if err != nil {
 			continue // infeasible is fine; we check soundness of successes
 		}
@@ -412,7 +412,7 @@ func TestConcurrentMaxPermutationsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	theta := resource.NewSet(resource.NewTerm(u(1), cpuL1, interval.New(0, 10)))
-	_, err = Concurrent(theta, compute.ConcurrentOf(d), WithExhaustive())
+	_, err = Concurrent(theta, compute.ConcurrentOf(d), true)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
@@ -435,8 +435,8 @@ func TestConcurrentExhaustiveEqualsGreedyWhenGreedyWorks(t *testing.T) {
 		resource.NewTerm(u(1), netL12, interval.New(0, 16)),
 	)
 	req := compute.ConcurrentOf(d)
-	greedy, gerr := Concurrent(theta, req)
-	exhaustive, eerr := Concurrent(theta, req, WithExhaustive())
+	greedy, gerr := Concurrent(theta, req, false)
+	exhaustive, eerr := Concurrent(theta, req, true)
 	if gerr != nil || eerr != nil {
 		t.Fatal(gerr, eerr)
 	}
@@ -515,14 +515,14 @@ func TestPlannerLeavesViewUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := compute.Concurrent{Actors: []compute.Complex{a1, a2}, Window: interval.New(3, 90)}
-	if _, err := Concurrent(theta, req, WithExhaustive()); err != nil {
+	if _, err := Concurrent(theta, req, true); err != nil {
 		t.Fatal(err)
 	}
 	tight := compute.Concurrent{Actors: []compute.Complex{
 		compute.ComplexOf(seqActor(t, "b1"), interval.New(0, 9)),
 		compute.ComplexOf(seqActor(t, "b2"), interval.New(0, 9)),
 	}, Window: interval.New(0, 9)}
-	if _, err := Concurrent(theta, tight, WithExhaustive()); !errors.Is(err, ErrInfeasible) {
+	if _, err := Concurrent(theta, tight, true); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("tight requirement: err = %v, want ErrInfeasible", err)
 	}
 	if !theta.Equal(before) {
@@ -537,11 +537,11 @@ var planSink Plan
 // A decision writes its plan once, in runs sized from the requirement,
 // and otherwise allocates only the overlay of Θ it consumes from. On a
 // 3-actor, 3-phase job over a fragmented Θ of two chunked types, with
-// more than one allocation to most needs, that is a fixed budget: the
-// options' config, which escapes to the options; five runs for the plan
-// (the actor copy, the allocations and their one regrowth — the run has
-// room for one per need — the per-actor break entries, the one array of
-// break times); the overlay's run of entries and, per type, a clamp of
+// more than one allocation to most needs, that is a fixed budget: five
+// runs for the plan (the actor copy, the allocations and their one
+// regrowth — the run has room for one per need — the per-actor break
+// entries, the one array of break times); the overlay's run of entries
+// and, per type, a clamp of
 // three (a cut end chunk, a chunk list, a table); and a splice of three
 // (a rebuilt chunk, a chunk list, a table) for each of the seven needs
 // a later phase or actor reads. No map of break points and no per-need
@@ -557,7 +557,7 @@ func TestConcurrentAllocatesItsPlan(t *testing.T) {
 		compute.ComplexOf(seqActor(t, "a2"), window),
 		compute.ComplexOf(seqActor(t, "a3"), window),
 	}}
-	plan, err := Concurrent(theta, req)
+	plan, err := Concurrent(theta, req, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,11 +568,11 @@ func TestConcurrentAllocatesItsPlan(t *testing.T) {
 		t.Fatalf("fixture: %d allocations for 9 needs; each should drain more than one stretch", len(plan.Allocs))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if planSink, err = Concurrent(theta, req); err != nil {
+		if planSink, err = Concurrent(theta, req, false); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const budget = 1 + 5 + (1 + 2*3) + 7*3
+	const budget = 5 + (1 + 2*3) + 7*3
 	if allocs > budget {
 		t.Errorf("Concurrent: %.0f allocations, budget %d", allocs, budget)
 	}

@@ -650,7 +650,7 @@ func TestSplitAllocsAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := schedule.Concurrent(free, core.ConcurrentAt(d, 0))
+	plan, err := schedule.Concurrent(free, core.ConcurrentAt(d, 0), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +673,7 @@ func TestSplitAllocsAllocationBudget(t *testing.T) {
 		if want := byShard[p.loc]; want == nil || !p.set.Equal(*want) {
 			t.Fatalf("part on %s = %v, want %v", p.loc, p.set, want)
 		}
-		types += len(p.set.Types())
+		p.set.EachType(func(resource.LocatedType, interval.Interval) { types++ })
 	}
 	budget := float64(1 + len(got) + types)
 	if allocs := testing.AllocsPerRun(100, func() { _ = splitAllocs(plan.Allocs) }); allocs > budget {

@@ -260,8 +260,8 @@ func TestTraceIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != log.Len() {
-		t.Errorf("round trip %d != %d", back.Len(), log.Len())
+	if len(back.Events()) != len(log.Events()) {
+		t.Errorf("round trip %d != %d", len(back.Events()), len(log.Events()))
 	}
 }
 

@@ -66,13 +66,6 @@ func (l *Log) Add(e Event) {
 	l.events = append(l.events, e)
 }
 
-// Len returns the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
 // Events returns a copy of the recorded events in order.
 func (l *Log) Events() []Event {
 	l.mu.Lock()

@@ -8,15 +8,15 @@ import (
 
 func TestLogBasics(t *testing.T) {
 	l := NewLog()
-	if l.Len() != 0 {
+	if len(l.Events()) != 0 {
 		t.Fatal("fresh log not empty")
 	}
 	l.Add(Event{At: 1, Kind: KindArrival, Job: "j1", Quantity: 10})
 	l.Add(Event{At: 2, Kind: KindAdmit, Job: "j1"})
 	l.Add(Event{At: 5, Kind: KindComplete, Job: "j1"})
 	l.Add(Event{At: 3, Kind: KindArrival, Job: "j2"})
-	if l.Len() != 4 {
-		t.Fatalf("Len = %d", l.Len())
+	if len(l.Events()) != 4 {
+		t.Fatalf("Len = %d", len(l.Events()))
 	}
 	events := l.Events()
 	if len(events) != 4 || events[0].Job != "j1" || events[0].At != 1 {
@@ -55,8 +55,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 3 {
-		t.Fatalf("round trip lost events: %d", back.Len())
+	if len(back.Events()) != 3 {
+		t.Fatalf("round trip lost events: %d", len(back.Events()))
 	}
 	got := back.Events()
 	want := l.Events()
@@ -72,8 +72,8 @@ func TestReadJSONLErrors(t *testing.T) {
 		t.Error("malformed line accepted")
 	}
 	l, err := ReadJSONL(strings.NewReader(""))
-	if err != nil || l.Len() != 0 {
-		t.Errorf("empty stream: %v, %d", err, l.Len())
+	if err != nil || len(l.Events()) != 0 {
+		t.Errorf("empty stream: %v, %d", err, len(l.Events()))
 	}
 }
 
@@ -86,13 +86,13 @@ func TestLogConcurrentSafety(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				l.Add(Event{At: int64(i), Kind: KindArrival})
-				_ = l.Len()
+				_ = len(l.Events())
 				_ = l.Filter(KindArrival)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if l.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", l.Len())
+	if len(l.Events()) != 800 {
+		t.Fatalf("Len = %d, want 800", len(l.Events()))
 	}
 }

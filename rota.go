@@ -14,7 +14,7 @@
 // The package is a facade over focused internal packages:
 //
 //   - Time and Allen's interval algebra (the paper's Table I), including
-//     relation composition and qualitative constraint networks.
+//     relation composition.
 //   - Resource terms and normalized resource sets with the union,
 //     simplification and relative-complement algebra of §III.
 //   - Computation representation: actor actions, the Φ cost function,
@@ -23,7 +23,7 @@
 //   - The logic: system states S = (Θ, ρ, t), the seven labeled
 //     transition rules, computation paths, well-formed formulas and the
 //     satisfaction semantics of Figure 1 (§V).
-//   - Constructive decision procedures for Theorems 1–4, returning
+//   - Constructive decision procedures for Theorems 2–4, returning
 //     witness schedules that an independent verifier and a discrete-event
 //     simulator can check.
 //   - An open-system simulation harness: workload and churn generators,
@@ -80,10 +80,6 @@ type Relation = interval.Relation
 // RelSet is a set of Allen relations (a constraint-network label).
 type RelSet = interval.RelSet
 
-// Network is a qualitative interval constraint network with
-// path-consistency propagation.
-type Network = interval.Network
-
 // NewInterval returns the interval [start, end).
 func NewInterval(start, end Time) Interval {
 	return interval.New(start, end)
@@ -98,11 +94,6 @@ func RelationBetween(a, b Interval) Relation {
 // rel(A,B) and rel(B,C).
 func ComposeRelations(r1, r2 Relation) RelSet {
 	return interval.Compose(r1, r2)
-}
-
-// NewNetwork creates an interval constraint network over named variables.
-func NewNetwork(names ...string) *Network {
-	return interval.NewNetwork(names...)
 }
 
 // ---- Resources (§III) ----
@@ -136,9 +127,6 @@ type Amounts = resource.Amounts
 // located type: what a Simple requirement and a phase carry.
 type Needs = resource.Needs
 
-// ErrInsufficient is returned when a relative complement is undefined.
-var ErrInsufficient = resource.ErrInsufficient
-
 // UnitsRate converts whole units per tick to a Rate.
 func UnitsRate(u int64) Rate {
 	return resource.FromUnits(u)
@@ -157,11 +145,6 @@ func CPUAt(loc Location) LocatedType {
 // Link returns ⟨network, src → dst⟩.
 func Link(src, dst Location) LocatedType {
 	return resource.Link(src, dst)
-}
-
-// ResourceAt returns an arbitrary-kind node-local located type.
-func ResourceAt(kind string, loc Location) LocatedType {
-	return resource.At(resource.Kind(kind), loc)
 }
 
 // NewTerm builds a resource term.
@@ -197,9 +180,6 @@ type ActorName = compute.ActorName
 // Action is a single actor action γ.
 type Action = compute.Action
 
-// Step is an action with its required resource amounts.
-type Step = compute.Step
-
 // Computation is a sequential actor computation Γ.
 type Computation = compute.Computation
 
@@ -208,9 +188,6 @@ type Distributed = compute.Distributed
 
 // Simple is a simple resource requirement ρ(γ, s, d).
 type Simple = compute.Simple
-
-// Complex is a complex resource requirement ρ(Γ, s, d).
-type Complex = compute.Complex
 
 // Concurrent is the requirement ρ(Λ, s, d) of a distributed computation.
 type Concurrent = compute.Concurrent
@@ -230,29 +207,14 @@ func Create(a ActorName, loc Location, child ActorName) Action {
 	return compute.Create(a, loc, child)
 }
 
-// Ready builds a ready action.
-func Ready(a ActorName, loc Location) Action {
-	return compute.Ready(a, loc)
-}
-
 // Migrate builds a migrate action.
 func Migrate(a ActorName, loc, dest Location, size int64) Action {
 	return compute.Migrate(a, loc, dest, size)
 }
 
-// NewComputation builds a sequential computation from pre-costed steps.
-func NewComputation(actor ActorName, steps ...Step) (Computation, error) {
-	return compute.NewComputation(actor, steps...)
-}
-
 // NewDistributed builds a distributed computation (Λ, s, d).
 func NewDistributed(name string, start, deadline Time, actors ...Computation) (Distributed, error) {
 	return compute.NewDistributed(name, start, deadline, actors...)
-}
-
-// ComplexOf derives an actor's complex requirement over a window.
-func ComplexOf(c Computation, window Interval) Complex {
-	return compute.ComplexOf(c, window)
 }
 
 // ConcurrentOf derives a distributed computation's requirement.
@@ -284,12 +246,6 @@ func NewWorkflow(name string, start, deadline Time, actors []Segmented, edges []
 	return compute.NewWorkflow(name, start, deadline, actors, edges)
 }
 
-// IndependentWorkflow lifts a plain distributed computation into the
-// degenerate no-waits workflow.
-func IndependentWorkflow(d Distributed) Workflow {
-	return compute.Independent(d)
-}
-
 // FeasibleWorkflow searches for a witness schedule for a workflow.
 func FeasibleWorkflow(theta Set, w Workflow) (WorkflowPlan, error) {
 	return schedule.FeasibleWorkflow(theta, w)
@@ -305,22 +261,9 @@ func VerifyWorkflowPlan(theta Set, w Workflow, plan WorkflowPlan) error {
 // CostModel is the paper's Φ: action → required resource amounts.
 type CostModel = cost.Model
 
-// CostParams configures a tabular Φ.
-type CostParams = cost.Params
-
 // PaperCost returns Φ with the paper's worked constants (§IV-A).
 func PaperCost() CostModel {
 	return cost.Paper()
-}
-
-// TableCost returns a tabular Φ with custom parameters.
-func TableCost(p CostParams) CostModel {
-	return cost.NewTable(p)
-}
-
-// NoisyCost wraps a model with bounded relative estimation error.
-func NoisyCost(inner CostModel, relErr float64, seed int64, pessimistic bool) CostModel {
-	return cost.NewNoisy(inner, relErr, seed, pessimistic)
 }
 
 // Realize costs a list of actions into a sequential computation.
@@ -333,14 +276,8 @@ func Realize(m CostModel, actor ActorName, actions ...Action) (Computation, erro
 // State is the system state S = (Θ, ρ, t).
 type State = core.State
 
-// Commitment is an accommodated computation with its witness plan.
-type Commitment = core.Commitment
-
 // Transition is a labeled transition between states.
 type Transition = core.Transition
-
-// TransitionKind names the applied transition rule.
-type TransitionKind = core.TransitionKind
 
 // Violation records a broken commitment (possible only under reneging
 // resources).
@@ -355,18 +292,12 @@ type RunResult = core.RunResult
 // Formula is a ROTA well-formed formula ψ.
 type Formula = core.Formula
 
-// The formula constructors of the grammar (§V-B). And/Or are extensions.
+// The formula constructors of the grammar (§V-B). And is an extension.
 type (
-	True              = core.True
-	False             = core.False
 	SatisfySimple     = core.SatisfySimple
-	SatisfyComplex    = core.SatisfyComplex
 	SatisfyConcurrent = core.SatisfyConcurrent
 	Not               = core.Not
-	Eventually        = core.Eventually
-	Always            = core.Always
 	And               = core.And
-	Or                = core.Or
 )
 
 // NewState builds an initial state (Θ, ∅, t).
@@ -377,23 +308,6 @@ func NewState(theta Set, t Time) State {
 // Acquire applies the resource acquisition rule.
 func Acquire(s State, join Set) (State, Transition) {
 	return core.Acquire(s, join)
-}
-
-// Accommodate applies the computation accommodation rule, verifying the
-// witness plan against the state's free resources.
-func Accommodate(s State, req Concurrent, plan Plan) (State, Transition, error) {
-	return core.Accommodate(s, req, plan)
-}
-
-// Leave applies the computation leave rule (only before the computation
-// starts).
-func Leave(s State, name string) (State, Transition, error) {
-	return core.Leave(s, name)
-}
-
-// Tick applies the general transition rule over (t, t+dt).
-func Tick(s State, dt Time) (State, Transition, []Violation) {
-	return core.Tick(s, dt)
 }
 
 // RunState evolves a state to the horizon (or to completion when horizon
@@ -407,42 +321,17 @@ func Eval(p *Path, i int, f Formula) (bool, error) {
 	return core.Eval(p, i, f)
 }
 
-// EvalNow evaluates ψ at the path position for time t.
-func EvalNow(p *Path, t Time, f Formula) (bool, error) {
-	return core.EvalNow(p, t, f)
-}
-
-// ---- Decision procedures (Theorems 1–4) ----
+// ---- Decision procedures (Theorems 2–4) ----
 
 // Plan is a witness schedule: per-phase resource allocations and each
 // actor's break points t1 … t_m of Theorem 2, which Plan.BreaksOf
 // looks up by actor name.
 type Plan = schedule.Plan
 
-// Allocation is one planned consumption within a Plan.
-type Allocation = schedule.Allocation
-
-// ErrInfeasible is returned when no witness schedule exists.
-var ErrInfeasible = schedule.ErrInfeasible
-
-// ErrDeadlinePassed is returned when accommodation is requested after d.
-var ErrDeadlinePassed = core.ErrDeadlinePassed
-
-// CanCompleteAction decides Theorem 1 for a single action.
-func CanCompleteAction(theta Set, step Step, window Interval) bool {
-	return core.CanCompleteAction(theta, step, window)
-}
-
 // MeetDeadline decides Theorems 2–3 for a sequential computation,
 // returning the witness plan on success.
 func MeetDeadline(theta Set, comp Computation, start, deadline Time) (Plan, error) {
 	return core.MeetDeadline(theta, comp, start, deadline)
-}
-
-// AccommodateAdditional decides Theorem 4 against a state's free
-// (expiring) resources.
-func AccommodateAdditional(s State, dist Distributed) (Plan, error) {
-	return core.AccommodateAdditional(s, dist)
 }
 
 // Admit runs the full Theorem-4 pipeline: decide, then accommodate.
@@ -463,12 +352,6 @@ func VerifyPlan(theta Set, req Concurrent, plan Plan) error {
 	return schedule.Verify(theta, req, plan)
 }
 
-// FeasibleConcurrent searches for a witness schedule for a multi-actor
-// requirement directly against a resource set.
-func FeasibleConcurrent(theta Set, req Concurrent) (Plan, error) {
-	return schedule.Concurrent(theta, req)
-}
-
 // ---- Tree exploration (Definition 2) ----
 
 // Explorer materializes the tree of possible system evolutions and
@@ -476,17 +359,10 @@ func FeasibleConcurrent(theta Set, req Concurrent) (Plan, error) {
 // holds?") by bounded depth-first search over admit/defer choices.
 type Explorer = core.Explorer
 
-// ErrExploreBudget is returned when the exploration budget is exhausted
-// without a definitive answer.
-var ErrExploreBudget = core.ErrBudget
-
 // ---- Simulation harness ----
 
 // Policy is an admission-control policy.
 type Policy = admission.Policy
-
-// PolicyDecision is a policy verdict.
-type PolicyDecision = admission.Decision
 
 // SimConfig parameterizes a simulation run.
 type SimConfig = sim.Config
@@ -518,12 +394,6 @@ type ChurnTrace = churn.Trace
 // RotaPolicy returns the paper's Theorem-4 admission control.
 func RotaPolicy() Policy {
 	return &admission.Rota{}
-}
-
-// RotaExhaustivePolicy returns ROTA admission with exhaustive
-// actor-ordering search.
-func RotaExhaustivePolicy() Policy {
-	return &admission.Rota{Exhaustive: true}
 }
 
 // NaiveTotalPolicy returns the aggregate-quantity baseline.

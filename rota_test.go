@@ -7,6 +7,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/schedule"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -32,7 +35,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if got := plan.BreaksOf("a1"); len(got) != 3 || got[0] != 4 || got[1] != 8 || got[2] != 12 {
 		t.Errorf("breaks = %v, want [4 8 12]", got)
 	}
-	if _, err := MeetDeadline(theta, comp, 0, 8); !errors.Is(err, ErrInfeasible) {
+	if _, err := MeetDeadline(theta, comp, 0, 8); !errors.Is(err, schedule.ErrInfeasible) {
 		t.Errorf("deadline 8 should be infeasible, got %v", err)
 	}
 
@@ -69,15 +72,8 @@ func TestFacadeIntervalAlgebra(t *testing.T) {
 		t.Errorf("relation = %v", RelationBetween(a, b))
 	}
 	set := ComposeRelations(RelationBetween(a, b), RelationBetween(b, NewInterval(8, 9)))
-	if set.IsEmpty() {
-		t.Error("composition empty")
-	}
-	nw := NewNetwork("x", "y")
-	if err := nw.Constrain(0, 1, set); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Propagate(); err != nil {
-		t.Fatal(err)
+	if set.String() != "{before}" {
+		t.Errorf("composition = %v", set)
 	}
 }
 
@@ -123,7 +119,7 @@ func TestFacadeSimulationPipeline(t *testing.T) {
 	if res.Missed != 0 || res.Violations != 0 {
 		t.Errorf("rota assurance broken: %+v", res)
 	}
-	for _, mk := range []func() Policy{NaiveTotalPolicy, AlwaysAdmitPolicy, EDFFeasiblePolicy, RotaExhaustivePolicy} {
+	for _, mk := range []func() Policy{NaiveTotalPolicy, AlwaysAdmitPolicy, EDFFeasiblePolicy} {
 		p := mk()
 		if p.Name() == "" {
 			t.Error("unnamed policy")
@@ -150,7 +146,7 @@ func TestFacadeStateRules(t *testing.T) {
 	if got := s2.Theta.RateAt(CPUAt("l1"), 5); got != UnitsRate(3) {
 		t.Errorf("rate after acquire = %d", got)
 	}
-	// Accommodation and leave.
+	// Admission, checked by the independent verifier.
 	comp, err := Realize(PaperCost(), "a1", Evaluate("a1", "l1", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -159,71 +155,31 @@ func TestFacadeStateRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := AccommodateAdditional(s2, dist)
-	if err != nil {
+	if _, plan, err := Admit(s2, dist); err != nil {
 		t.Fatal(err)
-	}
-	s3, _, err := Accommodate(s2, ConcurrentOf(dist), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyPlan(s2.Theta, ConcurrentOf(dist), plan); err != nil {
+	} else if err := VerifyPlan(s2.Theta, ConcurrentOf(dist), plan); err != nil {
 		t.Errorf("VerifyPlan: %v", err)
-	}
-	if _, _, err := Leave(s3, "later"); err != nil {
-		t.Errorf("Leave before start: %v", err)
-	}
-	// Tick classification via facade.
-	_, trTick, viols := Tick(s3, 1)
-	if len(viols) != 0 {
-		t.Errorf("violations: %v", viols)
-	}
-	if trTick.Kind.String() == "" {
-		t.Error("unnamed transition kind")
-	}
-	// FeasibleConcurrent direct search.
-	if _, err := FeasibleConcurrent(s.Theta, ConcurrentOf(dist)); err != nil {
-		t.Errorf("FeasibleConcurrent: %v", err)
-	}
-	// Theorem 1 helper.
-	step := comp.Steps[0]
-	if !CanCompleteAction(s.Theta, step, NewInterval(0, 10)) {
-		t.Error("Theorem 1 check failed")
-	}
-	if CanCompleteAction(s.Theta, step, NewInterval(0, 1)) {
-		t.Error("8 units cannot fit in one rate-2 tick")
 	}
 }
 
 func TestFacadeWorkflowAndCostSurface(t *testing.T) {
-	// Cover the facade surface for workflows, cost models, explorer and
-	// repair — each exactly as a downstream user would compose them.
-	theta := NewSet(
-		NewTerm(UnitsRate(2), CPUAt("l1"), NewInterval(0, 30)),
-		NewTerm(UnitsRate(2), ResourceAt("gpu", "l1"), NewInterval(0, 30)),
-	)
-	if theta.RateAt(ResourceAt("gpu", "l1"), 5) != UnitsRate(2) {
-		t.Error("custom-kind resource lost")
-	}
-
-	// Hand-built computation from pre-costed steps.
-	step := Step{
-		Action:  Evaluate("w", "l1", 1),
-		Amounts: Amounts{CPUAt("l1"): UnitsQty(6)},
-	}
-	comp, err := NewComputation("w", step)
+	// Cover the facade surface for workflows, the cost model and action
+	// constructors, exactly as a downstream user would compose them.
+	theta := NewSet(NewTerm(UnitsRate(2), CPUAt("l1"), NewInterval(0, 30)))
+	comp, err := Realize(PaperCost(), "w", Evaluate("w", "l1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := ComplexOf(comp, NewInterval(0, 30))
-	if req.Empty() {
-		t.Error("requirement should not be empty")
+
+	// The paper's Φ: one evaluate is 8 cpu.
+	amounts, err := PaperCost().Amounts(Evaluate("w", "l1", 1))
+	if err != nil || amounts[CPUAt("l1")] != UnitsQty(8) {
+		t.Errorf("PaperCost = %v, %v", amounts, err)
 	}
 
 	// Action constructors.
 	for _, a := range []Action{
 		Create("w", "l1", "kid"),
-		Ready("w", "l1"),
 		Migrate("w", "l1", "l2", 4),
 	} {
 		if err := a.Validate(); err != nil {
@@ -231,23 +187,8 @@ func TestFacadeWorkflowAndCostSurface(t *testing.T) {
 		}
 	}
 
-	// Cost models.
-	tbl := TableCost(CostParams{EvalCPUBase: 3, SendNetBase: 1, CreateCPU: 1, ReadyCPU: 1, MigrateCPU: 1, MigrateNetPerKB: 1})
-	amounts, err := tbl.Amounts(Evaluate("w", "l1", 1))
-	if err != nil || amounts[CPUAt("l1")] != UnitsQty(3) {
-		t.Errorf("TableCost = %v, %v", amounts, err)
-	}
-	noisy := NoisyCost(PaperCost(), 0.2, 5, true)
-	na, err := noisy.Amounts(Evaluate("w", "l1", 1))
-	if err != nil || na[CPUAt("l1")] < UnitsQty(8) {
-		t.Errorf("NoisyCost pessimistic = %v, %v", na, err)
-	}
-
 	// Workflows.
-	seg2, err := NewComputation("v", Step{
-		Action:  Evaluate("v", "l1", 1),
-		Amounts: Amounts{CPUAt("l1"): UnitsQty(4)},
-	})
+	seg2, err := Realize(PaperCost(), "v", Evaluate("v", "l1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,15 +216,6 @@ func TestFacadeWorkflowAndCostSurface(t *testing.T) {
 	if vStart < wDone {
 		t.Errorf("wait edge violated: v starts %d before w done %d", vStart, wDone)
 	}
-
-	// Independent lifting.
-	dist, err := NewDistributed("flat", 0, 30, comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IndependentWorkflow(dist).NumSegments() != 1 {
-		t.Error("IndependentWorkflow shape wrong")
-	}
 }
 
 func TestFacadeExplorerAndRepair(t *testing.T) {
@@ -297,7 +229,7 @@ func TestFacadeExplorerAndRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := &Explorer{Pending: []Distributed{job}, Horizon: 8}
-	ok, witness, err := ex.ExistsPath(NewState(theta, 0), True{})
+	ok, witness, err := ex.ExistsPath(NewState(theta, 0), core.True{})
 	if err != nil || !ok || witness == nil {
 		t.Fatalf("ExistsPath: %v %v", ok, err)
 	}
@@ -310,7 +242,7 @@ func TestFacadeExplorerAndRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Theta = NewSet() // total renege
-	s, _, viols := Tick(s, 1)
+	s, _, viols := core.Tick(s, 1)
 	if len(viols) == 0 {
 		t.Fatal("expected violations")
 	}
@@ -325,11 +257,6 @@ func TestFacadeExplorerAndRepair(t *testing.T) {
 	res := RunState(repaired, 0, 1)
 	if len(res.Violations) != 0 || res.Completed["j"] > 8 {
 		t.Errorf("repaired run: %v, done %d", res.Violations, res.Completed["j"])
-	}
-
-	// EvalNow through the facade.
-	if _, err := EvalNow(res.Path, 0, True{}); err != nil {
-		t.Errorf("EvalNow: %v", err)
 	}
 
 	// AmountOf helper.
