@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // goFile is one parsed .go file of the tree.
@@ -620,6 +621,71 @@ func (rf repoFiles) checkFileRef(span string) string {
 	return fmt.Sprintf("line %d is past the end of %s", n, strings.Join(found, ", "))
 }
 
+// cmdFlags is the flags each command under cmd/ registers, by command
+// name, read from its fs.Kind("name", …) calls.
+type cmdFlags map[string]map[string]bool
+
+func indexCmdFlags(files []goFile) cmdFlags {
+	cf := cmdFlags{}
+	for _, f := range files {
+		dir := path.Dir(f.path)
+		if f.test || path.Dir(dir) != "cmd" {
+			continue
+		}
+		name := path.Base(dir)
+		if cf[name] == nil {
+			cf[name] = map[string]bool{"h": true, "help": true} // the flag package's own
+		}
+		ast.Inspect(f.ast, func(x ast.Node) bool {
+			call, ok := x.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != "fs" {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				cf[name][strings.Trim(lit.Value, "`\"")] = true
+			}
+			return true
+		})
+	}
+	return cf
+}
+
+// check reports the flags a code span passes to a command of cmd/
+// (`rotaX -name …`, or `go run ./cmd/rotaX -name …`) that the command
+// does not register, or "" when there are none. A command's arguments
+// run to the next command or shell separator.
+func (cf cmdFlags) check(span string) string {
+	var cmd string
+	var stale []string
+	for _, tok := range strings.Fields(span) {
+		tok = strings.Trim(tok, "[]")
+		if name := strings.TrimPrefix(strings.TrimPrefix(tok, "./"), "cmd/"); cf[name] != nil {
+			cmd = name
+			continue
+		}
+		switch {
+		case tok == "|" || tok == ";" || tok == "&&" || tok == "&":
+			cmd = ""
+		case cmd != "" && len(tok) > 1 && tok[0] == '-':
+			flag, _, _ := strings.Cut(strings.TrimLeft(tok, "-"), "=")
+			if flag != "" && unicode.IsLetter(rune(flag[0])) && !cf[cmd][flag] {
+				stale = append(stale, cmd+" -"+flag)
+			}
+		}
+	}
+	if len(stale) == 0 {
+		return ""
+	}
+	return "passes a flag its command does not register: " + strings.Join(stale, ", ")
+}
+
 // resolve reports whether a dotted doc name resolves: pkg.Ident, or
 // Type.Member, or pkg.Type.Member. A name whose head is neither a repo
 // package nor a repo type (json.Unmarshal, ctx.Err) is not checked.
@@ -643,8 +709,9 @@ func (ix declIndex) resolve(parts []string) (checked, ok bool) {
 // TestDocsNameRealThings resolves the declarations README.md, DESIGN.md
 // and EXPERIMENTS.md name in code spans outside fenced blocks: every
 // TestX, FuzzX and BenchmarkX, every pkg.Ident whose pkg is a repo
-// package, and every Type.Member whose Type is a repo type. A line that
-// calls the name deleted, removed or retired is history and is skipped.
+// package, every Type.Member whose Type is a repo type, and every flag
+// a span passes to a command of cmd/. A line that calls the name
+// deleted, removed or retired is history and is skipped.
 func TestDocsNameRealThings(t *testing.T) {
 	_, files, err := parseTree(".")
 	if err != nil {
@@ -652,6 +719,7 @@ func TestDocsNameRealThings(t *testing.T) {
 	}
 	ix := buildDeclIndex(files)
 	rf := indexRepoFiles(t)
+	flags := indexCmdFlags(files)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		body, err := os.ReadFile(doc)
 		if err != nil {
@@ -676,6 +744,9 @@ func TestDocsNameRealThings(t *testing.T) {
 				if msg := rf.checkFileRef(span); msg != "" {
 					t.Errorf("%s:%d: `%s` %s", doc, i+1, span, msg)
 				}
+				if msg := flags.check(span); msg != "" {
+					t.Errorf("%s:%d: `%s` %s", doc, i+1, span, msg)
+				}
 				for _, c := range cmdRef.FindAllStringSubmatch(span, -1) {
 					if fi, err := os.Stat(filepath.Join("cmd", c[1])); err != nil || !fi.IsDir() {
 						t.Errorf("%s:%d: `%s` names no directory cmd/%s", doc, i+1, span, c[1])
@@ -696,22 +767,32 @@ func TestDocsNameRealThings(t *testing.T) {
 	}
 }
 
-// TestFileRefCheck plants good and stale file references: a path from
-// the root or from inside a module, a base name, a line within its file
-// and a glob pass; a missing file, a line past the end and a shorthand
-// for two files fail.
+// TestFileRefCheck plants good and stale file references and command
+// lines: a path from the root or from inside a module, a base name, a
+// line within its file, a glob and registered flags pass; a missing
+// file, a line past the end, a shorthand for two files and a flag its
+// command does not register fail.
 func TestFileRefCheck(t *testing.T) {
 	rf := indexRepoFiles(t)
+	_, files, err := parseTree(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := indexCmdFlags(files)
 	for span, stale := range map[string]bool{
-		"internal/core/path.go":        false,
-		"core/path.go":                 false,
-		"decls_test.go:1":              false,
-		"examples/*/testdata/*.golden": false,
-		"gossip.go":                    true,
-		"decls_test.go:1000000":        true,
-		"BENCH_PR9/10.json":            true,
+		"internal/core/path.go":                          false,
+		"core/path.go":                                   false,
+		"decls_test.go:1":                                false,
+		"examples/*/testdata/*.golden":                   false,
+		"rotaload -selftest -cluster 3 -seed=42":         false,
+		"go run ./cmd/rotabench [-exp e4] [-csv] | head": false,
+		"gossip.go":                                      true,
+		"decls_test.go:1000000":                          true,
+		"BENCH_PR9/10.json":                              true,
+		"go run ./cmd/rotad -addr :8080 -policy rota":    true,
+		"rotaload -selftest && rotad -addr :1 --no-such": true,
 	} {
-		if got := rf.checkFileRef(span) != ""; got != stale {
+		if got := rf.checkFileRef(span) != "" || flags.check(span) != ""; got != stale {
 			t.Errorf("`%s`: stale = %v, want %v", span, got, stale)
 		}
 	}

@@ -203,10 +203,10 @@ func TestTickEDFPriorityAndWorkConservation(t *testing.T) {
 		t.Errorf("clock = %d", rt.Now())
 	}
 	// Tick availability expired.
-	if got := avail.RateAt(cpuL1, 0); got != 0 {
+	if got := avail.MinRate(cpuL1, interval.New(0, 1)); got != 0 {
 		t.Errorf("tick-0 availability survived: %d", got)
 	}
-	if got := avail.RateAt(cpuL1, 5); got != u(10) {
+	if got := avail.MinRate(cpuL1, interval.New(5, 6)); got != u(10) {
 		t.Errorf("future availability lost: %d", got)
 	}
 }

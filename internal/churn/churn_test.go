@@ -121,7 +121,7 @@ func TestBaseResources(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, loc := range cfg.Locations {
-		if got := tr.Base.RateAt(resource.CPUAt(loc), 100); got != resource.FromUnits(3) {
+		if got := tr.Base.MinRate(resource.CPUAt(loc), interval.New(100, 101)); got != resource.FromUnits(3) {
 			t.Errorf("base rate at %s = %d", loc, got)
 		}
 	}

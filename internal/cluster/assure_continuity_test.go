@@ -1,12 +1,8 @@
 package cluster
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
 
 	"repro/internal/obs/assure"
 	"repro/internal/resource"
@@ -58,7 +54,7 @@ func TestPromiseContinuityAcrossHandoff(t *testing.T) {
 	// The join will move l2 and l3; seed one job on each, looking up the
 	// incumbent owner from the partition (PartitionLocations interleaves).
 	ownerOf := func(loc resource.Location) int {
-		for i, p := range tc.peers {
+		for i, p := range tc.Members {
 			for _, l := range p.Locations {
 				if l == loc {
 					return i
@@ -76,31 +72,30 @@ func TestPromiseContinuityAcrossHandoff(t *testing.T) {
 		"moves-with-l3": {ownerOf("l3"), "l3"},
 	}
 	for name, at := range moved {
-		status, verdict := admitVerdict(t, tc.urls[at.owner], pinnedJob(t, name, at.loc, 100000))
+		status, verdict := admitVerdict(t, tc.Members[at.owner].URL, pinnedJob(t, name, at.loc, 100000))
 		if status != http.StatusOK || !verdict.Admit {
 			t.Fatalf("seeding %s: status %d, verdict %+v", name, status, verdict)
 		}
-		if p, ok := assureView(t, tc.nodes[at.owner], name); !ok || p.State != assure.StateActive {
+		if p, ok := assureView(t, tc.Members[at.owner].Node, name); !ok || p.State != assure.StateActive {
 			t.Fatalf("no active promise for %s on its owner before the join", name)
 		}
 	}
 
-	joiner, _ := newJoiner(t, "n3")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := joiner.JoinCluster(ctx, tc.urls[0], []resource.Location{"l2", "l3"}); err != nil {
+	jm, err := tc.Join("n3", tc.Members[0].URL, []resource.Location{"l2", "l3"})
+	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
+	joiner := jm.Node
 
 	for name, at := range moved {
 		requireContinuity(t, joiner, name)
 		// The old owner's disposition is transferred — the job left with
 		// its location, it was not lost.
-		if old, ok := assureView(t, tc.nodes[at.owner], name); !ok || old.State != assure.StateTransferred {
-			t.Fatalf("old owner %s reports %s as %q, want transferred", tc.peers[at.owner].ID, name, old.State)
+		if old, ok := assureView(t, tc.Members[at.owner].Node, name); !ok || old.State != assure.StateTransferred {
+			t.Fatalf("old owner %s reports %s as %q, want transferred", tc.Members[at.owner].ID, name, old.State)
 		}
 	}
-	for _, nd := range append(append([]*Node{}, tc.nodes...), joiner) {
+	for _, nd := range tc.Nodes() {
 		st := nd.Server().Assure().Stats()
 		if st.Violated != 0 || st.Orphaned != 0 {
 			t.Fatalf("%s: %d violated, %d orphaned after a clean handoff", nd.ID(), st.Violated, st.Orphaned)
@@ -115,64 +110,34 @@ func TestPromiseContinuityAcrossHandoff(t *testing.T) {
 func TestPromiseContinuityAcrossPromotion(t *testing.T) {
 	tc := newTestCluster(t, 3, 1, 8, 100000, 50)
 	victim := 1
-	loc := tc.peers[victim].Locations[0]
-	standbyID := tc.nodes[0].Table().StandbyOf(loc)
-	if standbyID == "" || standbyID == tc.peers[victim].ID {
-		t.Fatalf("no usable standby for %s: %q", loc, standbyID)
-	}
-	var standby *Node
-	var survivor string
-	for i, p := range tc.peers {
-		if p.ID == standbyID {
-			standby = tc.nodes[i]
-		} else if i != victim {
-			survivor = tc.urls[i]
-		}
-	}
+	loc := tc.Members[victim].Locations[0]
+	standby := standbyOf(t, tc, loc).Node
+	survivor := tc.Members[0].URL
 
 	const job = "promise-survives-crash"
-	status, verdict := admitVerdict(t, tc.urls[victim], pinnedJob(t, job, loc, 100000))
+	status, verdict := admitVerdict(t, tc.Members[victim].URL, pinnedJob(t, job, loc, 100000))
 	if status != http.StatusOK || !verdict.Admit {
 		t.Fatalf("seeding the victim: status %d, verdict %+v", status, verdict)
 	}
-	if p, ok := assureView(t, tc.nodes[victim], job); !ok || p.State != assure.StateActive {
+	if p, ok := assureView(t, tc.Members[victim].Node, job); !ok || p.State != assure.StateActive {
 		t.Fatalf("victim holds no active promise for %s before the crash", job)
 	}
 
 	// Wait for gossip to ship the shadow, then crash the primary
 	// mid-window: the deadline is far away, the promise is in flight.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		standby.smu.Lock()
-		_, ok := standby.shadows[loc]
-		standby.smu.Unlock()
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no shadow of %s reached standby %s within 5s", loc, standbyID)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	_ = tc.httpSrvs[victim].Close()
-	body, _ := json.Marshal(map[string]any{"id": tc.peers[victim].ID, "force": true})
-	resp, err := http.Post(survivor+"/v1/cluster/leave", "application/json", bytes.NewReader(body))
-	if err != nil {
+	waitShadow(t, standby, loc)
+	if err := tc.Members[victim].Kill(); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("force leave returned %d", resp.StatusCode)
+	if status, body := post(t, survivor+"/v1/cluster/leave", map[string]any{"id": tc.Members[victim].ID, "force": true}, nil); status != http.StatusOK {
+		t.Fatalf("force leave returned %d: %s", status, body)
 	}
 
 	p := requireContinuity(t, standby, job)
 	if p.State == assure.StateOrphaned {
 		t.Fatalf("promoted standby orphaned the promise: %+v", p)
 	}
-	for i, nd := range tc.nodes {
-		if i == victim {
-			continue
-		}
+	for _, nd := range tc.Nodes() {
 		st := nd.Server().Assure().Stats()
 		if st.Violated != 0 || st.Orphaned != 0 {
 			t.Fatalf("%s: %d violated, %d orphaned after the failover", nd.ID(), st.Violated, st.Orphaned)

@@ -28,21 +28,23 @@ func getAssure(t *testing.T, url string, out any) {
 // passing the reached members' sum off as the cluster's.
 func TestAssureFanOutNamesUnreachedMembers(t *testing.T) {
 	tc := newTestCluster(t, 3, 1, 8, 100000, 50)
-	loc := tc.peers[0].Locations[0]
-	if status, verdict := admitVerdict(t, tc.urls[0], pinnedJob(t, "kept-here", loc, 100000)); status != http.StatusOK || !verdict.Admit {
+	loc := tc.Members[0].Locations[0]
+	if status, verdict := admitVerdict(t, tc.Members[0].URL, pinnedJob(t, "kept-here", loc, 100000)); status != http.StatusOK || !verdict.Admit {
 		t.Fatalf("admit: status %d, %+v", status, verdict)
 	}
 
 	var all ClusterAssureResponse
-	getAssure(t, tc.urls[0]+"/v1/assure", &all)
+	getAssure(t, tc.Members[0].URL+"/v1/assure", &all)
 	if len(all.Missing) != 0 || len(all.Nodes) != 3 || all.Totals.Active != 1 {
 		t.Fatalf("healthy fan-out: missing %v, %d nodes, %d active", all.Missing, len(all.Nodes), all.Totals.Active)
 	}
 
-	victim := tc.peers[2].ID
-	tc.kill(t, 2)
+	victim := tc.Members[2].ID
+	if err := tc.Members[2].Kill(); err != nil {
+		t.Fatal(err)
+	}
 	all = ClusterAssureResponse{}
-	getAssure(t, tc.urls[0]+"/v1/assure", &all)
+	getAssure(t, tc.Members[0].URL+"/v1/assure", &all)
 	if !slices.Equal(all.Missing, []string{victim}) {
 		t.Fatalf("totals: missing = %v, want [%s]", all.Missing, victim)
 	}
@@ -51,7 +53,7 @@ func TestAssureFanOutNamesUnreachedMembers(t *testing.T) {
 	}
 
 	var one ClusterAssureJobResponse
-	getAssure(t, tc.urls[1]+"/v1/assure?job=kept-here", &one)
+	getAssure(t, tc.Members[1].URL+"/v1/assure?job=kept-here", &one)
 	if !slices.Equal(one.Missing, []string{victim}) {
 		t.Fatalf("?job=: missing = %v, want [%s]", one.Missing, victim)
 	}

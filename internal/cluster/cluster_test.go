@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -26,78 +24,27 @@ import (
 	"repro/internal/workload"
 )
 
-// testCluster is an in-process loopback federation serving over real
-// HTTP listeners. Each node's structured event log lands in its logs
-// buffer; read them only while no traffic is in flight.
-type testCluster struct {
-	peers    []Peer
-	nodes    []*Node
-	urls     []string
-	logs     []*bytes.Buffer
-	spans    []*span.Store
-	httpSrvs []*http.Server
-}
-
-// newTestCluster boots nNodes nodes owning locsPerNode cpu locations
-// each (rate units/tick over (0, horizon)), with the given lease TTL and
-// fast gossip; each tweak then edits every node's Config.
-func newTestCluster(t testing.TB, nNodes, locsPerNode int, rate int64, horizon, ttl interval.Time, tweak ...func(*Config)) *testCluster {
+// newTestCluster boots a fleet of nNodes seeds owning locsPerNode cpu
+// locations each (rate units/tick over (0, horizon)), with the given
+// lease TTL and fast gossip; each tweak then edits every node's Config,
+// a joiner's included. The fleet stops when the test ends.
+func newTestCluster(t testing.TB, nNodes, locsPerNode int, rate int64, horizon, ttl interval.Time, tweak ...func(*Config)) *Fleet {
 	t.Helper()
-	var locs []resource.Location
-	for i := 0; i < nNodes*locsPerNode; i++ {
-		locs = append(locs, resource.Location(fmt.Sprintf("l%d", i+1)))
-	}
-	var theta resource.Set
-	for _, loc := range locs {
-		theta.Add(resource.NewTerm(resource.FromUnits(rate), resource.CPUAt(loc), interval.New(0, horizon)))
-	}
-
-	parts := PartitionLocations(locs, nNodes)
-	tc := &testCluster{}
-	listeners := make([]net.Listener, nNodes)
-	for i := 0; i < nNodes; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		url := "http://" + ln.Addr().String()
-		tc.urls = append(tc.urls, url)
-		tc.peers = append(tc.peers, Peer{ID: fmt.Sprintf("n%d", i+1), URL: url, Locations: parts[i]})
-	}
-	tc.httpSrvs = make([]*http.Server, nNodes)
-	for i := 0; i < nNodes; i++ {
-		buf := &bytes.Buffer{}
-		tc.logs = append(tc.logs, buf)
-		tc.spans = append(tc.spans, span.NewStore(span.DefaultCapacity, tc.peers[i].ID))
-		cfg := Config{
-			Self:           tc.peers[i].ID,
-			Peers:          tc.peers,
-			Server:         server.Config{Policy: &admission.Rota{}, Theta: theta, Assure: assure.New(tc.peers[i].ID)},
-			LeaseTTL:       ttl,
-			GossipInterval: 50 * time.Millisecond,
-			Obs:            obs.New(obs.Options{Log: buf, Node: tc.peers[i].ID}),
-			Spans:          tc.spans[i],
-		}
+	locs := resource.Locations(nNodes * locsPerNode)
+	theta := resource.Mesh(locs, rate, 0, horizon)
+	tc, err := StartFleet(nNodes, locs, func(m *Member, c *Config) {
+		c.Server = server.Config{Policy: &admission.Rota{}, Theta: theta, Assure: assure.New(m.ID)}
+		c.LeaseTTL, c.GossipInterval = ttl, 50*time.Millisecond
+		c.Obs = obs.New(obs.Options{Log: m.Log, Node: m.ID})
+		c.Spans = span.NewStore(span.DefaultCapacity, m.ID)
 		for _, f := range tweak {
-			f(&cfg)
-		}
-		nd, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.nodes = append(tc.nodes, nd)
-		tc.httpSrvs[i] = &http.Server{Handler: nd}
-		go func(i int) { _ = tc.httpSrvs[i].Serve(listeners[i]) }(i)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for i := range tc.nodes {
-			_ = tc.nodes[i].Shutdown(ctx)
-			_ = tc.httpSrvs[i].Shutdown(ctx)
+			f(c)
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tc.Stop)
 	return tc
 }
 
@@ -181,11 +128,11 @@ func admitVerdict(t testing.TB, url string, job workload.Job) (int, server.Admit
 	return status, out
 }
 
-func auditAll(t testing.TB, tc *testCluster, when string) {
+func auditAll(t testing.TB, tc *Fleet, when string) {
 	t.Helper()
-	for i, nd := range tc.nodes {
-		if err := nd.Server().Ledger().Audit(); err != nil {
-			t.Fatalf("%s: node %s audit: %v", when, tc.peers[i].ID, err)
+	for _, m := range tc.Live() {
+		if err := m.Node.Server().Ledger().Audit(); err != nil {
+			t.Fatalf("%s: node %s audit: %v", when, m.ID, err)
 		}
 	}
 }
@@ -201,14 +148,14 @@ func TestClusterFederatedAdmissionUnderCrash(t *testing.T) {
 	tc := newTestCluster(t, 3, 2, 4, 100000, ttl)
 
 	// Inject the coordinator crash mid-protocol on n1.
-	tc.nodes[0].InjectCrashBeforeCommit()
-	crash := spanningJob(t, "crash-probe", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 100000)
-	status, _ := admitVerdict(t, tc.urls[0], crash)
+	tc.Members[0].Node.InjectCrashBeforeCommit()
+	crash := spanningJob(t, "crash-probe", tc.Members[0].Locations[0], tc.Members[1].Locations[0], 100000)
+	status, _ := admitVerdict(t, tc.Members[0].URL, crash)
 	if status != http.StatusInternalServerError {
 		t.Fatalf("crash probe returned %d, want 500", status)
 	}
 	orphans := 0
-	for _, nd := range tc.nodes {
+	for _, nd := range tc.Nodes() {
 		orphans += nd.Server().Ledger().NumHolds()
 	}
 	if orphans < 2 {
@@ -220,7 +167,7 @@ func TestClusterFederatedAdmissionUnderCrash(t *testing.T) {
 	var admitted, rejected atomic.Int64
 	var wg sync.WaitGroup
 	allLocs := []resource.Location{}
-	for _, p := range tc.peers {
+	for _, p := range tc.Members {
 		allLocs = append(allLocs, p.Locations...)
 	}
 	for c := 0; c < clients; c++ {
@@ -236,7 +183,7 @@ func TestClusterFederatedAdmissionUnderCrash(t *testing.T) {
 				default: // single owner: local or forwarded
 					job = pinnedJob(t, name, allLocs[(c+i)%len(allLocs)], 100000)
 				}
-				status, verdict := admitVerdict(t, tc.urls[(c+i)%len(tc.urls)], job)
+				status, verdict := admitVerdict(t, tc.Members[(c+i)%len(tc.Members)].URL, job)
 				if status != http.StatusOK {
 					t.Errorf("admit %s returned %d", name, status)
 					return
@@ -259,7 +206,7 @@ func TestClusterFederatedAdmissionUnderCrash(t *testing.T) {
 	auditAll(t, tc, "after load")
 
 	var coords, forwarded uint64
-	for _, nd := range tc.nodes {
+	for _, nd := range tc.Nodes() {
 		st := nd.Stats()
 		coords += st.Cluster.Coordinations
 		forwarded += st.Cluster.Forwarded
@@ -270,14 +217,14 @@ func TestClusterFederatedAdmissionUnderCrash(t *testing.T) {
 
 	// Advance every ledger past the TTL through the fan-out endpoint;
 	// the sweep must reclaim the crash's holds everywhere.
-	status, data := post(t, tc.urls[0]+"/v1/cluster/advance", map[string]any{"now": ttl * 2}, nil)
+	status, data := post(t, tc.Members[0].URL+"/v1/cluster/advance", map[string]any{"now": ttl * 2}, nil)
 	if status != http.StatusOK {
 		t.Fatalf("cluster advance returned %d: %s", status, data)
 	}
 	swept := uint64(0)
-	for i, nd := range tc.nodes {
+	for _, nd := range tc.Nodes() {
 		if holds := nd.Server().Ledger().NumHolds(); holds != 0 {
-			t.Fatalf("node %s has %d holds after sweep — a lease outlived its TTL", tc.peers[i].ID, holds)
+			t.Fatalf("node %s has %d holds after sweep — a lease outlived its TTL", nd.ID(), holds)
 		}
 		swept += nd.Server().Ledger().TwoPhase().LeasesExpired
 	}
@@ -294,26 +241,26 @@ func TestClusterFederatedAdmissionUnderCrash(t *testing.T) {
 // redirect instead of the job bouncing server-side).
 func TestClusterForwardingAndMisroute(t *testing.T) {
 	tc := newTestCluster(t, 3, 1, 4, 1000, 50)
-	job := pinnedJob(t, "fwd-1", tc.peers[1].Locations[0], 1000)
-	status, verdict := admitVerdict(t, tc.urls[0], job)
+	job := pinnedJob(t, "fwd-1", tc.Members[1].Locations[0], 1000)
+	status, verdict := admitVerdict(t, tc.Members[0].URL, job)
 	if status != http.StatusOK || !verdict.Admit {
 		t.Fatalf("forwarded admit: status %d, verdict %+v", status, verdict)
 	}
-	if got := tc.nodes[0].Stats().Cluster.Forwarded; got != 1 {
+	if got := tc.Members[0].Node.Stats().Cluster.Forwarded; got != 1 {
 		t.Fatalf("n1 forwarded = %d, want 1", got)
 	}
 	// The commitment lives on the owner, not the router.
-	if tc.nodes[1].Server().Ledger().NumCommitments() != 1 {
+	if tc.Members[1].Node.Server().Ledger().NumCommitments() != 1 {
 		t.Fatal("owner has no commitment")
 	}
-	if tc.nodes[0].Server().Ledger().NumCommitments() != 0 {
+	if tc.Members[0].Node.Server().Ledger().NumCommitments() != 0 {
 		t.Fatal("router kept a commitment")
 	}
 
 	// A forwarded request whose footprint the receiver does not own is
 	// answered with a redirect naming the true owner from the table.
-	bad := pinnedJob(t, "fwd-2", tc.peers[2].Locations[0], 1000)
-	status, data := post(t, tc.urls[0]+"/v1/admit", bad, map[string]string{headerForwarded: "n9"})
+	bad := pinnedJob(t, "fwd-2", tc.Members[2].Locations[0], 1000)
+	status, data := post(t, tc.Members[0].URL+"/v1/admit", bad, map[string]string{headerForwarded: "n9"})
 	if status != http.StatusMisdirectedRequest {
 		t.Fatalf("misrouted admit returned %d, want 421", status)
 	}
@@ -321,25 +268,25 @@ func TestClusterForwardingAndMisroute(t *testing.T) {
 	if err := json.Unmarshal(data, &red); err != nil {
 		t.Fatalf("decoding redirect: %v", err)
 	}
-	if red.OwnerID != tc.peers[2].ID || red.OwnerURL != tc.urls[2] {
-		t.Fatalf("redirect names %s at %s, want %s at %s", red.OwnerID, red.OwnerURL, tc.peers[2].ID, tc.urls[2])
+	if red.OwnerID != tc.Members[2].ID || red.OwnerURL != tc.Members[2].URL {
+		t.Fatalf("redirect names %s at %s, want %s at %s", red.OwnerID, red.OwnerURL, tc.Members[2].ID, tc.Members[2].URL)
 	}
-	if got := tc.nodes[0].Stats().Cluster.RedirectsServed; got != 1 {
+	if got := tc.Members[0].Node.Stats().Cluster.RedirectsServed; got != 1 {
 		t.Fatalf("n1 redirects served = %d, want 1", got)
 	}
 	// A job naming a location nobody owns is rejected with a clear error.
 	ghost := pinnedJob(t, "fwd-3", "l99", 1000)
-	status, data = post(t, tc.urls[0]+"/v1/admit", ghost, nil)
+	status, data = post(t, tc.Members[0].URL+"/v1/admit", ghost, nil)
 	if status != http.StatusUnprocessableEntity || !bytes.Contains(data, []byte("no node owns")) {
 		t.Fatalf("unowned-location admit: status %d body %s", status, data)
 	}
 
 	// Cluster-wide release finds the forwarded job on its owner.
-	status, _ = post(t, tc.urls[2]+"/v1/release", map[string]string{"name": "fwd-1"}, nil)
+	status, _ = post(t, tc.Members[2].URL+"/v1/release", map[string]string{"name": "fwd-1"}, nil)
 	if status != http.StatusOK {
 		t.Fatalf("cluster release returned %d", status)
 	}
-	if tc.nodes[1].Server().Ledger().NumCommitments() != 0 {
+	if tc.Members[1].Node.Server().Ledger().NumCommitments() != 0 {
 		t.Fatal("release did not reach the owner")
 	}
 	auditAll(t, tc, "after release")
@@ -350,49 +297,49 @@ func TestClusterForwardingAndMisroute(t *testing.T) {
 // source. The remaining demand must end up owned by the target.
 func TestClusterMigrate(t *testing.T) {
 	tc := newTestCluster(t, 3, 1, 4, 1000, 50)
-	job := pinnedJob(t, "mig-1", tc.peers[1].Locations[0], 1000)
-	status, verdict := admitVerdict(t, tc.urls[1], job)
+	job := pinnedJob(t, "mig-1", tc.Members[1].Locations[0], 1000)
+	status, verdict := admitVerdict(t, tc.Members[1].URL, job)
 	if status != http.StatusOK || !verdict.Admit {
 		t.Fatalf("admit: status %d, verdict %+v", status, verdict)
 	}
 
-	status, data := post(t, tc.urls[1]+"/v1/cluster/migrate", MigrateRequest{Name: "mig-1", Target: "n3"}, nil)
+	status, data := post(t, tc.Members[1].URL+"/v1/cluster/migrate", MigrateRequest{Name: "mig-1", Target: "n3"}, nil)
 	if status != http.StatusOK {
 		t.Fatalf("migrate returned %d: %s", status, data)
 	}
-	if tc.nodes[1].Server().Ledger().NumCommitments() != 0 {
+	if tc.Members[1].Node.Server().Ledger().NumCommitments() != 0 {
 		t.Fatal("source still holds the commitment")
 	}
-	if tc.nodes[2].Server().Ledger().NumCommitments() != 1 {
+	if tc.Members[2].Node.Server().Ledger().NumCommitments() != 1 {
 		t.Fatal("target did not receive the commitment")
 	}
-	if got := tc.nodes[1].Stats().Cluster.Migrations; got != 1 {
+	if got := tc.Members[1].Node.Stats().Cluster.Migrations; got != 1 {
 		t.Fatalf("migrations = %d, want 1", got)
 	}
-	demand, _, err := tc.nodes[2].Server().Ledger().RemainingDemand("mig-1")
+	demand, _, err := tc.Members[2].Node.Server().Ledger().RemainingDemand("mig-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, term := range demand.Terms() {
-		if term.Type.Loc != tc.peers[2].Locations[0] {
+		if term.Type.Loc != tc.Members[2].Locations[0] {
 			t.Fatalf("migrated demand still at %s: %s", term.Type.Loc, demand.Compact())
 		}
 	}
 	auditAll(t, tc, "after migrate")
 
 	// Error surface: unknown job, unknown target, self target.
-	if status, _ := post(t, tc.urls[1]+"/v1/cluster/migrate", MigrateRequest{Name: "ghost", Target: "n3"}, nil); status != http.StatusNotFound {
+	if status, _ := post(t, tc.Members[1].URL+"/v1/cluster/migrate", MigrateRequest{Name: "ghost", Target: "n3"}, nil); status != http.StatusNotFound {
 		t.Fatalf("unknown job: %d, want 404", status)
 	}
-	if status, _ := post(t, tc.urls[2]+"/v1/cluster/migrate", MigrateRequest{Name: "mig-1", Target: "n9"}, nil); status != http.StatusNotFound {
+	if status, _ := post(t, tc.Members[2].URL+"/v1/cluster/migrate", MigrateRequest{Name: "mig-1", Target: "n9"}, nil); status != http.StatusNotFound {
 		t.Fatalf("unknown target: %d, want 404", status)
 	}
-	if status, _ := post(t, tc.urls[2]+"/v1/cluster/migrate", MigrateRequest{Name: "mig-1", Target: "n3"}, nil); status != http.StatusBadRequest {
+	if status, _ := post(t, tc.Members[2].URL+"/v1/cluster/migrate", MigrateRequest{Name: "mig-1", Target: "n3"}, nil); status != http.StatusBadRequest {
 		t.Fatalf("self target: %d, want 400", status)
 	}
 
 	// The migrated job releases cluster-wide like any other.
-	if status, _ := post(t, tc.urls[0]+"/v1/release", map[string]string{"name": "mig-1"}, nil); status != http.StatusOK {
+	if status, _ := post(t, tc.Members[0].URL+"/v1/release", map[string]string{"name": "mig-1"}, nil); status != http.StatusOK {
 		t.Fatalf("release returned %d", status)
 	}
 	auditAll(t, tc, "after release")
@@ -403,28 +350,23 @@ func TestClusterMigrate(t *testing.T) {
 // sender's clock and its count of leased holds.
 func TestClusterGossip(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 4, 1000, 50)
-	if _, err := tc.nodes[1].Server().Ledger().Advance(7); err != nil {
+	if _, err := tc.Members[1].Node.Server().Ledger().Advance(7); err != nil {
 		t.Fatal(err)
 	}
 	var demand resource.Set
-	demand.Add(resource.NewTerm(resource.FromUnits(1), resource.CPUAt(tc.peers[1].Locations[0]), interval.New(10, 20)))
-	if err := tc.nodes[1].Server().Ledger().Prepare("k1", "held", demand, 20, 100, 500); err != nil {
+	demand.Add(resource.NewTerm(resource.FromUnits(1), resource.CPUAt(tc.Members[1].Locations[0]), interval.New(10, 20)))
+	if err := tc.Members[1].Node.Server().Ledger().Prepare("k1", "held", demand, 20, 100, 500); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var last PeerStatus
-		for _, st := range tc.nodes[0].Stats().Peers {
+	var last PeerStatus
+	if !WaitFor(5*time.Second, func() bool {
+		for _, st := range tc.Members[0].Node.Stats().Peers {
 			if st.ID == "n2" {
 				last = st
 			}
 		}
-		if last.LastHeardMS >= 0 && last.GossipNow == 7 && last.GossipHolds == 1 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("n2's gossip never reached n1's peer table within 5s: %+v", last)
-		}
-		time.Sleep(20 * time.Millisecond)
+		return last.LastHeardMS >= 0 && last.GossipNow == 7 && last.GossipHolds == 1
+	}) {
+		t.Fatalf("n2's gossip never reached n1's peer table within 5s: %+v", last)
 	}
 }

@@ -50,7 +50,7 @@ func TestClusterDecidesAsOneLedger(t *testing.T) {
 // federation and a standalone server over the union of its Θ.
 type differential struct {
 	t       *testing.T
-	tc      *testCluster
+	tc      *Fleet
 	one     *server.Server
 	locs    []resource.Location
 	owner   map[resource.Location]int // location → index of its owning node
@@ -85,7 +85,7 @@ func newDifferential(t *testing.T) *differential {
 	t.Cleanup(func() { _ = one.Shutdown(context.Background()) })
 	d := &differential{t: t, tc: tc, one: one, locs: locs,
 		owner: make(map[resource.Location]int), shares: make(map[string]int)}
-	for i, p := range tc.peers {
+	for i, p := range tc.Members {
 		for _, loc := range p.Locations {
 			d.owner[loc] = i
 		}
@@ -96,7 +96,7 @@ func newDifferential(t *testing.T) *differential {
 // entry rotates the node each request enters the federation at.
 func (d *differential) entry() int {
 	d.entries++
-	return d.entries % len(d.tc.nodes)
+	return d.entries % len(d.tc.Members)
 }
 
 // onOne serves one request on the standalone server.
@@ -132,7 +132,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 		d.compareQueries(fmt.Sprintf("step %d (%s)", i, what))
 	}
 	var coordinated, forwarded uint64
-	for _, nd := range d.tc.nodes {
+	for _, nd := range d.tc.Nodes() {
 		coordinated += nd.coordinations.Load()
 		forwarded += nd.forwarded.Load()
 	}
@@ -203,8 +203,8 @@ func stepsJob(t testing.TB, name string, start, deadline interval.Time, locs []r
 
 func (d *differential) admit(job workload.Job) string {
 	at := d.entry()
-	what := fmt.Sprintf("admit %s via %s", job.Dist.Name, d.tc.peers[at].ID)
-	cs, cv := admitVerdict(d.t, d.tc.urls[at], job)
+	what := fmt.Sprintf("admit %s via %s", job.Dist.Name, d.tc.Members[at].ID)
+	cs, cv := admitVerdict(d.t, d.tc.Members[at].URL, job)
 	ss, ob := d.onOne(http.MethodPost, "/v1/admit", job)
 	if cs != ss {
 		d.t.Fatalf("%s: federation answered %d, one ledger %d (%s)", what, cs, ss, ob)
@@ -245,11 +245,11 @@ func (d *differential) release(rng *rand.Rand) string {
 	}
 	at := d.entry()
 	body := map[string]string{"name": name}
-	cs, cb := post(d.t, d.tc.urls[at]+"/v1/release", body, nil)
+	cs, cb := post(d.t, d.tc.Members[at].URL+"/v1/release", body, nil)
 	ss, ob := d.onOne(http.MethodPost, "/v1/release", body)
 	if cs != ss {
 		d.t.Fatalf("release %s via %s: federation answered %d (%s), one ledger %d (%s)",
-			name, d.tc.peers[at].ID, cs, cb, ss, ob)
+			name, d.tc.Members[at].ID, cs, cb, ss, ob)
 	}
 	return "release " + name
 }
@@ -257,7 +257,7 @@ func (d *differential) release(rng *rand.Rand) string {
 func (d *differential) advance() string {
 	at := d.entry()
 	body := map[string]any{"now": d.now}
-	cs, cb := post(d.t, d.tc.urls[at]+"/v1/cluster/advance", body, nil)
+	cs, cb := post(d.t, d.tc.Members[at].URL+"/v1/cluster/advance", body, nil)
 	ss, ob := d.onOne(http.MethodPost, "/v1/advance", body)
 	if cs != http.StatusOK || ss != http.StatusOK {
 		d.t.Fatalf("advance to %d: federation answered %d (%s), one ledger %d (%s)", d.now, cs, cb, ss, ob)
@@ -271,7 +271,7 @@ func (d *differential) advance() string {
 // each of the one ledger's promises is expected once per share.
 func (d *differential) compareAssure(when string) {
 	var fed ClusterAssureResponse
-	resp, err := http.Get(d.tc.urls[d.entries%len(d.tc.nodes)] + "/v1/assure")
+	resp, err := http.Get(d.tc.Members[d.entries%len(d.tc.Members)].URL + "/v1/assure")
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -345,14 +345,14 @@ func (d *differential) compareQueries(when string) {
 			d.t.Fatal(err)
 		}
 		at := d.entry()
-		status, data := post(d.t, d.tc.urls[at]+"/v1/query", server.QueryRequest{Query: q}, nil)
+		status, data := post(d.t, d.tc.Members[at].URL+"/v1/query", server.QueryRequest{Query: q}, nil)
 		var got server.QueryResponse
 		if status != http.StatusOK || json.Unmarshal(data, &got) != nil {
-			d.t.Fatalf("%s: %s via %s answered %d %s", when, q, d.tc.peers[at].ID, status, data)
+			d.t.Fatalf("%s: %s via %s answered %d %s", when, q, d.tc.Members[at].ID, status, data)
 		}
 		if got.Holds != want.Holds || got.Formula != want.Formula {
 			d.t.Fatalf("%s: %s via %s: federation holds=%v by %s, one ledger holds=%v by %s",
-				when, q, d.tc.peers[at].ID, got.Holds, got.Formula, want.Holds, want.Formula)
+				when, q, d.tc.Members[at].ID, got.Holds, got.Formula, want.Holds, want.Formula)
 		}
 	}
 }

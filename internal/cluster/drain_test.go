@@ -17,17 +17,17 @@ func TestDrainAbortsInflightPrepares(t *testing.T) {
 
 	entered := make(chan string, 1)
 	release := make(chan struct{})
-	tc.nodes[0].gate = func(stage, key string) {
+	tc.Members[0].Node.gate = func(stage, key string) {
 		if stage == "prepared" {
 			entered <- key
 			<-release
 		}
 	}
 
-	job := spanningJob(t, "drain-probe", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 1000)
+	job := spanningJob(t, "drain-probe", tc.Members[0].Locations[0], tc.Members[1].Locations[0], 1000)
 	statusCh := make(chan int, 1)
 	go func() {
-		status, _ := admitVerdict(t, tc.urls[0], job)
+		status, _ := admitVerdict(t, tc.Members[0].URL, job)
 		statusCh <- status
 	}()
 
@@ -37,9 +37,9 @@ func TestDrainAbortsInflightPrepares(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("coordination never reached the prepared stage")
 	}
-	if tc.nodes[0].Server().Ledger().NumHolds() != 1 || tc.nodes[1].Server().Ledger().NumHolds() != 1 {
+	if tc.Members[0].Node.Server().Ledger().NumHolds() != 1 || tc.Members[1].Node.Server().Ledger().NumHolds() != 1 {
 		t.Fatalf("holds before drain: n1=%d n2=%d, want 1 and 1",
-			tc.nodes[0].Server().Ledger().NumHolds(), tc.nodes[1].Server().Ledger().NumHolds())
+			tc.Members[0].Node.Server().Ledger().NumHolds(), tc.Members[1].Node.Server().Ledger().NumHolds())
 	}
 
 	// Start the graceful shutdown; it must block on the in-flight
@@ -48,10 +48,10 @@ func TestDrainAbortsInflightPrepares(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		shutdownErr <- tc.nodes[0].Shutdown(ctx)
+		shutdownErr <- tc.Members[0].Node.Shutdown(ctx)
 	}()
 	waitUntil := time.Now().Add(5 * time.Second)
-	for !tc.nodes[0].draining() {
+	for !tc.Members[0].Node.draining() {
 		if time.Now().After(waitUntil) {
 			t.Fatal("shutdown never flipped the node to draining")
 		}
@@ -74,21 +74,21 @@ func TestDrainAbortsInflightPrepares(t *testing.T) {
 
 	// No leaked holds anywhere — the prepares were aborted explicitly,
 	// not left to the lease sweep.
-	for i, nd := range tc.nodes {
+	for _, nd := range tc.Nodes() {
 		if holds := nd.Server().Ledger().NumHolds(); holds != 0 {
-			t.Fatalf("node %s leaked %d holds through the drain", tc.peers[i].ID, holds)
+			t.Fatalf("node %s leaked %d holds through the drain", nd.ID(), holds)
 		}
 		if nd.Server().Ledger().NumCommitments() != 0 {
-			t.Fatalf("node %s committed a drained admission", tc.peers[i].ID)
+			t.Fatalf("node %s committed a drained admission", nd.ID())
 		}
 	}
-	if aborts := tc.nodes[1].Server().Ledger().TwoPhase().Aborts; aborts < 1 {
+	if aborts := tc.Members[1].Node.Server().Ledger().TwoPhase().Aborts; aborts < 1 {
 		t.Fatalf("participant recorded %d aborts, want >= 1", aborts)
 	}
 	auditAll(t, tc, "after drain")
 
 	// A drained node refuses new admissions outright.
-	status, _ := post(t, tc.urls[0]+"/v1/admit", job, nil)
+	status, _ := post(t, tc.Members[0].URL+"/v1/admit", job, nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("admit on drained node returned %d, want 503", status)
 	}

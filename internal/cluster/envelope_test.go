@@ -77,14 +77,14 @@ func awaitParked(t testing.TB, entered chan string) {
 
 // noHoldsAnywhere checks that a coordination which answered without a
 // verdict left nothing behind on any node.
-func noHoldsAnywhere(t testing.TB, tc *testCluster) {
+func noHoldsAnywhere(t testing.TB, tc *Fleet) {
 	t.Helper()
-	for i, nd := range tc.nodes {
+	for _, nd := range tc.Nodes() {
 		if holds := nd.Server().Ledger().NumHolds(); holds != 0 {
-			t.Errorf("node %s kept %d holds", tc.peers[i].ID, holds)
+			t.Errorf("node %s kept %d holds", nd.ID(), holds)
 		}
 		if comms := nd.Server().Ledger().NumCommitments(); comms != 0 {
-			t.Errorf("node %s kept %d commitments", tc.peers[i].ID, comms)
+			t.Errorf("node %s kept %d commitments", nd.ID(), comms)
 		}
 	}
 	auditAll(t, tc, "after the timed-out coordination")
@@ -94,13 +94,13 @@ func noHoldsAnywhere(t testing.TB, tc *testCluster) {
 // in the coordinator's decisions, like local ones.
 func TestCoordinatedAdmitIsADecision(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 4, 1000, 50)
-	a, b := tc.peers[0].Locations[0], tc.peers[1].Locations[0]
+	a, b := tc.Members[0].Locations[0], tc.Members[1].Locations[0]
 	// Two evaluations of 8 cpu at 4 cpu/tick fit a deadline of 1000 but
 	// not one of 1.
 	deadlines := []interval.Time{1000, 1000, 1000, 1, 1}
 	var admitted, rejected uint64
 	for i, d := range deadlines {
-		status, v := admitVerdict(t, tc.urls[0], spanningJob(t, fmt.Sprintf("dec-%d", i), a, b, d))
+		status, v := admitVerdict(t, tc.Members[0].URL, spanningJob(t, fmt.Sprintf("dec-%d", i), a, b, d))
 		if status != http.StatusOK {
 			t.Fatalf("federated admit %d answered %d", i, status)
 		}
@@ -113,7 +113,7 @@ func TestCoordinatedAdmitIsADecision(t *testing.T) {
 	if admitted == 0 || rejected == 0 {
 		t.Fatalf("admitted %d, rejected %d: want both verdicts", admitted, rejected)
 	}
-	st := statsOf(t, tc.urls[0])
+	st := statsOf(t, tc.Members[0].URL)
 	if st.Cluster.Coordinations != uint64(len(deadlines)) {
 		t.Fatalf("coordinations = %d, want %d", st.Cluster.Coordinations, len(deadlines))
 	}
@@ -130,10 +130,10 @@ func TestCoordinatedAdmitIsADecision(t *testing.T) {
 func TestCoordinatedAdmitTimeout(t *testing.T) {
 	const timeout = 500 * time.Millisecond
 	tc := newTestCluster(t, 2, 1, 4, 1000, 50, func(c *Config) { c.Server.DecisionTimeout = timeout })
-	entered, release := parkAtPrepared(tc.nodes[0])
+	entered, release := parkAtPrepared(tc.Members[0].Node)
 
-	statusCh := admitAsync(t, tc.urls[0],
-		spanningJob(t, "slow-coord", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 1000))
+	statusCh := admitAsync(t, tc.Members[0].URL,
+		spanningJob(t, "slow-coord", tc.Members[0].Locations[0], tc.Members[1].Locations[0], 1000))
 	awaitParked(t, entered)
 	// The decision deadline started before the coordination parked, so
 	// it has passed once this much wall-clock time has.
@@ -142,7 +142,7 @@ func TestCoordinatedAdmitTimeout(t *testing.T) {
 	if status := <-statusCh; status != http.StatusServiceUnavailable {
 		t.Fatalf("timed-out coordination answered %d, want 503", status)
 	}
-	if st := statsOf(t, tc.urls[0]); st.TimedOut != 1 || st.Decisions != 0 {
+	if st := statsOf(t, tc.Members[0].URL); st.TimedOut != 1 || st.Decisions != 0 {
 		t.Fatalf("coordinator timed_out=%d decisions=%d, want 1 and 0", st.TimedOut, st.Decisions)
 	}
 	noHoldsAnywhere(t, tc)
@@ -157,13 +157,13 @@ func TestCoordinatedAdmitTakesASlot(t *testing.T) {
 		c.Server.Workers = 1
 		c.Server.DecisionTimeout = timeout
 	})
-	entered, release := parkAtPrepared(tc.nodes[0])
+	entered, release := parkAtPrepared(tc.Members[0].Node)
 
-	coordCh := admitAsync(t, tc.urls[0],
-		spanningJob(t, "slot-coord", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 1000))
+	coordCh := admitAsync(t, tc.Members[0].URL,
+		spanningJob(t, "slot-coord", tc.Members[0].Locations[0], tc.Members[1].Locations[0], 1000))
 	awaitParked(t, entered)
 
-	localCh := admitAsync(t, tc.urls[0], pinnedJob(t, "slot-local", tc.peers[0].Locations[0], 1000))
+	localCh := admitAsync(t, tc.Members[0].URL, pinnedJob(t, "slot-local", tc.Members[0].Locations[0], 1000))
 	queued := false
 	var local int
 	for done := false; !done; {
@@ -171,7 +171,7 @@ func TestCoordinatedAdmitTakesASlot(t *testing.T) {
 		case local = <-localCh:
 			done = true
 		case <-time.After(5 * time.Millisecond):
-			queued = queued || statsOf(t, tc.urls[0]).QueueDepth >= 1
+			queued = queued || statsOf(t, tc.Members[0].URL).QueueDepth >= 1
 		}
 	}
 	close(release)
@@ -207,28 +207,28 @@ func TestCoordinatedLateVerdictReservesNothing(t *testing.T) {
 	ctx := &movableDeadline{Context: context.Background()}
 	// Sooner than DecisionTimeout, so the envelope keeps this deadline.
 	ctx.at.Store(time.Now().Add(30 * time.Second).UnixNano())
-	tc.nodes[0].gate = func(stage, key string) {
+	tc.Members[0].Node.gate = func(stage, key string) {
 		if stage == "prepared" {
 			ctx.at.Store(time.Now().Add(-time.Millisecond).UnixNano())
 		}
 	}
-	job := spanningJob(t, "late-coord", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 1000)
+	job := spanningJob(t, "late-coord", tc.Members[0].Locations[0], tc.Members[1].Locations[0], 1000)
 	body, err := json.Marshal(job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/v1/admit", bytes.NewReader(body)).WithContext(ctx)
-	tc.nodes[0].handleAdmit(rec, req)
+	tc.Members[0].Node.handleAdmit(rec, req)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("coordination past its deadline answered %d (%s), want 503", rec.Code, rec.Body)
 	}
-	if st := statsOf(t, tc.urls[0]); st.TimedOut != 1 || st.Decisions != 0 {
+	if st := statsOf(t, tc.Members[0].URL); st.TimedOut != 1 || st.Decisions != 0 {
 		t.Fatalf("coordinator timed_out=%d decisions=%d, want 1 and 0", st.TimedOut, st.Decisions)
 	}
-	for i, nd := range tc.nodes {
+	for _, nd := range tc.Nodes() {
 		if _, ok := nd.Server().Ledger().Commitment(job.Dist.Name); ok {
-			t.Errorf("node %d committed a verdict reached after its deadline", i)
+			t.Errorf("node %s committed a verdict reached after its deadline", nd.ID())
 		}
 	}
 	noHoldsAnywhere(t, tc)

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -12,186 +10,75 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/fault"
-	"repro/internal/interval"
 	"repro/internal/membership"
-	"repro/internal/obs"
 	"repro/internal/resource"
-	"repro/internal/server"
 )
 
-// newHealthCluster boots a federation like newTestCluster but with the
-// failure detector armed for automatic eviction: fast gossip, low φ
-// thresholds, and any extra per-node Config tweaks from mutate.
-func newHealthCluster(t testing.TB, nNodes, locsPerNode int, mutate func(i int, c *Config)) *testCluster {
-	t.Helper()
-	var locs []resource.Location
-	for i := 0; i < nNodes*locsPerNode; i++ {
-		locs = append(locs, resource.Location(fmt.Sprintf("l%d", i+1)))
-	}
-	var theta resource.Set
-	for _, loc := range locs {
-		theta.Add(resource.NewTerm(resource.FromUnits(8), resource.CPUAt(loc), interval.New(0, 10000)))
-	}
-	parts := PartitionLocations(locs, nNodes)
-	tc := &testCluster{}
-	listeners := make([]net.Listener, nNodes)
-	for i := 0; i < nNodes; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		url := "http://" + ln.Addr().String()
-		tc.urls = append(tc.urls, url)
-		tc.peers = append(tc.peers, Peer{ID: fmt.Sprintf("n%d", i+1), URL: url, Locations: parts[i]})
-	}
-	tc.httpSrvs = make([]*http.Server, nNodes)
-	for i := 0; i < nNodes; i++ {
-		buf := &bytes.Buffer{}
-		tc.logs = append(tc.logs, buf)
-		cfg := Config{
-			Self:           tc.peers[i].ID,
-			Peers:          tc.peers,
-			Server:         server.Config{Policy: &admission.Rota{}, Theta: theta},
-			LeaseTTL:       50,
-			GossipInterval: 40 * time.Millisecond,
-			RPCTimeout:     500 * time.Millisecond,
-			RPCRetries:     1,
-			SuspectPhi:     6,
-			EvictPhi:       9,
-			Obs:            obs.New(obs.Options{Log: buf, Node: tc.peers[i].ID}),
-		}
-		if mutate != nil {
-			mutate(i, &cfg)
-		}
-		nd, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.nodes = append(tc.nodes, nd)
-		tc.httpSrvs[i] = &http.Server{Handler: nd}
-		go func(i int) { _ = tc.httpSrvs[i].Serve(listeners[i]) }(i)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for i := range tc.nodes {
-			_ = tc.nodes[i].Shutdown(ctx)
-			_ = tc.httpSrvs[i].Shutdown(ctx)
-		}
-	})
-	return tc
-}
-
-// waitDetectorWarm blocks until every node's φ detector has a baseline
-// (MinSamples inter-arrival observations) for every other node. Silence
-// before that is indistinguishable from a peer that never spoke, so
-// tests must not stage failures against a cold detector.
-func waitDetectorWarm(t testing.TB, nodes []*Node, ids []string, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		warm := true
-		for i, nd := range nodes {
-			samples := make(map[string]int)
-			for _, ph := range nd.Stats().Health.Peers {
-				samples[ph.Peer] = ph.Samples
-			}
-			for j, id := range ids {
-				if j != i && samples[id] < 3 {
-					warm = false
-				}
-			}
-		}
-		if warm {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("failure detectors never warmed within %s", timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// kill hard-stops node i: listener closed, gossip loop drained — the
-// silence a crashed process would leave.
-func (tc *testCluster) kill(t testing.TB, i int) {
-	t.Helper()
-	tc.httpSrvs[i].Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := tc.nodes[i].Shutdown(ctx); err != nil {
-		t.Fatalf("killing %s: %v", tc.peers[i].ID, err)
-	}
+// detect arms the failure detector for automatic eviction: fast gossip,
+// short RPC deadlines and low φ thresholds.
+func detect(c *Config) {
+	c.GossipInterval = 40 * time.Millisecond
+	c.RPCTimeout, c.RPCRetries = 500*time.Millisecond, 1
+	c.SuspectPhi, c.EvictPhi = 6, 9
 }
 
 // waitGone blocks until the victim is out of every listed node's table.
 func waitGone(t testing.TB, nodes []*Node, victim string, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		gone := true
+	if WaitFor(timeout, func() bool {
 		for _, nd := range nodes {
 			if _, ok := nd.Table().Member(victim); ok {
-				gone = false
-				break
+				return false
 			}
 		}
-		if gone {
-			return
-		}
-		if time.Now().After(deadline) {
-			for _, nd := range nodes {
-				st := nd.Stats()
-				t.Logf("%s: epoch=%d suspected=%d evictions=%d health=%+v",
-					st.Node, st.Cluster.MembershipEpoch, st.Cluster.SuspectedPeers, st.Cluster.AutoEvictions, st.Health.Peers)
-			}
-			t.Fatalf("%s never auto-evicted within %s", victim, timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
+		return true
+	}) {
+		return
 	}
+	for _, nd := range nodes {
+		st := nd.Stats()
+		t.Logf("%s: epoch=%d suspected=%d evictions=%d health=%+v",
+			st.Node, st.Cluster.MembershipEpoch, st.Cluster.SuspectedPeers, st.Cluster.AutoEvictions, st.Health.Peers)
+	}
+	t.Fatalf("%s never auto-evicted within %s", victim, timeout)
 }
 
 // TestAutoEvictionOnSilence: killing a node must lead, with no operator
 // action, to quorum agreement and a stewarded force-leave; the victim's
 // committed reservation survives on the promoted standby.
 func TestAutoEvictionOnSilence(t *testing.T) {
-	tc := newHealthCluster(t, 3, 2, nil)
+	tc := newTestCluster(t, 3, 2, 8, 10000, 50, detect)
 	victim := 2
-	vloc := tc.peers[victim].Locations[0]
+	vloc := tc.Members[victim].Locations[0]
 
 	// A committed reservation on the victim, shipped to its standby.
 	job := pinnedJob(t, "evict-seed", vloc, 5000)
-	status, body := post(t, tc.urls[0]+"/v1/admit", job, nil)
+	status, body := post(t, tc.Members[0].URL+"/v1/admit", job, nil)
 	if status != http.StatusOK {
 		t.Fatalf("seeding victim: %d: %s", status, body)
 	}
-	standbyID := tc.nodes[0].Table().StandbyOf(vloc)
-	var standby *Node
-	for i, p := range tc.peers {
-		if p.ID == standbyID {
-			standby = tc.nodes[i]
-		}
-	}
-	if standby == nil || standbyID == tc.peers[victim].ID {
-		t.Fatalf("standby of %s is %q; want a survivor", vloc, standbyID)
-	}
-	waitFor(t, 5*time.Second, "standby shadow warm", func() bool {
+	standby := standbyOf(t, tc, vloc).Node
+	if !WaitFor(5*time.Second, func() bool {
 		cms, _, ok := standby.ShadowFor(vloc)
 		return ok && cms >= 1
-	})
+	}) {
+		t.Fatal("the standby's shadow never warmed")
+	}
 
-	waitDetectorWarm(t, tc.nodes, []string{"n1", "n2", "n3"}, 10*time.Second)
-	tc.kill(t, victim)
-	survivors := []*Node{tc.nodes[0], tc.nodes[1]}
-	waitGone(t, survivors, tc.peers[victim].ID, 30*time.Second)
+	if err := WaitDetectorsWarm(tc.Members, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.Members[victim].Kill(); err != nil {
+		t.Fatal(err)
+	}
+	survivors := []*Node{tc.Members[0].Node, tc.Members[1].Node}
+	waitGone(t, survivors, tc.Members[victim].ID, 30*time.Second)
 
 	// Ownership moved to the standby; the seed survived.
 	for _, nd := range survivors {
 		owner, ok := nd.Table().OwnerOf(vloc)
-		if !ok || owner == tc.peers[victim].ID {
+		if !ok || owner == tc.Members[victim].ID {
 			t.Fatalf("%s still owned by the dead node (%q, ok=%v)", vloc, owner, ok)
 		}
 	}
@@ -223,25 +110,19 @@ func TestAutoEvictionOnSilence(t *testing.T) {
 // and zero fence-triggered rejoins anywhere.
 func TestEvenSplitNoMutualEviction(t *testing.T) {
 	fnet := fault.NewNetwork(1)
-	tc := newHealthCluster(t, 4, 1, func(i int, c *Config) {
-		if i == 0 {
-			for _, p := range c.Peers {
-				fnet.Register(p.ID, p.URL)
-			}
-		}
-		c.Transport = fnet.Transport(c.Self, nil)
-	})
-	ids := []string{"n1", "n2", "n3", "n4"}
-	waitDetectorWarm(t, tc.nodes, ids, 10*time.Second)
+	tc := newTestCluster(t, 4, 1, 8, 10000, 50, detect, faulty(fnet))
+	if err := WaitDetectorsWarm(tc.Members, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	fnet.Partition([]string{"n3", "n4"}) // {n1,n2} | {n3,n4}
 
 	// Each side must actually reach Dead verdicts on the far side — the
 	// test only proves the quorum rule holds if detection fired.
 	far := map[int][]string{0: {"n3", "n4"}, 1: {"n3", "n4"}, 2: {"n1", "n2"}, 3: {"n1", "n2"}}
-	for i, nd := range tc.nodes {
+	for i, nd := range tc.Nodes() {
 		nd, want := nd, far[i]
-		waitFor(t, 30*time.Second, fmt.Sprintf("%s holds the far side dead", tc.peers[i].ID), func() bool {
+		if !WaitFor(30*time.Second, func() bool {
 			dead := make(map[string]bool)
 			for _, ph := range nd.Stats().Health.Peers {
 				if ph.State == "dead" {
@@ -249,35 +130,39 @@ func TestEvenSplitNoMutualEviction(t *testing.T) {
 				}
 			}
 			return dead[want[0]] && dead[want[1]]
-		})
+		}) {
+			t.Fatalf("%s never held the far side dead", nd.ID())
+		}
 	}
 
 	// Many health ticks with both sides stuck at 2 accusers against a
 	// quorum of 3: nobody may be evicted, in either direction.
 	time.Sleep(1 * time.Second)
-	for i, nd := range tc.nodes {
+	for _, nd := range tc.Nodes() {
 		if got := len(nd.Table().Members); got != 4 {
-			t.Fatalf("%s: roster shrank to %d members during an even split — mutual eviction", tc.peers[i].ID, got)
+			t.Fatalf("%s: roster shrank to %d members during an even split — mutual eviction", nd.ID(), got)
 		}
 		if ev := nd.Stats().Cluster.AutoEvictions; ev != 0 {
-			t.Fatalf("%s stewarded %d auto-evictions during an even split, want 0", tc.peers[i].ID, ev)
+			t.Fatalf("%s stewarded %d auto-evictions during an even split, want 0", nd.ID(), ev)
 		}
 	}
 
 	fnet.Heal()
-	waitFor(t, 30*time.Second, "cluster reunites with no suspects", func() bool {
-		for _, nd := range tc.nodes {
+	if !WaitFor(30*time.Second, func() bool {
+		for _, nd := range tc.Nodes() {
 			if nd.Stats().Cluster.SuspectedPeers != 0 || len(nd.Table().Members) != 4 {
 				return false
 			}
 		}
 		return true
-	})
-	for i, nd := range tc.nodes {
+	}) {
+		t.Fatal("the cluster never reunited with no suspects")
+	}
+	for _, nd := range tc.Nodes() {
 		st := nd.Stats()
 		if st.Cluster.AutoEvictions != 0 || st.Cluster.Rejoins != 0 {
 			t.Fatalf("%s: evictions=%d rejoins=%d after heal, want 0/0 (a tied split must stall, not fail over)",
-				tc.peers[i].ID, st.Cluster.AutoEvictions, st.Cluster.Rejoins)
+				nd.ID(), st.Cluster.AutoEvictions, st.Cluster.Rejoins)
 		}
 		if err := nd.Server().Ledger().Audit(); err != nil {
 			t.Fatal(err)
@@ -285,15 +170,13 @@ func TestEvenSplitNoMutualEviction(t *testing.T) {
 	}
 }
 
-// waitFor polls cond until true or the timeout trips.
-func waitFor(t testing.TB, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: never happened within %s", what, timeout)
+// faulty sends a node's peer RPCs through fnet, every peer registered.
+func faulty(fnet *fault.Network) func(*Config) {
+	return func(c *Config) {
+		for _, p := range c.Peers {
+			fnet.Register(p.ID, p.URL)
 		}
-		time.Sleep(10 * time.Millisecond)
+		c.Transport = fnet.Transport(c.Self, nil)
 	}
 }
 
@@ -332,13 +215,15 @@ func TestOwnedProbeEscapesLocations(t *testing.T) {
 	}
 }
 
-// hang replaces node i with a listener that accepts connections and
+// hang replaces member m with a listener that accepts connections and
 // never answers: the peer that is neither alive nor refusing, whose
 // every call runs to its deadline.
-func (tc *testCluster) hang(t testing.TB, i int) {
+func hang(t testing.TB, m *Member) {
 	t.Helper()
-	addr := strings.TrimPrefix(tc.urls[i], "http://")
-	tc.kill(t, i)
+	addr := strings.TrimPrefix(m.URL, "http://")
+	if err := m.Kill(); err != nil {
+		t.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatalf("re-listening on %s: %v", addr, err)
@@ -372,10 +257,12 @@ func (tc *testCluster) hang(t testing.TB, i int) {
 // tick's gossip and is ever suspected, and the hung member is evicted
 // about as fast as a crashed one.
 func TestHungMemberSilencesNoOne(t *testing.T) {
-	tc := newHealthCluster(t, 5, 2, nil)
-	waitDetectorWarm(t, tc.nodes, []string{"n1", "n2", "n3", "n4", "n5"}, 10*time.Second)
-	tc.hang(t, 1)
-	live := []*Node{tc.nodes[0], tc.nodes[2], tc.nodes[3], tc.nodes[4]}
+	tc := newTestCluster(t, 5, 2, 8, 10000, 50, detect)
+	if err := WaitDetectorsWarm(tc.Members, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	hang(t, tc.Members[1])
+	live := []*Node{tc.Members[0].Node, tc.Members[2].Node, tc.Members[3].Node, tc.Members[4].Node}
 	start := time.Now()
 	var evicted time.Duration
 	for evicted == 0 || time.Since(start) < evicted+time.Second {
@@ -410,18 +297,12 @@ func TestHungMemberSilencesNoOne(t *testing.T) {
 // ledger idle — a standby counts as fed only once a shipment succeeds.
 func TestShadowShipmentRetriedAfterPartition(t *testing.T) {
 	fnet := fault.NewNetwork(1)
-	tc := newHealthCluster(t, 3, 2, func(i int, c *Config) {
-		if i == 0 {
-			for _, p := range c.Peers {
-				fnet.Register(p.ID, p.URL)
-			}
-		}
-		c.Transport = fnet.Transport(c.Self, nil)
+	tc := newTestCluster(t, 3, 2, 8, 10000, 50, detect, faulty(fnet), func(c *Config) {
 		c.EvictPhi = 0 // the partition must not evict the standby
 	})
 	var loc resource.Location
-	for _, l := range tc.peers[0].Locations {
-		if tc.nodes[0].Table().StandbyOf(l) == "n2" {
+	for _, l := range tc.Members[0].Locations {
+		if tc.Members[0].Node.Table().StandbyOf(l) == "n2" {
 			loc = l
 		}
 	}
@@ -429,16 +310,18 @@ func TestShadowShipmentRetriedAfterPartition(t *testing.T) {
 		t.Skip("no location of n1 has n2 as standby under this rendezvous layout")
 	}
 	fnet.Partition([]string{"n2"})
-	if status, body := post(t, tc.urls[0]+"/v1/admit", pinnedJob(t, "shadow-seed", loc, 5000), nil); status != http.StatusOK {
+	if status, body := post(t, tc.Members[0].URL+"/v1/admit", pinnedJob(t, "shadow-seed", loc, 5000), nil); status != http.StatusOK {
 		t.Fatalf("admit on %s: %d: %s", loc, status, body)
 	}
 	time.Sleep(300 * time.Millisecond) // several ticks' shipments, all cut
-	if _, _, ok := tc.nodes[1].ShadowFor(loc); ok {
+	if _, _, ok := tc.Members[1].Node.ShadowFor(loc); ok {
 		t.Fatal("n2 received a shadow across the partition")
 	}
 	fnet.Heal()
-	waitFor(t, 2*time.Second, "shadow of "+string(loc)+" on n2 after the heal", func() bool {
-		cms, _, ok := tc.nodes[1].ShadowFor(loc)
+	if !WaitFor(2*time.Second, func() bool {
+		cms, _, ok := tc.Members[1].Node.ShadowFor(loc)
 		return ok && cms == 1
-	})
+	}) {
+		t.Fatalf("no shadow of %s on n2 within 2s of the heal", loc)
+	}
 }

@@ -24,11 +24,11 @@ func BenchmarkHandoffUnderLoad(b *testing.B) {
 	for _, commitments := range []int{10, 100} {
 		b.Run(fmt.Sprintf("commitments=%d", commitments), func(b *testing.B) {
 			tc := newTestCluster(b, 2, 1, 8, 100000, 1000)
-			moving := tc.peers[0].Locations[0]
-			steady := tc.peers[1].Locations[0]
+			moving := tc.Members[0].Locations[0]
+			steady := tc.Members[1].Locations[0]
 			for i := 0; i < commitments; i++ {
 				name := fmt.Sprintf("held-%d", i)
-				status, v := admitVerdict(b, tc.urls[0], pinnedJob(b, name, moving, 100000))
+				status, v := admitVerdict(b, tc.Members[0].URL, pinnedJob(b, name, moving, 100000))
 				if status != http.StatusOK || !v.Admit {
 					b.Fatalf("seed %s: status %d, verdict %+v", name, status, v)
 				}
@@ -58,7 +58,7 @@ func BenchmarkHandoffUnderLoad(b *testing.B) {
 						if ep == "/v1/release" {
 							body = releaseBody
 						}
-						resp, err := http.Post(tc.urls[1]+ep, "application/json", bytes.NewReader(body))
+						resp, err := http.Post(tc.Members[1].URL+ep, "application/json", bytes.NewReader(body))
 						if err == nil {
 							resp.Body.Close()
 						}
@@ -70,17 +70,17 @@ func BenchmarkHandoffUnderLoad(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				epoch := tc.nodes[src].Table().Epoch + 1
-				err := tc.nodes[src].executeHandoff(ctx,
-					[]resource.Location{moving}, tc.peers[dst].ID, tc.urls[dst], epoch)
+				epoch := tc.Members[src].Node.Table().Epoch + 1
+				err := tc.Members[src].Node.executeHandoff(ctx,
+					[]resource.Location{moving}, tc.Members[dst].ID, tc.Members[dst].URL, epoch)
 				cancel()
 				if err != nil {
-					b.Fatalf("handoff %d (%s -> %s): %v", i, tc.peers[src].ID, tc.peers[dst].ID, err)
+					b.Fatalf("handoff %d (%s -> %s): %v", i, tc.Members[src].ID, tc.Members[dst].ID, err)
 				}
-				next := tc.nodes[src].Table().Clone()
+				next := tc.Members[src].Node.Table().Clone()
 				next.Epoch = epoch
-				next.Owners[moving] = tc.peers[dst].ID
-				for _, nd := range tc.nodes {
+				next.Owners[moving] = tc.Members[dst].ID
+				for _, nd := range tc.Nodes() {
 					nd.applyTable(next)
 				}
 				src, dst = dst, src
@@ -92,7 +92,7 @@ func BenchmarkHandoffUnderLoad(b *testing.B) {
 			// However many times ownership ping-ponged, every seeded
 			// commitment must live on exactly the final owner's ledger.
 			for i := 0; i < commitments; i++ {
-				if home := commitmentHome(tc.nodes, fmt.Sprintf("held-%d", i)); home != 1 {
+				if home := Homes(tc.Nodes(), fmt.Sprintf("held-%d", i)); home != 1 {
 					b.Fatalf("held-%d lives on %d ledgers after %d handoffs, want 1", i, home, b.N)
 				}
 			}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,58 +18,10 @@ import (
 	"repro/internal/admission"
 	"repro/internal/interval"
 	"repro/internal/membership"
-	"repro/internal/obs"
-	"repro/internal/obs/assure"
-	"repro/internal/obs/span"
 	"repro/internal/query"
 	"repro/internal/resource"
 	"repro/internal/server"
-	"repro/internal/workload"
 )
-
-// newJoiner boots a Join-mode node (owns nothing, serves on a real
-// listener) ready to JoinCluster through a steward.
-func newJoiner(t *testing.T, id string) (*Node, string) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	url := "http://" + ln.Addr().String()
-	nd, err := New(Config{
-		Self:           id,
-		Peers:          []Peer{{ID: id, URL: url}},
-		Join:           true,
-		Server:         server.Config{Policy: &admission.Rota{}, Assure: assure.New(id)},
-		LeaseTTL:       50,
-		GossipInterval: 50 * time.Millisecond,
-		Obs:            obs.New(obs.Options{Log: &bytes.Buffer{}, Node: id}),
-		Spans:          span.NewStore(span.DefaultCapacity, id),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: nd}
-	go func() { _ = hs.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = nd.Shutdown(ctx)
-		_ = hs.Shutdown(ctx)
-	})
-	return nd, url
-}
-
-// commitmentHome counts how many cluster ledgers hold a commitment.
-func commitmentHome(nodes []*Node, name string) int {
-	homes := 0
-	for _, nd := range nodes {
-		if _, ok := nd.Server().Ledger().Commitment(name); ok {
-			homes++
-		}
-	}
-	return homes
-}
 
 // TestJoinMovesOwnershipWithoutLosingReservations: a new member joins a
 // loaded 2-node cluster with explicit pins spanning both incumbents.
@@ -83,23 +34,20 @@ func TestJoinMovesOwnershipWithoutLosingReservations(t *testing.T) {
 	jobs := map[string]resource.Location{}
 	for i, loc := range []resource.Location{"l1", "l2", "l3", "l4"} {
 		name := fmt.Sprintf("pre-join-%d", i)
-		status, verdict := admitVerdict(t, tc.urls[i/2], pinnedJob(t, name, loc, 100000))
+		status, verdict := admitVerdict(t, tc.Members[i/2].URL, pinnedJob(t, name, loc, 100000))
 		if status != http.StatusOK || !verdict.Admit {
 			t.Fatalf("seeding %s on %s: status %d, verdict %+v", name, loc, status, verdict)
 		}
 		jobs[name] = loc
 	}
 
-	joiner, _ := newJoiner(t, "n3")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	// Pins span both incumbents: l2 is handed off by the steward itself,
 	// l3 by a steward-ordered RPC handoff on n2.
-	if err := joiner.JoinCluster(ctx, tc.urls[0], []resource.Location{"l2", "l3"}); err != nil {
+	jm, err := tc.Join("n3", tc.Members[0].URL, []resource.Location{"l2", "l3"})
+	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
-
-	all := append(append([]*Node{}, tc.nodes...), joiner)
+	joiner, all := jm.Node, tc.Nodes()
 	for _, nd := range all {
 		tbl := nd.Table()
 		if tbl.Epoch < 2 {
@@ -114,7 +62,7 @@ func TestJoinMovesOwnershipWithoutLosingReservations(t *testing.T) {
 	// Zero lost committed reservations: every pre-join job lives on
 	// exactly one node, and the pinned ones moved to the joiner.
 	for name, loc := range jobs {
-		if homes := commitmentHome(all, name); homes != 1 {
+		if homes := Homes(all, name); homes != 1 {
 			t.Fatalf("%s (on %s) lives on %d nodes after the join, want exactly 1", name, loc, homes)
 		}
 	}
@@ -131,7 +79,7 @@ func TestJoinMovesOwnershipWithoutLosingReservations(t *testing.T) {
 
 	// New load on a moved location routes to the joiner — submitted via an
 	// incumbent, which forwards (following any redirect) to n3.
-	status, verdict := admitVerdict(t, tc.urls[1], pinnedJob(t, "post-join", "l2", 100000))
+	status, verdict := admitVerdict(t, tc.Members[1].URL, pinnedJob(t, "post-join", "l2", 100000))
 	if status != http.StatusOK || !verdict.Admit {
 		t.Fatalf("post-join admit: status %d, verdict %+v", status, verdict)
 	}
@@ -139,7 +87,7 @@ func TestJoinMovesOwnershipWithoutLosingReservations(t *testing.T) {
 		t.Fatal("post-join commitment did not land on the new owner")
 	}
 	// Cluster-wide release reaches the joiner too.
-	if status, _ := post(t, tc.urls[0]+"/v1/release", map[string]string{"name": "pre-join-1"}, nil); status != http.StatusOK {
+	if status, _ := post(t, tc.Members[0].URL+"/v1/release", map[string]string{"name": "pre-join-1"}, nil); status != http.StatusOK {
 		t.Fatalf("releasing a moved commitment returned %d", status)
 	}
 	if _, ok := joiner.Server().Ledger().Commitment("pre-join-1"); ok {
@@ -156,6 +104,7 @@ func TestJoinMovesOwnershipWithoutLosingReservations(t *testing.T) {
 func TestConcurrentAdmissionsDuringHandoff(t *testing.T) {
 	tc := newTestCluster(t, 2, 2, 64, 100000, 50)
 	locs := []resource.Location{"l1", "l2", "l3", "l4"}
+	urls := tc.URLs() // the incumbents: the joiner is no target
 
 	var admitted sync.Map
 	var wg sync.WaitGroup
@@ -169,7 +118,7 @@ func TestConcurrentAdmissionsDuringHandoff(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				name := fmt.Sprintf("churn-%d-%d", c, i)
 				job := pinnedJob(t, name, locs[(c+i)%len(locs)], 100000)
-				status, verdict := admitVerdict(t, tc.urls[(c+i)%len(tc.urls)], job)
+				status, verdict := admitVerdict(t, urls[(c+i)%len(urls)], job)
 				if status != http.StatusOK {
 					t.Errorf("admit %s returned %d mid-handoff", name, status)
 					return
@@ -181,11 +130,9 @@ func TestConcurrentAdmissionsDuringHandoff(t *testing.T) {
 		}(c)
 	}
 
-	joiner, _ := newJoiner(t, "n3")
 	close(start)
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := joiner.JoinCluster(ctx, tc.urls[0], []resource.Location{"l1", "l3"}); err != nil {
+	jm, err := tc.Join("n3", tc.Members[0].URL, []resource.Location{"l1", "l3"})
+	if err != nil {
 		t.Fatalf("join under load: %v", err)
 	}
 	wg.Wait()
@@ -193,11 +140,11 @@ func TestConcurrentAdmissionsDuringHandoff(t *testing.T) {
 		return
 	}
 
-	all := append(append([]*Node{}, tc.nodes...), joiner)
+	all := tc.Nodes()
 	count := 0
 	admitted.Range(func(k, _ any) bool {
 		count++
-		if homes := commitmentHome(all, k.(string)); homes != 1 {
+		if homes := Homes(all, k.(string)); homes != 1 {
 			t.Errorf("%s lives on %d ledgers, want exactly 1", k, homes)
 		}
 		return true
@@ -210,8 +157,8 @@ func TestConcurrentAdmissionsDuringHandoff(t *testing.T) {
 			t.Fatalf("%s audit after join under load: %v", nd.ID(), err)
 		}
 	}
-	if joiner.Table().Epoch < 2 {
-		t.Fatalf("join did not advance the epoch: %d", joiner.Table().Epoch)
+	if jm.Node.Table().Epoch < 2 {
+		t.Fatalf("join did not advance the epoch: %d", jm.Node.Table().Epoch)
 	}
 }
 
@@ -224,59 +171,31 @@ func TestForceLeavePromotesStandby(t *testing.T) {
 	// Pick n2 (owns l2) as the victim; its standby is the rendezvous
 	// runner-up, exactly where LeaveMoves will send l2.
 	victim := 1
-	loc := tc.peers[victim].Locations[0]
-	standbyID := tc.nodes[0].Table().StandbyOf(loc)
-	if standbyID == "" || standbyID == tc.peers[victim].ID {
-		t.Fatalf("no usable standby for %s: %q", loc, standbyID)
-	}
-	var standby *Node
-	var survivor string
-	for i, p := range tc.peers {
-		if p.ID == standbyID {
-			standby = tc.nodes[i]
-		} else if i != victim {
-			survivor = tc.urls[i]
-		}
-	}
+	loc := tc.Members[victim].Locations[0]
+	standby := standbyOf(t, tc, loc).Node
+	survivor := tc.Members[0].URL
 
-	status, verdict := admitVerdict(t, tc.urls[victim], pinnedJob(t, "survives-crash", loc, 100000))
+	status, verdict := admitVerdict(t, tc.Members[victim].URL, pinnedJob(t, "survives-crash", loc, 100000))
 	if status != http.StatusOK || !verdict.Admit {
 		t.Fatalf("seeding the victim: status %d, verdict %+v", status, verdict)
 	}
-	// Wait for the victim's gossip tick to ship the shadow.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		standby.smu.Lock()
-		_, ok := standby.shadows[loc]
-		standby.smu.Unlock()
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no shadow of %s reached standby %s within 5s", loc, standbyID)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitShadow(t, standby, loc)
 
-	// Crash the primary: its listener dies, no graceful handoff possible.
-	_ = tc.httpSrvs[victim].Close()
-	body, _ := json.Marshal(map[string]any{"id": tc.peers[victim].ID, "force": true})
-	resp, err := http.Post(survivor+"/v1/cluster/leave", "application/json", bytes.NewReader(body))
-	if err != nil {
+	// Crash the primary: no graceful handoff possible.
+	if err := tc.Members[victim].Kill(); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("force leave returned %d", resp.StatusCode)
+	if status, body := post(t, survivor+"/v1/cluster/leave", map[string]any{"id": tc.Members[victim].ID, "force": true}, nil); status != http.StatusOK {
+		t.Fatalf("force leave returned %d: %s", status, body)
 	}
 
 	if _, ok := standby.Server().Ledger().Commitment("survives-crash"); !ok {
 		t.Fatal("committed reservation lost in the failover")
 	}
-	if owner, ok := standby.Table().OwnerOf(loc); !ok || owner != standbyID {
-		t.Fatalf("%s owned by %s after failover, want %s", loc, owner, standbyID)
+	if owner, ok := standby.Table().OwnerOf(loc); !ok || owner != standby.ID() {
+		t.Fatalf("%s owned by %s after failover, want %s", loc, owner, standby.ID())
 	}
-	if _, ok := standby.Table().Member(tc.peers[victim].ID); ok {
+	if _, ok := standby.Table().Member(tc.Members[victim].ID); ok {
 		t.Fatal("dead member still in the table")
 	}
 	if err := standby.Server().Ledger().Audit(); err != nil {
@@ -359,29 +278,28 @@ func TestWatchStaysCorrectAcrossOwnershipMove(t *testing.T) {
 	// Window (now, now+1): exactly the tick the one-shot filler below
 	// reserves, so its admission flips the verdict and its release flips
 	// it back. (A wider window would stay satisfiable around the filler.)
-	q := fmt.Sprintf("holds(%s, cpu>=8, next 1)", tc.peers[1].Locations[0])
-	w := openSSEWatch(t, tc.urls[0], q)
+	q := fmt.Sprintf("holds(%s, cpu>=8, next 1)", tc.Members[1].Locations[0])
+	w := openSSEWatch(t, tc.Members[0].URL, q)
 	if ev := w.next(t, 5*time.Second); !ev.Holds {
 		t.Fatalf("initial verdict holds=false, want true (l2 is free): %+v", ev)
 	}
 
 	// Move l2 to a fresh joiner. The watch's footprint now lives on a
 	// node that did not exist when it subscribed.
-	joiner, _ := newJoiner(t, "n3")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	loc := tc.peers[1].Locations[0]
-	if err := joiner.JoinCluster(ctx, tc.urls[0], []resource.Location{loc}); err != nil {
+	loc := tc.Members[1].Locations[0]
+	jm, err := tc.Join("n3", tc.Members[0].URL, []resource.Location{loc})
+	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	if owner, _ := tc.nodes[0].Table().OwnerOf(loc); owner != "n3" {
+	joiner := jm.Node
+	if owner, _ := tc.Members[0].Node.Table().OwnerOf(loc); owner != "n3" {
 		t.Fatalf("%s owned by %s, want n3", loc, owner)
 	}
 
 	// Fill the moved location via the OLD owner's URL — the admission is
 	// redirected to the joiner, whose ledger change must flip the watch
 	// on n1 (delivered by the gossip-driven re-evaluation).
-	status, verdict := admitVerdict(t, tc.urls[1], pinnedJob(t, "filler", loc, 100000))
+	status, verdict := admitVerdict(t, tc.Members[1].URL, pinnedJob(t, "filler", loc, 100000))
 	if status != http.StatusOK || !verdict.Admit {
 		t.Fatalf("filler admit: status %d, verdict %+v", status, verdict)
 	}
@@ -400,7 +318,7 @@ func TestWatchStaysCorrectAcrossOwnershipMove(t *testing.T) {
 		t.Fatal("watch never saw the post-move admission")
 	}
 	// One-shot fan-out from n1 agrees, resolved through the live table.
-	resp, err := http.Get(tc.urls[0] + "/v1/query?q=" + neturl.QueryEscape(q))
+	resp, err := http.Get(tc.Members[0].URL + "/v1/query?q=" + neturl.QueryEscape(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +330,7 @@ func TestWatchStaysCorrectAcrossOwnershipMove(t *testing.T) {
 	}
 
 	// Releasing the filler flips the watch back.
-	if status, _ := post(t, tc.urls[0]+"/v1/release", map[string]string{"name": "filler"}, nil); status != http.StatusOK {
+	if status, _ := post(t, tc.Members[0].URL+"/v1/release", map[string]string{"name": "filler"}, nil); status != http.StatusOK {
 		t.Fatalf("release returned %d", status)
 	}
 	for {
@@ -428,17 +346,17 @@ func TestWatchStaysCorrectAcrossOwnershipMove(t *testing.T) {
 // before the table drops it.
 func TestGracefulLeaveHandsOffEverything(t *testing.T) {
 	tc := newTestCluster(t, 3, 1, 8, 100000, 50)
-	loc := tc.peers[2].Locations[0]
-	status, verdict := admitVerdict(t, tc.urls[2], pinnedJob(t, "moves-out", loc, 100000))
+	loc := tc.Members[2].Locations[0]
+	status, verdict := admitVerdict(t, tc.Members[2].URL, pinnedJob(t, "moves-out", loc, 100000))
 	if status != http.StatusOK || !verdict.Admit {
 		t.Fatalf("seed: status %d, verdict %+v", status, verdict)
 	}
 
-	status, data := post(t, tc.urls[0]+"/v1/cluster/leave", map[string]any{"id": "n3"}, nil)
+	status, data := post(t, tc.Members[0].URL+"/v1/cluster/leave", map[string]any{"id": "n3"}, nil)
 	if status != http.StatusOK {
 		t.Fatalf("graceful leave returned %d: %s", status, data)
 	}
-	tbl := tc.nodes[0].Table()
+	tbl := tc.Members[0].Node.Table()
 	if _, ok := tbl.Member("n3"); ok {
 		t.Fatal("left member still in the table")
 	}
@@ -446,20 +364,20 @@ func TestGracefulLeaveHandsOffEverything(t *testing.T) {
 	if !ok || newOwner == "n3" {
 		t.Fatalf("%s owned by %q after leave", loc, newOwner)
 	}
-	if homes := commitmentHome(tc.nodes[:2], "moves-out"); homes != 1 {
+	if homes := Homes(tc.Nodes()[:2], "moves-out"); homes != 1 {
 		t.Fatalf("moves-out lives on %d surviving ledgers, want 1", homes)
 	}
 	// The departed node's ledger no longer owns the location.
-	if tc.nodes[2].Server().Ledger().NumCommitments() != 0 {
+	if tc.Members[2].Node.Server().Ledger().NumCommitments() != 0 {
 		t.Fatal("departed node still holds the commitment")
 	}
-	for _, nd := range tc.nodes[:2] {
+	for _, nd := range tc.Nodes()[:2] {
 		if err := nd.Server().Ledger().Audit(); err != nil {
 			t.Fatalf("%s audit after leave: %v", nd.ID(), err)
 		}
 	}
 	// Last-member and unknown-member guard rails.
-	if status, _ := post(t, tc.urls[0]+"/v1/cluster/leave", map[string]any{"id": "ghost"}, nil); status != http.StatusNotFound {
+	if status, _ := post(t, tc.Members[0].URL+"/v1/cluster/leave", map[string]any{"id": "ghost"}, nil); status != http.StatusNotFound {
 		t.Fatalf("unknown member leave: %d, want 404", status)
 	}
 }
@@ -470,15 +388,15 @@ func TestGracefulLeaveHandsOffEverything(t *testing.T) {
 // supersedes the overlay.
 func TestRedirectServedForHandedOffLocation(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 8, 100000, 50)
-	n1 := tc.nodes[0]
-	loc := tc.peers[0].Locations[0]
+	n1 := tc.Members[0].Node
+	loc := tc.Members[0].Locations[0]
 	// Execute a raw handoff (no table update): n1 → n2 at a future epoch.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := n1.executeHandoff(ctx, []resource.Location{loc}, "n2", tc.urls[1], n1.Table().Epoch+1); err != nil {
+	if err := n1.executeHandoff(ctx, []resource.Location{loc}, "n2", tc.Members[1].URL, n1.Table().Epoch+1); err != nil {
 		t.Fatalf("handoff: %v", err)
 	}
-	resp, err := http.Get(tc.urls[0] + "/v1/cluster/free?locs=" + string(loc))
+	resp, err := http.Get(tc.Members[0].URL + "/v1/cluster/free?locs=" + string(loc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,8 +411,8 @@ func TestRedirectServedForHandedOffLocation(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&red); err != nil {
 		t.Fatal(err)
 	}
-	if red.OwnerID != "n2" || red.OwnerURL != tc.urls[1] {
-		t.Fatalf("redirect points at %s (%s), want n2 (%s)", red.OwnerID, red.OwnerURL, tc.urls[1])
+	if red.OwnerID != "n2" || red.OwnerURL != tc.Members[1].URL {
+		t.Fatalf("redirect points at %s (%s), want n2 (%s)", red.OwnerID, red.OwnerURL, tc.Members[1].URL)
 	}
 	if got := n1.Stats().Cluster.RedirectsServed; got == 0 {
 		t.Fatal("redirects_served did not count")
@@ -503,7 +421,7 @@ func TestRedirectServedForHandedOffLocation(t *testing.T) {
 	// bounce the request back: its table still names n1 until the final
 	// table lands, and a coordinator sent n1 → n2 → n1 … burns its
 	// ownership retries on a location that moved exactly once.
-	fresp, err := http.Get(tc.urls[1] + "/v1/cluster/free?locs=" + string(loc))
+	fresp, err := http.Get(tc.Members[1].URL + "/v1/cluster/free?locs=" + string(loc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,11 +431,11 @@ func TestRedirectServedForHandedOffLocation(t *testing.T) {
 	}
 	// An admit submitted to the old owner still succeeds: the forward
 	// path follows the redirect to the new owner.
-	status, verdict := admitVerdict(t, tc.urls[0], pinnedJob(t, "after-redirect", loc, 100000))
+	status, verdict := admitVerdict(t, tc.Members[0].URL, pinnedJob(t, "after-redirect", loc, 100000))
 	if status != http.StatusOK || !verdict.Admit {
 		t.Fatalf("admit after handoff: status %d, verdict %+v", status, verdict)
 	}
-	if _, ok := tc.nodes[1].Server().Ledger().Commitment("after-redirect"); !ok {
+	if _, ok := tc.Members[1].Node.Server().Ledger().Commitment("after-redirect"); !ok {
 		t.Fatal("redirected admission missed the new owner")
 	}
 }
@@ -529,8 +447,8 @@ func TestRedirectServedForHandedOffLocation(t *testing.T) {
 // keep it reserved until its plan finishes.
 func TestAbortFollowsCommittedKeyAcrossHandoff(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 8, 100000, 50)
-	n1, n2 := tc.nodes[0], tc.nodes[1]
-	loc := tc.peers[0].Locations[0]
+	n1, n2 := tc.Members[0].Node, tc.Members[1].Node
+	loc := tc.Members[0].Locations[0]
 	demand := resource.NewSet(resource.NewTerm(resource.FromUnits(1), resource.CPUAt(loc), interval.New(0, 10)))
 	if err := n1.Server().Ledger().Prepare("k-partial", "partial", demand, 10, 20, 50); err != nil {
 		t.Fatal(err)
@@ -540,14 +458,14 @@ func TestAbortFollowsCommittedKeyAcrossHandoff(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := n1.executeHandoff(ctx, []resource.Location{loc}, "n2", tc.urls[1], n1.Table().Epoch+1); err != nil {
+	if err := n1.executeHandoff(ctx, []resource.Location{loc}, "n2", tc.Members[1].URL, n1.Table().Epoch+1); err != nil {
 		t.Fatalf("handoff: %v", err)
 	}
 	if _, ok := n2.Server().Ledger().Commitment("partial"); !ok {
 		t.Fatal("the commitment did not move with its location")
 	}
 
-	status, body := post(t, tc.urls[0]+"/v1/cluster/abort", server.FinishRequest{Key: "k-partial"}, nil)
+	status, body := post(t, tc.Members[0].URL+"/v1/cluster/abort", server.FinishRequest{Key: "k-partial"}, nil)
 	if status != http.StatusOK {
 		t.Fatalf("abort on the old owner returned %d: %s", status, body)
 	}
@@ -616,7 +534,11 @@ func TestReleaseFanOutFollowsRosterChange(t *testing.T) {
 
 	// n3 carries the commitment, the way a joiner does once a handoff has
 	// installed a location on it.
-	n3, n3URL := newJoiner(t, "n3")
+	n3m, err := newTestCluster(t, 0, 0, 0, 0, 50).joiner("n3") // no seeds: a bare joiner
+	if err != nil {
+		t.Fatal(err)
+	}
+	n3, n3URL := n3m.Node, n3m.URL
 	n3.Server().Ledger().AddOwned([]resource.Location{"l1"})
 	if err := n3.Server().Ledger().ImportLocations([]server.LocationExport{{
 		Loc:   "l1",
@@ -648,6 +570,3 @@ func TestReleaseFanOutFollowsRosterChange(t *testing.T) {
 		t.Fatal("roamer still committed on n3 after the release")
 	}
 }
-
-var _ = workload.Job{}
-var _ interval.Time

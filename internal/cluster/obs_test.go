@@ -16,27 +16,27 @@ func TestClusterTraceCorrelation(t *testing.T) {
 	tc := newTestCluster(t, 3, 1, 4, 1000, 50)
 
 	const trace = "cluster-trace-42"
-	job := spanningJob(t, "span-trace", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 1000)
+	job := spanningJob(t, "span-trace", tc.Members[0].Locations[0], tc.Members[1].Locations[0], 1000)
 	// Submitted to n3, which owns none of the footprint: n3 coordinates,
 	// n1 and n2 participate over HTTP.
-	status, body := post(t, tc.urls[2]+"/v1/admit", job, map[string]string{obs.HeaderTraceID: trace})
+	status, body := post(t, tc.Members[2].URL+"/v1/admit", job, map[string]string{obs.HeaderTraceID: trace})
 	if status != http.StatusOK || !strings.Contains(string(body), `"admit":true`) {
 		t.Fatalf("federated admit: %d %s", status, body)
 	}
 
 	for i, role := range []string{"participant n1", "participant n2", "coordinator n3"} {
-		if !strings.Contains(tc.logs[i].String(), "trace="+trace) {
-			t.Errorf("%s never logged trace %s:\n%s", role, trace, tc.logs[i].String())
+		if !strings.Contains(tc.Members[i].Log.String(), "trace="+trace) {
+			t.Errorf("%s never logged trace %s:\n%s", role, trace, tc.Members[i].Log.String())
 		}
 	}
 	for _, i := range []int{0, 1} {
-		log := tc.logs[i].String()
+		log := tc.Members[i].Log.String()
 		if !strings.Contains(log, "event=twophase.prepare") || !strings.Contains(log, "event=twophase.commit") {
 			t.Errorf("participant n%d missing two-phase events:\n%s", i+1, log)
 		}
 	}
-	if !strings.Contains(tc.logs[2].String(), "event=admit.decision") {
-		t.Errorf("coordinator missing verdict event:\n%s", tc.logs[2].String())
+	if !strings.Contains(tc.Members[2].Log.String(), "event=admit.decision") {
+		t.Errorf("coordinator missing verdict event:\n%s", tc.Members[2].Log.String())
 	}
 }
 
@@ -45,12 +45,12 @@ func TestClusterTraceCorrelation(t *testing.T) {
 func TestClusterMetricsEndpoint(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 4, 1000, 50)
 
-	job := spanningJob(t, "span-scrape", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 1000)
-	if status, body := post(t, tc.urls[0]+"/v1/admit", job, nil); status != http.StatusOK {
+	job := spanningJob(t, "span-scrape", tc.Members[0].Locations[0], tc.Members[1].Locations[0], 1000)
+	if status, body := post(t, tc.Members[0].URL+"/v1/admit", job, nil); status != http.StatusOK {
 		t.Fatalf("federated admit: %d %s", status, body)
 	}
 
-	resp, err := http.Get(tc.urls[0] + "/metrics")
+	resp, err := http.Get(tc.Members[0].URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 // exposition mirrors.
 func TestNodeStatsCarriesServerStats(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 4, 1000, 50)
-	st := tc.nodes[0].Stats()
+	st := tc.Members[0].Node.Stats()
 	if st.Node != "n1" || st.Shards != 1 {
 		t.Fatalf("stats = node %q, shards %d", st.Node, st.Shards)
 	}

@@ -20,21 +20,12 @@ import (
 func TestRemotePromotionCarriesIntentEpoch(t *testing.T) {
 	tc := newTestCluster(t, 3, 1, 8, 100000, 50)
 	victim := 1
-	loc := tc.peers[victim].Locations[0]
-	standbyID := tc.nodes[0].Table().StandbyOf(loc)
-	var standby *Node
-	var standbyURL string
-	for i, p := range tc.peers {
-		if p.ID == standbyID && i != victim {
-			standby, standbyURL = tc.nodes[i], tc.urls[i]
-		}
-	}
-	if standby == nil {
-		t.Fatalf("no usable standby for %s: %q", loc, standbyID)
-	}
+	loc := tc.Members[victim].Locations[0]
+	sm := standbyOf(t, tc, loc)
+	standby, standbyURL := sm.Node, sm.URL
 
 	const job = "promoted-at-intent-epoch"
-	status, verdict := admitVerdict(t, tc.urls[victim], pinnedJob(t, job, loc, 100000))
+	status, verdict := admitVerdict(t, tc.Members[victim].URL, pinnedJob(t, job, loc, 100000))
 	if status != http.StatusOK || !verdict.Admit {
 		t.Fatalf("seeding the victim: status %d, verdict %+v", status, verdict)
 	}
@@ -50,12 +41,12 @@ func TestRemotePromotionCarriesIntentEpoch(t *testing.T) {
 	}
 
 	// The table the standby missed: the next epoch, same owners.
-	victimMember, _ := standby.Table().Member(tc.peers[victim].ID)
+	victimMember, _ := standby.Table().Member(tc.Members[victim].ID)
 	late := standby.Table().Joined(victimMember, nil, nil)
 	if late.Epoch != epoch+1 {
 		t.Fatalf("late table at epoch %d, want %d", late.Epoch, epoch+1)
 	}
-	if owner, _ := late.OwnerOf(loc); owner != tc.peers[victim].ID {
+	if owner, _ := late.OwnerOf(loc); owner != tc.Members[victim].ID {
 		t.Fatalf("late table names %s owner of %s, want the victim", owner, loc)
 	}
 	if status, body := post(t, standbyURL+"/v1/cluster/table", late.ToWire(), nil); status != http.StatusOK {
@@ -74,39 +65,44 @@ func TestRemotePromotionCarriesIntentEpoch(t *testing.T) {
 // rather than stamped with the receiver's guess.
 func TestPromoteAndInstallNeedAnEpoch(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 8, 1000, 50, func(c *Config) { c.GossipInterval = -1 })
-	loc := tc.peers[0].Locations[0]
+	loc := tc.Members[0].Locations[0]
 	promote := promoteRequest{Locs: []resource.Location{loc}}
-	if status, body := post(t, tc.urls[1]+"/v1/cluster/promote", promote, nil); status != http.StatusBadRequest {
+	if status, body := post(t, tc.Members[1].URL+"/v1/cluster/promote", promote, nil); status != http.StatusBadRequest {
 		t.Errorf("promote without an epoch answered %d %s, want 400", status, body)
 	}
 	install := installRequest{Exports: []server.LocationExport{{Loc: "l9"}}}
-	if status, body := post(t, tc.urls[1]+"/v1/cluster/install", install, nil); status != http.StatusBadRequest {
+	if status, body := post(t, tc.Members[1].URL+"/v1/cluster/install", install, nil); status != http.StatusBadRequest {
 		t.Errorf("install without an epoch answered %d %s, want 400", status, body)
 	}
-	for _, owned := range tc.nodes[1].Server().Ledger().OwnedLocations() {
+	for _, owned := range tc.Members[1].Node.Server().Ledger().OwnedLocations() {
 		if owned == "l9" {
 			t.Error("a refused install adopted its location")
 		}
 	}
-	if got := tc.nodes[1].Table().Epoch; got != 1 {
+	if got := tc.Members[1].Node.Table().Epoch; got != 1 {
 		t.Errorf("epoch moved to %d", got)
 	}
 }
 
-// waitShadow waits for the gossip tick to ship loc's shadow to standby.
-func waitShadow(t *testing.T, standby *Node, loc resource.Location) {
+// standbyOf returns the member that n1's table names loc's standby,
+// failing the test unless that is a member other than loc's owner.
+func standbyOf(t testing.TB, tc *Fleet, loc resource.Location) *Member {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		standby.smu.Lock()
-		_, ok := standby.shadows[loc]
-		standby.smu.Unlock()
-		if ok {
-			return
+	owner, _ := tc.Members[0].Node.Table().OwnerOf(loc)
+	id := tc.Members[0].Node.Table().StandbyOf(loc)
+	for _, m := range tc.Members {
+		if m.ID == id && id != owner {
+			return m
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no shadow of %s reached standby %s within 5s", loc, standby.ID())
-		}
-		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatalf("no usable standby for %s: %q", loc, id)
+	return nil
+}
+
+// waitShadow waits for the gossip tick to ship loc's shadow to standby.
+func waitShadow(t testing.TB, standby *Node, loc resource.Location) {
+	t.Helper()
+	if !WaitFor(5*time.Second, func() bool { _, _, ok := standby.ShadowFor(loc); return ok }) {
+		t.Fatalf("no shadow of %s reached standby %s within 5s", loc, standby.ID())
 	}
 }

@@ -24,7 +24,7 @@ import (
 // cut the lookup down to.
 func TestFanoutResolvesNameWithHash(t *testing.T) {
 	tc := newTestCluster(t, 2, 2, 1, 100, 50)
-	owned := tc.peers[1].Locations
+	owned := tc.Members[1].Locations
 	// The decoy fills its location up to its deadline, so re-admitting it
 	// cannot fit; batch#7 leaves 42 of 50 units free before its own.
 	for _, job := range []struct {
@@ -32,12 +32,12 @@ func TestFanoutResolvesNameWithHash(t *testing.T) {
 		loc      int
 		deadline int64
 	}{{"batch", 0, 8}, {"batch#7", 1, 50}} {
-		if status, resp := admitVerdict(t, tc.urls[1], pinnedJob(t, job.name, owned[job.loc], job.deadline)); status != http.StatusOK || !resp.Admit {
+		if status, resp := admitVerdict(t, tc.Members[1].URL, pinnedJob(t, job.name, owned[job.loc], job.deadline)); status != http.StatusOK || !resp.Admit {
 			t.Fatalf("admit %s: status %d, %+v", job.name, status, resp)
 		}
 	}
 	for q, want := range map[string]bool{"feasible(batch#7)": true, "feasible(batch)": false} {
-		status, data := post(t, tc.urls[0]+"/v1/query", server.QueryRequest{Query: q}, nil)
+		status, data := post(t, tc.Members[0].URL+"/v1/query", server.QueryRequest{Query: q}, nil)
 		if status != http.StatusOK {
 			t.Fatalf("%s on the non-owner: status %d: %s", q, status, data)
 		}
@@ -82,7 +82,7 @@ func clusterQuery(t *testing.T, url, q string) (server.QueryResponse, string) {
 // alone, it was true.
 func TestClusterQueryNameHeldBySeveralOwners(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 1, 1000, 50, func(c *Config) { c.GossipInterval = -1 })
-	locs := []resource.Location{tc.peers[0].Locations[0], tc.peers[1].Locations[0]}
+	locs := []resource.Location{tc.Members[0].Locations[0], tc.Members[1].Locations[0]}
 	job := stepsJob(t, "j", 0, 16, locs, []int{1, 2})
 	var theta resource.Set
 	for _, loc := range locs {
@@ -96,7 +96,7 @@ func TestClusterQueryNameHeldBySeveralOwners(t *testing.T) {
 	if dec, err := one.Ledger().Admit(&admission.Rota{}, job); err != nil || !dec.Admit {
 		t.Fatalf("one ledger: %v %+v", err, dec)
 	}
-	if status, v := admitVerdict(t, tc.urls[0], job); status != http.StatusOK || !v.Admit {
+	if status, v := admitVerdict(t, tc.Members[0].URL, job); status != http.StatusOK || !v.Admit {
 		t.Fatalf("federation: status %d, %+v", status, v)
 	}
 	for _, q := range []string{"feasible(j)", fmt.Sprintf("during(j, window(0, 17)) and holds(%s, cpu>=1, next 16)", locs[0])} {
@@ -111,7 +111,7 @@ func TestClusterQueryNameHeldBySeveralOwners(t *testing.T) {
 		if q == "feasible(j)" && want.Holds {
 			t.Fatal("fixture: one ledger finds room to re-plan j")
 		}
-		for i, url := range tc.urls {
+		for i, url := range tc.URLs() {
 			if got, _ := clusterQuery(t, url, q); got.Holds != want.Holds || got.Formula != want.Formula {
 				t.Errorf("%s entered at n%d: holds=%v by %s, one ledger holds=%v by %s",
 					q, i+1, got.Holds, got.Formula, want.Holds, want.Formula)
@@ -126,8 +126,8 @@ func TestClusterQueryNameHeldBySeveralOwners(t *testing.T) {
 func TestClusterQuerySpanTree(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 4, 1000, 50, func(c *Config) { c.GossipInterval = -1 })
 	q := fmt.Sprintf("holds(%s, cpu>=1, next 5) and holds(%s, cpu>=1, next 5)",
-		tc.peers[0].Locations[0], tc.peers[1].Locations[0])
-	qr, trace := clusterQuery(t, tc.urls[0], q)
+		tc.Members[0].Locations[0], tc.Members[1].Locations[0])
+	qr, trace := clusterQuery(t, tc.Members[0].URL, q)
 	if !qr.Holds || trace == "" {
 		t.Fatalf("spanning query: holds=%v, trace %q", qr.Holds, trace)
 	}
@@ -164,7 +164,7 @@ func TestClusterQuerySpanTree(t *testing.T) {
 // remote or unowned location is written by other ledgers.
 func TestClusterQueryWatchScoping(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 4, 1000, 50, func(c *Config) { c.GossipInterval = -1 })
-	own, remote := tc.peers[0].Locations[0], tc.peers[1].Locations[0]
+	own, remote := tc.Members[0].Locations[0], tc.Members[1].Locations[0]
 	for q, want := range map[string]bool{
 		fmt.Sprintf("holds(%s, cpu>=1, next 5)", own): true,
 		"true": true,
@@ -177,7 +177,7 @@ func TestClusterQueryWatchScoping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := tc.nodes[0].querySnapshot(context.Background(), c)
+		snap, err := tc.Members[0].Node.querySnapshot(context.Background(), c)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}

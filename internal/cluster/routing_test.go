@@ -42,7 +42,7 @@ func requestSamples(t *testing.T, url string) map[string]float64 {
 // layer="cluster", and none under layer="server".
 func TestRoutedEndpointsServedOnce(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 4, 1000, 50, func(c *Config) { c.GossipInterval = -1 })
-	url, loc := tc.urls[1], tc.peers[1].Locations[0]
+	url, loc := tc.Members[1].URL, tc.Members[1].Locations[0]
 	fwd := map[string]string{headerForwarded: "n1"}
 	var demand resource.Set
 	demand.Add(resource.NewTerm(resource.FromUnits(1), resource.CPUAt(loc), interval.New(0, 10)))
@@ -100,16 +100,16 @@ func TestRoutedEndpointsServedOnce(t *testing.T) {
 // are each one release on the node that held it.
 func TestReleaseCountsEveryLeg(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 4, 1000, 50)
-	job := spanningJob(t, "both", tc.peers[0].Locations[0], tc.peers[1].Locations[0], 1000)
-	if status, v := admitVerdict(t, tc.urls[0], job); status != http.StatusOK || !v.Admit {
+	job := spanningJob(t, "both", tc.Members[0].Locations[0], tc.Members[1].Locations[0], 1000)
+	if status, v := admitVerdict(t, tc.Members[0].URL, job); status != http.StatusOK || !v.Admit {
 		t.Fatalf("spanning admit answered %d %+v", status, v)
 	}
-	if status, body := post(t, tc.urls[0]+"/v1/release", map[string]string{"name": "both"}, nil); status != http.StatusOK {
+	if status, body := post(t, tc.Members[0].URL+"/v1/release", map[string]string{"name": "both"}, nil); status != http.StatusOK {
 		t.Fatalf("release answered %d %s", status, body)
 	}
-	for i, nd := range tc.nodes {
+	for _, nd := range tc.Nodes() {
 		if got := nd.Server().Stats().Released; got != 1 {
-			t.Errorf("%s counted %d releases, want 1", tc.peers[i].ID, got)
+			t.Errorf("%s counted %d releases, want 1", nd.ID(), got)
 		}
 	}
 }

@@ -48,10 +48,10 @@ func admitTraced(t testing.TB, url string, job workload.Job) (server.AdmitRespon
 
 // mergeSpans collects every node's span records into one slice, the way
 // rotatrace merges per-node trace dumps.
-func mergeSpans(tc *testCluster) []span.Record {
+func mergeSpans(tc *Fleet) []span.Record {
 	var all []span.Record
-	for _, st := range tc.spans {
-		all = append(all, st.Snapshot()...)
+	for _, nd := range tc.Nodes() {
+		all = append(all, nd.spans.Snapshot()...)
 	}
 	return all
 }
@@ -66,8 +66,8 @@ func TestClusterSpanTreeConnected(t *testing.T) {
 	tc := newTestCluster(t, 3, 1, 4, 1000, 50)
 
 	// n1 owns neither location, so it coordinates n2 and n3.
-	job := spanningJob(t, "span-probe", tc.peers[1].Locations[0], tc.peers[2].Locations[0], 1000)
-	verdict, trace := admitTraced(t, tc.urls[0], job)
+	job := spanningJob(t, "span-probe", tc.Members[1].Locations[0], tc.Members[2].Locations[0], 1000)
+	verdict, trace := admitTraced(t, tc.Members[0].URL, job)
 	if !verdict.Admit {
 		t.Fatalf("span probe rejected: %s", verdict.Reason)
 	}
@@ -114,11 +114,11 @@ func TestClusterSpanTreeConnected(t *testing.T) {
 
 	// A federated rejection must surface provenance: advance the cluster
 	// clock past a probe's deadline so the coordinator rejects it.
-	if status, data := post(t, tc.urls[0]+"/v1/cluster/advance", map[string]any{"now": 600}, nil); status != http.StatusOK {
+	if status, data := post(t, tc.Members[0].URL+"/v1/cluster/advance", map[string]any{"now": 600}, nil); status != http.StatusOK {
 		t.Fatalf("cluster advance returned %d: %s", status, data)
 	}
-	late := spanningJob(t, "span-late", tc.peers[1].Locations[0], tc.peers[2].Locations[0], 500)
-	verdict, _ = admitTraced(t, tc.urls[0], late)
+	late := spanningJob(t, "span-late", tc.Members[1].Locations[0], tc.Members[2].Locations[0], 500)
+	verdict, _ = admitTraced(t, tc.Members[0].URL, late)
 	if verdict.Admit {
 		t.Fatal("late probe admitted past its deadline")
 	}

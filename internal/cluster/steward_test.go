@@ -38,12 +38,12 @@ func tryPost(url string, v any) (int, []byte, error) {
 // first time it reaches stage, and returns (parked, release): parked is
 // closed once the steward is paused inside the stage, release un-parks
 // it (also registered as a cleanup so the goroutine never leaks).
-func parkSteward(t *testing.T, tc *testCluster, i int, stage string) (<-chan struct{}, func()) {
+func parkSteward(t *testing.T, tc *Fleet, i int, stage string) (<-chan struct{}, func()) {
 	t.Helper()
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	var parkOnce, releaseOnce sync.Once
-	tc.nodes[i].gate = func(st, key string) {
+	tc.Members[i].Node.gate = func(st, key string) {
 		if st == stage {
 			parkOnce.Do(func() { close(parked) })
 			<-release
@@ -83,26 +83,32 @@ func TestStewardDeathMidJoin(t *testing.T) {
 	}
 	for _, tt := range cases {
 		t.Run(tt.stage, func(t *testing.T) {
-			tc := newHealthCluster(t, 3, 2, nil)
-			waitDetectorWarm(t, tc.nodes, []string{"n1", "n2", "n3"}, 10*time.Second)
+			tc := newTestCluster(t, 3, 2, 8, 10000, 50, detect)
+			if err := WaitDetectorsWarm(tc.Members, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
 
 			// A committed reservation on the location the join pins: it
 			// must survive the steward's death no matter how far the
 			// handoff got. The pin belongs to survivor n2, so the move is
 			// a steward-ordered RPC handoff that can outlive the steward.
-			pin := tc.peers[1].Locations[0]
+			pin := tc.Members[1].Locations[0]
 			job := pinnedJob(t, "steward-death-seed", pin, 5000)
-			if status, body := post(t, tc.urls[0]+"/v1/admit", job, nil); status != http.StatusOK {
+			if status, body := post(t, tc.Members[0].URL+"/v1/admit", job, nil); status != http.StatusOK {
 				t.Fatalf("seeding %s: %d: %s", pin, status, body)
 			}
 
-			joiner, _ := newJoiner(t, "n4")
+			jm, err := tc.joiner("n4")
+			if err != nil {
+				t.Fatal(err)
+			}
+			joiner := jm.Node
 			parked, _ := parkSteward(t, tc, 0, tt.stage)
 			joinDone := make(chan error, 1)
 			go func() {
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 				defer cancel()
-				joinDone <- joiner.JoinCluster(ctx, tc.urls[0], []resource.Location{pin})
+				joinDone <- joiner.JoinCluster(ctx, tc.Members[0].URL, []resource.Location{pin})
 			}()
 			select {
 			case <-parked:
@@ -114,25 +120,29 @@ func TestStewardDeathMidJoin(t *testing.T) {
 
 			// The survivors must hold the journaled plan before the crash
 			// — that gossip is exactly what makes the death repairable.
-			waitFor(t, 5*time.Second, "intent gossiped to survivors", func() bool {
-				return intentHeard(tc.nodes[1], "n1") && intentHeard(tc.nodes[2], "n1")
-			})
+			if !WaitFor(5*time.Second, func() bool {
+				return intentHeard(tc.Members[1].Node, "n1") && intentHeard(tc.Members[2].Node, "n1")
+			}) {
+				t.Fatal("the intent never reached the survivors")
+			}
 
-			tc.kill(t, 0) // true silence mid-choreography
-			<-joinDone    // severed or repaired; either is fine
+			if err := tc.Members[0].Kill(); err != nil { // true silence mid-choreography
+				t.Fatal(err)
+			}
+			<-joinDone // severed or repaired; either is fine
 
-			survivors := []*Node{tc.nodes[1], tc.nodes[2]}
+			survivors := []*Node{tc.Members[1].Node, tc.Members[2].Node}
 			waitGone(t, survivors, "n1", 30*time.Second)
 
 			// Repair must complete the join: the joiner is a member of a
 			// converged table on every live node, dead steward excluded,
 			// and the pin sits with whoever actually holds the data.
-			live := append(append([]*Node{}, survivors...), joiner)
+			live := tc.Nodes()
 			wantOwner := "n2"
 			if tt.moved {
 				wantOwner = "n4"
 			}
-			waitFor(t, 30*time.Second, "joiner in every live table", func() bool {
+			if !WaitFor(30*time.Second, func() bool {
 				var epoch uint64
 				for i, nd := range live {
 					tbl := nd.Table()
@@ -152,7 +162,9 @@ func TestStewardDeathMidJoin(t *testing.T) {
 					}
 				}
 				return true
-			})
+			}) {
+				t.Fatal("the joiner never reached every live table")
+			}
 
 			var repairs uint64
 			for _, nd := range survivors {
@@ -161,7 +173,7 @@ func TestStewardDeathMidJoin(t *testing.T) {
 			if repairs < 1 {
 				t.Fatal("no intent repairs recorded; the join completed some other way")
 			}
-			if homes := commitmentHome(live, "steward-death-seed"); homes != 1 {
+			if homes := Homes(live, "steward-death-seed"); homes != 1 {
 				t.Fatalf("seed lives on %d ledgers after repair, want exactly 1", homes)
 			}
 			if tt.moved {
@@ -172,7 +184,7 @@ func TestStewardDeathMidJoin(t *testing.T) {
 			if tt.partial {
 				// The handoffs that finished before the crash must be
 				// committed by the repair, not rolled back.
-				if owned := tc.nodes[1].Table().Locations("n4"); len(owned) == 0 {
+				if owned := tc.Members[1].Node.Table().Locations("n4"); len(owned) == 0 {
 					t.Fatal("completed handoffs were not committed: the joiner owns nothing")
 				}
 			}
@@ -191,15 +203,17 @@ func TestStewardDeathMidJoin(t *testing.T) {
 // evict the dead steward, and the still-alive victim — fenced out by a
 // table that no longer lists it — must rejoin entirely on its own.
 func TestStewardDeathMidLeave(t *testing.T) {
-	tc := newHealthCluster(t, 3, 2, nil)
-	waitDetectorWarm(t, tc.nodes, []string{"n1", "n2", "n3"}, 10*time.Second)
+	tc := newTestCluster(t, 3, 2, 8, 10000, 50, detect)
+	if err := WaitDetectorsWarm(tc.Members, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	// Pick a victim location whose standby is the surviving non-steward
 	// n2: the repair promotes from shadows, and a shadow on the node
 	// about to be killed proves nothing.
 	var vloc resource.Location
-	for _, loc := range tc.peers[2].Locations {
-		if tc.nodes[0].Table().StandbyOf(loc) == "n2" {
+	for _, loc := range tc.Members[2].Locations {
+		if tc.Members[0].Node.Table().StandbyOf(loc) == "n2" {
 			vloc = loc
 			break
 		}
@@ -208,18 +222,20 @@ func TestStewardDeathMidLeave(t *testing.T) {
 		t.Skipf("no location of n3 has n2 as standby under this rendezvous layout")
 	}
 	job := pinnedJob(t, "leave-seed", vloc, 5000)
-	if status, body := post(t, tc.urls[0]+"/v1/admit", job, nil); status != http.StatusOK {
+	if status, body := post(t, tc.Members[0].URL+"/v1/admit", job, nil); status != http.StatusOK {
 		t.Fatalf("seeding %s: %d: %s", vloc, status, body)
 	}
-	waitFor(t, 5*time.Second, "standby shadow warm", func() bool {
-		cms, _, ok := tc.nodes[1].ShadowFor(vloc)
+	if !WaitFor(5*time.Second, func() bool {
+		cms, _, ok := tc.Members[1].Node.ShadowFor(vloc)
 		return ok && cms >= 1
-	})
+	}) {
+		t.Fatal("the standby's shadow never warmed")
+	}
 
 	parked, _ := parkSteward(t, tc, 0, "leave.announced")
 	leaveDone := make(chan int, 1)
 	go func() {
-		status, _, _ := tryPost(tc.urls[0]+"/v1/cluster/leave", map[string]any{"id": "n3"})
+		status, _, _ := tryPost(tc.Members[0].URL+"/v1/cluster/leave", map[string]any{"id": "n3"})
 		leaveDone <- status
 	}()
 	select {
@@ -229,34 +245,38 @@ func TestStewardDeathMidLeave(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("steward never reached leave.announced")
 	}
-	waitFor(t, 5*time.Second, "intent gossiped to the survivor", func() bool {
-		return intentHeard(tc.nodes[1], "n1")
-	})
-	tc.kill(t, 0)
+	if !WaitFor(5*time.Second, func() bool { return intentHeard(tc.Members[1].Node, "n1") }) {
+		t.Fatal("the intent never reached the survivor")
+	}
+	if err := tc.Members[0].Kill(); err != nil {
+		t.Fatal(err)
+	}
 	<-leaveDone // severed; the repair finishes the leave without it
 
 	// The survivor must evict the dead steward and finish its journaled
 	// leave; the fenced victim must then rejoin automatically.
-	waitGone(t, []*Node{tc.nodes[1]}, "n1", 30*time.Second)
-	waitFor(t, 30*time.Second, "fenced victim rejoined", func() bool {
-		if tc.nodes[2].Stats().Cluster.Rejoins < 1 {
+	waitGone(t, []*Node{tc.Members[1].Node}, "n1", 30*time.Second)
+	if !WaitFor(30*time.Second, func() bool {
+		if tc.Members[2].Node.Stats().Cluster.Rejoins < 1 {
 			return false
 		}
-		t2, t3 := tc.nodes[1].Table(), tc.nodes[2].Table()
+		t2, t3 := tc.Members[1].Node.Table(), tc.Members[2].Node.Table()
 		_, ok2 := t2.Member("n3")
 		_, ok3 := t3.Member("n3")
 		return ok2 && ok3 && t2.Epoch == t3.Epoch
-	})
-	if repairs := tc.nodes[1].Stats().Cluster.IntentRepairs; repairs < 1 {
+	}) {
+		t.Fatal("the fenced victim never rejoined")
+	}
+	if repairs := tc.Members[1].Node.Stats().Cluster.IntentRepairs; repairs < 1 {
 		t.Fatalf("survivor recorded %d intent repairs, want >= 1", repairs)
 	}
 	// The committed reservation survived the forced completion on the
 	// promoted standby — and only there (the rejoined victim dropped its
 	// fenced copy).
-	live := []*Node{tc.nodes[1], tc.nodes[2]}
-	waitFor(t, 10*time.Second, "seed on exactly one ledger", func() bool {
-		return commitmentHome(live, "leave-seed") == 1
-	})
+	live := []*Node{tc.Members[1].Node, tc.Members[2].Node}
+	if !WaitFor(10*time.Second, func() bool { return Homes(live, "leave-seed") == 1 }) {
+		t.Fatal("the seed never settled on exactly one ledger")
+	}
 	for _, nd := range live {
 		if err := nd.Server().Ledger().Audit(); err != nil {
 			t.Fatal(err)
@@ -267,15 +287,18 @@ func TestStewardDeathMidLeave(t *testing.T) {
 // TestLeaveQueuesBehindJoin: a graceful leave arriving while a join
 // holds the steward semaphore must queue and then run, not fail.
 func TestLeaveQueuesBehindJoin(t *testing.T) {
-	tc := newHealthCluster(t, 3, 2, nil)
+	tc := newTestCluster(t, 3, 2, 8, 10000, 50, detect)
 
-	joiner, _ := newJoiner(t, "n4")
+	joiner, err := tc.joiner("n4")
+	if err != nil {
+		t.Fatal(err)
+	}
 	parked, release := parkSteward(t, tc, 0, "join.announced")
 	joinDone := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		joinDone <- joiner.JoinCluster(ctx, tc.urls[0], nil)
+		joinDone <- joiner.Node.JoinCluster(ctx, tc.Members[0].URL, nil)
 	}()
 	select {
 	case <-parked:
@@ -286,7 +309,7 @@ func TestLeaveQueuesBehindJoin(t *testing.T) {
 	// The leave queues on the semaphore while the join is parked...
 	leaveDone := make(chan int, 1)
 	go func() {
-		status, _, _ := tryPost(tc.urls[0]+"/v1/cluster/leave", map[string]any{"id": "n3"})
+		status, _, _ := tryPost(tc.Members[0].URL+"/v1/cluster/leave", map[string]any{"id": "n3"})
 		leaveDone <- status
 	}()
 	select {
@@ -303,12 +326,14 @@ func TestLeaveQueuesBehindJoin(t *testing.T) {
 	if status := <-leaveDone; status != http.StatusOK {
 		t.Fatalf("queued leave returned %d, want 200", status)
 	}
-	waitFor(t, 10*time.Second, "table reflects both changes", func() bool {
-		tbl := tc.nodes[0].Table()
+	if !WaitFor(10*time.Second, func() bool {
+		tbl := tc.Members[0].Node.Table()
 		_, joined := tbl.Member("n4")
 		_, left := tbl.Member("n3")
 		return joined && !left
-	})
+	}) {
+		t.Fatal("the table never reflected both changes")
+	}
 }
 
 // TestGracefulLeaveStaysOut: a live member that gracefully left is
@@ -316,19 +341,19 @@ func TestLeaveQueuesBehindJoin(t *testing.T) {
 // table that dropped it is its own departure, not an eviction: it must
 // not fence-and-rejoin its way back into any survivor's table.
 func TestGracefulLeaveStaysOut(t *testing.T) {
-	tc := newHealthCluster(t, 3, 2, nil)
-	if status, body := post(t, tc.urls[0]+"/v1/cluster/leave", map[string]any{"id": "n3"}, nil); status != http.StatusOK {
+	tc := newTestCluster(t, 3, 2, 8, 10000, 50, detect)
+	if status, body := post(t, tc.Members[0].URL+"/v1/cluster/leave", map[string]any{"id": "n3"}, nil); status != http.StatusOK {
 		t.Fatalf("graceful leave of n3 returned %d: %s", status, body)
 	}
 	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
-		for i, nd := range tc.nodes[:2] {
+		for i, nd := range tc.Nodes()[:2] {
 			if tbl := nd.Table(); tbl.Epoch > 1 {
 				if _, listed := tbl.Member("n3"); listed {
 					t.Fatalf("n%d's table lists n3 at epoch %d after its graceful leave", i+1, tbl.Epoch)
 				}
 			}
 		}
-		if rejoins := tc.nodes[2].Stats().Cluster.Rejoins; rejoins != 0 {
+		if rejoins := tc.Members[2].Node.Stats().Cluster.Rejoins; rejoins != 0 {
 			t.Fatalf("n3 rejoined %d times after its graceful leave, want 0", rejoins)
 		}
 	}
@@ -338,17 +363,20 @@ func TestGracefulLeaveStaysOut(t *testing.T) {
 // the configured bound, the queued leave must fail with a clear
 // "steward busy" error rather than hanging.
 func TestLeaveBoundedWaitBehindStuckJoin(t *testing.T) {
-	tc := newHealthCluster(t, 3, 2, func(i int, c *Config) {
+	tc := newTestCluster(t, 3, 2, 8, 10000, 50, detect, func(c *Config) {
 		c.StewardWait = 150 * time.Millisecond
 	})
 
-	joiner, _ := newJoiner(t, "n4")
+	joiner, err := tc.joiner("n4")
+	if err != nil {
+		t.Fatal(err)
+	}
 	parked, release := parkSteward(t, tc, 0, "join.announced")
 	joinDone := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		joinDone <- joiner.JoinCluster(ctx, tc.urls[0], nil)
+		joinDone <- joiner.Node.JoinCluster(ctx, tc.Members[0].URL, nil)
 	}()
 	select {
 	case <-parked:
@@ -356,7 +384,7 @@ func TestLeaveBoundedWaitBehindStuckJoin(t *testing.T) {
 		t.Fatal("steward never reached join.announced")
 	}
 
-	status, body := post(t, tc.urls[0]+"/v1/cluster/leave", map[string]any{"id": "n3"}, nil)
+	status, body := post(t, tc.Members[0].URL+"/v1/cluster/leave", map[string]any{"id": "n3"}, nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("leave behind a stuck join returned %d, want 503: %s", status, body)
 	}

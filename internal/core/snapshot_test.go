@@ -90,10 +90,10 @@ func TestRestoreStateErrorsAndTrims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Theta.RateAt(cpuL1, 3); got != 0 {
+	if got := s.Theta.MinRate(cpuL1, interval.New(3, 4)); got != 0 {
 		t.Errorf("stale availability survived restore: %d", got)
 	}
-	if got := s.Theta.RateAt(cpuL1, 10); got != u(2) {
+	if got := s.Theta.MinRate(cpuL1, interval.New(10, 11)); got != u(2) {
 		t.Errorf("future availability lost: %d", got)
 	}
 }

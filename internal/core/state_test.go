@@ -56,10 +56,10 @@ func seqJob(t testing.TB, name string, actor compute.ActorName, start, deadline 
 func TestNewStateTrimsPast(t *testing.T) {
 	theta := resource.NewSet(resource.NewTerm(u(5), cpuL1, interval.New(0, 10)))
 	s := NewState(theta, 4)
-	if got := s.Theta.RateAt(cpuL1, 2); got != 0 {
+	if got := s.Theta.MinRate(cpuL1, interval.New(2, 3)); got != 0 {
 		t.Errorf("pre-now availability survived: %d", got)
 	}
-	if got := s.Theta.RateAt(cpuL1, 6); got != u(5) {
+	if got := s.Theta.MinRate(cpuL1, interval.New(6, 7)); got != u(5) {
 		t.Errorf("future availability lost: %d", got)
 	}
 	if !strings.Contains(s.String(), "t=4") {
@@ -76,10 +76,10 @@ func TestAcquireRule(t *testing.T) {
 	if tr.Kind != KindAcquire || tr.From != 5 || tr.To != 5 {
 		t.Errorf("transition = %+v", tr)
 	}
-	if got := next.Theta.RateAt(cpuL1, 10); got != u(3) {
+	if got := next.Theta.MinRate(cpuL1, interval.New(10, 11)); got != u(3) {
 		t.Errorf("joined rate = %d", got)
 	}
-	if got := next.Theta.RateAt(cpuL1, 3); got != 0 {
+	if got := next.Theta.MinRate(cpuL1, interval.New(3, 4)); got != 0 {
 		t.Errorf("past availability of joined resource survived")
 	}
 	// Original state untouched.

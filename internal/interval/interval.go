@@ -55,11 +55,6 @@ func (iv Interval) Len() Time {
 	return iv.End - iv.Start
 }
 
-// Contains reports whether tick t lies inside the interval.
-func (iv Interval) Contains(t Time) bool {
-	return iv.Start <= t && t < iv.End
-}
-
 // ContainsInterval reports whether other is fully inside iv. The empty
 // interval is contained in everything.
 func (iv Interval) ContainsInterval(other Interval) bool {

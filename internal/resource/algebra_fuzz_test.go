@@ -80,7 +80,7 @@ func (d dense) sub(e dense, saturate bool) (dense, bool) {
 func (d dense) keep(window interval.Interval, keepType func(k int) bool) dense {
 	for k := range d {
 		for at := range d[k] {
-			if !keepType(k) || !window.Contains(interval.Time(at)) {
+			if t := interval.Time(at); !keepType(k) || t < window.Start || t >= window.End {
 				d[k][at] = 0
 			}
 		}

@@ -221,16 +221,6 @@ func (p profile) scan(at pos, t interval.Time) (pos, int) {
 	return at, passed
 }
 
-// rateAt returns the rate available at tick t.
-func (p profile) rateAt(t interval.Time) Rate {
-	if at := p.search(t); at.c < p.numChunks() {
-		if s := p.chunk(at.c)[at.i]; s.span.Contains(t) {
-			return s.rate
-		}
-	}
-	return 0
-}
-
 // cursor reads a stretch of a profile's segments in time order, across
 // chunk boundaries and without copying them.
 type cursor struct {

@@ -38,7 +38,7 @@ func TestSubtractSaturatingBasics(t *testing.T) {
 	}
 
 	// Receiver unchanged (pure operation).
-	if s.RateAt(cpuL1, 5) != u(5) {
+	if s.MinRate(cpuL1, interval.New(5, 6)) != u(5) {
 		t.Error("SubtractSaturating mutated receiver")
 	}
 }
@@ -55,11 +55,11 @@ func TestPropertySubtractSaturatingPointwise(t *testing.T) {
 		}
 		got := a.SubtractSaturating(b)
 		for tick := interval.Time(0); tick < 24; tick++ {
-			want := a.RateAt(cpuL1, tick) - b.RateAt(cpuL1, tick)
+			want := a.MinRate(cpuL1, interval.New(tick, tick+1)) - b.MinRate(cpuL1, interval.New(tick, tick+1))
 			if want < 0 {
 				want = 0
 			}
-			if have := got.RateAt(cpuL1, tick); have != want {
+			if have := got.MinRate(cpuL1, interval.New(tick, tick+1)); have != want {
 				t.Fatalf("iter %d tick %d: got %d want %d (a=%v b=%v)",
 					iter, tick, have, want, a, b)
 			}

@@ -337,14 +337,6 @@ func (s Set) NumTerms() int {
 	return n
 }
 
-// RateAt returns the available rate of lt at tick t.
-//
-// Kept: point checks in the tests of resource, core, actor, churn,
-// scenario and the root package.
-func (s Set) RateAt(lt LocatedType, t interval.Time) Rate {
-	return s.profileOf(lt).rateAt(t)
-}
-
 // MinRate returns the minimum rate of lt over the window (zero if any
 // tick is uncovered).
 func (s Set) MinRate(lt LocatedType, window interval.Interval) Rate {

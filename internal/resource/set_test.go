@@ -27,10 +27,10 @@ func TestPaperWorkedExampleDifferentTypes(t *testing.T) {
 	if len(terms) != 2 {
 		t.Fatalf("got %d terms: %v", len(terms), s)
 	}
-	if s.RateAt(cpuL1, 2) != u(5) || s.RateAt(netL12, 4) != u(5) {
+	if s.MinRate(cpuL1, interval.New(2, 3)) != u(5) || s.MinRate(netL12, interval.New(4, 5)) != u(5) {
 		t.Error("rates wrong")
 	}
-	if s.RateAt(cpuL1, 4) != 0 {
+	if s.MinRate(cpuL1, interval.New(4, 5)) != 0 {
 		t.Error("cpu should be gone at t=4")
 	}
 }
@@ -188,17 +188,17 @@ func TestConsume(t *testing.T) {
 	if err := s.Consume(cpuL1, interval.New(0, 4), u(3)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.RateAt(cpuL1, 2); got != u(2) {
+	if got := s.MinRate(cpuL1, interval.New(2, 3)); got != u(2) {
 		t.Errorf("after consume rate = %d", got)
 	}
-	if got := s.RateAt(cpuL1, 6); got != u(5) {
+	if got := s.MinRate(cpuL1, interval.New(6, 7)); got != u(5) {
 		t.Errorf("untouched region rate = %d", got)
 	}
 	if err := s.Consume(cpuL1, interval.New(0, 4), u(3)); !errors.Is(err, ErrInsufficient) {
 		t.Errorf("over-consume should fail, got %v", err)
 	}
 	// Failed consume must not mutate.
-	if got := s.RateAt(cpuL1, 2); got != u(2) {
+	if got := s.MinRate(cpuL1, interval.New(2, 3)); got != u(2) {
 		t.Errorf("failed consume mutated set: rate = %d", got)
 	}
 	// No-op consumes.
@@ -216,10 +216,10 @@ func TestTrimBefore(t *testing.T) {
 		NewTerm(u(3), netL12, interval.New(0, 4)),
 	)
 	expired := s.TrimBefore(4)
-	if got := s.RateAt(cpuL1, 5); got != u(5) {
+	if got := s.MinRate(cpuL1, interval.New(5, 6)); got != u(5) {
 		t.Errorf("future cpu rate = %d", got)
 	}
-	if got := s.RateAt(cpuL1, 3); got != 0 {
+	if got := s.MinRate(cpuL1, interval.New(3, 4)); got != 0 {
 		t.Errorf("past cpu rate = %d, want 0", got)
 	}
 	if !s.profileOf(netL12).empty() {
@@ -273,7 +273,7 @@ func TestSetMisc(t *testing.T) {
 	if err := c.Consume(cpuL1, interval.New(2, 6), u(5)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.RateAt(cpuL1, 3); got != u(5) {
+	if got := s.MinRate(cpuL1, interval.New(3, 4)); got != u(5) {
 		t.Error("Clone shares storage with original")
 	}
 }
@@ -322,8 +322,8 @@ func TestPropertySetUnionPointwise(t *testing.T) {
 		un := a.Union(b)
 		for _, lt := range types {
 			for tick := interval.Time(0); tick < 22; tick++ {
-				want := a.RateAt(lt, tick) + b.RateAt(lt, tick)
-				if got := un.RateAt(lt, tick); got != want {
+				want := a.MinRate(lt, interval.New(tick, tick+1)) + b.MinRate(lt, interval.New(tick, tick+1))
+				if got := un.MinRate(lt, interval.New(tick, tick+1)); got != want {
 					t.Fatalf("iter %d: union rate at %v/%d = %d, want %d (a=%v b=%v)",
 						iter, lt, tick, got, want, a, b)
 				}
@@ -418,10 +418,10 @@ func TestMesh(t *testing.T) {
 	if got := len(theta.Types()); got != 3+6 {
 		t.Fatalf("mesh of 3 locations has %d located types, want 3 cpu + 6 links", got)
 	}
-	if got := theta.RateAt(CPUAt("l2"), 50); got != FromUnits(4) {
+	if got := theta.MinRate(CPUAt("l2"), interval.New(50, 51)); got != FromUnits(4) {
 		t.Errorf("cpu@l2 rate %v, want 4", got)
 	}
-	if got := theta.RateAt(Link("l3", "l1"), 99); got != FromUnits(1) {
+	if got := theta.MinRate(Link("l3", "l1"), interval.New(99, 100)); got != FromUnits(1) {
 		t.Errorf("link l3>l1 rate %v, want 1", got)
 	}
 	if got := len(Mesh(locs, 4, 0, 100).Types()); got != 3 {
@@ -471,7 +471,7 @@ func TestPropertyDominatesWithin(t *testing.T) {
 		for _, lt := range types {
 			hull := w.Restrict(interval.New(interval.NegInfinity, interval.Infinity), lt).Hull()
 			for tick := hull.Start; tick < hull.End; tick++ {
-				if a.RateAt(lt, tick) < b.RateAt(lt, tick) {
+				if a.MinRate(lt, interval.New(tick, tick+1)) < b.MinRate(lt, interval.New(tick, tick+1)) {
 					want = false
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/compute"
+	"repro/internal/interval"
 	"repro/internal/resource"
 )
 
@@ -34,10 +35,10 @@ func TestParseSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Resources union across lines.
-	if got := sc.Resources.RateAt(resource.CPUAt("l1"), 5); got != resource.FromUnits(5) {
+	if got := sc.Resources.MinRate(resource.CPUAt("l1"), interval.New(5, 6)); got != resource.FromUnits(5) {
 		t.Errorf("cpu@l1 rate = %d", got)
 	}
-	if got := sc.Resources.RateAt(resource.CPUAt("l2"), 5); got != resource.FromUnits(3) {
+	if got := sc.Resources.MinRate(resource.CPUAt("l2"), interval.New(5, 6)); got != resource.FromUnits(3) {
 		t.Errorf("cpu@l2 rate = %d", got)
 	}
 	if len(sc.Jobs) != 2 {

@@ -51,10 +51,10 @@ const (
 // dumpLogs prints every failover-relevant log line the nodes wrote,
 // grouped by node, so a failed schedule leaves a usable trail instead of
 // a bare assertion message.
-func dumpLogs(out io.Writer, ms []*member) {
+func dumpLogs(out io.Writer, ms []*cluster.Member) {
 	for _, m := range ms {
-		fmt.Fprintf(out, "--- %s failover log ---\n", m.id)
-		for _, line := range strings.Split(m.log.String(), "\n") {
+		fmt.Fprintf(out, "--- %s failover log ---\n", m.ID)
+		for _, line := range strings.Split(m.Log.String(), "\n") {
 			if strings.Contains(line, "health.") || strings.Contains(line, "membership.") || strings.Contains(line, "rpc.") {
 				fmt.Fprintln(out, line)
 			}
@@ -69,20 +69,22 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 	ctx := context.Background()
 	httpc := &http.Client{Timeout: 10 * time.Second}
 
-	f, err := boot(cfg.Nodes, locs, func(m *member, c *cluster.Config) {
-		net0.Register(m.id, m.url)
+	setup := member(locs)
+	f, err := cluster.StartFleet(cfg.Nodes, locs, func(m *cluster.Member, c *cluster.Config) {
+		setup(m, c)
+		net0.Register(m.ID, m.URL)
 		c.GossipInterval = chaosGossip
 		c.RPCTimeout, c.RPCRetries = chaosRPCTimeout, chaosRPCRetries
 		c.RPCBackoffBase, c.RPCBackoffCap = 10*time.Millisecond, 100*time.Millisecond
 		c.SuspectPhi = chaosSuspectPhi
 		c.EvictPhi = chaosEvictPhi // > 0: automatic quorum eviction ON
-		c.Transport = net0.Transport(m.id, nil)
+		c.Transport = net0.Transport(m.ID, nil)
 	})
 	if err != nil {
 		return err
 	}
-	defer f.stop()
-	members := f.members
+	defer f.Stop()
+	members := f.Members
 	defer func() {
 		if err != nil {
 			dumpLogs(out, members)
@@ -96,7 +98,7 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 		if err != nil {
 			return err
 		}
-		if ok, status, data, err := admitted(ctx, httpc, members[0].url, job); !ok {
+		if ok, status, data, err := admitted(ctx, httpc, members[0].URL, job); !ok {
 			return fmt.Errorf("chaos selftest: seed on %s not admitted (status %d, err %v, body %s)",
 				loc, status, err, bytes.TrimSpace(data))
 		}
@@ -114,7 +116,7 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 	// victims), batch after batch until the schedule ends. Request errors
 	// during a failure window are expected — what must hold is the ledger
 	// invariant, not per-request success.
-	stableURLs := []string{members[0].url, members[1].url}
+	stableURLs := []string{members[0].URL, members[1].URL}
 	stopLoad := make(chan struct{})
 	type loadTotals struct {
 		batches int
@@ -169,19 +171,19 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 		// A cold φ detector cannot tell silence from a peer that never
 		// spoke: every member needs its inter-arrival baseline (MinSamples
 		// observations of every other member) before a failure is staged.
-		if err := waitDetectorsWarm(f.live(), 45*time.Second); err != nil {
+		if err := cluster.WaitDetectorsWarm(f.Live(), 45*time.Second); err != nil {
 			return fmt.Errorf("chaos selftest: before %s round: %w", kind, err)
 		}
 		vi := 2 + rng.Intn(cfg.Nodes-2)
 		victim := members[vi]
-		vlocs := victim.nd.Table().Locations(victim.id)
+		vlocs := victim.Node.Table().Locations(victim.ID)
 		if len(vlocs) == 0 {
 			// The rendezvous shuffle can leave a node location-less; the
 			// failover latency probe needs an owned location, so fall
 			// back to any slot that has one.
 			for off := 1; off < cfg.Nodes-2; off++ {
 				alt := members[2+(vi-2+off)%(cfg.Nodes-2)]
-				if owned := alt.nd.Table().Locations(alt.id); len(owned) > 0 {
+				if owned := alt.Node.Table().Locations(alt.ID); len(owned) > 0 {
 					victim, vlocs = alt, owned
 					break
 				}
@@ -190,49 +192,49 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 		if len(vlocs) == 0 {
 			return fmt.Errorf("chaos selftest: no non-stable node owns a location; cannot stage a %s round", kind)
 		}
-		res := roundResult{kind: kind, victim: victim.id}
+		res := roundResult{kind: kind, victim: victim.ID}
 
 		switch kind {
 		case "kill":
 			killedAt := time.Now()
-			if err := victim.kill(); err != nil { // inbound and outbound gone: true silence
-				return fmt.Errorf("chaos selftest: killing %s: %w", victim.id, err)
+			if err := victim.Kill(); err != nil { // inbound and outbound gone: true silence
+				return fmt.Errorf("chaos selftest: killing %s: %w", victim.ID, err)
 			}
-			if !waitFor(chaosAdmitBound, listedBy(f.live(), victim.id, false)) {
-				return fmt.Errorf("chaos selftest: kill round: %s was never auto-evicted within %s", victim.id, chaosAdmitBound)
+			if !cluster.WaitFor(chaosAdmitBound, listedBy(f.Live(), victim.ID, false)) {
+				return fmt.Errorf("chaos selftest: kill round: %s was never auto-evicted within %s", victim.ID, chaosAdmitBound)
 			}
 			res.detectMS = msSince(killedAt)
 
 			// Detection-to-first-admit: hammer the dead owner's first
 			// location through a stable node until an admission lands on
 			// the promoted standby.
-			res.admitMS, err = firstAdmit(ctx, httpc, members[0].url, fmt.Sprintf("chaos-kill-%d", killSerial), vlocs[0], 0, killedAt, chaosAdmitBound)
+			res.admitMS, err = firstAdmit(ctx, httpc, members[0].URL, fmt.Sprintf("chaos-kill-%d", killSerial), vlocs[0], 0, killedAt, chaosAdmitBound)
 			if err != nil {
-				return fmt.Errorf("chaos selftest: after killing %s: %w", victim.id, err)
+				return fmt.Errorf("chaos selftest: after killing %s: %w", victim.ID, err)
 			}
 			killSerial++
 
 			// Restart the slot as a brand-new dynamic joiner under the
 			// same ID: the fresh node must be handed ownership while the
 			// load keeps running.
-			if err := f.join(victim, members[0].url, nil); err != nil {
-				return fmt.Errorf("chaos selftest: %s rejoining after kill: %w", victim.id, err)
+			if _, err := f.Join(victim.ID, members[0].URL, nil); err != nil {
+				return fmt.Errorf("chaos selftest: %s rejoining after kill: %w", victim.ID, err)
 			}
-			if !waitFor(15*time.Second, listedBy(f.live(), victim.id, true)) {
-				return fmt.Errorf("chaos selftest: restarted %s never appeared in every member's table", victim.id)
+			if !cluster.WaitFor(15*time.Second, listedBy(f.Live(), victim.ID, true)) {
+				return fmt.Errorf("chaos selftest: restarted %s never appeared in every member's table", victim.ID)
 			}
 
 		case "partition":
 			cutAt := time.Now()
-			net0.Partition([]string{victim.id}) // victim alone vs. everyone
-			var survivors []*member
-			for _, m := range f.live() {
+			net0.Partition([]string{victim.ID}) // victim alone vs. everyone
+			var survivors []*cluster.Member
+			for _, m := range f.Live() {
 				if m != victim {
 					survivors = append(survivors, m)
 				}
 			}
-			if !waitFor(chaosAdmitBound, listedBy(survivors, victim.id, false)) {
-				return fmt.Errorf("chaos selftest: partition round: %s was never auto-evicted within %s", victim.id, chaosAdmitBound)
+			if !cluster.WaitFor(chaosAdmitBound, listedBy(survivors, victim.ID, false)) {
+				return fmt.Errorf("chaos selftest: partition round: %s was never auto-evicted within %s", victim.ID, chaosAdmitBound)
 			}
 			res.detectMS = msSince(cutAt)
 
@@ -240,16 +242,16 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 			// gossip push is fenced with 421 by the survivors, and it
 			// must drop its state and rejoin entirely on its own.
 			net0.Heal()
-			if !waitFor(chaosAdmitBound, listedBy(f.live(), victim.id, true)) {
-				return fmt.Errorf("chaos selftest: %s never rejoined after heal within %s", victim.id, chaosAdmitBound)
+			if !cluster.WaitFor(chaosAdmitBound, listedBy(f.Live(), victim.ID, true)) {
+				return fmt.Errorf("chaos selftest: %s never rejoined after heal within %s", victim.ID, chaosAdmitBound)
 			}
 			// The survivors list the victim as soon as the steward
 			// commits the join; the victim bumps its own counter only
 			// after its JoinCluster call returns — poll briefly rather
 			// than racing that gap.
-			if !waitFor(5*time.Second, func() bool { return victim.nd.Stats().Cluster.Rejoins >= 1 }) {
+			if !cluster.WaitFor(5*time.Second, func() bool { return victim.Node.Stats().Cluster.Rejoins >= 1 }) {
 				return fmt.Errorf("chaos selftest: healed %s recorded %d rejoins, want >= 1 (rejoin must be automatic)",
-					victim.id, victim.nd.Stats().Cluster.Rejoins)
+					victim.ID, victim.Node.Stats().Cluster.Rejoins)
 			}
 		}
 		results = append(results, res)
@@ -264,7 +266,7 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 	}
 	net0.ClearRules()
 	net0.Heal()
-	if err := waitConverged(f.live(), locs, 20*time.Second); err != nil {
+	if err := waitConverged(f.Live(), locs, 20*time.Second); err != nil {
 		return fmt.Errorf("chaos selftest: %w", err)
 	}
 
@@ -274,15 +276,15 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 	// means failover dropped it; after Advance the seeds complete
 	// legitimately (their plans finish long before the sweep point) and
 	// vanish from the commit table by design.
-	liveNodes := f.nodes()
+	liveNodes := f.Nodes()
 	for _, loc := range locs {
 		name := "chaos-seed-" + string(loc)
-		if homes := ledgerHomes(liveNodes, name); homes != 1 {
+		if homes := cluster.Homes(liveNodes, name); homes != 1 {
 			owner, _ := liveNodes[0].Table().OwnerOf(loc)
 			var held []string
-			for _, m := range f.live() {
-				if _, ok := m.nd.Server().Ledger().Commitment(name); ok {
-					held = append(held, m.id)
+			for _, m := range f.Live() {
+				if _, ok := m.Node.Server().Ledger().Commitment(name); ok {
+					held = append(held, m.ID)
 				}
 			}
 			return fmt.Errorf("chaos selftest: %s lives on %d ledgers after the schedule, want exactly 1 (loc owned by %s, held on %v)",
@@ -292,16 +294,16 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 
 	// Sweep every lease orphaned by a mid-protocol failure, then audit.
 	sweepAt := leaseTTL * 4
-	status, _, err := postJSON(ctx, httpc, members[0].url+"/v1/cluster/advance", map[string]any{"now": sweepAt})
+	status, _, err := postJSON(ctx, httpc, members[0].URL+"/v1/cluster/advance", map[string]any{"now": sweepAt})
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("chaos selftest: advance sweep: status %d, err %v", status, err)
 	}
-	for _, m := range f.live() {
-		if holds := m.nd.Server().Ledger().NumHolds(); holds != 0 {
-			return fmt.Errorf("chaos selftest: node %s still has %d leased holds after the sweep", m.id, holds)
+	for _, m := range f.Live() {
+		if holds := m.Node.Server().Ledger().NumHolds(); holds != 0 {
+			return fmt.Errorf("chaos selftest: node %s still has %d leased holds after the sweep", m.ID, holds)
 		}
-		if err := m.nd.Server().Ledger().Audit(); err != nil {
-			return fmt.Errorf("chaos selftest: node %s audit: %w", m.id, err)
+		if err := m.Node.Server().Ledger().Audit(); err != nil {
+			return fmt.Errorf("chaos selftest: node %s audit: %w", m.ID, err)
 		}
 	}
 
@@ -309,7 +311,7 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 	// in this harness ever calls /v1/cluster/leave), the fence fired, and
 	// the partitioned node came back by itself.
 	var evictions, rejoins, fenced, repairs, promotions uint64
-	for _, nd := range f.nodes() {
+	for _, nd := range f.Nodes() {
 		st := nd.Stats().Cluster
 		evictions += st.AutoEvictions
 		rejoins += st.Rejoins
@@ -336,7 +338,7 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 	// promises must exist, or the ledger tracked nothing. Read through
 	// the cluster fan-out so the endpoint itself is exercised.
 	var aresp cluster.ClusterAssureResponse
-	if err := GetJSON(ctx, httpc, members[0].url+"/v1/assure", &aresp); err != nil {
+	if err := GetJSON(ctx, httpc, members[0].URL+"/v1/assure", &aresp); err != nil {
 		return fmt.Errorf("chaos selftest: cluster assure fan-out: %w", err)
 	}
 	for id, rep := range aresp.Nodes {
@@ -356,10 +358,10 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 	// code path rotadoctor runs — must reconstruct at least one connected
 	// trace spanning two or more nodes.
 	var snaps []flightrec.Snapshot
-	for _, m := range f.live() {
+	for _, m := range f.Live() {
 		var idx server.FlightRecIndex
-		if err := GetJSON(ctx, httpc, m.url+"/debug/rota/flightrec", &idx); err != nil {
-			return fmt.Errorf("chaos selftest: flightrec index from %s: %w", m.id, err)
+		if err := GetJSON(ctx, httpc, m.URL+"/debug/rota/flightrec", &idx); err != nil {
+			return fmt.Errorf("chaos selftest: flightrec index from %s: %w", m.ID, err)
 		}
 		snaps = append(snaps, idx.Snapshots...)
 	}
@@ -406,7 +408,7 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 	t.AddRow("wire passed", fc.Passed)
 	t.AddRow("wire dropped", fc.Dropped)
 	t.AddRow("wire partition drops", fc.Partition)
-	t.AddRow("membership epoch", members[0].nd.Table().Epoch)
+	t.AddRow("membership epoch", members[0].Node.Table().Epoch)
 	t.Print(out, cfg.CSV)
 	fmt.Fprintln(out)
 	incident.WriteReport(out, 20)
@@ -417,22 +419,22 @@ func runChaos(out io.Writer, cfg Config, locs []resource.Location) (err error) {
 // waitShadowsWarm blocks until every location's rendezvous runner-up
 // holds a shadow with at least one commitment — the seeds must be
 // survivable before anything is allowed to die.
-func waitShadowsWarm(members []*member, locs []resource.Location, timeout time.Duration) error {
-	byID := make(map[string]*member, len(members))
+func waitShadowsWarm(members []*cluster.Member, locs []resource.Location, timeout time.Duration) error {
+	byID := make(map[string]*cluster.Member, len(members))
 	for _, m := range members {
-		byID[m.id] = m
+		byID[m.ID] = m
 	}
 	var cold resource.Location
 	var err error
-	if waitFor(timeout, func() bool {
-		tbl := members[0].nd.Table()
+	if cluster.WaitFor(timeout, func() bool {
+		tbl := members[0].Node.Table()
 		for _, loc := range locs {
 			standby := byID[tbl.StandbyOf(loc)]
 			if standby == nil {
 				err = fmt.Errorf("standby of %s is not a member", loc)
 				return true
 			}
-			if cms, _, ok := standby.nd.ShadowFor(loc); !ok || cms < 1 {
+			if cms, _, ok := standby.Node.ShadowFor(loc); !ok || cms < 1 {
 				cold = loc
 				return false
 			}
@@ -444,42 +446,17 @@ func waitShadowsWarm(members []*member, locs []resource.Location, timeout time.D
 	return fmt.Errorf("shadow for %s never warmed on its standby", cold)
 }
 
-// waitDetectorsWarm blocks until every live member's φ detector holds at
-// least MinSamples inter-arrival observations for every other live
-// member — the baseline without which silence carries no suspicion.
-func waitDetectorsWarm(ms []*member, timeout time.Duration) error {
-	var cold string
-	if waitFor(timeout, func() bool {
-		for _, m := range ms {
-			samples := make(map[string]int)
-			for _, ph := range m.nd.Stats().Health.Peers {
-				samples[ph.Peer] = ph.Samples
-			}
-			for _, other := range ms {
-				if other.id != m.id && samples[other.id] < 3 {
-					cold = fmt.Sprintf("%s has %d samples for %s", m.id, samples[other.id], other.id)
-					return false
-				}
-			}
-		}
-		return true
-	}) {
-		return nil
-	}
-	return fmt.Errorf("failure detectors never warmed within %s (%s)", timeout, cold)
-}
-
 // waitConverged blocks until all nodes agree on one table epoch and every
 // location is owned by a live member.
-func waitConverged(ms []*member, locs []resource.Location, timeout time.Duration) error {
+func waitConverged(ms []*cluster.Member, locs []resource.Location, timeout time.Duration) error {
 	live := make(map[string]bool, len(ms))
 	for _, m := range ms {
-		live[m.id] = true
+		live[m.ID] = true
 	}
-	if waitFor(timeout, func() bool {
-		epoch := ms[0].nd.Table().Epoch
+	if cluster.WaitFor(timeout, func() bool {
+		epoch := ms[0].Node.Table().Epoch
 		for _, m := range ms {
-			tbl := m.nd.Table()
+			tbl := m.Node.Table()
 			if tbl.Epoch != epoch {
 				return false
 			}

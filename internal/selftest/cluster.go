@@ -25,14 +25,18 @@ import (
 // and no lease outlives its TTL past the advance. Migration, query,
 // join, failover and promise-continuity probes run around the load.
 func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
-	f, err := boot(cfg.Nodes, locs, nil)
+	setup := member(locs)
+	spans := make(map[string]*span.Store)
+	f, err := cluster.StartFleet(cfg.Nodes, locs, func(m *cluster.Member, c *cluster.Config) {
+		setup(m, c)
+		spans[m.ID] = c.Spans
+	})
 	if err != nil {
 		return err
 	}
-	defer f.stop()
-	seeds := f.members
-	nodes := f.nodes()
-	parts := cluster.PartitionLocations(locs, cfg.Nodes) // what boot gave each seed
+	defer f.Stop()
+	seeds := f.Members
+	nodes := f.Nodes()
 
 	httpc := &http.Client{Timeout: 10 * time.Second}
 	ctx := context.Background()
@@ -41,12 +45,12 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	// forces two-phase coordination on n1; the armed crash stops the
 	// coordinator dead after its prepares succeed, leaving leased holds
 	// on both participants for the expiry sweep to reclaim.
-	crashJob, err := probeJob("probe-crash", 0, parts[0][0], parts[1][0])
+	crashJob, err := probeJob("probe-crash", 0, seeds[0].Locations[0], seeds[1].Locations[0])
 	if err != nil {
 		return err
 	}
 	nodes[0].InjectCrashBeforeCommit()
-	status, _, err := postJSON(ctx, httpc, seeds[0].url+"/v1/admit", crashJob)
+	status, _, err := postJSON(ctx, httpc, seeds[0].URL+"/v1/admit", crashJob)
 	if err != nil {
 		return fmt.Errorf("cluster selftest: crash probe: %w", err)
 	}
@@ -68,11 +72,11 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	// every node it touched.
 	const probeTrace = "selftest-trace-0001"
 	coordIdx := cfg.Nodes - 1
-	traceJob, err := probeJob("probe-trace", 0, parts[0][0], parts[1][0])
+	traceJob, err := probeJob("probe-trace", 0, seeds[0].Locations[0], seeds[1].Locations[0])
 	if err != nil {
 		return err
 	}
-	r, err := send(ctx, httpc, seeds[coordIdx].url+"/v1/admit", probeTrace, traceJob)
+	r, err := send(ctx, httpc, seeds[coordIdx].URL+"/v1/admit", probeTrace, traceJob)
 	if err != nil {
 		return fmt.Errorf("cluster selftest: trace probe: %w", err)
 	}
@@ -81,11 +85,11 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 		return fmt.Errorf("cluster selftest: trace probe not admitted (status %d, body %s)", r.status, bytes.TrimSpace(r.body))
 	}
 	for _, i := range []int{0, 1, coordIdx} {
-		if log := seeds[i].log.String(); !strings.Contains(log, "trace="+probeTrace) {
-			return fmt.Errorf("cluster selftest: node %s never logged trace %s (log:\n%s)", seeds[i].id, probeTrace, log)
+		if log := seeds[i].Log.String(); !strings.Contains(log, "trace="+probeTrace) {
+			return fmt.Errorf("cluster selftest: node %s never logged trace %s (log:\n%s)", seeds[i].ID, probeTrace, log)
 		}
 	}
-	if status, _, err := postJSON(ctx, httpc, seeds[coordIdx].url+"/v1/release", map[string]string{"name": "probe-trace"}); err != nil || status != http.StatusOK {
+	if status, _, err := postJSON(ctx, httpc, seeds[coordIdx].URL+"/v1/release", map[string]string{"name": "probe-trace"}); err != nil || status != http.StatusOK {
 		return fmt.Errorf("cluster selftest: releasing trace probe: status %d, err %v", status, err)
 	}
 
@@ -97,11 +101,11 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	// poll briefly before declaring the tree broken.
 	var tree *span.Tree
 	var dumpErr error
-	connected := waitFor(2*time.Second, func() bool {
+	connected := cluster.WaitFor(2*time.Second, func() bool {
 		var recs []span.Record
 		for _, m := range seeds {
 			var dump span.Dump
-			if dumpErr = GetJSON(ctx, httpc, m.url+"/debug/rota/trace/"+probeTrace, &dump); dumpErr != nil {
+			if dumpErr = GetJSON(ctx, httpc, m.URL+"/debug/rota/trace/"+probeTrace, &dump); dumpErr != nil {
 				return true
 			}
 			recs = append(recs, dump.Spans...)
@@ -126,7 +130,7 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	if err != nil {
 		return err
 	}
-	urls := f.urls()
+	urls := f.URLs()
 	report, err := RunLoad(ctx, LoadConfig{
 		BaseURLs:        urls,
 		Jobs:            jobs,
@@ -142,14 +146,14 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	// still live (they are accounted reservations until they expire).
 	for i, nd := range nodes {
 		if err := nd.Server().Ledger().Audit(); err != nil {
-			return fmt.Errorf("cluster selftest: node %s audit before sweep: %w", seeds[i].id, err)
+			return fmt.Errorf("cluster selftest: node %s audit before sweep: %w", seeds[i].ID, err)
 		}
 	}
 
 	// Advance every ledger past the TTL through the fan-out endpoint:
 	// the sweep must reclaim the crash probe's holds on every node.
 	sweepAt := leaseTTL * 2
-	status, _, err = postJSON(ctx, httpc, seeds[0].url+"/v1/cluster/advance", map[string]any{"now": sweepAt})
+	status, _, err = postJSON(ctx, httpc, seeds[0].URL+"/v1/cluster/advance", map[string]any{"now": sweepAt})
 	if err != nil {
 		return fmt.Errorf("cluster selftest: advance: %w", err)
 	}
@@ -158,25 +162,25 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	}
 	for i, nd := range nodes {
 		if holds := nd.Server().Ledger().NumHolds(); holds != 0 {
-			return fmt.Errorf("cluster selftest: node %s still has %d holds after sweep at t=%d", seeds[i].id, holds, sweepAt)
+			return fmt.Errorf("cluster selftest: node %s still has %d holds after sweep at t=%d", seeds[i].ID, holds, sweepAt)
 		}
 		if err := nd.Server().Ledger().Audit(); err != nil {
-			return fmt.Errorf("cluster selftest: node %s audit after sweep: %w", seeds[i].id, err)
+			return fmt.Errorf("cluster selftest: node %s audit after sweep: %w", seeds[i].ID, err)
 		}
 	}
 
 	// Probe 3: migration. Admit a job owned wholly by n2 (forwarded from
 	// n1), re-home it to the next node via the migrate rule, release it
 	// cluster-wide.
-	migrateJob, err := probeJob("probe-migrate", sweepAt, parts[1][0])
+	migrateJob, err := probeJob("probe-migrate", sweepAt, seeds[1].Locations[0])
 	if err != nil {
 		return err
 	}
-	if ok, status, data, err := admitted(ctx, httpc, seeds[0].url, migrateJob); !ok {
+	if ok, status, data, err := admitted(ctx, httpc, seeds[0].URL, migrateJob); !ok {
 		return fmt.Errorf("cluster selftest: migrate probe not admitted (status %d, err %v, body %s)", status, err, bytes.TrimSpace(data))
 	}
-	target := seeds[2%cfg.Nodes].id
-	status, data, err := postJSON(ctx, httpc, seeds[1].url+"/v1/cluster/migrate",
+	target := seeds[2%cfg.Nodes].ID
+	status, data, err := postJSON(ctx, httpc, seeds[1].URL+"/v1/cluster/migrate",
 		cluster.MigrateRequest{Name: "probe-migrate", Target: target})
 	if err != nil {
 		return fmt.Errorf("cluster selftest: migrate probe: %w", err)
@@ -184,7 +188,7 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	if status != http.StatusOK {
 		return fmt.Errorf("cluster selftest: migrate to %s returned %d: %s", target, status, bytes.TrimSpace(data))
 	}
-	status, data, err = postJSON(ctx, httpc, seeds[0].url+"/v1/release", map[string]string{"name": "probe-migrate"})
+	status, data, err = postJSON(ctx, httpc, seeds[0].URL+"/v1/release", map[string]string{"name": "probe-migrate"})
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("cluster selftest: releasing migrated job: status %d, err %v, body %s", status, err, bytes.TrimSpace(data))
 	}
@@ -195,7 +199,7 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	// another node commits on its ledger.
 	probePeers := make([]peerProbe, len(seeds))
 	for i, m := range seeds {
-		probePeers[i] = peerProbe{url: m.url, loc: parts[i][0]}
+		probePeers[i] = peerProbe{url: m.URL, loc: m.Locations[0]}
 	}
 	if err := runClusterQueryProbe(ctx, httpc, probePeers, sweepAt); err != nil {
 		return fmt.Errorf("cluster selftest: query probe: %w", err)
@@ -207,7 +211,7 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	// background load keeps hammering the OLD owner URLs. Acceptance:
 	// zero lost committed reservations and zero admission errors —
 	// ownership-moved redirects are followed, never failed.
-	memLoc := parts[cfg.Nodes-1][0]
+	memLoc := seeds[cfg.Nodes-1].Locations[0]
 	const memberSeeds = 4
 	for i := 0; i < memberSeeds; i++ {
 		name := fmt.Sprintf("probe-member-%d", i)
@@ -215,7 +219,7 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 		if err != nil {
 			return err
 		}
-		if ok, status, data, err := admitted(ctx, httpc, seeds[0].url, seedJob); !ok {
+		if ok, status, data, err := admitted(ctx, httpc, seeds[0].URL, seedJob); !ok {
 			return fmt.Errorf("cluster selftest: membership seed %s not admitted (status %d, err %v, body %s)",
 				name, status, err, bytes.TrimSpace(data))
 		}
@@ -243,20 +247,19 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 		bgDone <- bgResult{r, err}
 	}()
 
-	joiner := &member{id: fmt.Sprintf("n%d", cfg.Nodes+1), log: &syncLog{}}
-	f.members = append(f.members, joiner)
-	if err := f.join(joiner, seeds[0].url, []resource.Location{memLoc}); err != nil {
+	joiner, err := f.Join(fmt.Sprintf("n%d", cfg.Nodes+1), seeds[0].URL, []resource.Location{memLoc})
+	if err != nil {
 		return fmt.Errorf("cluster selftest: join: %w", err)
 	}
-	if !waitFor(5*time.Second, func() bool {
+	if !cluster.WaitFor(5*time.Second, func() bool {
 		for _, nd := range nodes {
-			if owner, _ := nd.Table().OwnerOf(memLoc); owner != joiner.id {
+			if owner, _ := nd.Table().OwnerOf(memLoc); owner != joiner.ID {
 				return false
 			}
 		}
 		return true
 	}) {
-		return fmt.Errorf("cluster selftest: ownership of %s never converged on %s", memLoc, joiner.id)
+		return fmt.Errorf("cluster selftest: ownership of %s never converged on %s", memLoc, joiner.ID)
 	}
 	bg := <-bgDone
 	if bg.err != nil {
@@ -266,13 +269,13 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 		return fmt.Errorf("cluster selftest: %d background requests and %d releases errored during join (redirects must be followed, not failed); first: %s",
 			bg.report.Errors, bg.report.ReleaseErrors, bg.report.FirstError)
 	}
-	everyone := f.nodes()
+	everyone := f.Nodes()
 	for i := 0; i < memberSeeds; i++ {
 		name := fmt.Sprintf("probe-member-%d", i)
-		if homes := ledgerHomes(everyone, name); homes != 1 {
+		if homes := cluster.Homes(everyone, name); homes != 1 {
 			return fmt.Errorf("cluster selftest: %s lives on %d ledgers after the join, want exactly 1", name, homes)
 		}
-		if _, ok := joiner.nd.Server().Ledger().Commitment(name); !ok {
+		if _, ok := joiner.Node.Server().Ledger().Commitment(name); !ok {
 			return fmt.Errorf("cluster selftest: %s did not move to the joiner with its location", name)
 		}
 	}
@@ -289,11 +292,11 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	// force-leave it. The standby must promote with every committed
 	// reservation, the lease sweep must reclaim the orphaned hold, and a
 	// fresh admission must land on the new primary.
-	standbyID := joiner.nd.Table().StandbyOf(memLoc)
+	standbyID := joiner.Node.Table().StandbyOf(memLoc)
 	var standby *cluster.Node
 	for _, m := range seeds {
-		if m.id == standbyID {
-			standby = m.nd
+		if m.ID == standbyID {
+			standby = m.Node
 		}
 	}
 	if standby == nil {
@@ -305,7 +308,7 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	// coordinates (its part local, the joiner's under a leased hold).
 	coordIdx, otherLoc := -1, resource.Location("")
 	for i, m := range seeds {
-		if owned := joiner.nd.Table().Locations(m.id); len(owned) > 0 {
+		if owned := joiner.Node.Table().Locations(m.ID); len(owned) > 0 {
 			coordIdx, otherLoc = i, owned[0]
 			break
 		}
@@ -318,19 +321,19 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 		return err
 	}
 	nodes[coordIdx].InjectCrashBeforeCommit()
-	status, _, err = postJSON(ctx, httpc, seeds[coordIdx].url+"/v1/admit", failJob)
+	status, _, err = postJSON(ctx, httpc, seeds[coordIdx].URL+"/v1/admit", failJob)
 	if err != nil {
 		return fmt.Errorf("cluster selftest: failover 2PC probe: %w", err)
 	}
 	if status != http.StatusInternalServerError {
 		return fmt.Errorf("cluster selftest: failover 2PC probe returned %d, want 500 (injected crash)", status)
 	}
-	if holds := joiner.nd.Server().Ledger().NumHolds(); holds < 1 {
+	if holds := joiner.Node.Server().Ledger().NumHolds(); holds < 1 {
 		return fmt.Errorf("cluster selftest: joiner holds %d leases mid-2PC, want >= 1", holds)
 	}
 	var cms, holds int
 	var shadowed bool
-	if !waitFor(5*time.Second, func() bool {
+	if !cluster.WaitFor(5*time.Second, func() bool {
 		cms, holds, shadowed = standby.ShadowFor(memLoc)
 		return shadowed && cms >= memberSeeds && holds >= 1
 	}) {
@@ -341,22 +344,22 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	// Hard stop, mid-protocol: a node that only lost its listener keeps
 	// gossiping, gets fenced by the force-leave below and rejoins — back
 	// in the table this probe requires it to be gone from.
-	if err := joiner.kill(); err != nil {
-		return fmt.Errorf("cluster selftest: killing %s: %w", joiner.id, err)
+	if err := joiner.Kill(); err != nil {
+		return fmt.Errorf("cluster selftest: killing %s: %w", joiner.ID, err)
 	}
 	failoverStart := time.Now() // the primary is dead from here
-	status, data, err = postJSON(ctx, httpc, seeds[0].url+"/v1/cluster/leave",
-		map[string]any{"id": joiner.id, "force": true})
+	status, data, err = postJSON(ctx, httpc, seeds[0].URL+"/v1/cluster/leave",
+		map[string]any{"id": joiner.ID, "force": true})
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("cluster selftest: force leave: status %d, err %v, body %s", status, err, bytes.TrimSpace(data))
 	}
-	failoverAdmitMS, err := firstAdmit(ctx, httpc, seeds[0].url, "probe-failover-admit", memLoc, sweepAt, failoverStart, 10*time.Second)
+	failoverAdmitMS, err := firstAdmit(ctx, httpc, seeds[0].URL, "probe-failover-admit", memLoc, sweepAt, failoverStart, 10*time.Second)
 	if err != nil {
 		return fmt.Errorf("cluster selftest: after failover: %w", err)
 	}
 	for _, nd := range nodes {
-		if _, ok := nd.Table().Member(joiner.id); ok {
-			return fmt.Errorf("cluster selftest: dead primary %s still in the table", joiner.id)
+		if _, ok := nd.Table().Member(joiner.ID); ok {
+			return fmt.Errorf("cluster selftest: dead primary %s still in the table", joiner.ID)
 		}
 		if owner, _ := nd.Table().OwnerOf(memLoc); owner != standbyID {
 			return fmt.Errorf("cluster selftest: %s owned by %q after failover, want standby %s", memLoc, owner, standbyID)
@@ -364,7 +367,7 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	}
 	for i := 0; i < memberSeeds; i++ {
 		name := fmt.Sprintf("probe-member-%d", i)
-		if homes := ledgerHomes(nodes, name); homes != 1 {
+		if homes := cluster.Homes(nodes, name); homes != 1 {
 			return fmt.Errorf("cluster selftest: %s lives on %d survivor ledgers after failover, want 1", name, homes)
 		}
 		if _, ok := standby.Server().Ledger().Commitment(name); !ok {
@@ -377,16 +380,16 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	// Sweep the orphaned mid-2PC lease and re-audit every survivor: no
 	// overcommitment, no leased hold outliving its TTL.
 	failSweepAt := sweepAt + 2*leaseTTL
-	status, _, err = postJSON(ctx, httpc, seeds[0].url+"/v1/cluster/advance", map[string]any{"now": failSweepAt})
+	status, _, err = postJSON(ctx, httpc, seeds[0].URL+"/v1/cluster/advance", map[string]any{"now": failSweepAt})
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("cluster selftest: advance after failover: status %d, err %v", status, err)
 	}
 	for i, nd := range nodes {
 		if holds := nd.Server().Ledger().NumHolds(); holds != 0 {
-			return fmt.Errorf("cluster selftest: node %s still has %d leased holds after the failover sweep", seeds[i].id, holds)
+			return fmt.Errorf("cluster selftest: node %s still has %d leased holds after the failover sweep", seeds[i].ID, holds)
 		}
 		if err := nd.Server().Ledger().Audit(); err != nil {
-			return fmt.Errorf("cluster selftest: node %s audit after failover: %w", seeds[i].id, err)
+			return fmt.Errorf("cluster selftest: node %s audit after failover: %w", seeds[i].ID, err)
 		}
 	}
 	fmt.Fprintf(out, "failover probe ok (first admit %.1f ms after kill)\n", failoverAdmitMS)
@@ -396,7 +399,7 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	// seeds that rode the promotion must be accounted for on the new
 	// primary (kept once complete, active until then), never orphaned.
 	var aresp cluster.ClusterAssureResponse
-	if err := GetJSON(ctx, httpc, seeds[0].url+"/v1/assure", &aresp); err != nil {
+	if err := GetJSON(ctx, httpc, seeds[0].URL+"/v1/assure", &aresp); err != nil {
 		return fmt.Errorf("cluster selftest: assure fan-out: %w", err)
 	}
 	if aresp.Totals.Violated != 0 {
@@ -408,7 +411,7 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 	for i := 0; i < memberSeeds; i++ {
 		name := fmt.Sprintf("probe-member-%d", i)
 		var jresp cluster.ClusterAssureJobResponse
-		if err := GetJSON(ctx, httpc, seeds[0].url+"/v1/assure?job="+name, &jresp); err != nil {
+		if err := GetJSON(ctx, httpc, seeds[0].URL+"/v1/assure?job="+name, &jresp); err != nil {
 			return fmt.Errorf("cluster selftest: assure lookup %s: %w", name, err)
 		}
 		if !jresp.Found {
@@ -433,8 +436,8 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 		handoffs += st.Cluster.Handoffs
 		promotions += st.Cluster.Promotions
 		redirectsServed += st.Cluster.RedirectsServed
-		t.AddRow(fmt.Sprintf("%s decisions", seeds[i].id), st.Decisions)
-		t.AddRow(fmt.Sprintf("%s shards", seeds[i].id), st.Shards)
+		t.AddRow(fmt.Sprintf("%s decisions", seeds[i].ID), st.Decisions)
+		t.AddRow(fmt.Sprintf("%s shards", seeds[i].ID), st.Shards)
 	}
 	t.AddRow("coordinations", coords)
 	t.AddRow("forwarded", forwarded)
@@ -467,15 +470,15 @@ func runCluster(out io.Writer, cfg Config, locs []resource.Location) error {
 		return fmt.Errorf("cluster selftest: %d rejections carried no provenance", report.UnexplainedRejects)
 	}
 	for _, m := range seeds {
-		st := m.spans
+		st := spans[m.ID]
 		if stats := st.Stats(); stats.Live > stats.Capacity {
 			return fmt.Errorf("cluster selftest: node %s span store holds %d spans, bound %d",
-				m.id, stats.Live, stats.Capacity)
+				m.ID, stats.Live, stats.Capacity)
 		}
 		for _, rec := range st.Snapshot() {
 			if rec.Status == span.StatusReject && rec.Provenance == nil {
 				return fmt.Errorf("cluster selftest: node %s recorded a %s reject span without provenance",
-					m.id, rec.Kind)
+					m.ID, rec.Kind)
 			}
 		}
 	}

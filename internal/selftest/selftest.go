@@ -2,9 +2,10 @@
 // client. It boots the daemon in-process on loopback ports — one node,
 // a cluster, or a cluster under a seeded kill/partition/heal schedule —
 // drives a synthetic workload through the real HTTP stack, runs its
-// probes, audits every ledger, and fails on any broken invariant. The
-// harness is the environment the daemon serves, not part of it:
-// cmd/rotaload is its command line.
+// probes, audits every ledger, and fails on any broken invariant. A
+// cluster is a cluster.Fleet, the one in-process federation that the
+// cluster package's tests boot too. The harness is the environment the
+// daemon serves, not part of it: cmd/rotaload is its command line.
 package selftest
 
 import (
@@ -15,7 +16,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/admission"
@@ -92,11 +92,13 @@ func runSingle(out io.Writer, cfg Config, locs []resource.Location) error {
 	if err != nil {
 		return err
 	}
-	ln, baseURL, err := listen()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	httpSrv := serve(ln, srv)
+	baseURL := "http://" + ln.Addr().String()
+	httpSrv := &http.Server{Handler: srv}
+	go func() { _ = httpSrv.Serve(ln) }()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -186,22 +188,6 @@ func nodeConfig(id string, locs []resource.Location, log io.Writer) server.Confi
 	}
 }
 
-// listen opens a loopback listener and returns it with its base URL.
-func listen() (net.Listener, string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", err
-	}
-	return ln, "http://" + ln.Addr().String(), nil
-}
-
-// serve runs h on ln in the background.
-func serve(ln net.Listener, h http.Handler) *http.Server {
-	srv := &http.Server{Handler: h}
-	go func() { _ = srv.Serve(ln) }()
-	return srv
-}
-
 // Mixed and light are the harness's two job shapes. Mixed is the main
 // load: up to three actors of up to four steps, sends and migrations.
 // The light shape is the background load beside membership churn: at
@@ -262,194 +248,28 @@ func Table(title string, r LoadReport, stats *server.StatsResponse) *metrics.Tab
 	return t
 }
 
-// member is one node slot of a loopback cluster. The chaos schedule
-// kills a slot and restarts it as a fresh joiner under the same ID, so
-// a slot's index stays meaningful across the whole run.
-type member struct {
-	id, url string
-	nd      *cluster.Node
-	http    *http.Server
-	spans   *span.Store
-	log     *syncLog // one sink per slot, across restarts
-	alive   bool
-}
-
-// fleet is the harness's loopback cluster.
-type fleet struct {
-	locs    []resource.Location
-	members []*member
-	// wire adjusts a node's cluster config before it starts: the chaos
-	// schedule's fault transport and failure-detector settings.
-	wire func(m *member, c *cluster.Config)
-}
-
-// boot starts n seed members owning disjoint shares of locs. Listeners
-// come first, so every peer URL is known before any node starts.
-func boot(n int, locs []resource.Location, wire func(*member, *cluster.Config)) (*fleet, error) {
-	f := &fleet{locs: locs, wire: wire}
-	parts := cluster.PartitionLocations(locs, n)
-	lns := make([]net.Listener, n)
-	peers := make([]cluster.Peer, n)
-	for i := range peers {
-		ln, url, err := listen()
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		peers[i] = cluster.Peer{ID: fmt.Sprintf("n%d", i+1), URL: url, Locations: parts[i]}
+// member returns the setup of one loopback-cluster member: rotad's
+// serving defaults over locs (nodeConfig), the harness's lease TTL and
+// gossip cadence, and the member's log.
+func member(locs []resource.Location) func(m *cluster.Member, c *cluster.Config) {
+	return func(m *cluster.Member, c *cluster.Config) {
+		c.Server = nodeConfig(m.ID, locs, m.Log)
+		c.LeaseTTL, c.GossipInterval = leaseTTL, 100*time.Millisecond
+		c.Obs, c.Spans = c.Server.Obs, c.Server.Spans
 	}
-	for i, p := range peers {
-		m := &member{id: p.ID, url: p.URL, log: &syncLog{}}
-		f.members = append(f.members, m)
-		if err := f.start(m, lns[i], peers, false); err != nil {
-			f.stop()
-			return nil, err
-		}
-	}
-	return f, nil
-}
-
-// start runs a fresh node in slot m, serving on ln: a seed member of
-// peers, or a blank joiner when join is set.
-func (f *fleet) start(m *member, ln net.Listener, peers []cluster.Peer, join bool) error {
-	scfg := nodeConfig(m.id, f.locs, m.log)
-	c := cluster.Config{
-		Self:           m.id,
-		Peers:          peers,
-		Join:           join,
-		Server:         scfg,
-		LeaseTTL:       leaseTTL,
-		GossipInterval: 100 * time.Millisecond,
-		Obs:            scfg.Obs,
-		Spans:          scfg.Spans,
-	}
-	if f.wire != nil {
-		f.wire(m, &c)
-	}
-	nd, err := cluster.New(c)
-	if err != nil {
-		return err
-	}
-	m.nd, m.http, m.spans, m.alive = nd, serve(ln, nd), scfg.Spans, true
-	return nil
-}
-
-// join starts a fresh node in slot m on a new port and joins it to the
-// cluster through via, asking for pins.
-func (f *fleet) join(m *member, via string, pins []resource.Location) error {
-	ln, url, err := listen()
-	if err != nil {
-		return err
-	}
-	m.url = url
-	if err := f.start(m, ln, []cluster.Peer{{ID: m.id, URL: url}}, true); err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return m.nd.JoinCluster(ctx, via, pins)
-}
-
-// kill stops a member dead: inbound first, then outbound. A node that
-// only lost its listener keeps gossiping, gets fenced, and rejoins.
-func (m *member) kill() error {
-	m.alive = false
-	m.http.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	return m.nd.Shutdown(ctx)
-}
-
-// stop kills every live member.
-func (f *fleet) stop() {
-	for _, m := range f.live() {
-		_ = m.kill()
-	}
-}
-
-// live lists the members currently running.
-func (f *fleet) live() []*member {
-	var out []*member
-	for _, m := range f.members {
-		if m.alive {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// nodes lists the running members' nodes.
-func (f *fleet) nodes() []*cluster.Node {
-	var out []*cluster.Node
-	for _, m := range f.live() {
-		out = append(out, m.nd)
-	}
-	return out
-}
-
-// urls lists the running members' base URLs.
-func (f *fleet) urls() []string {
-	var out []string
-	for _, m := range f.live() {
-		out = append(out, m.url)
-	}
-	return out
-}
-
-// syncLog is a concurrency-safe log sink: a node's Observer writes
-// under its own lock, but the harness reads while the node runs.
-type syncLog struct {
-	mu  sync.Mutex
-	buf []byte
-}
-
-func (l *syncLog) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.buf = append(l.buf, p...)
-	return len(p), nil
-}
-
-func (l *syncLog) String() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return string(l.buf)
-}
-
-// waitFor polls cond every 20ms until it holds (true) or timeout passes
-// (false).
-func waitFor(timeout time.Duration, cond func() bool) bool {
-	for deadline := time.Now().Add(timeout); !cond(); time.Sleep(20 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			return false
-		}
-	}
-	return true
 }
 
 // listedBy reports whether every member's table lists id (listed) or
 // none does (!listed).
-func listedBy(ms []*member, id string, listed bool) func() bool {
+func listedBy(ms []*cluster.Member, id string, listed bool) func() bool {
 	return func() bool {
 		for _, m := range ms {
-			if _, ok := m.nd.Table().Member(id); ok != listed {
+			if _, ok := m.Node.Table().Member(id); ok != listed {
 				return false
 			}
 		}
 		return true
 	}
-}
-
-// ledgerHomes counts how many of the given nodes' ledgers hold a
-// commitment — exactly 1 for anything that survived a handoff intact.
-func ledgerHomes(nodes []*cluster.Node, name string) int {
-	homes := 0
-	for _, nd := range nodes {
-		if _, ok := nd.Server().Ledger().Commitment(name); ok {
-			homes++
-		}
-	}
-	return homes
 }
 
 // admitted posts job to baseURL and reports whether it was admitted,

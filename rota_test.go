@@ -143,7 +143,7 @@ func TestFacadeStateRules(t *testing.T) {
 	if tr.Kind.String() != "acquire" {
 		t.Errorf("kind = %v", tr.Kind)
 	}
-	if got := s2.Theta.RateAt(CPUAt("l1"), 5); got != UnitsRate(3) {
+	if got := s2.Theta.MinRate(CPUAt("l1"), NewInterval(5, 6)); got != UnitsRate(3) {
 		t.Errorf("rate after acquire = %d", got)
 	}
 	// Admission, checked by the independent verifier.
