@@ -50,10 +50,14 @@ test:
 # across skipped sweeps: TestWakeMarginBoundary, which the Wake pattern
 # matches) — ten times. The fourth
 # repeats the graceful leave queued behind a join ten times: a departed
-# member that rejoins on its own shows there first; and a location
-# handed on before the table granting its install arrived, which the
-# one routing overlay must send to its new owner, not back to the
-# emptied ledger. The fifth repeats
+# member that rejoins on its own shows there first; a location handed
+# on before the table granting its install arrived, which the one
+# routing overlay must send to its new owner, not back to the emptied
+# ledger; admissions racing a join's handoffs; and a commit or abort
+# whose slice moved — once, twice, or away from an old owner fenced and
+# rejoined since — which the coordinator follows by the slice's
+# locations, one redirect per move, with no node remembering the keys it
+# handed off. The fifth repeats
 # the coordinated admit in the one admit envelope ten times — it holds a
 # decision slot through its two-phase rounds, a coordination parked past
 # DecisionTimeout aborts every hold and answers 503, and a drain aborts
@@ -83,7 +87,7 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 -run 'NoOvercommit|Racing|Expired|CtxDone|FreeView|ReleaseBeyond' ./internal/server/
 	$(GO) test -race -count=10 -run 'Subscribe|Bump|Flip|Concurrent|Wake' ./internal/query/ ./internal/server/
-	$(GO) test -race -count=10 -run 'LeaveQueuesBehindJoin|HandoffBeforeGrantRoutesToNewOwner' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'LeaveQueuesBehindJoin|HandoffBeforeGrantRoutesToNewOwner|AbortFollowsCommittedKeyAcrossHandoff|ConcurrentAdmissionsDuringHandoff|FinishFollowsLocationMovedTwice|FinishReachesSliceAfterOldOwnerRejoined' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'CoordinatedAdmit|DrainAbortsInflightPrepares' ./internal/cluster/
 	$(GO) test -race -count=50 -run 'TestSubscribeInitialVerdictAndFlip$$' ./internal/query/
 	$(GO) test -race -count=10 -run 'StoreConcurrency|SpanTree' ./internal/obs/span/

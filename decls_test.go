@@ -115,26 +115,86 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// interfaceMethods adds the method names of every interface type
-// written in f to names.
-func interfaceMethods(f *ast.File, names map[string]bool) {
+// methodKey is a method's name and signature as the interface match
+// compares them: parameter and result types only, package qualifiers
+// dropped and interface{} spelled any, so a type-checked method and one
+// read from source with go/parser render alike.
+func methodKey(name string, params, results []string) string {
+	key := name + "(" + strings.Join(params, ", ") + ") (" + strings.Join(results, ", ") + ")"
+	return strings.ReplaceAll(key, "interface{}", "any")
+}
+
+// typesMethodKey is methodKey of a type-checked method.
+func typesMethodKey(name string, sig *types.Signature) string {
+	unqualified := func(*types.Package) string { return "" }
+	list := func(t *types.Tuple, variadic bool) []string {
+		out := make([]string, t.Len())
+		for i := range out {
+			ty := t.At(i).Type()
+			if variadic && i == t.Len()-1 {
+				out[i] = "..." + types.TypeString(ty.(*types.Slice).Elem(), unqualified)
+				continue
+			}
+			out[i] = types.TypeString(ty, unqualified)
+		}
+		return out
+	}
+	return methodKey(name, list(sig.Params(), sig.Variadic()), list(sig.Results(), false))
+}
+
+// qualifier matches a package qualifier in a written type.
+var qualifier = regexp.MustCompile(`\b\w+\.`)
+
+// astMethodKey is methodKey of a method written in source.
+func astMethodKey(name string, ft *ast.FuncType) string {
+	list := func(fl *ast.FieldList) []string {
+		var out []string
+		if fl == nil {
+			return out
+		}
+		for _, f := range fl.List {
+			text := qualifier.ReplaceAllString(types.ExprString(f.Type), "")
+			for range max(1, len(f.Names)) {
+				out = append(out, text)
+			}
+		}
+		return out
+	}
+	return methodKey(name, list(ft.Params), list(ft.Results))
+}
+
+// interfaceMethods adds the methodKey of every method an interface type
+// written in f declares to keys, from its type-checked form when info
+// has one.
+func interfaceMethods(f *ast.File, info *types.Info, keys map[string]bool) {
 	ast.Inspect(f, func(n ast.Node) bool {
-		if it, ok := n.(*ast.InterfaceType); ok {
-			for _, m := range it.Methods.List {
-				for _, id := range m.Names {
-					names[id.Name] = true
-				}
+		it, ok := n.(*ast.InterfaceType)
+		if !ok {
+			return true
+		}
+		if tv, ok := info.Types[it]; ok {
+			t := tv.Type.Underlying().(*types.Interface)
+			for i := 0; i < t.NumExplicitMethods(); i++ {
+				m := t.ExplicitMethod(i)
+				keys[typesMethodKey(m.Name(), m.Type().(*types.Signature))] = true
+			}
+			return true
+		}
+		for _, m := range it.Methods.List {
+			for _, id := range m.Names {
+				keys[astMethodKey(id.Name, m.Type.(*ast.FuncType))] = true
 			}
 		}
 		return true
 	})
 }
 
-// stdInterfaceMethods adds to names the method names of every interface
-// type in the sources of the standard packages imports and of every
-// standard package they import in turn. An embedded interface adds its
-// methods where it is declared, which is in this closure too.
-func stdInterfaceMethods(imports []string, names map[string]bool) error {
+// stdInterfaceMethods adds to keys the methodKey of every method an
+// interface type declares in the sources of the standard packages
+// imports and of every standard package they import in turn. An
+// embedded interface adds its methods where it is declared, which is in
+// this closure too.
+func stdInterfaceMethods(imports []string, keys map[string]bool) error {
 	fset := token.NewFileSet()
 	seen := map[string]bool{"C": true, "unsafe": true}
 	for len(imports) > 0 {
@@ -157,7 +217,7 @@ func stdInterfaceMethods(imports []string, names map[string]bool) error {
 			if err != nil {
 				return err
 			}
-			interfaceMethods(f, names)
+			interfaceMethods(f, &types.Info{}, keys)
 		}
 		imports = append(imports, bp.Imports...)
 	}
@@ -184,8 +244,9 @@ type reachNode struct {
 // doc comment has a "Kept:" line, and every facade declaration that
 // root/README.md spells pkg.Name. The facade's own vars are roots only
 // when named. A method is reached when a reached body selects it, or
-// when its receiver type is reached and an interface type of the tree,
-// or of a standard package it imports, has a method of its name.
+// when its receiver type is reached and error, an interface type of the
+// tree, or one of a standard package it imports, declares a method of
+// its name and signature (methodKey).
 func unreached(root string) ([]string, error) {
 	fset, files, err := parseTree(root)
 	if err != nil {
@@ -328,20 +389,21 @@ func unreached(root string) ([]string, error) {
 		}
 	}
 
-	// Method names that some interface type declares: the universe's
-	// error, or one in the tree or in a standard package it imports,
-	// directly or not. The standard
-	// library calls methods through interfaces of its own (errors.Is
-	// through an unnamed interface{ Is(error) bool }, encoding/json
-	// through encoding.TextMarshaler).
+	// The methods some interface type declares, by name and signature:
+	// the universe's error, or one in the tree or in a standard package
+	// it imports, directly or not. The standard library calls methods
+	// through interfaces of its own (errors.Is through an unnamed
+	// interface{ Is(error) bool }, encoding/json through
+	// encoding.TextMarshaler).
 	iface := map[string]bool{}
 	errorType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 	for i := 0; i < errorType.NumMethods(); i++ {
-		iface[errorType.Method(i).Name()] = true
+		m := errorType.Method(i)
+		iface[typesMethodKey(m.Name(), m.Type().(*types.Signature))] = true
 	}
 	for _, f := range files {
 		if !f.test {
-			interfaceMethods(f.ast, iface)
+			interfaceMethods(f.ast, info, iface)
 		}
 	}
 	var stdImports []string
@@ -386,7 +448,7 @@ func unreached(root string) ([]string, error) {
 			return true
 		})
 		for _, m := range methods[obj] {
-			if iface[m.Name()] {
+			if iface[typesMethodKey(m.Name(), m.Type().(*types.Signature))] {
 				reach(m)
 			}
 		}
@@ -420,9 +482,10 @@ func TestNoTestOnlyDeclarations(t *testing.T) {
 
 // TestUnreachedFixture runs the walk over testdata/reach, a module with
 // one binary and one planted case of each kind: a pair of functions that
-// call only each other and a method sharing its name with a used one are
-// reported; a method called only through an interface and a "Kept:"
-// declaration are not.
+// call only each other, a method sharing its name with a used one and a
+// method sharing a standard interface method's name but not its
+// signature are reported; a method called only through an interface and
+// a "Kept:" declaration are not.
 func TestUnreachedFixture(t *testing.T) {
 	got, err := unreached(filepath.Join("testdata", "reach"))
 	if err != nil {
@@ -431,6 +494,7 @@ func TestUnreachedFixture(t *testing.T) {
 	want := []string{ // sorted as strings, as unreached returns them
 		"internal/lib/lib.go:14: pong",
 		"internal/lib/lib.go:25: B.Frob",
+		"internal/lib/lib.go:35: C.String",
 		"internal/lib/lib.go:7: ping",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

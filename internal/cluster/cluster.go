@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -145,9 +146,8 @@ type Node struct {
 	// entry naming this node is an install no table has granted yet, so
 	// a published table that assigns the location elsewhere (a
 	// rolled-back plan) clears the entry AND the installed state.
-	omu       sync.Mutex
-	overlay   map[resource.Location]ownerRef
-	movedKeys map[string]ownerRef
+	omu     sync.Mutex
+	overlay map[resource.Location]ownerRef
 
 	// smu guards the warm-standby shadows gossip ships here.
 	smu     sync.Mutex
@@ -258,7 +258,6 @@ func New(cfg Config) (*Node, error) {
 		spans:       cfg.Spans,
 		httpStats:   make(map[string]*obs.EndpointStats),
 		overlay:     make(map[resource.Location]ownerRef),
-		movedKeys:   make(map[string]ownerRef),
 		shadows:     make(map[resource.Location]server.LocationExport),
 		detector:    health.NewDetector(dopts),
 		autoEvict:   cfg.EvictPhi > 0,
@@ -683,21 +682,6 @@ func (n *Node) prepareOn(ctx context.Context, p *participant, key, name string, 
 	return nil
 }
 
-// commitOn promotes one owner's hold.
-func (n *Node) commitOn(ctx context.Context, ps *peerState, key string) error {
-	if ps.isSelf {
-		// finishMoved covers the case where the hold's location left this
-		// node mid-2PC: the commit follows it to the new owner.
-		return n.finishMoved(ctx, key, "commit")
-	}
-	body, _ := json.Marshal(server.FinishRequest{Key: key})
-	headers := map[string]string{headerIdempotency: key}
-	if err := n.client.call(ctx, http.MethodPost, ps.URL+"/v1/cluster/commit", body, nil, headers, ps.rpc); err != nil {
-		return fmt.Errorf("cluster: commit on %s: %w", ps.ID, err)
-	}
-	return nil
-}
-
 // abortOn best-effort releases one owner's hold (or rolls back its
 // commit). It runs on a detached context so aborts still go out while
 // the triggering request is being cancelled or the node is draining —
@@ -705,25 +689,77 @@ func (n *Node) commitOn(ctx context.Context, ps *peerState, key string) error {
 // (previously only the trace was kept, which orphaned every abort span
 // from the coordination/migration tree that triggered it), but none of
 // its cancellation; a lost abort is reclaimed by the lease sweep.
-func (n *Node) abortOn(parent context.Context, ps *peerState, key string) {
+func (n *Node) abortOn(parent context.Context, p *participant, key string) {
 	ctx, cancel := context.WithTimeout(span.Detach(parent), n.client.timeout*2)
 	defer cancel()
 	sctx, sp := n.spans.Start(ctx, span.KindAbort)
 	defer sp.End()
-	sp.Str("peer", ps.ID)
+	sp.Str("peer", p.ps.ID)
 	sp.Str("key", key)
 	sp.Attr("detached", true)
-	if ps.isSelf {
-		if err := n.finishMoved(ctx, key, "abort"); err != nil {
-			sp.SetStatus(span.StatusError)
-		}
-		return
-	}
-	body, _ := json.Marshal(server.FinishRequest{Key: key})
-	headers := map[string]string{headerIdempotency: key}
-	if err := n.client.call(sctx, http.MethodPost, ps.URL+"/v1/cluster/abort", body, nil, headers, ps.rpc); err != nil {
+	if err := n.finishOn(sctx, p, key, "abort"); err != nil {
 		sp.SetStatus(span.StatusError)
 	}
+}
+
+// finishOn commits (verb "commit") or aborts (verb "abort") one
+// participant's slice of key. The finish names the locations the slice
+// was prepared on; an owner finishes its own record and answers 421 for
+// those it no longer holds, and the finish follows that redirect to the
+// owner it names, then goes back for the locations the redirect did not
+// name, within maxOwnerRetries hops. No participant forwards: the
+// coordinator follows the footprint.
+func (n *Node) finishOn(ctx context.Context, p *participant, key, verb string) error {
+	type leg struct {
+		ps   *peerState
+		locs []resource.Location
+		hops int
+	}
+	legs := []leg{{p.ps, p.demand.Locations(), 0}}
+	for len(legs) > 0 {
+		l := legs[len(legs)-1]
+		legs = legs[:len(legs)-1]
+		red, moved, err := n.finishAt(ctx, l.ps, key, verb, l.locs)
+		if err != nil {
+			return err
+		}
+		if !moved {
+			continue
+		}
+		if l.hops >= maxOwnerRetries {
+			return fmt.Errorf("cluster: %s of %s kept moving, giving up after %d redirects", verb, key, l.hops)
+		}
+		n.learnRedirect(red)
+		to := n.peerFor(ownerRef{id: red.OwnerID, url: red.OwnerURL, epoch: red.Epoch})
+		legs = append(legs, leg{to, red.Locs, l.hops + 1})
+		if rest := slices.DeleteFunc(l.locs, func(loc resource.Location) bool { return slices.Contains(red.Locs, loc) }); len(rest) > 0 {
+			legs = append(legs, leg{l.ps, rest, l.hops + 1})
+		}
+	}
+	return nil
+}
+
+// finishAt sends one finish of key over locs to ps. moved reports that
+// ps finished its own record and no longer owns some of locs; red names
+// the owner of those.
+func (n *Node) finishAt(ctx context.Context, ps *peerState, key, verb string, locs []resource.Location) (red membership.RedirectResponse, moved bool, err error) {
+	if ps.isSelf {
+		n.flowMu.RLock()
+		defer n.flowMu.RUnlock()
+		if red, moved = n.redirectFor(locs); !moved {
+			locs = nil
+		}
+		return red, moved, n.srv.Ledger().Finish(verb, key, locs)
+	}
+	body, _ := json.Marshal(server.FinishRequest{Key: key, Locs: locs}) // a key and location names
+	headers := map[string]string{headerIdempotency: key}
+	if err := n.client.call(ctx, http.MethodPost, ps.URL+"/v1/cluster/"+verb, body, nil, headers, ps.rpc); err != nil {
+		red, moved = redirected(err)
+		if !moved {
+			return red, false, fmt.Errorf("cluster: %s on %s: %w", verb, ps.ID, err)
+		}
+	}
+	return red, moved, nil
 }
 
 // admitCoordinated runs a job spanning several owners through the
@@ -783,9 +819,6 @@ func (n *Node) coordinate(ctx context.Context, job workload.Job, owners map[*pee
 	dec := server.DecideOnFree(ctx, n.spans, n.srv.Policy(), free, now, job, 0)
 	if !dec.Admit {
 		return dec, nil
-	}
-	if dec.Plan == nil {
-		return fail("failed", server.ErrPlanless)
 	}
 
 	// Split the witness plan's demand by owner (live table), in one pass
@@ -903,7 +936,7 @@ func (n *Node) prepareRound(ctx context.Context, parts []*participant, key, name
 	}
 	for i, p := range parts {
 		if results[i] == nil {
-			n.abortOn(ctx, p.ps, key)
+			n.abortOn(ctx, p, key)
 		}
 	}
 	switch {
@@ -920,7 +953,7 @@ func (n *Node) prepareRound(ctx context.Context, parts []*participant, key, name
 // participant back, those already committed included.
 func (n *Node) commitRound(ctx context.Context, parts []*participant, key string) error {
 	for _, p := range parts {
-		if err := n.commitOn(ctx, p.ps, key); err != nil {
+		if err := n.finishOn(ctx, p, key, "commit"); err != nil {
 			n.abortAll(ctx, parts, key)
 			return err
 		}
@@ -932,7 +965,7 @@ func (n *Node) commitRound(ctx context.Context, parts []*participant, key string
 // commit.
 func (n *Node) abortAll(ctx context.Context, parts []*participant, key string) {
 	for _, p := range parts {
-		n.abortOn(ctx, p.ps, key)
+		n.abortOn(ctx, p, key)
 	}
 }
 
@@ -1433,7 +1466,7 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if err := n.srv.Ledger().ReleaseTransferred(req.Name); err != nil {
 		// The job now lives on both nodes; roll the target back so the
 		// original commitment remains the single source of truth.
-		n.abortOn(sctx, target, key)
+		n.abortOn(sctx, parts[0], key)
 		fail("aborted", http.StatusInternalServerError, err)
 		return
 	}

@@ -448,7 +448,6 @@ func (n *Node) rejoin(vias []string) {
 	n.srv.Ledger().DropLocations(dropped)
 	n.omu.Lock()
 	n.overlay = make(map[resource.Location]ownerRef)
-	n.movedKeys = make(map[string]ownerRef)
 	n.omu.Unlock()
 	n.flowMu.Unlock()
 	n.smu.Lock()

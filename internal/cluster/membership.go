@@ -46,9 +46,11 @@ import (
 //
 //   - Two-phase reservations whose location moved keep working, leased
 //     (mid-2PC) or already committed (the coordinator may still roll a
-//     partial commit back): the old owner remembers their keys
-//     (movedKeys) and forwards the coordinator's eventual commit/abort
-//     to the new owner.
+//     partial commit back): the key travels with each slice, and the
+//     coordinator sends each finish with the locations it prepared on.
+//     An owner finishes its own record and answers 421 for the
+//     locations it no longer holds; the coordinator follows. No node
+//     remembers which keys it handed off.
 //
 //   - Each owned location has a warm standby — the rendezvous runner-up,
 //     which is exactly the node LeaveMoves would hand the location to —
@@ -56,8 +58,8 @@ import (
 //     force-left: standbys promote from their shadows without the
 //     primary's cooperation.
 
-// ownerRef is one overlay routing entry: where a location (or a moved
-// reservation's key) now lives, and the table epoch the move belongs to.
+// ownerRef is one overlay routing entry: where a location now lives,
+// and the table epoch the move belongs to.
 // A location has one owner at each epoch, so one entry per location is
 // the whole routing fact.
 type ownerRef struct {
@@ -195,16 +197,21 @@ func (n *Node) staleOwner(err error) bool {
 	if errors.Is(err, server.ErrNotOwned) {
 		return true
 	}
+	red, ok := redirected(err)
+	if ok {
+		n.learnRedirect(red)
+	}
+	return ok
+}
+
+// redirected reads an ownership redirect out of a peer-RPC failure.
+func redirected(err error) (membership.RedirectResponse, bool) {
 	var se *httpStatusError
 	if !errors.As(err, &se) || se.status != http.StatusMisdirectedRequest {
-		return false
+		return membership.RedirectResponse{}, false
 	}
 	red, derr := membership.DecodeRedirect([]byte(se.body))
-	if derr != nil {
-		return false
-	}
-	n.learnRedirect(red)
-	return true
+	return red, derr == nil
 }
 
 // applyTable installs a newer membership table: the registry advances,
@@ -421,18 +428,11 @@ func (n *Node) executeHandoff(ctx context.Context, locs []resource.Location, toI
 		sp.Attr("error", err)
 		return fmt.Errorf("cluster: installing %d locations on %s: %w", len(locs), toID, err)
 	}
-	moved := n.srv.Ledger().DropLocations(locs)
-	ref := ownerRef{id: toID, url: toURL, epoch: epoch}
-	n.place(locs, ref, false)
-	n.omu.Lock()
-	for _, key := range moved {
-		n.movedKeys[key] = ref
-	}
-	n.omu.Unlock()
+	n.srv.Ledger().DropLocations(locs)
+	n.place(locs, ownerRef{id: toID, url: toURL, epoch: epoch}, false)
 	n.handoffs.Add(1)
-	sp.Attr("moved_keys", len(moved))
 	n.obs.Log("membership.handoff",
-		"node", n.self.ID, "to", toID, "locations", len(locs), "moved_keys", len(moved), "epoch", epoch)
+		"node", n.self.ID, "to", toID, "locations", len(locs), "epoch", epoch)
 	return nil
 }
 
@@ -1088,9 +1088,9 @@ func (n *Node) handleFreeIntercept(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFinishIntercept fronts /v1/cluster/commit and /v1/cluster/abort,
-// verb naming which: a key whose hold moved mid-2PC is finished here
-// (the slice that stayed, if any) and forwarded to the new owner, so the
-// coordinator's commit or abort lands everywhere the hold now lives.
+// verb naming which, the same way: the finish runs under the handoff
+// freeze, and when some of its locations moved, the 421 naming their
+// owner answers it once this node's own record is finished.
 func (n *Node) handleFinishIntercept(verb string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := server.ReadBody(w, r)
@@ -1104,76 +1104,12 @@ func (n *Node) handleFinishIntercept(verb string) http.HandlerFunc {
 			server.HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
-		// The moved-check must run under the handoff freeze: a handoff
-		// between reading movedKeys and taking the flow lock would export
-		// the hold and leave a stale moved=false, and the commit would then
-		// 404 against the already-dropped hold.
 		n.flowMu.RLock()
-		n.omu.Lock()
-		_, moved := n.movedKeys[req.Key]
-		n.omu.Unlock()
-		if !moved {
-			// The common path: the embedded server's finish, under the
-			// handoff freeze.
-			defer n.flowMu.RUnlock()
-			n.srv.ServeFinish(r.Context(), w, verb, req.Key)
+		defer n.flowMu.RUnlock()
+		if red, ok := n.redirectFor(req.Locs); ok {
+			n.srv.ServeFinish(r.Context(), w, verb, req, func(w http.ResponseWriter) { n.serveRedirect(w, red) })
 			return
 		}
-		n.flowMu.RUnlock()
-		if err := n.finishMoved(r.Context(), req.Key, verb); err != nil {
-			switch {
-			case errors.Is(err, server.ErrUnknownHold):
-				server.HTTPError(w, http.StatusNotFound, err)
-			case errors.Is(err, server.ErrLeaseExpired):
-				server.HTTPError(w, http.StatusGone, err)
-			default:
-				server.HTTPError(w, http.StatusBadGateway, err)
-			}
-			return
-		}
-		server.WriteJSON(w, http.StatusOK, map[string]string{"key": req.Key, "outcome": verb})
+		n.srv.ServeFinish(r.Context(), w, verb, req, nil)
 	}
-}
-
-// finishMoved applies a commit/abort locally and, when the key's
-// reservation was moved by a handoff, forwards it to the new owner as
-// well — the slice that stayed behind and the slice that moved resolve
-// together.
-// The moved-key entry survives a forwarding failure so the
-// coordinator's retry is forwarded again.
-func (n *Node) finishMoved(ctx context.Context, key, verb string) error {
-	// Read movedKeys only after taking the flow lock: executeHandoff
-	// records moves while holding it exclusively, so a read under RLock
-	// can never miss a handoff that already dropped the hold.
-	n.flowMu.RLock()
-	n.omu.Lock()
-	ref, moved := n.movedKeys[key]
-	n.omu.Unlock()
-	var err error
-	if verb == "commit" {
-		err = n.srv.Ledger().Commit(key)
-		if moved && errors.Is(err, server.ErrUnknownHold) {
-			err = nil // the whole hold moved; nothing stayed behind
-		}
-	} else {
-		err = n.srv.Ledger().Abort(key)
-	}
-	n.flowMu.RUnlock()
-	if err != nil || !moved {
-		return err
-	}
-	body, err := json.Marshal(server.FinishRequest{Key: key})
-	if err != nil {
-		return err
-	}
-	headers := map[string]string{headerIdempotency: key}
-	if err := n.client.call(ctx, http.MethodPost, ref.url+"/v1/cluster/"+verb, body, nil, headers, n.peerFor(ref).rpc); err != nil {
-		return fmt.Errorf("cluster: forwarding %s of moved key %s to %s: %w", verb, key, ref.id, err)
-	}
-	// The entry stays: commit/abort are idempotent on the new owner, and
-	// keeping it means a coordinator retry (even one whose first success
-	// response was lost) is forwarded again instead of 404ing here. The
-	// map is bounded by the two-phase reservations that were live on a
-	// location when it was handed off.
-	return nil
 }

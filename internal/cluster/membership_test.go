@@ -440,11 +440,13 @@ func TestRedirectServedForHandedOffLocation(t *testing.T) {
 	}
 }
 
-// A coordinator rolling a partial commit back sends its abort to the
-// node it prepared on. When the committed slice has since been handed
-// off, that node must answer 200 and forward the abort, and the new
-// owner must find the slice by the key that travelled with it — not
-// keep it reserved until its plan finishes.
+// A coordinator rolling a partial commit back sends its abort, with the
+// locations it prepared on, to the node it prepared on. When the
+// committed slice has since been handed off, that node answers 421
+// naming the new owner instead of forwarding, and the coordinator's
+// abort follows it: the new owner finds the slice by the key that
+// travelled with it, rather than keep it reserved until its plan
+// finishes.
 func TestAbortFollowsCommittedKeyAcrossHandoff(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 8, 100000, 50)
 	n1, n2 := tc.Members[0].Node, tc.Members[1].Node
@@ -465,14 +467,24 @@ func TestAbortFollowsCommittedKeyAcrossHandoff(t *testing.T) {
 		t.Fatal("the commitment did not move with its location")
 	}
 
-	status, body := post(t, tc.Members[0].URL+"/v1/cluster/abort", server.FinishRequest{Key: "k-partial"}, nil)
-	if status != http.StatusOK {
-		t.Fatalf("abort on the old owner returned %d: %s", status, body)
+	// The old owner redirects; it does not forward.
+	finish := server.FinishRequest{Key: "k-partial", Locs: []resource.Location{loc}}
+	status, body := post(t, tc.Members[0].URL+"/v1/cluster/abort", finish, nil)
+	if status != http.StatusMisdirectedRequest {
+		t.Fatalf("abort on the old owner returned %d, want 421: %s", status, body)
+	}
+	if _, ok := n2.Server().Ledger().Commitment("partial"); !ok {
+		t.Fatal("the old owner forwarded the abort")
+	}
+	// The coordinator (n2 here) follows the redirect.
+	old := &participant{ps: n2.peerFor(ownerRef{id: "n1", url: tc.Members[0].URL}), demand: demand}
+	if err := n2.finishOn(ctx, old, "k-partial", "abort"); err != nil {
+		t.Fatalf("abort via the old owner: %v", err)
 	}
 	if _, ok := n2.Server().Ledger().Commitment("partial"); ok {
 		t.Fatal("the abort never reached the slice on the new owner")
 	}
-	auditAll(t, tc, "after the forwarded abort")
+	auditAll(t, tc, "after the redirected abort")
 	free, _, err := n2.Server().Ledger().FreeView([]resource.Location{loc})
 	if err != nil {
 		t.Fatal(err)
@@ -481,6 +493,110 @@ func TestAbortFollowsCommittedKeyAcrossHandoff(t *testing.T) {
 	if !free.Equal(want) {
 		t.Fatalf("free on %s after the abort = %s, want all of %s", loc, free.Compact(), want.Compact())
 	}
+}
+
+// A location handed on twice, n1 → n2 → n3, before the coordinator
+// finishes: a commit sent to n1 by another node and an abort n1
+// coordinates itself both reach the slice on n3, one redirect per move.
+func TestFinishFollowsLocationMovedTwice(t *testing.T) {
+	tc := newTestCluster(t, 3, 1, 8, 100000, 50)
+	n1, n2, n3 := tc.Members[0].Node, tc.Members[1].Node, tc.Members[2].Node
+	loc := tc.Members[0].Locations[0]
+	demand := resource.NewSet(resource.NewTerm(resource.FromUnits(1), resource.CPUAt(loc), interval.New(0, 10)))
+	for _, key := range []string{"k-commit", "k-abort"} {
+		if err := n1.Server().Ledger().Prepare(key, "twice-"+key, demand, 10, 20, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	epoch := n1.Table().Epoch
+	if err := n1.executeHandoff(ctx, []resource.Location{loc}, "n2", tc.Members[1].URL, epoch+1); err != nil {
+		t.Fatalf("handoff to n2: %v", err)
+	}
+	if err := n2.executeHandoff(ctx, []resource.Location{loc}, "n3", tc.Members[2].URL, epoch+2); err != nil {
+		t.Fatalf("handoff to n3: %v", err)
+	}
+	if got := n3.Server().Ledger().NumHolds(); got != 2 {
+		t.Fatalf("n3 carries %d holds after both handoffs, want 2", got)
+	}
+
+	// n3 coordinates the commit through n1, the node it prepared on.
+	viaN1 := &participant{ps: n3.peerFor(ownerRef{id: "n1", url: tc.Members[0].URL}), demand: demand}
+	if err := n3.finishOn(ctx, viaN1, "k-commit", "commit"); err != nil {
+		t.Fatalf("commit via n1: %v", err)
+	}
+	if _, ok := n3.Server().Ledger().Commitment("twice-k-commit"); !ok {
+		t.Fatal("the commit did not reach the slice on n3")
+	}
+	// n1 coordinates the abort of its own slice.
+	self := &participant{ps: n1.peerFor(ownerRef{id: "n1"}), demand: demand}
+	if err := n1.finishOn(ctx, self, "k-abort", "abort"); err != nil {
+		t.Fatalf("abort from n1: %v", err)
+	}
+	if got := n3.Server().Ledger().NumHolds(); got != 0 {
+		t.Fatalf("n3 still carries %d holds, want 0", got)
+	}
+	auditAll(t, tc, "after finishing across two moves")
+	free, _, err := n3.Server().Ledger().FreeView([]resource.Location{loc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := resource.NewSet(resource.NewTerm(resource.FromUnits(8), resource.CPUAt(loc), interval.New(0, 100000))).Subtract(demand)
+	if err != nil || !free.Equal(want) {
+		t.Fatalf("free on %s = %s, want %s: only the committed slice reserved", loc, free.Compact(), want.Compact())
+	}
+}
+
+// An old owner that was fenced and rejoined after handing a location
+// off has forgotten the move with the rest of its fenced state. A
+// commit sent to it with the slice's locations still reaches the new
+// owner: the rejoined node routes by the table, which pins the
+// location there.
+func TestFinishReachesSliceAfterOldOwnerRejoined(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, 8, 100000, 50)
+	n1, n2 := tc.Members[0].Node, tc.Members[1].Node
+	loc := tc.Members[0].Locations[0]
+	demand := resource.NewSet(resource.NewTerm(resource.FromUnits(1), resource.CPUAt(loc), interval.New(0, 10)))
+	if err := n1.Server().Ledger().Prepare("k-fenced", "fenced", demand, 10, 20, 1000); err != nil {
+		t.Fatal(err)
+	}
+	// n3 joins with loc pinned: n1 hands it off, and no later table
+	// takes it back.
+	jm, err := tc.Join("n3", tc.Members[0].URL, []resource.Location{loc})
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	n3 := jm.Node
+	if got := n3.Server().Ledger().NumHolds(); got != 1 {
+		t.Fatalf("n3 carries %d holds after the join, want 1", got)
+	}
+
+	// Fence n1: force it out while it is alive. Its gossip is refused,
+	// and it rejoins as a blank member.
+	if status, body := post(t, tc.Members[1].URL+"/v1/cluster/leave", map[string]any{"id": "n1", "force": true}, nil); status != http.StatusOK {
+		t.Fatalf("force leave returned %d: %s", status, body)
+	}
+	if !WaitFor(15*time.Second, func() bool {
+		_, member := n2.Table().Member("n1")
+		return member && n1.Stats().Cluster.Rejoins > 0
+	}) {
+		t.Fatal("n1 never rejoined")
+	}
+	if owner, ok := n1.Table().OwnerOf(loc); !ok || owner != "n3" {
+		t.Fatalf("the rejoined n1 sees %s owned by %q, want n3", loc, owner)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	viaN1 := &participant{ps: n2.peerFor(ownerRef{id: "n1", url: tc.Members[0].URL}), demand: demand}
+	if err := n2.finishOn(ctx, viaN1, "k-fenced", "commit"); err != nil {
+		t.Fatalf("commit via the rejoined n1: %v", err)
+	}
+	if _, ok := n3.Server().Ledger().Commitment("fenced"); !ok {
+		t.Fatal("the commit did not reach the slice on n3")
+	}
+	auditAll(t, tc, "after the commit via the rejoined node")
 }
 
 // A release fan-out only covers the roster it started with. When a call

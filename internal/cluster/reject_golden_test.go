@@ -106,7 +106,7 @@ func TestMigrateRefusalMessage(t *testing.T) {
 
 // rejectServer is a standalone daemon over 2 cpu/tick at l1, l2 and
 // "rack 1" in (0,100), its clock at now.
-func rejectServer(t *testing.T, policy admission.Policy, now interval.Time) *server.Server {
+func rejectServer(t *testing.T, policy *admission.Rota, now interval.Time) *server.Server {
 	t.Helper()
 	var theta resource.Set
 	for _, loc := range []resource.Location{"l1", "l2", "rack 1"} {

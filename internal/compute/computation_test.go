@@ -216,7 +216,7 @@ func TestNewDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Window().Equal(interval.New(0, 20)) {
+	if d.Window() != interval.New(0, 20) {
 		t.Errorf("Window = %v", d.Window())
 	}
 	if n := len(d.Actors[0].Steps) + len(d.Actors[1].Steps); n != 2 {

@@ -164,7 +164,7 @@ func FuzzPhasesMatchMaps(f *testing.F) {
 		for i, c := range comps {
 			actor := req.Actors[i]
 			want := referencePhases(c)
-			if actor.Actor != c.Actor || !actor.Window.Equal(interval.New(0, 10)) || len(actor.Phases) != len(want) || cap(actor.Phases) != len(actor.Phases) {
+			if actor.Actor != c.Actor || actor.Window != interval.New(0, 10) || len(actor.Phases) != len(want) || cap(actor.Phases) != len(actor.Phases) {
 				t.Fatalf("ConcurrentOf actor %d = %v with %d phases (cap %d), want %s with %d",
 					i, actor, len(actor.Phases), cap(actor.Phases), c.Actor, len(want))
 			}

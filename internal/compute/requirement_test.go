@@ -119,7 +119,7 @@ func TestConcurrentOf(t *testing.T) {
 	// Each actor's requirement is its own computation's, phase by phase.
 	for i, want := range []Computation{c1, c2} {
 		got := req.Actors[i]
-		if got.Actor != want.Actor || !got.Window.Equal(d.Window()) {
+		if got.Actor != want.Actor || got.Window != d.Window() {
 			t.Errorf("actor %d = %s over %v", i, got.Actor, got.Window)
 		}
 		phases := want.Phases()

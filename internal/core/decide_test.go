@@ -33,7 +33,7 @@ func TestConcurrentAtAllocatesLittle(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := ConcurrentAt(dist, 8)
-	if len(req.Actors) != 3 || len(req.Actors[0].Phases) != 3 || !req.Window.Equal(interval.New(8, 64)) {
+	if len(req.Actors) != 3 || len(req.Actors[0].Phases) != 3 || req.Window != interval.New(8, 64) {
 		t.Fatalf("requirement = %v with %d phases per actor", req, len(req.Actors[0].Phases))
 	}
 	if got, _ := req.Actors[0].Phases[0].Amounts.Lookup(resource.CPUAt("l1")); got != resource.QuantityFromUnits(16) {

@@ -80,3 +80,12 @@ func (iv Interval) Subtract(other Interval) []Interval {
 func (iv Interval) Contains(t Time) bool {
 	return iv.Start <= t && t < iv.End
 }
+
+// Equal reports whether two intervals cover the same ticks. All empty
+// intervals are equal to each other.
+func (iv Interval) Equal(other Interval) bool {
+	if iv.Empty() || other.Empty() {
+		return iv.Empty() && other.Empty()
+	}
+	return iv.Start == other.Start && iv.End == other.End
+}

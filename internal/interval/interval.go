@@ -64,15 +64,6 @@ func (iv Interval) ContainsInterval(other Interval) bool {
 	return iv.Start <= other.Start && other.End <= iv.End
 }
 
-// Equal reports whether two intervals cover the same ticks. All empty
-// intervals are equal to each other.
-func (iv Interval) Equal(other Interval) bool {
-	if iv.Empty() || other.Empty() {
-		return iv.Empty() && other.Empty()
-	}
-	return iv.Start == other.Start && iv.End == other.End
-}
-
 // Intersect returns the overlap of two intervals (possibly empty).
 func (iv Interval) Intersect(other Interval) Interval {
 	out := Interval{Start: max64(iv.Start, other.Start), End: min64(iv.End, other.End)}

@@ -152,7 +152,6 @@ var (
 		"to", "node receiving the locations",
 		"locations", "number of locations moved",
 		"epoch", "table epoch the handoff belongs to",
-		"moved_keys", "mid-2PC holds whose keys now forward to the new owner",
 		"error", "failure that left the locations with the old owner")
 
 	KindPromote = defineKind("promote",

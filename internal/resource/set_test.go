@@ -254,7 +254,7 @@ func TestSetMisc(t *testing.T) {
 		NewTerm(u(5), cpuL1, interval.New(2, 6)),
 		NewTerm(u(3), netL12, interval.New(0, 4)),
 	)
-	if got := s.Hull(); !got.Equal(interval.New(0, 6)) {
+	if got := s.Hull(); got != interval.New(0, 6) {
 		t.Errorf("Hull = %v", got)
 	}
 	types := s.Types()

@@ -86,23 +86,39 @@ func benchAdmitLoop(b *testing.B, l *Ledger, fpLocs []resource.Location, conc in
 
 // BenchmarkAdmitHot measures the admission decide+reserve loop with the
 // promise ledger attached (the shipping configuration) across shard
-// count, resident commitments and concurrency.
+// count, resident commitments and concurrency. The near-capacity cells
+// (rate > 0) run an empty one-shard ledger whose Θ rate is that low, so
+// concurrent plans conflict; every cell reports the optimistic
+// planner's retries/op and fallbacks/op (ROADMAP 8(b)).
 func BenchmarkAdmitHot(b *testing.B) {
-	type cell struct{ locs, commits, conc int }
+	type cell struct {
+		locs, commits, conc int
+		rate                int64
+	}
 	cells := []cell{
-		{1, 100, 1}, {1, 100, 8}, {1, 100, 64},
-		{3, 100, 1}, {3, 100, 8}, {3, 100, 64},
-		{1, 10, 64}, {1, 1000, 64},
+		{1, 100, 1, 0}, {1, 100, 8, 0}, {1, 100, 64, 0},
+		{3, 100, 1, 0}, {3, 100, 8, 0}, {3, 100, 64, 0},
+		{1, 10, 64, 0}, {1, 1000, 64, 0},
+		{1, 0, 64, 1}, {1, 0, 64, 4}, {1, 0, 64, 64},
 	}
 	for _, c := range cells {
 		name := fmt.Sprintf("locs=%d/commits=%d/conc=%d", c.locs, c.commits, c.conc)
+		if c.rate > 0 {
+			name = fmt.Sprintf("locs=%d/rate=%d/conc=%d", c.locs, c.rate, c.conc)
+		}
 		b.Run(name, func(b *testing.B) {
 			l, locs := benchAdmitLedger(b, c.locs, c.commits, assure.New("bench"))
+			if c.rate > 0 {
+				l = NewLedger(Config{Theta: cpuTheta(c.rate, 1<<20, locs...), Assure: assure.New("bench")}, nil)
+			}
 			fp := locs
 			if c.locs == 1 {
 				fp = locs[:1]
 			}
 			benchAdmitLoop(b, l, fp, c.conc)
+			hot := l.AdmitHot()
+			b.ReportMetric(float64(hot.PlanRetries)/float64(b.N), "retries/op")
+			b.ReportMetric(float64(hot.PlanFallbacks)/float64(b.N), "fallbacks/op")
 		})
 	}
 }

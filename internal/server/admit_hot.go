@@ -104,7 +104,7 @@ func (l *Ledger) AdmitHot() AdmitHotCounters {
 // accepted decision and the reserve op it would apply.
 type admitWork struct {
 	ctx    context.Context
-	policy admission.Policy
+	policy *admission.Rota
 	job    workload.Job
 	now    interval.Time
 	locs   []resource.Location
@@ -192,7 +192,7 @@ func mergedFree(shards []*shard, vers []uint64) resource.Set {
 // plan span; a rejection marks the span with its reason and provenance.
 // The coordinator decides a federated admission the same way, against
 // the merged free views of its owners.
-func DecideOnFree(ctx context.Context, spans *span.Store, policy admission.Policy, free resource.Set, now interval.Time, job workload.Job, attempt int) admission.Decision {
+func DecideOnFree(ctx context.Context, spans *span.Store, policy *admission.Rota, free resource.Set, now interval.Time, job workload.Job, attempt int) admission.Decision {
 	_, sp := spans.Start(ctx, span.KindPlan)
 	defer sp.End()
 	sp.Str("job", job.Dist.Name)
@@ -216,15 +216,12 @@ func DecideOnFree(ctx context.Context, spans *span.Store, policy admission.Polic
 // plan runs the witness-plan search for w against a free view and
 // records an accepted plan as the reserve op that would land it: its
 // demand split by shard, its finish, the job's deadline and the
-// admission time. A rejection is returned as the decision; a plan-less
-// admit or a plan consuming outside the footprint is an error.
+// admission time. A rejection is returned as the decision; a plan
+// consuming outside the footprint is an error.
 func (l *Ledger) plan(w *admitWork, free resource.Set, attempt int) (admission.Decision, error) {
 	dec := DecideOnFree(w.ctx, l.spans, w.policy, free, w.now, w.job, attempt)
 	if !dec.Admit {
 		return dec, nil
-	}
-	if dec.Plan == nil {
-		return admission.Decision{}, ErrPlanless
 	}
 	demand := splitAllocs(dec.Plan.Allocs)
 	for _, p := range demand {

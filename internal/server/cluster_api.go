@@ -47,9 +47,13 @@ type PrepareResponse struct {
 	Shard  resource.Location `json:"shard,omitempty"`
 }
 
-// FinishRequest names a prepared key to commit or abort.
+// FinishRequest names a prepared key to commit or abort, and Locs the
+// locations its slice was prepared on. A location the receiver no longer
+// owns is answered with a 421 naming its owner, after the receiver
+// finished its own record; a finish without Locs names none.
 type FinishRequest struct {
-	Key string `json:"key"`
+	Key  string              `json:"key"`
+	Locs []resource.Location `json:"locs,omitempty"`
 }
 
 // FreeResponse is the owner's free-availability view of some of its
@@ -97,6 +101,13 @@ func DecodeFinishRequest(body []byte) (FinishRequest, error) {
 	}
 	if req.Key == "" || len(req.Key) > maxClusterIDLen {
 		return FinishRequest{}, fmt.Errorf("server: commit/abort key must be 1..%d bytes", maxClusterIDLen)
+	}
+	for _, loc := range req.Locs {
+		// The characters a located type's syntax reserves, as a prepare's
+		// demand literal refuses them.
+		if loc == "" || len(loc) > maxClusterIDLen || strings.ContainsAny(string(loc), "@>(),") {
+			return FinishRequest{}, fmt.Errorf("server: commit/abort %s names a bad location %q", req.Key, loc)
+		}
 	}
 	return req, nil
 }
@@ -172,25 +183,35 @@ func (s *Server) handleFinish(verb string) http.HandlerFunc {
 			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
-		s.ServeFinish(r.Context(), w, verb, req.Key)
+		s.ServeFinish(r.Context(), w, verb, req, nil)
 	}
 }
 
 // ServeFinish commits (verb "commit") or aborts (verb "abort") the
-// prepared key and answers it. Abort is idempotent, so only a commit
-// finds no hold or an expired lease.
-func (s *Server) ServeFinish(ctx context.Context, w http.ResponseWriter, verb, key string) {
-	kind, finish, done := span.KindCommit, s.ledger.Commit, "committed"
+// prepared key and answers it (Ledger.Finish). Abort is idempotent, so
+// only a commit finds no hold or an expired lease. A non-nil moved
+// answers a finished request in place of the success body: part of its
+// footprint is owned elsewhere now.
+func (s *Server) ServeFinish(ctx context.Context, w http.ResponseWriter, verb string, req FinishRequest, moved func(http.ResponseWriter)) {
+	kind, done := span.KindCommit, "committed"
 	if verb == "abort" {
-		kind, finish, done = span.KindAbort, s.ledger.Abort, "aborted"
+		kind, done = span.KindAbort, "aborted"
 	}
 	_, sp := s.cfg.Spans.Start(ctx, kind)
 	defer sp.End()
-	sp.Str("key", key)
-	err := finish(key)
-	s.obs.Log("twophase."+verb, "trace", obs.Trace(ctx), "key", key, "ok", err == nil)
-	if err == nil {
-		WriteJSON(w, http.StatusOK, map[string]any{done: key})
+	sp.Str("key", req.Key)
+	var locs []resource.Location
+	if moved != nil {
+		locs = req.Locs
+	}
+	err := s.ledger.Finish(verb, req.Key, locs)
+	s.obs.Log("twophase."+verb, "trace", obs.Trace(ctx), "key", req.Key, "ok", err == nil)
+	switch {
+	case err == nil && moved != nil:
+		moved(w)
+		return
+	case err == nil:
+		WriteJSON(w, http.StatusOK, map[string]any{done: req.Key})
 		return
 	}
 	sp.SetStatus(span.StatusError)

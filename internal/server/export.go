@@ -28,8 +28,8 @@ import (
 
 // ExportCommitment is one commitment's slice of demand on an exported
 // location. A commitment made through two-phase keeps its key, so a
-// coordinator's Abort after a partial commit (forwarded by the old
-// owner) still finds the slice on the new one.
+// coordinator's Abort after a partial commit, sent on to the new owner
+// by the old one's redirect, still finds the slice there.
 type ExportCommitment struct {
 	Name     string        `json:"name"`
 	Key      string        `json:"key,omitempty"`
@@ -41,7 +41,7 @@ type ExportCommitment struct {
 
 // ExportHold is one leased two-phase hold's slice of demand on an
 // exported location. The original key and expiry travel with it so the
-// coordinator's commit/abort (forwarded by the old owner) still
+// coordinator's commit/abort, redirected by the old owner, still
 // resolves, and an orphaned lease still expires on schedule.
 type ExportHold struct {
 	Key      string        `json:"key"`
@@ -111,12 +111,12 @@ func (l *Ledger) ExportLocations(locs []resource.Location) []LocationExport {
 // DropLocations atomically strips the given locations from this ledger:
 // their shards disappear, every reservation loses its slice of demand on
 // them (records left empty are removed entirely), and the locations
-// leave the owned set so later requests get ErrNotOwned. It returns the
-// two-phase keys of the reservations, leased or committed, that lost
-// demand — the cluster layer must forward their eventual commit/abort to
-// the new owner. It validates nothing: it is a drop op's effect and its
-// apply, under the locks that make the drop atomic.
-func (l *Ledger) DropLocations(locs []resource.Location) []string {
+// leave the owned set so later requests get ErrNotOwned. A two-phase
+// key keeps its record for the slices that stayed; the coordinator's
+// commit or abort of the slices that left goes to their locations' new
+// owner. It validates nothing: it is a drop op's effect and its apply,
+// under the locks that make the drop atomic.
+func (l *Ledger) DropLocations(locs []resource.Location) {
 	// Shard locks first (the canonical order: l.mu is never held while a
 	// shard lock is acquired), then l.mu for the maps. Holding both
 	// serializes the drop against in-flight admissions and prepares,
@@ -132,7 +132,6 @@ func (l *Ledger) DropLocations(locs []resource.Location) []string {
 		}
 	}
 	o := op{kind: opDrop, moved: locs}
-	var movedKeys []string
 	for _, r := range l.byName {
 		if r.pending {
 			continue
@@ -141,9 +140,6 @@ func (l *Ledger) DropLocations(locs []resource.Location) []string {
 		r.parts = slices.DeleteFunc(r.parts, func(p part) bool { return slices.Contains(locs, p.loc) })
 		if len(r.parts) == before {
 			continue
-		}
-		if r.key != "" {
-			movedKeys = append(movedKeys, r.key)
 		}
 		if len(r.parts) == 0 {
 			l.unindexLocked(r)
@@ -155,9 +151,7 @@ func (l *Ledger) DropLocations(locs []resource.Location) []string {
 			}
 		}
 	}
-	sort.Strings(movedKeys)
 	l.apply(o)
-	return movedKeys
 }
 
 // ImportLocations installs exported location state on this ledger: the

@@ -193,9 +193,14 @@ func FuzzDecodePrepareRequest(f *testing.F) {
 }
 
 // FuzzDecodeFinishRequest fuzzes the commit/abort decoder: whatever
-// decodes must be safe to commit (unknown) and abort (no-op) cold.
+// decodes must be safe to commit (unknown) and abort (no-op) cold, and
+// each location it names must be one a prepare's demand literal could
+// name.
 func FuzzDecodeFinishRequest(f *testing.F) {
 	f.Add([]byte(`{"key":"n1.2pc.1"}`))
+	f.Add([]byte(`{"key":"n1.2pc.1","locs":["l1","l2"]}`))
+	f.Add([]byte(`{"key":"n1.2pc.1","locs":["l1>l2"]}`))
+	f.Add([]byte(`{"key":"n1.2pc.1","locs":[""]}`))
 	f.Add([]byte(`{"key":""}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`garbage`))
@@ -203,6 +208,11 @@ func FuzzDecodeFinishRequest(f *testing.F) {
 		req, err := DecodeFinishRequest(data)
 		if err != nil {
 			return
+		}
+		for _, loc := range req.Locs {
+			if lt, err := resource.ParseLocatedType("cpu@" + string(loc)); err != nil || lt.Loc != loc || lt.Dst != "" {
+				t.Fatalf("decoded location %q is no prepare's location (%v)", loc, err)
+			}
 		}
 		l := NewLedger(Config{Theta: cpuTheta(2, 64, "l1")}, nil)
 		if err := l.Commit(req.Key); err == nil {

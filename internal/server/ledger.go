@@ -612,9 +612,6 @@ var (
 	ErrDuplicate = errors.New("server: computation already admitted")
 	// ErrUnknown is returned for a release of a name not in the ledger.
 	ErrUnknown = errors.New("server: unknown computation")
-	// ErrPlanless is returned when a policy admits without a witness
-	// plan; the live ledger cannot reserve what was never planned.
-	ErrPlanless = errors.New("server: policy admitted without a witness plan; rotad requires a plan-producing policy")
 	// ErrClockBackward is returned by Advance for a non-monotonic clock.
 	ErrClockBackward = errors.New("server: clock may not move backward")
 	// ErrNotOwned is returned when a request names a location this node
@@ -702,8 +699,9 @@ func (l *Ledger) OwnedLocations() []resource.Location {
 // admission reserves the witness plan shard by shard. The returned
 // Decision has Elapsed stamped by admission.Decide (the uniform
 // measurement point). A non-nil error means the request never reached a
-// verdict (duplicate name, plan-less policy); rejections are not errors.
-func (l *Ledger) Admit(policy admission.Policy, job workload.Job) (admission.Decision, error) {
+// verdict (a duplicate name, an unowned location); rejections are not
+// errors.
+func (l *Ledger) Admit(policy *admission.Rota, job workload.Job) (admission.Decision, error) {
 	return l.AdmitCtx(context.Background(), policy, job)
 }
 
@@ -719,7 +717,7 @@ func (l *Ledger) Admit(policy admission.Policy, job workload.Job) (admission.Dec
 // outside the shard locks, and the reservation revalidates the snapshot
 // version (or the plan's fit) before committing — so plan search never
 // serializes a shard.
-func (l *Ledger) AdmitCtx(ctx context.Context, policy admission.Policy, job workload.Job) (admission.Decision, error) {
+func (l *Ledger) AdmitCtx(ctx context.Context, policy *admission.Rota, job workload.Job) (admission.Decision, error) {
 	now := l.Now()
 	if now >= job.Dist.Deadline {
 		return admission.PastDeadline(job.Dist.Deadline, now), nil

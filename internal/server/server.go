@@ -28,10 +28,10 @@ import (
 // Config parameterizes the daemon.
 type Config struct {
 	// Policy makes admission decisions; nil means &admission.Rota{},
-	// which is what rotad passes. It must be an *admission.Rota: the live
-	// ledger reserves witness plans, and a policy that admits without one
-	// cannot be held to Theorem 4.
-	Policy admission.Policy
+	// which is what rotad passes. It is a Rota by type: the live ledger
+	// reserves the witness plan every Rota admit carries, and a policy
+	// that admits without one cannot be held to Theorem 4.
+	Policy *admission.Rota
 	// Theta is the initial availability.
 	Theta resource.Set
 	// Now is the initial ledger clock.
@@ -69,14 +69,9 @@ type Config struct {
 	FlightRec *flightrec.Recorder
 }
 
-func (c *Config) fill() error {
+func (c *Config) fill() {
 	if c.Policy == nil {
 		c.Policy = &admission.Rota{}
-	}
-	switch c.Policy.(type) {
-	case *admission.Rota:
-	default:
-		return fmt.Errorf("server: policy %s is not plan-producing; rotad requires rota", c.Policy.Name())
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -84,7 +79,6 @@ func (c *Config) fill() error {
 	if c.DecisionTimeout <= 0 {
 		c.DecisionTimeout = 2 * time.Second
 	}
-	return nil
 }
 
 // Server is the rotad daemon core: ledger + decision slots + HTTP
@@ -135,9 +129,7 @@ type Server struct {
 // New builds a daemon core (no listener — the caller attaches it to an
 // http.Server or httptest).
 func New(cfg Config) (*Server, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
+	cfg.fill()
 	s := &Server{
 		cfg:            cfg,
 		slots:          make(chan struct{}, cfg.Workers),
@@ -202,7 +194,7 @@ func (s *Server) Ledger() *Ledger {
 
 // Policy is the admission policy the server decides with; a cluster
 // coordinator plans a spanning job with it too.
-func (s *Server) Policy() admission.Policy { return s.cfg.Policy }
+func (s *Server) Policy() *admission.Rota { return s.cfg.Policy }
 
 // Assure exposes the promise ledger (nil when disabled). The cluster
 // layer reaches it here so promises survive jobs changing owners.

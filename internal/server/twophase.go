@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/admission"
 	"repro/internal/interval"
@@ -131,6 +133,23 @@ func (l *Ledger) Abort(key string) error {
 	l.mu.Unlock()
 	// Rolling back a committed key unwinds the admission itself.
 	return l.free(op{kind: opAbort, unwind: r.lease == 0}, r)
+}
+
+// Finish commits (verb "commit") or aborts (verb "abort") key. moved,
+// when the caller found some of the locations the slice was prepared on
+// owned elsewhere, is all of them: a commit that finds no hold is then
+// no failure if none of them is owned here any more. The whole hold left
+// with a handoff, and the coordinator's finish follows it to its new
+// owner.
+func (l *Ledger) Finish(verb, key string, moved []resource.Location) error {
+	if verb == "abort" {
+		return l.Abort(key)
+	}
+	err := l.Commit(key)
+	if errors.Is(err, ErrUnknownHold) && len(moved) > 0 && !slices.ContainsFunc(moved, l.Owned) {
+		return nil
+	}
+	return err
 }
 
 // FreeView returns the merged free availability (Θ minus reservations

@@ -30,6 +30,10 @@ type C struct{}
 
 func (C) Describe() string { return "c" }
 
+// C's String shares its name with fmt.Stringer's method, not its
+// signature: no interface can call it. Reported.
+func (C) String(n int) string { return "c" }
+
 // keptHelper is reached by nothing, but says who keeps it. Not reported.
 //
 // Kept: TestUnreachedFixture.
